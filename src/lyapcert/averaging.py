@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .certcheck import CandidateFunction, ConditionReport, TOL_ABS
+from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -317,39 +317,26 @@ def check_drift_remainder(
     """Check |x(k+T+1) - x - eps*T*phibar(x)| <= eps*T*nu*|x| on samples.
 
     Each sample is a (start time, state, window length, amplitude) tuple;
-    window lengths must be tabulated in the sigma table.
+    window lengths must be tabulated in the sigma table.  Zero states are
+    skipped; the slack is the allowance minus the drift, plus TOL_ABS.
     """
-    worst = math.inf
-    worst_point = None
-    worst_params = None
-    n = 0
-    passed = True
+    points, params, slack = [], [], []
     for k, x, T, eps in samples:
         x = np.asarray(x, dtype=float)
-        T = int(T)
+        T, eps = int(T), float(eps)
         nx = float(np.linalg.norm(x))
         if nx < 1e-14:
             continue
-        n += 1
         sigma_T = table.sigma(T)
-        end = _window_states(phi, int(k), x, float(eps), T)[-1]
+        end = _window_states(phi, int(k), x, eps, T)[-1]
         drift = float(np.linalg.norm(end - x - eps * T * avg.phibar(x)))
-        allowance = eps * T * nu(T, float(eps), table.L, sigma_T) * nx
-        margin = allowance - drift
-        if margin < worst:
-            worst = margin
-            worst_point = (int(k), x.copy())
-            worst_params = {"T": T, "eps": float(eps)}
-        if margin < -TOL_ABS:
-            passed = False
-    return ConditionReport(
-        condition=DRIFT_REMAINDER,
-        passed=passed,
-        worst_margin=worst if n else math.inf,
-        worst_point=worst_point,
-        samples_checked=n,
-        details={"L": table.L, "worst_sample": worst_params},
-    )
+        allowance = eps * T * nu(T, eps, table.L, sigma_T) * nx
+        points.append((int(k), x.copy()))
+        params.append({"T": T, "eps": eps})
+        slack.append(allowance - drift + TOL_ABS)
+    i = worst_index(slack)
+    details = {"L": table.L, "worst_sample": None if i is None else params[i]}
+    return ConditionReport.from_slack(DRIFT_REMAINDER, slack, points, details)
 
 
 def _gradient(V: CandidateFunction, x: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:

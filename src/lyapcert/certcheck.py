@@ -4,41 +4,40 @@ Every check here produces *sampled evidence* on an explicit grid, never a
 proof: the grid covers concentric shells (geometrically spaced radii) times
 low-discrepancy directions, and quadratic candidates additionally get their
 eigendirections injected so sign defects cannot hide between samples.
-Margins are compared with a small absolute-plus-relative tolerance.
+
+Every per-sample check in the package reduces through
+:meth:`ConditionReport.from_slack`.  A check computes one slack per
+sample with its tolerance already folded in, so the slack is >= 0 exactly
+where the inequality held (> 0 for the strict ``pos_def`` and
+``strict_decrease`` conditions).  The reduction fails closed: an empty
+sample set, or any NaN or infinite slack, fails the report.  A report's
+``worst_margin`` is therefore >= 0 exactly when it passed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dynsys import DynSystem
-from .errors import HypothesisViolationError, InapplicableError
 from .rng import low_discrepancy_directions
 
 __all__ = [
     "CandidateFunction",
     "ConditionReport",
-    "ClassKEnvelope",
+    "worst_index",
     "shell_grid",
     "inject_eigendirections",
     "check_positive_definite",
     "check_decrease",
-    "check_sublevel_invariance",
     "check_exponential_conditions",
-    "fit_classk_envelopes",
-    "check_instability_region",
-    "sample_lasalle_zero_set",
     "POS_DEF",
     "DECREASE",
     "STRICT_DECREASE",
-    "UNIFORM_BOUNDS",
     "EXPONENTIAL_BOUNDS",
-    "RADIAL_UNBOUNDED",
-    "INSTABILITY_REGION",
-    "SUBLEVEL_INVARIANCE",
 ]
 
 TOL_ABS = 1e-9
@@ -47,11 +46,7 @@ TOL_REL = 1e-9
 POS_DEF = "pos_def"
 DECREASE = "decrease"
 STRICT_DECREASE = "strict_decrease"
-UNIFORM_BOUNDS = "uniform_bounds"
 EXPONENTIAL_BOUNDS = "exponential_bounds"
-RADIAL_UNBOUNDED = "radial_unbounded"
-INSTABILITY_REGION = "instability_region"
-SUBLEVEL_INVARIANCE = "sublevel_invariance"
 
 
 def _margin_tol(reference: float) -> float:
@@ -89,6 +84,16 @@ class CandidateFunction:
         return cls(eval_fn=lambda t, x: float(x @ P @ x), dim=P.shape[0], quadratic_P=P)
 
 
+def worst_index(slack: Sequence[float]) -> Optional[int]:
+    """Index of the sample a report names: the first non-finite slack,
+    else the first minimum; None for an empty sample set."""
+    slack = np.asarray(slack, dtype=float)
+    if slack.size == 0:
+        return None
+    bad = np.flatnonzero(~np.isfinite(slack))
+    return int(bad[0]) if bad.size else int(np.argmin(slack))
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     condition: str
@@ -98,52 +103,39 @@ class ConditionReport:
     samples_checked: int
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        point = None
-        if self.worst_point is not None:
-            t, x = self.worst_point
-            point = {"t": int(t), "x": [float(v) for v in np.atleast_1d(x)]}
-        out = {
-            "condition": self.condition,
-            "passed": bool(self.passed),
-            "worst_margin": float(self.worst_margin),
-            "worst_point": point,
-            "samples_checked": int(self.samples_checked),
-        }
-        if self.details:
-            out["details"] = _plain(self.details)
-        return out
+    @classmethod
+    def from_slack(
+        cls,
+        condition: str,
+        slack: Sequence[float],
+        points: Sequence[Tuple[int, np.ndarray]],
+        details: Optional[dict] = None,
+    ) -> "ConditionReport":
+        """Reduce per-sample slacks (tolerance folded in) to one report.
 
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
-
-
-@dataclass(frozen=True)
-class ClassKEnvelope:
-    """Power-law comparison function  r -> coeff * r**exponent."""
-
-    coeff: float
-    exponent: float
-
-    def __post_init__(self):
-        if not (self.coeff > 0.0 and self.exponent > 0.0):
-            raise ValueError("class-K envelope needs positive coefficient and exponent")
-
-    def __call__(self, r) -> np.ndarray:
-        return self.coeff * np.asarray(r, dtype=float) ** self.exponent
+        ``points[i]`` is the ``(t, x)`` sample behind ``slack[i]``.  The
+        report passes when every slack is finite and >= 0 (> 0 for
+        ``pos_def`` and ``strict_decrease``) on a nonempty sample set.  It
+        names the first non-finite sample if there is one, with margin
+        -inf for a -inf slack and NaN otherwise, else the first minimum.
+        An empty sample set fails with a NaN margin.
+        """
+        slack = np.asarray(slack, dtype=float).reshape(-1)
+        if slack.size != len(points):
+            raise ValueError(f"{slack.size} slacks for {len(points)} sample points")
+        details = {} if details is None else details
+        i = worst_index(slack)
+        if i is None:
+            return cls(condition, False, math.nan, None, 0, details)
+        margin = float(slack[i])
+        if not math.isfinite(margin):
+            margin = -math.inf if margin == -math.inf else math.nan
+            passed = False
+        elif condition in (POS_DEF, STRICT_DECREASE):
+            passed = margin > 0.0
+        else:
+            passed = margin >= 0.0
+        return cls(condition, passed, margin, points[i], int(slack.size), details)
 
 
 def shell_grid(
@@ -186,27 +178,22 @@ def _times(V: CandidateFunction, sys: Optional[DynSystem]) -> Tuple[int, ...]:
     return (0,)
 
 
+def _nonzero_samples(grid: np.ndarray, times: Sequence[int]) -> list:
+    return [(t, x.copy()) for t in times for x in grid if np.any(x)]
+
+
 def check_positive_definite(
     V: CandidateFunction, grid: np.ndarray, times: Optional[Sequence[int]] = None
 ) -> ConditionReport:
-    """Sampled positivity of V away from the origin."""
+    """Sampled positivity of V away from the origin; the slack is V itself."""
     grid = _candidate_grid(V, grid)
     times = _times(V, None) if times is None else tuple(times)
-    worst = np.inf
-    worst_point = None
-    count = 0
-    for t in times:
-        for x in grid:
-            if not np.any(x):
-                continue
-            value = V(t, x)
-            count += 1
-            if value < worst:
-                worst, worst_point = value, (t, x.copy())
+    points = _nonzero_samples(grid, times)
     details = {}
     if V.quadratic_P is not None:
         details["min_eig_P"] = float(np.linalg.eigvalsh(V.quadratic_P)[0])
-    return ConditionReport(POS_DEF, bool(worst > 0.0), worst, worst_point, count, details)
+    slack = [V(t, x) for t, x in points]
+    return ConditionReport.from_slack(POS_DEF, slack, points, details)
 
 
 def check_decrease(
@@ -218,57 +205,22 @@ def check_decrease(
 ) -> ConditionReport:
     """Sampled one-step decrease of V along the map.
 
-    Non-strict accepts increments up to the margin tolerance; strict
-    requires the increment to clear the tolerance on the negative side.
+    The slack is tol - Delta V for the non-strict check, which accepts
+    increments up to the margin tolerance, and -tol - Delta V for the
+    strict one, which needs the increment to clear the tolerance on the
+    negative side.
     """
     grid = _candidate_grid(V, grid)
     times = _times(V, sys) if times is None else tuple(times)
-    worst = -np.inf
-    worst_point = None
-    passed = True
-    count = 0
-    for t in times:
-        for x in grid:
-            if not np.any(x):
-                continue
-            value = V(t, x)
-            delta = V(t + 1, sys.step(t, x)) - value
-            tol = _margin_tol(value)
-            ok = (delta < -tol) if strict else (delta <= tol)
-            passed = passed and ok
-            count += 1
-            if delta > worst:
-                worst, worst_point = delta, (t, x.copy())
+    points = _nonzero_samples(grid, times)
+    sign = -1.0 if strict else 1.0
+    slack = []
+    for t, x in points:
+        value = V(t, x)
+        delta = V(t + 1, sys.step(t, x)) - value
+        slack.append(sign * _margin_tol(value) - delta)
     condition = STRICT_DECREASE if strict else DECREASE
-    return ConditionReport(condition, passed, worst, worst_point, count)
-
-
-def check_sublevel_invariance(
-    V: CandidateFunction,
-    sys: DynSystem,
-    level: float,
-    grid: np.ndarray,
-    times: Optional[Sequence[int]] = None,
-) -> ConditionReport:
-    """One-step invariance of the sublevel set {V <= level} on sampled points."""
-    if level <= 0.0:
-        raise ValueError("sublevel threshold must be positive")
-    grid = _candidate_grid(V, grid)
-    times = _times(V, sys) if times is None else tuple(times)
-    worst = -np.inf
-    worst_point = None
-    passed = True
-    count = 0
-    for t in times:
-        for x in grid:
-            if V(t, x) > level:
-                continue
-            margin = V(t + 1, sys.step(t, x)) - level
-            passed = passed and (margin <= _margin_tol(level))
-            count += 1
-            if margin > worst:
-                worst, worst_point = margin, (t, x.copy())
-    return ConditionReport(SUBLEVEL_INVARIANCE, passed, worst, worst_point, count)
+    return ConditionReport.from_slack(condition, slack, points)
 
 
 def check_exponential_conditions(
@@ -311,124 +263,3 @@ def check_exponential_conditions(
         details["contraction_factor"] = 1.0 - b / a
     report = ConditionReport(EXPONENTIAL_BOUNDS, passed, worst_delta_ratio, worst_point, count, details)
     return report, a, b
-
-
-def fit_classk_envelopes(
-    V: CandidateFunction, grid: np.ndarray, times: Optional[Sequence[int]] = None
-) -> Tuple[ClassKEnvelope, ClassKEnvelope]:
-    """Power-law minorant/majorant of V versus the state norm.
-
-    Quadratic candidates get the exact eigenvalue envelopes; otherwise a
-    pooled log-log fit picks the exponent and the coefficients are pushed
-    to the extreme sampled ratios, so the envelopes are valid at every
-    sample by construction.
-    """
-    if V.quadratic_P is not None:
-        eigs = np.linalg.eigvalsh(V.quadratic_P)
-        if eigs[0] <= 0.0:
-            raise HypothesisViolationError(
-                f"quadratic candidate is not positive definite (min eig {eigs[0]:.3e})"
-            )
-        return ClassKEnvelope(float(eigs[0]), 2.0), ClassKEnvelope(float(eigs[-1]), 2.0)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    times = _times(V, None) if times is None else tuple(times)
-    rs, vs = [], []
-    for t in times:
-        for x in grid:
-            r = float(np.linalg.norm(x))
-            if r == 0.0:
-                continue
-            value = V(t, x)
-            if value <= 0.0:
-                raise HypothesisViolationError(
-                    f"candidate is not positive at sampled point with |x|={r:.3e}"
-                )
-            rs.append(r)
-            vs.append(value)
-    log_r = np.log(np.array(rs))
-    log_v = np.log(np.array(vs))
-    exponent = float(np.polyfit(log_r, log_v, 1)[0])
-    if exponent <= 0.0:
-        raise HypothesisViolationError("fitted growth exponent is not positive")
-    ratios = log_v - exponent * log_r
-    return (
-        ClassKEnvelope(float(np.exp(ratios.min())), exponent),
-        ClassKEnvelope(float(np.exp(ratios.max())), exponent),
-    )
-
-
-def check_instability_region(
-    V: CandidateFunction,
-    sys: DynSystem,
-    grid: np.ndarray,
-    times: Optional[Sequence[int]] = None,
-) -> ConditionReport:
-    """Sampled check of the unstable-region condition.
-
-    On the sampled set U = {V > 0} the increment must be strictly positive,
-    and U must reach the innermost shell (so the region touches the origin).
-    An empty U means the candidate cannot witness instability at all.
-    """
-    grid = _candidate_grid(V, grid)
-    times = _times(V, sys) if times is None else tuple(times)
-    norms = np.linalg.norm(grid, axis=1)
-    positive = norms > 0.0
-    if not np.any(positive):
-        raise InapplicableError("grid has no nonzero points")
-    inner_radius = norms[positive].min()
-    witness = None
-    worst = np.inf
-    worst_point = None
-    passed = True
-    count = 0
-    for t in times:
-        for x in grid:
-            if not np.any(x):
-                continue
-            value = V(t, x)
-            if value <= _margin_tol(value):
-                continue
-            delta = V(t + 1, sys.step(t, x)) - value
-            count += 1
-            if witness is None and np.linalg.norm(x) <= inner_radius * (1 + 1e-12):
-                witness = (t, x.copy())
-            passed = passed and (delta > _margin_tol(value))
-            if delta < worst:
-                worst, worst_point = delta, (t, x.copy())
-    if count == 0:
-        raise InapplicableError("V is nowhere positive on the grid")
-    if witness is None:
-        raise InapplicableError("no positive-V point on the innermost shell")
-    details = {"origin_witness": {"t": witness[0], "x": witness[1]}}
-    return ConditionReport(INSTABILITY_REGION, passed, worst, worst_point, count, details)
-
-
-def sample_lasalle_zero_set(
-    V: CandidateFunction,
-    sys: DynSystem,
-    grid: np.ndarray,
-    times: Optional[Sequence[int]] = None,
-) -> list:
-    """Grid points where the increment of V vanishes (within tolerance).
-
-    Requires the non-strict decrease check to pass on the same grid; only
-    the sampled zero set is returned — identifying the largest invariant
-    subset is left to the caller.
-    """
-    report = check_decrease(V, sys, grid, strict=False, times=times)
-    if not report.passed:
-        raise HypothesisViolationError(
-            f"V increases on the grid (worst margin {report.worst_margin:.3e})"
-        )
-    grid = _candidate_grid(V, grid)
-    times = _times(V, sys) if times is None else tuple(times)
-    zero_set = []
-    for t in times:
-        for x in grid:
-            if not np.any(x):
-                continue
-            value = V(t, x)
-            delta = V(t + 1, sys.step(t, x)) - value
-            if abs(delta) <= _margin_tol(value):
-                zero_set.append((t, x.copy()))
-    return zero_set

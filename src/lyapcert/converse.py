@@ -10,7 +10,7 @@ state frozen and work in shifted coordinates y' = y - ystar(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -382,85 +382,53 @@ def verify_converse(
     for the slow-system kinds).  Produces bounds, decrement and
     state-Lipschitz reports, plus the frozen-parameter report when a5 is
     available; consecutive samples are paired for the Lipschitz checks.
+    Each slack is the room left under the claimed bound plus its tolerance.
     """
     samples = [
         (int(k), np.asarray(s, dtype=float), None if fx is None else np.asarray(fx, dtype=float))
         for k, s, fx in samples
     ]
-    reports = []
+    points = [(k, s) for k, s, _ in samples]
+    values = [cert.evaluator(k, s, fx) for k, s, fx in samples]
 
-    worst = math.inf
-    worst_point = None
-    passed = True
-    for k, s, fx in samples:
-        w = cert.evaluator(k, s, fx)
+    bounds, decrement = [], []
+    for (k, s, fx), w in zip(samples, values):
         n2 = _norm2(s)
         tol = TOL_ABS + TOL_REL * abs(w)
-        low = w - cert.a1 * n2
-        high = cert.a2 * n2 - w
-        margin = min(low, high)
-        passed = passed and (margin >= -tol)
-        if margin < worst:
-            worst, worst_point = margin, (k, s)
-    reports.append(ConditionReport(BOUNDS, passed, worst, worst_point, len(samples)))
+        bounds.append(min(w - cert.a1 * n2, cert.a2 * n2 - w) + tol)
+        delta = cert.evaluator(k + 1, cert.step_fn(k, s, fx), fx) - w
+        decrement.append(tol - (delta + cert.a3 * n2))
+    reports = [
+        ConditionReport.from_slack(BOUNDS, bounds, points),
+        ConditionReport.from_slack(DECREMENT, decrement, points),
+    ]
 
-    worst = -math.inf
-    worst_point = None
-    passed = True
-    for k, s, fx in samples:
-        w = cert.evaluator(k, s, fx)
-        nxt = cert.step_fn(k, s, fx)
-        delta = cert.evaluator(k + 1, nxt, fx) - w
-        slack = delta + cert.a3 * _norm2(s)
-        tol = TOL_ABS + TOL_REL * abs(w)
-        passed = passed and (slack <= tol)
-        if slack > worst:
-            worst, worst_point = slack, (k, s)
-    reports.append(ConditionReport(DECREMENT, passed, worst, worst_point, len(samples)))
+    def lipschitz_slack(gap: float, bound: float) -> float:
+        return TOL_ABS + TOL_REL * max(abs(gap), abs(bound)) - (gap - bound)
 
     if cert.a4 is not None:
-        worst = -math.inf
-        worst_point = None
-        passed = True
-        count = 0
-        for (k1, s1, fx1), (_, s2, _) in zip(samples, samples[1:]):
-            gap = abs(cert.evaluator(k1, s1, fx1) - cert.evaluator(k1, s2, fx1))
+        slack = []
+        for (k1, s1, fx1), (_, s2, _), w1 in zip(samples, samples[1:], values):
+            gap = abs(w1 - cert.evaluator(k1, s2, fx1))
             bound = (
                 cert.a4
                 * float(np.linalg.norm(s1 - s2))
                 * (float(np.linalg.norm(s1)) + float(np.linalg.norm(s2)))
             )
-            slack = gap - bound
-            tol = TOL_ABS + TOL_REL * max(abs(gap), abs(bound))
-            passed = passed and (slack <= tol)
-            count += 1
-            if slack > worst:
-                worst, worst_point = slack, (k1, s1)
-        reports.append(ConditionReport(STATE_LIPSCHITZ, passed, worst, worst_point, count))
+            slack.append(lipschitz_slack(gap, bound))
+        reports.append(ConditionReport.from_slack(STATE_LIPSCHITZ, slack, points[:-1]))
 
-    if cert.a5 is not None and any(fx is not None for _, _, fx in samples):
-        worst = -math.inf
-        worst_point = None
-        passed = True
-        count = 0
-        pool = [(k, s, fx) for k, s, fx in samples if fx is not None]
+    pool = [(k, s, fx) for k, s, fx in samples if fx is not None]
+    if cert.a5 is not None and pool:
+        slack = []
         for (k1, s1, fx1), (_, _, fx2) in zip(pool, pool[1:]):
             gap = abs(cert.evaluator(k1, s1, fx1) - cert.evaluator(k1, s1, fx2))
             bound = cert.a5 * _norm2(s1) * float(np.linalg.norm(fx1 - fx2))
-            slack = gap - bound
-            tol = TOL_ABS + TOL_REL * max(abs(gap), abs(bound))
-            passed = passed and (slack <= tol)
-            count += 1
-            if slack > worst:
-                worst, worst_point = slack, (k1, s1)
-        reports.append(ConditionReport(PARAMETER_LIPSCHITZ, passed, worst, worst_point, count))
+            slack.append(lipschitz_slack(gap, bound))
+        pairs = [(k, s) for k, s, _ in pool[:-1]]
+        reports.append(ConditionReport.from_slack(PARAMETER_LIPSCHITZ, slack, pairs))
 
     return reports
-
-
-def with_constants(cert: ConverseCertificate, **overrides) -> ConverseCertificate:
-    """Certificate with selected constants replaced (for what-if testing)."""
-    return replace(cert, **overrides)
 
 
 def check_envelope_hypothesis(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,12 +161,6 @@ class ExponentialEnvelope:
         """Per-step contraction factor rho = exp(-rate)."""
         return float(np.exp(-self.rate))
 
-    @classmethod
-    def from_gain_ratio(cls, gain: float, ratio: float, **kw) -> "ExponentialEnvelope":
-        if not (0.0 < ratio < 1.0):
-            raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
-        return cls(gain=gain, rate=float(-np.log(ratio)), **kw)
-
     def bound(self, dt, initial_norm: float = 1.0) -> np.ndarray:
         return self.gain * initial_norm * np.exp(-self.rate * np.asarray(dt, dtype=float))
 
@@ -209,6 +203,13 @@ class SlowFastSystem:
                         f"ystar is not an equilibrium branch of the fast map at "
                         f"k={k} (residual {np.linalg.norm(image - ys):.3e})"
                     )
+
+    def step(
+        self, k: int, x: np.ndarray, y: np.ndarray, eps: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One coupled step (x + eps*phi(k, x, y), varphi(k, y, x)) at amplitude eps."""
+        x_next = x + eps * np.asarray(self.phi(k, x, y), dtype=float)
+        return x_next, np.asarray(self.varphi(k, y, x), dtype=float)
 
     def shifted_fast(self, x: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
         """Fast map in error coordinates y' = y - ystar(x), slow state frozen."""

@@ -63,7 +63,7 @@ from ..timescales import (
     verify_composite,
 )
 from .config import COMMANDS, SystemConfig, build_system, load_config
-from .report import build_report, checks_from_reports, jsonable, write_report
+from .report import TOOL_VERSION, build_report, checks_from_reports, jsonable, write_report
 
 __all__ = ["main", "run_command"]
 
@@ -91,10 +91,7 @@ def _stacked_system(sysf: SlowFastSystem) -> DynSystem:
     nx = sysf.dim_x
 
     def map_fn(k: int, z: np.ndarray) -> np.ndarray:
-        x, y = z[:nx], z[nx:]
-        x_next = x + sysf.epsilon * np.asarray(sysf.phi(k, x, y), dtype=float)
-        y_next = np.asarray(sysf.varphi(k, y, x), dtype=float)
-        return np.concatenate([x_next, y_next])
+        return np.concatenate(sysf.step(k, z[:nx], z[nx:], sysf.epsilon))
 
     eq = np.concatenate([np.zeros(nx), np.asarray(sysf.ystar(np.zeros(nx)), dtype=float)])
     return DynSystem(dim=nx + sysf.dim_y, map_fn=map_fn, autonomous=False, equilibrium=eq)
@@ -339,17 +336,17 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
+        with open(args.config, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    try:
+        doc = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        digest = hashlib.sha256(open(args.config, "rb").read()).hexdigest()
         report = {
-            "tool_version": "0.1.0",
-            "config_digest": digest,
+            "tool_version": TOOL_VERSION,
+            "config_digest": hashlib.sha256(raw).hexdigest(),
             "command": args.command,
             "results": [],
             "checks": [],

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import __version__
 from ..certcheck import ConditionReport
 
 __all__ = [
@@ -30,7 +31,7 @@ __all__ = [
     "write_report",
 ]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 def canonical_json(doc) -> str:

@@ -343,8 +343,10 @@ def validate_basin(
 
     Each trial starts uniformly inside the delta_bar ball and must come
     within ``convergence_tol * delta_bar`` of the equilibrium inside the
-    step budget.  Divergence or an exhausted budget fails the report with
-    the offending start recorded.
+    step budget.  A trial's slack is (threshold - final distance) /
+    delta_bar, and -inf when the trajectory leaves the finite numbers;
+    divergence or an exhausted budget fails the report with the offending
+    start recorded.
     """
     if cert.delta_bar is None:
         raise ValueError("certificate carries no ball radius (unstable verdict?)")
@@ -352,9 +354,7 @@ def validate_basin(
     eq = np.asarray(cert.equilibrium, dtype=float)
     threshold = convergence_tol * delta
     rng = Rng(seed)
-    worst = math.inf
-    worst_point: Optional[Tuple[int, np.ndarray]] = None
-    passed = True
+    points, slack = [], []
     failures = 0
     longest = 0
     details: dict = {"threshold": threshold, "max_steps": max_steps}
@@ -362,35 +362,22 @@ def validate_basin(
         x0 = eq + rng.ball(sys.dim, delta)
         x = x0.copy()
         converged = False
-        diverged = False
         err = float(np.linalg.norm(x - eq))
         for step in range(1, max_steps + 1):
             x = sys.step(step - 1, x)
             if not np.all(np.isfinite(x)):
-                diverged = True
                 details["divergence_step"] = step
+                err = math.inf
                 break
             err = float(np.linalg.norm(x - eq))
             if err <= threshold:
                 converged = True
                 longest = max(longest, step)
                 break
-        if diverged:
-            margin = -math.inf
-        else:
-            margin = (threshold - err) / delta
         if not converged:
-            passed = False
             failures += 1
-        if margin < worst:
-            worst, worst_point = margin, (0, x0)
+        points.append((0, x0))
+        slack.append((threshold - err) / delta)
     details["failures"] = failures
     details["longest_run"] = longest
-    return ConditionReport(
-        condition=BASIN_CONVERGENCE,
-        passed=passed,
-        worst_margin=worst if trials > 0 else math.inf,
-        worst_point=worst_point,
-        samples_checked=max(0, trials),
-        details=details,
-    )
+    return ConditionReport.from_slack(BASIN_CONVERGENCE, slack, points, details)

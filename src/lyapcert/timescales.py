@@ -24,7 +24,7 @@ from .averaging import (
     estimate_sigma,
     fit_slow_constants,
 )
-from .certcheck import CandidateFunction, ConditionReport, TOL_ABS
+from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .converse import (
     ConverseCertificate,
     build_exponential_converse,
@@ -138,28 +138,21 @@ class CompositeCertificate:
 
 
 def _error_step(
-    sysf: SlowFastSystem, eps: float
-) -> Callable[[int, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    sysf: SlowFastSystem, k: int, x: np.ndarray, yerr: np.ndarray, eps: float
+) -> Tuple[np.ndarray, np.ndarray]:
     """One step of the coupled pair in (x, y') coordinates at amplitude eps."""
-
-    def step(k: int, x: np.ndarray, yerr: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        yerr = np.asarray(yerr, dtype=float)
-        y = yerr + np.asarray(sysf.ystar(x), dtype=float)
-        x_next = x + eps * np.asarray(sysf.phi(k, x, y), dtype=float)
-        y_next = np.asarray(sysf.varphi(k, y, x), dtype=float)
-        return x_next, y_next - np.asarray(sysf.ystar(x_next), dtype=float)
-
-    return step
+    x = np.asarray(x, dtype=float)
+    yerr = np.asarray(yerr, dtype=float)
+    x_next, y_next = sysf.step(k, x, yerr + np.asarray(sysf.ystar(x), dtype=float), eps)
+    return x_next, y_next - np.asarray(sysf.ystar(x_next), dtype=float)
 
 
 def shift_to_error_coordinates(sysf: SlowFastSystem) -> DynSystem:
     """Combined map over z = (x, y') with the equilibrium moved to z = 0."""
-    step = _error_step(sysf, sysf.epsilon)
     nx = sysf.dim_x
 
     def map_fn(k: int, z: np.ndarray) -> np.ndarray:
-        x_next, yerr_next = step(k, z[:nx], z[nx:])
+        x_next, yerr_next = _error_step(sysf, k, z[:nx], z[nx:], sysf.epsilon)
         return np.concatenate([x_next, yerr_next])
 
     return DynSystem(
@@ -520,53 +513,32 @@ def verify_composite(
     For each (k, x, y') in the r-ball and each amplitude below eps_r:
     the sandwich alpha*|z|^2 <= U <= beta*|z|^2, the domination
     dU <= (|x|,|y'|) Q_U(eps) (|x|,|y'|)' + tol, and the realized rate
-    dU <= -eps*gamma_r*U + tol.
+    dU <= -eps*gamma_r*U + tol.  Each slack carries the tolerance TOL_ABS.
     """
     if eps_values is None:
         eps_values = np.geomspace(cert.eps_r / 8.0, cert.eps_r * (1.0 - 1e-9), 4)
     samples = _stacked_samples(sysf, cert.r, n_samples, Rng(seed))
 
-    sandwich_worst, domination_worst, rate_worst = math.inf, math.inf, math.inf
-    sandwich_point = domination_point = rate_point = None
-    sandwich_ok = domination_ok = rate_ok = True
-    checked = 0
-
+    points, sandwich, domination, rate = [], [], [], []
     for eps in eps_values:
         eps = float(eps)
-        step = _error_step(sysf, eps)
+        q = q_matrix(cert.coeffs, eps)
         for k, x, yerr in samples:
-            checked += 1
             u0 = cert.evaluator(k, x, yerr, eps)
             z2 = float(x @ x) + float(yerr @ yerr)
-            m = min(u0 - cert.alpha * z2, cert.beta * z2 - u0)
-            if m < sandwich_worst:
-                sandwich_worst, sandwich_point = m, (k, np.concatenate([x, yerr]))
-            if m < -TOL_ABS:
-                sandwich_ok = False
-
-            x1, yerr1 = step(k, x, yerr)
+            sandwich.append(min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
+            x1, yerr1 = _error_step(sysf, k, x, yerr, eps)
             du = cert.evaluator(k + 1, x1, yerr1, eps) - u0
             zvec = np.array([float(np.linalg.norm(x)), float(np.linalg.norm(yerr))])
-            bound = float(zvec @ q_matrix(cert.coeffs, eps) @ zvec)
-            m = bound + TOL_ABS - du
-            if m < domination_worst:
-                domination_worst, domination_point = m, (k, np.concatenate([x, yerr]))
-            if m < 0.0:
-                domination_ok = False
-
-            m = -eps * cert.gamma_r * u0 + TOL_ABS - du
-            if m < rate_worst:
-                rate_worst, rate_point = m, (k, np.concatenate([x, yerr]))
-            if m < 0.0:
-                rate_ok = False
+            domination.append(float(zvec @ q @ zvec) + TOL_ABS - du)
+            rate.append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
+            points.append((k, np.concatenate([x, yerr])))
 
     details = {"eps_values": [float(e) for e in eps_values]}
     return [
-        ConditionReport(SANDWICH, sandwich_ok, sandwich_worst, sandwich_point, checked, dict(details)),
-        ConditionReport(
-            DECREMENT_DOMINATION, domination_ok, domination_worst, domination_point, checked, dict(details)
-        ),
-        ConditionReport(RATE_REALIZATION, rate_ok, rate_worst, rate_point, checked, dict(details)),
+        ConditionReport.from_slack(SANDWICH, sandwich, points, dict(details)),
+        ConditionReport.from_slack(DECREMENT_DOMINATION, domination, points, dict(details)),
+        ConditionReport.from_slack(RATE_REALIZATION, rate, points, dict(details)),
     ]
 
 
@@ -581,43 +553,32 @@ def validate_rate(
     """Monte-Carlo check of |x(k)|^2 <= C_r*(1 - eps*gamma_r)^k.
 
     Trials start in the r-ball of (x, y'); amplitudes above eps_r are
-    skipped and recorded as out-of-certificate rather than failures.
+    skipped and recorded as out-of-certificate rather than failures.  A
+    trial's slack is its worst C_r*(1 - eps*gamma_r)^k + TOL_ABS - |x(k)|^2
+    over the horizon, reported at that step.
     """
     if eps_grid is None:
         eps_grid = (cert.eps_r / 4.0, cert.eps_r / 2.0)
     rng = Rng(seed)
     skipped = [float(e) for e in eps_grid if not (0.0 < e < cert.eps_r)]
     used = [float(e) for e in eps_grid if 0.0 < e < cert.eps_r]
-    worst = math.inf
-    worst_point = None
-    passed = True
-    checked = 0
+    points, slack = [], []
     for eps in used:
         for _ in range(trials):
             z = rng.ball(sysf.dim_x + sysf.dim_y, cert.r)
             x = z[: sysf.dim_x].copy()
             y = z[sysf.dim_x:] + np.asarray(sysf.ystar(x), dtype=float)
-            checked += 1
+            margins = []
             decay = 1.0
             for k in range(horizon + 1):
-                margin = cert.C_r * decay + TOL_ABS - float(x @ x)
-                if margin < worst:
-                    worst, worst_point = margin, (k, z.copy())
-                if margin < 0.0:
-                    passed = False
-                x_next = x + eps * np.asarray(sysf.phi(k, x, y), dtype=float)
-                y = np.asarray(sysf.varphi(k, y, x), dtype=float)
-                x = x_next
+                margins.append(cert.C_r * decay + TOL_ABS - float(x @ x))
+                x, y = sysf.step(k, x, y, eps)
                 decay *= 1.0 - eps * cert.gamma_r
+            k = worst_index(margins)
+            points.append((k, z))
+            slack.append(margins[k])
     details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
-    return ConditionReport(
-        condition=CERTIFIED_RATE,
-        passed=passed,
-        worst_margin=worst if checked else math.inf,
-        worst_point=worst_point,
-        samples_checked=checked,
-        details=details,
-    )
+    return ConditionReport.from_slack(CERTIFIED_RATE, slack, points, details)
 
 
 def check_global_hypotheses(

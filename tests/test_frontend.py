@@ -2,14 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lyapcert
 from lyapcert.dynsys import DynSystem, LinearTV, SlowFastSystem
 from lyapcert.errors import ConfigError, ParseError
 from lyapcert.frontend.cli import main, run_command
-from lyapcert.frontend.config import build_system, load_config
+from lyapcert.frontend.config import COMMANDS, build_system, load_config
 from lyapcert.frontend.expressions import (
     Bin,
     Neg,
@@ -363,6 +365,18 @@ class TestRunCommand:
         assert "generated_at" in with_ts
         assert "generated_at" not in without
 
+    @pytest.mark.parametrize(
+        "config", sorted((Path(__file__).parent.parent / "configs").glob("*.json")), ids=lambda p: p.name
+    )
+    def test_margin_sign_matches_passed(self, config):
+        doc = json.loads(config.read_text())
+        for command in COMMANDS:
+            report, _ = run_command(doc, command, timestamp=False)
+            for check in report["checks"]:
+                margin = check["margin"]
+                nonnegative = margin == "inf" or (margin not in ("nan", "-inf") and margin >= 0.0)
+                assert check["passed"] == nonnegative, f"{config.name}:{command}:{check}"
+
     def test_seed_override_changes_sampled_analyses(self):
         doc = minimal_doc(
             map={"x": ["0.5*x[0]+x[0]^2"]},
@@ -427,6 +441,7 @@ class TestCliMain:
         assert report["status"] == "error"
         assert report["error"]["type"] == "JSONDecodeError"
         assert len(report["config_digest"]) == 64
+        assert report["tool_version"] == lyapcert.__version__
 
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = minimal_doc(

@@ -1,15 +1,28 @@
 """Property-based invariants over randomized systems and expressions."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from lyapcert.averaging import mu, nu
-from lyapcert.dynsys import LinearTV, transition_matrix
+from lyapcert.averaging import check_drift_remainder, estimate_average, estimate_sigma, mu, nu
+from lyapcert.certcheck import CandidateFunction, check_decrease, check_positive_definite, shell_grid
+from lyapcert.converse import build_autonomous_converse, verify_converse
+from lyapcert.dynsys import (
+    DynSystem,
+    ExponentialEnvelope,
+    LinearTV,
+    SlowFastSystem,
+    transition_matrix,
+)
 from lyapcert.errors import SteinSolvabilityError
 from lyapcert.frontend.expressions import parse_expression, pretty
+from lyapcert.linearize import certify_local_autonomous, validate_basin
 from lyapcert.rng import Rng
 from lyapcert.stein import classify_linear, solve_stein_kron
+from lyapcert.timescales import certify_semiglobal, validate_rate, verify_composite
 
 
 def random_matrix(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
@@ -159,3 +172,163 @@ class TestRngDeterminism:
         _ = rng.u64()  # advancing the stateful stream must not disturb at()
         assert rng.at(idx) == first
         assert Rng(seed).at(idx) == first
+
+
+# ---------------------------------------------------------------------------
+# Fail-closed sampled checks: non-finite numbers and empty sample sets
+
+
+class Poisoned:
+    """Wraps a map, field or evaluator: from the ``after``-th call with a
+    nonzero state on, every such call returns ``bad`` in place of its value.
+    Calls at the origin (equilibrium checks at construction) stay clean."""
+
+    def __init__(self, fn, bad, after):
+        self.fn, self.bad, self.after, self.hits = fn, bad, after, 0
+
+    def __call__(self, *args):
+        value = self.fn(*args)
+        if not any(isinstance(a, np.ndarray) and np.any(a) for a in args):
+            return value
+        self.hits += 1
+        if self.hits <= self.after:
+            return value
+        out = np.full(np.shape(value), self.bad)
+        return out if out.ndim else float(out)
+
+
+def half_map(t, x):
+    return 0.5 * np.asarray(x, dtype=float)
+
+
+def quadratic_map(t, x):
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x + x**2
+
+
+def decaying_field(k, x):
+    return -np.asarray(x, dtype=float)
+
+
+def slow_fast_pair():
+    return SlowFastSystem(
+        dim_x=1,
+        dim_y=1,
+        phi=lambda k, x, y: -x + y,
+        varphi=lambda k, y, x: 0.5 * y,
+        ystar=lambda x: np.zeros(1),
+        epsilon=0.01,
+    )
+
+
+@pytest.fixture(scope="module")
+def composite():
+    return certify_semiglobal(slow_fast_pair(), r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)))
+
+
+def square_norm(t, x):
+    return float(np.asarray(x) @ np.asarray(x))
+
+
+def poisoned_candidate(bad, after, composite):
+    V = CandidateFunction(Poisoned(square_norm, bad, after), dim=2)
+    sys = DynSystem(2, half_map)
+    grid = shell_grid(2, 1.0, n_shells=2, n_directions=4)
+    return [
+        check_positive_definite(V, grid),
+        check_decrease(V, sys, grid),
+        check_decrease(V, sys, grid, strict=True),
+    ]
+
+
+def poisoned_map(bad, after, composite):
+    V = CandidateFunction(square_norm, dim=2)
+    sys = DynSystem(2, Poisoned(half_map, bad, after))
+    grid = shell_grid(2, 1.0, n_shells=2, n_directions=4)
+    cert = certify_local_autonomous(DynSystem(1, quadratic_map))
+    basin_sys = DynSystem(1, Poisoned(quadratic_map, bad, after))
+    pair = slow_fast_pair()
+    pair = replace(pair, phi=Poisoned(pair.phi, bad, after))
+    return [
+        check_decrease(V, sys, grid),
+        check_decrease(V, sys, grid, strict=True),
+        validate_basin(basin_sys, cert, trials=4),
+        validate_rate(pair, composite, trials=2, horizon=5),
+    ]
+
+
+def poisoned_evaluator(bad, after, composite):
+    sys = DynSystem(1, half_map)
+    cert = build_autonomous_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
+    cert = replace(cert, evaluator=Poisoned(cert.evaluator, bad, after))
+    rng = Rng(7)
+    reports = verify_converse(cert, [(0, rng.ball(1, 1.0), None) for _ in range(8)])
+    fast = composite.fast_cert
+    fast = replace(fast, evaluator=Poisoned(fast.evaluator, bad, after))
+    samples = [(rng.integer(0, 3), rng.ball(1, 1.0), rng.ball(1, 1.0)) for _ in range(8)]
+    reports += verify_converse(fast, samples)
+    joint = replace(composite, evaluator=Poisoned(composite.evaluator, bad, after))
+    return reports + verify_composite(slow_fast_pair(), joint, n_samples=4)
+
+
+def poisoned_field(bad, after, composite):
+    probes = [np.array([1.0]), np.array([-0.5])]
+    avg = estimate_average(decaying_field, probes, T_max=16)
+    table = estimate_sigma(decaying_field, avg, [(0, p) for p in probes], [2, 4], 1.1)
+    samples = [(0, np.array([v]), 2, 1e-3) for v in (1.0, -0.5, 0.25, 0.75)]
+    return [check_drift_remainder(Poisoned(decaying_field, bad, after), avg, table, samples)]
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize(
+        "build",
+        [poisoned_candidate, poisoned_map, poisoned_evaluator, poisoned_field],
+        ids=lambda f: f.__name__,
+    )
+    @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), after=st.integers(0, 2))
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_non_finite_values_fail_every_check(self, build, bad, after, composite):
+        with np.errstate(all="ignore"):
+            reports = build(bad, after, composite)
+        assert reports
+        for rep in reports:
+            assert not rep.passed, f"{rep.condition} passed with {bad} injected"
+            assert not rep.worst_margin >= 0.0
+
+    def test_positive_definite_on_all_zero_grid(self):
+        V = CandidateFunction(square_norm, dim=2)
+        rep = check_positive_definite(V, np.zeros((4, 2)))
+        assert rep.samples_checked == 0
+        assert not rep.passed
+
+    def test_converse_without_samples(self):
+        sys = DynSystem(1, half_map)
+        cert = build_autonomous_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
+        reports = verify_converse(cert, [])
+        assert len(reports) == 3
+        assert not any(rep.passed for rep in reports)
+
+    def test_basin_without_trials(self):
+        sys = DynSystem(1, quadratic_map)
+        rep = validate_basin(sys, certify_local_autonomous(sys), trials=0)
+        assert rep.samples_checked == 0
+        assert not rep.passed
+
+    def test_rate_with_every_amplitude_out_of_certificate(self, composite):
+        grid = (composite.eps_r, 2.0 * composite.eps_r)
+        rep = validate_rate(slow_fast_pair(), composite, eps_grid=grid, trials=3)
+        assert rep.samples_checked == 0
+        assert rep.details["eps_out_of_certificate"] == list(grid)
+        assert not rep.passed
+
+    def test_drift_remainder_on_zero_states_only(self):
+        probes = [np.array([1.0]), np.array([-0.5])]
+        avg = estimate_average(decaying_field, probes, T_max=16)
+        table = estimate_sigma(decaying_field, avg, [(0, p) for p in probes], [2], 1.1)
+        rep = check_drift_remainder(decaying_field, avg, table, [(0, np.zeros(1), 2, 1e-3)] * 3)
+        assert rep.samples_checked == 0
+        assert not rep.passed
