@@ -37,10 +37,9 @@ from .certcheck import (
 )
 from .converse import (
     ConverseCertificate,
-    build_autonomous_converse,
     build_exponential_converse,
     build_finite_time_converse,
-    build_nonautonomous_converse,
+    build_trajectory_converse,
     estimate_lipschitz,
     verify_converse,
 )
@@ -51,6 +50,7 @@ from .dynsys import (
     SlowFastSystem,
     Trajectory,
     fit_exponential_envelope,
+    linear_part,
     simulate,
     trajectory_to_csv,
 )
@@ -127,11 +127,10 @@ __all__ = [
     "Trajectory",
     "assemble_coefficients",
     "budget_for_delta",
-    "build_autonomous_converse",
     "build_averaged_lyapunov",
     "build_exponential_converse",
     "build_finite_time_converse",
-    "build_nonautonomous_converse",
+    "build_trajectory_converse",
     "certify_local_autonomous",
     "certify_local_nonautonomous",
     "certify_semiglobal",
@@ -149,6 +148,7 @@ __all__ = [
     "fit_exponential_envelope",
     "fit_slow_constants",
     "instability_certificate",
+    "linear_part",
     "mu",
     "nu",
     "numerical_jacobian",

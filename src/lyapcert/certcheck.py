@@ -233,7 +233,10 @@ def check_exponential_conditions(
 
     Returns ``(report, a, b)`` where a bounds V above by a * |x|^2 and b is
     the sampled decrement coefficient (Delta V <= -b * |x|^2).  The implied
-    one-step contraction factor 1 - b/a is reported in the details.
+    one-step contraction factor 1 - b/a is reported in the details.  The
+    fit fails closed: a NaN or infinite V or Delta V fails the report, which
+    then names the first such sample with a NaN margin, and so does a grid
+    without a nonzero sample (no point, NaN margin).
     """
     grid = _candidate_grid(V, grid)
     times = _times(V, sys) if times is None else tuple(times)
@@ -241,6 +244,7 @@ def check_exponential_conditions(
     lower = np.inf
     worst_delta_ratio = -np.inf
     worst_point = None
+    bad_point = None
     count = 0
     for t in times:
         for x in grid:
@@ -249,17 +253,22 @@ def check_exponential_conditions(
                 continue
             value = V(t, x)
             delta = V(t + 1, sys.step(t, x)) - value
+            count += 1
+            if bad_point is None and not (math.isfinite(value) and math.isfinite(delta)):
+                bad_point = (t, x.copy())
             upper = max(upper, value / n2)
             lower = min(lower, value / n2)
             ratio = delta / n2
-            count += 1
             if ratio > worst_delta_ratio:
                 worst_delta_ratio, worst_point = ratio, (t, x.copy())
     a = upper
     b = -worst_delta_ratio
-    passed = bool(b > 0.0 and np.isfinite(a) and lower > 0.0)
+    passed = bool(count and bad_point is None and b > 0.0 and np.isfinite(a) and lower > 0.0)
     details = {"a_lower": lower, "a_upper": a, "decrement_coeff": b}
     if passed:
         details["contraction_factor"] = 1.0 - b / a
-    report = ConditionReport(EXPONENTIAL_BOUNDS, passed, worst_delta_ratio, worst_point, count, details)
+    margin = worst_delta_ratio
+    if bad_point is not None or not count:
+        margin, worst_point = math.nan, bad_point
+    report = ConditionReport(EXPONENTIAL_BOUNDS, passed, margin, worst_point, count, details)
     return report, a, b

@@ -3,8 +3,12 @@
 Given an exponential envelope certified from trajectories, these builders
 assemble sum-along-trajectory candidate functions whose sandwich and
 decrement constants come out in closed form, then re-verify the claimed
-inequalities on fresh samples.  The fast-subsystem variants keep the slow
-state frozen and work in shifted coordinates y' = y - ystar(x).
+inequalities on fresh samples.  ``build_trajectory_converse`` serves both
+autonomous and nonautonomous maps (it reads ``sys.autonomous``); the
+fast-subsystem variants keep the slow state frozen and work in shifted
+coordinates y' = y - ystar(x).  Every sampled Lipschitz modulus comes from
+:func:`estimate_lipschitz` or the parameter loop beside it, and both raise
+on a NaN or infinite map value rather than skip it.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from .rng import Rng
 __all__ = [
     "ConverseCertificate",
     "estimate_lipschitz",
-    "build_autonomous_converse",
-    "build_nonautonomous_converse",
+    "build_trajectory_converse",
     "build_finite_time_converse",
     "build_exponential_converse",
     "exponential_horizon",
@@ -90,7 +93,9 @@ def estimate_lipschitz(
 
     ``difference`` mode maximizes |f(t,x)-f(t,y)| / |x-y| over all point
     pairs; ``growth`` mode maximizes |f(t,x)| / |x|.  The result is
-    inflated by ``safety`` because sampling can only underestimate.
+    inflated by ``safety`` because sampling can only underestimate.  A
+    NaN or infinite map value or quotient raises ValueError naming t and
+    the point, since a maximum would silently skip it.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     best = 0.0
@@ -102,17 +107,29 @@ def estimate_lipschitz(
                 if denom < 1e-14:
                     continue
                 found = True
-                best = max(best, float(np.linalg.norm(np.asarray(fn(t, p)))) / denom)
+                ratio = float(np.linalg.norm(np.asarray(fn(t, p)))) / denom
+                if not math.isfinite(ratio):
+                    raise ValueError(f"non-finite growth quotient at t={t}, x={p.tolist()}")
+                best = max(best, ratio)
     elif mode == "difference":
         for t in times:
             values = [np.asarray(fn(t, p), dtype=float) for p in points]
+            for p, v in zip(points, values):
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"non-finite map value at t={t}, x={p.tolist()}")
             for i in range(len(points)):
                 for j in range(i + 1, len(points)):
                     denom = float(np.linalg.norm(points[i] - points[j]))
                     if denom < 1e-14:
                         continue
                     found = True
-                    best = max(best, float(np.linalg.norm(values[i] - values[j])) / denom)
+                    ratio = float(np.linalg.norm(values[i] - values[j])) / denom
+                    if not math.isfinite(ratio):
+                        raise ValueError(
+                            f"non-finite difference quotient at t={t} between "
+                            f"x={points[i].tolist()} and x={points[j].tolist()}"
+                        )
+                    best = max(best, ratio)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not found:
@@ -120,88 +137,43 @@ def estimate_lipschitz(
     return best * safety
 
 
-def _ball_samples(dim: int, radius: float, count: int, seed: int = 0x5EED) -> list:
-    rng = Rng(seed)
-    return [rng.ball(dim, radius) for _ in range(count)]
-
-
-def _sum_horizon(env: ExponentialEnvelope) -> int:
-    # smallest N with gain^2 * exp(-2*rate*N) <= 1/2
-    return max(1, math.ceil(math.log(2.0 * env.gain**2) / (2.0 * env.rate)))
-
-
-def _envelope_constants(env: ExponentialEnvelope, N: int) -> Tuple[float, float, float]:
-    decay = math.exp(-2.0 * env.rate)
-    a1 = 1.0
-    a2 = env.gain**2 * (1.0 - decay**N) / (1.0 - decay)
-    a3 = 1.0 - env.gain**2 * decay**N
-    return a1, a2, a3
-
-
-def build_autonomous_converse(
-    sys: DynSystem,
-    env: ExponentialEnvelope,
-    lipschitz_samples: Optional[Sequence[np.ndarray]] = None,
-) -> ConverseCertificate:
-    """V(x) = sum of squared norms along the trajectory from x.
-
-    The horizon is the smallest N making the tail loss at most 1/2, which
-    pins a3 >= 1/2; a1 = 1 is immediate from the first summand.
-    """
-    sys = sys.shifted()
-    N = _sum_horizon(env)
-    a1, a2, a3 = _envelope_constants(env, N)
-    radius = env.validity_radius if env.validity_radius else 1.0
-    samples = lipschitz_samples
-    if samples is None:
-        samples = _ball_samples(sys.dim, radius, 48)
-    L1 = estimate_lipschitz(lambda t, x: sys.step(t, x), samples)
-    a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
-
-    def evaluator(k: int, x: np.ndarray, frozen_x=None) -> float:
-        traj = simulate(sys, 0, x, N - 1)
-        return float(np.sum(traj.states * traj.states))
-
-    return ConverseCertificate(
-        kind="autonomous",
-        horizon=N,
-        a1=a1,
-        a2=a2,
-        a3=a3,
-        a4=a4,
-        evaluator=evaluator,
-        step_fn=lambda k, x, fx=None: sys.step(k, x),
-        lipschitz_L1=L1,
-    )
-
-
-def build_nonautonomous_converse(
+def build_trajectory_converse(
     sys: DynSystem,
     env: ExponentialEnvelope,
     lipschitz_samples: Optional[Sequence[np.ndarray]] = None,
     lipschitz_times: Sequence[int] = (0, 1, 2, 3),
 ) -> ConverseCertificate:
-    """Time-indexed variant: V(t, x) sums the forward trajectory from (t, x)."""
+    """V(t, x) = sum of squared norms along the forward trajectory from (t, x).
+
+    The horizon is the smallest N making the tail loss at most 1/2, which
+    pins a3 >= 1/2; a1 = 1 is immediate from the first summand.  For an
+    autonomous map the sum starts at t = 0 whatever k is asked for and the
+    state-Lipschitz modulus is sampled at t = 0 only; a nonautonomous map
+    sums from k and is sampled at ``lipschitz_times``.
+    """
     sys = sys.shifted()
-    N = _sum_horizon(env)
-    a1, a2, a3 = _envelope_constants(env, N)
-    radius = env.validity_radius if env.validity_radius else 1.0
+    # smallest N with gain^2 * exp(-2*rate*N) <= 1/2
+    N = max(1, math.ceil(math.log(2.0 * env.gain**2) / (2.0 * env.rate)))
+    decay = math.exp(-2.0 * env.rate)
     samples = lipschitz_samples
     if samples is None:
-        samples = _ball_samples(sys.dim, radius, 48)
-    L1 = estimate_lipschitz(lambda t, x: sys.step(t, x), samples, times=lipschitz_times)
+        rng = Rng(0x5EED)
+        radius = env.validity_radius if env.validity_radius else 1.0
+        samples = [rng.ball(sys.dim, radius) for _ in range(48)]
+    times = (0,) if sys.autonomous else lipschitz_times
+    L1 = estimate_lipschitz(lambda t, x: sys.step(t, x), samples, times=times)
     a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
 
     def evaluator(k: int, x: np.ndarray, frozen_x=None) -> float:
-        traj = simulate(sys, k, x, N - 1)
+        traj = simulate(sys, 0 if sys.autonomous else k, x, N - 1)
         return float(np.sum(traj.states * traj.states))
 
     return ConverseCertificate(
-        kind="nonautonomous",
+        kind="autonomous" if sys.autonomous else "nonautonomous",
         horizon=N,
-        a1=a1,
-        a2=a2,
-        a3=a3,
+        a1=1.0,
+        a2=env.gain**2 * (1.0 - decay**N) / (1.0 - decay),
+        a3=1.0 - env.gain**2 * decay**N,
         a4=a4,
         evaluator=evaluator,
         step_fn=lambda k, x, fx=None: sys.step(k, x),
@@ -225,44 +197,38 @@ def _fast_sample_set(
 def _fast_lipschitz(
     sysf: SlowFastSystem, samples: Sequence[tuple]
 ) -> Tuple[float, float]:
-    """State modulus L1 and parameter modulus L2 of the shifted fast map."""
-    l1 = 0.0
-    l2 = 0.0
-    found_l1 = False
-    found_l2 = False
-    xs = []
-    for k, yerr, x in samples:
-        xs.append((k, np.asarray(x, dtype=float)))
+    """State modulus L1 and parameter modulus L2 of the shifted fast map.
+
+    L1 is the largest :func:`estimate_lipschitz` difference quotient over
+    the fast states with each sample's slow state frozen; L2 bounds
+    |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample pairs.
+    A non-finite L2 quotient raises ValueError.
+    """
+    xs = [(k, np.asarray(x, dtype=float)) for k, _, x in samples]
     ys = [np.asarray(s[1], dtype=float) for s in samples]
-    for k, x in xs:
-        fast = sysf.shifted_fast(x)
-        values = [fast(k, y) for y in ys]
-        for i in range(len(ys)):
-            for j in range(i + 1, len(ys)):
-                denom = float(np.linalg.norm(ys[i] - ys[j]))
-                if denom < 1e-14:
-                    continue
-                found_l1 = True
-                l1 = max(l1, float(np.linalg.norm(values[i] - values[j])) / denom)
+    fasts = [sysf.shifted_fast(x) for _, x in xs]
+    l1 = max(
+        estimate_lipschitz(fast, ys, times=(k,), safety=1.0) for (k, _), fast in zip(xs, fasts)
+    )
+    l2 = 0.0  # stays 0 for a single frozen slow state: parameter modulus unobservable
     for i, (k, x1) in enumerate(xs):
+        row = [fasts[i](k, y) for y in ys]
         for j in range(i + 1, len(xs)):
             x2 = xs[j][1]
             dx = float(np.linalg.norm(x1 - x2))
             if dx < 1e-14:
                 continue
-            fast1 = sysf.shifted_fast(x1)
-            fast2 = sysf.shifted_fast(x2)
-            for y in ys:
+            for y, v1 in zip(ys, row):
                 ny = float(np.linalg.norm(y))
                 if ny < 1e-14:
                     continue
-                gap = float(np.linalg.norm(fast1(k, y) - fast2(k, y)))
-                l2 = max(l2, gap / (ny * dx))
-                found_l2 = True
-    if not found_l1:
-        raise ValueError("no fast-state sample pair with nonzero separation")
-    if not found_l2:
-        l2 = 0.0  # single frozen slow state: parameter modulus unobservable
+                ratio = float(np.linalg.norm(v1 - fasts[j](k, y))) / (ny * dx)
+                if not math.isfinite(ratio):
+                    raise ValueError(
+                        f"non-finite fast-map parameter quotient at k={k}, y={y.tolist()}, "
+                        f"x1={x1.tolist()}, x2={x2.tolist()}"
+                    )
+                l2 = max(l2, ratio)
     return l1 * LIPSCHITZ_SAFETY, l2 * LIPSCHITZ_SAFETY
 
 

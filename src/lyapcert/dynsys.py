@@ -14,11 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DivergenceError,
-    EquilibriumNotFoundError,
-    NotExponentiallyStableError,
-)
+from .errors import DivergenceError, InapplicableError, NotExponentiallyStableError
 
 __all__ = [
     "DynSystem",
@@ -28,13 +24,14 @@ __all__ = [
     "SlowFastSystem",
     "simulate",
     "transition_matrix",
-    "find_equilibrium",
+    "linear_part",
     "fit_exponential_envelope",
     "trajectory_to_csv",
 ]
 
 DIVERGENCE_LIMIT = 1e12
 EQUILIBRIUM_TOL = 1e-9
+LINEAR_TOL = 1e-9
 DEFAULT_LAMBDA_MAX = 50.0
 
 MapFn = Callable[[int, np.ndarray], np.ndarray]
@@ -254,60 +251,26 @@ def transition_matrix(ltv: LinearTV, t: int, t0: int) -> np.ndarray:
     return phi
 
 
-def find_equilibrium(sys: DynSystem, guess, tol: float = 1e-10, max_iter: int = 100) -> np.ndarray:
-    """Damped Newton search for a fixed point near ``guess``.
+def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:
+    """Matrix A(t) of a homogeneous linear map, columns f(t, e_i) - f(t, 0).
 
-    The residual is g(x) = f(0, x) - x with a finite-difference Jacobian;
-    the result is re-checked on several times for nonautonomous maps.
+    If f(t, 0) or f(t, w) - A w, at one fixed non-basis point w, exceeds
+    LINEAR_TOL*(1 + |A||w|) in norm (or is NaN), InapplicableError names t
+    and w: a nonlinear or affine map is refused rather than read as its
+    secant through the unit vectors.
     """
-    x = _as_vector(guess, sys.dim)
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return sys.step(0, p) - p
-
-    g = residual(x)
-    for _ in range(max_iter):
-        if np.linalg.norm(g) <= tol:
-            break
-        J = _fd_jacobian(lambda p: residual(p), x)
-        try:
-            dx = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            dx = -0.5 * g  # singular Jacobian: fall back to damped fixed-point step
-        step = 1.0
-        for _ in range(30):
-            cand = x + step * dx
-            gc = residual(cand)
-            if np.all(np.isfinite(gc)) and np.linalg.norm(gc) < np.linalg.norm(g):
-                x, g = cand, gc
-                break
-            step *= 0.5
-        else:
-            raise EquilibriumNotFoundError(
-                f"no descent direction found near {x} (|g|={np.linalg.norm(g):.3e})"
-            )
-    if np.linalg.norm(g) > tol:
-        raise EquilibriumNotFoundError(
-            f"Newton iteration exhausted with residual {np.linalg.norm(g):.3e} > {tol:.1e}"
+    base = np.asarray(map_fn(t, np.zeros(dim)), dtype=float)
+    A = np.column_stack([np.asarray(map_fn(t, e), dtype=float) - base for e in np.eye(dim)])
+    w = (-1.0) ** np.arange(1, dim + 1) * (0.5 + np.arange(dim) / (2.0 * dim))
+    tol = LINEAR_TOL * (1.0 + float(np.linalg.norm(A)) * float(np.linalg.norm(w)))
+    residual = np.asarray(map_fn(t, w), dtype=float) - A @ w
+    off = float(np.maximum(np.linalg.norm(base), np.linalg.norm(residual)))  # keeps NaN
+    if not off <= tol:
+        raise InapplicableError(
+            f"map is not homogeneous linear in the state at t={t}: |f(t,0)| or "
+            f"|f(t,w) - A w| is {off:.3e} at w = {w.tolist()} (tolerance {tol:.1e})"
         )
-    times = (0,) if sys.autonomous else (0, 1, 2, 5, 11)
-    for t in times:
-        if np.linalg.norm(sys.step(t, x) - x) > max(tol, 10 * tol):
-            raise EquilibriumNotFoundError(
-                f"candidate fixed point is not time-uniform (fails at t={t})"
-            )
-    return x
-
-
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    n = x.size
-    f0 = np.asarray(fn(x), dtype=float)
-    J = np.empty((f0.size, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        J[:, i] = (np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h)
-    return J
+    return A
 
 
 def fit_exponential_envelope(

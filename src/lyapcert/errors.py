@@ -19,10 +19,6 @@ class DivergenceError(LyapcertError):
         self.step = step
 
 
-class EquilibriumNotFoundError(LyapcertError):
-    """Root search for a fixed point did not converge within budget."""
-
-
 class NotExponentiallyStableError(LyapcertError):
     """Trajectory data is incompatible with a decaying exponential envelope."""
 

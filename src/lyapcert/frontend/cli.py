@@ -7,6 +7,10 @@ timescales.  Each reads a config document, dispatches to the analysis
 modules, and emits a JSON report; exit status is 0 when every requested
 check passed, 2 when a check failed, 1 on error.  Options for a command
 are taken from the config's matching ``analyses`` block.
+
+``linear`` reads its matrix through ``dynsys.linear_part``: it accepts
+linear_tv systems and autonomous maps that are homogeneous linear about
+their equilibrium, and refuses every other map with an error report.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from ..averaging import (
 )
 from ..certcheck import CandidateFunction
 from ..converse import (
-    build_autonomous_converse,
     build_exponential_converse,
-    build_nonautonomous_converse,
+    build_trajectory_converse,
     estimate_lipschitz,
     verify_converse,
 )
@@ -38,6 +41,7 @@ from ..dynsys import (
     LinearTV,
     SlowFastSystem,
     fit_exponential_envelope,
+    linear_part,
     simulate,
     trajectory_to_csv,
 )
@@ -77,13 +81,6 @@ def _options(cfg: SystemConfig, command: str) -> dict:
 
 def _subseed(seed: int, tag: int) -> int:
     return Rng(seed).at(tag)
-
-
-def _linear_matrix(sys: DynSystem, t: int = 0) -> np.ndarray:
-    """Extract A from a map assumed homogeneous linear in the state."""
-    base = np.asarray(sys.map_fn(t, np.zeros(sys.dim)), dtype=float)
-    cols = [np.asarray(sys.map_fn(t, e), dtype=float) - base for e in np.eye(sys.dim)]
-    return np.column_stack(cols)
 
 
 def _stacked_system(sysf: SlowFastSystem) -> DynSystem:
@@ -132,9 +129,9 @@ def _cmd_linear(cfg: SystemConfig, system, opts: dict, seed: int):
             },
         ]
         return results, []
-    if isinstance(system, SlowFastSystem):
+    if isinstance(system, SlowFastSystem) or not system.autonomous:
         raise ValueError("the linear analysis applies to autonomous or linear_tv systems")
-    A = _linear_matrix(system)
+    A = linear_part(system.shifted().map_fn, 0, system.dim)
     spectrum = classify_linear(A)
     results = [{"type": "spectrum", "A": jsonable(A), "spectrum": jsonable(spectrum)}]
     if spectrum.solvable:
@@ -194,11 +191,7 @@ def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
     else:
         trajs = _decay_trajectories(system, radius, n_traj, horizon, _subseed(seed, 1))
         env = fit_exponential_envelope(trajs)
-        shifted = system.shifted()
-        if system.autonomous:
-            cert = build_autonomous_converse(shifted, env)
-        else:
-            cert = build_nonautonomous_converse(shifted, env)
+        cert = build_trajectory_converse(system, env)
         rng = Rng(_subseed(seed, 3))
         samples = [
             (rng.integer(0, 3), rng.ball(system.dim, radius), None) for _ in range(n_check)

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..dynsys import DynSystem, LinearTV, SlowFastSystem
+from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part
 from ..errors import ConfigError, ParseError
 from .expressions import evaluate, free_refs, parse_expression
 
@@ -222,10 +222,9 @@ def _vector_fn(exprs: List[object], params: dict) -> Callable:
 def build_system(cfg: SystemConfig):
     """Instantiate the dynamics object a config describes.
 
-    autonomous / nonautonomous -> DynSystem; linear_tv -> LinearTV (the
-    matrix is extracted by evaluating the map on basis vectors, so the
-    expressions must be homogeneous linear in x); slow_fast ->
-    SlowFastSystem.
+    autonomous / nonautonomous -> DynSystem; linear_tv -> LinearTV (each
+    A(t) comes from ``dynsys.linear_part``, which refuses expressions that
+    are not homogeneous linear in x); slow_fast -> SlowFastSystem.
     """
     if cfg.kind in ("autonomous", "nonautonomous"):
         fx = _vector_fn(cfg.map_x, cfg.params)
@@ -238,13 +237,7 @@ def build_system(cfg: SystemConfig):
         )
     if cfg.kind == "linear_tv":
         fx = _vector_fn(cfg.map_x, cfg.params)
-
-        def matrix_fn(t: int) -> np.ndarray:
-            base = fx(t, np.zeros(cfg.dim_x))
-            cols = [fx(t, e) - base for e in np.eye(cfg.dim_x)]
-            return np.column_stack(cols)
-
-        return LinearTV(cfg.dim_x, matrix_fn)
+        return LinearTV(cfg.dim_x, lambda t: linear_part(fx, t, cfg.dim_x))
     # slow_fast
     fphi = _vector_fn(cfg.map_x, cfg.params)
     fvarphi = _vector_fn(cfg.map_y, cfg.params)

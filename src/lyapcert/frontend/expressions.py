@@ -301,7 +301,8 @@ def pretty(node) -> str:
 
 
 def evaluate(node, t, x, y=None, params=None) -> float:
-    """Evaluate the tree; division by zero and sqrt of negatives raise."""
+    """Evaluate the tree; division by zero, sqrt of negatives and a
+    fractional power of a negative base raise."""
     params = params or {}
     if isinstance(node, Num):
         return node.value
@@ -337,6 +338,10 @@ def evaluate(node, t, x, y=None, params=None) -> float:
             if rhs == 0.0:
                 raise ZeroDivisionError("division by zero in expression")
             return lhs / rhs
+        if lhs < 0.0 and not float(rhs).is_integer():
+            raise ValueError(
+                f"fractional power of a negative base in expression: {lhs!r}^{rhs!r}"
+            )
         return lhs ** rhs
     raise TypeError(f"not an expression node: {node!r}")
 

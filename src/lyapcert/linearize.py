@@ -6,6 +6,11 @@ whose radius is computed from the decrement margin and a sampled
 Lipschitz constant of the Jacobian.  An expanding linear part yields an
 instability witness instead; a spectral radius within margin of 1 is
 reported as inconclusive rather than guessed.
+
+:func:`numerical_jacobian` is the package's only finite-difference
+Jacobian; a map that is exactly linear is read by ``dynsys.linear_part``
+instead, which refuses nonlinear maps.  The autonomous and nonautonomous
+certifiers share one radius computation (``_remainder_radius``).
 """
 
 from __future__ import annotations
@@ -139,30 +144,41 @@ def numerical_jacobian(
     )
 
 
-def _ball_points(rng: Rng, dim: int, radius: float, count: int) -> list:
-    pts = [np.zeros(dim)]
-    pts.extend(rng.ball(dim, radius) for _ in range(count))
-    return pts
-
-
-def _jacobian_lipschitz(
+def _remainder_radius(
     fn: MapFn,
     dim: int,
-    radius: float,
+    gamma_star: float,
+    domain_radius: float,
     rng: Rng,
     count: int,
-    times: Sequence[int] = (0,),
-) -> float:
-    """Sampled Lipschitz constant of x -> J(t, x) over a ball (Frobenius)."""
+    times: Sequence[int],
+) -> Tuple[float, float, float, Tuple[str, ...]]:
+    """Jacobian Lipschitz constant L1, remainder gain and ball radius delta_bar.
+
+    L1 is the sampled Lipschitz constant of x -> J(t, x) (Frobenius) over
+    the domain, then over the first candidate ball gamma_star/(sqrt(n)*L1),
+    the larger value kept; delta_bar is that ratio with the final L1,
+    clipped to the domain.  A Jacobian constant within sampling tolerance
+    gives the domain radius.
+    """
 
     def vec_jac(t: int, x: np.ndarray) -> np.ndarray:
         return numerical_jacobian(fn, t, x).A.ravel()
 
-    return estimate_lipschitz(vec_jac, _ball_points(rng, dim, radius, count), times=times)
+    def lipschitz(radius: float, tag: int) -> float:
+        sub = rng.spawn(tag)
+        points = [np.zeros(dim)] + [sub.ball(dim, radius) for _ in range(count)]
+        return estimate_lipschitz(vec_jac, points, times=times)
 
-
-def _default_q(dim: int) -> np.ndarray:
-    return np.eye(dim)
+    L1 = lipschitz(domain_radius, 1)
+    if L1 <= LINEAR_TOL:
+        return 0.0, 0.0, domain_radius, (
+            "jacobian constant within sampling tolerance; domain radius used",
+        )
+    root_n = math.sqrt(dim)
+    L1 = max(L1, lipschitz(min(gamma_star / (root_n * L1), domain_radius), 2))
+    remainder_gain = root_n * L1
+    return L1, remainder_gain, min(gamma_star / remainder_gain, domain_radius), ()
 
 
 def certify_local_autonomous(
@@ -206,7 +222,7 @@ def certify_local_autonomous(
             f"{spectrum.spectral_radius:.12f} is within margin of 1"
         )
 
-    Q = _default_q(sys.dim) if Q is None else np.asarray(Q, dtype=float)
+    Q = np.eye(sys.dim) if Q is None else np.asarray(Q, dtype=float)
     sol = solve_stein_kron(est.A, Q)
     q1 = float(np.linalg.eigvalsh(Q)[0])
     p2 = float(np.linalg.eigvalsh(sol.P)[-1])
@@ -217,21 +233,9 @@ def certify_local_autonomous(
     B = max(1.0, float(np.linalg.norm(est.A, 2)))
     gamma_star = -B + math.sqrt(B * B + q1 / p2)
 
-    rng = Rng(seed)
-    notes = tuple(sol.notes)
-    L1 = _jacobian_lipschitz(shifted.map_fn, sys.dim, domain_radius, rng.spawn(1), n_lipschitz)
-    if L1 <= LINEAR_TOL:
-        delta_bar = domain_radius
-        remainder_gain = 0.0
-        L1 = 0.0
-        notes += ("jacobian constant within sampling tolerance; domain radius used",)
-    else:
-        root_n = math.sqrt(sys.dim)
-        delta_1 = min(gamma_star / (root_n * L1), domain_radius)
-        L1 = max(L1, _jacobian_lipschitz(shifted.map_fn, sys.dim, delta_1, rng.spawn(2), n_lipschitz))
-        remainder_gain = root_n * L1
-        delta_bar = min(gamma_star / remainder_gain, domain_radius)
-
+    L1, remainder_gain, delta_bar, notes = _remainder_radius(
+        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), n_lipschitz, (0,)
+    )
     return LocalCertificate(
         verdict=STABLE,
         equilibrium=eq,
@@ -245,7 +249,7 @@ def certify_local_autonomous(
         jacobian_lipschitz=L1,
         remainder_gain=remainder_gain,
         delta_bar=delta_bar,
-        notes=notes,
+        notes=tuple(sol.notes) + notes,
     )
 
 
@@ -277,7 +281,7 @@ def certify_local_nonautonomous(
 
     ltv = LinearTV(sys.dim, matrix_fn)
     envelope = verify_transition_decay(ltv, t0_samples=tuple(t_samples))
-    Q_fn = (lambda t: _default_q(sys.dim)) if Q_fn is None else Q_fn
+    Q_fn = (lambda t: np.eye(sys.dim)) if Q_fn is None else Q_fn
     tvP = solve_tv_lyapunov(ltv, Q_fn, envelope)
 
     q1 = math.inf
@@ -291,28 +295,9 @@ def certify_local_nonautonomous(
         raise ValueError("Q(t) must be positive definite at every sampled time")
     gamma_star = -B_A + math.sqrt(B_A * B_A + q1 / p2)
 
-    rng = Rng(seed)
-    notes: Tuple[str, ...] = ()
-    L1 = _jacobian_lipschitz(
-        shifted.map_fn, sys.dim, domain_radius, rng.spawn(1), n_lipschitz, times=tuple(t_samples)
+    L1, remainder_gain, delta_bar, notes = _remainder_radius(
+        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), n_lipschitz, tuple(t_samples)
     )
-    if L1 <= LINEAR_TOL:
-        delta_bar = domain_radius
-        remainder_gain = 0.0
-        L1 = 0.0
-        notes += ("jacobian constant within sampling tolerance; domain radius used",)
-    else:
-        root_n = math.sqrt(sys.dim)
-        delta_1 = min(gamma_star / (root_n * L1), domain_radius)
-        L1 = max(
-            L1,
-            _jacobian_lipschitz(
-                shifted.map_fn, sys.dim, delta_1, rng.spawn(2), n_lipschitz, times=tuple(t_samples)
-            ),
-        )
-        remainder_gain = root_n * L1
-        delta_bar = min(gamma_star / remainder_gain, domain_radius)
-
     return LocalCertificate(
         verdict=STABLE,
         equilibrium=sys.equilibrium,

@@ -176,30 +176,36 @@ def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[tuple], eps_probe: float
     """Defining ratios of the four moduli on (k, x, yerr) samples.
 
     Samples whose denominator vanishes are skipped; the caller decides
-    what an empty family means.
+    what an empty family means.  A NaN or infinite map value or ratio
+    raises ValueError naming the sample, since a maximum would skip it.
     """
     ratios: dict = {"l1": [], "l2": [], "l3": [], "l4": [], "ystar_norm": []}
     for k, x, yerr in samples:
         x = np.asarray(x, dtype=float)
         yerr = np.asarray(yerr, dtype=float)
         ys = np.asarray(sysf.ystar(x), dtype=float)
-        ratios["ystar_norm"].append(float(np.linalg.norm(ys)))
+        found = {"ystar_norm": float(np.linalg.norm(ys))}
         nx = float(np.linalg.norm(x))
         ny = float(np.linalg.norm(yerr))
         phi_frozen = np.asarray(sysf.phi(k, x, ys), dtype=float)
         phi_full = np.asarray(sysf.phi(k, x, yerr + ys), dtype=float)
+        nphi = found["phi_norm"] = float(np.linalg.norm(phi_full))
         if nx > DENOM_TOL:
-            ratios["l1"].append(float(np.linalg.norm(phi_frozen)) / nx)
+            found["l1"] = float(np.linalg.norm(phi_frozen)) / nx
         if ny > DENOM_TOL:
-            ratios["l2"].append(float(np.linalg.norm(phi_full - phi_frozen)) / ny)
+            found["l2"] = float(np.linalg.norm(phi_full - phi_frozen)) / ny
             fast_next = np.asarray(sysf.varphi(k, yerr + ys, x), dtype=float)
-            ratios["l3"].append(float(np.linalg.norm(fast_next - ys)) / ny)
-        nphi = float(np.linalg.norm(phi_full))
+            found["l3"] = float(np.linalg.norm(fast_next - ys)) / ny
         if nphi > DENOM_TOL:
             shifted = np.asarray(sysf.ystar(x + eps_probe * phi_full), dtype=float)
-            ratios["l4"].append(
-                float(np.linalg.norm(shifted - ys)) / (eps_probe * nphi)
-            )
+            found["l4"] = float(np.linalg.norm(shifted - ys)) / (eps_probe * nphi)
+        for name, value in found.items():
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"non-finite {name} at k={k}, x={x.tolist()}, yerr={yerr.tolist()}"
+                )
+            if name in ratios:
+                ratios[name].append(value)
     return ratios
 
 
@@ -568,12 +574,12 @@ def validate_rate(
             z = rng.ball(sysf.dim_x + sysf.dim_y, cert.r)
             x = z[: sysf.dim_x].copy()
             y = z[sysf.dim_x:] + np.asarray(sysf.ystar(x), dtype=float)
-            margins = []
             decay = 1.0
-            for k in range(horizon + 1):
-                margins.append(cert.C_r * decay + TOL_ABS - float(x @ x))
+            margins = [cert.C_r * decay + TOL_ABS - float(x @ x)]
+            for k in range(horizon):
                 x, y = sysf.step(k, x, y, eps)
                 decay *= 1.0 - eps * cert.gamma_r
+                margins.append(cert.C_r * decay + TOL_ABS - float(x @ x))
             k = worst_index(margins)
             points.append((k, z))
             slack.append(margins[k])

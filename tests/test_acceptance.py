@@ -25,8 +25,8 @@ from lyapcert.averaging import (
 )
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import (
-    build_autonomous_converse,
     build_exponential_converse,
+    build_trajectory_converse,
     estimate_lipschitz,
     verify_converse,
 )
@@ -154,7 +154,7 @@ def test_criterion_04_converse_constructions():
     # halving map with the exact unit-gain envelope: one-step window, V = |x|^2
     sys = DynSystem(1, lambda t, x: 0.5 * np.asarray(x, dtype=float), autonomous=True)
     env = ExponentialEnvelope(gain=1.0, rate=math.log(2.0))
-    cert = build_autonomous_converse(sys, env)
+    cert = build_trajectory_converse(sys, env)
     assert cert.horizon == 1
     for v in (1.0, -0.6, 0.25, 0.03):
         x = np.array([v])

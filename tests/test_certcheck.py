@@ -99,3 +99,29 @@ class TestExponentialConditions:
         rep, _, b = check_exponential_conditions(V, sys, shell_grid(1, 1.0))
         assert not rep.passed
         assert b <= 0.0
+
+    def test_nan_candidate_fails(self):
+        # V is NaN on the half plane x[0] > 0.5; max/min used to skip those samples
+        V = CandidateFunction(
+            eval_fn=lambda t, x: float("nan") if x[0] > 0.5 else float(x @ x), dim=2
+        )
+        rep, _, _ = check_exponential_conditions(V, contraction(2, 0.5), shell_grid(2, 1.0))
+        assert not rep.passed
+        assert np.isnan(rep.worst_margin)
+        t, x = rep.worst_point
+        assert x[0] > 0.5 or 0.5 * x[0] > 0.5
+
+    def test_infinite_decrement_fails(self):
+        V = CandidateFunction.quadratic(np.eye(1))
+        sys = DynSystem(dim=1, map_fn=lambda t, x: np.where(x > 0.9, np.inf, 0.5 * x),
+                        autonomous=True)
+        rep, _, _ = check_exponential_conditions(V, sys, shell_grid(1, 1.0))
+        assert not rep.passed
+        assert rep.worst_point[1][0] > 0.9
+
+    def test_grid_without_nonzero_sample_fails(self):
+        V = CandidateFunction(eval_fn=lambda t, x: float(x @ x), dim=2)
+        rep, _, _ = check_exponential_conditions(V, contraction(2, 0.5), np.zeros((3, 2)))
+        assert not rep.passed
+        assert rep.samples_checked == 0
+        assert rep.worst_point is None

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from lyapcert.converse import (
-    build_autonomous_converse,
     build_exponential_converse,
     build_finite_time_converse,
-    build_nonautonomous_converse,
+    build_trajectory_converse,
     check_envelope_hypothesis,
     estimate_lipschitz,
     exponential_horizon,
@@ -53,10 +52,66 @@ class TestLipschitzEstimate:
         assert estimate_lipschitz(fn, pts, times=(0, 1)) == pytest.approx(0.88, rel=1e-12)
 
 
+def nan_at_one(t, x):
+    """0.5 x everywhere except x = 1, where the map returns NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.full_like(x, np.nan) if np.any(x == 1.0) else 0.5 * x
+
+
+class TestLipschitzFailClosed:
+    POINTS = [np.array([v]) for v in (-1.0, -0.2, 0.4, 1.0)]
+
+    @pytest.mark.parametrize("mode", ["difference", "growth"])
+    def test_nan_map_value_raises(self, mode):
+        with pytest.raises(ValueError, match=r"t=0, x=\[1\.0\]"):
+            estimate_lipschitz(nan_at_one, self.POINTS, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["difference", "growth"])
+    def test_infinite_map_value_raises(self, mode):
+        fn = lambda t, x: np.asarray(x, dtype=float) * (np.inf if t == 2 else 0.5)
+        with pytest.raises(ValueError, match="t=2"):
+            estimate_lipschitz(fn, self.POINTS, times=(0, 1, 2), mode=mode)
+
+    def test_overflowing_quotient_raises(self):
+        pts = [np.array([0.0]), np.array([1e-10])]
+        fn = lambda t, x: np.array([1e300]) if x[0] else np.array([-1e300])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="difference quotient"):
+            estimate_lipschitz(fn, pts)
+
+    def test_fast_parameter_loop_raises_on_nan(self):
+        # NaN only when the frozen slow state x > 0.5 is stepped at k = 0, which
+        # the state modulus (sampled at each sample's own k) never does
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: np.full(1, np.nan) if k == 0 and x[0] > 0.5 else 0.5 * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        samples = [(0, np.array([0.4]), np.array([0.0])), (1, np.array([-0.3]), np.array([0.9]))]
+        env = ExponentialEnvelope(gain=1.0, rate=float(np.log(2.0)))
+        with pytest.raises(ValueError, match="k=0"):
+            build_exponential_converse(sysf, env, samples=samples)
+
+
+class TestTrajectoryConverseKind:
+    def test_kind_and_start_follow_the_system(self):
+        for autonomous in (True, False):
+            sys = DynSystem(dim=1, map_fn=lambda t, x: (0.5 if t % 2 == 0 else 0.25) * x,
+                            autonomous=autonomous)
+            env = ExponentialEnvelope(gain=2.0, rate=float(np.log(2.0)))
+            cert = build_trajectory_converse(sys, env)
+            assert cert.kind == ("autonomous" if autonomous else "nonautonomous")
+            x = np.array([1.0])
+            # an autonomous sum always starts at t = 0; a nonautonomous one at k
+            same = cert.evaluator(0, x, None) == cert.evaluator(1, x, None)
+            assert same == autonomous
+
+
 class TestAutonomous:
     def test_single_step_horizon_golden(self):
         sys = scalar_half()
-        cert = build_autonomous_converse(sys, fitted_envelope(sys))
+        cert = build_trajectory_converse(sys, fitted_envelope(sys))
         assert cert.horizon == 1
         assert cert.a1 == 1.0
         assert cert.a2 == pytest.approx(1.0, abs=1e-12)
@@ -66,7 +121,7 @@ class TestAutonomous:
 
     def test_realized_decrement_beats_half(self):
         sys = scalar_half()
-        cert = build_autonomous_converse(sys, fitted_envelope(sys))
+        cert = build_trajectory_converse(sys, fitted_envelope(sys))
         for v in (1.0, -0.4, 0.05):
             x = np.array([v])
             delta = cert.evaluator(1, sys.step(0, x), None) - cert.evaluator(0, x, None)
@@ -77,7 +132,7 @@ class TestAutonomous:
         # gain 2 envelope over the same dynamics forces a three-step sum
         sys = DynSystem(dim=1, map_fn=lambda t, x: 0.6 * x, autonomous=True)
         env = ExponentialEnvelope(gain=2.0, rate=np.log(1.0 / 0.6))
-        cert = build_autonomous_converse(sys, env)
+        cert = build_trajectory_converse(sys, env)
         assert cert.horizon == 3
         decay = 0.36
         assert cert.a2 == pytest.approx(4.0 * (1 - decay**3) / (1 - decay), rel=1e-12)
@@ -86,7 +141,7 @@ class TestAutonomous:
 
     def test_verification_reports_pass(self):
         sys = scalar_half()
-        cert = build_autonomous_converse(sys, fitted_envelope(sys))
+        cert = build_trajectory_converse(sys, fitted_envelope(sys))
         rng = Rng(123)
         samples = [(0, rng.ball(1, 1.0), None) for _ in range(100)]
         reports = verify_converse(cert, samples)
@@ -95,7 +150,7 @@ class TestAutonomous:
 
     def test_unrealizable_constants_are_caught(self):
         sys = scalar_half()
-        cert = build_autonomous_converse(sys, fitted_envelope(sys))
+        cert = build_trajectory_converse(sys, fitted_envelope(sys))
         tightened = replace(cert, a3=0.9)  # true decrement is 0.75
         samples = [(0, np.array([v]), None) for v in (1.0, 0.5, -0.3)]
         reports = verify_converse(tightened, samples)
@@ -112,7 +167,7 @@ class TestNonautonomous:
         )
         trajs = [simulate(sys, t0, np.array([v]), 10) for t0 in (0, 1) for v in (1.0, -0.6)]
         env = fit_exponential_envelope(trajs)
-        cert = build_nonautonomous_converse(sys, env)
+        cert = build_trajectory_converse(sys, env)
         x = np.array([1.0])
         if cert.horizon >= 2:
             # the sum starting at an even time sees the 0.5 factor first

@@ -8,15 +8,15 @@ from lyapcert.dynsys import (
     LinearTV,
     SlowFastSystem,
     Trajectory,
-    find_equilibrium,
     fit_exponential_envelope,
+    linear_part,
     simulate,
     trajectory_to_csv,
     transition_matrix,
 )
 from lyapcert.errors import (
     DivergenceError,
-    EquilibriumNotFoundError,
+    InapplicableError,
     NotExponentiallyStableError,
 )
 
@@ -73,22 +73,34 @@ class TestDynSystem:
         assert traj.state(5)[0] == 1.0
 
 
-class TestFindEquilibrium:
-    def test_affine_fixed_point_from_far_guess(self):
-        sys = DynSystem(
-            dim=1,
-            map_fn=lambda t, x: 0.5 * x + 1.0,
-            autonomous=True,
-            equilibrium=np.array([2.0]),
-        )
-        assert np.allclose(find_equilibrium(sys, np.array([-50.0])), [2.0])
+class TestLinearPart:
+    def test_columns_are_images_of_the_unit_vectors(self):
+        A = np.array([[0.6, -0.3, 0.1], [0.3, 0.6, 0.0], [-0.2, 0.05, 0.9]])
+        out = linear_part(lambda t, x: A @ x, 0, 3)
+        cols = np.column_stack([A @ e - A @ np.zeros(3) for e in np.eye(3)])
+        assert np.array_equal(out, cols)
 
-    def test_exhausted_budget_raises(self):
-        # gradient of the residual vanishes cubically, so one damped step
-        # from a far guess cannot reach the 1e-10 residual target
-        sys = DynSystem(dim=1, map_fn=lambda t, x: x - x**3, autonomous=True)
-        with pytest.raises(EquilibriumNotFoundError):
-            find_equilibrium(sys, np.array([30.0]), max_iter=1)
+    def test_time_varying_slice(self):
+        out = linear_part(lambda t, x: (0.5 - 0.3 * (-1.0) ** t) * x, 1, 1)
+        assert out[0, 0] == pytest.approx(0.8, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "fn, dim",
+        [
+            (lambda t, x: 0.5 * x + x**2, 1),  # secant through e_1 reads 1.5
+            (lambda t, x: np.abs(x), 1),  # positively homogeneous, not linear
+            (lambda t, x: 0.5 * x + 1.0, 1),  # affine
+            (lambda t, x: np.array([x[0] * x[1], x[1]]), 2),  # cross term vanishes on e_i
+        ],
+    )
+    def test_nonlinear_maps_are_refused(self, fn, dim):
+        with pytest.raises(InapplicableError, match=r"t=3.*w = \["):
+            linear_part(fn, 3, dim)
+
+    def test_nan_image_is_refused(self):
+        fn = lambda t, x: np.full(1, np.nan) if x[0] < 0 else 0.5 * x
+        with pytest.raises(InapplicableError):
+            linear_part(fn, 0, 1)
 
 
 class TestTransitionMatrix:

@@ -66,6 +66,12 @@ class TestParser:
         with pytest.raises(ValueError):
             evaluate(node, 0, [0.0])
 
+    def test_fractional_power_of_negative_base_raises(self):
+        with pytest.raises(ValueError, match=r"-1\.0\^0\.5"):
+            evaluate(parse_expression("x[0]^0.5"), 0, [-1.0])
+        assert evaluate(parse_expression("x[0]^3"), 0, [-2.0]) == -8.0
+        assert evaluate(parse_expression("x[0]^0.5"), 0, [4.0]) == 2.0
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             evaluate(parse_expression("1/x[0]"), 0, [0.0])
@@ -332,6 +338,42 @@ class TestRunCommand:
         assert code == 0
         types = [r["type"] for r in report["results"]]
         assert "instability_witness" in types
+
+    def test_simulate_fractional_power_of_negative_state_errors(self):
+        doc = minimal_doc(
+            map={"x": ["x[0]^0.5"]},
+            analyses=[{"command": "simulate", "x0": [-1.0], "horizon": 3}],
+        )
+        report, code = run_command(doc, "simulate", timestamp=False)
+        assert code == 1
+        assert report["error"]["type"] == "ValueError"
+        assert "^0.5" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "config, error",
+        [("contraction_quadratic.json", "InapplicableError"), ("weak_oscillator.json", "ValueError")],
+    )
+    def test_linear_refuses_maps_it_cannot_certify(self, config, error):
+        path = Path(__file__).parent.parent / "configs" / config
+        report, code = run_command(json.loads(path.read_text()), "linear", timestamp=False)
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error"]["type"] == error
+
+    def test_linear_refuses_nonlinear_linear_tv(self):
+        doc = minimal_doc(kind="linear_tv", map={"x": ["0.5*x[0]+0.1*x[0]^2"]},
+                          analyses=[{"command": "linear"}])
+        report, code = run_command(doc, "linear", timestamp=False)
+        assert code == 1
+        assert report["error"]["type"] == "InapplicableError"
+        assert "t=0" in report["error"]["message"]
+
+    def test_linear_reads_the_map_about_its_equilibrium(self):
+        doc = minimal_doc(map={"x": ["0.5*x[0]+1"]}, equilibrium=[2.0],
+                          analyses=[{"command": "linear"}])
+        report, code = run_command(doc, "linear", timestamp=False)
+        assert code == 0
+        assert report["results"][0]["A"] == [[0.5]]
 
     def test_certify_local_passes_basin_check(self):
         doc = minimal_doc(

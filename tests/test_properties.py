@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lyapcert.averaging import check_drift_remainder, estimate_average, estimate_sigma, mu, nu
 from lyapcert.certcheck import CandidateFunction, check_decrease, check_positive_definite, shell_grid
-from lyapcert.converse import build_autonomous_converse, verify_converse
+from lyapcert.converse import build_trajectory_converse, verify_converse
 from lyapcert.dynsys import (
     DynSystem,
     ExponentialEnvelope,
@@ -259,7 +259,7 @@ def poisoned_map(bad, after, composite):
 
 def poisoned_evaluator(bad, after, composite):
     sys = DynSystem(1, half_map)
-    cert = build_autonomous_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
+    cert = build_trajectory_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
     cert = replace(cert, evaluator=Poisoned(cert.evaluator, bad, after))
     rng = Rng(7)
     reports = verify_converse(cert, [(0, rng.ball(1, 1.0), None) for _ in range(8)])
@@ -307,7 +307,7 @@ class TestFailClosed:
 
     def test_converse_without_samples(self):
         sys = DynSystem(1, half_map)
-        cert = build_autonomous_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
+        cert = build_trajectory_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
         reports = verify_converse(cert, [])
         assert len(reports) == 3
         assert not any(rep.passed for rep in reports)

@@ -96,6 +96,18 @@ class TestEllConstants:
         with pytest.raises(ValueError, match="l1"):
             estimate_ell_constants(golden_pair(), r0=1.0, samples=samples)
 
+    def test_nan_slow_field_raises(self):
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: np.full(1, np.nan) if x[0] == 1.0 else -0.5 * x + y,
+            varphi=lambda k, y, x: 0.5 * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        samples = [(0, np.array([v]), np.array([0.2])) for v in (0.5, -0.3, 1.0, 0.1)]
+        with pytest.raises(ValueError, match=r"k=0, x=\[1\.0\]"):
+            estimate_ell_constants(sysf, r0=1.0, samples=samples)
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             estimate_ell_constants(golden_pair(), r0=0.0)
@@ -221,6 +233,19 @@ class TestSemiglobalPipeline:
         assert rep.condition == "certified_rate"
         assert rep.passed
         assert rep.samples_checked == 40  # two amplitudes within the certificate
+
+    def test_each_trial_steps_horizon_times(self, cert):
+        calls = []
+        base = golden_pair()
+        counting = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: calls.append(k) or base.phi(k, x, y),
+            varphi=base.varphi,
+            ystar=base.ystar,
+        )
+        rep = validate_rate(counting, cert, trials=3, horizon=7)
+        assert len(calls) == len(rep.details["eps_used"]) * 3 * 7
 
     def test_out_of_certificate_amplitudes_skipped(self, cert):
         rep = validate_rate(golden_pair(), cert, eps_grid=(cert.eps_r * 2.0,), trials=5)
