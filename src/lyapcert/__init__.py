@@ -32,13 +32,11 @@ from .certcheck import (
     CandidateFunction,
     ConditionReport,
     check_decrease,
-    check_exponential_conditions,
     check_positive_definite,
 )
 from .converse import (
     ConverseCertificate,
     build_exponential_converse,
-    build_finite_time_converse,
     build_trajectory_converse,
     estimate_lipschitz,
     verify_converse,
@@ -47,6 +45,7 @@ from .dynsys import (
     ExponentialEnvelope,
     DynSystem,
     LinearTV,
+    SlowFastSample,
     SlowFastSystem,
     Trajectory,
     fit_exponential_envelope,
@@ -88,7 +87,6 @@ from .timescales import (
     EllConstants,
     assemble_coefficients,
     certify_semiglobal,
-    check_global_hypotheses,
     estimate_ell_constants,
     find_eps_r,
     validate_rate,
@@ -120,6 +118,7 @@ __all__ = [
     "LyapcertError",
     "Rng",
     "SigmaTable",
+    "SlowFastSample",
     "SlowFastSystem",
     "SpectrumReport",
     "StageError",
@@ -129,16 +128,13 @@ __all__ = [
     "budget_for_delta",
     "build_averaged_lyapunov",
     "build_exponential_converse",
-    "build_finite_time_converse",
     "build_trajectory_converse",
     "certify_local_autonomous",
     "certify_local_nonautonomous",
     "certify_semiglobal",
     "check_decrease",
     "check_drift_remainder",
-    "check_exponential_conditions",
     "check_positive_definite",
-    "check_global_hypotheses",
     "classify_linear",
     "estimate_average",
     "estimate_ell_constants",

@@ -33,11 +33,9 @@ __all__ = [
     "inject_eigendirections",
     "check_positive_definite",
     "check_decrease",
-    "check_exponential_conditions",
     "POS_DEF",
     "DECREASE",
     "STRICT_DECREASE",
-    "EXPONENTIAL_BOUNDS",
 ]
 
 TOL_ABS = 1e-9
@@ -46,7 +44,6 @@ TOL_REL = 1e-9
 POS_DEF = "pos_def"
 DECREASE = "decrease"
 STRICT_DECREASE = "strict_decrease"
-EXPONENTIAL_BOUNDS = "exponential_bounds"
 
 
 def _margin_tol(reference: float) -> float:
@@ -221,54 +218,3 @@ def check_decrease(
         slack.append(sign * _margin_tol(value) - delta)
     condition = STRICT_DECREASE if strict else DECREASE
     return ConditionReport.from_slack(condition, slack, points)
-
-
-def check_exponential_conditions(
-    V: CandidateFunction,
-    sys: DynSystem,
-    grid: np.ndarray,
-    times: Optional[Sequence[int]] = None,
-) -> Tuple[ConditionReport, float, float]:
-    """Quadratic sandwich and decrement coefficients from samples.
-
-    Returns ``(report, a, b)`` where a bounds V above by a * |x|^2 and b is
-    the sampled decrement coefficient (Delta V <= -b * |x|^2).  The implied
-    one-step contraction factor 1 - b/a is reported in the details.  The
-    fit fails closed: a NaN or infinite V or Delta V fails the report, which
-    then names the first such sample with a NaN margin, and so does a grid
-    without a nonzero sample (no point, NaN margin).
-    """
-    grid = _candidate_grid(V, grid)
-    times = _times(V, sys) if times is None else tuple(times)
-    upper = 0.0
-    lower = np.inf
-    worst_delta_ratio = -np.inf
-    worst_point = None
-    bad_point = None
-    count = 0
-    for t in times:
-        for x in grid:
-            n2 = float(x @ x)
-            if n2 == 0.0:
-                continue
-            value = V(t, x)
-            delta = V(t + 1, sys.step(t, x)) - value
-            count += 1
-            if bad_point is None and not (math.isfinite(value) and math.isfinite(delta)):
-                bad_point = (t, x.copy())
-            upper = max(upper, value / n2)
-            lower = min(lower, value / n2)
-            ratio = delta / n2
-            if ratio > worst_delta_ratio:
-                worst_delta_ratio, worst_point = ratio, (t, x.copy())
-    a = upper
-    b = -worst_delta_ratio
-    passed = bool(count and bad_point is None and b > 0.0 and np.isfinite(a) and lower > 0.0)
-    details = {"a_lower": lower, "a_upper": a, "decrement_coeff": b}
-    if passed:
-        details["contraction_factor"] = 1.0 - b / a
-    margin = worst_delta_ratio
-    if bad_point is not None or not count:
-        margin, worst_point = math.nan, bad_point
-    report = ConditionReport(EXPONENTIAL_BOUNDS, passed, margin, worst_point, count, details)
-    return report, a, b

@@ -4,9 +4,12 @@ Given an exponential envelope certified from trajectories, these builders
 assemble sum-along-trajectory candidate functions whose sandwich and
 decrement constants come out in closed form, then re-verify the claimed
 inequalities on fresh samples.  ``build_trajectory_converse`` serves both
-autonomous and nonautonomous maps (it reads ``sys.autonomous``); the
-fast-subsystem variants keep the slow state frozen and work in shifted
-coordinates y' = y - ystar(x).  Every sampled Lipschitz modulus comes from
+autonomous and nonautonomous maps (it reads ``sys.autonomous``).
+``build_exponential_converse`` serves the fast subsystem of a slow/fast
+pair: it keeps the slow state frozen and works in shifted coordinates
+y' = y - ystar(x), and its samples and those of
+``check_envelope_hypothesis`` are :class:`~lyapcert.dynsys.SlowFastSample`
+tuples read by field name.  Every sampled Lipschitz modulus comes from
 :func:`estimate_lipschitz` or the parameter loop beside it, and both raise
 on a NaN or infinite map value rather than skip it.
 """
@@ -20,15 +23,14 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .certcheck import ConditionReport, TOL_ABS, TOL_REL
-from .dynsys import DynSystem, ExponentialEnvelope, SlowFastSystem, simulate
-from .errors import FiniteTimeHypothesisError, HypothesisViolationError
+from .dynsys import DynSystem, ExponentialEnvelope, SlowFastSample, SlowFastSystem, simulate
+from .errors import HypothesisViolationError
 from .rng import Rng
 
 __all__ = [
     "ConverseCertificate",
     "estimate_lipschitz",
     "build_trajectory_converse",
-    "build_finite_time_converse",
     "build_exponential_converse",
     "exponential_horizon",
     "verify_converse",
@@ -39,7 +41,6 @@ __all__ = [
 ]
 
 LIPSCHITZ_SAFETY = 1.1
-REACH_TOL = 1e-9
 
 BOUNDS = "uniform_bounds"
 DECREMENT = "decrement"
@@ -61,7 +62,7 @@ class ConverseCertificate:
     moduli.
     """
 
-    kind: str  # autonomous | nonautonomous | finite_time | exponential
+    kind: str  # autonomous | nonautonomous | exponential
     horizon: int
     a1: float
     a2: float
@@ -184,49 +185,51 @@ def build_trajectory_converse(
 def _fast_sample_set(
     sysf: SlowFastSystem, radius: float, count: int, seed: int
 ) -> list:
+    """``count`` samples with k in 0..3 and x, y' each drawn from the radius ball."""
     rng = Rng(seed)
     out = []
     for _ in range(count):
         k = rng.integer(0, 3)
-        yerr = rng.ball(sysf.dim_y, radius)
-        x = rng.ball(sysf.dim_x, radius)
-        out.append((k, yerr, x))
+        yerr = rng.ball(sysf.dim_y, radius)  # drawn before x: the order fixes report bytes
+        out.append(SlowFastSample(k=k, x=rng.ball(sysf.dim_x, radius), yerr=yerr))
     return out
 
 
 def _fast_lipschitz(
-    sysf: SlowFastSystem, samples: Sequence[tuple]
+    sysf: SlowFastSystem, samples: Sequence[SlowFastSample]
 ) -> Tuple[float, float]:
     """State modulus L1 and parameter modulus L2 of the shifted fast map.
 
     L1 is the largest :func:`estimate_lipschitz` difference quotient over
     the fast states with each sample's slow state frozen; L2 bounds
     |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample pairs.
-    A non-finite L2 quotient raises ValueError.
+    Each frozen-x fast map is evaluated once per distinct k and fast
+    state.  A non-finite L2 quotient raises ValueError.
     """
-    xs = [(k, np.asarray(x, dtype=float)) for k, _, x in samples]
-    ys = [np.asarray(s[1], dtype=float) for s in samples]
-    fasts = [sysf.shifted_fast(x) for _, x in xs]
+    xs = [np.asarray(s.x, dtype=float) for s in samples]
+    ys = [np.asarray(s.yerr, dtype=float) for s in samples]
+    fasts = [sysf.shifted_fast(x) for x in xs]
     l1 = max(
-        estimate_lipschitz(fast, ys, times=(k,), safety=1.0) for (k, _), fast in zip(xs, fasts)
+        estimate_lipschitz(fast, ys, times=(s.k,), safety=1.0)
+        for s, fast in zip(samples, fasts)
     )
+    table = {k: [[fast(k, y) for y in ys] for fast in fasts] for k in {s.k for s in samples}}
+    y_norms = [float(np.linalg.norm(y)) for y in ys]
     l2 = 0.0  # stays 0 for a single frozen slow state: parameter modulus unobservable
-    for i, (k, x1) in enumerate(xs):
-        row = [fasts[i](k, y) for y in ys]
+    for i, (s, x1) in enumerate(zip(samples, xs)):
+        rows = table[s.k]
         for j in range(i + 1, len(xs)):
-            x2 = xs[j][1]
-            dx = float(np.linalg.norm(x1 - x2))
+            dx = float(np.linalg.norm(x1 - xs[j]))
             if dx < 1e-14:
                 continue
-            for y, v1 in zip(ys, row):
-                ny = float(np.linalg.norm(y))
+            for y, ny, v1, v2 in zip(ys, y_norms, rows[i], rows[j]):
                 if ny < 1e-14:
                     continue
-                ratio = float(np.linalg.norm(v1 - fasts[j](k, y))) / (ny * dx)
+                ratio = float(np.linalg.norm(v1 - v2)) / (ny * dx)
                 if not math.isfinite(ratio):
                     raise ValueError(
-                        f"non-finite fast-map parameter quotient at k={k}, y={y.tolist()}, "
-                        f"x1={x1.tolist()}, x2={x2.tolist()}"
+                        f"non-finite fast-map parameter quotient at k={s.k}, y={y.tolist()}, "
+                        f"x1={x1.tolist()}, x2={xs[j].tolist()}"
                     )
                 l2 = max(l2, ratio)
     return l1 * LIPSCHITZ_SAFETY, l2 * LIPSCHITZ_SAFETY
@@ -273,37 +276,6 @@ def _fast_certificate(
     )
 
 
-def build_finite_time_converse(
-    sysf: SlowFastSystem,
-    T: int,
-    samples: Optional[Sequence[tuple]] = None,
-    radius: float = 1.0,
-    seed: int = 0xFA57,
-) -> ConverseCertificate:
-    """Dead-beat fast subsystem: W sums T squared norms of the frozen-x flow.
-
-    The construction presumes the shifted fast state reaches zero in T
-    steps from anywhere sampled, which is checked explicitly here and
-    rejected with a hypothesis error otherwise.
-    """
-    if T < 1:
-        raise ValueError("finite-time horizon must be >= 1")
-    if samples is None:
-        samples = _fast_sample_set(sysf, radius, 32, seed)
-    for k, yerr, x in samples:
-        fast = sysf.shifted_fast(x)
-        y = np.asarray(yerr, dtype=float)
-        for t in range(T):
-            y = fast(k + t, y)
-        if float(np.linalg.norm(y)) > REACH_TOL * max(1.0, float(np.linalg.norm(yerr))):
-            raise FiniteTimeHypothesisError(
-                f"shifted fast state fails to reach zero in {T} steps "
-                f"(residual {np.linalg.norm(y):.3e})"
-            )
-    L1, L2 = _fast_lipschitz(sysf, samples)
-    return _fast_certificate(sysf, T, a3=1.0, kind="finite_time", L1=L1, L2=L2)
-
-
 def exponential_horizon(gain: float, ratio: float) -> int:
     """Horizon making the squared envelope loss at least one half.
 
@@ -318,7 +290,7 @@ def exponential_horizon(gain: float, ratio: float) -> int:
 def build_exponential_converse(
     sysf: SlowFastSystem,
     env: ExponentialEnvelope,
-    samples: Optional[Sequence[tuple]] = None,
+    samples: Optional[Sequence[SlowFastSample]] = None,
     radius: float = 1.0,
     seed: int = 0xFA57,
 ) -> ConverseCertificate:
@@ -345,7 +317,8 @@ def verify_converse(
     """Re-check the certificate inequalities on fresh samples.
 
     ``samples`` holds ``(k, state, frozen_x)`` triples (``frozen_x`` None
-    for the slow-system kinds).  Produces bounds, decrement and
+    for the slow-system kinds; ``(s.k, s.yerr, s.x)`` of a SlowFastSample
+    for the fast kind).  Produces bounds, decrement and
     state-Lipschitz reports, plus the frozen-parameter report when a5 is
     available; consecutive samples are paired for the Lipschitz checks.
     Each slack is the room left under the claimed bound plus its tolerance.
@@ -400,18 +373,25 @@ def verify_converse(
 def check_envelope_hypothesis(
     sysf: SlowFastSystem,
     env: ExponentialEnvelope,
-    samples: Sequence[tuple],
+    samples: Sequence[SlowFastSample],
     horizon: int = 12,
 ) -> None:
-    """Raise unless the envelope dominates sampled shifted-fast trajectories."""
-    for k, yerr, x in samples:
-        fast = sysf.shifted_fast(np.asarray(x, dtype=float))
-        y = np.asarray(yerr, dtype=float)
+    """Raise unless the envelope dominates sampled shifted-fast trajectories.
+
+    Each trajectory starts at the sample's fast error with its slow state
+    frozen and is checked at offsets 0..horizon-1.  A NaN or infinite
+    state fails like a violation: HypothesisViolationError names k and
+    the offset.
+    """
+    for s in samples:
+        fast = sysf.shifted_fast(np.asarray(s.x, dtype=float))
+        y = np.asarray(s.yerr, dtype=float)
         base = float(np.linalg.norm(y))
         for t in range(horizon):
+            if t:
+                y = fast(s.k + t - 1, y)
             bound = env.gain * base * math.exp(-env.rate * t) + TOL_ABS
-            if float(np.linalg.norm(y)) > bound:
+            if not float(np.linalg.norm(y)) <= bound:
                 raise HypothesisViolationError(
-                    f"envelope violated at offset {t} from k={k}"
+                    f"envelope violated at offset {t} from k={s.k}"
                 )
-            y = fast(k + t, y)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "Trajectory",
     "ExponentialEnvelope",
     "SlowFastSystem",
+    "SlowFastSample",
     "simulate",
     "transition_matrix",
     "linear_part",
@@ -87,15 +88,24 @@ class DynSystem:
 
 @dataclass(frozen=True)
 class LinearTV:
-    """Time-varying linear system ``x(t+1) = A(t) x(t)``."""
+    """Time-varying linear system ``x(t+1) = A(t) x(t)``.
+
+    ``matrix_fn`` is called at most once per t on each instance; ``matrix``
+    hands out that first read, as a read-only array, on every later use.
+    """
 
     dim: int
     matrix_fn: Callable[[int], np.ndarray]
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def matrix(self, t: int) -> np.ndarray:
-        A = np.asarray(self.matrix_fn(t), dtype=float)
-        if A.shape != (self.dim, self.dim):
-            raise ValueError(f"A({t}) has shape {A.shape}, expected {(self.dim, self.dim)}")
+        A = self._matrices.get(t)
+        if A is None:
+            A = np.array(self.matrix_fn(t), dtype=float)
+            if A.shape != (self.dim, self.dim):
+                raise ValueError(f"A({t}) has shape {A.shape}, expected {(self.dim, self.dim)}")
+            A.setflags(write=False)
+            self._matrices[t] = A
         return A
 
     def system(self) -> DynSystem:
@@ -217,6 +227,18 @@ class SlowFastSystem:
             return _as_vector(self.varphi(k, yerr + ys, x), self.dim_y) - ys
 
         return fast
+
+
+class SlowFastSample(NamedTuple):
+    """One slow/fast sample: time k, slow state x, fast error y' = y - ystar(x).
+
+    Every slow/fast sampler returns these and every consumer reads the
+    fields by name, so the two states cannot be taken in the wrong order.
+    """
+
+    k: int
+    x: np.ndarray
+    yerr: np.ndarray
 
 
 def simulate(sys: DynSystem, t0: int, x0, horizon: int) -> Trajectory:

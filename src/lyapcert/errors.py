@@ -39,10 +39,6 @@ class DecayNotDetectedError(LyapcertError):
     """Sampled transition norms show no contraction over the horizon."""
 
 
-class FiniteTimeHypothesisError(LyapcertError):
-    """Fast subsystem failed the sampled dead-beat reachability check."""
-
-
 class BudgetInfeasibleError(LyapcertError):
     """No tabulated horizon satisfies the requested deviation budget."""
 

@@ -31,6 +31,7 @@ from ..averaging import (
 )
 from ..certcheck import CandidateFunction
 from ..converse import (
+    _fast_sample_set,
     build_exponential_converse,
     build_trajectory_converse,
     estimate_lipschitz,
@@ -183,11 +184,8 @@ def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
         trajs = _fast_trajectories(system, radius, Rng(_subseed(seed, 1)), 4, 4, horizon)
         env = fit_exponential_envelope(trajs)
         cert = build_exponential_converse(system, env, radius=radius, seed=_subseed(seed, 2))
-        rng = Rng(_subseed(seed, 3))
-        samples = [
-            (rng.integer(0, 3), rng.ball(system.dim_y, radius), rng.ball(system.dim_x, radius))
-            for _ in range(n_check)
-        ]
+        drawn = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
+        samples = [(s.k, s.yerr, s.x) for s in drawn]  # verify_converse takes (k, state, frozen_x)
     else:
         trajs = _decay_trajectories(system, radius, n_traj, horizon, _subseed(seed, 1))
         env = fit_exponential_envelope(trajs)

@@ -7,6 +7,12 @@ one-step decrement is dominated by a 2x2 quadratic form Q_U(eps) in
 (|x|, |y'|).  Negative definiteness of Q_U on an amplitude interval
 yields a semiglobal exponential rate; sampled checks re-verify every
 inequality the construction claims.
+
+Every slow/fast sample is a :class:`~lyapcert.dynsys.SlowFastSample`
+(k, x, yerr), read by field name.  ``_stacked_samples`` draws (x, y') from
+one joint ball; the fast-subsystem sampler in ``converse`` draws x and y'
+from separate balls.  ``_error_step`` is the one step of the pair in
+(x, y') coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .converse import (
     check_envelope_hypothesis,
     estimate_lipschitz,
 )
-from .dynsys import DynSystem, SlowFastSystem, Trajectory, fit_exponential_envelope
+from .dynsys import SlowFastSample, SlowFastSystem, Trajectory, fit_exponential_envelope
 from .errors import CertificateNotFoundError, StageError
 from .rng import Rng
 
@@ -39,7 +45,6 @@ __all__ = [
     "EllConstants",
     "CoefficientRecord",
     "CompositeCertificate",
-    "shift_to_error_coordinates",
     "estimate_ell_constants",
     "assemble_coefficients",
     "q_matrix",
@@ -47,19 +52,16 @@ __all__ = [
     "certify_semiglobal",
     "verify_composite",
     "validate_rate",
-    "check_global_hypotheses",
     "SANDWICH",
     "DECREMENT_DOMINATION",
     "RATE_REALIZATION",
     "CERTIFIED_RATE",
-    "ELL_GLOBAL",
 ]
 
 SANDWICH = "sandwich"
 DECREMENT_DOMINATION = "decrement_domination"
 RATE_REALIZATION = "rate_realization"
 CERTIFIED_RATE = "certified_rate"
-ELL_GLOBAL = "ell_global"
 
 ELL_SAFETY = 1.1
 ELL_EPS_PROBE = 1e-3
@@ -147,42 +149,30 @@ def _error_step(
     return x_next, y_next - np.asarray(sysf.ystar(x_next), dtype=float)
 
 
-def shift_to_error_coordinates(sysf: SlowFastSystem) -> DynSystem:
-    """Combined map over z = (x, y') with the equilibrium moved to z = 0."""
-    nx = sysf.dim_x
-
-    def map_fn(k: int, z: np.ndarray) -> np.ndarray:
-        x_next, yerr_next = _error_step(sysf, k, z[:nx], z[nx:], sysf.epsilon)
-        return np.concatenate([x_next, yerr_next])
-
-    return DynSystem(
-        dim=sysf.dim_x + sysf.dim_y,
-        map_fn=map_fn,
-        autonomous=False,
-        equilibrium=np.zeros(sysf.dim_x + sysf.dim_y),
-    )
-
-
 def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) -> list:
+    """``count`` samples with k in 0..3 and (x, y') drawn from one joint radius ball."""
     out = []
     for _ in range(count):
         k = rng.integer(0, 3)
         z = rng.ball(sysf.dim_x + sysf.dim_y, radius)
-        out.append((k, z[: sysf.dim_x], z[sysf.dim_x:]))
+        out.append(SlowFastSample(k=k, x=z[: sysf.dim_x], yerr=z[sysf.dim_x:]))
     return out
 
 
-def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[tuple], eps_probe: float) -> dict:
-    """Defining ratios of the four moduli on (k, x, yerr) samples.
+def _ell_ratios(
+    sysf: SlowFastSystem, samples: Sequence[SlowFastSample], eps_probe: float
+) -> dict:
+    """Defining ratios of the four moduli on slow/fast samples.
 
     Samples whose denominator vanishes are skipped; the caller decides
     what an empty family means.  A NaN or infinite map value or ratio
     raises ValueError naming the sample, since a maximum would skip it.
     """
     ratios: dict = {"l1": [], "l2": [], "l3": [], "l4": [], "ystar_norm": []}
-    for k, x, yerr in samples:
-        x = np.asarray(x, dtype=float)
-        yerr = np.asarray(yerr, dtype=float)
+    for s in samples:
+        k = s.k
+        x = np.asarray(s.x, dtype=float)
+        yerr = np.asarray(s.yerr, dtype=float)
         ys = np.asarray(sysf.ystar(x), dtype=float)
         found = {"ystar_norm": float(np.linalg.norm(ys))}
         nx = float(np.linalg.norm(x))
@@ -212,7 +202,7 @@ def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[tuple], eps_probe: float
 def estimate_ell_constants(
     sysf: SlowFastSystem,
     r0: float,
-    samples: Optional[Sequence[tuple]] = None,
+    samples: Optional[Sequence[SlowFastSample]] = None,
     n_samples: int = 96,
     seed: int = 0x711,
     eps_probe: float = ELL_EPS_PROBE,
@@ -529,16 +519,16 @@ def verify_composite(
     for eps in eps_values:
         eps = float(eps)
         q = q_matrix(cert.coeffs, eps)
-        for k, x, yerr in samples:
-            u0 = cert.evaluator(k, x, yerr, eps)
-            z2 = float(x @ x) + float(yerr @ yerr)
+        for s in samples:
+            u0 = cert.evaluator(s.k, s.x, s.yerr, eps)
+            z2 = float(s.x @ s.x) + float(s.yerr @ s.yerr)
             sandwich.append(min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
-            x1, yerr1 = _error_step(sysf, k, x, yerr, eps)
-            du = cert.evaluator(k + 1, x1, yerr1, eps) - u0
-            zvec = np.array([float(np.linalg.norm(x)), float(np.linalg.norm(yerr))])
+            x1, yerr1 = _error_step(sysf, s.k, s.x, s.yerr, eps)
+            du = cert.evaluator(s.k + 1, x1, yerr1, eps) - u0
+            zvec = np.array([float(np.linalg.norm(s.x)), float(np.linalg.norm(s.yerr))])
             domination.append(float(zvec @ q @ zvec) + TOL_ABS - du)
             rate.append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
-            points.append((k, np.concatenate([x, yerr])))
+            points.append((s.k, np.concatenate([s.x, s.yerr])))
 
     details = {"eps_values": [float(e) for e in eps_values]}
     return [
@@ -585,60 +575,3 @@ def validate_rate(
             slack.append(margins[k])
     details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
     return ConditionReport.from_slack(CERTIFIED_RATE, slack, points, details)
-
-
-def check_global_hypotheses(
-    sysf: SlowFastSystem,
-    radii: Optional[Sequence[float]] = None,
-    n_per_shell: int = 24,
-    seed: int = 0x61B,
-    growth_tol: float = 1.25,
-    eps_probe: float = ELL_EPS_PROBE,
-) -> ConditionReport:
-    """Probe the four interaction moduli on expanding shells.
-
-    Passes when each family's per-shell maxima stay within ``growth_tol``
-    of each other (shell-independent constants — sampled evidence for the
-    global version of the certificate); identically-zero families pass
-    vacuously.
-    """
-    if radii is None:
-        radii = np.geomspace(1.0, 1e3, 7)
-    rng = Rng(seed)
-    per_family: dict = {"l1": [], "l2": [], "l3": [], "l4": []}
-    for i, radius in enumerate(radii):
-        shell_rng = rng.spawn(i + 1)
-        samples = []
-        for _ in range(n_per_shell):
-            k = shell_rng.integer(0, 3)
-            z = shell_rng.sphere(sysf.dim_x + sysf.dim_y) * float(radius)
-            samples.append((k, z[: sysf.dim_x], z[sysf.dim_x:]))
-        ratios = _ell_ratios(sysf, samples, eps_probe)
-        for name in per_family:
-            per_family[name].append(max(ratios[name]) if ratios[name] else 0.0)
-
-    worst_spread = 0.0
-    passed = True
-    details: dict = {"radii": [float(s) for s in radii]}
-    for name, values in per_family.items():
-        details[name] = values
-        top = max(values)
-        if top <= DENOM_TOL:
-            continue
-        bottom = min(values)
-        if bottom <= DENOM_TOL:
-            passed = False
-            worst_spread = math.inf
-            continue
-        spread = top / bottom
-        worst_spread = max(worst_spread, spread)
-        if spread > growth_tol:
-            passed = False
-    return ConditionReport(
-        condition=ELL_GLOBAL,
-        passed=passed,
-        worst_margin=growth_tol - worst_spread,
-        worst_point=None,
-        samples_checked=len(radii) * n_per_shell,
-        details=details,
-    )

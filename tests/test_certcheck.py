@@ -6,7 +6,6 @@ import pytest
 from lyapcert.certcheck import (
     CandidateFunction,
     check_decrease,
-    check_exponential_conditions,
     check_positive_definite,
     shell_grid,
 )
@@ -82,46 +81,3 @@ class TestDecrease:
         sys = DynSystem(dim=2, map_fn=lambda t, x: rot @ x, autonomous=True)
         assert check_decrease(V, sys, shell_grid(2, 1.0)).passed
         assert not check_decrease(V, sys, shell_grid(2, 1.0), strict=True).passed
-
-
-class TestExponentialConditions:
-    def test_scalar_coefficients_are_exact(self):
-        V = CandidateFunction.quadratic(np.eye(1))
-        rep, a, b = check_exponential_conditions(V, contraction(1, 0.5), shell_grid(1, 1.0))
-        assert rep.passed
-        assert a == pytest.approx(1.0, rel=1e-12)
-        assert b == pytest.approx(0.75, rel=1e-12)  # x^2 -> 0.25 x^2
-        assert rep.details["contraction_factor"] == pytest.approx(0.25, rel=1e-10)
-
-    def test_nondecreasing_candidate_fails(self):
-        V = CandidateFunction.quadratic(np.eye(1))
-        sys = DynSystem(dim=1, map_fn=lambda t, x: x.copy(), autonomous=True)
-        rep, _, b = check_exponential_conditions(V, sys, shell_grid(1, 1.0))
-        assert not rep.passed
-        assert b <= 0.0
-
-    def test_nan_candidate_fails(self):
-        # V is NaN on the half plane x[0] > 0.5; max/min used to skip those samples
-        V = CandidateFunction(
-            eval_fn=lambda t, x: float("nan") if x[0] > 0.5 else float(x @ x), dim=2
-        )
-        rep, _, _ = check_exponential_conditions(V, contraction(2, 0.5), shell_grid(2, 1.0))
-        assert not rep.passed
-        assert np.isnan(rep.worst_margin)
-        t, x = rep.worst_point
-        assert x[0] > 0.5 or 0.5 * x[0] > 0.5
-
-    def test_infinite_decrement_fails(self):
-        V = CandidateFunction.quadratic(np.eye(1))
-        sys = DynSystem(dim=1, map_fn=lambda t, x: np.where(x > 0.9, np.inf, 0.5 * x),
-                        autonomous=True)
-        rep, _, _ = check_exponential_conditions(V, sys, shell_grid(1, 1.0))
-        assert not rep.passed
-        assert rep.worst_point[1][0] > 0.9
-
-    def test_grid_without_nonzero_sample_fails(self):
-        V = CandidateFunction(eval_fn=lambda t, x: float(x @ x), dim=2)
-        rep, _, _ = check_exponential_conditions(V, contraction(2, 0.5), np.zeros((3, 2)))
-        assert not rep.passed
-        assert rep.samples_checked == 0
-        assert rep.worst_point is None

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from lyapcert.converse import (
+    _fast_lipschitz,
+    _fast_sample_set,
     build_exponential_converse,
-    build_finite_time_converse,
     build_trajectory_converse,
     check_envelope_hypothesis,
     estimate_lipschitz,
@@ -17,11 +18,12 @@ from lyapcert.converse import (
 from lyapcert.dynsys import (
     DynSystem,
     ExponentialEnvelope,
+    SlowFastSample,
     SlowFastSystem,
     fit_exponential_envelope,
     simulate,
 )
-from lyapcert.errors import FiniteTimeHypothesisError, HypothesisViolationError
+from lyapcert.errors import HypothesisViolationError
 from lyapcert.rng import Rng
 
 
@@ -88,7 +90,10 @@ class TestLipschitzFailClosed:
             varphi=lambda k, y, x: np.full(1, np.nan) if k == 0 and x[0] > 0.5 else 0.5 * y,
             ystar=lambda x: np.zeros(1),
         )
-        samples = [(0, np.array([0.4]), np.array([0.0])), (1, np.array([-0.3]), np.array([0.9]))]
+        samples = [
+            SlowFastSample(k=0, x=np.array([0.0]), yerr=np.array([0.4])),
+            SlowFastSample(k=1, x=np.array([0.9]), yerr=np.array([-0.3])),
+        ]
         env = ExponentialEnvelope(gain=1.0, rate=float(np.log(2.0)))
         with pytest.raises(ValueError, match="k=0"):
             build_exponential_converse(sysf, env, samples=samples)
@@ -177,48 +182,6 @@ class TestNonautonomous:
         assert all(r.passed for r in verify_converse(cert, samples))
 
 
-class TestFiniteTime:
-    def fast_pair(self, nilpotent=True):
-        if nilpotent:
-            N = np.array([[0.0, 1.0], [0.0, 0.0]])
-            varphi = lambda k, y, x: N @ y
-            dim_y = 2
-        else:
-            varphi = lambda k, y, x: 0.0 * y
-            dim_y = 1
-        return SlowFastSystem(
-            dim_x=1,
-            dim_y=dim_y,
-            phi=lambda k, x, y: -x,
-            varphi=varphi,
-            ystar=lambda x: np.zeros(dim_y),
-        )
-
-    def test_deadbeat_one_step(self):
-        sysf = self.fast_pair(nilpotent=False)
-        cert = build_finite_time_converse(sysf, 1)
-        assert cert.horizon == 1
-        assert cert.a3 == 1.0
-        assert cert.evaluator(0, np.array([3.0]), np.zeros(1)) == pytest.approx(9.0)
-
-    def test_nilpotent_needs_two_steps(self):
-        sysf = self.fast_pair(nilpotent=True)
-        with pytest.raises(FiniteTimeHypothesisError):
-            build_finite_time_converse(sysf, 1)
-        cert = build_finite_time_converse(sysf, 2)
-        assert cert.horizon == 2
-        # W(y) = |y|^2 + |N y|^2
-        y = np.array([1.0, 2.0])
-        assert cert.evaluator(0, y, np.zeros(1)) == pytest.approx(5.0 + 4.0)
-
-    def test_reports_pass_on_samples(self):
-        sysf = self.fast_pair(nilpotent=True)
-        cert = build_finite_time_converse(sysf, 2)
-        rng = Rng(99)
-        samples = [(rng.integer(0, 2), rng.ball(2, 1.0), rng.ball(1, 1.0)) for _ in range(60)]
-        assert all(r.passed for r in verify_converse(cert, samples))
-
-
 class TestExponentialFast:
     def make_pair(self):
         return SlowFastSystem(
@@ -261,8 +224,104 @@ class TestExponentialFast:
     def test_envelope_hypothesis_guard(self):
         sysf = self.make_pair()
         good = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
-        samples = [(0, np.array([0.5]), np.array([1.0]))]
+        samples = [SlowFastSample(k=0, x=np.array([1.0]), yerr=np.array([0.5]))]
         check_envelope_hypothesis(sysf, good, samples)  # no exception
         optimistic = ExponentialEnvelope(gain=1.0, rate=np.log(10.0))
         with pytest.raises(HypothesisViolationError):
             check_envelope_hypothesis(sysf, optimistic, samples)
+
+    def test_envelope_hypothesis_reads_samples_by_name(self):
+        # the fast contraction weakens as x grows, so swapping x and y' flips the verdict
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: (0.5 + 0.4 * x) * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        env = ExponentialEnvelope(gain=1.0, rate=np.log(1.0 / 0.6))
+        check_envelope_hypothesis(
+            sysf, env, [SlowFastSample(k=0, x=np.array([0.2]), yerr=np.array([0.9]))]
+        )  # contracts by 0.58 <= 0.6
+        with pytest.raises(HypothesisViolationError, match="offset 1 from k=0"):
+            check_envelope_hypothesis(
+                sysf, env, [SlowFastSample(k=0, x=np.array([0.9]), yerr=np.array([0.2]))]
+            )  # contracts by only 0.86
+
+    def test_envelope_hypothesis_fails_closed_on_nan(self):
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: np.full(1, np.nan) if abs(y[0]) > 0.3 else 0.5 * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        env = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
+        samples = [SlowFastSample(k=0, x=np.array([0.2]), yerr=np.array([0.5]))]
+        with pytest.raises(HypothesisViolationError, match="offset 1 from k=0"):
+            check_envelope_hypothesis(sysf, env, samples)
+
+    def test_envelope_hypothesis_steps_horizon_minus_one_times(self):
+        calls = []
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: calls.append(k) or 0.5 * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        calls.clear()  # drop the construction-time equilibrium probes
+        env = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
+        samples = [SlowFastSample(k=2, x=np.array([0.1]), yerr=np.array([0.4]))] * 3
+        check_envelope_hypothesis(sysf, env, samples, horizon=5)
+        assert calls == [2, 3, 4, 5] * 3
+
+
+class TestFastLipschitz:
+    def counting_pair(self, varphi):
+        calls = []
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x + y,
+            varphi=lambda k, y, x: calls.append(k) or varphi(k, y, x),
+            ystar=lambda x: np.zeros(1),
+        )
+        calls.clear()
+        return sysf, calls
+
+    def test_one_fast_map_evaluation_per_distinct_k_and_state(self):
+        sysf, calls = self.counting_pair(lambda k, y, x: 0.5 * y)
+        samples = _fast_sample_set(sysf, 1.0, 32, 0xFA57)
+        distinct_k = len({s.k for s in samples})
+        L1, L2 = _fast_lipschitz(sysf, samples)
+        # L1: one row per sample at its own k; L2: one row per sample per distinct k
+        assert len(calls) == 32 * 32 + distinct_k * 32 * 32 <= 5120
+        assert L1 == pytest.approx(0.55, rel=1e-12)
+        assert L2 == 0.0
+
+    def test_parameter_modulus_matches_pairwise_definition(self):
+        varphi = lambda k, y, x: (0.5 + 0.1 * (k + 1) * x) * y
+        sysf, _ = self.counting_pair(varphi)
+        samples = _fast_sample_set(sysf, 1.0, 12, 5)
+        _, L2 = _fast_lipschitz(sysf, samples)
+        expected = max(
+            abs(float((varphi(a.k, y, a.x) - varphi(a.k, y, b.x))[0]))
+            / (abs(float(y[0])) * abs(float((a.x - b.x)[0])))
+            for i, a in enumerate(samples)
+            for b in samples[i + 1:]
+            for y in (s.yerr for s in samples)
+        )
+        assert L2 == pytest.approx(1.1 * expected, rel=1e-12)
+
+    def test_sample_set_draws_k_then_fast_then_slow(self):
+        sysf = SlowFastSystem(
+            dim_x=2, dim_y=1, phi=lambda k, x, y: -x, varphi=lambda k, y, x: 0.5 * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        rng = Rng(41)
+        expected = [(rng.integer(0, 3), rng.ball(1, 0.7), rng.ball(2, 0.7)) for _ in range(5)]
+        for s, (k, yerr, x) in zip(_fast_sample_set(sysf, 0.7, 5, 41), expected):
+            assert s.k == k
+            assert np.array_equal(s.yerr, yerr) and s.yerr.shape == (1,)
+            assert np.array_equal(s.x, x) and s.x.shape == (2,)

@@ -119,6 +119,17 @@ class TestTransitionMatrix:
         assert np.allclose(full, split, rtol=1e-12, atol=0)
 
 
+    def test_each_matrix_is_read_once(self):
+        reads = []
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: reads.append(t) or np.array([[0.5 + 0.1 * t]]))
+        first = transition_matrix(ltv, 5, 0)
+        assert np.array_equal(transition_matrix(ltv, 5, 0), first)
+        assert ltv.matrix(2)[0, 0] == 0.7
+        assert reads == [0, 1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            ltv.matrix(2)[0, 0] = 1.0  # the stored read is not writable
+
+
 class TestEnvelopeFitting:
     def test_pure_geometric_is_exact(self):
         traj = Trajectory(0, np.array([[3.0 * 0.5**t] for t in range(10)]))

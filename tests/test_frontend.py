@@ -419,6 +419,43 @@ class TestRunCommand:
                 nonnegative = margin == "inf" or (margin not in ("nan", "-inf") and margin >= 0.0)
                 assert check["passed"] == nonnegative, f"{config.name}:{command}:{check}"
 
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("command", ["timescales", "converse"])
+    def test_slow_fast_commands_in_every_dimension_pair(self, nx, ny, command):
+        doc = {
+            "kind": "slow_fast",
+            "dims": {"x": nx, "y": ny},
+            "map": {
+                "x": [f"-x[{i}]" for i in range(nx)],
+                "y": [f"0.5*y[{j}]" for j in range(ny)],
+                "ystar": ["0"] * ny,
+            },
+            "epsilon": 0.01,
+            "analyses": [
+                {"command": "timescales", "r": 1.0, "n_samples": 20, "trials": 2, "horizon": 20},
+                {"command": "converse", "radius": 1.0, "horizon": 12, "n_check": 20},
+            ],
+            "seed": 7,
+        }
+        report, code = run_command(doc, command, timestamp=False)
+        assert code == 0, report.get("error")
+        assert report["status"] == "passed"
+
+    def test_linear_tv_reads_each_matrix_once(self, monkeypatch):
+        from lyapcert.frontend import cli
+
+        reads = []
+
+        def counting_build(cfg):
+            built = build_system(cfg)
+            return LinearTV(built.dim, lambda t: reads.append(t) or built.matrix_fn(t))
+
+        monkeypatch.setattr(cli, "build_system", counting_build)
+        doc = json.loads((Path(__file__).parent.parent / "configs" / "alternating_gain.json").read_text())
+        report, code = cli.run_command(doc, "linear", timestamp=False)
+        assert code == 0
+        assert len(reads) == len(set(reads)) == 32
+
     def test_seed_override_changes_sampled_analyses(self):
         doc = minimal_doc(
             map={"x": ["0.5*x[0]+x[0]^2"]},

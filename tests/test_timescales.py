@@ -8,18 +8,17 @@ import pytest
 from lyapcert.averaging import AveragedCertificate, AveragingBudget
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import ConverseCertificate
-from lyapcert.dynsys import SlowFastSystem
+from lyapcert.dynsys import SlowFastSample, SlowFastSystem
 from lyapcert.errors import CertificateNotFoundError, StageError
 from lyapcert.timescales import (
     CoefficientRecord,
     EllConstants,
+    _error_step,
     assemble_coefficients,
     certify_semiglobal,
-    check_global_hypotheses,
     estimate_ell_constants,
     find_eps_r,
     q_matrix,
-    shift_to_error_coordinates,
     validate_rate,
     verify_composite,
 )
@@ -57,10 +56,8 @@ def fake_fast(b3, b4, b5):
 class TestErrorCoordinates:
     def test_substitution_with_trivial_manifold(self):
         sysf = golden_pair(epsilon=0.1)
-        err = shift_to_error_coordinates(sysf)
-        assert err.dim == 2
-        assert not err.autonomous
-        out = err.map_fn(0, np.array([2.0, 1.0]))
+        out = np.concatenate(_error_step(sysf, 0, np.array([2.0]), np.array([1.0]), sysf.epsilon))
+        assert out.shape == (2,)
         # x+ = x + 0.1*(-x + y), y' just contracts
         assert out[0] == pytest.approx(1.9, rel=1e-14)
         assert out[1] == pytest.approx(0.5, rel=1e-14)
@@ -75,8 +72,7 @@ class TestErrorCoordinates:
             ystar=lambda x: np.asarray(x, dtype=float),
             epsilon=0.05,
         )
-        err = shift_to_error_coordinates(sysf)
-        out = err.map_fn(0, np.array([2.0, 1.0]))
+        out = np.concatenate(_error_step(sysf, 0, np.array([2.0]), np.array([1.0]), sysf.epsilon))
         assert out[0] == pytest.approx(2.05, rel=1e-14)
         assert out[1] == pytest.approx(0.45, rel=1e-12)
 
@@ -92,7 +88,7 @@ class TestEllConstants:
         assert ell.r_bar == ell.r0 == 2.0
 
     def test_degenerate_samples_rejected(self):
-        samples = [(0, np.zeros(1), np.array([1.0]))]
+        samples = [SlowFastSample(k=0, x=np.zeros(1), yerr=np.array([1.0]))]
         with pytest.raises(ValueError, match="l1"):
             estimate_ell_constants(golden_pair(), r0=1.0, samples=samples)
 
@@ -104,7 +100,9 @@ class TestEllConstants:
             varphi=lambda k, y, x: 0.5 * y,
             ystar=lambda x: np.zeros(1),
         )
-        samples = [(0, np.array([v]), np.array([0.2])) for v in (0.5, -0.3, 1.0, 0.1)]
+        samples = [
+            SlowFastSample(k=0, x=np.array([v]), yerr=np.array([0.2])) for v in (0.5, -0.3, 1.0, 0.1)
+        ]
         with pytest.raises(ValueError, match=r"k=0, x=\[1\.0\]"):
             estimate_ell_constants(sysf, r0=1.0, samples=samples)
 
@@ -273,22 +271,37 @@ class TestSemiglobalPipeline:
         assert exc.value.stage == "fast-envelope"
 
 
-class TestGlobalHypotheses:
-    def test_linear_pair_is_shell_independent(self):
-        rep = check_global_hypotheses(golden_pair(), radii=(1.0, 10.0, 100.0))
-        assert rep.condition == "ell_global"
-        assert rep.passed
-        assert rep.worst_margin == pytest.approx(0.25, rel=1e-9)
+class TestFastEnvelopeSamples:
+    """The fast-envelope hypothesis is checked at (x, y') as drawn, not swapped."""
 
-    def test_superlinear_slow_field_fails(self):
-        cubic = SlowFastSystem(
+    def test_unequal_dimensions_certify(self):
+        pair = SlowFastSystem(
+            dim_x=1,
+            dim_y=2,
+            phi=lambda k, x, y: -x + 0.3 * y[:1] - 0.3 * y[1:],
+            varphi=lambda k, y, x: 0.5 * y,
+            ystar=lambda x: np.zeros(2),
+            epsilon=0.01,
+        )
+        cert = certify_semiglobal(pair, r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)))
+        assert cert.eps_r > 0.0 and cert.gamma_r > 0.0
+        for rep in verify_composite(pair, cert, n_samples=40):
+            assert rep.passed, f"{rep.condition}: {rep.worst_margin}"
+
+    def test_equal_dimensions_check_the_slow_state_as_drawn(self):
+        # The fast contraction 0.5 - 0.45*x is slowest at negative x.  At seed 0
+        # the envelope is fitted down to x = -0.750; the 16 hypothesis samples
+        # have slow states down to -0.738 (covered) and fast errors down to
+        # -0.777 (not covered), so freezing y' in place of x failed this pair.
+        pair = SlowFastSystem(
             dim_x=1,
             dim_y=1,
-            phi=lambda k, x, y: -x * (1.0 + x[0] ** 2) + y,
-            varphi=lambda k, y, x: 0.5 * y,
+            phi=lambda k, x, y: -x + y,
+            varphi=lambda k, y, x: (0.5 - 0.45 * x) * y,
             ystar=lambda x: np.zeros(1),
             epsilon=0.01,
         )
-        rep = check_global_hypotheses(cubic, radii=(1.0, 10.0, 100.0))
-        assert not rep.passed
-        assert max(rep.details["l1"]) / min(rep.details["l1"]) > 1.25
+        cert = certify_semiglobal(
+            pair, r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)), seed=0
+        )
+        assert cert.eps_r > 0.0 and cert.gamma_r > 0.0
