@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
+from .dynsys import time_table
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -50,11 +51,11 @@ PhiFn = Callable[[int, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class AveragedField:
-    """Memoized time-average of a driving field.
+    """Time-average of a driving field.
 
     ``phibar(x)`` is the window mean ``(1/T_max) * sum_{k=0..T_max}
-    phi(k, x)``; the reported convergence gap compares it against the
-    half-window mean on the probe set.
+    phi(k, x)``, computed afresh on each call; the reported convergence gap
+    compares it against the half-window mean on the probe set.
     """
 
     phibar: Callable[[np.ndarray], np.ndarray]
@@ -117,6 +118,17 @@ class AveragedCertificate:
     evaluator: Callable[[int, np.ndarray, float], float] = None  # type: ignore
 
 
+def _prefix_sums(phi: PhiFn, times: range, x: np.ndarray) -> np.ndarray:
+    """Running sums of phi(t, x) over ``times``: row j adds the first j values.
+
+    ``np.cumsum`` over a zero-prepended table adds in order from zero, as a
+    loop would (``np.sum`` pairs terms and rounds differently).
+    """
+    rows = np.zeros((len(times) + 1, x.size))
+    rows[1:] = time_table(phi, times, x).reshape(len(times), -1)
+    return np.cumsum(rows, axis=0)
+
+
 def estimate_average(
     phi: PhiFn,
     probes: Sequence[np.ndarray],
@@ -126,36 +138,24 @@ def estimate_average(
     """Window-mean estimate of the averaged field with a convergence probe.
 
     ``T_max`` is rounded up to an even horizon so that period-2 drives
-    cancel exactly.  Values are memoized per state; recomputation is
-    idempotent so concurrent readers are safe.
+    cancel exactly.  The half-window mean of each probe is a prefix of its
+    full window, so ``phi`` is evaluated T_max + 1 times per probe.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
     if T_max % 2:
         T_max += 1
-    cache: dict = {}
-
-    def window_mean(x: np.ndarray, T: int) -> np.ndarray:
-        total = np.zeros_like(x)
-        for k in range(T + 1):
-            total = total + np.asarray(phi(k, x), dtype=float)
-        return total / T
+    window = range(T_max + 1)
 
     def phibar(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            hit = window_mean(x, T_max)
-            cache[key] = hit
-        return hit
+        return _prefix_sums(phi, window, np.asarray(x, dtype=float))[-1] / T_max
 
     gap = 0.0
     scale = 0.0
     for p in probes:
-        p = np.asarray(p, dtype=float)
-        full = phibar(p)
-        half = window_mean(p, T_max // 2)
+        sums = _prefix_sums(phi, window, np.asarray(p, dtype=float))
+        full = sums[-1] / T_max
+        half = sums[T_max // 2 + 1] / (T_max // 2)
         gap = max(gap, float(np.linalg.norm(full - half)))
         scale = max(scale, float(np.linalg.norm(full)))
     warning = None
@@ -178,31 +178,38 @@ def estimate_sigma(
 
     Raw entries are per-horizon maxima over the probes; the stored table
     applies a running minimum over increasing T so downstream formulas see
-    a nonincreasing coefficient.
+    a nonincreasing coefficient.  Each probe's window sums for every
+    horizon are read from one table over its longest window.
     """
     if L <= 0.0:
         raise ValueError("growth bound L must be positive")
     T_list = tuple(sorted(set(int(T) for T in T_list)))
     if not T_list or T_list[0] < 1:
         raise ValueError("horizons must be >= 1")
-    raw: dict = {}
-    for T in T_list:
-        worst = 0.0
-        used = 0
-        for k, x in probes:
-            x = np.asarray(x, dtype=float)
-            nx = float(np.linalg.norm(x))
-            if nx < 1e-14:
-                continue
-            used += 1
-            total = np.zeros_like(x)
-            for kp in range(k, k + T + 1):
-                total = total + np.asarray(phi(kp, x), dtype=float)
-            deviation = float(np.linalg.norm(total - T * avg.phibar(x)))
-            worst = max(worst, deviation / (T * L * nx))
-        if used == 0:
-            raise ValueError("all probes have zero state norm")
-        raw[T] = worst
+    live = []
+    for k, x in probes:
+        x = np.asarray(x, dtype=float)
+        nx = float(np.linalg.norm(x))
+        if nx >= 1e-14:
+            live.append((k, x, nx))
+    if not live:
+        raise ValueError("all probes have zero state norm")
+    raw = dict.fromkeys(T_list, 0.0)
+    try:
+        for k, x, nx in live:
+            sums = _prefix_sums(phi, range(k, k + T_list[-1] + 1), x)
+            mean = avg.phibar(x)
+            for T in T_list:
+                deviation = float(np.linalg.norm(sums[T + 1] - T * mean))
+                raw[T] = max(raw[T], deviation / (T * L * nx))
+    except Exception:
+        # the same calls horizon by horizon, so the first failing one raises
+        for T in T_list:
+            for k, x, _ in live:
+                for kp in range(k, k + T + 1):
+                    np.asarray(phi(kp, x), dtype=float)
+                avg.phibar(x)
+        raise
     entries: dict = {}
     running = math.inf
     for T in T_list:

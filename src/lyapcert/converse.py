@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 LIPSCHITZ_SAFETY = 1.1
+_NO_PAIR = "no sample pair with nonzero separation"
 
 BOUNDS = "uniform_bounds"
 DECREMENT = "decrement"
@@ -115,27 +116,35 @@ def estimate_lipschitz(
     elif mode == "difference":
         for t in times:
             values = [np.asarray(fn(t, p), dtype=float) for p in points]
-            for p, v in zip(points, values):
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"non-finite map value at t={t}, x={p.tolist()}")
-            for i in range(len(points)):
-                for j in range(i + 1, len(points)):
-                    denom = float(np.linalg.norm(points[i] - points[j]))
-                    if denom < 1e-14:
-                        continue
-                    found = True
-                    ratio = float(np.linalg.norm(values[i] - values[j])) / denom
-                    if not math.isfinite(ratio):
-                        raise ValueError(
-                            f"non-finite difference quotient at t={t} between "
-                            f"x={points[i].tolist()} and x={points[j].tolist()}"
-                        )
-                    best = max(best, ratio)
+            for ratio in _difference_quotients(t, points, values):
+                found = True
+                best = max(best, ratio)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not found:
-        raise ValueError("no sample pair with nonzero separation")
+        raise ValueError(_NO_PAIR)
     return best * safety
+
+
+def _difference_quotients(t: int, points: list, values: list):
+    """|f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j at least
+    1e-14 apart, given ``values[i] = f(t, p_i)``; a non-finite value (checked
+    before any quotient) or quotient raises ValueError."""
+    for p, v in zip(points, values):
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"non-finite map value at t={t}, x={p.tolist()}")
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            denom = float(np.linalg.norm(points[i] - points[j]))
+            if denom < 1e-14:
+                continue
+            ratio = float(np.linalg.norm(values[i] - values[j])) / denom
+            if not math.isfinite(ratio):
+                raise ValueError(
+                    f"non-finite difference quotient at t={t} between "
+                    f"x={points[i].tolist()} and x={points[j].tolist()}"
+                )
+            yield ratio
 
 
 def build_trajectory_converse(
@@ -201,28 +210,36 @@ def _fast_lipschitz(
     """State modulus L1 and parameter modulus L2 of the shifted fast map.
 
     L1 is the largest :func:`estimate_lipschitz` difference quotient over
-    the fast states with each sample's slow state frozen; L2 bounds
-    |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample pairs.
-    Each frozen-x fast map is evaluated once per distinct k and fast
-    state.  A non-finite L2 quotient raises ValueError.
+    the fast states with each sample's slow state frozen at its own k; L2
+    bounds |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample
+    pairs.  Both read one table holding each frozen-x fast map once per
+    distinct k and fast state; each sample's own row is evaluated first,
+    in sample order.  A non-finite value or quotient raises ValueError.
     """
     xs = [np.asarray(s.x, dtype=float) for s in samples]
     ys = [np.asarray(s.yerr, dtype=float) for s in samples]
     fasts = [sysf.shifted_fast(x) for x in xs]
-    l1 = max(
-        estimate_lipschitz(fast, ys, times=(s.k,), safety=1.0)
-        for s, fast in zip(samples, fasts)
-    )
-    table = {k: [[fast(k, y) for y in ys] for fast in fasts] for k in {s.k for s in samples}}
+    table = {}
+    l1_by_sample = []
+    for i, (s, fast) in enumerate(zip(samples, fasts)):
+        row = table[s.k, i] = [fast(s.k, y) for y in ys]
+        quotients = list(_difference_quotients(s.k, ys, [np.asarray(v, dtype=float) for v in row]))
+        if not quotients:
+            raise ValueError(_NO_PAIR)
+        l1_by_sample.append(max(quotients))
+    l1 = max(l1_by_sample)
+    for k in {s.k for s in samples}:
+        for i, fast in enumerate(fasts):
+            if (k, i) not in table:
+                table[k, i] = [fast(k, y) for y in ys]
     y_norms = [float(np.linalg.norm(y)) for y in ys]
     l2 = 0.0  # stays 0 for a single frozen slow state: parameter modulus unobservable
     for i, (s, x1) in enumerate(zip(samples, xs)):
-        rows = table[s.k]
         for j in range(i + 1, len(xs)):
             dx = float(np.linalg.norm(x1 - xs[j]))
             if dx < 1e-14:
                 continue
-            for y, ny, v1, v2 in zip(ys, y_norms, rows[i], rows[j]):
+            for y, ny, v1, v2 in zip(ys, y_norms, table[s.k, i], table[s.k, j]):
                 if ny < 1e-14:
                     continue
                 ratio = float(np.linalg.norm(v1 - v2)) / (ny * dx)

@@ -26,6 +26,8 @@ __all__ = [
     "simulate",
     "transition_matrix",
     "linear_part",
+    "time_batched",
+    "time_table",
     "fit_exponential_envelope",
     "trajectory_to_csv",
 ]
@@ -271,6 +273,26 @@ def transition_matrix(ltv: LinearTV, t: int, t0: int) -> np.ndarray:
     for tau in range(t0, t):
         phi = ltv.matrix(tau) @ phi
     return phi
+
+
+def time_batched(fn: Callable) -> Callable:
+    """Mark ``fn(t, *args)`` as also taking a 1-D integer array of times,
+    for which it returns one row per time, equal bit for bit to the scalar
+    calls (the maps ``build_system`` compiles from expressions)."""
+    fn.time_batched = True
+    return fn
+
+
+def time_table(fn: Callable, times: range, *args) -> np.ndarray:
+    """Rows ``fn(t, *args)`` for every t in ``times``, shape (len(times), n).
+
+    A map marked by :func:`time_batched` is called once with the times as
+    an integer array; any other callable once per t, in order.
+    """
+    if getattr(fn, "time_batched", False):
+        t = np.arange(times.start, times.stop, times.step)
+        return np.asarray(fn(t, *args), dtype=float)
+    return np.array([np.asarray(fn(t, *args), dtype=float) for t in times])
 
 
 def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:

@@ -16,7 +16,6 @@ their equilibrium, and refuses every other map with an error report.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Optional, Tuple
@@ -68,7 +67,7 @@ from ..timescales import (
     verify_composite,
 )
 from .config import COMMANDS, SystemConfig, build_system, load_config
-from .report import TOOL_VERSION, build_report, checks_from_reports, jsonable, write_report
+from .report import build_report, checks_from_reports, jsonable, write_report
 
 __all__ = ["main", "run_command"]
 
@@ -335,15 +334,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         doc = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        report = {
-            "tool_version": TOOL_VERSION,
-            "config_digest": hashlib.sha256(raw).hexdigest(),
-            "command": args.command,
-            "results": [],
-            "checks": [],
-            "status": "error",
-            "error": {"type": "JSONDecodeError", "message": str(exc)},
-        }
+        error = {"type": "JSONDecodeError", "message": str(exc)}
+        report = build_report(args.command, raw, [], [], "error", not args.no_timestamp, error=error)
         write_report(report, args.out)
         return 1
 

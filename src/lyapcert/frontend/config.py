@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part
+from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, time_batched
 from ..errors import ConfigError, ParseError
-from .expressions import evaluate, free_refs, parse_expression
+from .expressions import compile_map, free_refs, parse_expression
 
 __all__ = ["SystemConfig", "load_config", "build_system", "KINDS", "COMMANDS"]
 
@@ -212,13 +212,6 @@ def load_config(source) -> SystemConfig:
     )
 
 
-def _vector_fn(exprs: List[object], params: dict) -> Callable:
-    def fn(t, x, y=None) -> np.ndarray:
-        return np.array([evaluate(node, t, x, y, params) for node in exprs])
-
-    return fn
-
-
 def build_system(cfg: SystemConfig):
     """Instantiate the dynamics object a config describes.
 
@@ -226,23 +219,21 @@ def build_system(cfg: SystemConfig):
     A(t) comes from ``dynsys.linear_part``, which refuses expressions that
     are not homogeneous linear in x); slow_fast -> SlowFastSystem.
     """
+    fx = time_batched(compile_map(cfg.map_x, cfg.params))
     if cfg.kind in ("autonomous", "nonautonomous"):
-        fx = _vector_fn(cfg.map_x, cfg.params)
         eq = None if cfg.equilibrium is None else np.array(cfg.equilibrium)
         return DynSystem(
             dim=cfg.dim_x,
-            map_fn=lambda t, x: fx(t, x),
+            map_fn=fx,
             autonomous=cfg.kind == "autonomous",
             equilibrium=eq,
         )
     if cfg.kind == "linear_tv":
-        fx = _vector_fn(cfg.map_x, cfg.params)
         return LinearTV(cfg.dim_x, lambda t: linear_part(fx, t, cfg.dim_x))
     # slow_fast
-    fphi = _vector_fn(cfg.map_x, cfg.params)
-    fvarphi = _vector_fn(cfg.map_y, cfg.params)
+    fvarphi = compile_map(cfg.map_y, cfg.params)
     if cfg.map_ystar:
-        fystar = _vector_fn(cfg.map_ystar, cfg.params)
+        fystar = compile_map(cfg.map_ystar, cfg.params)
 
         def ystar(x: np.ndarray) -> np.ndarray:
             return fystar(0, x)
@@ -254,7 +245,7 @@ def build_system(cfg: SystemConfig):
     return SlowFastSystem(
         dim_x=cfg.dim_x,
         dim_y=cfg.dim_y,
-        phi=lambda k, x, y: fphi(k, x, y),
+        phi=fx,
         varphi=lambda k, y, x: fvarphi(k, x, y),
         ystar=ystar,
         epsilon=cfg.epsilon if cfg.epsilon is not None else 1e-2,

@@ -15,13 +15,23 @@ min, max (two arguments).  ``t`` is the time symbol, ``x[i]``/``y[i]``
 are state references, any other identifier is a parameter reference.
 The pretty-printer emits a canonical form that reparses to an identical
 tree and is a fixed point of print-then-parse.
+
+Trees are compiled once into closures (``compile_map``,
+``compile_expression``) that take a scalar time or a 1-D integer array of
+times; ``evaluate`` compiles and calls.  Over an array of times the result
+equals the scalar calls bit for bit and raises what the first failing
+scalar call raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from ..errors import ParseError
 
@@ -35,6 +45,8 @@ __all__ = [
     "parse_expression",
     "pretty",
     "evaluate",
+    "compile_expression",
+    "compile_map",
     "free_refs",
     "FUNCTIONS",
 ]
@@ -300,50 +312,167 @@ def pretty(node) -> str:
     return _p_expr(node)
 
 
-def evaluate(node, t, x, y=None, params=None) -> float:
-    """Evaluate the tree; division by zero, sqrt of negatives and a
-    fractional power of a negative base raise."""
-    params = params or {}
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Time):
-        return float(t)
-    if isinstance(node, Ref):
-        if node.index is None:
-            if node.name not in params:
-                raise ValueError(f"unbound parameter '{node.name}'")
-            return float(params[node.name])
-        if node.name == "x":
-            return float(x[node.index])
-        if node.name == "y":
+def _each(fn, values: list) -> np.ndarray:
+    """``fn`` element by element over the values that are arrays over time
+    (the others repeat), called on Python floats so every result is
+    rounded exactly as the scalar call rounds it."""
+    n = next(len(v) for v in values if isinstance(v, np.ndarray))
+    columns = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v, n) for v in values]
+    return np.fromiter(map(fn, *columns), dtype=float, count=n)
+
+
+def _varies(values) -> bool:
+    return any(isinstance(v, np.ndarray) for v in values)
+
+
+def _power(lhs, rhs):
+    if lhs < 0.0 and not float(rhs).is_integer():
+        raise ValueError(f"fractional power of a negative base in expression: {lhs!r}^{rhs!r}")
+    return lhs ** rhs
+
+
+def _time(t, x, y):
+    return t.astype(float) if isinstance(t, np.ndarray) else float(t)
+
+
+def _ref(node: Ref, params: dict):
+    name, index = node.name, node.index
+    if index is None:
+        if name not in params:
+            def unbound(t, x, y):
+                raise ValueError(f"unbound parameter '{name}'")
+
+            return unbound
+        value = params[name]
+        if type(value) is float:
+            return lambda t, x, y: value
+        return lambda t, x, y: float(value)
+    if name == "x":
+        return lambda t, x, y: float(x[index])
+    if name == "y":
+        def fast(t, x, y):
             if y is None:
                 raise ValueError("expression references y but no fast state was given")
-            return float(y[node.index])
-        raise ValueError(f"unknown state vector '{node.name}'")
+            return float(y[index])
+
+        return fast
+
+    def unknown(t, x, y):
+        raise ValueError(f"unknown state vector '{name}'")
+
+    return unknown
+
+
+def _compile(node, params: dict):
+    """Closure ``(t, x, y) -> value`` for one tree.
+
+    Only ``+ - * /``, unary minus and references act on whole arrays (numpy
+    rounds these exactly as Python floats do); ``^`` and every function run
+    their scalar call element by element.
+    """
+    if isinstance(node, Num):
+        value = node.value
+        return lambda t, x, y: value
+    if isinstance(node, Time):
+        return _time
+    if isinstance(node, Ref):
+        return _ref(node, params)
     if isinstance(node, Neg):
-        return -evaluate(node.arg, t, x, y, params)
+        arg = _compile(node.arg, params)
+        return lambda t, x, y: -arg(t, x, y)
     if isinstance(node, Call):
         fn = FUNCTIONS[node.fn][1]
-        return float(fn(*(evaluate(a, t, x, y, params) for a in node.args)))
+        args = [_compile(a, params) for a in node.args]
+
+        def call(t, x, y):
+            values = [a(t, x, y) for a in args]
+            return _each(fn, values) if _varies(values) else float(fn(*values))
+
+        return call
     if isinstance(node, Bin):
-        lhs = evaluate(node.left, t, x, y, params)
-        rhs = evaluate(node.right, t, x, y, params)
+        left, right = _compile(node.left, params), _compile(node.right, params)
         if node.op == "+":
-            return lhs + rhs
+            return lambda t, x, y: left(t, x, y) + right(t, x, y)
         if node.op == "-":
-            return lhs - rhs
+            return lambda t, x, y: left(t, x, y) - right(t, x, y)
         if node.op == "*":
-            return lhs * rhs
+            return lambda t, x, y: left(t, x, y) * right(t, x, y)
         if node.op == "/":
-            if rhs == 0.0:
-                raise ZeroDivisionError("division by zero in expression")
-            return lhs / rhs
-        if lhs < 0.0 and not float(rhs).is_integer():
-            raise ValueError(
-                f"fractional power of a negative base in expression: {lhs!r}^{rhs!r}"
-            )
-        return lhs ** rhs
+            def divide(t, x, y):
+                lhs, rhs = left(t, x, y), right(t, x, y)
+                if (rhs == 0.0).any() if isinstance(rhs, np.ndarray) else rhs == 0.0:
+                    raise ZeroDivisionError("division by zero in expression")
+                return lhs / rhs
+
+            return divide
+
+        def power(t, x, y):
+            lhs, rhs = left(t, x, y), right(t, x, y)
+            if not _varies((lhs, rhs)):
+                return _power(lhs, rhs)
+            integral = np.isfinite(rhs) & (np.floor(rhs) == rhs)
+            if np.any((np.asarray(lhs) < 0.0) & ~integral):
+                # _table reruns the scalar calls, whose message names the point
+                raise ValueError("fractional power of a negative base in expression")
+            return _each(operator.pow, [lhs, rhs])
+
+        return power
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _table(runs, t: np.ndarray, x, y) -> np.ndarray:
+    """Values of the compiled trees at every time of ``t``, shape (len(t), len(runs)).
+
+    One pass over the whole time array; if it raises, the points are run
+    again one at a time, in time order and tree by tree, so the exception
+    and message are the ones the scalar calls give.
+    """
+    out = np.empty((len(t), len(runs)))
+    try:
+        with np.errstate(all="ignore"):
+            for j, run in enumerate(runs):
+                out[:, j] = run(t, x, y)
+    except Exception:
+        for i, s in enumerate(t.tolist()):
+            out[i] = [run(s, x, y) for run in runs]
+    return out
+
+
+def compile_map(nodes, params=None):
+    """Compile trees once into the map ``f(t, x, y=None)``.
+
+    A scalar ``t`` gives the vector of tree values; a 1-D integer array of
+    times gives the ``(len(t), len(nodes))`` table in one call, equal bit
+    for bit to the scalar calls row by row, and raising what the first
+    failing scalar call raises.  Division by zero, sqrt of negatives and a
+    fractional power of a negative base raise.
+    """
+    runs = [_compile(node, params or {}) for node in nodes]
+
+    def f(t, x, y=None):
+        if isinstance(t, np.ndarray):
+            return _table(runs, t, x, y)
+        return np.array([run(t, x, y) for run in runs])
+
+    return f
+
+
+def compile_expression(node, params=None):
+    """Compile one tree into ``f(t, x, y=None)``: a float for a scalar
+    ``t``, one value per time for a 1-D integer array (see compile_map)."""
+    run = _compile(node, params or {})
+
+    def f(t, x, y=None):
+        if isinstance(t, np.ndarray):
+            return _table([run], t, x, y)[:, 0]
+        return run(t, x, y)
+
+    return f
+
+
+def evaluate(node, t, x, y=None, params=None) -> float:
+    """Value of the tree at (t, x, y): compile, then call."""
+    return compile_expression(node, params)(t, x, y)
 
 
 def free_refs(node) -> set:

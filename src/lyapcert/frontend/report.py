@@ -107,16 +107,22 @@ def checks_from_reports(reports: Sequence[ConditionReport]) -> list:
 
 def build_report(
     command: str,
-    config_doc: dict,
+    config_doc,
     results: list,
     checks: list,
     status: str,
     timestamp: bool = True,
     error: Optional[dict] = None,
 ) -> dict:
+    """The report document; ``config_doc`` may be the raw bytes of a config
+    that did not parse, whose digest is then the sha256 of those bytes."""
+    if isinstance(config_doc, bytes):
+        digest = hashlib.sha256(config_doc).hexdigest()
+    else:
+        digest = config_digest(config_doc)
     report = {
         "tool_version": TOOL_VERSION,
-        "config_digest": config_digest(config_doc),
+        "config_digest": digest,
         "command": command,
         "results": results,
         "checks": checks,

@@ -37,7 +37,13 @@ from .converse import (
     check_envelope_hypothesis,
     estimate_lipschitz,
 )
-from .dynsys import SlowFastSample, SlowFastSystem, Trajectory, fit_exponential_envelope
+from .dynsys import (
+    SlowFastSample,
+    SlowFastSystem,
+    Trajectory,
+    fit_exponential_envelope,
+    time_batched,
+)
 from .errors import CertificateNotFoundError, StageError
 from .rng import Rng
 
@@ -423,6 +429,9 @@ def certify_semiglobal(
     def phi1(k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.asarray(sysf.phi(k, x, np.asarray(sysf.ystar(x), dtype=float)), dtype=float)
+
+    if getattr(sysf.phi, "time_batched", False):
+        time_batched(phi1)  # k may be an array of times exactly when phi takes one
 
     probe_rng = rng.spawn(4)
     probes = [probe_rng.ball(sysf.dim_x, r) for _ in range(n_probes)]

@@ -17,7 +17,9 @@ from lyapcert.averaging import (
 )
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import estimate_lipschitz
+from lyapcert.dynsys import time_batched
 from lyapcert.errors import BudgetInfeasibleError, HypothesisViolationError
+from lyapcert.frontend.expressions import compile_map, parse_expression
 from lyapcert.rng import Rng
 
 
@@ -64,18 +66,17 @@ class TestEstimateAverage:
         assert avg.warning is not None
         assert avg.convergence_gap > 0.1
 
-    def test_evaluations_are_memoized(self):
-        calls = {"n": 0}
+    def test_one_window_of_calls_per_probe(self):
+        calls = []
 
         def counted(k, x):
-            calls["n"] += 1
+            calls.append(k)
             return -np.asarray(x, dtype=float)
 
-        avg = estimate_average(counted, PROBES, T_max=64)
-        first = calls["n"]
-        avg.phibar(PROBES[0])
-        avg.phibar(PROBES[0])
-        assert calls["n"] == first  # probe states were already cached
+        estimate_average(counted, PROBES, T_max=64)
+        # the half-window mean is a prefix of the full window: 3 * 65, not 3 * (65 + 33)
+        assert len(calls) == 195
+        assert calls == list(range(65)) * 3
 
 
 class TestSigmaTable:
@@ -115,6 +116,42 @@ class TestSigmaTable:
         table = SigmaTable(L=1.0, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})
         with pytest.raises(KeyError):
             table.sigma(4)
+
+
+class TestBatchedWindows:
+    FIELD = [
+        "-x[0] + 0.3*cos(1.5707963267948966*t)*x[0] + 0.7*(-1)^t*x[1]",
+        "-x[1] + 0.45*sin(1.5707963267948966*t)*x[0] + tanh(0.1*t)*x[1]",
+    ]
+    PROBES = [np.array([0.3, -0.8]), np.array([1.1, 0.2]), np.array([-0.7, 0.45])]
+
+    def test_batched_field_matches_the_sequential_loop_bit_for_bit(self):
+        f = compile_map([parse_expression(src) for src in self.FIELD])
+        batched, scalar = time_batched(f), (lambda k, x: f(k, x))
+        a_b = estimate_average(batched, self.PROBES, T_max=64)
+        a_s = estimate_average(scalar, self.PROBES, T_max=64)
+        for p in self.PROBES:
+            total = np.zeros(2)
+            for k in range(65):
+                total = total + f(k, p)
+            assert a_b.phibar(p).tobytes() == a_s.phibar(p).tobytes() == (total / 64).tobytes()
+        assert a_b.convergence_gap == a_s.convergence_gap
+        probes = [(k, p) for k in range(4) for p in self.PROBES]
+        t_b = estimate_sigma(batched, a_b, probes, [2, 8, 32], 1.5)
+        t_s = estimate_sigma(scalar, a_s, probes, [2, 8, 32], 1.5)
+        assert t_b.raw_entries == t_s.raw_entries and t_b.entries == t_s.entries
+
+    def test_sigma_raises_the_error_of_the_first_horizon(self):
+        def field(k, x):
+            if (k, float(x[0])) in ((10, 1.0), (2, 0.5)):
+                raise ValueError(f"bad point k={k} x={float(x[0])}")
+            return -np.asarray(x, dtype=float)
+
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        probes = [(0, np.array([1.0])), (0, np.array([0.5]))]
+        # horizon 2 reaches (2, 0.5) before horizon 16 reaches (10, 1.0)
+        with pytest.raises(ValueError, match=r"k=2 x=0\.5"):
+            estimate_sigma(field, avg, probes, [2, 16], 1.0)
 
 
 class TestNuMu:

@@ -1,5 +1,6 @@
 """Expression language, config validation, report documents, CLI contract."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -514,13 +515,15 @@ class TestCliMain:
     def test_malformed_json_reports_digest(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{broken")
-        code = main(["simulate", "--config", str(path)])
-        assert code == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["status"] == "error"
-        assert report["error"]["type"] == "JSONDecodeError"
-        assert len(report["config_digest"]) == 64
-        assert report["tool_version"] == lyapcert.__version__
+        for flags in ([], ["--no-timestamp"]):
+            code = main(["simulate", "--config", str(path), *flags])
+            assert code == 1
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "error"
+            assert report["error"]["type"] == "JSONDecodeError"
+            assert report["config_digest"] == hashlib.sha256(b"{broken").hexdigest()
+            assert report["tool_version"] == lyapcert.__version__
+            assert ("generated_at" in report) == (flags == [])
 
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = minimal_doc(

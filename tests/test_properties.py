@@ -18,7 +18,19 @@ from lyapcert.dynsys import (
     transition_matrix,
 )
 from lyapcert.errors import SteinSolvabilityError
-from lyapcert.frontend.expressions import parse_expression, pretty
+from lyapcert.frontend.expressions import (
+    FUNCTIONS,
+    Bin,
+    Call,
+    Neg,
+    Num,
+    Ref,
+    Time,
+    compile_expression,
+    compile_map,
+    parse_expression,
+    pretty,
+)
 from lyapcert.linearize import certify_local_autonomous, validate_basin
 from lyapcert.rng import Rng
 from lyapcert.stein import classify_linear, solve_stein_kron
@@ -135,6 +147,159 @@ class TestExpressionRoundTrip:
         tree2 = parse_expression(text)
         assert tree2 == tree
         assert pretty(tree2) == text
+
+
+PARAMS = {"a": 0.7, "b": -1.3}
+
+
+def reference_evaluate(node, t, x, y=None, params=None):
+    """Scalar tree walk with the evaluation order and arithmetic the
+    compiled closures must reproduce bit for bit."""
+    params = params or {}
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Time):
+        return float(t)
+    if isinstance(node, Ref):
+        if node.index is None:
+            if node.name not in params:
+                raise ValueError(f"unbound parameter '{node.name}'")
+            return float(params[node.name])
+        if node.name == "x":
+            return float(x[node.index])
+        if node.name == "y":
+            if y is None:
+                raise ValueError("expression references y but no fast state was given")
+            return float(y[node.index])
+        raise ValueError(f"unknown state vector '{node.name}'")
+    if isinstance(node, Neg):
+        return -reference_evaluate(node.arg, t, x, y, params)
+    if isinstance(node, Call):
+        fn = FUNCTIONS[node.fn][1]
+        return float(fn(*(reference_evaluate(a, t, x, y, params) for a in node.args)))
+    lhs = reference_evaluate(node.left, t, x, y, params)
+    rhs = reference_evaluate(node.right, t, x, y, params)
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return lhs * rhs
+    if node.op == "/":
+        if rhs == 0.0:
+            raise ZeroDivisionError("division by zero in expression")
+        return lhs / rhs
+    if lhs < 0.0 and not float(rhs).is_integer():
+        raise ValueError(f"fractional power of a negative base in expression: {lhs!r}^{rhs!r}")
+    return lhs ** rhs
+
+
+def ast_trees():
+    leaf = st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(Num),
+        st.just(Time()),
+        st.sampled_from([Ref("x", 0), Ref("x", 1), Ref("y", 0), Ref("a"), Ref("b")]),
+    )
+
+    def extend(children):
+        call = st.tuples(st.sampled_from(sorted(FUNCTIONS)), children, children).map(
+            lambda c: Call(c[0], (c[1], c[2])[: FUNCTIONS[c[0]][0]])
+        )
+        binary = st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda c: Bin(*c))
+        return st.one_of(children.map(Neg), call, binary)
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+def outcome(compute):
+    """Bytes of the result (every NaN as one NaN), or the exception type and message.
+
+    When both operands of + - * / are NaN, numpy and CPython may keep
+    different ones, so the sign of a NaN is not compared.
+    """
+    try:
+        values = np.asarray(compute(), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def reference_table(nodes, times, x, y):
+    return np.array(
+        [[reference_evaluate(n, s, x, y, PARAMS) for n in nodes] for s in times.tolist()]
+    )
+
+
+states = st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=2, max_size=2)
+time_arrays = st.lists(st.integers(min_value=-5, max_value=60), min_size=1, max_size=40).map(np.array)
+
+
+class TestCompiledEvaluation:
+    """Compiled closures equal the scalar tree walk, over scalar and array t."""
+
+    @given(tree=ast_trees(), x=states, y=st.floats(-2.0, 2.0), times=time_arrays)
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batched_matches_scalar_walk(self, tree, x, y, times):
+        f = compile_expression(tree, PARAMS)
+        for s in times.tolist()[:3]:
+            want = outcome(lambda: reference_evaluate(tree, s, x, [y], PARAMS))
+            got = outcome(lambda: f(s, x, [y]))
+            assert got == want
+            if isinstance(want, bytes):  # the scalar path keeps even the sign of a NaN
+                assert np.float64(f(s, x, [y])).tobytes() == np.float64(
+                    reference_evaluate(tree, s, x, [y], PARAMS)
+                ).tobytes()
+        want = outcome(lambda: reference_table([tree], times, x, [y])[:, 0])
+        assert outcome(lambda: f(times, x, [y])) == want
+
+    @given(first=ast_trees(), second=ast_trees(), x=states, times=time_arrays)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_two_component_map_matches_scalar_order(self, first, second, x, times):
+        f = compile_map([first, second], PARAMS)
+        want = outcome(lambda: reference_table([first, second], times, x, [0.5]))
+        assert outcome(lambda: f(times, x, [0.5])) == want
+
+    @pytest.mark.parametrize(
+        "src",
+        ["tanh(x[0]*t/7)", "exp(x[0]*t/9)", "x[0]^2", "(x[0]*t/3)^2", "(-1)^t*x[1]", "cos(1.5707963267948966*t)"],
+    )
+    def test_functions_numpy_would_round_differently(self, src):
+        tree = parse_expression(src)
+        times = np.arange(0, 200)
+        for x in ([0.3, -1.1], [-1.7, 0.9], [1.234567, 2.0]):
+            want = reference_table([tree], times, x, None)[:, 0]
+            assert compile_expression(tree)(times, x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "src,exc,message",
+        [
+            ("1/(t-3)", ZeroDivisionError, "division by zero in expression"),
+            ("sqrt(2-t)", ValueError, "math domain error"),
+            ("(x[0]-t)^0.5", ValueError, "fractional power of a negative base in expression: -0.5^0.5"),
+            ("exp(100*t)", OverflowError, "math range error"),
+            ("10^(100*t)", OverflowError, "(34, 'Numerical result out of range')"),
+        ],
+    )
+    def test_errors_match_the_first_failing_scalar_call(self, src, exc, message):
+        tree = parse_expression(src)
+        times = np.arange(0, 12)
+        with pytest.raises(exc) as scalar:
+            reference_table([tree], times, [1.5, 0.0], None)
+        assert str(scalar.value) == message
+        with pytest.raises(exc) as batched:
+            compile_expression(tree)(times, [1.5, 0.0])
+        assert str(batched.value) == message
+        with pytest.raises(exc) as mapped:
+            compile_map([parse_expression("t"), tree])(times, [1.5, 0.0])
+        assert str(mapped.value) == message
+
+    def test_second_component_failing_first_raises_its_error(self):
+        # component 0 fails at t = 5, component 1 at t = 3: scalar order meets t = 3 first
+        f = compile_map([parse_expression("1/(t-5)"), parse_expression("sqrt(2-t)")])
+        with pytest.raises(ValueError, match="math domain error"):
+            f(np.arange(0, 8), [0.0])
+        with pytest.raises(ZeroDivisionError):  # the first component alone, over the same times
+            compile_map([parse_expression("1/(t-5)")])(np.arange(0, 8), [0.0])
 
 
 class TestDriftCoefficients:
