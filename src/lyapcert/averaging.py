@@ -179,7 +179,8 @@ def estimate_sigma(
     Raw entries are per-horizon maxima over the probes; the stored table
     applies a running minimum over increasing T so downstream formulas see
     a nonincreasing coefficient.  Each probe's window sums for every
-    horizon are read from one table over its longest window.
+    horizon are read from one table over its longest window, and
+    ``avg.phibar`` is evaluated once per distinct probe state.
     """
     if L <= 0.0:
         raise ValueError("growth bound L must be positive")
@@ -195,10 +196,14 @@ def estimate_sigma(
     if not live:
         raise ValueError("all probes have zero state norm")
     raw = dict.fromkeys(T_list, 0.0)
+    means = {}  # state bytes -> phibar, for this call only
     try:
         for k, x, nx in live:
             sums = _prefix_sums(phi, range(k, k + T_list[-1] + 1), x)
-            mean = avg.phibar(x)
+            key = x.tobytes()
+            if key not in means:
+                means[key] = avg.phibar(x)
+            mean = means[key]
             for T in T_list:
                 deviation = float(np.linalg.norm(sums[T + 1] - T * mean))
                 raw[T] = max(raw[T], deviation / (T * L * nx))

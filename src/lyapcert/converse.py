@@ -9,9 +9,10 @@ autonomous and nonautonomous maps (it reads ``sys.autonomous``).
 pair: it keeps the slow state frozen and works in shifted coordinates
 y' = y - ystar(x), and its samples and those of
 ``check_envelope_hypothesis`` are :class:`~lyapcert.dynsys.SlowFastSample`
-tuples read by field name.  Every sampled Lipschitz modulus comes from
-:func:`estimate_lipschitz` or the parameter loop beside it, and both raise
-on a NaN or infinite map value rather than skip it.
+tuples read by field name.  Every sampled Lipschitz modulus, in
+:func:`estimate_lipschitz` and in the fast map's state and parameter
+moduli, is the maximum of one vectorized pairwise-quotient kernel, which
+raises on a NaN or infinite map value or quotient rather than skip it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
 
 LIPSCHITZ_SAFETY = 1.1
 _NO_PAIR = "no sample pair with nonzero separation"
+_PAIR_BLOCK = 4096  # quotients held at once by _max_quotient
 
 BOUNDS = "uniform_bounds"
 DECREMENT = "decrement"
@@ -116,7 +118,8 @@ def estimate_lipschitz(
     elif mode == "difference":
         for t in times:
             values = [np.asarray(fn(t, p), dtype=float) for p in points]
-            for ratio in _difference_quotients(t, points, values):
+            ratio = _difference_max(t, points, values)
+            if ratio is not None:
                 found = True
                 best = max(best, ratio)
     else:
@@ -126,25 +129,95 @@ def estimate_lipschitz(
     return best * safety
 
 
-def _difference_quotients(t: int, points: list, values: list):
-    """|f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j at least
-    1e-14 apart, given ``values[i] = f(t, p_i)``; a non-finite value (checked
-    before any quotient) or quotient raises ValueError."""
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row along the last axis, each bit-identical to
+    ``np.linalg.norm`` of that row.
+
+    ``np.linalg.norm(v)`` is ``sqrt(v @ v)``, one BLAS dot over a contiguous
+    vector; ``np.vecdot`` over contiguous rows makes the same dot per row.
+    ``np.linalg.norm(..., axis=-1)`` and dots over strided rows round
+    differently, so the rows are made contiguous first.
+    """
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _pair_blocks(size: int, width: int):
+    """The pairs i < j of ``size`` rows in ``np.triu_indices`` order, as
+    (i, j) index arrays over consecutive rows holding at most
+    ``_PAIR_BLOCK`` pairs times ``width`` (or a single row)."""
+    start = 0
+    while start < size - 1:
+        stop, count = start + 1, (size - 1 - start) * width
+        while stop < size - 1 and count + (size - 1 - stop) * width <= _PAIR_BLOCK:
+            count += (size - 1 - stop) * width
+            stop += 1
+        rows, cols = np.nonzero(np.arange(size) > np.arange(start, stop)[:, None])
+        yield rows + start, cols
+        start = stop
+
+
+def _max_quotient(
+    points: np.ndarray,
+    values: np.ndarray,
+    weights: np.ndarray,
+    table_of_row: np.ndarray,
+    describe: Callable[[int, int, int], str],
+) -> Optional[float]:
+    """Largest |v[i, c] - v[j, c]| / (weights[c] * |points[i] - points[j]|).
+
+    ``points`` is (S, d); ``values`` is (K, S, C, m) and the pair (i, j)
+    reads v = ``values[table_of_row[i]]``, one quotient per column c.
+    Pairs i < j run in ``np.triu_indices`` order, a block of rows at a time
+    (:func:`_pair_blocks`), columns in order within a pair; pairs under
+    1e-14 apart and weights under 1e-14 are skipped.  Returns None when
+    everything is skipped.  Floating-point warnings are silenced because
+    the first non-finite quotient raises ``ValueError(describe(i, j, c))``.
+    """
+    width = len(weights)
+    skip_column = weights < 1e-14
+    best = None
+    for rows, cols in _pair_blocks(len(points), width):
+        tables = table_of_row[rows]
+        with np.errstate(all="ignore"):
+            dx = _row_norms(points[rows] - points[cols])
+            ratio = _row_norms(values[tables, rows] - values[tables, cols]) / (weights * dx[:, None])
+        keep = ~(dx < 1e-14)[:, None] & ~skip_column
+        bad = keep & ~np.isfinite(ratio)
+        if bad.any():
+            pair, column = divmod(int(np.argmax(bad)), width)
+            raise ValueError(describe(int(rows[pair]), int(cols[pair]), column))
+        if keep.any():
+            top = float(ratio[keep].max())
+            best = top if best is None else max(best, top)
+    return best
+
+
+def _difference_max(t: int, points: list, values: list) -> Optional[float]:
+    """Largest |f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j at
+    least 1e-14 apart (None if there is none), given ``values[i] = f(t, p_i)``;
+    a non-finite value (checked before any quotient) or quotient raises
+    ValueError."""
     for p, v in zip(points, values):
         if not np.all(np.isfinite(v)):
             raise ValueError(f"non-finite map value at t={t}, x={p.tolist()}")
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            denom = float(np.linalg.norm(points[i] - points[j]))
-            if denom < 1e-14:
-                continue
-            ratio = float(np.linalg.norm(values[i] - values[j])) / denom
-            if not math.isfinite(ratio):
-                raise ValueError(
-                    f"non-finite difference quotient at t={t} between "
-                    f"x={points[i].tolist()} and x={points[j].tolist()}"
-                )
-            yield ratio
+    if len(points) < 2:
+        return None
+    return _max_quotient(
+        _stack(points),
+        _stack(values)[None, :, None, :],
+        np.ones(1),
+        np.zeros(len(points), dtype=int),
+        lambda i, j, _: (
+            f"non-finite difference quotient at t={t} between "
+            f"x={points[i].tolist()} and x={points[j].tolist()}"
+        ),
+    )
+
+
+def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """(S, n) float array whose row i is ``vectors[i]`` flattened."""
+    return np.array(vectors, dtype=float).reshape(len(vectors), -1)
 
 
 def build_trajectory_converse(
@@ -214,7 +287,8 @@ def _fast_lipschitz(
     bounds |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample
     pairs.  Both read one table holding each frozen-x fast map once per
     distinct k and fast state; each sample's own row is evaluated first,
-    in sample order.  A non-finite value or quotient raises ValueError.
+    in sample order, and reduced to its L1 quotient before the next row is
+    evaluated.  A non-finite value or quotient raises ValueError.
     """
     xs = [np.asarray(s.x, dtype=float) for s in samples]
     ys = [np.asarray(s.yerr, dtype=float) for s in samples]
@@ -223,33 +297,33 @@ def _fast_lipschitz(
     l1_by_sample = []
     for i, (s, fast) in enumerate(zip(samples, fasts)):
         row = table[s.k, i] = [fast(s.k, y) for y in ys]
-        quotients = list(_difference_quotients(s.k, ys, [np.asarray(v, dtype=float) for v in row]))
-        if not quotients:
+        ratio = _difference_max(s.k, ys, row)
+        if ratio is None:
             raise ValueError(_NO_PAIR)
-        l1_by_sample.append(max(quotients))
+        l1_by_sample.append(ratio)
     l1 = max(l1_by_sample)
-    for k in {s.k for s in samples}:
+    ks = list({s.k for s in samples})
+    for k in ks:
         for i, fast in enumerate(fasts):
             if (k, i) not in table:
                 table[k, i] = [fast(k, y) for y in ys]
-    y_norms = [float(np.linalg.norm(y)) for y in ys]
-    l2 = 0.0  # stays 0 for a single frozen slow state: parameter modulus unobservable
-    for i, (s, x1) in enumerate(zip(samples, xs)):
-        for j in range(i + 1, len(xs)):
-            dx = float(np.linalg.norm(x1 - xs[j]))
-            if dx < 1e-14:
-                continue
-            for y, ny, v1, v2 in zip(ys, y_norms, table[s.k, i], table[s.k, j]):
-                if ny < 1e-14:
-                    continue
-                ratio = float(np.linalg.norm(v1 - v2)) / (ny * dx)
-                if not math.isfinite(ratio):
-                    raise ValueError(
-                        f"non-finite fast-map parameter quotient at k={s.k}, y={y.tolist()}, "
-                        f"x1={x1.tolist()}, x2={xs[j].tolist()}"
-                    )
-                l2 = max(l2, ratio)
-    return l1 * LIPSCHITZ_SAFETY, l2 * LIPSCHITZ_SAFETY
+    values = np.array([[table[k, i] for i in range(len(samples))] for k in ks], dtype=float)
+
+    def describe(i: int, j: int, c: int) -> str:
+        return (
+            f"non-finite fast-map parameter quotient at k={samples[i].k}, y={ys[c].tolist()}, "
+            f"x1={xs[i].tolist()}, x2={xs[j].tolist()}"
+        )
+
+    l2 = _max_quotient(
+        _stack(xs),
+        values,
+        _row_norms(_stack(ys)),
+        np.array([ks.index(s.k) for s in samples], dtype=int),
+        describe,
+    )
+    # stays 0 for a single frozen slow state: parameter modulus unobservable
+    return l1 * LIPSCHITZ_SAFETY, (l2 or 0.0) * LIPSCHITZ_SAFETY
 
 
 def _fast_certificate(

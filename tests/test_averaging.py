@@ -1,5 +1,7 @@
 """Window averaging, deviation tables, drift budgets, lifted certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,20 @@ class TestSigmaTable:
         assert 2 in table.entries
         with pytest.raises(ValueError):
             estimate_sigma(linear_field, avg, [(0, np.zeros(1))], [2], 1.0)
+
+    def test_one_phibar_window_per_distinct_state(self):
+        avg = estimate_average(linear_field, PROBES, T_max=16)
+        seen = []
+
+        def counted(x):
+            seen.append(np.asarray(x, dtype=float).tobytes())
+            return avg.phibar(x)
+
+        probes = [(k, p) for k in range(4) for p in PROBES + [PROBES[0].copy()]]
+        table = estimate_sigma(linear_field, replace(avg, phibar=counted), probes, [2, 8], 1.0)
+        # 20 probes at 4 start times over 3 distinct states: one window mean each
+        assert sorted(seen) == sorted(p.tobytes() for p in PROBES)
+        assert table.raw_entries == estimate_sigma(linear_field, avg, probes, [2, 8], 1.0).raw_entries
 
     def test_untabulated_horizon_raises(self):
         table = SigmaTable(L=1.0, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})

@@ -99,6 +99,117 @@ class TestLipschitzFailClosed:
             build_exponential_converse(sysf, env, samples=samples)
 
 
+def raising_at(bad_x, exc_x):
+    """0.5 x, NaN at ``bad_x`` and RuntimeError at ``exc_x`` (either may be None)."""
+
+    def fn(t, x):
+        x = np.asarray(x, dtype=float)
+        if exc_x is not None and x[0] == exc_x:
+            raise RuntimeError("evaluated past the first non-finite value")
+        return np.full_like(x, np.nan) if bad_x is not None and x[0] == bad_x else 0.5 * x
+
+    return fn
+
+
+class TestLipschitzFailClosedParity:
+    """Which error is raised, and where, is fixed by the per-pair loop order:
+    values of one time in point order, then pairs (i, j), i < j, row by row."""
+
+    POINTS = TestLipschitzFailClosed.POINTS
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_value_in_point_order(self, bad):
+        fn = lambda t, x: np.array([bad]) if x[0] in (-0.2, 1.0) else 0.5 * x
+        with pytest.raises(ValueError) as err:
+            estimate_lipschitz(fn, self.POINTS)
+        assert str(err.value) == "non-finite map value at t=0, x=[-0.2]"
+
+    def test_nan_separation_names_its_first_pair(self):
+        points = [np.array([-1.0]), np.array([0.4]), np.array([np.nan])]
+        with pytest.raises(ValueError) as err:
+            estimate_lipschitz(lambda t, x: np.zeros(1), points)
+        assert str(err.value) == (
+            "non-finite difference quotient at t=0 between x=[-1.0] and x=[nan]"
+        )
+
+    def test_first_overflowing_pair_in_row_order(self):
+        # |f_i - f_j|^2 overflows for the pairs (0, 3), (1, 2) and (1, 3);
+        # row order meets (0, 3) first, column order would meet (1, 2)
+        points = [np.array([v]) for v in (0.0, 1.0, 2.0, 3.0)]
+        heights = {0.0: 0.0, 1.0: -1e154, 2.0: 0.5e154, 3.0: 1.5e154}
+        fn = lambda t, x: np.array([heights[float(x[0])]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            estimate_lipschitz(fn, points)
+        assert str(err.value) == (
+            "non-finite difference quotient at t=0 between x=[0.0] and x=[3.0]"
+        )
+
+    def test_later_time_is_not_evaluated_after_a_non_finite_value(self):
+        calls = []
+
+        def fn(t, x):
+            calls.append(t)
+            if t == 1:
+                raise RuntimeError("time 1 evaluated")
+            return raising_at(0.4, None)(t, x)
+
+        with pytest.raises(ValueError, match=r"^non-finite map value at t=0, x=\[0\.4\]$"):
+            estimate_lipschitz(fn, self.POINTS, times=(0, 1))
+        assert calls == [0] * len(self.POINTS)
+
+    def test_map_call_sequence(self):
+        calls = []
+
+        def fn(t, x):
+            calls.append((t, float(x[0])))
+            return 0.5 * np.asarray(x, dtype=float)
+
+        L = estimate_lipschitz(fn, self.POINTS, times=(3, 0, 2))
+        assert calls == [(t, float(p[0])) for t in (3, 0, 2) for p in self.POINTS]
+        assert L.hex() == "0x1.199999999999ap-1"
+
+    def fast_pair(self, varphi):
+        return SlowFastSystem(
+            dim_x=1, dim_y=1, phi=lambda k, x, y: -x, varphi=varphi,
+            ystar=lambda x: np.zeros(1),
+        )
+
+    def test_parameter_quotient_names_its_first_k_y_and_pair(self):
+        # no sample's own row holds a NaN; pair (0, 1) has equal slow states and
+        # y = 0 carries no weight, so the first quotient taken from a NaN row
+        # (k=0, x=0.9) is at y = 0.4, before pair (0, 3) reaches (k=0, x=0.7)
+        sysf = self.fast_pair(
+            lambda k, y, x: np.full(1, np.nan) if k == 0 and x[0] > 0.5 else 0.5 * y
+        )
+        samples = [
+            SlowFastSample(k=0, x=np.array([0.0]), yerr=np.array([0.0])),
+            SlowFastSample(k=0, x=np.array([0.0]), yerr=np.array([0.4])),
+            SlowFastSample(k=1, x=np.array([0.9]), yerr=np.array([-0.3])),
+            SlowFastSample(k=1, x=np.array([0.7]), yerr=np.array([0.2])),
+        ]
+        with pytest.raises(ValueError) as err:
+            _fast_lipschitz(sysf, samples)
+        assert str(err.value) == (
+            "non-finite fast-map parameter quotient at k=0, y=[0.4], x1=[0.0], x2=[0.9]"
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_row_is_reduced_before_the_next_row_is_evaluated(self, bad):
+        # row 0 (x = 0.0) holds a non-finite value; evaluating row 1 (x = 0.9) raises
+        def varphi(k, y, x):
+            if x[0] == 0.9:
+                raise RuntimeError("row 1 evaluated")
+            return np.array([bad]) if y[0] == -0.3 else 0.5 * y
+
+        samples = [
+            SlowFastSample(k=2, x=np.array([0.0]), yerr=np.array([0.4])),
+            SlowFastSample(k=1, x=np.array([0.9]), yerr=np.array([-0.3])),
+        ]
+        with pytest.raises(ValueError) as err:
+            _fast_lipschitz(self.fast_pair(varphi), samples)
+        assert str(err.value) == "non-finite map value at t=2, x=[-0.3]"
+
+
 class TestTrajectoryConverseKind:
     def test_kind_and_start_follow_the_system(self):
         for autonomous in (True, False):
@@ -284,7 +395,7 @@ class TestFastLipschitz:
             dim_x=1,
             dim_y=1,
             phi=lambda k, x, y: -x + y,
-            varphi=lambda k, y, x: calls.append(k) or varphi(k, y, x),
+            varphi=lambda k, y, x: calls.append((k, x.tobytes(), y.tobytes())) or varphi(k, y, x),
             ystar=lambda x: np.zeros(1),
         )
         calls.clear()
@@ -293,11 +404,18 @@ class TestFastLipschitz:
     def test_one_fast_map_evaluation_per_distinct_k_and_state(self):
         sysf, calls = self.counting_pair(lambda k, y, x: 0.5 * y)
         samples = _fast_sample_set(sysf, 1.0, 32, 0xFA57)
-        distinct_k = len({s.k for s in samples})
         L1, L2 = _fast_lipschitz(sysf, samples)
-        # one row per sample per distinct k; L1 reads each sample's row at its own k
-        assert len(calls) == distinct_k * 32 * 32 <= 4096
-        assert L1 == pytest.approx(0.55, rel=1e-12)
+        # one row per sample per distinct k: each sample's own row first, in
+        # sample order (L1 reads it), then the rows at the other k
+        expected = [(s.k, s.x.tobytes(), y.yerr.tobytes()) for s in samples for y in samples]
+        for k in {s.k for s in samples}:
+            expected += [
+                (k, s.x.tobytes(), y.yerr.tobytes())
+                for s in samples if s.k != k for y in samples
+            ]
+        assert calls == expected
+        assert len(calls) == 4096
+        assert L1.hex() == "0x1.199999999999ap-1"  # 0.5 with the 1.1 safety factor
         assert L2 == 0.0
 
     def test_parameter_modulus_matches_pairwise_definition(self):

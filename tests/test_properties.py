@@ -9,7 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lyapcert.averaging import check_drift_remainder, estimate_average, estimate_sigma, mu, nu
 from lyapcert.certcheck import CandidateFunction, check_decrease, check_positive_definite, shell_grid
-from lyapcert.converse import build_trajectory_converse, verify_converse
+from lyapcert.converse import (
+    _difference_max,
+    _max_quotient,
+    _pair_blocks,
+    build_trajectory_converse,
+    verify_converse,
+)
 from lyapcert.dynsys import (
     DynSystem,
     ExponentialEnvelope,
@@ -326,6 +332,110 @@ class TestDriftCoefficients:
     @settings(max_examples=100, deadline=None)
     def test_mu_dominates_nu(self, T, L, sigma, eps):
         assert mu(T, eps, L, sigma) >= nu(T, eps, L, sigma)
+
+
+def reference_difference_max(points, values):
+    """The per-pair loop the sampled Lipschitz estimators used to run: one
+    ``np.linalg.norm`` per separation and per value difference."""
+    best = None
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            denom = float(np.linalg.norm(points[i] - points[j]))
+            if denom < 1e-14:
+                continue
+            ratio = float(np.linalg.norm(values[i] - values[j])) / denom
+            best = ratio if best is None else max(best, ratio)
+    return best
+
+
+def reference_weighted_max(points, values, weights, table_of_row):
+    """The per-pair, per-column loop of the fast-map parameter modulus."""
+    best = None
+    for i in range(len(points)):
+        table = values[table_of_row[i]]
+        for j in range(i + 1, len(points)):
+            dx = float(np.linalg.norm(points[i] - points[j]))
+            if dx < 1e-14:
+                continue
+            for c, w in enumerate(weights):
+                if w < 1e-14:
+                    continue
+                ratio = float(np.linalg.norm(table[i, c] - table[j, c])) / (w * dx)
+                best = ratio if best is None else max(best, ratio)
+    return best
+
+
+def hex_or_none(value):
+    return None if value is None else float(value).hex()
+
+
+@st.composite
+def pair_sets(draw, max_size=65):
+    """Points and values as lists of strided row views, with duplicated and
+    near-coincident (under 1e-14 apart) points mixed in."""
+    d = draw(st.integers(min_value=1, max_value=9))
+    size = draw(st.integers(min_value=2, max_value=max_size))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(seeds))
+    wide = rng.standard_normal((size, 2 * d)) * rng.uniform(0.01, 10.0, (size, 1))
+    points = [row[::2] for row in wide]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i, j = rng.integers(size, size=2)
+        points[i] = points[j].copy()
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i, j = rng.integers(size, size=2)
+        points[i] = points[j] + 1e-15 * rng.standard_normal(d)
+    values = list(rng.standard_normal((size, 2 * m))[:, ::2])
+    return points, values
+
+
+class TestPairwiseQuotientKernel:
+    """The vectorized kernel behind every sampled Lipschitz constant must give
+    the per-pair loop's maximum bit for bit."""
+
+    @given(sets=pair_sets())
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_difference_max_matches_the_pair_loop(self, sets):
+        points, values = sets
+        expected = hex_or_none(reference_difference_max(points, values))
+        assert hex_or_none(_difference_max(0, points, values)) == expected
+
+    @given(
+        sets=pair_sets(max_size=40),
+        columns=st.integers(min_value=1, max_value=12),
+        tables=st.integers(min_value=1, max_value=4),
+        seed=seeds,
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_weighted_max_matches_the_pair_loop(self, sets, columns, tables, seed):
+        points, _ = sets
+        size = len(points)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((tables, size, columns, 3))
+        weights = np.abs(rng.standard_normal(columns))
+        weights[rng.random(columns) < 0.2] = 1e-15  # skipped columns
+        table_of_row = rng.integers(tables, size=size)
+        expected = reference_weighted_max(points, values, weights, table_of_row)
+        got = _max_quotient(np.array(points), values, weights, table_of_row, lambda *_: "bad")
+        assert hex_or_none(got) == hex_or_none(expected)
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 5000])
+    def test_blocks_cover_the_pairs_in_triu_order(self, width):
+        for size in range(0, 70):
+            blocks = list(_pair_blocks(size, width))
+            rows = np.concatenate([r for r, _ in blocks] or [np.zeros(0, dtype=int)])
+            cols = np.concatenate([c for _, c in blocks] or [np.zeros(0, dtype=int)])
+            expected = np.triu_indices(size, 1)
+            assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+            assert all(len(r) * width <= 4096 or len(set(r)) == 1 for r, _ in blocks)
+
+    def test_two_vector_whose_axis_norm_rounds_differently(self):
+        # With an FMA BLAS dot (numpy 2.x wheels on x86-64), np.linalg.norm(v)
+        # and np.linalg.norm(v[None], axis=1) differ in the last bit for this v;
+        # the kernel must keep the former.
+        v = np.array([0.3, 1.2])
+        got = _difference_max(0, [np.zeros(2), v], [np.zeros(1), np.ones(1)])
+        assert got.hex() == (1.0 / float(np.linalg.norm(v))).hex()
 
 
 class TestRngDeterminism:
