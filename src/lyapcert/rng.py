@@ -93,26 +93,37 @@ def halton(index: int, base: int) -> float:
     return r
 
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def _first_primes(k: int) -> tuple[int, ...]:
+    """The first ``k`` primes, by trial division over the primes found so far."""
+    primes = []
+    candidate = 2
+    while len(primes) < k:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
 
 
 def low_discrepancy_directions(dim: int, count: int) -> np.ndarray:
     """Quasi-uniform unit directions from Halton points.
 
     Pairs of Halton coordinates go through Box-Muller, giving a smooth
-    deterministic covering of the sphere that avoids clustering.
+    deterministic covering of the sphere that avoids clustering.  Coordinate
+    pair p uses the primes 2p and 2p + 1 (counting from 0) as bases, so any
+    dimension has its own distinct bases.
     """
     if dim == 1:
         signs = np.ones((count, 1))
         signs[1::2, 0] = -1.0
         return signs
     n_pairs = (dim + 1) // 2
+    primes = _first_primes(2 * n_pairs)
     dirs = np.empty((count, dim))
     for i in range(count):
         gauss = []
         for p in range(n_pairs):
-            u1 = min(max(halton(i + 1, _PRIMES[2 * p]), 2.0**-53), 1.0 - 2.0**-53)
-            u2 = halton(i + 1, _PRIMES[2 * p + 1])
+            u1 = min(max(halton(i + 1, primes[2 * p]), 2.0**-53), 1.0 - 2.0**-53)
+            u2 = halton(i + 1, primes[2 * p + 1])
             radius = math.sqrt(-2.0 * math.log(u1))
             gauss.append(radius * math.cos(2.0 * math.pi * u2))
             gauss.append(radius * math.sin(2.0 * math.pi * u2))

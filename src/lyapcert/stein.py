@@ -1,8 +1,10 @@
 """Quadratic Lyapunov machinery for linear systems.
 
 Covers the discrete-time matrix equation  A' P A - P = -Q  through two
-independent routes (a vectorized dense solve and the matrix power series),
-spectrum classification with the exact solvability dichotomy, instability
+independent routes: a vectorized dense solve, and the matrix power series
+summed by Smith's doubling (k doublings add up the first 2^k series terms,
+the count a series solution reports as ``terms``).  Also spectrum
+classification with the exact solvability dichotomy, instability
 certificates built by rescaling, and the time-varying extension driven by
 transition-matrix decay envelopes.
 """
@@ -137,8 +139,10 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
             "eigenvalue product hits 1; the equation has no unique solution"
         )
     n = A.shape[0]
-    # column-major vec: vec(A' P A) = (A' (x) A') vec(P)
-    M = np.kron(A.T, A.T) - np.eye(n * n)
+    # column-major vec: vec(A' P A) = (A' (x) A') vec(P); subtracting the
+    # identity on the diagonal in place avoids a second n^2 x n^2 array
+    M = np.kron(A.T, A.T)
+    M[np.diag_indices(n * n)] -= 1.0
     vec_p = np.linalg.solve(M, -Q.reshape(-1, order="F"))
     P = vec_p.reshape((n, n), order="F")
     notes: Tuple[str, ...] = ()
@@ -153,11 +157,18 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
 def solve_stein_series(
     A: np.ndarray, Q: np.ndarray, tol: float = 1e-12, max_terms: int = 200_000
 ) -> SteinSolution:
-    """Power-series solution  P = sum_t (A')^t Q A^t  for strictly stable A.
+    """Series solution  P = sum_t (A')^t Q A^t  for strictly stable A, by doubling.
 
-    Partial sums stop once the running term drops below
-    ``tol * (1 - rho) / (1 + rho)``; by the telescoping identity the final
-    residual equals the norm of the first omitted term.
+    Smith's doubling (R. A. Smith, SIAM J. Appl. Math. 16, 1968): from
+    P_0 = Q and A_0 = A, each step sets P_{k+1} = P_k + A_k' P_k A_k and
+    A_{k+1} = A_k^2, so P_k is the partial sum of the first 2^k terms and
+    A_k = A^(2^k).  ``terms`` reports that count, 2^k; the budget
+    ``max_terms`` bounds it.  Doubling stops once the first omitted term
+    T_k = A_k' Q A_k drops below ``tol * (1 - rho) / (1 + rho)`` in the
+    spectral norm.  By the telescoping identity the final residual
+    A' P_k A - P_k + Q equals T_k.  The tail P - P_k solves the same equation
+    with Q replaced by T_k, so  |P - P_k| <= |T_k| * sum_t |A^t|^2, which is
+    |T_k| / (1 - rho^2) when A is normal.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -168,16 +179,16 @@ def solve_stein_series(
         )
     rho = report.spectral_radius
     threshold = tol * (1.0 - rho) / (1.0 + rho)
-    P = np.zeros_like(Q)
-    term = Q.copy()
-    count = 0
-    while float(np.linalg.norm(term, 2)) > threshold:
-        P = P + term
-        term = A.T @ term @ A
-        count += 1
-        if count > max_terms:
+    P = Q.copy()
+    Ak = A
+    terms = 1
+    while float(np.linalg.norm(Ak.T @ Q @ Ak, 2)) > threshold:
+        P = P + Ak.T @ P @ Ak
+        Ak = Ak @ Ak
+        terms *= 2
+        if terms > max_terms:
             raise SeriesDivergenceError("series did not meet tolerance within term budget")
-    return _finalize(P, A, Q, "series", terms=count)
+    return _finalize(P, A, Q, "series", terms=terms)
 
 
 def instability_certificate(

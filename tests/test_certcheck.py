@@ -45,6 +45,16 @@ class TestShellGrid:
         norms = np.linalg.norm(grid, axis=1)
         assert set(np.round(norms, 12)) == {0.001, 1.0}
 
+    @pytest.mark.parametrize("dim", [13, 48])
+    def test_dimensions_past_twelve_give_unit_directions(self, dim):
+        # the Halton bases once stopped at 12 primes: IndexError for dim >= 13
+        grid = shell_grid(dim, 1.0)
+        assert grid.shape == (12 * 32, dim)
+        assert np.all(np.isfinite(grid))
+        outer = grid[-32:]
+        assert np.allclose(np.linalg.norm(outer, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert len({row.tobytes() for row in outer}) == 32
+
 
 class TestPositiveDefinite:
     def test_identity_quadratic_passes(self):

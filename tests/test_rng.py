@@ -1,8 +1,11 @@
 """Counter-based generator: frozen vectors, determinism, stream independence."""
 
-import numpy as np
+import math
 
-from lyapcert.rng import Rng
+import numpy as np
+import pytest
+
+from lyapcert.rng import Rng, _first_primes, halton, low_discrepancy_directions
 
 
 class TestFrozenVectors:
@@ -96,3 +99,54 @@ class TestDistributions:
 def test_seed_wraps_to_64_bits():
     assert Rng(-1).u64() == Rng(2**64 - 1).u64()
     assert Rng(2**64 + 5).u64() == Rng(5).u64()
+
+
+# The Halton bases before they were generated on demand; directions for every
+# dimension these covered must not move.
+OLD_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def old_low_discrepancy_directions(dim: int, count: int) -> np.ndarray:
+    if dim == 1:
+        signs = np.ones((count, 1))
+        signs[1::2, 0] = -1.0
+        return signs
+    n_pairs = (dim + 1) // 2
+    dirs = np.empty((count, dim))
+    for i in range(count):
+        gauss = []
+        for p in range(n_pairs):
+            u1 = min(max(halton(i + 1, OLD_PRIMES[2 * p]), 2.0**-53), 1.0 - 2.0**-53)
+            u2 = halton(i + 1, OLD_PRIMES[2 * p + 1])
+            radius = math.sqrt(-2.0 * math.log(u1))
+            gauss.append(radius * math.cos(2.0 * math.pi * u2))
+            gauss.append(radius * math.sin(2.0 * math.pi * u2))
+        v = np.array(gauss[:dim])
+        n = float(np.linalg.norm(v))
+        if n < 1e-9:
+            v = np.zeros(dim)
+            v[i % dim] = 1.0
+            n = 1.0
+        dirs[i] = v / n
+    return dirs
+
+
+class TestLowDiscrepancyDirections:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_dimensions_up_to_twelve_are_unchanged(self, dim):
+        got = low_discrepancy_directions(dim, 32)
+        assert got.tobytes() == old_low_discrepancy_directions(dim, 32).tobytes()
+
+    @pytest.mark.parametrize("dim", [13, 14, 48, 49])
+    def test_dimensions_past_twelve_give_distinct_unit_directions(self, dim):
+        dirs = low_discrepancy_directions(dim, 32)
+        assert dirs.shape == (32, dim)
+        assert np.all(np.isfinite(dirs))
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert len({row.tobytes() for row in dirs}) == 32
+
+    def test_first_primes(self):
+        assert _first_primes(12) == OLD_PRIMES
+        primes = _first_primes(48)
+        assert len(primes) == 48 and primes[-1] == 223
+        assert all(all(p % q for q in primes[:i]) for i, p in enumerate(primes))

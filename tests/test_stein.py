@@ -173,3 +173,97 @@ class TestTimeVarying:
         P = solve_tv_lyapunov(ltv, lambda t: np.eye(1), env)
         assert P(0)[0, 0] == pytest.approx(P(2)[0, 0], rel=1e-8)
         assert P(1)[0, 0] == pytest.approx(P(3)[0, 0], rel=1e-8)
+
+
+def schur_draw(seed: int, n: int, rho: float):
+    """Gaussian matrix rescaled to spectral radius rho, and a Q = B B' + I."""
+    rng = Rng(seed)
+    M = rng.matrix(n, n)
+    A = M * (rho / max(abs(np.linalg.eigvals(M))))
+    B = rng.matrix(n, n)
+    return A, B @ B.T + np.eye(n)
+
+
+def is_power_of_two(k: int) -> bool:
+    return k >= 1 and k & (k - 1) == 0
+
+
+class TestSmithDoubling:
+    @pytest.mark.parametrize("n", [2, 13, 48])
+    @pytest.mark.parametrize("rho", [0.3, 0.99, 0.999])
+    def test_agrees_with_kronecker(self, n, rho):
+        A, Q = schur_draw(1000 + n, n, rho)
+        series = solve_stein_series(A, Q)
+        kron = solve_stein_kron(A, Q)
+        assert float(np.abs(series.P - kron.P).max()) <= 1e-8  # sup norm over entries
+        q_norm = float(np.linalg.norm(Q, "fro"))
+        residual = float(np.linalg.norm(A.T @ series.P @ A - series.P + Q, "fro"))
+        assert residual <= 1e-9 * q_norm
+        assert series.positive_definite
+        assert is_power_of_two(series.terms)
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.5), (3, 0.9), (6, 0.99)])
+    @pytest.mark.parametrize("tol", [1e-1, 1e-5, 1e-12])
+    def test_stops_at_first_power_of_two_and_residual_is_omitted_term(self, n, rho, tol):
+        A, Q = schur_draw(2000 + n, n, rho)
+        sol = solve_stein_series(A, Q, tol=tol)
+        assert is_power_of_two(sol.terms)
+        threshold = tol * (1.0 - rho) / (1.0 + rho)
+
+        def omitted(k):
+            Ak = np.linalg.matrix_power(A, k)
+            return float(np.linalg.norm(Ak.T @ Q @ Ak, 2))
+
+        assert omitted(sol.terms) <= threshold
+        if sol.terms > 1:
+            assert omitted(sol.terms // 2) > threshold
+        scale = (1.0 + float(np.linalg.norm(A, 2)) ** 2) * float(np.linalg.norm(sol.P, 2))
+        rounding = 64 * np.finfo(float).eps * scale
+        assert abs(sol.residual - omitted(sol.terms)) <= rounding
+        if tol >= 1e-2:
+            # the omitted term sits far above rounding, so the match is not vacuous
+            assert omitted(sol.terms) >= 100 * rounding
+
+    def test_nilpotent_map_stops_after_exact_sum(self):
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        sol = solve_stein_series(A, np.eye(2))
+        assert sol.terms == 2
+        assert sol.P.tobytes() == np.diag([1.0, 2.0]).tobytes()
+        assert sol.residual == 0.0
+
+    @pytest.mark.parametrize("A", [np.array([[1.5]]), rotation(0.7), np.array([[-1.0]])])
+    def test_spectral_radius_at_least_one_diverges(self, A):
+        with pytest.raises(SeriesDivergenceError):
+            solve_stein_series(A, np.eye(A.shape[0]))
+
+    def test_term_budget_is_enforced(self):
+        A, Q = schur_draw(3003, 3, 0.99)
+        with pytest.raises(SeriesDivergenceError, match="term budget"):
+            solve_stein_series(A, Q, max_terms=4)
+        needed = solve_stein_series(A, Q).terms
+        assert solve_stein_series(A, Q, max_terms=needed).terms == needed
+        with pytest.raises(SeriesDivergenceError, match="term budget"):
+            solve_stein_series(A, Q, max_terms=needed - 1)
+
+
+def old_kron_P(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The Kronecker solve as it was built with an explicit n^2 x n^2 identity."""
+    n = A.shape[0]
+    M = np.kron(A.T, A.T) - np.eye(n * n)
+    P = np.linalg.solve(M, -Q.reshape(-1, order="F")).reshape((n, n), order="F")
+    return 0.5 * (P + P.T)
+
+
+class TestKroneckerBitIdentity:
+    @pytest.mark.parametrize("n", [1, 2, 7, 13])
+    @pytest.mark.parametrize("kind", ["schur", "expanding", "non_normal"])
+    def test_in_place_diagonal_matches_identity_subtraction(self, n, kind):
+        if kind == "non_normal":
+            # eigenvalue 0.9 with large off-diagonal coupling, signed zeros below
+            A = 0.9 * np.eye(n) + np.triu(np.full((n, n), 3.0), 1)
+            A[np.tril_indices(n, -1)] = -0.0
+            Q = np.eye(n)
+        else:
+            A, Q = schur_draw(4000 + n, n, 0.8 if kind == "schur" else 1.7)
+        got = solve_stein_kron(A, Q).P
+        assert got.tobytes() == old_kron_P(A, Q).tobytes()
