@@ -1,10 +1,11 @@
 """Compare the two quadratic-certificate solvers across dimension and contraction.
 
 For each (n, rho) cell: draw Gaussian matrices rescaled to spectral radius
-rho, solve A' P A - P + Q = 0 by the vectorized linear solve and by the
-power series summed with Smith's doubling, and report the worst cross-route
-gap, the worst relative residual, the mean per-solve time of each route, and
-the largest number of series terms summed (2^k after k doublings).
+rho, solve A' P A - P + Q = 0 by the direct solve on the symmetric subspace
+(n(n+1)/2 unknowns, one refinement step) and by the power series summed
+with Smith's doubling, and report the worst cross-route gap, the worst
+relative residual, the mean per-solve time of each route, and the largest
+number of series terms summed (2^k after k doublings).
 
 Usage: python3 scripts/stein_route_comparison.py [--draws 20] [--seed 7]
 """

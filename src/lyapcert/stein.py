@@ -1,10 +1,11 @@
 """Quadratic Lyapunov machinery for linear systems.
 
 Covers the discrete-time matrix equation  A' P A - P = -Q  through two
-independent routes: a vectorized dense solve, and the matrix power series
-summed by Smith's doubling (k doublings add up the first 2^k series terms,
-the count a series solution reports as ``terms``).  Also spectrum
-classification with the exact solvability dichotomy, instability
+independent routes: a dense solve for the n(n+1)/2 upper-triangle entries
+of the symmetric P with one step of iterative refinement, and the matrix
+power series summed by Smith's doubling (k doublings add up the first 2^k
+series terms, the count a series solution reports as ``terms``).  Also
+spectrum classification with the exact solvability dichotomy, instability
 certificates built by rescaling, and the time-varying extension driven by
 transition-matrix decay envelopes.
 """
@@ -64,7 +65,7 @@ class SpectrumReport:
 @dataclass(frozen=True)
 class SteinSolution:
     P: np.ndarray
-    method: str  # "kronecker" | "series"
+    method: str  # "kronecker" (symmetric-subspace direct solve) | "series"
     residual: float
     positive_definite: bool
     min_eig: float
@@ -124,8 +125,34 @@ def _finalize(P: np.ndarray, A: np.ndarray, Q: np.ndarray, method: str, **kw) ->
     )
 
 
+def _symmetric(x: np.ndarray, I: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
+    P = np.empty((n, n))
+    P[I, J] = x
+    P[J, I] = x
+    return P
+
+
 def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
-    """Direct solve of A' P A - P = -Q via vectorization.
+    """Direct solve of A' P A - P = -Q on the symmetric matrices.
+
+    The unknowns are the m = n(n+1)/2 entries P[k, l], k <= l, of the
+    symmetric solution, and Q enters through its symmetric part (the
+    symmetric part of the full solution solves the equation with it).
+    Row (i, j) and column (k, l), both with i <= j and k <= l, of the
+    m x m operator are the rows of kron(A', A') with the (k, l) and (l, k)
+    columns folded together, built straight from A:
+
+        A[k, i] A[l, j] + [k != l] A[l, i] A[k, j] - [(i, j) == (k, l)].
+
+    The solution is unpacked into an exactly symmetric P, then refined once
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 12): the upper triangle of the residual  A' P A - P + Q  is solved
+    with the same operator and the correction added.  The refinement removes
+    most of the error an ill-conditioned operator leaves in the first solve.
+
+    Cost: two dense m x m solves, about n^6 / 6 flops, and at most three
+    m x m arrays alive at once (33 MB at n = 48), against 2 n^6 / 3 flops
+    and two n^2 x n^2 arrays (85 MB) for the full vectorized system.
 
     Needs the pairwise eigenvalue condition only; works for unstable
     matrices, in which case the solution exists but is not positive
@@ -139,12 +166,24 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
             "eigenvalue product hits 1; the equation has no unique solution"
         )
     n = A.shape[0]
-    # column-major vec: vec(A' P A) = (A' (x) A') vec(P); subtracting the
-    # identity on the diagonal in place avoids a second n^2 x n^2 array
-    M = np.kron(A.T, A.T)
-    M[np.diag_indices(n * n)] -= 1.0
-    vec_p = np.linalg.solve(M, -Q.reshape(-1, order="F"))
-    P = vec_p.reshape((n, n), order="F")
+    Qs = 0.5 * (Q + Q.T)
+    # pairs (i, j), i <= j, diagonal first: columns (k, k) take one product,
+    # and the rest, M[:, n:], fold in the (l, k) column
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    I, J = np.concatenate([d, iu]), np.concatenate([d, ju])
+    # AI[r], AJ[r] are the columns A[:, i], A[:, j] of row pair r = (i, j)
+    AI, AJ = A.T[I], A.T[J]
+    M = AI[:, I]
+    M *= AJ[:, J]
+    fold = AI[:, J[n:]]
+    fold *= AJ[:, I[n:]]
+    M[:, n:] += fold
+    del fold
+    M[np.diag_indices(M.shape[0])] -= 1.0
+    P = _symmetric(np.linalg.solve(M, -Qs[I, J]), I, J, n)
+    residual = A.T @ P @ A - P + Qs
+    P += _symmetric(np.linalg.solve(M, -residual[I, J]), I, J, n)
     notes: Tuple[str, ...] = ()
     if not report.schur:
         notes = (
