@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
-from .dynsys import time_table
+from .dynsys import sample_rows, state_batched, time_table
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -312,11 +312,13 @@ def budget_for_delta(
     )
 
 
-def _window_states(phi: PhiFn, k: int, x: np.ndarray, eps: float, T: int) -> list:
-    """States x(k..k+T+1) of x+ = x + eps*phi along one window."""
+def _window_states(phi: PhiFn, k, x: np.ndarray, eps: float, T: int) -> list:
+    """States x(k..k+T+1) of x+ = x + eps*phi along one window, or along a
+    batch of windows: x an (S, n) array with k an int or an (S,) array of
+    start times, one ``sample_rows`` call per step."""
     states = [np.asarray(x, dtype=float)]
-    for kp in range(k, k + T + 1):
-        states.append(states[-1] + eps * np.asarray(phi(kp, states[-1]), dtype=float))
+    for j in range(T + 1):
+        states.append(states[-1] + eps * sample_rows(phi, k + j, states[-1]))
     return states
 
 
@@ -419,7 +421,8 @@ def build_averaged_lyapunov(
     sum_{k'=k..k+T*} V(x(k')) along the exact trajectory.  The deviation
     target is delta = c3/(2*c4) and T*, eps_c come from the sigma-table
     budget; the (a1..a4) constants bound and decrement the window sum for
-    every eps in (0, eps_c).
+    every eps in (0, eps_c).  The evaluator also takes a batch of samples
+    (see :func:`~lyapcert.dynsys.sample_rows`).
     """
     c1, c2, c3, c4 = constants
     if min(c1, c2, c3, c4) <= 0.0:
@@ -446,9 +449,13 @@ def build_averaged_lyapunov(
     a3 = T_star * c3 / 2.0
     a4 = (T_star + 1) * c4 * factor ** (2 * T_star)
 
+    @state_batched
     def evaluator(k: int, x: np.ndarray, eps: float) -> float:
-        states = _window_states(phi, int(k), np.asarray(x, dtype=float), float(eps), T_star)
-        return float(sum(V.eval_fn(int(k) + i, s) for i, s in enumerate(states[:-1])))
+        x = np.asarray(x, dtype=float)
+        k = k if isinstance(k, np.ndarray) else int(k)
+        states = _window_states(phi, k, x, float(eps), T_star)
+        total = sum(sample_rows(V.eval_fn, k + i, s) for i, s in enumerate(states[:-1]))
+        return total if x.ndim == 2 else float(total)
 
     return AveragedCertificate(
         base_constants=(c1, c2, c3, c4),

@@ -24,7 +24,15 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .certcheck import ConditionReport, TOL_ABS, TOL_REL
-from .dynsys import DynSystem, ExponentialEnvelope, SlowFastSample, SlowFastSystem, simulate
+from .dynsys import (
+    DynSystem,
+    ExponentialEnvelope,
+    SlowFastSample,
+    SlowFastSystem,
+    sample_rows,
+    simulate,
+    state_batched,
+)
 from .errors import HypothesisViolationError
 from .rng import Rng
 
@@ -129,17 +137,23 @@ def estimate_lipschitz(
     return best * safety
 
 
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row along the last axis, each
+    bit-identical to ``v @ v`` of that row ``v``.
+
+    ``v @ v`` is one BLAS dot over a contiguous vector; ``np.vecdot`` over
+    contiguous rows makes the same dot per row.  ``np.linalg.norm(...,
+    axis=-1)`` and dots over strided rows round differently, so the rows
+    are made contiguous first.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return np.vecdot(rows, rows)
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row along the last axis, each bit-identical to
-    ``np.linalg.norm`` of that row.
-
-    ``np.linalg.norm(v)`` is ``sqrt(v @ v)``, one BLAS dot over a contiguous
-    vector; ``np.vecdot`` over contiguous rows makes the same dot per row.
-    ``np.linalg.norm(..., axis=-1)`` and dots over strided rows round
-    differently, so the rows are made contiguous first.
-    """
-    rows = np.ascontiguousarray(rows)
-    return np.sqrt(np.vecdot(rows, rows))
+    ``np.linalg.norm`` of that row, which is ``sqrt(v @ v)``."""
+    return np.sqrt(_row_squares(rows))
 
 
 def _pair_blocks(size: int, width: int):
@@ -193,24 +207,26 @@ def _max_quotient(
     return best
 
 
-def _difference_max(t: int, points: list, values: list) -> Optional[float]:
+def _difference_max(t: int, points, values) -> Optional[float]:
     """Largest |f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j at
-    least 1e-14 apart (None if there is none), given ``values[i] = f(t, p_i)``;
-    a non-finite value (checked before any quotient) or quotient raises
-    ValueError."""
-    for p, v in zip(points, values):
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"non-finite map value at t={t}, x={p.tolist()}")
+    least 1e-14 apart (None if there is none), given ``values[i] = f(t, p_i)``
+    (sequences of vectors, or arrays with one row each); a non-finite value
+    (checked before any quotient) or quotient raises ValueError."""
+    values = _stack(values)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = np.asarray(points[int(np.argmin(finite))])
+        raise ValueError(f"non-finite map value at t={t}, x={bad.tolist()}")
     if len(points) < 2:
         return None
     return _max_quotient(
         _stack(points),
-        _stack(values)[None, :, None, :],
+        values[None, :, None, :],
         np.ones(1),
         np.zeros(len(points), dtype=int),
         lambda i, j, _: (
             f"non-finite difference quotient at t={t} between "
-            f"x={points[i].tolist()} and x={points[j].tolist()}"
+            f"x={np.asarray(points[i]).tolist()} and x={np.asarray(points[j]).tolist()}"
         ),
     )
 
@@ -286,28 +302,33 @@ def _fast_lipschitz(
     the fast states with each sample's slow state frozen at its own k; L2
     bounds |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample
     pairs.  Both read one table holding each frozen-x fast map once per
-    distinct k and fast state; each sample's own row is evaluated first,
-    in sample order, and reduced to its L1 quotient before the next row is
-    evaluated.  A non-finite value or quotient raises ValueError.
+    distinct k and fast state.  Each sample's own row is one batched call
+    over the fast states, made in sample order and reduced to its L1
+    quotient before the next; the rows at the other k follow in one
+    batched call, in (k, sample) order.  A non-finite value or quotient
+    raises ValueError.
     """
-    xs = [np.asarray(s.x, dtype=float) for s in samples]
-    ys = [np.asarray(s.yerr, dtype=float) for s in samples]
+    xs = _stack([s.x for s in samples])
+    ys = _stack([s.yerr for s in samples])
+    size = len(samples)
     fasts = [sysf.shifted_fast(x) for x in xs]
-    table = {}
+    ks = sorted({int(s.k) for s in samples})
+    values = np.empty((len(ks), size, size, sysf.dim_y))
     l1_by_sample = []
     for i, (s, fast) in enumerate(zip(samples, fasts)):
-        row = table[s.k, i] = [fast(s.k, y) for y in ys]
+        row = values[ks.index(s.k), i] = fast(s.k, ys)
         ratio = _difference_max(s.k, ys, row)
         if ratio is None:
             raise ValueError(_NO_PAIR)
         l1_by_sample.append(ratio)
     l1 = max(l1_by_sample)
-    ks = list({s.k for s in samples})
-    for k in ks:
-        for i, fast in enumerate(fasts):
-            if (k, i) not in table:
-                table[k, i] = [fast(k, y) for y in ys]
-    values = np.array([[table[k, i] for i in range(len(samples))] for k in ks], dtype=float)
+    rest = [(c, i) for c, k in enumerate(ks) for i, s in enumerate(samples) if s.k != k]
+    if rest:
+        tables, rows = np.array(rest).T
+        frozen = np.repeat(xs[rows], size, axis=0)
+        times = np.repeat(np.array(ks)[tables], size)
+        rest_values = sysf.shifted_fast(frozen)(times, np.tile(ys, (len(rest), 1)))
+        values[tables, rows] = rest_values.reshape(len(rest), size, sysf.dim_y)
 
     def describe(i: int, j: int, c: int) -> str:
         return (
@@ -316,9 +337,9 @@ def _fast_lipschitz(
         )
 
     l2 = _max_quotient(
-        _stack(xs),
+        xs,
         values,
-        _row_norms(_stack(ys)),
+        _row_norms(ys),
         np.array([ks.index(s.k) for s in samples], dtype=int),
         describe,
     )
@@ -337,20 +358,25 @@ def _fast_certificate(
         )
     )
 
+    def frozen_fast(yerr: np.ndarray, frozen_x: Optional[np.ndarray]):
+        x = np.zeros(yerr.shape[:-1] + (sysf.dim_x,)) if frozen_x is None else frozen_x
+        return sysf.shifted_fast(np.asarray(x, dtype=float))
+
+    @state_batched
     def evaluator(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> float:
-        x = np.zeros(sysf.dim_x) if frozen_x is None else np.asarray(frozen_x, dtype=float)
-        fast = sysf.shifted_fast(x)
         y = np.asarray(yerr, dtype=float)
+        fast = frozen_fast(y, frozen_x)
         total = 0.0
         for t in range(T):
-            total += float(y @ y)
+            total += _norm2(y)
             if t + 1 < T:
                 y = fast(k + t, y)
         return total
 
+    @state_batched
     def step_fn(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> np.ndarray:
-        x = np.zeros(sysf.dim_x) if frozen_x is None else np.asarray(frozen_x, dtype=float)
-        return sysf.shifted_fast(x)(k, np.asarray(yerr, dtype=float))
+        yerr = np.asarray(yerr, dtype=float)
+        return frozen_fast(yerr, frozen_x)(k, yerr)
 
     return ConverseCertificate(
         kind=kind,
@@ -396,9 +422,10 @@ def build_exponential_converse(
     return _fast_certificate(sysf, T, a3=0.5, kind="exponential", L1=L1, L2=L2)
 
 
-def _norm2(v: np.ndarray) -> float:
+def _norm2(v: np.ndarray):
+    """|v|^2 of one state (a float), or of each row of a batch."""
     v = np.asarray(v, dtype=float)
-    return float(v @ v)
+    return float(v @ v) if v.ndim < 2 else _row_squares(v)
 
 
 def verify_converse(
@@ -409,56 +436,72 @@ def verify_converse(
 
     ``samples`` holds ``(k, state, frozen_x)`` triples (``frozen_x`` None
     for the slow-system kinds; ``(s.k, s.yerr, s.x)`` of a SlowFastSample
-    for the fast kind).  Produces bounds, decrement and
+    for the fast kind; every sample has one, or none has).  Produces bounds, decrement and
     state-Lipschitz reports, plus the frozen-parameter report when a5 is
     available; consecutive samples are paired for the Lipschitz checks.
     Each slack is the room left under the claimed bound plus its tolerance.
+    The evaluator and the step map take every sample in one
+    :func:`~lyapcert.dynsys.sample_rows` call per quantity.
     """
     samples = [
         (int(k), np.asarray(s, dtype=float), None if fx is None else np.asarray(fx, dtype=float))
         for k, s, fx in samples
     ]
     points = [(k, s) for k, s, _ in samples]
-    values = [cert.evaluator(k, s, fx) for k, s, fx in samples]
-
-    bounds, decrement = [], []
-    for (k, s, fx), w in zip(samples, values):
-        n2 = _norm2(s)
-        tol = TOL_ABS + TOL_REL * abs(w)
-        bounds.append(min(w - cert.a1 * n2, cert.a2 * n2 - w) + tol)
-        delta = cert.evaluator(k + 1, cert.step_fn(k, s, fx), fx) - w
-        decrement.append(tol - (delta + cert.a3 * n2))
+    if not samples:
+        names = (BOUNDS, DECREMENT) + ((STATE_LIPSCHITZ,) if cert.a4 is not None else ())
+        return [ConditionReport.from_slack(name, [], []) for name in names]
+    ks = np.array([k for k, _, _ in samples], dtype=int)
+    states = _stack([s for _, s, _ in samples])
+    frozen = [fx for _, _, fx in samples]
+    if any(fx is None for fx in frozen):
+        if any(fx is not None for fx in frozen):
+            raise ValueError("either every sample or none carries a frozen slow state")
+        frozen = None
+    else:
+        frozen = _stack(frozen)
+    values = sample_rows(cert.evaluator, ks, states, frozen)
+    n2 = _norm2(states)
+    tol = TOL_ABS + TOL_REL * np.abs(values)
+    bounds = _first_min(values - cert.a1 * n2, cert.a2 * n2 - values) + tol
+    stepped = sample_rows(cert.step_fn, ks, states, frozen)
+    delta = sample_rows(cert.evaluator, ks + 1, stepped, frozen) - values
+    decrement = tol - (delta + cert.a3 * n2)
     reports = [
         ConditionReport.from_slack(BOUNDS, bounds, points),
         ConditionReport.from_slack(DECREMENT, decrement, points),
     ]
 
-    def lipschitz_slack(gap: float, bound: float) -> float:
-        return TOL_ABS + TOL_REL * max(abs(gap), abs(bound)) - (gap - bound)
+    def lipschitz_slack(gap: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        return TOL_ABS + TOL_REL * _first_max(np.abs(gap), np.abs(bound)) - (gap - bound)
 
+    # consecutive samples pair up: each leading sample with the one after it
+    lead, after = slice(None, -1), slice(1, None)
     if cert.a4 is not None:
-        slack = []
-        for (k1, s1, fx1), (_, s2, _), w1 in zip(samples, samples[1:], values):
-            gap = abs(w1 - cert.evaluator(k1, s2, fx1))
-            bound = (
-                cert.a4
-                * float(np.linalg.norm(s1 - s2))
-                * (float(np.linalg.norm(s1)) + float(np.linalg.norm(s2)))
-            )
-            slack.append(lipschitz_slack(gap, bound))
+        held = None if frozen is None else frozen[lead]
+        gap = np.abs(values[lead] - sample_rows(cert.evaluator, ks[lead], states[after], held))
+        norms = _row_norms(states)
+        bound = cert.a4 * _row_norms(states[lead] - states[after]) * (norms[lead] + norms[after])
+        slack = lipschitz_slack(gap, bound)
         reports.append(ConditionReport.from_slack(STATE_LIPSCHITZ, slack, points[:-1]))
 
-    pool = [(k, s, fx) for k, s, fx in samples if fx is not None]
-    if cert.a5 is not None and pool:
-        slack = []
-        for (k1, s1, fx1), (_, _, fx2) in zip(pool, pool[1:]):
-            gap = abs(cert.evaluator(k1, s1, fx1) - cert.evaluator(k1, s1, fx2))
-            bound = cert.a5 * _norm2(s1) * float(np.linalg.norm(fx1 - fx2))
-            slack.append(lipschitz_slack(gap, bound))
-        pairs = [(k, s) for k, s, _ in pool[:-1]]
-        reports.append(ConditionReport.from_slack(PARAMETER_LIPSCHITZ, slack, pairs))
+    if cert.a5 is not None and frozen is not None:
+        moved = sample_rows(cert.evaluator, ks[lead], states[lead], frozen[after])
+        bound = cert.a5 * n2[lead] * _row_norms(frozen[lead] - frozen[after])
+        slack = lipschitz_slack(np.abs(values[lead] - moved), bound)
+        reports.append(ConditionReport.from_slack(PARAMETER_LIPSCHITZ, slack, points[:-1]))
 
     return reports
+
+
+def _first_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python's ``min(a, b)`` elementwise: b only where b < a, so a NaN in b is passed over."""
+    return np.where(b < a, b, a)
+
+
+def _first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Python's ``max(a, b)`` elementwise: b only where b > a."""
+    return np.where(b > a, b, a)
 
 
 def check_envelope_hypothesis(
@@ -472,17 +515,31 @@ def check_envelope_hypothesis(
     Each trajectory starts at the sample's fast error with its slow state
     frozen and is checked at offsets 0..horizon-1.  A NaN or infinite
     state fails like a violation: HypothesisViolationError names k and
-    the offset.
+    the offset of the first sample, in sample order, that leaves the
+    envelope, at its first offset.  The trajectories are stepped together,
+    one batched fast-map call per offset; once a sample has failed, only
+    the samples before it are stepped further.
     """
-    for s in samples:
-        fast = sysf.shifted_fast(np.asarray(s.x, dtype=float))
-        y = np.asarray(s.yerr, dtype=float)
-        base = float(np.linalg.norm(y))
-        for t in range(horizon):
-            if t:
-                y = fast(s.k + t - 1, y)
-            bound = env.gain * base * math.exp(-env.rate * t) + TOL_ABS
-            if not float(np.linalg.norm(y)) <= bound:
-                raise HypothesisViolationError(
-                    f"envelope violated at offset {t} from k={s.k}"
-                )
+    if not samples:
+        return
+    xs = _stack([s.x for s in samples])
+    y = _stack([s.yerr for s in samples])
+    ks = np.array([int(s.k) for s in samples], dtype=int)
+    base = _row_norms(y)
+    failed, failed_at = len(samples), None  # the first sample out of the envelope, and when
+    fast = sysf.shifted_fast(xs)
+    for t in range(horizon):
+        if t:
+            y = fast(ks[:failed] + t - 1, y)
+        bound = env.gain * base[:failed] * math.exp(-env.rate * t) + TOL_ABS
+        outside = np.flatnonzero(~(_row_norms(y) <= bound))
+        if outside.size:
+            failed, failed_at = int(outside[0]), t
+            if not failed:
+                break
+            y = y[:failed]
+            fast = sysf.shifted_fast(xs[:failed])
+    if failed_at is not None:
+        raise HypothesisViolationError(
+            f"envelope violated at offset {failed_at} from k={samples[failed].k}"
+        )

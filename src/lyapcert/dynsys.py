@@ -4,11 +4,16 @@ Systems are maps ``x(t+1) = f(t, x(t))``; autonomous systems simply ignore
 ``t``.  Every analysis in the library works in coordinates where the
 equilibrium of interest sits at the origin, so the containers validate the
 declared equilibrium at construction and expose a shifted view.
+
+Consumers read a map over a window of times with :func:`time_table` and
+over a batch of samples with :func:`sample_rows`; each calls a marked map
+once and loops any other callable.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
@@ -28,6 +33,8 @@ __all__ = [
     "linear_part",
     "time_batched",
     "time_table",
+    "state_batched",
+    "sample_rows",
     "fit_exponential_envelope",
     "trajectory_to_csv",
 ]
@@ -45,6 +52,78 @@ def _as_vector(x, dim: int) -> np.ndarray:
     if v.shape != (dim,):
         raise ValueError(f"expected vector of length {dim}, got shape {v.shape}")
     return v
+
+
+def _as_states(x, dim: int, like: np.ndarray) -> np.ndarray:
+    """``x`` as one state of length ``dim`` when ``like`` is one state, else
+    as one such row per row of the batch ``like``."""
+    if like.ndim < 2:
+        return _as_vector(x, dim)
+    v = np.asarray(x, dtype=float)
+    if v.shape != (len(like), dim):
+        raise ValueError(f"expected {len(like)} rows of length {dim}, got shape {v.shape}")
+    return v
+
+
+def time_batched(fn: Callable) -> Callable:
+    """Mark ``fn(t, *args)`` as also taking a 1-D integer array of times,
+    for which it returns one row per time, equal bit for bit to the scalar
+    calls (the maps ``build_system`` compiles from expressions)."""
+    fn.time_batched = True
+    return fn
+
+
+def time_table(fn: Callable, times: range, *args) -> np.ndarray:
+    """Rows ``fn(t, *args)`` for every t in ``times``, shape (len(times), n).
+
+    A map marked by :func:`time_batched` is called once with the times as
+    an integer array; any other callable once per t, in order.
+    """
+    if getattr(fn, "time_batched", False):
+        t = np.arange(times.start, times.stop, times.step)
+        return np.asarray(fn(t, *args), dtype=float)
+    return np.array([np.asarray(fn(t, *args), dtype=float) for t in times])
+
+
+def state_batched(fn: Callable) -> Callable:
+    """Mark ``fn`` as taking a batch of samples in one call (see
+    :func:`sample_rows`), returning one row per sample equal bit for bit
+    to the per-sample calls (the maps ``build_system`` compiles from
+    expressions, and the slow/fast steps built on them)."""
+    fn.state_batched = True
+    return fn
+
+
+def sample_rows(fn: Callable, *args) -> np.ndarray:
+    """``fn(*args)`` as a float array, with one row per sample for a batch.
+
+    A call is a batch of S samples when an argument is a 2-D array (S
+    states as rows).  Every array argument then runs over the samples
+    along its first axis: an (S,) array of times, an (S, n) array of
+    states.  The other arguments (a scalar time, an amplitude, None) are
+    shared, so a state shared by every sample is passed broadcast to
+    (S, n).  A map marked by :func:`state_batched` is called once with the
+    batch; any other callable once per sample, in sample order, with
+    Python scalars for the entries of 1-D arrays.  A call without a 2-D
+    argument is the one call ``fn(*args)``.
+    """
+    for a in args:
+        if isinstance(a, np.ndarray) and a.ndim == 2:
+            size = len(a)
+            break
+    else:
+        return np.asarray(fn(*args), dtype=float)
+    if getattr(fn, "state_batched", False):
+        return np.asarray(fn(*args), dtype=float)
+    columns = []
+    for a in args:
+        if not isinstance(a, np.ndarray) or a.ndim == 0:
+            columns.append(itertools.repeat(a, size))
+            continue
+        if len(a) != size:
+            raise ValueError(f"batch arguments of different lengths {len(a)} and {size}")
+        columns.append(a.tolist() if a.ndim == 1 else a)
+    return np.array([np.asarray(fn(*sample), dtype=float) for sample in zip(*columns)])
 
 
 @dataclass(frozen=True)
@@ -207,26 +286,40 @@ class SlowFastSystem:
             for x in probes:
                 ys = _as_vector(self.ystar(x), self.dim_y)
                 image = _as_vector(self.varphi(k, ys, x), self.dim_y)
-                if np.linalg.norm(image - ys) > EQUILIBRIUM_TOL:
+                with np.errstate(invalid="ignore"):
+                    residual = np.linalg.norm(image - ys)
+                if not residual <= EQUILIBRIUM_TOL:  # fails closed on a NaN residual
                     raise ValueError(
                         f"ystar is not an equilibrium branch of the fast map at "
-                        f"k={k} (residual {np.linalg.norm(image - ys):.3e})"
+                        f"k={k} (residual {residual:.3e})"
                     )
 
+    @state_batched
     def step(
         self, k: int, x: np.ndarray, y: np.ndarray, eps: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One coupled step (x + eps*phi(k, x, y), varphi(k, y, x)) at amplitude eps."""
-        x_next = x + eps * np.asarray(self.phi(k, x, y), dtype=float)
-        return x_next, np.asarray(self.varphi(k, y, x), dtype=float)
+        """One coupled step (x + eps*phi(k, x, y), varphi(k, y, x)) at amplitude eps,
+        of one pair or of a batch (see :func:`sample_rows`)."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x_next = x + eps * sample_rows(self.phi, k, x, y)
+        return x_next, sample_rows(self.varphi, k, y, x)
 
     def shifted_fast(self, x: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
-        """Fast map in error coordinates y' = y - ystar(x), slow state frozen."""
-        x = _as_vector(x, self.dim_x)
-        ys = _as_vector(self.ystar(x), self.dim_y)
+        """Fast map in error coordinates y' = y - ystar(x), slow state frozen.
 
+        ``x`` is one slow state, or an (S, dim_x) batch frozen row by row.
+        The map takes one fast error, or an (S, dim_y) batch of them, at a
+        scalar k or an (S,) array of k (see :func:`sample_rows`).
+        """
+        x = np.asarray(x, dtype=float)
+        x = _as_states(x, self.dim_x, x)
+        ys = _as_states(sample_rows(self.ystar, x), self.dim_y, x)
+
+        @state_batched
         def fast(k: int, yerr: np.ndarray) -> np.ndarray:
-            return _as_vector(self.varphi(k, yerr + ys, x), self.dim_y) - ys
+            yerr = np.asarray(yerr, dtype=float)
+            frozen = np.broadcast_to(x, yerr.shape[:-1] + x.shape[-1:]) if x.ndim < yerr.ndim else x
+            return _as_states(sample_rows(self.varphi, k, yerr + ys, frozen), self.dim_y, yerr) - ys
 
         return fast
 
@@ -275,26 +368,6 @@ def transition_matrix(ltv: LinearTV, t: int, t0: int) -> np.ndarray:
     return phi
 
 
-def time_batched(fn: Callable) -> Callable:
-    """Mark ``fn(t, *args)`` as also taking a 1-D integer array of times,
-    for which it returns one row per time, equal bit for bit to the scalar
-    calls (the maps ``build_system`` compiles from expressions)."""
-    fn.time_batched = True
-    return fn
-
-
-def time_table(fn: Callable, times: range, *args) -> np.ndarray:
-    """Rows ``fn(t, *args)`` for every t in ``times``, shape (len(times), n).
-
-    A map marked by :func:`time_batched` is called once with the times as
-    an integer array; any other callable once per t, in order.
-    """
-    if getattr(fn, "time_batched", False):
-        t = np.arange(times.start, times.stop, times.step)
-        return np.asarray(fn(t, *args), dtype=float)
-    return np.array([np.asarray(fn(t, *args), dtype=float) for t in times])
-
-
 def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:
     """Matrix A(t) of a homogeneous linear map, columns f(t, e_i) - f(t, 0).
 
@@ -327,13 +400,19 @@ def fit_exponential_envelope(
     envelope rate is the slowest of these and the gain is then inflated by
     the worst pointwise ratio, so the returned bound is a true majorant of
     every sample.  Identically-zero trajectories are admissible and fall
-    back to ``lambda_max``.
+    back to ``lambda_max``.  A NaN or infinite state raises
+    :class:`NotExponentiallyStableError`: no envelope is fitted around it.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     rates = []
     for traj in trajectories:
         norms = traj.norms()
+        if not np.all(np.isfinite(norms)):
+            step = int(np.argmax(~np.isfinite(norms)))
+            raise NotExponentiallyStableError(
+                f"trajectory from t0={traj.t0} has a non-finite state at step {step}"
+            )
         if norms[0] == 0.0:
             if np.any(norms > 0.0):
                 raise NotExponentiallyStableError("trajectory leaves the origin")

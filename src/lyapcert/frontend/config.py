@@ -15,7 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, time_batched
+from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, state_batched, time_batched
 from ..errors import ConfigError, ParseError
 from .expressions import compile_map, free_refs, parse_expression
 
@@ -217,9 +217,10 @@ def build_system(cfg: SystemConfig):
 
     autonomous / nonautonomous -> DynSystem; linear_tv -> LinearTV (each
     A(t) comes from ``dynsys.linear_part``, which refuses expressions that
-    are not homogeneous linear in x); slow_fast -> SlowFastSystem.
+    are not homogeneous linear in x); slow_fast -> SlowFastSystem.  The
+    compiled maps are marked as taking batches of times and of samples.
     """
-    fx = time_batched(compile_map(cfg.map_x, cfg.params))
+    fx = state_batched(time_batched(compile_map(cfg.map_x, cfg.params)))
     if cfg.kind in ("autonomous", "nonautonomous"):
         eq = None if cfg.equilibrium is None else np.array(cfg.equilibrium)
         return DynSystem(
@@ -240,13 +241,13 @@ def build_system(cfg: SystemConfig):
 
     else:
         def ystar(x: np.ndarray) -> np.ndarray:
-            return np.zeros(cfg.dim_y)
+            return np.zeros(np.shape(x)[:-1] + (cfg.dim_y,))
 
     return SlowFastSystem(
         dim_x=cfg.dim_x,
         dim_y=cfg.dim_y,
         phi=fx,
-        varphi=lambda k, y, x: fvarphi(k, x, y),
-        ystar=ystar,
+        varphi=state_batched(lambda k, y, x: fvarphi(k, x, y)),
+        ystar=state_batched(ystar),
         epsilon=cfg.epsilon if cfg.epsilon is not None else 1e-2,
     )

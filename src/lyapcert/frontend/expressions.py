@@ -17,10 +17,12 @@ The pretty-printer emits a canonical form that reparses to an identical
 tree and is a fixed point of print-then-parse.
 
 Trees are compiled once into closures (``compile_map``,
-``compile_expression``) that take a scalar time or a 1-D integer array of
-times; ``evaluate`` compiles and calls.  Over an array of times the result
-equals the scalar calls bit for bit and raises what the first failing
-scalar call raises.
+``compile_expression``); ``evaluate`` compiles and calls.  A closure takes
+one point (a scalar time, one state) or a batch of S points: a 1-D integer
+array of S times, an (S, n) array of states ``x``, an (S, m) array of fast
+states ``y``, or any mix of these with the other inputs shared.  Over a
+batch the result equals the scalar calls point by point, bit for bit, and
+raises what the first failing scalar call raises.
 """
 
 from __future__ import annotations
@@ -313,8 +315,8 @@ def pretty(node) -> str:
 
 
 def _each(fn, values: list) -> np.ndarray:
-    """``fn`` element by element over the values that are arrays over time
-    (the others repeat), called on Python floats so every result is
+    """``fn`` element by element over the values that are arrays over a
+    batch (the others repeat), called on Python floats so every result is
     rounded exactly as the scalar call rounds it."""
     n = next(len(v) for v in values if isinstance(v, np.ndarray))
     columns = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v, n) for v in values]
@@ -348,12 +350,12 @@ def _ref(node: Ref, params: dict):
             return lambda t, x, y: value
         return lambda t, x, y: float(value)
     if name == "x":
-        return lambda t, x, y: float(x[index])
+        return lambda t, x, y: x[index]
     if name == "y":
         def fast(t, x, y):
             if y is None:
                 raise ValueError("expression references y but no fast state was given")
-            return float(y[index])
+            return y[index]
 
         return fast
 
@@ -364,7 +366,8 @@ def _ref(node: Ref, params: dict):
 
 
 def _compile(node, params: dict):
-    """Closure ``(t, x, y) -> value`` for one tree.
+    """Closure ``(t, x, y) -> value`` for one tree, over the inputs as
+    :func:`_inputs` gives them.
 
     Only ``+ - * /``, unary minus and references act on whole arrays (numpy
     rounds these exactly as Python floats do); ``^`` and every function run
@@ -420,52 +423,102 @@ def _compile(node, params: dict):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _table(runs, t: np.ndarray, x, y) -> np.ndarray:
-    """Values of the compiled trees at every time of ``t``, shape (len(t), len(runs)).
+_FLOAT = np.dtype(float)
 
-    One pass over the whole time array; if it raises, the points are run
-    again one at a time, in time order and tree by tree, so the exception
-    and message are the ones the scalar calls give.
+
+def _inputs(t, x, y):
+    """The batch size (None for one point) and the inputs as the closures read them.
+
+    Times pass through: a scalar, or an array of S times.  One state becomes
+    a list of Python floats; an (S, n) batch of states becomes its (n, S)
+    transpose, so that ``x[i]`` is component i over the batch.
     """
-    out = np.empty((len(t), len(runs)))
+    # written out for x and y, without helper calls: this runs on every call
+    size = len(t) if isinstance(t, np.ndarray) else None
+    if x.__class__ is not np.ndarray or x.dtype is not _FLOAT:
+        x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        size = _same_size(size, len(x))
+        x = x.T
+    else:
+        x = x.tolist()
+    if y is not None:
+        if y.__class__ is not np.ndarray or y.dtype is not _FLOAT:
+            y = np.asarray(y, dtype=float)
+        if y.ndim == 2:
+            size = _same_size(size, len(y))
+            y = y.T
+        else:
+            y = y.tolist()
+    return size, t, x, y
+
+
+def _same_size(size, other: int) -> int:
+    if size is not None and size != other:
+        raise ValueError(f"batch inputs of different lengths {size} and {other}")
+    return other
+
+
+def _points(size: int, t, x, y):
+    """The points of a batch one at a time, as the scalar calls take them."""
+    times = t.tolist() if isinstance(t, np.ndarray) else itertools.repeat(t, size)
+    xs, ys = (
+        v.T.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v, size) for v in (x, y)
+    )
+    return zip(times, xs, ys)
+
+
+def _table(runs, size: int, t, x, y) -> np.ndarray:
+    """Values of the compiled trees at every point of a batch, shape (size, len(runs)).
+
+    One pass over the whole batch.  If it raises, the points are run again
+    one at a time, in batch order and tree by tree, so the exception and
+    message are the ones the scalar calls give.
+    """
+    out = np.empty((size, len(runs)))
     try:
         with np.errstate(all="ignore"):
             for j, run in enumerate(runs):
                 out[:, j] = run(t, x, y)
     except Exception:
-        for i, s in enumerate(t.tolist()):
-            out[i] = [run(s, x, y) for run in runs]
+        for row, point in zip(out, _points(size, t, x, y)):
+            row[:] = [run(*point) for run in runs]
     return out
 
 
 def compile_map(nodes, params=None):
     """Compile trees once into the map ``f(t, x, y=None)``.
 
-    A scalar ``t`` gives the vector of tree values; a 1-D integer array of
-    times gives the ``(len(t), len(nodes))`` table in one call, equal bit
-    for bit to the scalar calls row by row, and raising what the first
+    One point (a scalar ``t``, one state ``x`` and ``y``) gives the vector
+    of tree values.  A batch of S points gives the ``(S, len(nodes))``
+    table in one call: ``t`` a 1-D integer array of S times, ``x`` an
+    (S, n) array of states, ``y`` an (S, m) array of fast states, or any
+    mix of these, the other inputs shared by every point.  The table equals
+    the scalar calls row by row, bit for bit, and raises what the first
     failing scalar call raises.  Division by zero, sqrt of negatives and a
     fractional power of a negative base raise.
     """
     runs = [_compile(node, params or {}) for node in nodes]
 
     def f(t, x, y=None):
-        if isinstance(t, np.ndarray):
-            return _table(runs, t, x, y)
-        return np.array([run(t, x, y) for run in runs])
+        size, t, x, y = _inputs(t, x, y)
+        if size is None:
+            return np.array([run(t, x, y) for run in runs])
+        return _table(runs, size, t, x, y)
 
     return f
 
 
 def compile_expression(node, params=None):
-    """Compile one tree into ``f(t, x, y=None)``: a float for a scalar
-    ``t``, one value per time for a 1-D integer array (see compile_map)."""
+    """Compile one tree into ``f(t, x, y=None)``: a float at one point, one
+    value per point for a batch (see compile_map)."""
     run = _compile(node, params or {})
 
     def f(t, x, y=None):
-        if isinstance(t, np.ndarray):
-            return _table([run], t, x, y)[:, 0]
-        return run(t, x, y)
+        size, t, x, y = _inputs(t, x, y)
+        if size is None:
+            return run(t, x, y)
+        return _table([run], size, t, x, y)[:, 0]
 
     return f
 

@@ -33,6 +33,10 @@ from .averaging import (
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .converse import (
     ConverseCertificate,
+    _first_min,
+    _row_norms,
+    _row_squares,
+    _stack,
     build_exponential_converse,
     check_envelope_hypothesis,
     estimate_lipschitz,
@@ -42,6 +46,8 @@ from .dynsys import (
     SlowFastSystem,
     Trajectory,
     fit_exponential_envelope,
+    sample_rows,
+    state_batched,
     time_batched,
 )
 from .errors import CertificateNotFoundError, StageError
@@ -146,13 +152,14 @@ class CompositeCertificate:
 
 
 def _error_step(
-    sysf: SlowFastSystem, k: int, x: np.ndarray, yerr: np.ndarray, eps: float
+    sysf: SlowFastSystem, k, x: np.ndarray, yerr: np.ndarray, eps: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One step of the coupled pair in (x, y') coordinates at amplitude eps."""
+    """One step of the coupled pair in (x, y') coordinates at amplitude eps,
+    of one sample or of a batch (see :func:`~lyapcert.dynsys.sample_rows`)."""
     x = np.asarray(x, dtype=float)
     yerr = np.asarray(yerr, dtype=float)
-    x_next, y_next = sysf.step(k, x, yerr + np.asarray(sysf.ystar(x), dtype=float), eps)
-    return x_next, y_next - np.asarray(sysf.ystar(x_next), dtype=float)
+    x_next, y_next = sysf.step(k, x, yerr + sample_rows(sysf.ystar, x), eps)
+    return x_next, y_next - sample_rows(sysf.ystar, x_next)
 
 
 def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) -> list:
@@ -172,36 +179,53 @@ def _ell_ratios(
 
     Samples whose denominator vanishes are skipped; the caller decides
     what an empty family means.  A NaN or infinite map value or ratio
-    raises ValueError naming the sample, since a maximum would skip it.
+    raises ValueError naming the first such sample, since a maximum would
+    skip it.  Each map is called once over the samples it is needed at.
     """
+    names = ("ystar_norm", "phi_norm", "l1", "l2", "l3", "l4")
     ratios: dict = {"l1": [], "l2": [], "l3": [], "l4": [], "ystar_norm": []}
-    for s in samples:
-        k = s.k
-        x = np.asarray(s.x, dtype=float)
-        yerr = np.asarray(s.yerr, dtype=float)
-        ys = np.asarray(sysf.ystar(x), dtype=float)
-        found = {"ystar_norm": float(np.linalg.norm(ys))}
-        nx = float(np.linalg.norm(x))
-        ny = float(np.linalg.norm(yerr))
-        phi_frozen = np.asarray(sysf.phi(k, x, ys), dtype=float)
-        phi_full = np.asarray(sysf.phi(k, x, yerr + ys), dtype=float)
-        nphi = found["phi_norm"] = float(np.linalg.norm(phi_full))
-        if nx > DENOM_TOL:
-            found["l1"] = float(np.linalg.norm(phi_frozen)) / nx
-        if ny > DENOM_TOL:
-            found["l2"] = float(np.linalg.norm(phi_full - phi_frozen)) / ny
-            fast_next = np.asarray(sysf.varphi(k, yerr + ys, x), dtype=float)
-            found["l3"] = float(np.linalg.norm(fast_next - ys)) / ny
-        if nphi > DENOM_TOL:
-            shifted = np.asarray(sysf.ystar(x + eps_probe * phi_full), dtype=float)
-            found["l4"] = float(np.linalg.norm(shifted - ys)) / (eps_probe * nphi)
-        for name, value in found.items():
-            if not math.isfinite(value):
-                raise ValueError(
-                    f"non-finite {name} at k={k}, x={x.tolist()}, yerr={yerr.tolist()}"
-                )
-            if name in ratios:
-                ratios[name].append(value)
+    if not samples:
+        return ratios
+    ks = np.array([int(s.k) for s in samples], dtype=int)
+    x = _stack([s.x for s in samples])
+    yerr = _stack([s.yerr for s in samples])
+    ys = sample_rows(sysf.ystar, x)
+    nx, ny = _row_norms(x), _row_norms(yerr)
+    phi_frozen = sample_rows(sysf.phi, ks, x, ys)
+    phi_full = sample_rows(sysf.phi, ks, x, yerr + ys)
+    nphi = _row_norms(phi_full)
+    every = np.ones(len(samples), dtype=bool)
+    found = {"ystar_norm": (every, _row_norms(ys)), "phi_norm": (every, nphi)}
+    with np.errstate(all="ignore"):
+        found["l1"] = (nx > DENOM_TOL, _row_norms(phi_frozen) / nx)
+        live = ny > DENOM_TOL
+        found["l2"] = (live, _row_norms(phi_full - phi_frozen) / ny)
+        l3 = np.zeros(len(samples))
+        if live.any():
+            fast_next = sample_rows(sysf.varphi, ks[live], (yerr + ys)[live], x[live])
+            l3[live] = _row_norms(fast_next - ys[live]) / ny[live]
+        found["l3"] = (live, l3)
+        moving = nphi > DENOM_TOL
+        l4 = np.zeros(len(samples))
+        if moving.any():
+            shifted = sample_rows(sysf.ystar, x[moving] + eps_probe * phi_full[moving])
+            l4[moving] = _row_norms(shifted - ys[moving]) / (eps_probe * nphi[moving])
+        found["l4"] = (moving, l4)
+    bad = np.zeros(len(samples), dtype=bool)
+    for name in names:
+        mask, value = found[name]
+        bad |= mask & ~np.isfinite(value)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = next(n for n in names if found[n][0][i] and not math.isfinite(found[n][1][i]))
+        s = samples[i]
+        raise ValueError(
+            f"non-finite {name} at k={s.k}, x={np.asarray(s.x, dtype=float).tolist()}, "
+            f"yerr={np.asarray(s.yerr, dtype=float).tolist()}"
+        )
+    for name in ratios:
+        mask, value = found[name]
+        ratios[name] = value[mask].tolist()
     return ratios
 
 
@@ -358,20 +382,28 @@ def find_eps_r(
 def _fast_trajectories(
     sysf: SlowFastSystem, radius: float, rng: Rng, n_x: int, n_y: int, horizon: int
 ) -> list:
-    trajs = []
+    """Frozen fast trajectories: n_x slow states (the origin, then ball
+    draws), each with n_y fast errors from the ball started at
+    k0 = (i + j) mod 3.  The trajectories are stepped together, one batched
+    fast-map call per step; their states are stored as computed."""
+    xs, starts, k0 = [], [], []
     for i in range(n_x):
         x = rng.ball(sysf.dim_x, radius) if i else np.zeros(sysf.dim_x)
-        fast = sysf.shifted_fast(x)
         for j in range(n_y):
-            k0 = (i + j) % 3
-            y = rng.ball(sysf.dim_y, radius)
-            states = np.empty((horizon + 1, sysf.dim_y))
-            states[0] = y
-            for t in range(horizon):
-                y = np.asarray(fast(k0 + t, y), dtype=float)
-                states[t + 1] = y
-            trajs.append(Trajectory(k0, states))
-    return trajs
+            xs.append(x)
+            k0.append((i + j) % 3)
+            starts.append(rng.ball(sysf.dim_y, radius))
+    if not starts:
+        return []
+    k0 = np.array(k0, dtype=int)
+    y = np.array(starts)
+    states = np.empty((len(starts), horizon + 1, sysf.dim_y))
+    states[:, 0] = y
+    fast = sysf.shifted_fast(np.array(xs))
+    for t in range(horizon):
+        y = fast(k0 + t, y)
+        states[:, t + 1] = y
+    return [Trajectory(int(k), traj) for k, traj in zip(k0, states)]
 
 
 def certify_semiglobal(
@@ -426,9 +458,10 @@ def certify_semiglobal(
         seed=rng.spawn(3).u64(),
     )
 
+    @state_batched
     def phi1(k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.asarray(sysf.phi(k, x, np.asarray(sysf.ystar(x), dtype=float)), dtype=float)
+        return sample_rows(sysf.phi, k, x, sample_rows(sysf.ystar, x))
 
     if getattr(sysf.phi, "time_batched", False):
         time_batched(phi1)  # k may be an array of times exactly when phi takes one
@@ -484,8 +517,10 @@ def certify_semiglobal(
     gamma_r = ell_U / beta
     C_r = (beta / alpha) * r ** 2
 
+    @state_batched
     def evaluator(k: int, x: np.ndarray, yerr: np.ndarray, eps: float) -> float:
-        return slow.evaluator(k, x, eps) + fast.evaluator(k, yerr, x)
+        total = sample_rows(slow.evaluator, k, x, eps) + sample_rows(fast.evaluator, k, yerr, x)
+        return total if np.ndim(x) == 2 else float(total)
 
     return CompositeCertificate(
         r=r,
@@ -519,31 +554,36 @@ def verify_composite(
     the sandwich alpha*|z|^2 <= U <= beta*|z|^2, the domination
     dU <= (|x|,|y'|) Q_U(eps) (|x|,|y'|)' + tol, and the realized rate
     dU <= -eps*gamma_r*U + tol.  Each slack carries the tolerance TOL_ABS.
+    At each amplitude, U, the step and U after it are each one call over
+    every sample (see :func:`~lyapcert.dynsys.sample_rows`).
     """
     if eps_values is None:
         eps_values = np.geomspace(cert.eps_r / 8.0, cert.eps_r * (1.0 - 1e-9), 4)
     samples = _stacked_samples(sysf, cert.r, n_samples, Rng(seed))
-
-    points, sandwich, domination, rate = [], [], [], []
-    for eps in eps_values:
-        eps = float(eps)
-        q = q_matrix(cert.coeffs, eps)
-        for s in samples:
-            u0 = cert.evaluator(s.k, s.x, s.yerr, eps)
-            z2 = float(s.x @ s.x) + float(s.yerr @ s.yerr)
-            sandwich.append(min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
-            x1, yerr1 = _error_step(sysf, s.k, s.x, s.yerr, eps)
-            du = cert.evaluator(s.k + 1, x1, yerr1, eps) - u0
-            zvec = np.array([float(np.linalg.norm(s.x)), float(np.linalg.norm(s.yerr))])
-            domination.append(float(zvec @ q @ zvec) + TOL_ABS - du)
-            rate.append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
-            points.append((s.k, np.concatenate([s.x, s.yerr])))
+    points, slack = [], {SANDWICH: [], DECREMENT_DOMINATION: [], RATE_REALIZATION: []}
+    if samples:
+        ks = np.array([s.k for s in samples], dtype=int)
+        x = _stack([s.x for s in samples])
+        yerr = _stack([s.yerr for s in samples])
+        z2 = _row_squares(x) + _row_squares(yerr)
+        zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
+        for eps in eps_values:
+            eps = float(eps)
+            q = q_matrix(cert.coeffs, eps)
+            u0 = sample_rows(cert.evaluator, ks, x, yerr, eps)
+            slack[SANDWICH].append(_first_min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
+            x1, yerr1 = _error_step(sysf, ks, x, yerr, eps)
+            du = sample_rows(cert.evaluator, ks + 1, x1, yerr1, eps) - u0
+            # zvec @ q @ zvec row by row: a stacked product makes the one-vector BLAS calls
+            form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
+            slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
+            slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
+            points += [(s.k, np.concatenate([s.x, s.yerr])) for s in samples]
 
     details = {"eps_values": [float(e) for e in eps_values]}
     return [
-        ConditionReport.from_slack(SANDWICH, sandwich, points, dict(details)),
-        ConditionReport.from_slack(DECREMENT_DOMINATION, domination, points, dict(details)),
-        ConditionReport.from_slack(RATE_REALIZATION, rate, points, dict(details)),
+        ConditionReport.from_slack(name, values, points, dict(details))
+        for name, values in slack.items()
     ]
 
 
@@ -560,7 +600,8 @@ def validate_rate(
     Trials start in the r-ball of (x, y'); amplitudes above eps_r are
     skipped and recorded as out-of-certificate rather than failures.  A
     trial's slack is its worst C_r*(1 - eps*gamma_r)^k + TOL_ABS - |x(k)|^2
-    over the horizon, reported at that step.
+    over the horizon, reported at that step.  The trials of one amplitude
+    are stepped together, one batched step per k.
     """
     if eps_grid is None:
         eps_grid = (cert.eps_r / 4.0, cert.eps_r / 2.0)
@@ -569,18 +610,21 @@ def validate_rate(
     used = [float(e) for e in eps_grid if 0.0 < e < cert.eps_r]
     points, slack = [], []
     for eps in used:
-        for _ in range(trials):
-            z = rng.ball(sysf.dim_x + sysf.dim_y, cert.r)
-            x = z[: sysf.dim_x].copy()
-            y = z[sysf.dim_x:] + np.asarray(sysf.ystar(x), dtype=float)
-            decay = 1.0
-            margins = [cert.C_r * decay + TOL_ABS - float(x @ x)]
-            for k in range(horizon):
-                x, y = sysf.step(k, x, y, eps)
-                decay *= 1.0 - eps * cert.gamma_r
-                margins.append(cert.C_r * decay + TOL_ABS - float(x @ x))
-            k = worst_index(margins)
-            points.append((k, z))
-            slack.append(margins[k])
+        if trials < 1:
+            break
+        z = np.array([rng.ball(sysf.dim_x + sysf.dim_y, cert.r) for _ in range(trials)])
+        x = z[:, : sysf.dim_x].copy()
+        y = z[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
+        decay = 1.0
+        margins = np.empty((trials, horizon + 1))
+        margins[:, 0] = cert.C_r * decay + TOL_ABS - _row_squares(x)
+        for k in range(horizon):
+            x, y = sysf.step(k, x, y, eps)
+            decay *= 1.0 - eps * cert.gamma_r
+            margins[:, k + 1] = cert.C_r * decay + TOL_ABS - _row_squares(x)
+        for start, row in zip(z, margins):
+            k = worst_index(row)
+            points.append((k, start))
+            slack.append(float(row[k]))
     details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
     return ConditionReport.from_slack(CERTIFIED_RATE, slack, points, details)

@@ -26,6 +26,12 @@ class TestCandidateFunction:
         with pytest.raises(ValueError):
             CandidateFunction(eval_fn=lambda t, x: float(x @ x) + 1.0, dim=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_origin_rejected(self, bad):
+        # "abs(v0) > tol" is False for NaN, so V(t, 0) = NaN once passed
+        with pytest.raises(ValueError, match="does not vanish at the origin"):
+            CandidateFunction(eval_fn=lambda t, x: float(x @ x) + bad, dim=2)
+
     def test_call_coerces_input(self):
         V = CandidateFunction.quadratic(np.eye(2))
         assert V(0, [3.0, 4.0]) == pytest.approx(25.0)

@@ -341,6 +341,32 @@ class TestExponentialFast:
         with pytest.raises(HypothesisViolationError):
             check_envelope_hypothesis(sysf, optimistic, samples)
 
+    def test_envelope_hypothesis_names_the_first_failing_sample(self):
+        # sample 0 leaves the envelope at offset 5, sample 1 already at offset 1;
+        # the trajectories step together, but the report follows sample order
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: (0.5 + 0.45 * x) * y,
+            ystar=lambda x: np.zeros(1),
+        )
+        env = ExponentialEnvelope(gain=1.5, rate=np.log(2.0))
+        samples = [
+            SlowFastSample(k=2, x=np.array([1.0 / 9.0]), yerr=np.array([1.0])),
+            SlowFastSample(k=0, x=np.array([1.0]), yerr=np.array([1.0])),
+        ]
+        with pytest.raises(HypothesisViolationError, match="offset 5 from k=2"):
+            check_envelope_hypothesis(sysf, env, samples, horizon=8)
+        with pytest.raises(HypothesisViolationError, match="offset 1 from k=0"):
+            check_envelope_hypothesis(sysf, env, samples[1:], horizon=8)
+
+    def test_verify_refuses_a_partly_frozen_sample_set(self):
+        cert = build_exponential_converse(self.make_pair(), ExponentialEnvelope(gain=1.0, rate=np.log(2.0)))
+        samples = [(0, np.array([0.5]), np.array([0.1])), (1, np.array([0.2]), None)]
+        with pytest.raises(ValueError, match="every sample or none"):
+            verify_converse(cert, samples)
+
     def test_envelope_hypothesis_reads_samples_by_name(self):
         # the fast contraction weakens as x grows, so swapping x and y' flips the verdict
         sysf = SlowFastSystem(
@@ -385,7 +411,8 @@ class TestExponentialFast:
         env = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
         samples = [SlowFastSample(k=2, x=np.array([0.1]), yerr=np.array([0.4]))] * 3
         check_envelope_hypothesis(sysf, env, samples, horizon=5)
-        assert calls == [2, 3, 4, 5] * 3
+        # the trajectories step together: every sample at offset 1, then at offset 2, ...
+        assert calls == [k for k in (2, 3, 4, 5) for _ in samples]
 
 
 class TestFastLipschitz:

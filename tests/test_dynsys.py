@@ -163,6 +163,13 @@ class TestEnvelopeFitting:
         with pytest.raises(NotExponentiallyStableError):
             fit_exponential_envelope([traj])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_is_refused(self, bad):
+        # a NaN norm fails "norms > 0", so it once dropped out of the fit unseen
+        traj = Trajectory(0, np.array([[1.0], [0.5], [bad], [0.125]]))
+        with pytest.raises(NotExponentiallyStableError, match="non-finite state at step 2"):
+            fit_exponential_envelope([traj])
+
     def test_gain_below_one_is_clamped(self):
         traj = Trajectory(0, np.array([[1.0], [0.1], [0.05]]))
         env = fit_exponential_envelope([traj])
@@ -178,6 +185,18 @@ class TestSlowFast:
                 phi=lambda k, x, y: -x,
                 varphi=lambda k, y, x: 0.5 * y + 1.0,
                 ystar=lambda x: np.zeros(1),  # not a fixed branch of varphi
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_manifold_is_refused(self, bad):
+        # "residual > tol" is False for a NaN residual, so the branch once passed
+        with pytest.raises(ValueError, match="ystar is not an equilibrium branch"):
+            SlowFastSystem(
+                dim_x=1,
+                dim_y=1,
+                phi=lambda k, x, y: -x,
+                varphi=lambda k, y, x: 0.5 * y,
+                ystar=lambda x: np.array([bad]),
             )
 
     def test_shifted_fast_error_coordinates(self):

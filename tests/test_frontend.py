@@ -1,5 +1,6 @@
 """Expression language, config validation, report documents, CLI contract."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,6 +30,7 @@ from lyapcert.frontend.report import (
     checks_from_reports,
     config_digest,
     jsonable,
+    render_report,
 )
 from lyapcert.certcheck import ConditionReport
 
@@ -546,3 +548,74 @@ class TestCliMain:
             ]
         )
         assert out1.read_bytes() != out2.read_bytes()
+
+
+def generated_pair_doc():
+    """A slow/fast pair of the benchmark's generated kind: dims 2 and 2, fast
+    contraction 0.7 toward the linear branch ystar = M x."""
+    ystar = ["(0.4138)*x[0] + (-0.4941)*x[1]", "(-0.1274)*x[0] + (-0.4461)*x[1]"]
+    return {
+        "kind": "slow_fast",
+        "dims": {"x": 2, "y": 2},
+        "map": {
+            "x": [
+                f"(-1.0)*x[{i}] + (0.25)*(-1)^t*x[{i}] + (0.3)*(y[0] - ({ystar[0]})) + ({g})*(y[1] - ({ystar[1]}))"
+                for i, g in ((0, -0.3), (1, 0.3))
+            ],
+            "y": [f"(0.7)*y[{i}] + (0.3)*({ystar[i]})" for i in range(2)],
+            "ystar": ystar,
+        },
+        "epsilon": 0.01,
+        "analyses": [
+            {"command": "timescales", "r": 1.0, "n_samples": 40, "trials": 4, "horizon": 100},
+            {"command": "converse", "radius": 1.0, "horizon": 24, "n_check": 60},
+        ],
+        "seed": 2033760025,
+    }
+
+
+class TestBatchedReports:
+    """The slow/fast commands give the same report bytes whether the compiled
+    maps take whole batches or, with the batch mark stripped, one sample per call."""
+
+    @staticmethod
+    def recording_build(ndims, keep_marks):
+        """build_system with every slow/fast map wrapped to record the ndim of
+        its array arguments; the wrappers carry the maps' marks only if asked."""
+
+        def build(cfg):
+            system = build_system(cfg)
+            fields = {}
+            for name in ("phi", "varphi", "ystar"):
+                fn = getattr(system, name)
+
+                def wrapper(*args, fn=fn):
+                    ndims.extend(np.ndim(a) for a in args if isinstance(a, np.ndarray))
+                    return fn(*args)
+
+                if keep_marks:
+                    wrapper.__dict__.update(fn.__dict__)
+                fields[name] = wrapper
+            return dataclasses.replace(system, **fields)
+
+        return build
+
+    @pytest.mark.parametrize("command", ["timescales", "converse"])
+    @pytest.mark.parametrize("source", ["slow_fast_golden.json", "generated x2/y2 pair"])
+    def test_report_bytes_do_not_depend_on_batching(self, monkeypatch, source, command):
+        from lyapcert.frontend import cli
+
+        if source.endswith(".json"):
+            doc = json.loads((Path(__file__).parent.parent / "configs" / source).read_text())
+        else:
+            doc = generated_pair_doc()
+        as_built, code = run_command(doc, command, timestamp=False)
+        assert code == 0, as_built.get("error")
+        texts = {}
+        for keep_marks in (True, False):
+            ndims = []
+            monkeypatch.setattr(cli, "build_system", self.recording_build(ndims, keep_marks))
+            report, _ = run_command(doc, command, timestamp=False)
+            assert max(ndims) == (2 if keep_marks else 1)  # batches reach the maps only when marked
+            texts[keep_marks] = render_report(report)
+        assert texts[True] == texts[False] == render_report(as_built)

@@ -21,6 +21,8 @@ from lyapcert.dynsys import (
     ExponentialEnvelope,
     LinearTV,
     SlowFastSystem,
+    sample_rows,
+    state_batched,
     transition_matrix,
 )
 from lyapcert.errors import SteinSolvabilityError
@@ -200,7 +202,7 @@ def reference_evaluate(node, t, x, y=None, params=None):
     return lhs ** rhs
 
 
-def ast_trees():
+def ast_trees(negation=True):
     leaf = st.one_of(
         st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(Num),
         st.just(Time()),
@@ -212,7 +214,7 @@ def ast_trees():
             lambda c: Call(c[0], (c[1], c[2])[: FUNCTIONS[c[0]][0]])
         )
         binary = st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda c: Bin(*c))
-        return st.one_of(children.map(Neg), call, binary)
+        return st.one_of(children.map(Neg), call, binary) if negation else st.one_of(call, binary)
 
     return st.recursive(leaf, extend, max_leaves=10)
 
@@ -306,6 +308,116 @@ class TestCompiledEvaluation:
             f(np.arange(0, 8), [0.0])
         with pytest.raises(ZeroDivisionError):  # the first component alone, over the same times
             compile_map([parse_expression("1/(t-5)")])(np.arange(0, 8), [0.0])
+
+
+def exact(compute):
+    """Bytes of the result, the sign of every NaN included, or the exception type and message."""
+    try:
+        values = np.asarray(compute(), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return values.tobytes()
+
+
+def scalar_rows(f, t, xs, ys):
+    """The one-point calls of ``f`` row by row, in sample order."""
+    times = t.tolist() if isinstance(t, np.ndarray) else [t] * len(xs)
+    return np.array([f(s, x, y) for s, x, y in zip(times, xs, ys)])
+
+
+@st.composite
+def state_batches(draw, values, max_size=12):
+    """(xs, ys, ts): S states of dimension 2, S fast states of dimension 1, S times."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    xs = draw(st.lists(st.lists(values, min_size=2, max_size=2), min_size=size, max_size=size))
+    ys = draw(st.lists(st.lists(values, min_size=1, max_size=1), min_size=size, max_size=size))
+    ts = draw(st.lists(st.integers(min_value=-5, max_value=60), min_size=size, max_size=size))
+    return np.array(xs, dtype=float), np.array(ys, dtype=float), np.array(ts)
+
+
+# states whose NaNs all have one sign, and no value that overflows into an
+# infinity (whose differences and quotients would make NaNs of the other sign)
+one_sign_nans = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-6, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=-1e-6),
+    st.just(math.nan),
+)
+# every kind of value: NaNs of either sign, infinities, signed zeros, subnormals
+edge_values = st.one_of(
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+)
+
+
+class TestStateBatches:
+    """A compiled map over an (S, n) batch of states equals its one-point calls.
+
+    NaN signs are compared wherever they are fixed.  A sum or product of
+    two NaNs of opposite sign has none: CPython 3.11 keeps the second
+    operand's NaN in its generic float add and the first's once the
+    instruction is specialized for floats, so one scalar call can differ
+    from the next.  Trees without negation over states whose NaNs share a
+    sign never form such a pair.
+    """
+
+    @given(first=ast_trees(negation=False), second=ast_trees(negation=False),
+           batch=state_batches(one_sign_nans))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batch_matches_scalar_calls_bit_for_bit(self, first, second, batch):
+        xs, ys, ts = batch
+        f = compile_map([first, second], PARAMS)
+        for t in (3, ts):
+            assert exact(lambda: f(t, xs, ys)) == exact(lambda: scalar_rows(f, t, xs, ys))
+
+    @given(first=ast_trees(), second=ast_trees(), batch=state_batches(edge_values))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batch_matches_scalar_calls_on_every_value(self, first, second, batch):
+        xs, ys, ts = batch
+        f = compile_map([first, second], PARAMS)
+        g = compile_expression(first, PARAMS)
+        for t in (3, ts):
+            assert outcome(lambda: f(t, xs, ys)) == outcome(lambda: scalar_rows(f, t, xs, ys))
+            assert outcome(lambda: g(t, xs, ys)) == outcome(lambda: scalar_rows(g, t, xs, ys))
+
+    @given(kinds=st.lists(st.sampled_from(["ok", "sqrt", "div", "both"]), min_size=1, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_failing_sample_raises_its_scalar_error(self, kinds):
+        # "sqrt": x[0] < 0 fails the first tree; "div": x[1] = 0 fails the second
+        xs = np.array([[-1.0 if k in ("sqrt", "both") else 1.0, 0.0 if k in ("div", "both") else 2.0]
+                       for k in kinds])
+        f = compile_map([parse_expression("sqrt(x[0])"), parse_expression("1/x[1]")])
+        got = exact(lambda: f(0, xs))
+        assert got == exact(lambda: scalar_rows(f, 0, xs, [None] * len(xs)))
+        first = next((k for k in kinds if k != "ok"), "ok")
+        if first != "ok":  # that sample's first failing tree names the error
+            assert got == ((ZeroDivisionError, "division by zero in expression") if first == "div"
+                           else (ValueError, "math domain error"))
+
+    @given(first=ast_trees(negation=False), second=ast_trees(negation=False),
+           batch=state_batches(one_sign_nans))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_adapter_loops_a_plain_callable(self, first, second, batch):
+        xs, ys, ts = batch
+        f = state_batched(compile_map([first, second], PARAMS))
+        seen = []
+
+        def plain(t, x, y):
+            seen.append((type(t), np.ndim(x), np.ndim(y)))
+            return f(t, x, y)
+
+        for t in (3, ts):
+            want = exact(lambda: scalar_rows(f, t, xs, ys))
+            assert exact(lambda: sample_rows(f, t, xs, ys)) == want
+            assert exact(lambda: sample_rows(plain, t, xs, ys)) == want
+        assert set(seen) <= {(int, 1, 1)}
+
+    def test_batches_of_different_lengths_are_refused(self):
+        f = compile_map([parse_expression("x[0] + y[0]")])
+        with pytest.raises(ValueError, match="different lengths"):
+            f(0, np.zeros((3, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="different lengths"):
+            sample_rows(lambda t, x: x, np.arange(2), np.zeros((3, 1)))
 
 
 class TestDriftCoefficients:
