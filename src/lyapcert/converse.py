@@ -107,7 +107,9 @@ def estimate_lipschitz(
     pairs; ``growth`` mode maximizes |f(t,x)| / |x|.  The result is
     inflated by ``safety`` because sampling can only underestimate.  A
     NaN or infinite map value or quotient raises ValueError naming t and
-    the point, since a maximum would silently skip it.
+    the point, since a maximum would silently skip it.  In ``difference``
+    mode each time's values come from one
+    :func:`~lyapcert.dynsys.sample_rows` call over the points.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     best = 0.0
@@ -124,8 +126,9 @@ def estimate_lipschitz(
                     raise ValueError(f"non-finite growth quotient at t={t}, x={p.tolist()}")
                 best = max(best, ratio)
     elif mode == "difference":
+        stacked = _stack(points)
         for t in times:
-            values = [np.asarray(fn(t, p), dtype=float) for p in points]
+            values = sample_rows(fn, t, stacked)
             ratio = _difference_max(t, points, values)
             if ratio is not None:
                 found = True
@@ -260,7 +263,7 @@ def build_trajectory_converse(
         radius = env.validity_radius if env.validity_radius else 1.0
         samples = [rng.ball(sys.dim, radius) for _ in range(48)]
     times = (0,) if sys.autonomous else lipschitz_times
-    L1 = estimate_lipschitz(lambda t, x: sys.step(t, x), samples, times=times)
+    L1 = estimate_lipschitz(sys.step, samples, times=times)
     a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
 
     def evaluator(k: int, x: np.ndarray, frozen_x=None) -> float:
@@ -275,7 +278,7 @@ def build_trajectory_converse(
         a3=1.0 - env.gain**2 * decay**N,
         a4=a4,
         evaluator=evaluator,
-        step_fn=lambda k, x, fx=None: sys.step(k, x),
+        step_fn=state_batched(lambda k, x, fx=None: sys.step(k, x)),
         lipschitz_L1=L1,
     )
 

@@ -152,11 +152,20 @@ class DynSystem:
                     f"(moved by {np.linalg.norm(image - eq):.3e})"
                 )
 
+    @state_batched
     def step(self, t: int, x: np.ndarray) -> np.ndarray:
-        return _as_vector(self.map_fn(t, x), self.dim)
+        """The next state of one state, or of each row of an (S, n) batch at
+        a scalar t or an (S,) array of times (see :func:`sample_rows`)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:  # the one-state call, kept lean for the stepping loops
+            return _as_vector(self.map_fn(t, x), self.dim)
+        return _as_states(sample_rows(self.map_fn, t, x), self.dim, x)
 
     def shifted(self) -> "DynSystem":
-        """Same dynamics in coordinates where the equilibrium is the origin."""
+        """Same dynamics in coordinates where the equilibrium is the origin.
+
+        The shifted map keeps the :func:`state_batched` mark of ``map_fn``.
+        """
         if not np.any(self.equilibrium):
             return self
         eq = self.equilibrium
@@ -164,6 +173,8 @@ class DynSystem:
         def shifted_map(t: int, u: np.ndarray) -> np.ndarray:
             return np.asarray(self.map_fn(t, u + eq), dtype=float) - eq
 
+        if getattr(self.map_fn, "state_batched", False):
+            state_batched(shifted_map)
         return DynSystem(self.dim, shifted_map, self.autonomous, np.zeros(self.dim))
 
 

@@ -9,6 +9,7 @@ config into the matching dynamics object.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -100,8 +101,25 @@ def _check_refs(
             raise ConfigError(f"unknown state vector '{name}'", pointer)
 
 
+def _check_finite(node, pointer: str) -> None:
+    """Refuse the first NaN or infinite number in the tree (``json.loads``
+    reads the NaN and Infinity literals), naming its JSON pointer."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"non-finite number {node!r}", pointer)
+    if isinstance(node, dict):
+        for key, value in node.items():
+            escaped = str(key).replace("~", "~0").replace("/", "~1")
+            _check_finite(value, f"{pointer}/{escaped}")
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{pointer}/{i}")
+
+
 def load_config(source) -> SystemConfig:
-    """Validate a config document (dict, JSON text, or file path)."""
+    """Validate a config document (dict, JSON text, or file path).
+
+    A NaN or infinite number anywhere in it is refused.
+    """
     if isinstance(source, dict):
         doc = source
     else:
@@ -115,6 +133,7 @@ def load_config(source) -> SystemConfig:
             raise ConfigError(f"invalid JSON: {exc.msg}", "") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object", "")
+    _check_finite(doc, "")
 
     kind = _require(doc, "kind")
     if kind not in KINDS:

@@ -35,8 +35,13 @@ TOOL_VERSION = __version__
 
 
 def canonical_json(doc) -> str:
-    """Key-sorted, whitespace-free serialization used for hashing."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Key-sorted, whitespace-free serialization used for hashing.
+
+    A NaN or infinite number, which ``load_config`` refuses, is written as
+    its ``NaN``/``Infinity`` literal, so the error report for such a
+    document still carries a digest.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def config_digest(doc: dict) -> str:

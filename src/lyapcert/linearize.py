@@ -9,8 +9,14 @@ reported as inconclusive rather than guessed.
 
 :func:`numerical_jacobian` is the package's only finite-difference
 Jacobian; a map that is exactly linear is read by ``dynsys.linear_part``
-instead, which refuses nonlinear maps.  The autonomous and nonautonomous
-certifiers share one radius computation (``_remainder_radius``).
+instead, which refuses nonlinear maps.  It takes one state or an (S, n)
+batch of states and reads every perturbed point of the batch in one
+:func:`~lyapcert.dynsys.sample_rows` call, each sample's Jacobian equal
+bit for bit to its one-state call.  The autonomous and nonautonomous
+certifiers share one radius computation (``_remainder_radius``), whose
+sampled Lipschitz constant of the Jacobian reads a whole sample set's
+Jacobians with one map call per time.  :func:`validate_basin` steps one
+trial at a time.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .certcheck import ConditionReport
-from .converse import estimate_lipschitz
-from .dynsys import DynSystem, ExponentialEnvelope, LinearTV
+from .converse import _row_norms, estimate_lipschitz
+from .dynsys import DynSystem, ExponentialEnvelope, LinearTV, sample_rows, state_batched
 from .errors import InapplicableError
 from .rng import Rng
 from .stein import (
@@ -65,12 +71,13 @@ class JacobianEstimate:
 
     ``A`` comes from the finer step; ``error_estimate`` is the largest
     entrywise gap between the two passes, an upper proxy for the
-    truncation error actually committed.
+    truncation error actually committed.  The estimate of a batch of
+    states holds an array with one entry per sample in every field.
     """
 
     A: np.ndarray
-    fd_step: float
-    error_estimate: float
+    fd_step: Union[float, np.ndarray]
+    error_estimate: Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -113,35 +120,46 @@ def numerical_jacobian(
     """Jacobian of the map at (t, x) by two-pass central differences.
 
     The step is ``base_step * max(1, |x|)``; a second pass at half the
-    step supplies both the returned matrix and the error estimate.
+    step supplies both the returned matrix and the error estimate.  ``x``
+    is one state, or an (S, n) batch of states, whose estimate carries a
+    leading sample axis in every field (``A`` is (S, m, n)), each sample
+    equal bit for bit to its one-state estimate.  Every perturbed point of
+    every sample is read in one :func:`~lyapcert.dynsys.sample_rows` call,
+    sample by sample, the coarse pass before the fine, column by column,
+    x + h e_i before x - h e_i, so an unmarked map is called in that order
+    and a raising map raises for the first failing point in it.  A NaN or
+    infinite state raises ValueError naming it.
     """
     if isinstance(sys_or_fn, DynSystem):
         fn: MapFn = sys_or_fn.map_fn
-        x = sys_or_fn.equilibrium if x is None else np.asarray(x, dtype=float)
+        x = sys_or_fn.equilibrium if x is None else x
     else:
         fn = sys_or_fn
         if x is None:
             raise ValueError("x is required when passing a bare map")
-        x = np.asarray(x, dtype=float)
-    h = base_step * max(1.0, float(np.linalg.norm(x)))
-
-    def one_pass(step: float) -> np.ndarray:
-        cols = []
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = step
-            hi = np.asarray(fn(t, x + e), dtype=float)
-            lo = np.asarray(fn(t, x - e), dtype=float)
-            cols.append((hi - lo) / (2.0 * step))
-        return np.column_stack(cols)
-
-    coarse = one_pass(h)
-    fine = one_pass(h / 2.0)
-    return JacobianEstimate(
-        A=fine,
-        fd_step=h / 2.0,
-        error_estimate=float(np.max(np.abs(fine - coarse))),
-    )
+    x = np.asarray(x, dtype=float)
+    states = x if x.ndim == 2 else x.reshape(1, -1)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        bad = states[int(np.argmin(finite))]
+        raise ValueError(f"numerical Jacobian at a non-finite state x={bad.tolist()}")
+    size, n = states.shape
+    h = base_step * np.maximum(1.0, _row_norms(states))
+    steps = np.stack([h, h / 2.0], axis=1)  # (S, pass)
+    # shift[s, pass, i] = steps[s, pass] * e_i with exact zeros off the diagonal
+    # (a product with np.eye would put inf * 0 = NaN there when |x| overflows)
+    shift = np.zeros((size, 2, n, n))
+    shift[:, :, np.arange(n), np.arange(n)] = steps[:, :, None]
+    base = states[:, None, None, :]
+    points = np.stack([base + shift, base - shift], axis=3)  # (S, pass, i, hi/lo, n)
+    values = sample_rows(fn, t, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)
+    columns = (values[:, :, :, 0] - values[:, :, :, 1]) / (2.0 * steps[:, :, None, None])
+    coarse = columns[:, 0].swapaxes(1, 2)
+    fine = np.ascontiguousarray(columns[:, 1].swapaxes(1, 2))
+    error = np.max(np.abs(fine - coarse), axis=(1, 2))
+    if x.ndim == 2:
+        return JacobianEstimate(A=fine, fd_step=steps[:, 1], error_estimate=error)
+    return JacobianEstimate(A=fine[0], fd_step=float(steps[0, 1]), error_estimate=float(error[0]))
 
 
 def _remainder_radius(
@@ -162,8 +180,9 @@ def _remainder_radius(
     gives the domain radius.
     """
 
+    @state_batched
     def vec_jac(t: int, x: np.ndarray) -> np.ndarray:
-        return numerical_jacobian(fn, t, x).A.ravel()
+        return numerical_jacobian(fn, t, x).A.reshape(np.shape(x)[:-1] + (-1,))
 
     def lipschitz(radius: float, tag: int) -> float:
         sub = rng.spawn(tag)

@@ -391,6 +391,35 @@ class TestRunCommand:
         assert report["checks"][0]["name"] == "basin_convergence"
         assert report["checks"][0]["passed"]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_certify_local_without_trials_fails_closed(self, trials):
+        doc = minimal_doc(
+            map={"x": ["0.5*x[0]+x[0]^2"]},
+            analyses=[{"command": "certify-local", "trials": trials}],
+        )
+        report, code = run_command(doc, "certify-local", timestamp=False)
+        assert code == 2
+        assert report["status"] == "check_failed"
+        assert [c["name"] for c in report["checks"]] == ["basin_convergence"]
+        assert not report["checks"][0]["passed"]
+
+    @pytest.mark.parametrize(
+        "overrides,pointer",
+        [
+            ({"analyses": [{"command": "simulate", "x0": [math.nan]}]}, "/analyses/0/x0/0"),
+            ({"params": {"a": math.inf}, "map": {"x": ["a*x[0]"]}}, "/params/a"),
+            ({"equilibrium": [-math.inf]}, "/equilibrium/0"),
+        ],
+    )
+    def test_non_finite_constants_are_refused(self, overrides, pointer):
+        report, code = run_command(minimal_doc(**overrides), "simulate", timestamp=False)
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "ConfigError"
+        assert pointer in report["error"]["message"]
+        assert len(report["config_digest"]) == 64
+        render_report(report)  # the error report itself serializes
+
     def test_error_reports_carry_stage(self):
         doc = {
             "kind": "slow_fast",
@@ -527,6 +556,18 @@ class TestCliMain:
             assert report["tool_version"] == lyapcert.__version__
             assert ("generated_at" in report) == (flags == [])
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_exits_one(self, tmp_path, capsys, literal):
+        path = tmp_path / "nan.json"
+        text = json.dumps(minimal_doc()).replace("[8.0]", f"[{literal}]")
+        path.write_text(text)
+        code = main(["simulate", "--config", str(path), "--no-timestamp"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "ConfigError"
+        assert "/analyses/0/x0/0" in report["error"]["message"]
+
     def test_seed_flag_overrides_config(self, tmp_path):
         doc = minimal_doc(
             map={"x": ["0.5*x[0]+x[0]^2"]},
@@ -574,19 +615,46 @@ def generated_pair_doc():
     }
 
 
+def local_map_doc(kind, term, shifted):
+    """A two-state map of the benchmark's local kind: a Schur linear part plus
+    a quadratic or tanh term (times (-1)^t or cos(t) when nonautonomous),
+    about the equilibrium (0.25, -0.5) when ``shifted``, else the origin."""
+    eq = [0.25, -0.5] if shifted else [0.0, 0.0]
+    u = [f"(x[{i}] - ({eq[i]}))" for i in range(2)]
+    factor = "" if kind == "autonomous" else ("*(-1)^t" if term == "quad" else "*cos(t)")
+    nonlinear = {"quad": f"{u[1]}^2", "tanh": f"{u[0]}*tanh({u[1]})"}[term]
+    return {
+        "kind": kind,
+        "dims": {"x": 2},
+        "map": {
+            "x": [
+                f"({eq[0]}) + (0.4)*{u[0]} + (-0.2)*{u[1]} + (0.3){factor}*{nonlinear}",
+                f"({eq[1]}) + (0.1)*{u[0]} + (0.5)*{u[1]}",
+            ]
+        },
+        "equilibrium": eq,
+        "analyses": [
+            {"command": "certify-local", "domain_radius": 1.0, "trials": 20},
+            {"command": "converse", "radius": 0.5, "horizon": 24, "n_check": 60},
+        ],
+        "seed": 1234567,
+    }
+
+
 class TestBatchedReports:
-    """The slow/fast commands give the same report bytes whether the compiled
-    maps take whole batches or, with the batch mark stripped, one sample per call."""
+    """Reports give the same bytes whether the compiled maps take whole
+    batches or, with the batch mark stripped, one sample per call."""
 
     @staticmethod
     def recording_build(ndims, keep_marks):
-        """build_system with every slow/fast map wrapped to record the ndim of
-        its array arguments; the wrappers carry the maps' marks only if asked."""
+        """build_system with every map wrapped to record the ndim of its
+        array arguments; the wrappers carry the maps' marks only if asked."""
 
         def build(cfg):
             system = build_system(cfg)
+            names = ("map_fn",) if isinstance(system, DynSystem) else ("phi", "varphi", "ystar")
             fields = {}
-            for name in ("phi", "varphi", "ystar"):
+            for name in names:
                 fn = getattr(system, name)
 
                 def wrapper(*args, fn=fn):
@@ -600,17 +668,11 @@ class TestBatchedReports:
 
         return build
 
-    @pytest.mark.parametrize("command", ["timescales", "converse"])
-    @pytest.mark.parametrize("source", ["slow_fast_golden.json", "generated x2/y2 pair"])
-    def test_report_bytes_do_not_depend_on_batching(self, monkeypatch, source, command):
+    def assert_bytes_do_not_depend_on_batching(self, monkeypatch, doc, command, codes):
         from lyapcert.frontend import cli
 
-        if source.endswith(".json"):
-            doc = json.loads((Path(__file__).parent.parent / "configs" / source).read_text())
-        else:
-            doc = generated_pair_doc()
         as_built, code = run_command(doc, command, timestamp=False)
-        assert code == 0, as_built.get("error")
+        assert code in codes, as_built.get("error")
         texts = {}
         for keep_marks in (True, False):
             ndims = []
@@ -619,3 +681,23 @@ class TestBatchedReports:
             assert max(ndims) == (2 if keep_marks else 1)  # batches reach the maps only when marked
             texts[keep_marks] = render_report(report)
         assert texts[True] == texts[False] == render_report(as_built)
+
+    @pytest.mark.parametrize("command", ["timescales", "converse"])
+    @pytest.mark.parametrize("source", ["slow_fast_golden.json", "generated x2/y2 pair"])
+    def test_report_bytes_do_not_depend_on_batching(self, monkeypatch, source, command):
+        if source.endswith(".json"):
+            doc = json.loads((Path(__file__).parent.parent / "configs" / source).read_text())
+        else:
+            doc = generated_pair_doc()
+        self.assert_bytes_do_not_depend_on_batching(monkeypatch, doc, command, (0,))
+
+    @pytest.mark.parametrize("command", ["certify-local", "converse"])
+    @pytest.mark.parametrize("kind", ["autonomous", "nonautonomous"])
+    @pytest.mark.parametrize("term", ["quad", "tanh"])
+    @pytest.mark.parametrize("shifted", [False, True], ids=["zero-eq", "nonzero-eq"])
+    def test_local_report_bytes_do_not_depend_on_batching(
+        self, monkeypatch, command, kind, term, shifted
+    ):
+        # the converse decrement check may fail on these maps; only errors are refused
+        doc = local_map_doc(kind, term, shifted)
+        self.assert_bytes_do_not_depend_on_batching(monkeypatch, doc, command, (0, 2))

@@ -49,6 +49,13 @@ class TestJacobian:
         large = numerical_jacobian(lambda t, x: 0.5 * x, x=np.array([1e6]))
         assert large.fd_step > small.fd_step
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_is_refused(self, bad):
+        # max(1, nan) would pick the unit step and |inf| an infinite one,
+        # returning a NaN Jacobian with no complaint
+        with pytest.raises(ValueError, match=r"non-finite state x=\[0\.5, (nan|inf|-inf)\]"):
+            numerical_jacobian(lambda t, x: 0.5 * x, x=np.array([0.5, bad]))
+
 
 class TestAutonomousCertificate:
     def test_contraction_margin_golden(self):

@@ -39,7 +39,7 @@ from lyapcert.frontend.expressions import (
     parse_expression,
     pretty,
 )
-from lyapcert.linearize import certify_local_autonomous, validate_basin
+from lyapcert.linearize import certify_local_autonomous, numerical_jacobian, validate_basin
 from lyapcert.rng import Rng
 from lyapcert.stein import classify_linear, solve_stein_kron
 from lyapcert.timescales import certify_semiglobal, validate_rate, verify_composite
@@ -418,6 +418,127 @@ class TestStateBatches:
             f(0, np.zeros((3, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="different lengths"):
             sample_rows(lambda t, x: x, np.arange(2), np.zeros((3, 1)))
+
+
+def reference_jacobian(fn, t, x, base_step=1e-6):
+    """The one-state two-pass loop: (A, fd_step, error_estimate) at (t, x)."""
+    x = np.asarray(x, dtype=float)
+    h = base_step * max(1.0, float(np.linalg.norm(x)))
+
+    def one_pass(step):
+        cols = []
+        for i in range(x.size):
+            e = np.zeros_like(x)
+            e[i] = step
+            hi = np.asarray(fn(t, x + e), dtype=float)
+            lo = np.asarray(fn(t, x - e), dtype=float)
+            cols.append((hi - lo) / (2.0 * step))
+        return np.column_stack(cols)
+
+    coarse = one_pass(h)
+    fine = one_pass(h / 2.0)
+    return fine, h / 2.0, float(np.max(np.abs(fine - coarse)))
+
+
+def jacobian_map(n, raising):
+    """A compiled map from n states to n + 1 values with quadratic, tanh and
+    time-varying terms.  The last value, -x[n-1]/2, is -0.0 at x[n-1] = +0.0
+    and +0.0 at -0.0, so its column entries keep the signs of the zeros
+    that each perturbed point holds.  ``raising`` adds x[0]^0.5, whose
+    error names the negative x[0] it met."""
+    exprs = [
+        f"(0.5)*x[{i}] + (0.3)*x[{(i + 1) % n}]*tanh(x[{i}]) + (-0.2)*x[{i}]^2*cos(t)"
+        for i in range(n)
+    ] + [f"(-0.5)*x[{n - 1}]"]
+    if raising:
+        exprs[-1] += " + x[0]^0.5"
+    return compile_map([parse_expression(e) for e in exprs])
+
+
+def reference_estimates(fn, t, xs):
+    """Per-sample bytes of the one-state estimates, or the first raising
+    sample's exception type and message."""
+    out = []
+    for x in xs:
+        try:
+            A, step, error = reference_jacobian(fn, t, x)
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return type(exc), str(exc)
+        out.append((A.tobytes(), np.float64(step).tobytes(), np.float64(error).tobytes()))
+    return out
+
+
+def batched_estimates(fn, t, xs):
+    try:
+        est = numerical_jacobian(fn, t, xs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    assert est.A.shape == (len(xs), xs.shape[1] + 1, xs.shape[1])
+    return [
+        (est.A[s].tobytes(), est.fd_step[s].tobytes(), est.error_estimate[s].tobytes())
+        for s in range(len(xs))
+    ]
+
+
+@st.composite
+def jacobian_batches(draw):
+    """(S, n) states, 1 <= S <= 6 and 1 <= n <= 3, with signed zeros, small
+    entries and entries large enough that |x| > 1 scales the step."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    size = draw(st.integers(min_value=1, max_value=6))
+    value = st.one_of(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.sampled_from([-0.0, 0.0, 1e-7, -1e-7]),
+    )
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=size, max_size=size))
+    return np.array(rows, dtype=float)
+
+
+class TestBatchedJacobian:
+    """numerical_jacobian over an (S, n) batch equals the one-state loop per
+    sample, bit for bit, and raises what its first raising sample raises."""
+
+    @given(xs=jacobian_batches(), t=st.integers(0, 5), raising=st.booleans(), marked=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_the_one_state_loop(self, xs, t, raising, marked):
+        f = jacobian_map(xs.shape[1], raising)
+        fn = state_batched(f) if marked else (lambda t, x: f(t, x))
+        want = reference_estimates(f, t, xs)
+        assert batched_estimates(fn, t, xs) == want
+        if isinstance(want, list):  # the one-state call is the S = 1 batch
+            for x, row in zip(xs, want):
+                one = numerical_jacobian(fn, t, x)
+                assert (one.A.tobytes(), np.float64(one.fd_step).tobytes(),
+                        np.float64(one.error_estimate).tobytes()) == row
+                assert batched_estimates(fn, t, x[None]) == [row]
+
+    def test_signed_zeros_and_scaled_steps(self):
+        xs = np.array([[-0.0, 0.0, -0.0], [2.5, -0.0, 1.5], [-40.0, 0.1, -0.0]])
+        f = state_batched(jacobian_map(3, False))
+        assert batched_estimates(f, 1, xs) == reference_estimates(f, 1, xs)
+        assert numerical_jacobian(f, 1, xs).fd_step[2] > numerical_jacobian(f, 1, xs).fd_step[0]
+        # |(0.3, 1.2)| > 1 sets the step, and np.linalg.norm(..., axis=1)
+        # rounds it one bit off np.linalg.norm of the row (FMA BLAS dot)
+        xs = np.array([[0.3, 1.2], [-0.0, 0.6]])
+        f = state_batched(jacobian_map(2, False))
+        assert batched_estimates(f, 1, xs) == reference_estimates(f, 1, xs)
+
+    def test_points_reach_an_unmarked_map_in_the_one_state_order(self):
+        xs = np.array([[0.3, -0.0], [1.5, -2.0]])
+        seen, want = [], []
+        reference_estimates(lambda t, x: want.append(x.tobytes()) or x, 0, xs)
+        numerical_jacobian(lambda t, x: seen.append(x.tobytes()) or x, 0, xs)
+        assert seen == want
+
+    def test_first_raising_sample_names_the_error(self):
+        # x[0]^0.5 raises at the first negative x[0] a perturbation reaches:
+        # sample 1's coarse x - h e_0, although sample 2 is negative throughout
+        xs = np.array([[0.5, 0.5], [0.0, 1.0], [-1.0, 0.0]])
+        f = state_batched(jacobian_map(2, True))
+        want = reference_estimates(f, 0, xs)
+        assert want == (ValueError, "fractional power of a negative base in expression: -1e-06^0.5")
+        assert batched_estimates(f, 0, xs) == want
 
 
 class TestDriftCoefficients:
