@@ -5,13 +5,22 @@ proof: the grid covers concentric shells (geometrically spaced radii) times
 low-discrepancy directions, and quadratic candidates additionally get their
 eigendirections injected so sign defects cannot hide between samples.
 
+``check_positive_definite`` and ``check_decrease`` read every sample in
+one batch: an (S,) array of times and an (S, n) array of states, taken
+through :func:`~lyapcert.dynsys.sample_rows`.  A candidate or map marked
+``state_batched`` (``CandidateFunction.quadratic`` is) is called once per
+quantity; any other callable once per sample, in sample order.  Each
+batched value equals the one-sample call bit for bit, and the slacks are
+formed with the same floating-point operations as one sample at a time.
+
 Every per-sample check in the package reduces through
 :meth:`ConditionReport.from_slack`.  A check computes one slack per
 sample with its tolerance already folded in, so the slack is >= 0 exactly
 where the inequality held (> 0 for the strict ``pos_def`` and
 ``strict_decrease`` conditions).  The reduction fails closed: an empty
 sample set, or any NaN or infinite slack, fails the report.  A report's
-``worst_margin`` is therefore >= 0 exactly when it passed.
+``worst_margin`` is therefore >= 0 exactly when it passed.  A complex
+value from a candidate or a map raises TypeError.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynsys import DynSystem, state_batched
+from .dynsys import DynSystem, real_array, sample_rows, state_batched
 from .rng import low_discrepancy_directions
 
 __all__ = [
@@ -46,17 +55,13 @@ DECREASE = "decrease"
 STRICT_DECREASE = "strict_decrease"
 
 
-def _margin_tol(reference: float) -> float:
-    return TOL_ABS + TOL_REL * abs(reference)
-
-
 @dataclass(frozen=True)
 class CandidateFunction:
     """Scalar candidate V(t, x); autonomous candidates ignore t.
 
     ``quadratic_P`` marks candidates of the form x' P x, unlocking exact
     eigenvalue information in several checks.  V(t, 0) = 0 is sampled at
-    construction.
+    construction.  A complex value raises TypeError.
     """
 
     eval_fn: Callable[[int, np.ndarray], float]
@@ -68,12 +73,12 @@ class CandidateFunction:
         times = (0, 1, 3) if self.time_dependent else (0,)
         origin = np.zeros(self.dim)
         for t in times:
-            v0 = float(self.eval_fn(t, origin))
+            v0 = self(t, origin)
             if not abs(v0) <= TOL_ABS:
                 raise ValueError(f"candidate does not vanish at the origin: V({t},0)={v0!r}")
 
     def __call__(self, t: int, x: np.ndarray) -> float:
-        return float(self.eval_fn(t, np.asarray(x, dtype=float)))
+        return float(real_array(self.eval_fn(t, np.asarray(x, dtype=float))))
 
     @classmethod
     def quadratic(cls, P: np.ndarray) -> "CandidateFunction":
@@ -186,8 +191,15 @@ def _times(V: CandidateFunction, sys: Optional[DynSystem]) -> Tuple[int, ...]:
     return (0,)
 
 
-def _nonzero_samples(grid: np.ndarray, times: Sequence[int]) -> list:
-    return [(t, x.copy()) for t in times for x in grid if np.any(x)]
+def _nonzero_samples(grid: np.ndarray, times: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Times (S,) and states (S, n) of every nonzero grid row at every time,
+    t-major: all rows at the first time, then all at the next."""
+    rows = grid[np.any(grid, axis=1)]
+    return np.repeat(np.asarray(times, dtype=int), len(rows)), np.tile(rows, (len(times), 1))
+
+
+def _report(condition: str, slack, T: np.ndarray, X: np.ndarray, details=None) -> ConditionReport:
+    return ConditionReport.from_slack(condition, slack, list(zip(T.tolist(), X)), details)
 
 
 def check_positive_definite(
@@ -196,12 +208,12 @@ def check_positive_definite(
     """Sampled positivity of V away from the origin; the slack is V itself."""
     grid = _candidate_grid(V, grid)
     times = _times(V, None) if times is None else tuple(times)
-    points = _nonzero_samples(grid, times)
+    T, X = _nonzero_samples(grid, times)
     details = {}
     if V.quadratic_P is not None:
         details["min_eig_P"] = float(np.linalg.eigvalsh(V.quadratic_P)[0])
-    slack = [V(t, x) for t, x in points]
-    return ConditionReport.from_slack(POS_DEF, slack, points, details)
+    slack = sample_rows(V.eval_fn, T, X) if len(T) else []
+    return _report(POS_DEF, slack, T, X, details)
 
 
 def check_decrease(
@@ -216,16 +228,16 @@ def check_decrease(
     The slack is tol - Delta V for the non-strict check, which accepts
     increments up to the margin tolerance, and -tol - Delta V for the
     strict one, which needs the increment to clear the tolerance on the
-    negative side.
+    negative side.  The tolerance is TOL_ABS + TOL_REL |V(t, x)|.
     """
     grid = _candidate_grid(V, grid)
     times = _times(V, sys) if times is None else tuple(times)
-    points = _nonzero_samples(grid, times)
-    sign = -1.0 if strict else 1.0
-    slack = []
-    for t, x in points:
-        value = V(t, x)
-        delta = V(t + 1, sys.step(t, x)) - value
-        slack.append(sign * _margin_tol(value) - delta)
+    T, X = _nonzero_samples(grid, times)
     condition = STRICT_DECREASE if strict else DECREASE
-    return ConditionReport.from_slack(condition, slack, points)
+    if not len(T):
+        return _report(condition, [], T, X)
+    sign = -1.0 if strict else 1.0
+    value = sample_rows(V.eval_fn, T, X)
+    after = sample_rows(V.eval_fn, T + 1, sample_rows(sys.step, T, X))
+    slack = sign * (TOL_ABS + TOL_REL * np.abs(value)) - (after - value)
+    return _report(condition, slack, T, X)

@@ -35,6 +35,7 @@ __all__ = [
     "time_table",
     "state_batched",
     "sample_rows",
+    "real_array",
     "fit_exponential_envelope",
     "trajectory_to_csv",
 ]
@@ -45,10 +46,23 @@ LINEAR_TOL = 1e-9
 DEFAULT_LAMBDA_MAX = 50.0
 
 MapFn = Callable[[int, np.ndarray], np.ndarray]
+_FLOAT = np.dtype(float)
+
+
+def real_array(x) -> np.ndarray:
+    """``x`` as a float array.  A complex value raises TypeError, as
+    ``float`` does for a Python complex, instead of losing its imaginary
+    part to the cast."""
+    a = np.asarray(x)
+    if a.dtype is _FLOAT:
+        return a
+    if a.dtype.kind == "c":
+        raise TypeError(f"a {a.dtype} value where a real one is needed")
+    return a.astype(float)
 
 
 def _as_vector(x, dim: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = real_array(x).reshape(-1)
     if v.shape != (dim,):
         raise ValueError(f"expected vector of length {dim}, got shape {v.shape}")
     return v
@@ -59,7 +73,7 @@ def _as_states(x, dim: int, like: np.ndarray) -> np.ndarray:
     as one such row per row of the batch ``like``."""
     if like.ndim < 2:
         return _as_vector(x, dim)
-    v = np.asarray(x, dtype=float)
+    v = real_array(x)
     if v.shape != (len(like), dim):
         raise ValueError(f"expected {len(like)} rows of length {dim}, got shape {v.shape}")
     return v
@@ -81,8 +95,8 @@ def time_table(fn: Callable, times: range, *args) -> np.ndarray:
     """
     if getattr(fn, "time_batched", False):
         t = np.arange(times.start, times.stop, times.step)
-        return np.asarray(fn(t, *args), dtype=float)
-    return np.array([np.asarray(fn(t, *args), dtype=float) for t in times])
+        return real_array(fn(t, *args))
+    return np.array([real_array(fn(t, *args)) for t in times])
 
 
 def state_batched(fn: Callable) -> Callable:
@@ -105,16 +119,17 @@ def sample_rows(fn: Callable, *args) -> np.ndarray:
     (S, n).  A map marked by :func:`state_batched` is called once with the
     batch; any other callable once per sample, in sample order, with
     Python scalars for the entries of 1-D arrays.  A call without a 2-D
-    argument is the one call ``fn(*args)``.
+    argument is the one call ``fn(*args)``.  A complex value raises
+    TypeError (see :func:`real_array`).
     """
     for a in args:
         if isinstance(a, np.ndarray) and a.ndim == 2:
             size = len(a)
             break
     else:
-        return np.asarray(fn(*args), dtype=float)
+        return real_array(fn(*args))
     if getattr(fn, "state_batched", False):
-        return np.asarray(fn(*args), dtype=float)
+        return real_array(fn(*args))
     columns = []
     for a in args:
         if not isinstance(a, np.ndarray) or a.ndim == 0:
@@ -123,7 +138,7 @@ def sample_rows(fn: Callable, *args) -> np.ndarray:
         if len(a) != size:
             raise ValueError(f"batch arguments of different lengths {len(a)} and {size}")
         columns.append(a.tolist() if a.ndim == 1 else a)
-    return np.array([np.asarray(fn(*sample), dtype=float) for sample in zip(*columns)])
+    return np.array([real_array(fn(*sample)) for sample in zip(*columns)])
 
 
 @dataclass(frozen=True)
@@ -171,7 +186,7 @@ class DynSystem:
         eq = self.equilibrium
 
         def shifted_map(t: int, u: np.ndarray) -> np.ndarray:
-            return np.asarray(self.map_fn(t, u + eq), dtype=float) - eq
+            return real_array(self.map_fn(t, u + eq)) - eq
 
         if getattr(self.map_fn, "state_batched", False):
             state_batched(shifted_map)
@@ -387,11 +402,11 @@ def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:
     and w: a nonlinear or affine map is refused rather than read as its
     secant through the unit vectors.
     """
-    base = np.asarray(map_fn(t, np.zeros(dim)), dtype=float)
-    A = np.column_stack([np.asarray(map_fn(t, e), dtype=float) - base for e in np.eye(dim)])
+    base = real_array(map_fn(t, np.zeros(dim)))
+    A = np.column_stack([real_array(map_fn(t, e)) - base for e in np.eye(dim)])
     w = (-1.0) ** np.arange(1, dim + 1) * (0.5 + np.arange(dim) / (2.0 * dim))
     tol = LINEAR_TOL * (1.0 + float(np.linalg.norm(A)) * float(np.linalg.norm(w)))
-    residual = np.asarray(map_fn(t, w), dtype=float) - A @ w
+    residual = real_array(map_fn(t, w)) - A @ w
     off = float(np.maximum(np.linalg.norm(base), np.linalg.norm(residual)))  # keeps NaN
     if not off <= tol:
         raise InapplicableError(

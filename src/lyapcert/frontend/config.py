@@ -101,24 +101,32 @@ def _check_refs(
             raise ConfigError(f"unknown state vector '{name}'", pointer)
 
 
-def _check_finite(node, pointer: str) -> None:
-    """Refuse the first NaN or infinite number in the tree (``json.loads``
-    reads the NaN and Infinity literals), naming its JSON pointer."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"non-finite number {node!r}", pointer)
+def _check_json_data(node, pointer: str) -> None:
+    """Refuse the first value in the tree that is not finite JSON data,
+    naming its JSON pointer: a NaN or infinite number (``json.loads`` reads
+    the NaN and Infinity literals), a non-string key, or a value with no
+    JSON text, such as an array or a set in a dict document."""
     if isinstance(node, dict):
         for key, value in node.items():
-            escaped = str(key).replace("~", "~0").replace("/", "~1")
-            _check_finite(value, f"{pointer}/{escaped}")
+            if not isinstance(key, str):
+                raise ConfigError(f"key {key!r} is not a string", pointer)
+            escaped = key.replace("~", "~0").replace("/", "~1")
+            _check_json_data(value, f"{pointer}/{escaped}")
     elif isinstance(node, (list, tuple)):
         for i, value in enumerate(node):
-            _check_finite(value, f"{pointer}/{i}")
+            _check_json_data(value, f"{pointer}/{i}")
+    elif isinstance(node, float):
+        if not math.isfinite(node):
+            raise ConfigError(f"non-finite number {node!r}", pointer)
+    elif not (node is None or isinstance(node, (str, int))):
+        raise ConfigError(f"{type(node).__name__} value is not JSON data", pointer)
 
 
 def load_config(source) -> SystemConfig:
     """Validate a config document (dict, JSON text, or file path).
 
-    A NaN or infinite number anywhere in it is refused.
+    A NaN or infinite number anywhere in it is refused, and so is a value
+    of a dict document that is not JSON data.
     """
     if isinstance(source, dict):
         doc = source
@@ -133,7 +141,7 @@ def load_config(source) -> SystemConfig:
             raise ConfigError(f"invalid JSON: {exc.msg}", "") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object", "")
-    _check_finite(doc, "")
+    _check_json_data(doc, "")
 
     kind = _require(doc, "kind")
     if kind not in KINDS:

@@ -120,11 +120,15 @@ def build_report(
     error: Optional[dict] = None,
 ) -> dict:
     """The report document; ``config_doc`` may be the raw bytes of a config
-    that did not parse, whose digest is then the sha256 of those bytes."""
+    that did not parse, whose digest is then the sha256 of those bytes.  A
+    dict with no JSON text (``load_config`` refuses it) has digest None."""
     if isinstance(config_doc, bytes):
         digest = hashlib.sha256(config_doc).hexdigest()
     else:
-        digest = config_digest(config_doc)
+        try:
+            digest = config_digest(config_doc)
+        except (TypeError, ValueError):
+            digest = None
     report = {
         "tool_version": TOOL_VERSION,
         "config_digest": digest,

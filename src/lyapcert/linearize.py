@@ -127,8 +127,9 @@ def numerical_jacobian(
     every sample is read in one :func:`~lyapcert.dynsys.sample_rows` call,
     sample by sample, the coarse pass before the fine, column by column,
     x + h e_i before x - h e_i, so an unmarked map is called in that order
-    and a raising map raises for the first failing point in it.  A NaN or
-    infinite state raises ValueError naming it.
+    and a raising map raises for the first failing point in it.  A state
+    with a NaN or infinite entry, or a norm that overflows, raises
+    ValueError naming it.
     """
     if isinstance(sys_or_fn, DynSystem):
         fn: MapFn = sys_or_fn.map_fn
@@ -139,17 +140,16 @@ def numerical_jacobian(
             raise ValueError("x is required when passing a bare map")
     x = np.asarray(x, dtype=float)
     states = x if x.ndim == 2 else x.reshape(1, -1)
-    finite = np.isfinite(states).all(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norms = _row_norms(states)
+    finite = np.isfinite(norms)
     if not finite.all():
         bad = states[int(np.argmin(finite))]
         raise ValueError(f"numerical Jacobian at a non-finite state x={bad.tolist()}")
     size, n = states.shape
-    h = base_step * np.maximum(1.0, _row_norms(states))
+    h = base_step * np.maximum(1.0, norms)
     steps = np.stack([h, h / 2.0], axis=1)  # (S, pass)
-    # shift[s, pass, i] = steps[s, pass] * e_i with exact zeros off the diagonal
-    # (a product with np.eye would put inf * 0 = NaN there when |x| overflows)
-    shift = np.zeros((size, 2, n, n))
-    shift[:, :, np.arange(n), np.arange(n)] = steps[:, :, None]
+    shift = steps[:, :, None, None] * np.eye(n)  # shift[s, pass, i] = steps[s, pass] * e_i
     base = states[:, None, None, :]
     points = np.stack([base + shift, base - shift], axis=3)  # (S, pass, i, hi/lo, n)
     values = sample_rows(fn, t, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)

@@ -9,7 +9,7 @@ from lyapcert.certcheck import (
     check_positive_definite,
     shell_grid,
 )
-from lyapcert.dynsys import DynSystem
+from lyapcert.dynsys import DynSystem, state_batched
 
 
 def contraction(dim=2, factor=0.5):
@@ -97,3 +97,49 @@ class TestDecrease:
         sys = DynSystem(dim=2, map_fn=lambda t, x: rot @ x, autonomous=True)
         assert check_decrease(V, sys, shell_grid(2, 1.0)).passed
         assert not check_decrease(V, sys, shell_grid(2, 1.0), strict=True).passed
+
+
+def complex_off_origin(t, x):
+    """x'x, complex away from the origin (a real zero at it)."""
+    x = np.asarray(x, dtype=float)
+    return np.complex128(x @ x, 1.0) if np.any(x) else 0.0
+
+
+@state_batched
+def complex_batch(t, x):
+    x = np.asarray(x, dtype=float)
+    return np.sum(x * x, axis=-1) * (1.0 + 1.0j) if np.any(x) else 0.0
+
+
+class TestComplexValuesAreRefused:
+    """A complex value used to pass with only a ComplexWarning, its
+    imaginary part dropped by the cast to float."""
+
+    def test_complex_candidate_refused_at_construction(self):
+        with pytest.raises(TypeError, match="complex"):
+            CandidateFunction(eval_fn=lambda t, x: np.complex128(x @ x), dim=2)
+
+    @pytest.mark.parametrize("fn", [complex_off_origin, complex_batch], ids=["unmarked", "marked"])
+    def test_complex_candidate_fails_both_checks(self, fn):
+        V = CandidateFunction(eval_fn=fn, dim=2)
+        with pytest.raises(TypeError, match="complex"):
+            check_positive_definite(V, shell_grid(2, 1.0))
+        with pytest.raises(TypeError, match="complex"):
+            check_decrease(V, contraction(), shell_grid(2, 1.0))
+        with pytest.raises(TypeError, match="complex"):
+            V(0, np.ones(2))
+
+    def test_complex_map_refused_at_construction(self):
+        with pytest.raises(TypeError, match="complex"):
+            DynSystem(dim=2, map_fn=lambda t, x: (0.5 + 0.1j) * x)
+
+    def test_complex_map_fails_decrease(self):
+        def rotating(t, x):
+            return (0.5 + 0.1j) * x if np.any(x) else 0.5 * x
+
+        sys = DynSystem(dim=2, map_fn=rotating)
+        V = CandidateFunction.quadratic(np.eye(2))
+        with pytest.raises(TypeError, match="complex"):
+            check_decrease(V, sys, shell_grid(2, 1.0))
+        with pytest.raises(TypeError, match="complex"):
+            sys.step(0, np.ones(2))

@@ -10,7 +10,11 @@ from lyapcert.dynsys import (
     Trajectory,
     fit_exponential_envelope,
     linear_part,
+    sample_rows,
     simulate,
+    state_batched,
+    time_batched,
+    time_table,
     trajectory_to_csv,
     transition_matrix,
 )
@@ -241,3 +245,36 @@ class TestCsv:
         text = trajectory_to_csv(traj)
         values = [float(line.split(",")[1]) for line in text.strip().split("\n")[1:]]
         assert values == [v[0] for v in traj.states.tolist()]
+
+
+class TestComplexValues:
+    """Every cast of a map's value to float refuses a complex one, as
+    ``float`` does a Python complex, instead of dropping its imaginary part."""
+
+    @staticmethod
+    def spiral(t, x):
+        return (0.5 + 0.5j) * np.asarray(x)
+
+    @pytest.mark.parametrize("mark", [lambda f: f, state_batched], ids=["unmarked", "marked"])
+    def test_sample_rows(self, mark):
+        fn = mark(lambda t, x: self.spiral(t, x))
+        with pytest.raises(TypeError, match="complex"):
+            sample_rows(fn, 0, np.ones((3, 2)))
+        with pytest.raises(TypeError, match="complex"):
+            sample_rows(fn, 0, np.ones(2))
+
+    @pytest.mark.parametrize("mark", [lambda f: f, time_batched], ids=["unmarked", "marked"])
+    def test_time_table(self, mark):
+        fn = mark(lambda t, x: self.spiral(t, x))
+        with pytest.raises(TypeError, match="complex"):
+            time_table(fn, range(3), np.ones(2))
+
+    def test_shifted_map_and_linear_part(self):
+        def spiral_about_one(t, x):
+            return 1.0 + (0.5 + 0.5j) * (np.asarray(x) - 1.0) if np.any(x != 1.0) else np.asarray(x)
+
+        sys = DynSystem(dim=1, map_fn=spiral_about_one, equilibrium=np.ones(1))
+        with pytest.raises(TypeError, match="complex"):
+            sys.shifted().step(0, np.array([0.5]))
+        with pytest.raises(TypeError, match="complex"):
+            linear_part(self.spiral, 0, 2)

@@ -420,6 +420,31 @@ class TestRunCommand:
         assert len(report["config_digest"]) == 64
         render_report(report)  # the error report itself serializes
 
+    @pytest.mark.parametrize(
+        "value", [np.array([1.0]), {1.0, 2.0}, np.int64(3)], ids=["ndarray", "set", "int64"]
+    )
+    def test_values_json_cannot_encode_get_an_error_report(self, value):
+        # config_digest raised TypeError from the error path
+        report, code = run_command({"kind": "autonomous", "x": value}, "simulate", timestamp=False)
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "ConfigError"
+        assert "/x" in report["error"]["message"]
+        assert report["config_digest"] is None
+        render_report(report)
+        # in a field load_config reads, the value is refused, not converted
+        report, code = run_command(
+            minimal_doc(analyses=[{"command": "simulate", "x0": value, "horizon": 3}]), "simulate"
+        )
+        assert code == 1 and report["error"]["type"] == "ConfigError"
+        assert "/analyses/0/x0" in report["error"]["message"]
+
+    def test_non_string_key_is_refused(self):
+        report, code = run_command(minimal_doc(params={1: 2.0}), "simulate", timestamp=False)
+        assert code == 1 and report["error"]["type"] == "ConfigError"
+        assert "key 1 is not a string" in report["error"]["message"]
+        render_report(report)
+
     def test_error_reports_carry_stage(self):
         doc = {
             "kind": "slow_fast",

@@ -56,6 +56,14 @@ class TestJacobian:
         with pytest.raises(ValueError, match=r"non-finite state x=\[0\.5, (nan|inf|-inf)\]"):
             numerical_jacobian(lambda t, x: 0.5 * x, x=np.array([0.5, bad]))
 
+    def test_state_with_overflowing_norm_is_refused(self):
+        # |x| overflows to inf: the step was inf and A = [[nan, 0], [0, nan]]
+        with pytest.raises(ValueError, match=r"non-finite state x=\[1e\+200, 1e\+200\]"):
+            numerical_jacobian(lambda t, x: 0.5 * x, x=np.array([1e200, 1e200]))
+        batch = np.array([[0.5, 0.5], [1e200, -1e200]])
+        with pytest.raises(ValueError, match=r"x=\[1e\+200, -1e\+200\]"):
+            numerical_jacobian(lambda t, x: 0.5 * x, x=batch)
+
 
 class TestAutonomousCertificate:
     def test_contraction_margin_golden(self):

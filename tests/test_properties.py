@@ -8,7 +8,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lyapcert.averaging import check_drift_remainder, estimate_average, estimate_sigma, mu, nu
-from lyapcert.certcheck import CandidateFunction, check_decrease, check_positive_definite, shell_grid
+from lyapcert import certcheck
+from lyapcert.certcheck import (
+    DECREASE,
+    POS_DEF,
+    STRICT_DECREASE,
+    TOL_ABS,
+    TOL_REL,
+    CandidateFunction,
+    ConditionReport,
+    check_decrease,
+    check_positive_definite,
+    shell_grid,
+)
 from lyapcert.converse import (
     _difference_max,
     _max_quotient,
@@ -539,6 +551,136 @@ class TestBatchedJacobian:
         want = reference_estimates(f, 0, xs)
         assert want == (ValueError, "fractional power of a negative base in expression: -1e-06^0.5")
         assert batched_estimates(f, 0, xs) == want
+
+
+def reference_positive_definite(V, grid, times=None):
+    """The one-sample-at-a-time loop the batched check_positive_definite replaced."""
+    grid = certcheck._candidate_grid(V, grid)
+    times = certcheck._times(V, None) if times is None else tuple(times)
+    points = [(t, x.copy()) for t in times for x in grid if np.any(x)]
+    slack = [V(t, x) for t, x in points]
+    return ConditionReport.from_slack(POS_DEF, slack, points)
+
+
+def reference_decrease(V, sys, grid, strict=False, times=None):
+    """The one-sample-at-a-time loop the batched check_decrease replaced."""
+    grid = certcheck._candidate_grid(V, grid)
+    times = certcheck._times(V, sys) if times is None else tuple(times)
+    points = [(t, x.copy()) for t in times for x in grid if np.any(x)]
+    sign = -1.0 if strict else 1.0
+    slack = []
+    for t, x in points:
+        value = V(t, x)
+        delta = V(t + 1, sys.step(t, x)) - value
+        slack.append(sign * (TOL_ABS + TOL_REL * abs(value)) - delta)
+    return ConditionReport.from_slack(STRICT_DECREASE if strict else DECREASE, slack, points)
+
+
+def report_bytes(rep):
+    point = None
+    if rep.worst_point is not None:
+        point = (rep.worst_point[0], np.asarray(rep.worst_point[1]).tobytes())
+    return rep.condition, rep.passed, np.float64(rep.worst_margin).tobytes(), point, rep.samples_checked
+
+
+def check_candidate(P, marked, time_dependent):
+    """x'Px, times 1 + t/4 when time-dependent; the unmarked one is called
+    one sample at a time, the marked one once per batch."""
+    form = CandidateFunction.quadratic(P).eval_fn
+
+    def V(t, x):
+        value = form(t, x)
+        return (1.0 + 0.25 * np.asarray(t, dtype=float)) * value if time_dependent else value
+
+    fn = state_batched(V) if marked else V
+    return CandidateFunction(fn, dim=P.shape[0], quadratic_P=P, time_dependent=time_dependent)
+
+
+def polynomial_map(gain, time_dependent, marked):
+    """Element-wise, so a batch row equals the one-state call bit for bit."""
+
+    def f(t, x):
+        x = np.asarray(x, dtype=float)
+        g = gain + 0.05 * np.asarray(t, dtype=float)[..., None] if time_dependent else gain
+        return g * x - 0.3 * x[..., ::-1] * x
+
+    return state_batched(f) if marked else f
+
+
+@st.composite
+def check_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(seeds))
+    B = rng.standard_normal((n, n))
+    P = B @ B.T - draw(st.sampled_from([0.0, 0.5])) * np.eye(n)  # sometimes indefinite
+    V = check_candidate(P, draw(st.booleans()), draw(st.booleans()))
+    kind = draw(st.sampled_from(["linear", "polynomial", "polynomial-tv"]))
+    if kind == "linear":  # the benchmark's unmarked lambda
+        A = rng.standard_normal((n, n))
+        A *= draw(st.floats(0.3, 1.3)) / max(abs(np.linalg.eigvals(A)).max(), 1e-9)
+        sys = DynSystem(n, lambda t, x: A @ x)
+    else:
+        tv = kind == "polynomial-tv"
+        fn = polynomial_map(rng.uniform(-1.1, 1.1, n), tv, draw(st.booleans()))
+        sys = DynSystem(n, fn, autonomous=not tv)
+    grid = shell_grid(n, draw(st.floats(0.1, 2.0)), n_shells=3, n_directions=6)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        grid = np.insert(grid, int(rng.integers(len(grid) + 1)), 0.0, axis=0)
+    return V, sys, grid
+
+
+class TestBatchedCheckKernel:
+    """check_positive_definite and check_decrease read their samples in
+    batches; each report equals the one-sample loop's bit for bit: margin
+    bytes, worst point and sample count."""
+
+    @given(case=check_cases(), strict=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_match_the_one_sample_loop(self, case, strict):
+        V, sys, grid = case
+        assert report_bytes(check_positive_definite(V, grid)) == report_bytes(
+            reference_positive_definite(V, grid)
+        )
+        assert report_bytes(check_decrease(V, sys, grid, strict=strict)) == report_bytes(
+            reference_decrease(V, sys, grid, strict=strict)
+        )
+
+    def test_unmarked_callables_see_the_samples_in_order(self):
+        # t-major, zero rows dropped: the reference loop's order per callable
+        def recorded(fn, calls):
+            def f(t, x):
+                calls.append((t, np.asarray(x).tobytes()))
+                return fn(t, x)
+
+            return f
+
+        grid = np.insert(shell_grid(2, 1.0, n_shells=2, n_directions=3), 2, 0.0, axis=0)
+        runs = []
+        for check in (check_decrease, reference_decrease):
+            v_calls, map_calls = [], []
+            V = check_candidate(np.diag([1.0, 2.0]), False, True)
+            V = CandidateFunction(recorded(V.eval_fn, v_calls), dim=2, time_dependent=True)
+            fn = recorded(polynomial_map(np.array([0.5, -0.4]), True, False), map_calls)
+            check(V, DynSystem(2, fn, autonomous=False), grid)
+            runs.append((v_calls[3:], map_calls[4:]))  # past the construction checks
+        (v_calls, map_calls), (v_want, map_want) = runs
+        assert map_calls == map_want and len(map_calls) == 4 * 6
+        assert v_calls == v_want[0::2] + v_want[1::2]  # V at every (t, x), then after every step
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_all_zero_grid_fails_closed(self, marked):
+        grid = np.zeros((5, 2))
+        form = CandidateFunction.quadratic(np.eye(2)).eval_fn  # marked
+        V = CandidateFunction(form if marked else (lambda t, x: form(t, x)), dim=2, time_dependent=True)
+        sys = DynSystem(2, polynomial_map(np.full(2, 0.5), True, marked), autonomous=False)
+        reports = [check_positive_definite(V, grid), check_decrease(V, sys, grid, strict=True)]
+        references = [reference_positive_definite(V, grid), reference_decrease(V, sys, grid, True)]
+        assert [report_bytes(r) for r in reports] == [report_bytes(r) for r in references]
+        for rep in reports:
+            assert rep.samples_checked == 0 and not rep.passed and math.isnan(rep.worst_margin)
+        quadratic = CandidateFunction.quadratic(np.eye(2))
+        with pytest.raises(ValueError, match="no nonzero points"):
+            check_decrease(quadratic, sys, grid)
 
 
 class TestDriftCoefficients:

@@ -1,10 +1,12 @@
 """Quadratic certificates for linear maps: direct, series, time-varying."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lyapcert import stein
 from lyapcert.dynsys import LinearTV
 from lyapcert.errors import (
     CertificateNotFoundError,
@@ -329,3 +331,47 @@ class TestSymmetricSubspaceSolve:
         P = solve_stein_kron(A, Q).P
         gap = float(np.abs(P - solve_stein_series(A, Q).P).max())
         assert gap <= 1e-12 * float(np.abs(P).max())
+
+
+def full_array_operator(A: np.ndarray):
+    """The m x m operator of solve_stein_kron built as whole arrays, with
+    three m x m arrays alive at once, as it was before the row blocks."""
+    n = A.shape[0]
+    d = np.arange(n)
+    iu, ju = np.triu_indices(n, 1)
+    I, J = np.concatenate([d, iu]), np.concatenate([d, ju])
+    AI, AJ = A.T[I], A.T[J]
+    M = AI[:, I]
+    M *= AJ[:, J]
+    fold = AI[:, J[n:]]
+    fold *= AJ[:, I[n:]]
+    M[:, n:] += fold
+    M[np.diag_indices(M.shape[0])] -= 1.0
+    return M, I, J
+
+
+class TestRowBlockedOperator:
+    @pytest.mark.parametrize("n", [1, 2, 13, 48])
+    @pytest.mark.parametrize("kind", ["schur", "expanding"])
+    def test_matches_the_full_array_build(self, n, kind, monkeypatch):
+        # at n = 48, m = 1176 rows end in a partial block
+        assert n < 48 or (n * (n + 1) // 2) % stein.KRON_BLOCK_ROWS != 0
+        A, Q = stein_case(kind, n)
+        blocked, full = stein._stein_operator(A), full_array_operator(A)
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in full]
+        P = solve_stein_kron(A, Q).P
+        monkeypatch.setattr(stein, "_stein_operator", full_array_operator)
+        assert P.tobytes() == solve_stein_kron(A, Q).P.tobytes()
+
+    def test_peak_traced_memory_at_n48(self):
+        # the operator plus block temporaries; the full-array build held three
+        # m x m arrays at once
+        A, Q = stein_case("schur", 48)
+        m = 48 * 49 // 2
+        tracemalloc.start()
+        try:
+            solve_stein_kron(A, Q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * m * m * 8
