@@ -133,13 +133,13 @@ def estimate_average(
     phi: PhiFn,
     probes: Sequence[np.ndarray],
     T_max: int = 512,
-    gap_tol: float = 1e-2,
 ) -> AveragedField:
     """Window-mean estimate of the averaged field with a convergence probe.
 
     ``T_max`` is rounded up to an even horizon so that period-2 drives
     cancel exactly.  The half-window mean of each probe is a prefix of its
-    full window, so ``phi`` is evaluated T_max + 1 times per probe.
+    full window, so ``phi`` is evaluated T_max + 1 times per probe.  A gap
+    between the two means over 1e-2 * (1 + |full mean|) sets the warning.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
@@ -159,7 +159,7 @@ def estimate_average(
         gap = max(gap, float(np.linalg.norm(full - half)))
         scale = max(scale, float(np.linalg.norm(full)))
     warning = None
-    if gap > gap_tol * (1.0 + scale):
+    if gap > 1e-2 * (1.0 + scale):
         warning = (
             f"window means at T={T_max} and T={T_max // 2} differ by {gap:.3e}; "
             "the field may not be averageable"
@@ -251,23 +251,16 @@ def mu(T: int, eps: float, L: float, sigma_T: float) -> float:
     return base + eps * T * (L + base) ** 2
 
 
-def budget_for_delta(
-    delta: float,
-    table: SigmaTable,
-    eps2_convention: str = "sum-squared",
-) -> AveragingBudget:
+def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     """Pick the shortest tabulated horizon and amplitude meeting mu <= delta.
 
     T_delta is the first horizon with sigma(T) <= delta/4; eps1 caps the
     nu growth term at delta/4 and eps2 caps the second-order term at
-    delta/2.  ``eps2_convention`` selects how the squared drift gain is
-    grouped: "sum-squared" uses (L + nu)^2, "square-summed" uses
-    L + nu^2.  The budget is post-verified on a grid of amplitudes.
+    delta/2, with the squared drift gain (L + nu)^2 of :func:`mu`.  The
+    budget is post-verified on a grid of amplitudes.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if eps2_convention not in ("sum-squared", "square-summed"):
-        raise ValueError(f"unknown eps2 convention {eps2_convention!r}")
     L = table.L
     T_delta = None
     for T in table.T_list:
@@ -287,11 +280,7 @@ def budget_for_delta(
             f"first-order amplitude cap underflows at horizon {T_delta}"
         )
     eps1 = math.exp(log_eps1)
-    nu1 = nu(T_delta, eps1, L, sigma_T)
-    if eps2_convention == "sum-squared":
-        gain = (L + nu1) ** 2
-    else:
-        gain = L + nu1 ** 2
+    gain = (L + nu(T_delta, eps1, L, sigma_T)) ** 2
     eps2 = delta / (2.0 * T_delta * gain)
     eps_delta = min(eps1, eps2, 1.0)
     for eps in np.linspace(eps_delta / MU_PROBES, eps_delta, MU_PROBES):
@@ -353,12 +342,12 @@ def check_drift_remainder(
     return ConditionReport.from_slack(DRIFT_REMAINDER, slack, points, details)
 
 
-def _gradient(V: CandidateFunction, x: np.ndarray, h: float = GRAD_STEP) -> np.ndarray:
+def _gradient(V: CandidateFunction, x: np.ndarray) -> np.ndarray:
     g = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (V.eval_fn(0, x + e) - V.eval_fn(0, x - e)) / (2.0 * h)
+        e[i] = GRAD_STEP
+        g[i] = (V.eval_fn(0, x + e) - V.eval_fn(0, x - e)) / (2.0 * GRAD_STEP)
     return g
 
 
@@ -413,7 +402,6 @@ def build_averaged_lyapunov(
     phi: PhiFn,
     table: SigmaTable,
     probes: Sequence[np.ndarray],
-    eps2_convention: str = "sum-squared",
 ) -> AveragedCertificate:
     """Lift a Lyapunov function for the averaged field to the true dynamics.
 
@@ -440,7 +428,7 @@ def build_averaged_lyapunov(
             )
     L = table.L
     delta = c3 / (2.0 * c4)
-    budget = budget_for_delta(delta, table, eps2_convention)
+    budget = budget_for_delta(delta, table)
     T_star = budget.T_delta
     eps_c = budget.eps_delta
     factor = 1.0 + eps_c * L

@@ -156,12 +156,12 @@ def shell_grid(
     radius: float,
     n_shells: int = 12,
     n_directions: int = 32,
-    inner_scale: float = 1e-3,
 ) -> np.ndarray:
-    """Concentric-shell sample set: geometric radii times quasi-uniform directions."""
+    """Concentric-shell sample set: geometric radii from radius/1000 to
+    radius times quasi-uniform directions."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    radii = np.geomspace(radius * inner_scale, radius, n_shells)
+    radii = np.geomspace(radius * 1e-3, radius, n_shells)
     dirs = low_discrepancy_directions(dim, n_directions)
     return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
 
@@ -202,13 +202,10 @@ def _report(condition: str, slack, T: np.ndarray, X: np.ndarray, details=None) -
     return ConditionReport.from_slack(condition, slack, list(zip(T.tolist(), X)), details)
 
 
-def check_positive_definite(
-    V: CandidateFunction, grid: np.ndarray, times: Optional[Sequence[int]] = None
-) -> ConditionReport:
+def check_positive_definite(V: CandidateFunction, grid: np.ndarray) -> ConditionReport:
     """Sampled positivity of V away from the origin; the slack is V itself."""
     grid = _candidate_grid(V, grid)
-    times = _times(V, None) if times is None else tuple(times)
-    T, X = _nonzero_samples(grid, times)
+    T, X = _nonzero_samples(grid, _times(V, None))
     details = {}
     if V.quadratic_P is not None:
         details["min_eig_P"] = float(np.linalg.eigvalsh(V.quadratic_P)[0])
@@ -221,7 +218,6 @@ def check_decrease(
     sys: DynSystem,
     grid: np.ndarray,
     strict: bool = False,
-    times: Optional[Sequence[int]] = None,
 ) -> ConditionReport:
     """Sampled one-step decrease of V along the map.
 
@@ -231,8 +227,7 @@ def check_decrease(
     negative side.  The tolerance is TOL_ABS + TOL_REL |V(t, x)|.
     """
     grid = _candidate_grid(V, grid)
-    times = _times(V, sys) if times is None else tuple(times)
-    T, X = _nonzero_samples(grid, times)
+    T, X = _nonzero_samples(grid, _times(V, sys))
     condition = STRICT_DECREASE if strict else DECREASE
     if not len(T):
         return _report(condition, [], T, X)

@@ -85,30 +85,21 @@ class ConverseCertificate:
     lipschitz_L1: Optional[float] = None
     lipschitz_L2: Optional[float] = None
 
-    def constants(self) -> dict:
-        out = {"a1": self.a1, "a2": self.a2, "a3": self.a3}
-        if self.a4 is not None:
-            out["a4"] = self.a4
-        if self.a5 is not None:
-            out["a5"] = self.a5
-        return out
-
 
 def estimate_lipschitz(
     fn: Callable[[int, np.ndarray], np.ndarray],
     points: Sequence[np.ndarray],
     times: Sequence[int] = (0,),
     mode: str = "difference",
-    safety: float = LIPSCHITZ_SAFETY,
 ) -> float:
     """Sampled Lipschitz (or growth) constant with a safety factor.
 
     ``difference`` mode maximizes |f(t,x)-f(t,y)| / |x-y| over all point
     pairs; ``growth`` mode maximizes |f(t,x)| / |x|.  The result is
-    inflated by ``safety`` because sampling can only underestimate.  A
-    NaN or infinite map value or quotient raises ValueError naming t and
-    the point, since a maximum would silently skip it.  In ``difference``
-    mode each time's values come from one
+    inflated by ``LIPSCHITZ_SAFETY`` because sampling can only
+    underestimate.  A NaN or infinite map value or quotient raises
+    ValueError naming t and the point, since a maximum would silently skip
+    it.  In ``difference`` mode each time's values come from one
     :func:`~lyapcert.dynsys.sample_rows` call over the points.
     """
     points = [np.asarray(p, dtype=float) for p in points]
@@ -137,7 +128,7 @@ def estimate_lipschitz(
         raise ValueError(f"unknown mode {mode!r}")
     if not found:
         raise ValueError(_NO_PAIR)
-    return best * safety
+    return best * LIPSCHITZ_SAFETY
 
 
 def _row_squares(rows: np.ndarray) -> np.ndarray:
@@ -242,8 +233,6 @@ def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
 def build_trajectory_converse(
     sys: DynSystem,
     env: ExponentialEnvelope,
-    lipschitz_samples: Optional[Sequence[np.ndarray]] = None,
-    lipschitz_times: Sequence[int] = (0, 1, 2, 3),
 ) -> ConverseCertificate:
     """V(t, x) = sum of squared norms along the forward trajectory from (t, x).
 
@@ -251,18 +240,18 @@ def build_trajectory_converse(
     pins a3 >= 1/2; a1 = 1 is immediate from the first summand.  For an
     autonomous map the sum starts at t = 0 whatever k is asked for and the
     state-Lipschitz modulus is sampled at t = 0 only; a nonautonomous map
-    sums from k and is sampled at ``lipschitz_times``.
+    sums from k and is sampled at t = 0, 1, 2, 3.  The samples are 48 draws
+    from the ball of the envelope's validity radius (radius 1 when the
+    envelope is global).
     """
     sys = sys.shifted()
     # smallest N with gain^2 * exp(-2*rate*N) <= 1/2
     N = max(1, math.ceil(math.log(2.0 * env.gain**2) / (2.0 * env.rate)))
     decay = math.exp(-2.0 * env.rate)
-    samples = lipschitz_samples
-    if samples is None:
-        rng = Rng(0x5EED)
-        radius = env.validity_radius if env.validity_radius else 1.0
-        samples = [rng.ball(sys.dim, radius) for _ in range(48)]
-    times = (0,) if sys.autonomous else lipschitz_times
+    rng = Rng(0x5EED)
+    radius = env.validity_radius if env.validity_radius else 1.0
+    samples = [rng.ball(sys.dim, radius) for _ in range(48)]
+    times = (0,) if sys.autonomous else (0, 1, 2, 3)
     L1 = estimate_lipschitz(sys.step, samples, times=times)
     a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
 

@@ -43,7 +43,7 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 EQUILIBRIUM_TOL = 1e-9
 LINEAR_TOL = 1e-9
-DEFAULT_LAMBDA_MAX = 50.0
+LAMBDA_MAX = 50.0
 
 MapFn = Callable[[int, np.ndarray], np.ndarray]
 _FLOAT = np.dtype(float)
@@ -294,20 +294,13 @@ class SlowFastSystem:
     varphi: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     ystar: Callable[[np.ndarray], np.ndarray]
     epsilon: float = 1e-2
-    probe_points: Sequence[np.ndarray] = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        probes = self.probe_points
-        if probes is None:
-            probes = [np.zeros(self.dim_x)]
-            for i in range(self.dim_x):
-                e = np.zeros(self.dim_x)
-                e[i] = 1.0
-                probes.extend([0.3 * e, -0.7 * e])
-        probes = tuple(_as_vector(p, self.dim_x) for p in probes)
-        object.__setattr__(self, "probe_points", probes)
+        probes = [np.zeros(self.dim_x)]
+        for e in np.eye(self.dim_x):
+            probes.extend([0.3 * e, -0.7 * e])
         for k in (0, 1, 3):
             for x in probes:
                 ys = _as_vector(self.ystar(x), self.dim_y)
@@ -418,7 +411,6 @@ def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:
 
 def fit_exponential_envelope(
     trajectories: Sequence[Trajectory],
-    lambda_max: float = DEFAULT_LAMBDA_MAX,
 ) -> ExponentialEnvelope:
     """Fit a single dominating envelope over a family of decaying trajectories.
 
@@ -426,7 +418,7 @@ def fit_exponential_envelope(
     envelope rate is the slowest of these and the gain is then inflated by
     the worst pointwise ratio, so the returned bound is a true majorant of
     every sample.  Identically-zero trajectories are admissible and fall
-    back to ``lambda_max``.  A NaN or infinite state raises
+    back to ``LAMBDA_MAX``.  A NaN or infinite state raises
     :class:`NotExponentiallyStableError`: no envelope is fitted around it.
     """
     if not trajectories:
@@ -461,7 +453,7 @@ def fit_exponential_envelope(
                 rates.append(-logs[-1] / last / 2.0)
         elif ts.size == 1 and logs[0] < 0.0:
             rates.append(-float(logs[0]) / float(ts[0]))
-    rate = min(min(rates) if rates else lambda_max, lambda_max)
+    rate = min(min(rates) if rates else LAMBDA_MAX, LAMBDA_MAX)
     # inflate the gain in log space so the bound dominates every sample
     log_k = 0.0
     radius = 0.0

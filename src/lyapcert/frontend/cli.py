@@ -172,8 +172,15 @@ def _decay_trajectories(system: DynSystem, radius: float, count: int, horizon: i
     return trajs
 
 
-def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
+def _positive_radius(opts: dict) -> float:
     radius = float(opts.get("radius", 1.0))
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    return radius
+
+
+def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
+    radius = _positive_radius(opts)
     horizon = int(opts.get("horizon", 24))
     n_traj = int(opts.get("n_trajectories", 8))
     n_check = int(opts.get("n_check", 200))
@@ -205,7 +212,7 @@ def _cmd_averaging(cfg: SystemConfig, system, opts: dict, seed: int):
     if not isinstance(system, DynSystem):
         raise ValueError("averaging applies to autonomous or nonautonomous field definitions")
     phi = system.map_fn  # the map expressions define the increment field
-    radius = float(opts.get("radius", 1.0))
+    radius = _positive_radius(opts)
     n_probes = int(opts.get("n_probes", 8))
     rng = Rng(_subseed(seed, 1))
     probes = [rng.ball(system.dim, radius) for _ in range(n_probes)]

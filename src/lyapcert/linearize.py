@@ -61,6 +61,9 @@ BASIN_CONVERGENCE = "basin_convergence"
 
 FD_BASE = 1e-6
 LINEAR_TOL = 1e-12
+T_SAMPLES = (0, 1, 2, 3, 5, 8)  # times a nonautonomous certificate samples
+BASIN_MAX_STEPS = 10_000
+BASIN_TOL = 1e-10
 
 MapFn = Callable[[int, np.ndarray], np.ndarray]
 
@@ -115,11 +118,10 @@ def numerical_jacobian(
     sys_or_fn: Union[DynSystem, MapFn],
     t: int = 0,
     x: Optional[np.ndarray] = None,
-    base_step: float = FD_BASE,
 ) -> JacobianEstimate:
     """Jacobian of the map at (t, x) by two-pass central differences.
 
-    The step is ``base_step * max(1, |x|)``; a second pass at half the
+    The step is ``FD_BASE * max(1, |x|)``; a second pass at half the
     step supplies both the returned matrix and the error estimate.  ``x``
     is one state, or an (S, n) batch of states, whose estimate carries a
     leading sample axis in every field (``A`` is (S, m, n)), each sample
@@ -147,7 +149,7 @@ def numerical_jacobian(
         bad = states[int(np.argmin(finite))]
         raise ValueError(f"numerical Jacobian at a non-finite state x={bad.tolist()}")
     size, n = states.shape
-    h = base_step * np.maximum(1.0, norms)
+    h = FD_BASE * np.maximum(1.0, norms)
     steps = np.stack([h, h / 2.0], axis=1)  # (S, pass)
     shift = steps[:, :, None, None] * np.eye(n)  # shift[s, pass, i] = steps[s, pass] * e_i
     base = states[:, None, None, :]
@@ -202,20 +204,19 @@ def _remainder_radius(
 
 def certify_local_autonomous(
     sys: DynSystem,
-    Q: Optional[np.ndarray] = None,
     domain_radius: float = 1.0,
-    n_lipschitz: int = 64,
     seed: int = 0x10CA1,
 ) -> LocalCertificate:
     """Certify the equilibrium of an autonomous map by its linearization.
 
-    Schur linear part: solve for P, take gamma_star as the positive root
-    of  p2*g^2 + 2*p2*B*g - q1 = 0  with B = max(1, |A|), and shrink the
-    ball until the sampled remainder gain sqrt(n)*L1*|x| stays below
-    gamma_star.  The Lipschitz constant is estimated twice (over the
-    domain, then over the candidate ball) and the larger value kept.
-    Expanding linear part: return an instability witness.  Spectral
-    radius within margin of 1: raise InapplicableError.
+    Schur linear part: solve A'PA - P = -Q with Q = I for P, take
+    gamma_star as the positive root of  p2*g^2 + 2*p2*B*g - q1 = 0  with
+    B = max(1, |A|), and shrink the ball until the sampled remainder gain
+    sqrt(n)*L1*|x| stays below gamma_star.  The Lipschitz constant is
+    estimated twice (over the domain, then over the candidate ball, from
+    64 draws each) and the larger value kept.  Expanding linear part:
+    return an instability witness.  Spectral radius within margin of 1:
+    raise InapplicableError.
     """
     if domain_radius <= 0.0:
         raise ValueError("domain_radius must be positive")
@@ -241,19 +242,17 @@ def certify_local_autonomous(
             f"{spectrum.spectral_radius:.12f} is within margin of 1"
         )
 
-    Q = np.eye(sys.dim) if Q is None else np.asarray(Q, dtype=float)
+    Q = np.eye(sys.dim)
     sol = solve_stein_kron(est.A, Q)
     q1 = float(np.linalg.eigvalsh(Q)[0])
     p2 = float(np.linalg.eigvalsh(sol.P)[-1])
-    if q1 <= 0.0:
-        raise ValueError("Q must be positive definite")
     # the gain clamp covers maps with |A| > 1; for |A| <= 1 this is the
     # unit-gain root  -1 + sqrt(1 + q1/p2)
     B = max(1.0, float(np.linalg.norm(est.A, 2)))
     gamma_star = -B + math.sqrt(B * B + q1 / p2)
 
     L1, remainder_gain, delta_bar, notes = _remainder_radius(
-        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), n_lipschitz, (0,)
+        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), 64, (0,)
     )
     return LocalCertificate(
         verdict=STABLE,
@@ -274,19 +273,18 @@ def certify_local_autonomous(
 
 def certify_local_nonautonomous(
     sys: DynSystem,
-    Q_fn: Optional[Callable[[int], np.ndarray]] = None,
-    t_samples: Sequence[int] = (0, 1, 2, 3, 5, 8),
     domain_radius: float = 1.0,
-    n_lipschitz: int = 48,
     seed: int = 0x10CA2,
 ) -> LocalCertificate:
     """Certify a time-varying equilibrium via per-time linearizations.
 
     The Jacobian family A(t) must admit a uniform decay envelope (checked
-    by transition-matrix fitting); P(t) then comes from the tail sum.
-    The ball radius solves  p2*(L*d)^2 + 2*p2*B_A*(L*d) - q1 = 0  with
-    B_A the sampled bound on |A(t)| and L = sqrt(n)*L1 the remainder
-    gain, so delta_bar = (-B_A + sqrt(B_A^2 + q1/p2)) / L.
+    by transition-matrix fitting from the times ``T_SAMPLES``); P(t) then
+    comes from the tail sum with Q(t) = I.  The Lipschitz constant of the
+    Jacobian is sampled from 48 draws at the same times.  The ball radius
+    solves  p2*(L*d)^2 + 2*p2*B_A*(L*d) - q1 = 0  with B_A the sampled
+    bound on |A(t)| and L = sqrt(n)*L1 the remainder gain, so
+    delta_bar = (-B_A + sqrt(B_A^2 + q1/p2)) / L.
     """
     if domain_radius <= 0.0:
         raise ValueError("domain_radius must be positive")
@@ -299,28 +297,25 @@ def certify_local_nonautonomous(
         return jacobians[t].A
 
     ltv = LinearTV(sys.dim, matrix_fn)
-    envelope = verify_transition_decay(ltv, t0_samples=tuple(t_samples))
-    Q_fn = (lambda t: np.eye(sys.dim)) if Q_fn is None else Q_fn
+    envelope = verify_transition_decay(ltv, t0_samples=T_SAMPLES)
+    Q_fn = lambda t: np.eye(sys.dim)
     tvP = solve_tv_lyapunov(ltv, Q_fn, envelope)
 
-    q1 = math.inf
+    q1 = float(np.linalg.eigvalsh(np.eye(sys.dim))[0])
     p2 = 0.0
     B_A = 0.0
-    for t in t_samples:
-        q1 = min(q1, float(np.linalg.eigvalsh(np.asarray(Q_fn(t), dtype=float))[0]))
+    for t in T_SAMPLES:
         p2 = max(p2, float(np.linalg.eigvalsh(tvP(t))[-1]))
         B_A = max(B_A, float(np.linalg.norm(matrix_fn(t), 2)))
-    if q1 <= 0.0:
-        raise ValueError("Q(t) must be positive definite at every sampled time")
     gamma_star = -B_A + math.sqrt(B_A * B_A + q1 / p2)
 
     L1, remainder_gain, delta_bar, notes = _remainder_radius(
-        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), n_lipschitz, tuple(t_samples)
+        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), 48, T_SAMPLES
     )
     return LocalCertificate(
         verdict=STABLE,
         equilibrium=sys.equilibrium,
-        jacobian=jacobians[t_samples[0]],
+        jacobian=jacobians[T_SAMPLES[0]],
         spectrum=None,
         Q=Q_fn,
         P=tvP,
@@ -340,14 +335,12 @@ def validate_basin(
     cert: LocalCertificate,
     trials: int = 100,
     seed: int = 0xBA51,
-    max_steps: int = 10_000,
-    convergence_tol: float = 1e-10,
 ) -> ConditionReport:
     """Empirically drive random starts in the certified ball to the equilibrium.
 
     Each trial starts uniformly inside the delta_bar ball and must come
-    within ``convergence_tol * delta_bar`` of the equilibrium inside the
-    step budget.  A trial's slack is (threshold - final distance) /
+    within ``BASIN_TOL * delta_bar`` of the equilibrium inside
+    ``BASIN_MAX_STEPS`` steps.  A trial's slack is (threshold - final distance) /
     delta_bar, and -inf when the trajectory leaves the finite numbers;
     divergence or an exhausted budget fails the report with the offending
     start recorded.
@@ -356,18 +349,18 @@ def validate_basin(
         raise ValueError("certificate carries no ball radius (unstable verdict?)")
     delta = cert.delta_bar
     eq = np.asarray(cert.equilibrium, dtype=float)
-    threshold = convergence_tol * delta
+    threshold = BASIN_TOL * delta
     rng = Rng(seed)
     points, slack = [], []
     failures = 0
     longest = 0
-    details: dict = {"threshold": threshold, "max_steps": max_steps}
+    details: dict = {"threshold": threshold, "max_steps": BASIN_MAX_STEPS}
     for _ in range(max(0, trials)):
         x0 = eq + rng.ball(sys.dim, delta)
         x = x0.copy()
         converged = False
         err = float(np.linalg.norm(x - eq))
-        for step in range(1, max_steps + 1):
+        for step in range(1, BASIN_MAX_STEPS + 1):
             x = sys.step(step - 1, x)
             if not np.all(np.isfinite(x)):
                 details["divergence_step"] = step

@@ -55,8 +55,8 @@ class Rng:
         span = high - low + 1
         return low + self.u64() % span
 
-    def vector(self, dim: int, scale: float = 1.0) -> np.ndarray:
-        return np.array([self.normal() for _ in range(dim)]) * scale
+    def vector(self, dim: int) -> np.ndarray:
+        return np.array([self.normal() for _ in range(dim)])
 
     def sphere(self, dim: int) -> np.ndarray:
         """Uniform direction on the unit sphere."""
@@ -72,10 +72,8 @@ class Rng:
         r = radius * self.uniform() ** (1.0 / dim)
         return direction * r
 
-    def matrix(self, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
-        return np.array(
-            [[self.normal() for _ in range(cols)] for _ in range(rows)]
-        ) * scale
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        return np.array([[self.normal() for _ in range(cols)] for _ in range(rows)])
 
     def spawn(self, tag: int) -> "Rng":
         """Independent substream keyed by a fixed tag (order-insensitive)."""

@@ -40,6 +40,7 @@ __all__ = [
 
 TOL_MARGIN = 1e-9
 MARGINAL_TOL = 1e-7
+TV_TAIL_TOL = 1e-10
 KRON_BLOCK_ROWS = 64  # operator rows solve_stein_kron builds per block
 
 
@@ -74,21 +75,17 @@ class SteinSolution:
     notes: Tuple[str, ...] = ()
 
 
-def classify_linear(
-    A: np.ndarray,
-    tol_margin: float = TOL_MARGIN,
-    marginal_tol: float = MARGINAL_TOL,
-) -> SpectrumReport:
+def classify_linear(A: np.ndarray) -> SpectrumReport:
     A = np.asarray(A, dtype=float)
     w = np.linalg.eigvals(A)
     moduli = np.abs(w)
     rho = float(moduli.max())
-    schur = rho < 1.0 - tol_margin
+    schur = rho < 1.0 - TOL_MARGIN
     pair_gap = np.abs(np.multiply.outer(w, w) - 1.0)
-    solvable = float(pair_gap.min()) > tol_margin
+    solvable = float(pair_gap.min()) > TOL_MARGIN
 
     marginal_ok: Optional[bool] = None
-    on_circle = np.abs(moduli - 1.0) <= marginal_tol
+    on_circle = np.abs(moduli - 1.0) <= MARGINAL_TOL
     if np.any(on_circle):
         marginal_ok = True
         scale = max(1.0, float(np.linalg.norm(A, 2)))
@@ -249,23 +246,21 @@ def solve_stein_series(
 def instability_certificate(
     A: np.ndarray,
     Q: Optional[np.ndarray] = None,
-    grid_size: int = 32,
-    tol_margin: float = TOL_MARGIN,
 ) -> Tuple[np.ndarray, float]:
     """Quadratic witness of instability for spectral radius > 1.
 
     Returns ``(P1, gamma)`` such that V(x) = -x' P1 x is positive somewhere
     and increases along trajectories wherever it is positive.  When the
     pairwise eigenvalue condition already holds, gamma = 1 and P1 solves
-    the equation for A directly; otherwise A is rescaled by a grid of
-    gamma values in (1, spectral radius) until a solvable scaling that
+    the equation for A directly; otherwise A is rescaled by a geometric
+    grid of 32 gamma values in (1, spectral radius) until a solvable scaling that
     still has an expanding eigenvalue is found.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     Q = np.eye(n) if Q is None else np.asarray(Q, dtype=float)
-    report = classify_linear(A, tol_margin=tol_margin)
-    if report.spectral_radius <= 1.0 + tol_margin:
+    report = classify_linear(A)
+    if report.spectral_radius <= 1.0 + TOL_MARGIN:
         raise CertificateNotFoundError(
             f"spectral radius {report.spectral_radius:.6f} does not exceed 1"
         )
@@ -274,10 +269,10 @@ def instability_certificate(
     if report.solvable:
         P1 = solve_stein_kron(A, Q).P
     else:
-        grid = np.geomspace(1.0, report.spectral_radius, grid_size + 2)[1:-1]
+        grid = np.geomspace(1.0, report.spectral_radius, 34)[1:-1]
         for g in grid:
-            scaled = classify_linear(A / g, tol_margin=tol_margin)
-            if scaled.solvable and scaled.spectral_radius > 1.0 + tol_margin:
+            scaled = classify_linear(A / g)
+            if scaled.solvable and scaled.spectral_radius > 1.0 + TOL_MARGIN:
                 gamma = float(g)
                 P1 = solve_stein_kron(A / g, Q).P
                 break
@@ -295,7 +290,7 @@ def instability_certificate(
         directions.append(v / max(np.linalg.norm(v), 1e-12))
     for x in directions:
         value = -float(x @ P1 @ x)
-        if value > tol_margin:
+        if value > TOL_MARGIN:
             ax = A @ x
             increase = -float(ax @ P1 @ ax) - value
             if increase <= 0.0:
@@ -309,8 +304,9 @@ class TvLyapunov:
     """Lazily evaluated time-varying quadratic certificate P(t).
 
     Each P(t) is the transition-weighted tail sum truncated where the decay
-    envelope drives the remaining mass below ``tail_tol``.  Values are
-    cached per t; recomputation is idempotent, so concurrent readers are
+    envelope drives the remaining mass below ``TV_TAIL_TOL``, with Q(t)
+    bounded by its largest eigenvalue over t = 0..63.  Values are cached
+    per t; recomputation is idempotent, so concurrent readers are
     safe.
     """
 
@@ -319,20 +315,17 @@ class TvLyapunov:
         ltv: LinearTV,
         q_fn: Callable[[int], np.ndarray],
         envelope: ExponentialEnvelope,
-        tail_tol: float = 1e-10,
-        probe_window: int = 64,
     ):
         self.ltv = ltv
         self.q_fn = q_fn
         self.envelope = envelope
-        self.tail_tol = tail_tol
         q2 = 0.0
-        for tau in range(probe_window):
+        for tau in range(64):
             q2 = max(q2, float(np.linalg.eigvalsh(np.asarray(q_fn(tau), dtype=float))[-1]))
         self.q2 = max(q2, 1e-300)
         lam = envelope.rate
         denom = -math.expm1(-2.0 * lam)  # 1 - exp(-2 lam)
-        mass = self.q2 * envelope.gain**2 / (denom * tail_tol)
+        mass = self.q2 * envelope.gain**2 / (denom * TV_TAIL_TOL)
         self.horizon = max(0, math.ceil(math.log(max(mass, 1.0)) / (2.0 * lam)))
         self._cache: dict[int, np.ndarray] = {}
 
@@ -356,7 +349,6 @@ def solve_tv_lyapunov(
     ltv: LinearTV,
     q_fn: Callable[[int], np.ndarray],
     envelope: ExponentialEnvelope,
-    tail_tol: float = 1e-10,
 ) -> TvLyapunov:
     """Tail-sum solution of  A(t)' P(t+1) A(t) - P(t) = -Q(t).
 
@@ -364,7 +356,7 @@ def solve_tv_lyapunov(
     :func:`verify_transition_decay`); its constants set the truncation
     horizon from the tail estimate.
     """
-    return TvLyapunov(ltv, q_fn, envelope, tail_tol=tail_tol)
+    return TvLyapunov(ltv, q_fn, envelope)
 
 
 def verify_transition_decay(

@@ -172,9 +172,7 @@ def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) 
     return out
 
 
-def _ell_ratios(
-    sysf: SlowFastSystem, samples: Sequence[SlowFastSample], eps_probe: float
-) -> dict:
+def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[SlowFastSample]) -> dict:
     """Defining ratios of the four moduli on slow/fast samples.
 
     Samples whose denominator vanishes are skipped; the caller decides
@@ -208,8 +206,8 @@ def _ell_ratios(
         moving = nphi > DENOM_TOL
         l4 = np.zeros(len(samples))
         if moving.any():
-            shifted = sample_rows(sysf.ystar, x[moving] + eps_probe * phi_full[moving])
-            l4[moving] = _row_norms(shifted - ys[moving]) / (eps_probe * nphi[moving])
+            shifted = sample_rows(sysf.ystar, x[moving] + ELL_EPS_PROBE * phi_full[moving])
+            l4[moving] = _row_norms(shifted - ys[moving]) / (ELL_EPS_PROBE * nphi[moving])
         found["l4"] = (moving, l4)
     bad = np.zeros(len(samples), dtype=bool)
     for name in names:
@@ -235,32 +233,30 @@ def estimate_ell_constants(
     samples: Optional[Sequence[SlowFastSample]] = None,
     n_samples: int = 96,
     seed: int = 0x711,
-    eps_probe: float = ELL_EPS_PROBE,
-    safety: float = ELL_SAFETY,
 ) -> EllConstants:
-    """Sampled interaction moduli over the r0-ball, inflated by a safety factor.
+    """Sampled interaction moduli over the r0-ball, inflated by ``ELL_SAFETY``.
 
-    The manifold-displacement modulus l4 is probed at a small amplitude
-    (the amplitude cancels in the ratio); samples where the full slow
-    field vanishes carry a provably zero displacement and are skipped, so
+    The manifold-displacement modulus l4 is probed at the small amplitude
+    ``ELL_EPS_PROBE`` (the amplitude cancels in the ratio); samples where
+    the full slow field vanishes carry a provably zero displacement and are skipped, so
     an empty l4 family collapses to zero.
     """
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
     if samples is None:
         samples = _stacked_samples(sysf, r0, n_samples, Rng(seed))
-    ratios = _ell_ratios(sysf, samples, eps_probe)
+    ratios = _ell_ratios(sysf, samples)
     for name in ("l1", "l2", "l3"):
         if not ratios[name]:
             raise ValueError(
                 f"all samples excluded when estimating {name}; "
                 "supply samples with nonzero state components"
             )
-    l4 = safety * max(ratios["l4"]) if ratios["l4"] else 0.0
+    l4 = ELL_SAFETY * max(ratios["l4"]) if ratios["l4"] else 0.0
     return EllConstants(
-        l1=safety * max(ratios["l1"]),
-        l2=safety * max(ratios["l2"]),
-        l3=safety * max(ratios["l3"]),
+        l1=ELL_SAFETY * max(ratios["l1"]),
+        l2=ELL_SAFETY * max(ratios["l2"]),
+        l3=ELL_SAFETY * max(ratios["l3"]),
         l4=l4,
         r_bar=r0,
         r_tilde=max(ratios["ystar_norm"]),
@@ -323,15 +319,15 @@ def _negative_definite(coeffs: CoefficientRecord, eps: float) -> bool:
     return q[0, 0] < 0.0 and float(np.linalg.det(q)) > 0.0
 
 
-def _ell_u(coeffs: CoefficientRecord, eps_r: float, n_grid: int = 48) -> float:
+def _ell_u(coeffs: CoefficientRecord, eps_r: float) -> float:
     """Conservative decrement-per-amplitude over the working grid.
 
-    -lambda_max(Q_U(eps))/eps is evaluated on a geometric grid up to
-    eps_r and the minimum kept, so Q_U(eps) <= -eps*ell_U*I holds at
-    every probed amplitude.
+    -lambda_max(Q_U(eps))/eps is evaluated on a geometric grid of 48
+    amplitudes from eps_r/1000 to eps_r and the minimum kept, so
+    Q_U(eps) <= -eps*ell_U*I holds at every probed amplitude.
     """
     worst = math.inf
-    for eps in np.geomspace(eps_r * 1e-3, eps_r, n_grid):
+    for eps in np.geomspace(eps_r * 1e-3, eps_r, 48):
         lam = float(np.linalg.eigvalsh(q_matrix(coeffs, float(eps)))[-1])
         worst = min(worst, -lam / float(eps))
     if worst <= 0.0:
@@ -341,23 +337,19 @@ def _ell_u(coeffs: CoefficientRecord, eps_r: float, n_grid: int = 48) -> float:
     return worst
 
 
-def find_eps_r(
-    coeffs: CoefficientRecord,
-    eps_max: float = 1.0,
-    n_grid: int = 120,
-    bisect_iters: int = 60,
-) -> Tuple[float, float]:
+def find_eps_r(coeffs: CoefficientRecord) -> Tuple[float, float]:
     """Largest certified amplitude (halved for safety) and its decrement rate.
 
-    Scans a geometric grid for the negative-definiteness of Q_U, bisects
-    the boundary to get eps*, and returns (eps_r, ell_U) with
+    Scans a geometric grid of 120 amplitudes from ``EPS_GRID_FLOOR`` to 1
+    for the negative-definiteness of Q_U, bisects the boundary 60 times to
+    get eps*, and returns (eps_r, ell_U) with
     eps_r = eps*/2 and ell_U the grid minimum of -lambda_max(Q_U)/eps.
     """
     if coeffs.vA1 <= 0.0:
         raise CertificateNotFoundError("no decrease in the slow direction (vA1 <= 0)")
     if coeffs.wC1 <= 0.0:
         raise CertificateNotFoundError("no decrease in the fast direction (wC1 <= 0)")
-    grid = np.geomspace(EPS_GRID_FLOOR, eps_max, n_grid)
+    grid = np.geomspace(EPS_GRID_FLOOR, 1.0, 120)
     flags = [_negative_definite(coeffs, float(e)) for e in grid]
     if not flags[0]:
         raise CertificateNotFoundError(
@@ -368,7 +360,7 @@ def find_eps_r(
     else:
         first_bad = flags.index(False)
         lo, hi = float(grid[first_bad - 1]), float(grid[first_bad])
-        for _ in range(bisect_iters):
+        for _ in range(60):
             mid = 0.5 * (lo + hi)
             if _negative_definite(coeffs, mid):
                 lo = mid
@@ -411,11 +403,6 @@ def certify_semiglobal(
     r: float,
     V_slow: CandidateFunction,
     seed: int = 2024,
-    T_avg: int = 512,
-    T_list: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-    n_probes: int = 8,
-    env_horizon: int = 24,
-    eps2_convention: str = "sum-squared",
 ) -> CompositeCertificate:
     """Full pipeline from a slow/fast pair to a composite rate certificate.
 
@@ -423,10 +410,14 @@ def certify_semiglobal(
     trajectory-sum certificate, average the frozen slow field and build
     the window-sum certificate for V_slow, estimate interaction moduli
     over the ball r0 = r*beta/alpha, assemble Q_U, and search the
-    admissible amplitude range.  Any stage failure is re-raised tagged
-    with the stage name.  The certified rate is gamma_r = ell_U / beta:
-    dividing by the upper sandwich constant is what makes the pointwise
-    inequality  dU <= -eps*gamma_r*U  follow from  dU <= -eps*ell_U*|z|^2.
+    admissible amplitude range.  The fast envelope is fitted on 4 x 4
+    frozen trajectories of 24 steps; the slow field is averaged over 512
+    steps at 8 ball draws and the r-scaled unit vectors, and sigma is
+    tabulated at windows 1, 2, 4, ..., 64.  Any stage failure is re-raised
+    tagged with the stage name.  The certified rate is
+    gamma_r = ell_U / beta: dividing by the upper sandwich constant is what
+    makes the pointwise inequality  dU <= -eps*gamma_r*U  follow from
+    dU <= -eps*ell_U*|z|^2.
     """
     if r <= 0.0:
         raise ValueError("r must be positive")
@@ -442,7 +433,7 @@ def certify_semiglobal(
             raise StageError(name, exc) from exc
 
     def fit_fast_envelope():
-        trajs = _fast_trajectories(sysf, r, rng.spawn(1), 4, 4, env_horizon)
+        trajs = _fast_trajectories(sysf, r, rng.spawn(1), 4, 4, 24)
         env = fit_exponential_envelope(trajs)
         hyp = _stacked_samples(sysf, r, 16, rng.spawn(2))
         check_envelope_hypothesis(sysf, env, hyp)
@@ -467,10 +458,10 @@ def certify_semiglobal(
         time_batched(phi1)  # k may be an array of times exactly when phi takes one
 
     probe_rng = rng.spawn(4)
-    probes = [probe_rng.ball(sysf.dim_x, r) for _ in range(n_probes)]
+    probes = [probe_rng.ball(sysf.dim_x, r) for _ in range(8)]
     probes += [r * np.eye(sysf.dim_x)[i] for i in range(sysf.dim_x)]
 
-    avg = stage("slow-average", estimate_average, phi1, probes, T_avg)
+    avg = stage("slow-average", estimate_average, phi1, probes, 512)
     if avg.warning:
         notes += (avg.warning,)
     L_slow = stage(
@@ -482,7 +473,8 @@ def certify_semiglobal(
         mode="growth",
     )
     sigma_probes = [(k, p) for k in range(4) for p in probes]
-    table = stage("slow-sigma", estimate_sigma, phi1, avg, sigma_probes, T_list, L_slow)
+    windows = (1, 2, 4, 8, 16, 32, 64)
+    table = stage("slow-sigma", estimate_sigma, phi1, avg, sigma_probes, windows, L_slow)
     constants = stage("slow-constants", fit_slow_constants, V_slow, avg, probes)
     slow = stage(
         "slow-certificate",
@@ -492,7 +484,6 @@ def certify_semiglobal(
         phi1,
         table,
         probes,
-        eps2_convention,
     )
 
     b1, b2 = fast.a1, fast.a2

@@ -203,11 +203,6 @@ class TestBudget:
         assert b.eps_delta == b.eps1  # eps1 is the binding constraint here
         assert b.mu_at_budget <= b.delta * (1 + 1e-12)
 
-    def test_alternate_gain_convention(self):
-        b = budget_for_delta(1.0, self.reciprocal_table(), eps2_convention="square-summed")
-        # gain L + nu^2 = 2 + 0.5625
-        assert b.eps2 == pytest.approx(1.0 / (2.0 * 4.0 * 2.5625), rel=1e-12)
-
     def test_infeasible_when_sigma_never_small(self):
         entries = {1: 1.0, 2: 0.9, 4: 0.8}
         table = SigmaTable(L=2.0, T_list=(1, 2, 4), entries=entries, raw_entries=dict(entries))

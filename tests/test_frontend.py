@@ -403,6 +403,18 @@ class TestRunCommand:
         assert [c["name"] for c in report["checks"]] == ["basin_convergence"]
         assert not report["checks"][0]["passed"]
 
+    @pytest.mark.parametrize("command", ["converse", "averaging"])
+    @pytest.mark.parametrize("radius", [0, -0.5])
+    def test_nonpositive_radius_is_refused(self, command, radius):
+        # at radius 0 every sample is the zero state, so every margin is the tolerance
+        path = Path(__file__).parent.parent / "configs" / "contraction_quadratic.json"
+        doc = json.loads(path.read_text())
+        doc["analyses"] = [{"command": command, "radius": radius}]
+        report, code = run_command(doc, command, timestamp=False)
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error"] == {"type": "ValueError", "message": "radius must be positive"}
+
     @pytest.mark.parametrize(
         "overrides,pointer",
         [
