@@ -6,7 +6,10 @@ Commands: simulate, linear, certify-local, converse, averaging,
 timescales.  Each reads a config document, dispatches to the analysis
 modules, and emits a JSON report; exit status is 0 when every requested
 check passed, 2 when a check failed, 1 on error.  Options for a command
-are taken from the config's matching ``analyses`` block.
+are taken from the config's matching ``analyses`` block; the table
+``config.OPTIONS`` gives each one's type, bound and default, and
+``load_config`` hands the handlers checked values with the defaults filled
+in (README, "CLI options").
 
 ``linear`` reads its matrix through ``dynsys.linear_part``: it accepts
 linear_tv systems and autonomous maps that are homogeneous linear about
@@ -45,7 +48,7 @@ from ..dynsys import (
     simulate,
     trajectory_to_csv,
 )
-from ..errors import LyapcertError, StageError
+from ..errors import StageError
 from ..linearize import (
     STABLE,
     certify_local_autonomous,
@@ -72,13 +75,6 @@ from .report import build_report, checks_from_reports, jsonable, write_report
 __all__ = ["main", "run_command"]
 
 
-def _options(cfg: SystemConfig, command: str) -> dict:
-    for block in cfg.analyses:
-        if block.get("command") == command:
-            return {k: v for k, v in block.items() if k != "command"}
-    return {}
-
-
 def _subseed(seed: int, tag: int) -> int:
     return Rng(seed).at(tag)
 
@@ -95,20 +91,17 @@ def _stacked_system(sysf: SlowFastSystem) -> DynSystem:
 
 
 def _cmd_simulate(cfg: SystemConfig, system, opts: dict, seed: int):
-    if "x0" not in opts:
-        raise ValueError("simulate requires an 'x0' option in the analyses block")
-    t0 = int(opts.get("t0", 0))
-    horizon = int(opts.get("horizon", 50))
+    horizon = opts["horizon"]
     if isinstance(system, LinearTV):
         system = system.system()
     elif isinstance(system, SlowFastSystem):
         system = _stacked_system(system)
-    traj = simulate(system, t0, np.asarray(opts["x0"], dtype=float), horizon)
+    traj = simulate(system, 0, np.asarray(opts["x0"]), horizon)
     csv = trajectory_to_csv(traj)
     results = [
         {
             "type": "trajectory",
-            "t0": t0,
+            "t0": 0,
             "horizon": horizon,
             "states": jsonable(traj.states),
             "csv": csv,
@@ -148,16 +141,15 @@ def _cmd_linear(cfg: SystemConfig, system, opts: dict, seed: int):
 def _cmd_certify_local(cfg: SystemConfig, system, opts: dict, seed: int):
     if not isinstance(system, DynSystem):
         raise ValueError("certify-local applies to autonomous or nonautonomous systems")
-    radius = float(opts.get("domain_radius", 1.0))
-    trials = int(opts.get("trials", 100))
+    radius = opts["domain_radius"]
     if system.autonomous:
         cert = certify_local_autonomous(system, domain_radius=radius, seed=_subseed(seed, 1))
     else:
         cert = certify_local_nonautonomous(system, domain_radius=radius, seed=_subseed(seed, 1))
     results = [{"type": "local_certificate", "certificate": jsonable(cert)}]
     checks = []
-    if cert.verdict == STABLE:  # no trials fails closed: an empty sample set never passes
-        checks.append(validate_basin(system, cert, trials=trials, seed=_subseed(seed, 2)))
+    if cert.verdict == STABLE:
+        checks.append(validate_basin(system, cert, trials=opts["trials"], seed=_subseed(seed, 2)))
     return results, checks
 
 
@@ -172,18 +164,8 @@ def _decay_trajectories(system: DynSystem, radius: float, count: int, horizon: i
     return trajs
 
 
-def _positive_radius(opts: dict) -> float:
-    radius = float(opts.get("radius", 1.0))
-    if not radius > 0.0:
-        raise ValueError("radius must be positive")
-    return radius
-
-
 def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
-    radius = _positive_radius(opts)
-    horizon = int(opts.get("horizon", 24))
-    n_traj = int(opts.get("n_trajectories", 8))
-    n_check = int(opts.get("n_check", 200))
+    radius, horizon, n_check = opts["radius"], opts["horizon"], opts["n_check"]
     if isinstance(system, LinearTV):
         system = system.system()
     if isinstance(system, SlowFastSystem):
@@ -193,7 +175,7 @@ def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
         drawn = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
         samples = [(s.k, s.yerr, s.x) for s in drawn]  # verify_converse takes (k, state, frozen_x)
     else:
-        trajs = _decay_trajectories(system, radius, n_traj, horizon, _subseed(seed, 1))
+        trajs = _decay_trajectories(system, radius, 8, horizon, _subseed(seed, 1))
         env = fit_exponential_envelope(trajs)
         cert = build_trajectory_converse(system, env)
         rng = Rng(_subseed(seed, 3))
@@ -212,22 +194,20 @@ def _cmd_averaging(cfg: SystemConfig, system, opts: dict, seed: int):
     if not isinstance(system, DynSystem):
         raise ValueError("averaging applies to autonomous or nonautonomous field definitions")
     phi = system.map_fn  # the map expressions define the increment field
-    radius = _positive_radius(opts)
-    n_probes = int(opts.get("n_probes", 8))
+    radius = opts["radius"]
     rng = Rng(_subseed(seed, 1))
-    probes = [rng.ball(system.dim, radius) for _ in range(n_probes)]
+    probes = [rng.ball(system.dim, radius) for _ in range(opts["n_probes"])]
     probes += [radius * e for e in np.eye(system.dim)]
-    avg = estimate_average(phi, probes, T_max=int(opts.get("T_max", 512)))
+    avg = estimate_average(phi, probes)  # window sums up to T_max = 512
     L = estimate_lipschitz(phi, probes, times=(0, 1, 2, 3), mode="growth")
-    T_list = [int(T) for T in opts.get("T_list", (1, 2, 4, 8, 16, 32, 64))]
+    T_list = opts["T_list"]
     table = estimate_sigma(
         phi, avg, [(k, p) for k in range(4) for p in probes], T_list, L
     )
-    delta = float(opts.get("delta", 0.5))
-    budget = budget_for_delta(delta, table)
+    budget = budget_for_delta(opts["delta"], table)
     drift_rng = Rng(_subseed(seed, 2))
     samples = []
-    for _ in range(int(opts.get("drift_samples", 100))):
+    for _ in range(opts["drift_samples"]):
         T = T_list[drift_rng.integer(0, len(T_list) - 1)]
         samples.append(
             (
@@ -254,18 +234,15 @@ def _cmd_averaging(cfg: SystemConfig, system, opts: dict, seed: int):
 def _cmd_timescales(cfg: SystemConfig, system, opts: dict, seed: int):
     if not isinstance(system, SlowFastSystem):
         raise ValueError("timescales applies to slow_fast systems")
-    r = float(opts.get("r", 1.0))
     V = CandidateFunction.quadratic(np.eye(system.dim_x))
-    cert = certify_semiglobal(system, r, V, seed=_subseed(seed, 1))
-    reports = verify_composite(
-        system, cert, n_samples=int(opts.get("n_samples", 300)), seed=_subseed(seed, 2)
-    )
+    cert = certify_semiglobal(system, opts["r"], V, seed=_subseed(seed, 1))
+    reports = verify_composite(system, cert, n_samples=opts["n_samples"], seed=_subseed(seed, 2))
     reports.append(
         validate_rate(
             system,
             cert,
-            trials=int(opts.get("trials", 20)),
-            horizon=int(opts.get("horizon", 200)),
+            trials=opts["trials"],
+            horizon=opts["horizon"],
             seed=_subseed(seed, 3),
         )
     )
@@ -298,7 +275,7 @@ def run_command(
         cfg = load_config(doc)
         effective_seed = cfg.seed if seed is None else int(seed)
         system = build_system(cfg)
-        results, reports = _HANDLERS[command](cfg, system, _options(cfg, command), effective_seed)
+        results, reports = _HANDLERS[command](cfg, system, cfg.options_of(command), effective_seed)
         checks = checks_from_reports(reports)
         all_passed = all(c["passed"] for c in checks)
         status = "passed" if all_passed else "check_failed"

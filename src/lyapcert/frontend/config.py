@@ -2,8 +2,10 @@
 
 A config is a JSON object with keys kind, dims, map, params, epsilon,
 analyses, seed.  Validation failures raise ConfigError carrying a JSON
-pointer to the offending location.  ``build_system`` turns a validated
-config into the matching dynamics object.
+pointer to the offending location.  ``OPTIONS`` names each command's
+options; ``load_config`` checks every ``analyses`` block against it and
+fills in the defaults.  ``build_system`` turns a validated config into the
+matching dynamics object.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -20,11 +22,41 @@ from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, state_bat
 from ..errors import ConfigError, ParseError
 from .expressions import compile_map, free_refs, parse_expression
 
-__all__ = ["SystemConfig", "load_config", "build_system", "KINDS", "COMMANDS"]
+__all__ = ["SystemConfig", "load_config", "build_system", "KINDS", "COMMANDS", "OPTIONS"]
 
 KINDS = ("autonomous", "nonautonomous", "linear_tv", "slow_fast")
-COMMANDS = ("simulate", "linear", "certify-local", "converse", "averaging", "timescales")
 RESERVED_NAMES = {"t", "x", "y", "abs", "sin", "cos", "exp", "tanh", "sqrt", "min", "max"}
+
+REQUIRED = None  # the default of an option that a block must set
+
+# command -> option -> (type, bound, default).  A "count" is a JSON integer
+# at least its bound, "counts" a nonempty list of them, a "number" an int or
+# float above its bound, and a "state" a list of numbers, one per state.
+# A bool is never a count or a number.
+OPTIONS: Dict[str, Dict[str, tuple]] = {
+    "simulate": {"x0": ("state", None, REQUIRED), "horizon": ("count", 0, 50)},
+    "linear": {},
+    "certify-local": {"domain_radius": ("number", 0, 1.0), "trials": ("count", 1, 100)},
+    "converse": {
+        "radius": ("number", 0, 1.0),
+        "horizon": ("count", 1, 24),
+        "n_check": ("count", 1, 200),
+    },
+    "averaging": {
+        "radius": ("number", 0, 1.0),
+        "n_probes": ("count", 0, 8),
+        "T_list": ("counts", 1, (1, 2, 4, 8, 16, 32, 64)),
+        "delta": ("number", 0, 0.5),
+        "drift_samples": ("count", 1, 100),
+    },
+    "timescales": {
+        "r": ("number", 0, 1.0),
+        "n_samples": ("count", 1, 300),
+        "trials": ("count", 1, 20),
+        "horizon": ("count", 1, 200),
+    },
+}
+COMMANDS = tuple(OPTIONS)
 
 
 @dataclass(frozen=True)
@@ -38,9 +70,18 @@ class SystemConfig:
     params: dict
     epsilon: Optional[float]
     equilibrium: Optional[List[float]]
-    analyses: List[dict]
     seed: int
+    options: Dict[str, dict]
     raw: dict = field(repr=False, default_factory=dict)
+
+    def options_of(self, command: str) -> dict:
+        """Typed options of ``command``, defaults filled in: from its
+        analyses block, else every default.  Refused when the command has
+        no block and an option without a default."""
+        if command not in self.options:
+            required = [k for k, (_, _, d) in OPTIONS[command].items() if d is REQUIRED]
+            raise ConfigError(f"{command} needs an analyses block that sets {required}", "/analyses")
+        return self.options[command]
 
 
 def _require(doc: dict, key: str, pointer: str = ""):
@@ -49,10 +90,42 @@ def _require(doc: dict, key: str, pointer: str = ""):
     return doc[key]
 
 
-def _as_positive_int(value, pointer: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"expected a positive integer, got {value!r}", pointer)
-    return value
+def _typed(kind: str, bound, value, pointer: str):
+    """``value`` checked against an ``OPTIONS`` entry (a state's bound is
+    its length); numbers become floats."""
+    if kind == "count":
+        if not isinstance(value, int) or isinstance(value, bool) or value < bound:
+            raise ConfigError(f"expected an integer >= {bound}, got {value!r}", pointer)
+        return value
+    if kind == "number":
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > bound:
+            raise ConfigError(f"expected a number > {bound}, got {value!r}", pointer)
+        return float(value)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"expected a nonempty list, got {value!r}", pointer)
+    if kind == "counts":
+        return [_typed("count", bound, v, f"{pointer}/{i}") for i, v in enumerate(value)]
+    # state
+    if len(value) != bound:
+        raise ConfigError(f"expected {bound} numbers, one per state, got {len(value)}", pointer)
+    return [_typed("number", -math.inf, v, f"{pointer}/{i}") for i, v in enumerate(value)]
+
+
+def _command_options(command: str, block: dict, pointer: str, state_dim: int) -> dict:
+    """The options of one analyses block, checked against ``OPTIONS``,
+    with the defaults filled in."""
+    table = OPTIONS[command]
+    for key in block:
+        if key != "command" and key not in table:
+            raise ConfigError(f"unknown option {key!r} for {command}", f"{pointer}/{key}")
+    out = {}
+    for key, (kind, bound, default) in table.items():
+        if default is REQUIRED:
+            _require(block, key, pointer)
+        if kind == "state":
+            bound = state_dim
+        out[key] = _typed(kind, bound, block.get(key, default), f"{pointer}/{key}")
+    return out
 
 
 def _parse_exprs(entries, pointer: str, expected: int) -> List[object]:
@@ -150,10 +223,10 @@ def load_config(source) -> SystemConfig:
     dims = _require(doc, "dims")
     if not isinstance(dims, dict):
         raise ConfigError("dims must be an object", "/dims")
-    dim_x = _as_positive_int(_require(dims, "x", "/dims"), "/dims/x")
+    dim_x = _typed("count", 1, _require(dims, "x", "/dims"), "/dims/x")
     dim_y = None
     if kind == "slow_fast":
-        dim_y = _as_positive_int(_require(dims, "y", "/dims"), "/dims/y")
+        dim_y = _typed("count", 1, _require(dims, "y", "/dims"), "/dims/y")
     elif "y" in dims:
         raise ConfigError("dims.y is only meaningful for slow_fast systems", "/dims/y")
 
@@ -209,6 +282,8 @@ def load_config(source) -> SystemConfig:
     analyses = _require(doc, "analyses")
     if not isinstance(analyses, list) or not analyses:
         raise ConfigError("analyses must be a nonempty list", "/analyses")
+    state_dim = dim_x + (dim_y or 0)
+    options = {}
     for i, block in enumerate(analyses):
         if not isinstance(block, dict):
             raise ConfigError("analysis entry must be an object", f"/analyses/{i}")
@@ -218,6 +293,12 @@ def load_config(source) -> SystemConfig:
                 f"command must be one of {COMMANDS}, got {command!r}",
                 f"/analyses/{i}/command",
             )
+        if command in options:
+            raise ConfigError(f"second analyses block for {command}", f"/analyses/{i}/command")
+        options[command] = _command_options(command, block, f"/analyses/{i}", state_dim)
+    for command, table in OPTIONS.items():
+        if command not in options and all(d is not REQUIRED for _, _, d in table.values()):
+            options[command] = _command_options(command, {}, "", state_dim)
 
     seed = _require(doc, "seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -233,8 +314,8 @@ def load_config(source) -> SystemConfig:
         params=dict(params),
         epsilon=epsilon,
         equilibrium=equilibrium,
-        analyses=list(analyses),
         seed=seed,
+        options=options,
         raw=doc,
     )
 

@@ -125,3 +125,58 @@ def test_every_defaulted_parameter_has_a_caller():
         )
     ]
     assert not uncalled, f"{len(uncalled)} defaulted parameters have no caller: {uncalled}"
+
+
+def _handler_reads():
+    """Map command -> (keys its handler reads as ``opts["key"]``, whether it
+    calls ``opts.get``), from the ``_HANDLERS`` table of ``frontend/cli.py``;
+    plus the ``opts[...]`` keys read outside every handler."""
+    tree = ast.parse((LIBRARY / "frontend" / "cli.py").read_text())
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_HANDLERS"
+    )
+    handler_of = {k.value: v.id for k, v in zip(table.keys, table.values)}
+
+    def reads(node):
+        keys, gets = set(), False
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "opts":
+                keys.add(sub.slice.value if isinstance(sub.slice, ast.Constant) else None)
+            elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "opts":
+                gets = gets or sub.attr == "get"
+        return keys, gets
+
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    per_command = {cmd: reads(functions[name]) for cmd, name in handler_of.items()}
+    elsewhere = set()
+    for name, fn in functions.items():
+        if name not in handler_of.values():
+            keys, gets = reads(fn)
+            elsewhere |= keys | ({"opts.get"} if gets else set())
+    return per_command, elsewhere
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    from lyapcert.frontend.config import OPTIONS
+
+    per_command, elsewhere = _handler_reads()
+    assert set(per_command) == set(OPTIONS)
+    for command, (keys, gets) in per_command.items():
+        assert keys == set(OPTIONS[command]), f"{command} reads {keys}, table has {set(OPTIONS[command])}"
+        assert not gets, f"the {command} handler calls opts.get"
+    assert not elsewhere, f"options read outside a handler: {elsewhere}"
+
+
+def test_readme_names_every_cli_option():
+    from lyapcert.frontend.config import OPTIONS
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    unnamed = [
+        f"{command}.{key}"
+        for command, table in OPTIONS.items()
+        for key in table
+        if f"| `{command}` | `{key}` |" not in section
+    ]
+    assert not unnamed, f"README's CLI option table has no row for {unnamed}"

@@ -398,10 +398,11 @@ class TestRunCommand:
             analyses=[{"command": "certify-local", "trials": trials}],
         )
         report, code = run_command(doc, "certify-local", timestamp=False)
-        assert code == 2
-        assert report["status"] == "check_failed"
-        assert [c["name"] for c in report["checks"]] == ["basin_convergence"]
-        assert not report["checks"][0]["passed"]
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "ConfigError"
+        assert "(at '/analyses/0/trials')" in report["error"]["message"]
+        assert report["checks"] == [] and report["results"] == []
 
     @pytest.mark.parametrize("command", ["converse", "averaging"])
     @pytest.mark.parametrize("radius", [0, -0.5])
@@ -413,7 +414,8 @@ class TestRunCommand:
         report, code = run_command(doc, command, timestamp=False)
         assert code == 1
         assert report["status"] == "error"
-        assert report["error"] == {"type": "ValueError", "message": "radius must be positive"}
+        assert report["error"]["type"] == "ConfigError"
+        assert "(at '/analyses/0/radius')" in report["error"]["message"]
 
     @pytest.mark.parametrize(
         "overrides,pointer",
@@ -533,6 +535,106 @@ class TestRunCommand:
         r1, _ = run_command(doc, "certify-local", seed=1, timestamp=False)
         r2, _ = run_command(doc, "certify-local", seed=2, timestamp=False)
         assert r1["checks"][0]["margin"] != r2["checks"][0]["margin"]
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def config_with(name, *blocks):
+    doc = json.loads((CONFIGS / name).read_text())
+    doc["analyses"] = list(blocks)
+    return doc
+
+
+class TestOptionTable:
+    """``load_config`` checks every analyses block against ``OPTIONS``."""
+
+    @pytest.mark.parametrize(
+        "block,key",
+        [
+            ({"command": "converse", "radus": 0.01}, "radus"),
+            ({"command": "converse", "n_check": 2.9}, "n_check"),
+            ({"command": "converse", "n_check": "7"}, "n_check"),
+            ({"command": "converse", "n_check": True}, "n_check"),
+            ({"command": "converse", "horizon": 0}, "horizon"),
+            ({"command": "averaging", "n_probes": -3}, "n_probes"),
+            ({"command": "averaging", "delta": 0}, "delta"),
+            ({"command": "averaging", "T_list": []}, "T_list"),
+            ({"command": "averaging", "T_list": [2, 0]}, "T_list/1"),
+            ({"command": "averaging", "T_list": 4}, "T_list"),
+            ({"command": "certify-local", "trials": 1.5}, "trials"),
+            ({"command": "certify-local", "domain_radius": False}, "domain_radius"),
+            ({"command": "simulate", "x0": [0.1, 0.2]}, "x0"),
+            ({"command": "simulate", "x0": ["0.1"]}, "x0/0"),
+            ({"command": "simulate", "x0": [0.1], "horizon": -1}, "horizon"),
+            ({"command": "simulate"}, "x0"),
+            ({"command": "timescales", "r": -1.0}, "r"),
+            ({"command": "linear", "radius": 1.0}, "radius"),
+            # fixed values, not options
+            ({"command": "simulate", "x0": [0.1], "t0": 0}, "t0"),
+            ({"command": "converse", "n_trajectories": 8}, "n_trajectories"),
+            ({"command": "averaging", "T_max": 512}, "T_max"),
+        ],
+    )
+    def test_misuse_is_refused_at_its_key(self, block, key):
+        doc = config_with("contraction_quadratic.json", block)
+        report, code = run_command(doc, block["command"], timestamp=False)
+        assert code == 1
+        assert report["status"] == "error" and report["checks"] == []
+        assert report["error"]["type"] == "ConfigError"
+        assert f"(at '/analyses/0/{key}')" in report["error"]["message"]
+
+    def test_every_block_is_checked_whichever_command_runs(self):
+        doc = config_with(
+            "contraction_quadratic.json", {"command": "linear"}, {"command": "converse", "radius": -1}
+        )
+        report, code = run_command(doc, "linear", timestamp=False)
+        assert code == 1 and report["error"]["type"] == "ConfigError"
+        assert "(at '/analyses/1/radius')" in report["error"]["message"]
+
+    @pytest.mark.parametrize("second", [-5, 0.1])
+    def test_second_block_for_a_command_is_refused(self, second):
+        doc = config_with(
+            "contraction_quadratic.json",
+            {"command": "converse", "radius": 0.1},
+            {"command": "converse", "radius": second},
+        )
+        report, code = run_command(doc, "converse", timestamp=False)
+        assert code == 1 and report["status"] == "error"
+        assert report["error"]["type"] == "ConfigError"
+        assert "(at '/analyses/1/command')" in report["error"]["message"]
+
+    def test_slow_fast_state_has_both_parts(self):
+        doc = config_with("slow_fast_golden.json", {"command": "simulate", "x0": [1.0]})
+        report, code = run_command(doc, "simulate", timestamp=False)
+        assert code == 1
+        assert "(at '/analyses/0/x0')" in report["error"]["message"]
+        doc["analyses"][0]["x0"] = [1.0, 0.5]
+        assert run_command(doc, "simulate", timestamp=False)[1] == 0
+
+    def test_defaults_fill_every_command_without_a_block(self):
+        cfg = load_config(minimal_doc(analyses=[{"command": "linear"}]))
+        assert cfg.options_of("converse") == {"radius": 1.0, "horizon": 24, "n_check": 200}
+        assert cfg.options_of("averaging")["T_list"] == [1, 2, 4, 8, 16, 32, 64]
+        with pytest.raises(ConfigError) as exc:
+            cfg.options_of("simulate")  # x0 has no default
+        assert exc.value.pointer == "/analyses"
+
+    def test_integer_numbers_read_as_floats(self):
+        reports = [
+            run_command(
+                config_with(
+                    "contraction_quadratic.json",
+                    {"command": "certify-local", "domain_radius": radius, "trials": 10},
+                ),
+                "certify-local",
+                timestamp=False,
+            )
+            for radius in (1, 1.0)
+        ]
+        assert [code for _, code in reports] == [0, 0]
+        assert reports[0][0]["results"] == reports[1][0]["results"]
+        assert reports[0][0]["checks"] == reports[1][0]["checks"]
 
 
 class TestCliMain:
