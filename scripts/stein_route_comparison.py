@@ -1,11 +1,12 @@
 """Compare the two quadratic-certificate solvers across dimension and contraction.
 
 For each (n, rho) cell: draw Gaussian matrices rescaled to spectral radius
-rho, solve A' P A - P + Q = 0 by the direct solve on the symmetric subspace
-(n(n+1)/2 unknowns, one refinement step) and by the power series summed
-with Smith's doubling, and report the worst cross-route gap, the worst
-relative residual, the mean per-solve time of each route, and the largest
-number of series terms summed (2^k after k doublings).
+rho, solve A' P A - P + Q = 0 by the direct solve (on a complex Schur form,
+or on the symmetric subspace when the gate refuses that form) and by the
+power series summed with Smith's doubling, and report the worst cross-route
+gap, the worst relative residual, the mean per-solve time of each route,
+the largest number of series terms summed (2^k after k doublings), and how
+many direct solves took the Schur route and the fallback.
 
 Usage: python3 scripts/stein_route_comparison.py [--draws 20] [--seed 7]
 """
@@ -33,6 +34,7 @@ def sweep_cell(rng, n, rho, draws):
     gap = residual = 0.0
     t_kron = t_series = 0.0
     terms = 0
+    routes = {"schur": 0, "kronecker": 0}
     for _ in range(draws):
         A, Q = draw(rng, n, rho)
         t0 = time.perf_counter()
@@ -43,12 +45,13 @@ def sweep_cell(rng, n, rho, draws):
         t_kron += t1 - t0
         t_series += t2 - t1
         terms = max(terms, series.terms)
+        routes[kron.method] += 1
         gap = max(gap, float(np.abs(kron.P - series.P).max()))
         qn = float(np.linalg.norm(Q, "fro"))
         for sol in (kron, series):
             res = float(np.linalg.norm(A.T @ sol.P @ A - sol.P + Q, "fro"))
             residual = max(residual, res / qn)
-    return gap, residual, t_kron / draws, t_series / draws, terms
+    return gap, residual, t_kron / draws, t_series / draws, terms, routes
 
 
 def main():
@@ -59,12 +62,13 @@ def main():
 
     rng = Rng(args.seed)
     print(f"{'n':>3} {'rho':>5} {'max gap':>10} {'max resid':>10} "
-          f"{'t_solve':>9} {'t_series':>9} {'terms 2^k':>9}")
+          f"{'t_solve':>9} {'t_series':>9} {'terms 2^k':>9} {'schur/kron':>10}")
     for n in (2, 4, 8, 16):
         for rho in (0.3, 0.6, 0.9, 0.99):
-            gap, res, tk, ts, terms = sweep_cell(rng, n, rho, args.draws)
+            gap, res, tk, ts, terms, routes = sweep_cell(rng, n, rho, args.draws)
+            split = f"{routes['schur']}/{routes['kronecker']}"
             print(f"{n:>3} {rho:>5.2f} {gap:>10.2e} {res:>10.2e} "
-                  f"{tk * 1e3:>8.2f}ms {ts * 1e3:>8.2f}ms {terms:>9}")
+                  f"{tk * 1e3:>8.2f}ms {ts * 1e3:>8.2f}ms {terms:>9} {split:>10}")
 
 
 if __name__ == "__main__":

@@ -174,8 +174,10 @@ def inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
         raise ValueError("grid has no nonzero points")
     radii = np.geomspace(norms.min(), norms.max(), 5)
     _, vecs = np.linalg.eigh(np.asarray(P, dtype=float))
-    extra = [s * r * vecs[:, i] for i in range(vecs.shape[1]) for r in radii for s in (1.0, -1.0)]
-    return np.vstack([grid, np.array(extra)])
+    # rows ordered by eigenvector, then radius, then sign: (s r) v
+    coefficients = (radii[:, None] * np.array([1.0, -1.0])).ravel()
+    extra = coefficients[None, :, None] * vecs.T[:, None, :]
+    return np.vstack([grid, extra.reshape(-1, vecs.shape[0])])
 
 
 def _candidate_grid(V: CandidateFunction, grid: np.ndarray) -> np.ndarray:

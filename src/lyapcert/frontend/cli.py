@@ -69,7 +69,7 @@ from ..timescales import (
     validate_rate,
     verify_composite,
 )
-from .config import COMMANDS, SystemConfig, build_system, load_config
+from .config import COMMANDS, build_system, load_config
 from .report import build_report, checks_from_reports, jsonable, write_report
 
 __all__ = ["main", "run_command"]
@@ -90,7 +90,7 @@ def _stacked_system(sysf: SlowFastSystem) -> DynSystem:
     return DynSystem(dim=nx + sysf.dim_y, map_fn=map_fn, autonomous=False, equilibrium=eq)
 
 
-def _cmd_simulate(cfg: SystemConfig, system, opts: dict, seed: int):
+def _cmd_simulate(system, opts: dict, seed: int):
     horizon = opts["horizon"]
     if isinstance(system, LinearTV):
         system = system.system()
@@ -110,7 +110,7 @@ def _cmd_simulate(cfg: SystemConfig, system, opts: dict, seed: int):
     return results, []
 
 
-def _cmd_linear(cfg: SystemConfig, system, opts: dict, seed: int):
+def _cmd_linear(system, opts: dict, seed: int):
     if isinstance(system, LinearTV):
         envelope = verify_transition_decay(system)
         tvp = solve_tv_lyapunov(system, lambda t: np.eye(system.dim), envelope)
@@ -138,7 +138,7 @@ def _cmd_linear(cfg: SystemConfig, system, opts: dict, seed: int):
     return results, []
 
 
-def _cmd_certify_local(cfg: SystemConfig, system, opts: dict, seed: int):
+def _cmd_certify_local(system, opts: dict, seed: int):
     if not isinstance(system, DynSystem):
         raise ValueError("certify-local applies to autonomous or nonautonomous systems")
     radius = opts["domain_radius"]
@@ -164,7 +164,7 @@ def _decay_trajectories(system: DynSystem, radius: float, count: int, horizon: i
     return trajs
 
 
-def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
+def _cmd_converse(system, opts: dict, seed: int):
     radius, horizon, n_check = opts["radius"], opts["horizon"], opts["n_check"]
     if isinstance(system, LinearTV):
         system = system.system()
@@ -190,7 +190,7 @@ def _cmd_converse(cfg: SystemConfig, system, opts: dict, seed: int):
     return results, reports
 
 
-def _cmd_averaging(cfg: SystemConfig, system, opts: dict, seed: int):
+def _cmd_averaging(system, opts: dict, seed: int):
     if not isinstance(system, DynSystem):
         raise ValueError("averaging applies to autonomous or nonautonomous field definitions")
     phi = system.map_fn  # the map expressions define the increment field
@@ -231,7 +231,7 @@ def _cmd_averaging(cfg: SystemConfig, system, opts: dict, seed: int):
     return results, [drift]
 
 
-def _cmd_timescales(cfg: SystemConfig, system, opts: dict, seed: int):
+def _cmd_timescales(system, opts: dict, seed: int):
     if not isinstance(system, SlowFastSystem):
         raise ValueError("timescales applies to slow_fast systems")
     V = CandidateFunction.quadratic(np.eye(system.dim_x))
@@ -275,7 +275,7 @@ def run_command(
         cfg = load_config(doc)
         effective_seed = cfg.seed if seed is None else int(seed)
         system = build_system(cfg)
-        results, reports = _HANDLERS[command](cfg, system, cfg.options_of(command), effective_seed)
+        results, reports = _HANDLERS[command](system, cfg.options_of(command), effective_seed)
         checks = checks_from_reports(reports)
         all_passed = all(c["passed"] for c in checks)
         status = "passed" if all_passed else "check_failed"

@@ -8,6 +8,7 @@ any platform; frozen test vectors pin the exact bit patterns.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -108,11 +109,20 @@ def low_discrepancy_directions(dim: int, count: int) -> np.ndarray:
     Pairs of Halton coordinates go through Box-Muller, giving a smooth
     deterministic covering of the sphere that avoids clustering.  Coordinate
     pair p uses the primes 2p and 2p + 1 (counting from 0) as bases, so any
-    dimension has its own distinct bases.
+    dimension has its own distinct bases.  Each (dim, count) table is built
+    once and shared, so it is returned read-only.
     """
+    # a plain function in front of the memo, so the per-layer tracer of
+    # perfbench, which wraps module functions, still sees the rng layer
+    return _direction_table(dim, count)
+
+
+@functools.lru_cache(maxsize=64)  # a process uses a few (dim, count) pairs
+def _direction_table(dim: int, count: int) -> np.ndarray:
     if dim == 1:
         signs = np.ones((count, 1))
         signs[1::2, 0] = -1.0
+        signs.flags.writeable = False
         return signs
     n_pairs = (dim + 1) // 2
     primes = _first_primes(2 * n_pairs)
@@ -132,4 +142,5 @@ def low_discrepancy_directions(dim: int, count: int) -> np.ndarray:
             v[i % dim] = 1.0
             n = 1.0
         dirs[i] = v / n
+    dirs.flags.writeable = False
     return dirs

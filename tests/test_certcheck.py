@@ -7,9 +7,11 @@ from lyapcert.certcheck import (
     CandidateFunction,
     check_decrease,
     check_positive_definite,
+    inject_eigendirections,
     shell_grid,
 )
 from lyapcert.dynsys import DynSystem, state_batched
+from lyapcert.rng import Rng, low_discrepancy_directions
 
 
 def contraction(dim=2, factor=0.5):
@@ -60,6 +62,38 @@ class TestShellGrid:
         outer = grid[-32:]
         assert np.allclose(np.linalg.norm(outer, axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert len({row.tobytes() for row in outer}) == 32
+
+    def test_grid_is_writable_and_does_not_alias_the_shared_directions(self):
+        grid = shell_grid(3, 1.0)
+        dirs = low_discrepancy_directions(3, 32)
+        assert grid.flags.writeable and not dirs.flags.writeable
+        assert not np.shares_memory(grid, dirs)
+        before = dirs.copy()
+        grid[:] = 7.0
+        assert np.array_equal(low_discrepancy_directions(3, 32), before)
+        assert shell_grid(3, 1.0)[-32:].tobytes() == before.tobytes()
+
+
+def old_inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The list comprehension inject_eigendirections was built with, kept as
+    the reference for its rows and their order."""
+    norms = np.linalg.norm(grid, axis=1)
+    norms = norms[norms > 0.0]
+    radii = np.geomspace(norms.min(), norms.max(), 5)
+    _, vecs = np.linalg.eigh(np.asarray(P, dtype=float))
+    extra = [s * r * vecs[:, i] for i in range(vecs.shape[1]) for r in radii for s in (1.0, -1.0)]
+    return np.vstack([grid, np.array(extra)])
+
+
+class TestInjectEigendirections:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 13, 48])
+    def test_matches_the_list_comprehension_byte_for_byte(self, dim):
+        B = Rng(700 + dim).matrix(dim, dim)
+        P = B @ B.T + np.eye(dim)
+        grid = shell_grid(dim, 0.7)
+        got = inject_eigendirections(grid, P)
+        assert got.shape == (grid.shape[0] + 10 * dim, dim)
+        assert got.tobytes() == old_inject_eigendirections(grid, P).tobytes()
 
 
 class TestPositiveDefinite:

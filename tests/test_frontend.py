@@ -310,7 +310,7 @@ class TestRunCommand:
     def test_failed_check_maps_to_exit_two(self, monkeypatch):
         from lyapcert.frontend import cli
 
-        def always_failing(cfg, system, options, seed):
+        def always_failing(system, options, seed):
             return [], [ConditionReport("synthetic", False, -1.0, None, 1, {})]
 
         monkeypatch.setitem(cli._HANDLERS, "simulate", always_failing)

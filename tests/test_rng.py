@@ -145,6 +145,15 @@ class TestLowDiscrepancyDirections:
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert len({row.tobytes() for row in dirs}) == 32
 
+    @pytest.mark.parametrize("dim", [1, 2, 13])
+    def test_each_table_is_built_once_and_read_only(self, dim):
+        dirs = low_discrepancy_directions(dim, 32)
+        assert low_discrepancy_directions(dim, 32) is dirs
+        assert not dirs.flags.writeable
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+        assert low_discrepancy_directions(dim, 16).tobytes() == dirs[:16].tobytes()
+
     def test_first_primes(self):
         assert _first_primes(12) == OLD_PRIMES
         primes = _first_primes(48)

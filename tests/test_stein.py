@@ -297,7 +297,7 @@ SEED_612_Q = np.array([[1.6354712783244487, -0.6802799491040824],
 
 
 class TestSymmetricSubspaceSolve:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["schur", "expanding", "non_normal"])
     def test_matches_exact_rational_solution(self, n, kind):
         A, Q = stein_case(kind, n)
@@ -321,9 +321,18 @@ class TestSymmetricSubspaceSolve:
     def test_nonsymmetric_q_enters_through_its_symmetric_part(self):
         A, _ = schur_draw(4100, 5, 0.9)
         Q = Rng(4101).matrix(5, 5) + 5.0 * np.eye(5)
-        P = solve_stein_kron(A, Q).P
-        assert np.array_equal(P, P.T)
-        assert P.tobytes() == solve_stein_kron(A, 0.5 * (Q + Q.T)).P.tobytes()
+        sol = solve_stein_kron(A, Q)
+        assert sol.method == "schur"
+        assert np.array_equal(sol.P, sol.P.T)
+        assert sol.P.tobytes() == solve_stein_kron(A, 0.5 * (Q + Q.T)).P.tobytes()
+
+    def test_nonsymmetric_q_on_the_fallback(self):
+        A = rotated_jordan(5, 0.5)
+        Q = Rng(4101).matrix(5, 5) + 5.0 * np.eye(5)
+        sol = solve_stein_kron(A, Q)
+        assert sol.method == "kronecker"
+        assert np.array_equal(sol.P, sol.P.T)
+        assert sol.P.tobytes() == solve_stein_kron(A, 0.5 * (Q + Q.T)).P.tobytes()
 
     @pytest.mark.parametrize("n", [13, 24, 48])
     def test_agrees_with_doubling_at_large_n(self, n):
@@ -333,8 +342,64 @@ class TestSymmetricSubspaceSolve:
         assert gap <= 1e-12 * float(np.abs(P).max())
 
 
+def rotated_jordan(n: int, lam: float) -> np.ndarray:
+    """Q J Q' for the n x n Jordan block J of eigenvalue lam and a fixed
+    orthogonal Q: its eigenvectors are nearly parallel, in no coordinate
+    direction."""
+    Q, _ = np.linalg.qr(Rng(900 + n).matrix(n, n))
+    return Q @ (lam * np.eye(n) + np.eye(n, k=1)) @ Q.T
+
+
+def backward_error(A: np.ndarray, P: np.ndarray, Q: np.ndarray) -> float:
+    """|A' P A - P + Q|_F / ((|A|_F^2 + 1) |P|_F + |Q|_F): the normwise
+    relative residual, which rounding alone keeps near 1e-16."""
+    fro = np.linalg.norm
+    return float(fro(A.T @ P @ A - P + Q) / ((fro(A) ** 2 + 1.0) * fro(P) + fro(Q)))
+
+
+class TestSchurRoute:
+    @pytest.mark.parametrize("n", [1, 2, 7, 13, 48])
+    @pytest.mark.parametrize("kind", ["schur", "expanding"])
+    def test_diagonalizable_draws_take_the_schur_route(self, n, kind):
+        A, Q = stein_case(kind, n)
+        sol = solve_stein_kron(A, Q)
+        assert sol.method == "schur"
+        assert float(np.linalg.norm(A.T @ sol.P @ A - sol.P + Q, "fro")) <= 1e-9 * np.linalg.norm(Q, "fro")
+
+    def test_ill_conditioned_benchmark_job_takes_the_schur_route(self):
+        assert solve_stein_kron(SEED_612_A, SEED_612_Q).method == "schur"
+
+    def test_scaled_rotation_takes_the_schur_route(self):
+        # complex eigenvalues 0.95 e^(+-0.7i); A' A = 0.95^2 I, so P = I / (1 - 0.95^2)
+        sol = solve_stein_kron(0.95 * rotation(0.7), np.eye(2))
+        assert sol.method == "schur"
+        assert np.abs(sol.P - np.eye(2) / (1.0 - 0.95**2)).max() <= 1e-13 / (1.0 - 0.95**2)
+
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    @pytest.mark.parametrize("lam", [0.5, 0.9])
+    def test_rotated_jordan_blocks_take_the_fallback(self, n, lam):
+        A, Q = rotated_jordan(n, lam), np.eye(n)
+        sol = solve_stein_kron(A, Q)
+        assert sol.method == "kronecker"
+        assert backward_error(A, sol.P, Q) <= 1e-14
+        if lam == 0.5:
+            # |P|_F <= 2e6 here; at lam = 0.9 it reaches 4e17, and rounding
+            # alone puts the residual far above 1e-9 |Q|_F
+            residual = float(np.linalg.norm(A.T @ sol.P @ A - sol.P + Q, "fro"))
+            assert residual <= 1e-9 * np.linalg.norm(Q, "fro")
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_the_gate_keeps_jordan_blocks_off_the_schur_route(self, n, monkeypatch):
+        A, Q = rotated_jordan(n, 0.9), np.eye(n)
+        gated = solve_stein_kron(A, Q)
+        monkeypatch.setattr(stein, "SCHUR_GATE", np.inf)
+        ungated = solve_stein_kron(A, Q)
+        assert (gated.method, ungated.method) == ("kronecker", "schur")
+        assert ungated.residual > 1e3 * gated.residual
+
+
 def full_array_operator(A: np.ndarray):
-    """The m x m operator of solve_stein_kron built as whole arrays, with
+    """The m x m operator of the Stein fallback built as whole arrays, with
     three m x m arrays alive at once, as it was before the row blocks."""
     n = A.shape[0]
     d = np.arange(n)
@@ -359,19 +424,40 @@ class TestRowBlockedOperator:
         A, Q = stein_case(kind, n)
         blocked, full = stein._stein_operator(A), full_array_operator(A)
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in full]
+        # these inputs take the Schur route, so the fallback is called directly
+        P = stein._solve_kronecker(A, Q)
+        monkeypatch.setattr(stein, "_stein_operator", full_array_operator)
+        assert P.tobytes() == stein._solve_kronecker(A, Q).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_jordan_blocks_reach_the_fallback(self, n, monkeypatch):
+        A, Q = rotated_jordan(n, 0.9), np.eye(n)
         P = solve_stein_kron(A, Q).P
         monkeypatch.setattr(stein, "_stein_operator", full_array_operator)
-        assert P.tobytes() == solve_stein_kron(A, Q).P.tobytes()
+        assert P.tobytes() == stein._solve_kronecker(A, Q).tobytes()
 
     def test_peak_traced_memory_at_n48(self):
-        # the operator plus block temporaries; the full-array build held three
-        # m x m arrays at once
+        # the fallback: the operator plus block temporaries; the full-array
+        # build held three m x m arrays at once
         A, Q = stein_case("schur", 48)
         m = 48 * 49 // 2
         tracemalloc.start()
         try:
-            solve_stein_kron(A, Q)
+            stein._solve_kronecker(A, Q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * m * m * 8
+
+    def test_peak_traced_memory_of_the_schur_route_at_n48(self):
+        # the n shifted triangles T[j, j] T^H - I and their inverses, 16 n^3
+        # bytes each (1.8 MB), and n x n arrays; the fallback holds 2.5 m^2 8
+        # bytes (28 MB)
+        A, Q = stein_case("schur", 48)
+        tracemalloc.start()
+        try:
+            assert solve_stein_kron(A, Q).method == "schur"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * 48**3
