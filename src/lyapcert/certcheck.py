@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,6 +96,11 @@ class CandidateFunction:
             return float(x @ P @ x)
 
         return cls(eval_fn=form, dim=P.shape[0], quadratic_P=P)
+
+    @cached_property
+    def _eigenvectors(self) -> np.ndarray:
+        """Eigenvectors of ``quadratic_P``: one ``eigh`` that every check reuses."""
+        return np.linalg.eigh(np.asarray(self.quadratic_P, dtype=float))[1]
 
 
 def worst_index(slack: Sequence[float]) -> Optional[int]:
@@ -168,12 +174,17 @@ def shell_grid(
 
 def inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Append +-eigenvector rays of a quadratic form at several grid radii."""
+    return _with_rays(grid, np.linalg.eigh(np.asarray(P, dtype=float))[1])
+
+
+def _with_rays(grid: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``grid`` with the +-rays of the columns of ``vecs`` appended at five
+    radii from the least to the largest nonzero grid norm."""
     norms = np.linalg.norm(grid, axis=1)
     norms = norms[norms > 0.0]
     if norms.size == 0:
         raise ValueError("grid has no nonzero points")
     radii = np.geomspace(norms.min(), norms.max(), 5)
-    _, vecs = np.linalg.eigh(np.asarray(P, dtype=float))
     # rows ordered by eigenvector, then radius, then sign: (s r) v
     coefficients = (radii[:, None] * np.array([1.0, -1.0])).ravel()
     extra = coefficients[None, :, None] * vecs.T[:, None, :]
@@ -181,9 +192,10 @@ def inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def _candidate_grid(V: CandidateFunction, grid: np.ndarray) -> np.ndarray:
+    """The grid, with a quadratic candidate's eigendirections injected."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if V.quadratic_P is not None:
-        grid = inject_eigendirections(grid, V.quadratic_P)
+        grid = _with_rays(grid, V._eigenvectors)
     return grid
 
 

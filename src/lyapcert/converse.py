@@ -29,8 +29,10 @@ from .dynsys import (
     ExponentialEnvelope,
     SlowFastSample,
     SlowFastSystem,
+    _row_norms,
+    _row_squares,
+    _simulated_states,
     sample_rows,
-    simulate,
     state_batched,
 )
 from .errors import HypothesisViolationError
@@ -99,23 +101,32 @@ def estimate_lipschitz(
     inflated by ``LIPSCHITZ_SAFETY`` because sampling can only
     underestimate.  A NaN or infinite map value or quotient raises
     ValueError naming t and the point, since a maximum would silently skip
-    it.  In ``difference`` mode each time's values come from one
-    :func:`~lyapcert.dynsys.sample_rows` call over the points.
+    it.  Each time's values come from one
+    :func:`~lyapcert.dynsys.sample_rows` call over the points (in
+    ``growth`` mode, over those at least 1e-14 from the origin).
     """
     points = [np.asarray(p, dtype=float) for p in points]
+    if not points:
+        raise ValueError(_NO_PAIR)
     best = 0.0
     found = False
     if mode == "growth":
+        stacked = _stack(points)
+        norms = _row_norms(stacked)
+        kept = ~(norms < 1e-14)  # a NaN norm is kept, and its quotient raises
+        stacked, norms = stacked[kept], norms[kept]
         for t in times:
-            for p in points:
-                denom = float(np.linalg.norm(p))
-                if denom < 1e-14:
-                    continue
-                found = True
-                ratio = float(np.linalg.norm(np.asarray(fn(t, p)))) / denom
-                if not math.isfinite(ratio):
-                    raise ValueError(f"non-finite growth quotient at t={t}, x={p.tolist()}")
-                best = max(best, ratio)
+            if not len(stacked):
+                break
+            found = True
+            values = sample_rows(fn, t, stacked).reshape(len(stacked), -1)
+            with np.errstate(all="ignore"):
+                ratios = _row_norms(values) / norms
+            finite = np.isfinite(ratios)
+            if not finite.all():
+                bad = stacked[int(np.argmin(finite))]
+                raise ValueError(f"non-finite growth quotient at t={t}, x={bad.tolist()}")
+            best = max(best, float(ratios.max()))
     elif mode == "difference":
         stacked = _stack(points)
         for t in times:
@@ -129,25 +140,6 @@ def estimate_lipschitz(
     if not found:
         raise ValueError(_NO_PAIR)
     return best * LIPSCHITZ_SAFETY
-
-
-def _row_squares(rows: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of each row along the last axis, each
-    bit-identical to ``v @ v`` of that row ``v``.
-
-    ``v @ v`` is one BLAS dot over a contiguous vector; ``np.vecdot`` over
-    contiguous rows makes the same dot per row.  ``np.linalg.norm(...,
-    axis=-1)`` and dots over strided rows round differently, so the rows
-    are made contiguous first.
-    """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    return np.vecdot(rows, rows)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row along the last axis, each bit-identical to
-    ``np.linalg.norm`` of that row, which is ``sqrt(v @ v)``."""
-    return np.sqrt(_row_squares(rows))
 
 
 def _pair_blocks(size: int, width: int):
@@ -255,9 +247,12 @@ def build_trajectory_converse(
     L1 = estimate_lipschitz(sys.step, samples, times=times)
     a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
 
+    @state_batched
     def evaluator(k: int, x: np.ndarray, frozen_x=None) -> float:
-        traj = simulate(sys, 0 if sys.autonomous else k, x, N - 1)
-        return float(np.sum(traj.states * traj.states))
+        states = _simulated_states(sys, 0 if sys.autonomous else k, x, N - 1)
+        # each row's sum as np.sum over its contiguous (N, n) states
+        sums = np.sum((states * states).reshape(len(states), -1), axis=1)
+        return sums if np.ndim(x) == 2 else float(sums[0])
 
     return ConverseCertificate(
         kind="autonomous" if sys.autonomous else "nonautonomous",
@@ -350,25 +345,24 @@ def _fast_certificate(
         )
     )
 
-    def frozen_fast(yerr: np.ndarray, frozen_x: Optional[np.ndarray]):
+    def frozen(yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> np.ndarray:
         x = np.zeros(yerr.shape[:-1] + (sysf.dim_x,)) if frozen_x is None else frozen_x
-        return sysf.shifted_fast(np.asarray(x, dtype=float))
+        return np.asarray(x, dtype=float)
 
     @state_batched
     def evaluator(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> float:
         y = np.asarray(yerr, dtype=float)
-        fast = frozen_fast(y, frozen_x)
-        total = 0.0
-        for t in range(T):
-            total += _norm2(y)
-            if t + 1 < T:
-                y = fast(k + t, y)
-        return total
+        rows = y.reshape(-1, sysf.dim_y)
+        x = frozen(y, frozen_x).reshape(len(rows), sysf.dim_x)
+        states, _ = sysf.fast_trajectories(k, rows, x, T - 1)
+        # the running total |y(0)|^2 + |y(1)|^2 + ... of each row, in step order
+        total = np.cumsum(_row_squares(states), axis=1)[:, -1]
+        return total if y.ndim == 2 else float(total[0])
 
     @state_batched
     def step_fn(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> np.ndarray:
         yerr = np.asarray(yerr, dtype=float)
-        return frozen_fast(yerr, frozen_x)(k, yerr)
+        return sysf.shifted_fast(frozen(yerr, frozen_x))(k, yerr)
 
     return ConverseCertificate(
         kind=kind,
@@ -414,12 +408,6 @@ def build_exponential_converse(
     return _fast_certificate(sysf, T, a3=0.5, kind="exponential", L1=L1, L2=L2)
 
 
-def _norm2(v: np.ndarray):
-    """|v|^2 of one state (a float), or of each row of a batch."""
-    v = np.asarray(v, dtype=float)
-    return float(v @ v) if v.ndim < 2 else _row_squares(v)
-
-
 def verify_converse(
     cert: ConverseCertificate,
     samples: Sequence[tuple],
@@ -453,7 +441,7 @@ def verify_converse(
     else:
         frozen = _stack(frozen)
     values = sample_rows(cert.evaluator, ks, states, frozen)
-    n2 = _norm2(states)
+    n2 = _row_squares(states)
     tol = TOL_ABS + TOL_REL * np.abs(values)
     bounds = _first_min(values - cert.a1 * n2, cert.a2 * n2 - values) + tol
     stepped = sample_rows(cert.step_fn, ks, states, frozen)
@@ -506,32 +494,23 @@ def check_envelope_hypothesis(
 
     Each trajectory starts at the sample's fast error with its slow state
     frozen and is checked at offsets 0..horizon-1.  A NaN or infinite
-    state fails like a violation: HypothesisViolationError names k and
-    the offset of the first sample, in sample order, that leaves the
-    envelope, at its first offset.  The trajectories are stepped together,
-    one batched fast-map call per offset; once a sample has failed, only
-    the samples before it are stepped further.
+    state, or a diverged one (see :func:`~lyapcert.dynsys.trajectories`),
+    fails like a violation: HypothesisViolationError names k and the
+    offset of the first sample, in sample order, that leaves the envelope,
+    at its first offset.  Every sample is stepped over the whole horizon
+    in one :meth:`~lyapcert.dynsys.SlowFastSystem.fast_trajectories` call.
     """
-    if not samples:
+    if not samples or horizon < 1:
         return
     xs = _stack([s.x for s in samples])
     y = _stack([s.yerr for s in samples])
     ks = np.array([int(s.k) for s in samples], dtype=int)
-    base = _row_norms(y)
-    failed, failed_at = len(samples), None  # the first sample out of the envelope, and when
-    fast = sysf.shifted_fast(xs)
-    for t in range(horizon):
-        if t:
-            y = fast(ks[:failed] + t - 1, y)
-        bound = env.gain * base[:failed] * math.exp(-env.rate * t) + TOL_ABS
-        outside = np.flatnonzero(~(_row_norms(y) <= bound))
-        if outside.size:
-            failed, failed_at = int(outside[0]), t
-            if not failed:
-                break
-            y = y[:failed]
-            fast = sysf.shifted_fast(xs[:failed])
-    if failed_at is not None:
+    states, _ = sysf.fast_trajectories(ks, y, xs, horizon - 1)
+    decay = np.array([math.exp(-env.rate * t) for t in range(horizon)])
+    bound = env.gain * _row_norms(y)[:, None] * decay + TOL_ABS
+    outside = ~(_row_norms(states) <= bound)
+    if outside.any():
+        failed, offset = divmod(int(np.argmax(outside)), horizon)  # row-major: sample, then offset
         raise HypothesisViolationError(
-            f"envelope violated at offset {failed_at} from k={samples[failed].k}"
+            f"envelope violated at offset {offset} from k={samples[failed].k}"
         )

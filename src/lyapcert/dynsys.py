@@ -7,7 +7,9 @@ declared equilibrium at construction and expose a shifted view.
 
 Consumers read a map over a window of times with :func:`time_table` and
 over a batch of samples with :func:`sample_rows`; each calls a marked map
-once and loops any other callable.
+once and loops any other callable.  Every trajectory comes from
+:func:`trajectories`, one :func:`sample_rows` call per step over a batch
+of starts, with one divergence rule; :func:`simulate` adds the raise.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "SlowFastSystem",
     "SlowFastSample",
     "simulate",
+    "trajectories",
     "transition_matrix",
     "linear_part",
     "time_batched",
@@ -59,6 +62,25 @@ def real_array(x) -> np.ndarray:
     if a.dtype.kind == "c":
         raise TypeError(f"a {a.dtype} value where a real one is needed")
     return a.astype(float)
+
+
+def _row_squares(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row along the last axis, each
+    bit-identical to ``v @ v`` of that row ``v``.
+
+    ``v @ v`` is one BLAS dot over a contiguous vector; ``np.vecdot`` over
+    contiguous rows makes the same dot per row.  ``np.linalg.norm(...,
+    axis=-1)`` and dots over strided rows round differently, so the rows
+    are made contiguous first.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return np.vecdot(rows, rows)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row along the last axis, each bit-identical to
+    ``np.linalg.norm`` of that row, which is ``sqrt(v @ v)``."""
+    return np.sqrt(_row_squares(rows))
 
 
 def _as_vector(x, dim: int) -> np.ndarray:
@@ -172,8 +194,6 @@ class DynSystem:
         """The next state of one state, or of each row of an (S, n) batch at
         a scalar t or an (S,) array of times (see :func:`sample_rows`)."""
         x = np.asarray(x, dtype=float)
-        if x.ndim < 2:  # the one-state call, kept lean for the stepping loops
-            return _as_vector(self.map_fn(t, x), self.dim)
         return _as_states(sample_rows(self.map_fn, t, x), self.dim, x)
 
     def shifted(self) -> "DynSystem":
@@ -330,17 +350,34 @@ class SlowFastSystem:
         The map takes one fast error, or an (S, dim_y) batch of them, at a
         scalar k or an (S,) array of k (see :func:`sample_rows`).
         """
-        x = np.asarray(x, dtype=float)
-        x = _as_states(x, self.dim_x, x)
-        ys = _as_states(sample_rows(self.ystar, x), self.dim_y, x)
+        x, ys = self._frozen(x)
 
         @state_batched
         def fast(k: int, yerr: np.ndarray) -> np.ndarray:
             yerr = np.asarray(yerr, dtype=float)
             frozen = np.broadcast_to(x, yerr.shape[:-1] + x.shape[-1:]) if x.ndim < yerr.ndim else x
-            return _as_states(sample_rows(self.varphi, k, yerr + ys, frozen), self.dim_y, yerr) - ys
+            return self._fast_error_step(k, yerr, frozen, ys)
 
         return fast
+
+    def fast_trajectories(self, k0, yerr: np.ndarray, x: np.ndarray, horizon: int):
+        """:func:`trajectories` of the :meth:`shifted_fast` map from the
+        (S, dim_y) fast errors ``yerr`` at k0, row i with its slow state
+        frozen at row i of the (S, dim_x) batch ``x``."""
+        x, ys = self._frozen(_as_states(x, self.dim_x, real_array(yerr)))
+        return trajectories(self._fast_error_step, k0, yerr, horizon, x, ys)
+
+    def _frozen(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """One slow state or an (S, dim_x) batch, and ystar of it."""
+        x = np.asarray(x, dtype=float)
+        x = _as_states(x, self.dim_x, x)
+        return x, _as_states(sample_rows(self.ystar, x), self.dim_y, x)
+
+    @state_batched
+    def _fast_error_step(self, k, yerr: np.ndarray, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """varphi(k, y' + ys, x) - ys: the next fast error at the frozen slow
+        state x, given ys = ystar(x), for one sample or a batch."""
+        return _as_states(sample_rows(self.varphi, k, yerr + ys, x), self.dim_y, yerr) - ys
 
 
 class SlowFastSample(NamedTuple):
@@ -355,26 +392,70 @@ class SlowFastSample(NamedTuple):
     yerr: np.ndarray
 
 
-def simulate(sys: DynSystem, t0: int, x0, horizon: int) -> Trajectory:
-    """Iterate the map for ``horizon`` steps.
+def trajectories(
+    step: Callable, t0, x0: np.ndarray, horizon: int, *rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """States (S, horizon + 1, n) of ``step`` from the rows of ``x0``, and
+    the step each row diverged at (0 if none).
 
-    Raises :class:`DivergenceError` (with the first offending step index)
-    as soon as a state exceeds ``DIVERGENCE_LIMIT`` in norm or goes
-    non-finite.
+    Row i starts at ``t0`` (a scalar) or ``t0[i]``; row i of each of
+    ``rows`` goes with it.  Each step is one ``sample_rows(step, t, x,
+    *rows)`` call over the live rows, so a marked map is called once and
+    any other callable once per live row.  A row diverges at its first state
+    that is non-finite or has norm above ``DIVERGENCE_LIMIT``; it leaves the
+    live rows there, and its states from that step on are NaN.
     """
+    x = real_array(x0)
+    times = np.asarray(t0, dtype=int) if np.ndim(t0) else t0
+    states = np.full((len(x), horizon + 1) + x.shape[1:], np.nan)
+    states[:, 0] = x
+    diverged = np.zeros(len(x), dtype=int)
+    live = slice(None)  # every row, until one diverges
+    for j in range(horizon):
+        if not len(x):
+            break
+        x = sample_rows(step, times + j, x, *rows)
+        kept = _row_norms(x) <= DIVERGENCE_LIMIT  # False on a NaN or infinite entry
+        if not kept.all():
+            live = np.arange(len(states))[live]
+            diverged[live[~kept]] = j + 1
+            live, x, rows = live[kept], x[kept], tuple(a[kept] for a in rows)
+            if np.ndim(times):
+                times = times[kept]
+        states[live, j + 1] = x
+    return states, diverged
+
+
+def _simulated_states(sys: DynSystem, t0, x0, horizon: int) -> np.ndarray:
+    """:func:`trajectories` of ``sys`` from one state or the rows of a batch,
+    raising :class:`DivergenceError` for the first row that diverged."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    x = _as_vector(x0, sys.dim)
-    states = np.empty((horizon + 1, sys.dim))
-    states[0] = x
-    for j in range(horizon):
-        x = sys.step(t0 + j, x)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"trajectory diverged at step {j + 1} (t={t0 + j + 1})", step=j + 1
-            )
-        states[j + 1] = x
-    return Trajectory(t0=t0, states=states)
+    x = real_array(x0)
+    starts = _as_states(x, sys.dim, x) if x.ndim == 2 else _as_vector(x, sys.dim)[None]
+    states, diverged = trajectories(sys.step, t0, starts, horizon)
+    bad = np.flatnonzero(diverged)
+    if bad.size:
+        i = int(bad[0])
+        step, start = int(diverged[i]), int(np.broadcast_to(t0, diverged.shape)[i])
+        raise DivergenceError(f"trajectory diverged at step {step} (t={start + step})", step=step)
+    return states
+
+
+def simulate(sys: DynSystem, t0, x0, horizon: int):
+    """Iterate the map for ``horizon`` steps from one state, or from the
+    rows of an (S, n) batch started at ``t0`` or at an (S,) array of times.
+
+    Returns a :class:`Trajectory`, or for a batch a list of one per row.
+    :class:`DivergenceError` names the first row, in row order, whose state
+    went non-finite or exceeded ``DIVERGENCE_LIMIT`` in norm (see
+    :func:`trajectories`), with that step's index and time.
+    """
+    states = _simulated_states(sys, t0, x0, horizon)
+    if np.ndim(x0) < 2:
+        return Trajectory(t0=t0, states=states[0])
+    starts = np.broadcast_to(t0, len(states)).tolist()
+    return [Trajectory(t0=start, states=row) for start, row in zip(starts, states)]
 
 
 def transition_matrix(ltv: LinearTV, t: int, t0: int) -> np.ndarray:

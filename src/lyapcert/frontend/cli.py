@@ -153,17 +153,6 @@ def _cmd_certify_local(system, opts: dict, seed: int):
     return results, checks
 
 
-def _decay_trajectories(system: DynSystem, radius: float, count: int, horizon: int, seed: int):
-    rng = Rng(seed)
-    shifted = system.shifted()
-    trajs = []
-    for i in range(count):
-        t0 = 0 if system.autonomous else i % 3
-        x0 = rng.ball(system.dim, radius)
-        trajs.append(simulate(shifted, t0, x0, horizon))
-    return trajs
-
-
 def _cmd_converse(system, opts: dict, seed: int):
     radius, horizon, n_check = opts["radius"], opts["horizon"], opts["n_check"]
     if isinstance(system, LinearTV):
@@ -175,8 +164,10 @@ def _cmd_converse(system, opts: dict, seed: int):
         drawn = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
         samples = [(s.k, s.yerr, s.x) for s in drawn]  # verify_converse takes (k, state, frozen_x)
     else:
-        trajs = _decay_trajectories(system, radius, 8, horizon, _subseed(seed, 1))
-        env = fit_exponential_envelope(trajs)
+        rng = Rng(_subseed(seed, 1))
+        starts = np.array([rng.ball(system.dim, radius) for _ in range(8)])
+        t0 = 0 if system.autonomous else np.arange(len(starts)) % 3
+        env = fit_exponential_envelope(simulate(system.shifted(), t0, starts, horizon))
         cert = build_trajectory_converse(system, env)
         rng = Rng(_subseed(seed, 3))
         samples = [

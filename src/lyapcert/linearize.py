@@ -15,8 +15,9 @@ batch of states and reads every perturbed point of the batch in one
 bit for bit to its one-state call.  The autonomous and nonautonomous
 certifiers share one radius computation (``_remainder_radius``), whose
 sampled Lipschitz constant of the Jacobian reads a whole sample set's
-Jacobians with one map call per time.  :func:`validate_basin` steps one
-trial at a time.
+Jacobians with one map call per time.  :func:`validate_basin` steps every
+trial together through ``dynsys.trajectories``, a window of steps at a
+time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .certcheck import ConditionReport
 from .converse import _row_norms, estimate_lipschitz
-from .dynsys import DynSystem, ExponentialEnvelope, LinearTV, sample_rows, state_batched
+from .dynsys import DynSystem, ExponentialEnvelope, LinearTV, sample_rows, state_batched, trajectories
 from .errors import InapplicableError
 from .rng import Rng
 from .stein import (
@@ -64,6 +65,7 @@ LINEAR_TOL = 1e-12
 T_SAMPLES = (0, 1, 2, 3, 5, 8)  # times a nonautonomous certificate samples
 BASIN_MAX_STEPS = 10_000
 BASIN_TOL = 1e-10
+BASIN_WINDOW = 64  # steps per trajectories call; trials that stop leave between windows
 
 MapFn = Callable[[int, np.ndarray], np.ndarray]
 
@@ -341,9 +343,12 @@ def validate_basin(
     Each trial starts uniformly inside the delta_bar ball and must come
     within ``BASIN_TOL * delta_bar`` of the equilibrium inside
     ``BASIN_MAX_STEPS`` steps.  A trial's slack is (threshold - final distance) /
-    delta_bar, and -inf when the trajectory leaves the finite numbers;
-    divergence or an exhausted budget fails the report with the offending
-    start recorded.
+    delta_bar, and -inf when the trajectory diverges (see
+    :func:`~lyapcert.dynsys.trajectories`); divergence or an exhausted
+    budget fails the report with the offending start recorded, and
+    ``divergence_step`` is the step of the last diverging trial.  The
+    trials step together, ``BASIN_WINDOW`` steps per call; a trial leaves
+    once it has converged or diverged.
     """
     if cert.delta_bar is None:
         raise ValueError("certificate carries no ball radius (unstable verdict?)")
@@ -351,30 +356,31 @@ def validate_basin(
     eq = np.asarray(cert.equilibrium, dtype=float)
     threshold = BASIN_TOL * delta
     rng = Rng(seed)
-    points, slack = [], []
-    failures = 0
-    longest = 0
+    starts = np.array([eq + rng.ball(sys.dim, delta) for _ in range(max(0, trials))])
+    starts = starts.reshape(-1, sys.dim)
+    converged_at = np.zeros(len(starts), dtype=int)  # 0: never converged
+    diverged_at = np.zeros(len(starts), dtype=int)  # 0: never diverged
+    err = np.empty(len(starts))  # distance at the step the trial stopped
+    live, x, done = np.arange(len(starts)), starts, 0
+    while live.size and done < BASIN_MAX_STEPS:
+        length = min(BASIN_WINDOW, BASIN_MAX_STEPS - done)
+        states, diverged = trajectories(sys.step, done, x, length)
+        dist = _row_norms(states[:, 1:] - eq)  # NaN from a row's divergence step on
+        hit = dist <= threshold
+        first = hit.argmax(axis=1)
+        converged = hit[np.arange(len(live)), first]
+        gone = ~converged & (diverged > 0)
+        err[live] = dist[:, -1]
+        err[live[converged]] = dist[converged, first[converged]]
+        err[live[gone]] = math.inf
+        converged_at[live[converged]] = done + first[converged] + 1
+        diverged_at[live[gone]] = done + diverged[gone]
+        running = ~(converged | gone)
+        live, x, done = live[running], states[running, -1], done + length
     details: dict = {"threshold": threshold, "max_steps": BASIN_MAX_STEPS}
-    for _ in range(max(0, trials)):
-        x0 = eq + rng.ball(sys.dim, delta)
-        x = x0.copy()
-        converged = False
-        err = float(np.linalg.norm(x - eq))
-        for step in range(1, BASIN_MAX_STEPS + 1):
-            x = sys.step(step - 1, x)
-            if not np.all(np.isfinite(x)):
-                details["divergence_step"] = step
-                err = math.inf
-                break
-            err = float(np.linalg.norm(x - eq))
-            if err <= threshold:
-                converged = True
-                longest = max(longest, step)
-                break
-        if not converged:
-            failures += 1
-        points.append((0, x0))
-        slack.append((threshold - err) / delta)
-    details["failures"] = failures
-    details["longest_run"] = longest
-    return ConditionReport.from_slack(BASIN_CONVERGENCE, slack, points, details)
+    if diverged_at.any():
+        details["divergence_step"] = int(diverged_at[np.flatnonzero(diverged_at)[-1]])
+    details["failures"] = int(np.count_nonzero(converged_at == 0))
+    details["longest_run"] = int(converged_at.max(initial=0))
+    points = [(0, x0) for x0 in starts]
+    return ConditionReport.from_slack(BASIN_CONVERGENCE, (threshold - err) / delta, points, details)

@@ -376,8 +376,8 @@ def _fast_trajectories(
 ) -> list:
     """Frozen fast trajectories: n_x slow states (the origin, then ball
     draws), each with n_y fast errors from the ball started at
-    k0 = (i + j) mod 3.  The trajectories are stepped together, one batched
-    fast-map call per step; their states are stored as computed."""
+    k0 = (i + j) mod 3, from one ``fast_trajectories`` call; a diverged
+    trajectory carries NaN, which the envelope fit refuses."""
     xs, starts, k0 = [], [], []
     for i in range(n_x):
         x = rng.ball(sysf.dim_x, radius) if i else np.zeros(sysf.dim_x)
@@ -388,13 +388,7 @@ def _fast_trajectories(
     if not starts:
         return []
     k0 = np.array(k0, dtype=int)
-    y = np.array(starts)
-    states = np.empty((len(starts), horizon + 1, sysf.dim_y))
-    states[:, 0] = y
-    fast = sysf.shifted_fast(np.array(xs))
-    for t in range(horizon):
-        y = fast(k0 + t, y)
-        states[:, t + 1] = y
+    states, _ = sysf.fast_trajectories(k0, np.array(starts), np.array(xs), horizon)
     return [Trajectory(int(k), traj) for k, traj in zip(k0, states)]
 
 

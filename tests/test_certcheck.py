@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lyapcert import certcheck
 from lyapcert.certcheck import (
     CandidateFunction,
     check_decrease,
@@ -94,6 +95,21 @@ class TestInjectEigendirections:
         got = inject_eigendirections(grid, P)
         assert got.shape == (grid.shape[0] + 10 * dim, dim)
         assert got.tobytes() == old_inject_eigendirections(grid, P).tobytes()
+
+
+class TestOneEigendecompositionPerCandidate:
+    def test_both_checks_share_one_eigh(self, monkeypatch):
+        B = Rng(5).matrix(3, 3)
+        V = CandidateFunction.quadratic(B @ B.T + np.eye(3))
+        grid = shell_grid(3, 0.8)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(1) or eigh(a, *args))
+        check_positive_definite(V, grid)
+        check_decrease(V, contraction(3), grid, strict=True)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert certcheck._candidate_grid(V, grid).tobytes() == inject_eigendirections(grid, V.quadratic_P).tobytes()
 
 
 class TestPositiveDefinite:

@@ -22,6 +22,7 @@ from lyapcert.dynsys import (
     SlowFastSystem,
     fit_exponential_envelope,
     simulate,
+    state_batched,
 )
 from lyapcert.errors import HypothesisViolationError
 from lyapcert.rng import Rng
@@ -73,6 +74,24 @@ class TestLipschitzFailClosed:
         fn = lambda t, x: np.asarray(x, dtype=float) * (np.inf if t == 2 else 0.5)
         with pytest.raises(ValueError, match="t=2"):
             estimate_lipschitz(fn, self.POINTS, times=(0, 1, 2), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["difference", "growth"])
+    def test_complex_map_raises(self, mode):
+        with pytest.raises(TypeError, match="complex128"):
+            estimate_lipschitz(lambda t, x: (1 + 1j) * np.asarray(x), self.POINTS, mode=mode)
+
+    def test_growth_reads_each_time_in_one_call_and_skips_the_origin(self):
+        seen = []
+
+        @state_batched
+        def fn(t, x):
+            seen.append((t, x.copy()))
+            return -3.0 * x
+
+        points = [np.zeros(1)] + self.POINTS
+        assert estimate_lipschitz(fn, points, times=(0, 2), mode="growth") == pytest.approx(3.3)
+        assert [t for t, _ in seen] == [0, 2]
+        assert all(np.array_equal(x, np.stack(self.POINTS)) for _, x in seen)
 
     def test_overflowing_quotient_raises(self):
         pts = [np.array([0.0]), np.array([1e-10])]

@@ -21,23 +21,29 @@ from lyapcert.certcheck import (
     check_positive_definite,
     shell_grid,
 )
+from lyapcert import converse as converse_module
 from lyapcert.converse import (
     _difference_max,
     _max_quotient,
     _pair_blocks,
+    _row_norms,
     build_trajectory_converse,
+    check_envelope_hypothesis,
     verify_converse,
 )
 from lyapcert.dynsys import (
     DynSystem,
     ExponentialEnvelope,
     LinearTV,
+    SlowFastSample,
     SlowFastSystem,
     sample_rows,
+    simulate,
     state_batched,
+    trajectories,
     transition_matrix,
 )
-from lyapcert.errors import SteinSolvabilityError
+from lyapcert.errors import DivergenceError, HypothesisViolationError, SteinSolvabilityError
 from lyapcert.frontend.expressions import (
     FUNCTIONS,
     Bin,
@@ -51,7 +57,14 @@ from lyapcert.frontend.expressions import (
     parse_expression,
     pretty,
 )
-from lyapcert.linearize import certify_local_autonomous, numerical_jacobian, validate_basin
+from lyapcert.linearize import (
+    BASIN_CONVERGENCE,
+    STABLE,
+    LocalCertificate,
+    certify_local_autonomous,
+    numerical_jacobian,
+    validate_basin,
+)
 from lyapcert.rng import Rng
 from lyapcert.stein import classify_linear, solve_stein_kron
 from lyapcert.timescales import certify_semiglobal, validate_rate, verify_composite
@@ -982,3 +995,255 @@ class TestFailClosed:
         rep = check_drift_remainder(decaying_field, avg, table, [(0, np.zeros(1), 2, 1e-3)] * 3)
         assert rep.samples_checked == 0
         assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# One trajectory kernel: batched rows against the one-state loops it replaced
+
+
+def reference_simulate(sys, t0, x0, horizon):
+    """The one-state loop ``simulate`` was built with: its states, or the
+    DivergenceError it raised."""
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    states = np.empty((horizon + 1, sys.dim))
+    states[0] = x
+    for j in range(horizon):
+        x = sys.step(t0 + j, x)
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e12:
+            raise DivergenceError(f"trajectory diverged at step {j + 1} (t={t0 + j + 1})", step=j + 1)
+        states[j + 1] = x
+    return states
+
+
+def reference_basin(sys, cert, trials, seed, limit=1e12):
+    """The trial-by-trial loop of ``validate_basin``, with the divergence rule
+    of the kernel (non-finite, or norm above ``limit``): slacks and details."""
+    delta, eq = cert.delta_bar, np.asarray(cert.equilibrium, dtype=float)
+    threshold = 1e-10 * delta
+    rng = Rng(seed)
+    slack, failures, longest = [], 0, 0
+    details = {"threshold": threshold, "max_steps": 10_000}
+    for _ in range(trials):
+        x = eq + rng.ball(sys.dim, delta)
+        converged = False
+        for step in range(1, 10_001):
+            x = sys.step(step - 1, x)
+            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > limit:
+                details["divergence_step"] = step
+                err = math.inf
+                break
+            err = float(np.linalg.norm(x - eq))
+            if err <= threshold:
+                converged = True
+                longest = max(longest, step)
+                break
+        failures += not converged
+        slack.append((threshold - err) / delta)
+    details["failures"] = failures
+    details["longest_run"] = longest
+    return slack, details
+
+
+def reference_envelope_hypothesis(sysf, env, samples, horizon=12):
+    """The prefix-shrinking loop of ``check_envelope_hypothesis``."""
+    xs = np.array([s.x for s in samples], dtype=float)
+    y = np.array([s.yerr for s in samples], dtype=float)
+    ks = np.array([int(s.k) for s in samples], dtype=int)
+    base = _row_norms(y)
+    failed, failed_at = len(samples), None
+    fast = sysf.shifted_fast(xs)
+    for t in range(horizon):
+        if t:
+            y = fast(ks[:failed] + t - 1, y)
+        bound = env.gain * base[:failed] * math.exp(-env.rate * t) + TOL_ABS
+        outside = np.flatnonzero(~(_row_norms(y) <= bound))
+        if outside.size:
+            failed, failed_at = int(outside[0]), t
+            if not failed:
+                break
+            y = y[:failed]
+            fast = sysf.shifted_fast(xs[:failed])
+    if failed_at is not None:
+        raise HypothesisViolationError(f"envelope violated at offset {failed_at} from k={samples[failed].k}")
+
+
+def reference_fast_value(sysf, T, k, yerr, frozen_x):
+    """The fast certificate's evaluator at one sample, as its step loop."""
+    y = np.asarray(yerr, dtype=float)
+    fast = sysf.shifted_fast(np.asarray(frozen_x, dtype=float))
+    total = 0.0
+    for t in range(T):
+        total += float(y @ y)
+        if t + 1 < T:
+            y = fast(k + t, y)
+    return total
+
+
+KERNEL_MAP = compile_map(
+    [parse_expression("0.6*x[0] - 0.3*x[1]^2 + 0.2*sin(t)*x[1]"),
+     parse_expression("0.25*x[0] + 0.5*tanh(x[1]) - 0.1*x[0]*x[1]")]
+)
+
+
+def kernel_system(marked, autonomous):
+    fn = state_batched(KERNEL_MAP) if marked else (lambda t, x: KERNEL_MAP(t, x))
+    return DynSystem(2, fn, autonomous=autonomous)
+
+
+def exact_rows(compute):
+    """Bytes of every row, or the exception type, message and step."""
+    try:
+        rows = compute()
+    except DivergenceError as exc:
+        return type(exc), str(exc), exc.step
+    return [np.asarray(r, dtype=float).tobytes() for r in rows]
+
+
+starts_2d = st.lists(
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=2, max_size=2), min_size=1, max_size=6
+)
+
+
+class TestTrajectoryKernel:
+    @given(starts=starts_2d, horizon=st.integers(0, 12), times=st.lists(st.integers(0, 9), min_size=6, max_size=6),
+           marked=st.booleans(), autonomous=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_match_the_one_state_loop(self, starts, horizon, times, marked, autonomous):
+        sys = kernel_system(marked, autonomous)
+        X = np.array(starts)
+        for t0 in (3, np.array(times[: len(X)])):
+            t0s = np.broadcast_to(t0, len(X)).tolist()
+            want = exact_rows(lambda: [reference_simulate(sys, t, x, horizon) for t, x in zip(t0s, X)])
+            got = simulate(sys, t0, X, horizon)
+            assert exact_rows(lambda: [tr.states for tr in got]) == want
+            assert [tr.t0 for tr in got] == t0s
+            one = simulate(sys, t0s[0], X[0], horizon)
+            assert one.t0 == t0s[0] and one.states.tobytes() == want[0]
+
+    def test_divergence_names_the_first_diverging_row(self):
+        # row 1 leaves 1e12 at step 13 and row 2 already at step 7; row order decides
+        sys = DynSystem(1, lambda t, x: 10.0 * x, autonomous=False)
+        X = np.array([[0.0], [1.0], [1e6]])
+        t0 = np.array([0, 2, 5])
+        with pytest.raises(DivergenceError) as err:
+            simulate(sys, t0, X, 20)
+        assert str(err.value) == "trajectory diverged at step 13 (t=15)" and err.value.step == 13
+        with pytest.raises(DivergenceError) as ref:
+            reference_simulate(sys, 2, X[1], 20)
+        assert str(ref.value) == str(err.value)
+
+    def test_diverged_rows_leave_with_nan_states(self):
+        calls = []
+
+        def blow_up(t, x):
+            calls.append(x.copy())
+            return np.full(1, np.nan) if x[0] > 2.5 else 2.0 * x
+
+        states, diverged = trajectories(blow_up, 0, np.array([[1.0], [0.0], [3.0]]), 4)
+        assert diverged.tolist() == [3, 0, 1]
+        assert states[0, :, 0].tolist()[:3] == [1.0, 2.0, 4.0] and np.isnan(states[0, 3:]).all()
+        assert np.isnan(states[2, 1:]).all() and states[1, :, 0].tolist() == [0.0] * 5
+        # a row is stepped until it diverges, then never again
+        assert [c[0] for c in calls] == [1.0, 0.0, 3.0, 2.0, 0.0, 4.0, 0.0, 0.0]
+
+    @given(seed=st.integers(0, 2**16), c=st.floats(0.3, 0.9), trials=st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_basin_matches_the_trial_loop(self, seed, c, trials):
+        # x -> x^2 / c converges inside |x| < c and leaves 1e12 outside it
+        sys = DynSystem(1, lambda t, x: np.asarray(x) ** 2 / c)
+        cert = LocalCertificate(STABLE, np.zeros(1), None, None, delta_bar=1.0)
+        rep = validate_basin(sys, cert, trials=trials, seed=seed)
+        slack, details = reference_basin(sys, cert, trials, seed)
+        rng = Rng(seed)
+        points = [(0, rng.ball(1, 1.0)) for _ in range(trials)]
+        assert report_bytes(rep) == report_bytes(ConditionReport.from_slack(BASIN_CONVERGENCE, slack, points))
+        assert list(rep.details.items()) == list(details.items())
+
+    def test_divergence_step_is_the_last_diverging_trial(self):
+        # trials 2 and 5 start outside |x| < c and diverge; trial 5 does so first
+        rng = Rng(174)
+        starts = np.array([rng.ball(1, 1.0)[0] for _ in range(6)])
+        order = np.argsort(-np.abs(starts))
+        assert sorted(order[:2].tolist()) == [2, 5] and abs(starts[5]) > abs(starts[2])
+        c = 0.5 * (abs(starts[2]) + abs(starts[order[2]]))
+        sys = DynSystem(1, lambda t, x: np.asarray(x) ** 2 / c)
+        cert = LocalCertificate(STABLE, np.zeros(1), None, None, delta_bar=1.0)
+        rep = validate_basin(sys, cert, trials=6, seed=174)
+        steps = [-1, -1]
+        for i, trial in enumerate((2, 5)):
+            with pytest.raises(DivergenceError) as err:
+                simulate(sys, 0, starts[trial : trial + 1], 100)
+            steps[i] = err.value.step
+        assert steps[0] > steps[1]
+        assert rep.details["divergence_step"] == steps[1]
+        assert rep.details["failures"] == 2
+
+    def test_basin_fails_a_finite_trial_beyond_the_divergence_limit(self):
+        # grows by 1e9 a step: finite for all 10,000 steps, above 1e12 from step 1,000 on
+        sys = DynSystem(1, lambda t, x: np.asarray(x) + 1e9 * np.sign(x))
+        cert = LocalCertificate(STABLE, np.zeros(1), None, None, delta_bar=1.0)
+        rep = validate_basin(sys, cert, trials=2, seed=3)
+        assert not rep.passed and rep.worst_margin == -math.inf
+        assert rep.details["divergence_step"] == 1000 and rep.details["failures"] == 2
+        # the old rule (non-finite only) ran the budget out with a finite slack
+        slack, details = reference_basin(sys, cert, 2, 3, limit=math.inf)
+        assert all(math.isfinite(s) and s < 0 for s in slack) and "divergence_step" not in details
+
+    @given(seed=st.integers(0, 2**16), gain=st.floats(1.0, 2.0), ratio=st.floats(0.3, 0.95),
+           horizon=st.integers(0, 10), size=st.integers(1, 6), poison=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_envelope_hypothesis_matches_the_prefix_loop(self, seed, gain, ratio, horizon, size, poison):
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=2,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: (np.full(2, np.nan) if poison and abs(y[0]) > 0.9
+                                    else (0.5 + 0.45 * x[0] * math.cos(k)) * y),
+            ystar=lambda x: np.zeros(2),
+        )
+        rng = Rng(seed)
+        samples = [SlowFastSample(rng.integer(0, 3), rng.ball(1, 1.0), rng.ball(2, 1.0)) for _ in range(size)]
+        env = ExponentialEnvelope(gain=gain, rate=-math.log(ratio))
+
+        def outcome_of(check):
+            try:
+                check(sysf, env, samples, horizon)
+            except HypothesisViolationError as exc:
+                return str(exc)
+            return None
+
+        assert outcome_of(check_envelope_hypothesis) == outcome_of(reference_envelope_hypothesis)
+
+    @given(starts=starts_2d, times=st.lists(st.integers(0, 9), min_size=6, max_size=6),
+           marked=st.booleans(), autonomous=st.booleans(), rate=st.sampled_from([0.7, 0.05, 4e-4]))
+    @settings(max_examples=40, deadline=None)
+    def test_trajectory_evaluator_matches_its_simulate_loop(self, starts, times, marked, autonomous, rate):
+        sys = kernel_system(marked, autonomous)
+        cert = build_trajectory_converse(sys, ExponentialEnvelope(gain=1.5, rate=rate))
+        X, ks = 0.3 * np.array(starts), np.array(times[: len(starts)])
+        want = [
+            float(np.sum(s * s))
+            for s in (reference_simulate(sys, 0 if autonomous else k, x, cert.horizon - 1) for k, x in zip(ks, X))
+        ]
+        assert sample_rows(cert.evaluator, ks, X, None).tobytes() == np.array(want).tobytes()
+        assert cert.evaluator(int(ks[0]), X[0]) == want[0]
+
+    @given(seed=st.integers(0, 2**16), size=st.integers(1, 6), T=st.integers(1, 30), frozen=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_fast_evaluator_matches_its_running_total(self, seed, size, T, frozen):
+        sysf = SlowFastSystem(
+            dim_x=2,
+            dim_y=2,
+            phi=lambda k, x, y: -x,
+            varphi=lambda k, y, x: (0.5 + 0.3 * math.tanh(x[0] - x[1]) * math.sin(k)) * (y - x[0] * x) + x[0] * x,
+            ystar=lambda x: x[0] * np.asarray(x, dtype=float),
+        )
+        cert = converse_module._fast_certificate(sysf, T, a3=0.5, kind="exponential", L1=0.9, L2=0.1)
+        rng = Rng(seed)
+        ks = np.array([rng.integer(0, 3) for _ in range(size)])
+        Y = np.array([rng.ball(2, 1.0) for _ in range(size)])
+        Xs = np.array([rng.ball(2, 0.8) for _ in range(size)]) if frozen else np.zeros((size, 2))
+        want = [reference_fast_value(sysf, T, k, y, x) for k, y, x in zip(ks, Y, Xs)]
+        got = sample_rows(cert.evaluator, ks, Y, Xs if frozen else None)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert cert.evaluator(int(ks[0]), Y[0], Xs[0] if frozen else None) == want[0]
