@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
-from .dynsys import sample_rows, state_batched, time_table
+from .dynsys import sample_rows, state_batched
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -45,6 +45,7 @@ GRAD_STEP = 1e-6
 HYPOTHESIS_RTOL = 1e-4
 EPS1_FLOOR = 1e-300
 MU_PROBES = 20
+WINDOW_ROWS = 8192  # most window rows one sample_rows call reads, unless one window is longer
 
 PhiFn = Callable[[int, np.ndarray], np.ndarray]
 
@@ -118,15 +119,26 @@ class AveragedCertificate:
     evaluator: Callable[[int, np.ndarray, float], float] = None  # type: ignore
 
 
-def _prefix_sums(phi: PhiFn, times: range, x: np.ndarray) -> np.ndarray:
-    """Running sums of phi(t, x) over ``times``: row j adds the first j values.
+def _prefix_sums(phi: PhiFn, starts, xs, length: int) -> np.ndarray:
+    """Running sums (S, length + 1, n) of phi(t, x) over the windows t = k ..
+    k + length - 1 of the S starts k and states x of ``starts`` and
+    ``xs``: entry [i, j] adds the first j values of window i.
 
-    ``np.cumsum`` over a zero-prepended table adds in order from zero, as a
-    loop would (``np.sum`` pairs terms and rounds differently).
+    The windows are read in :func:`~lyapcert.dynsys.sample_rows` calls
+    over whole windows, at most ``WINDOW_ROWS`` rows each.  ``np.cumsum``
+    over a zero-prepended table adds in order from zero, as a loop would
+    (``np.sum`` pairs terms and rounds differently).
     """
-    rows = np.zeros((len(times) + 1, x.size))
-    rows[1:] = time_table(phi, times, x).reshape(len(times), -1)
-    return np.cumsum(rows, axis=0)
+    starts = np.asarray(starts, dtype=int)
+    xs = np.asarray(xs, dtype=float).reshape(len(starts), -1)
+    table = np.zeros((len(xs), length + 1, xs.shape[1]))
+    per_call = max(1, WINDOW_ROWS // length)
+    for lo in range(0, len(xs), per_call):
+        hi = min(lo + per_call, len(xs))
+        times = (starts[lo:hi, None] + np.arange(length)).reshape(-1)
+        rows = sample_rows(phi, times, np.repeat(xs[lo:hi], length, axis=0))
+        table[lo:hi, 1:] = rows.reshape(hi - lo, length, -1)
+    return np.cumsum(table, axis=1)
 
 
 def estimate_average(
@@ -138,26 +150,26 @@ def estimate_average(
 
     ``T_max`` is rounded up to an even horizon so that period-2 drives
     cancel exactly.  The half-window mean of each probe is a prefix of its
-    full window, so ``phi`` is evaluated T_max + 1 times per probe.  A gap
-    between the two means over 1e-2 * (1 + |full mean|) sets the warning.
+    full window, so ``phi`` is evaluated T_max + 1 times per probe, the
+    windows of every probe read together (see :func:`_prefix_sums`).  A
+    gap between the two means over 1e-2 * (1 + |full mean|) sets the
+    warning.  ``phibar`` reads one state's window per call.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
     if T_max % 2:
         T_max += 1
-    window = range(T_max + 1)
 
     def phibar(x: np.ndarray) -> np.ndarray:
-        return _prefix_sums(phi, window, np.asarray(x, dtype=float))[-1] / T_max
+        return _prefix_sums(phi, [0], [x], T_max + 1)[0, -1] / T_max
 
     gap = 0.0
     scale = 0.0
-    for p in probes:
-        sums = _prefix_sums(phi, window, np.asarray(p, dtype=float))
-        full = sums[-1] / T_max
-        half = sums[T_max // 2 + 1] / (T_max // 2)
-        gap = max(gap, float(np.linalg.norm(full - half)))
-        scale = max(scale, float(np.linalg.norm(full)))
+    if len(probes):
+        sums = _prefix_sums(phi, np.zeros(len(probes)), probes, T_max + 1)
+        for full, half in zip(sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2)):
+            gap = max(gap, float(np.linalg.norm(full - half)))
+            scale = max(scale, float(np.linalg.norm(full)))
     warning = None
     if gap > 1e-2 * (1.0 + scale):
         warning = (
@@ -179,8 +191,9 @@ def estimate_sigma(
     Raw entries are per-horizon maxima over the probes; the stored table
     applies a running minimum over increasing T so downstream formulas see
     a nonincreasing coefficient.  Each probe's window sums for every
-    horizon are read from one table over its longest window, and
-    ``avg.phibar`` is evaluated once per distinct probe state.
+    horizon are read from its longest window, the windows of every probe
+    read together (see :func:`_prefix_sums`), and ``avg.phibar`` is
+    evaluated once per distinct probe state.
     """
     if L <= 0.0:
         raise ValueError("growth bound L must be positive")
@@ -198,8 +211,8 @@ def estimate_sigma(
     raw = dict.fromkeys(T_list, 0.0)
     means = {}  # state bytes -> phibar, for this call only
     try:
-        for k, x, nx in live:
-            sums = _prefix_sums(phi, range(k, k + T_list[-1] + 1), x)
+        table = _prefix_sums(phi, [k for k, _, _ in live], [x for _, x, _ in live], T_list[-1] + 1)
+        for (_, x, nx), sums in zip(live, table):
             key = x.tobytes()
             if key not in means:
                 means[key] = avg.phibar(x)
@@ -212,7 +225,7 @@ def estimate_sigma(
         for T in T_list:
             for k, x, _ in live:
                 for kp in range(k, k + T + 1):
-                    np.asarray(phi(kp, x), dtype=float)
+                    sample_rows(phi, kp, x)
                 avg.phibar(x)
         raise
     entries: dict = {}
@@ -301,12 +314,12 @@ def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     )
 
 
-def _window_states(phi: PhiFn, k, x: np.ndarray, eps: float, T: int) -> list:
-    """States x(k..k+T+1) of x+ = x + eps*phi along one window, or along a
+def _window_states(phi: PhiFn, k, x: np.ndarray, eps: float, steps: int) -> list:
+    """States x(k..k+steps) of x+ = x + eps*phi along one window, or along a
     batch of windows: x an (S, n) array with k an int or an (S,) array of
     start times, one ``sample_rows`` call per step."""
     states = [np.asarray(x, dtype=float)]
-    for j in range(T + 1):
+    for j in range(steps):
         states.append(states[-1] + eps * sample_rows(phi, k + j, states[-1]))
     return states
 
@@ -331,7 +344,7 @@ def check_drift_remainder(
         if nx < 1e-14:
             continue
         sigma_T = table.sigma(T)
-        end = _window_states(phi, int(k), x, eps, T)[-1]
+        end = _window_states(phi, int(k), x, eps, T + 1)[-1]
         drift = float(np.linalg.norm(end - x - eps * T * avg.phibar(x)))
         allowance = eps * T * nu(T, eps, table.L, sigma_T) * nx
         points.append((int(k), x.copy()))
@@ -442,7 +455,7 @@ def build_averaged_lyapunov(
         x = np.asarray(x, dtype=float)
         k = k if isinstance(k, np.ndarray) else int(k)
         states = _window_states(phi, k, x, float(eps), T_star)
-        total = sum(sample_rows(V.eval_fn, k + i, s) for i, s in enumerate(states[:-1]))
+        total = sum(sample_rows(V.eval_fn, k + i, s) for i, s in enumerate(states))
         return total if x.ndim == 2 else float(total)
 
     return AveragedCertificate(

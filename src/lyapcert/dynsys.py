@@ -5,11 +5,12 @@ Systems are maps ``x(t+1) = f(t, x(t))``; autonomous systems simply ignore
 equilibrium of interest sits at the origin, so the containers validate the
 declared equilibrium at construction and expose a shifted view.
 
-Consumers read a map over a window of times with :func:`time_table` and
-over a batch of samples with :func:`sample_rows`; each calls a marked map
-once and loops any other callable.  Every trajectory comes from
-:func:`trajectories`, one :func:`sample_rows` call per step over a batch
-of starts, with one divergence rule; :func:`simulate` adds the raise.
+Consumers read a map over a batch of samples with :func:`sample_rows`,
+which calls a map marked by :func:`state_batched` once and loops any other
+callable; a window of times is a batch whose rows share one state.  Every
+trajectory comes from :func:`trajectories`, one :func:`sample_rows` call
+per step over a batch of starts, with one divergence rule;
+:func:`simulate` adds the raise.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ __all__ = [
     "trajectories",
     "transition_matrix",
     "linear_part",
-    "time_batched",
-    "time_table",
     "state_batched",
     "sample_rows",
     "real_array",
@@ -99,26 +98,6 @@ def _as_states(x, dim: int, like: np.ndarray) -> np.ndarray:
     if v.shape != (len(like), dim):
         raise ValueError(f"expected {len(like)} rows of length {dim}, got shape {v.shape}")
     return v
-
-
-def time_batched(fn: Callable) -> Callable:
-    """Mark ``fn(t, *args)`` as also taking a 1-D integer array of times,
-    for which it returns one row per time, equal bit for bit to the scalar
-    calls (the maps ``build_system`` compiles from expressions)."""
-    fn.time_batched = True
-    return fn
-
-
-def time_table(fn: Callable, times: range, *args) -> np.ndarray:
-    """Rows ``fn(t, *args)`` for every t in ``times``, shape (len(times), n).
-
-    A map marked by :func:`time_batched` is called once with the times as
-    an integer array; any other callable once per t, in order.
-    """
-    if getattr(fn, "time_batched", False):
-        t = np.arange(times.start, times.stop, times.step)
-        return real_array(fn(t, *args))
-    return np.array([real_array(fn(t, *args)) for t in times])
 
 
 def state_batched(fn: Callable) -> Callable:

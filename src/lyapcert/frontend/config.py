@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, state_batched, time_batched
+from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, state_batched
 from ..errors import ConfigError, ParseError
 from .expressions import compile_map, free_refs, parse_expression
 
@@ -262,6 +262,8 @@ def load_config(source) -> SystemConfig:
 
     epsilon = doc.get("epsilon")
     if epsilon is not None:
+        if kind != "slow_fast":
+            raise ConfigError("epsilon is only meaningful for slow_fast systems", "/epsilon")
         if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
             raise ConfigError("epsilon must be a number", "/epsilon")
         if not (0.0 < float(epsilon) <= 1.0):
@@ -270,6 +272,9 @@ def load_config(source) -> SystemConfig:
 
     equilibrium = doc.get("equilibrium")
     if equilibrium is not None:
+        if kind not in ("autonomous", "nonautonomous"):
+            msg = "equilibrium is only meaningful for autonomous and nonautonomous systems"
+            raise ConfigError(msg, "/equilibrium")
         if not isinstance(equilibrium, list) or len(equilibrium) != dim_x:
             raise ConfigError(
                 f"equilibrium must be a list of {dim_x} numbers", "/equilibrium"
@@ -326,9 +331,10 @@ def build_system(cfg: SystemConfig):
     autonomous / nonautonomous -> DynSystem; linear_tv -> LinearTV (each
     A(t) comes from ``dynsys.linear_part``, which refuses expressions that
     are not homogeneous linear in x); slow_fast -> SlowFastSystem.  The
-    compiled maps are marked as taking batches of times and of samples.
+    compiled maps are marked as taking batches of samples (see
+    ``dynsys.sample_rows``).
     """
-    fx = state_batched(time_batched(compile_map(cfg.map_x, cfg.params)))
+    fx = state_batched(compile_map(cfg.map_x, cfg.params))
     if cfg.kind in ("autonomous", "nonautonomous"):
         eq = None if cfg.equilibrium is None else np.array(cfg.equilibrium)
         return DynSystem(

@@ -48,7 +48,6 @@ from .dynsys import (
     fit_exponential_envelope,
     sample_rows,
     state_batched,
-    time_batched,
 )
 from .errors import CertificateNotFoundError, StageError
 from .rng import Rng
@@ -447,9 +446,6 @@ def certify_semiglobal(
     def phi1(k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return sample_rows(sysf.phi, k, x, sample_rows(sysf.ystar, x))
-
-    if getattr(sysf.phi, "time_batched", False):
-        time_batched(phi1)  # k may be an array of times exactly when phi takes one
 
     probe_rng = rng.spawn(4)
     probes = [probe_rng.ball(sysf.dim_x, r) for _ in range(8)]

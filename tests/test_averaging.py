@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lyapcert.averaging import (
+    WINDOW_ROWS,
     AveragedField,
     SigmaTable,
     budget_for_delta,
@@ -16,10 +17,11 @@ from lyapcert.averaging import (
     fit_slow_constants,
     mu,
     nu,
+    _prefix_sums,
 )
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import estimate_lipschitz
-from lyapcert.dynsys import time_batched
+from lyapcert.dynsys import state_batched
 from lyapcert.errors import BudgetInfeasibleError, HypothesisViolationError
 from lyapcert.frontend.expressions import compile_map, parse_expression
 from lyapcert.rng import Rng
@@ -143,7 +145,7 @@ class TestBatchedWindows:
 
     def test_batched_field_matches_the_sequential_loop_bit_for_bit(self):
         f = compile_map([parse_expression(src) for src in self.FIELD])
-        batched, scalar = time_batched(f), (lambda k, x: f(k, x))
+        batched, scalar = state_batched(f), (lambda k, x: f(k, x))
         a_b = estimate_average(batched, self.PROBES, T_max=64)
         a_s = estimate_average(scalar, self.PROBES, T_max=64)
         for p in self.PROBES:
@@ -156,6 +158,42 @@ class TestBatchedWindows:
         t_b = estimate_sigma(batched, a_b, probes, [2, 8, 32], 1.5)
         t_s = estimate_sigma(scalar, a_s, probes, [2, 8, 32], 1.5)
         assert t_b.raw_entries == t_s.raw_entries and t_b.entries == t_s.entries
+
+    def test_calls_hold_whole_windows_within_the_row_bound(self):
+        f = compile_map([parse_expression(src) for src in self.FIELD])
+        sizes = []
+
+        @state_batched
+        def counted(k, x):
+            sizes.append(len(x))
+            return f(k, x)
+
+        rng = Rng(9)
+        probes = [rng.ball(2, 1.0) for _ in range(20)]  # 20 windows of 513 rows
+        avg = estimate_average(counted, probes, T_max=512)
+        per_call = WINDOW_ROWS // 513
+        assert sizes == [per_call * 513, (20 - per_call) * 513]
+        want, gap = [], 0.0
+        for p in probes:  # the per-window loop, summed from zero
+            sums = np.cumsum(np.vstack([np.zeros(2)] + [f(k, p) for k in range(513)]), axis=0)
+            want.append(sums)
+            gap = max(gap, float(np.linalg.norm(sums[-1] / 512 - sums[257] / 256)))
+        assert avg.convergence_gap == gap
+        got = _prefix_sums(counted, np.zeros(20), np.array(probes), 513)
+        assert got.tobytes() == np.array(want).tobytes()
+        # a window longer than the bound is read alone
+        sizes.clear()
+        _prefix_sums(counted, [0, 1], np.array(probes[:2]), WINDOW_ROWS + 1)
+        assert sizes == [WINDOW_ROWS + 1, WINDOW_ROWS + 1]
+
+    @pytest.mark.parametrize("mark", [lambda f: f, state_batched], ids=["unmarked", "marked"])
+    def test_complex_window_values_are_refused(self, mark):
+        fn = mark(lambda t, x: (0.5 + 0.5j) * np.asarray(x))
+        with pytest.raises(TypeError, match="complex"):
+            estimate_average(fn, PROBES, T_max=8)
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        with pytest.raises(TypeError, match="complex"):
+            estimate_sigma(fn, avg, [(k, p) for k in range(2) for p in PROBES], [2, 4], 1.0)
 
     def test_sigma_raises_the_error_of_the_first_horizon(self):
         def field(k, x):
@@ -308,6 +346,20 @@ class TestLiftedCertificate:
             (cert.T_star + 1) * c4 * (1.0 + cert.eps_c * table.L) ** (2 * cert.T_star),
             rel=1e-12,
         )
+
+    def test_evaluator_steps_once_per_summed_state(self):
+        V, constants, table, cert = self.build()
+        calls = []
+
+        def counted(k, x):
+            calls.append(k)
+            return linear_field(k, x)
+
+        counted_cert = build_averaged_lyapunov(V, constants, counted, table, PROBES)
+        x, eps = np.array([0.5]), cert.eps_c / 2.0
+        assert counted_cert.evaluator(3, x, eps) == cert.evaluator(3, x, eps)
+        # the window sum adds V at x(3), ..., x(3 + T*), reached in T* steps
+        assert calls == list(range(3, 3 + cert.T_star))
 
     def test_evaluator_respects_sandwich(self):
         _, _, _, cert = self.build()

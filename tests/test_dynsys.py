@@ -13,8 +13,6 @@ from lyapcert.dynsys import (
     sample_rows,
     simulate,
     state_batched,
-    time_batched,
-    time_table,
     trajectory_to_csv,
     transition_matrix,
 )
@@ -262,12 +260,6 @@ class TestComplexValues:
             sample_rows(fn, 0, np.ones((3, 2)))
         with pytest.raises(TypeError, match="complex"):
             sample_rows(fn, 0, np.ones(2))
-
-    @pytest.mark.parametrize("mark", [lambda f: f, time_batched], ids=["unmarked", "marked"])
-    def test_time_table(self, mark):
-        fn = mark(lambda t, x: self.spiral(t, x))
-        with pytest.raises(TypeError, match="complex"):
-            time_table(fn, range(3), np.ones(2))
 
     def test_shifted_map_and_linear_part(self):
         def spiral_about_one(t, x):

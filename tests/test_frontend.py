@@ -203,6 +203,8 @@ class TestConfig:
             (lambda d: d.update(params={"t": 1.0}), "/params/t"),
             (lambda d: d.update(params={"a": "one"}), "/params/a"),
             (lambda d: d.update(epsilon=2.0), "/epsilon"),
+            (lambda d: d.update(kind="slow_fast", dims={"x": 1, "y": 1}, epsilon=2.0,
+                                map={"x": ["-x[0]"], "y": ["0.5*y[0]"]}), "/epsilon"),
             (lambda d: d.update(equilibrium=[0.0, 0.0]), "/equilibrium"),
             (lambda d: d.update(seed=-1), "/seed"),
         ],
@@ -213,6 +215,28 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(doc)
         assert exc.value.pointer == pointer
+
+    @pytest.mark.parametrize(
+        "kind,command,key,value",
+        [
+            ("linear_tv", "linear", "equilibrium", [3.0]),
+            ("linear_tv", "linear", "epsilon", 0.5),
+            ("slow_fast", "simulate", "equilibrium", [2.0]),
+            ("autonomous", "linear", "epsilon", 0.3),
+            ("nonautonomous", "simulate", "epsilon", 0.3),
+        ],
+    )
+    def test_keys_the_kind_ignores_are_refused(self, kind, command, key, value):
+        # build_system would drop the key and certify a system other than the one declared
+        doc = minimal_doc(kind=kind, **{key: value})
+        if kind == "slow_fast":
+            doc.update(dims={"x": 1, "y": 1}, map={"x": ["-x[0]"], "y": ["0.5*y[0]"]})
+            doc["analyses"] = [{"command": "simulate", "x0": [1.0, 1.0]}]
+        with pytest.raises(ConfigError, match=f"{key} is only meaningful for") as exc:
+            load_config(doc)
+        assert exc.value.pointer == f"/{key}"
+        report, code = run_command(doc, command, timestamp=False)
+        assert code == 1 and report["error"]["type"] == "ConfigError"
 
     def test_fast_state_needs_slow_fast_kind(self):
         doc = minimal_doc(map={"x": ["0.5*x[0]+y[0]"]})

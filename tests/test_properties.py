@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from lyapcert.averaging import check_drift_remainder, estimate_average, estimate_sigma, mu, nu
+from lyapcert.averaging import (
+    _prefix_sums,
+    check_drift_remainder,
+    estimate_average,
+    estimate_sigma,
+    mu,
+    nu,
+)
 from lyapcert import certcheck
 from lyapcert.certcheck import (
     DECREASE,
@@ -37,6 +44,7 @@ from lyapcert.dynsys import (
     LinearTV,
     SlowFastSample,
     SlowFastSystem,
+    real_array,
     sample_rows,
     simulate,
     state_batched,
@@ -720,6 +728,55 @@ class TestDriftCoefficients:
     @settings(max_examples=100, deadline=None)
     def test_mu_dominates_nu(self, T, L, sigma, eps):
         assert mu(T, eps, L, sigma) >= nu(T, eps, L, sigma)
+
+
+def reference_time_table(fn, times, x, time_batched):
+    """The per-window read the averaging windows used: one call over the
+    window's times for a map that takes an array of times
+    (``time_batched``), else one call per time, in order."""
+    if time_batched:
+        return real_array(fn(np.arange(times.start, times.stop), x))
+    return np.array([real_array(fn(t, x)) for t in times])
+
+
+def reference_window_sums(fn, starts, xs, length, time_batched):
+    """Window after window, each one's zero-prepended table summed with np.cumsum."""
+    out = []
+    for k, x in zip(starts, xs):
+        rows = np.zeros((length + 1, x.size))
+        rows[1:] = reference_time_table(fn, range(k, k + length), x, time_batched).reshape(length, -1)
+        out.append(np.cumsum(rows, axis=0))
+    return np.array(out)
+
+
+@st.composite
+def window_sets(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    xs = np.array(draw(st.lists(states, min_size=size, max_size=size)), dtype=float)
+    starts = draw(st.lists(st.integers(0, 40), min_size=size, max_size=size))
+    return starts, xs, draw(st.integers(min_value=1, max_value=24))
+
+
+class TestBatchedWindows:
+    """The averaging windows of a call, read in one batch, equal the
+    per-window table loop bit for bit, for marked and unmarked compiled
+    fields, and raise what the loop raises first."""
+
+    @given(first=ast_trees(), second=ast_trees(), windows=window_sets(), marked=st.booleans())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batched_windows_match_the_per_window_loop(self, first, second, windows, marked):
+        starts, xs, length = windows
+        f = compile_map([first, second], PARAMS)
+
+        def field(t, x):
+            return f(t, x, [0.5])
+
+        fn = state_batched(field) if marked else field
+        want = exact(lambda: reference_window_sums(field, starts, xs, length, marked))
+        assert exact(lambda: _prefix_sums(fn, starts, xs, length)) == want
+        avg = estimate_average(fn, [], T_max=8)  # phibar reads one window, from 0
+        ref = exact(lambda: reference_window_sums(field, [0], xs[:1], 9, marked)[0, -1] / 8)
+        assert exact(lambda: avg.phibar(xs[0])) == ref
 
 
 def reference_difference_max(points, values):
