@@ -55,7 +55,8 @@ class AveragedField:
     """Time-average of a driving field.
 
     ``phibar(x)`` is the window mean ``(1/T_max) * sum_{k=0..T_max}
-    phi(k, x)``, computed afresh on each call; the reported convergence gap
+    phi(k, x)`` at one state, or at each row of a ``state_batched`` (S, n)
+    batch, computed afresh on each call; the reported convergence gap
     compares it against the half-window mean on the probe set.
     """
 
@@ -138,7 +139,17 @@ def _prefix_sums(phi: PhiFn, starts, xs, length: int) -> np.ndarray:
         times = (starts[lo:hi, None] + np.arange(length)).reshape(-1)
         rows = sample_rows(phi, times, np.repeat(xs[lo:hi], length, axis=0))
         table[lo:hi, 1:] = rows.reshape(hi - lo, length, -1)
-    return np.cumsum(table, axis=1)
+    return np.cumsum(table, axis=1, out=table)
+
+
+def _probe_norms(states: Sequence[np.ndarray]) -> list:
+    """Norms of the probe states; the first non-finite one raises ValueError."""
+    with np.errstate(over="ignore"):  # an overflowing norm is refused too
+        norms = [float(np.linalg.norm(x)) for x in states]
+    for i, (x, nx) in enumerate(zip(states, norms)):
+        if not math.isfinite(nx):
+            raise ValueError(f"non-finite probe state {i}: x={np.asarray(x).tolist()}")
+    return norms
 
 
 def estimate_average(
@@ -153,15 +164,20 @@ def estimate_average(
     full window, so ``phi`` is evaluated T_max + 1 times per probe, the
     windows of every probe read together (see :func:`_prefix_sums`).  A
     gap between the two means over 1e-2 * (1 + |full mean|) sets the
-    warning.  ``phibar`` reads one state's window per call.
+    warning; a non-finite probe raises ValueError.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
     if T_max % 2:
         T_max += 1
+    _probe_norms(probes)
 
+    @state_batched
     def phibar(x: np.ndarray) -> np.ndarray:
-        return _prefix_sums(phi, [0], [x], T_max + 1)[0, -1] / T_max
+        x = np.asarray(x, dtype=float)
+        rows = x if x.ndim == 2 else x.reshape(1, -1)
+        means = _prefix_sums(phi, np.zeros(len(rows)), rows, T_max + 1)[:, -1] / T_max
+        return means if x.ndim == 2 else means[0]
 
     gap = 0.0
     scale = 0.0
@@ -192,42 +208,28 @@ def estimate_sigma(
     applies a running minimum over increasing T so downstream formulas see
     a nonincreasing coefficient.  Each probe's window sums for every
     horizon are read from its longest window, the windows of every probe
-    read together (see :func:`_prefix_sums`), and ``avg.phibar`` is
-    evaluated once per distinct probe state.
+    read together (see :func:`_prefix_sums`), ``avg.phibar`` once per
+    distinct state, in one call.  A non-finite probe raises ValueError.
     """
     if L <= 0.0:
         raise ValueError("growth bound L must be positive")
     T_list = tuple(sorted(set(int(T) for T in T_list)))
     if not T_list or T_list[0] < 1:
         raise ValueError("horizons must be >= 1")
-    live = []
-    for k, x in probes:
-        x = np.asarray(x, dtype=float)
-        nx = float(np.linalg.norm(x))
-        if nx >= 1e-14:
-            live.append((k, x, nx))
+    states = [np.asarray(x, dtype=float) for _, x in probes]
+    norms = _probe_norms(states)
+    live = [(k, x, nx) for (k, _), x, nx in zip(probes, states, norms) if nx >= 1e-14]
     if not live:
         raise ValueError("all probes have zero state norm")
+    table = _prefix_sums(phi, [k for k, _, _ in live], [x for _, x, _ in live], T_list[-1] + 1)
+    distinct = {x.tobytes(): x for _, x, _ in live}
+    rows = np.array(list(distinct.values())).reshape(len(distinct), -1)
+    means = dict(zip(distinct, sample_rows(avg.phibar, rows)))
     raw = dict.fromkeys(T_list, 0.0)
-    means = {}  # state bytes -> phibar, for this call only
-    try:
-        table = _prefix_sums(phi, [k for k, _, _ in live], [x for _, x, _ in live], T_list[-1] + 1)
-        for (_, x, nx), sums in zip(live, table):
-            key = x.tobytes()
-            if key not in means:
-                means[key] = avg.phibar(x)
-            mean = means[key]
-            for T in T_list:
-                deviation = float(np.linalg.norm(sums[T + 1] - T * mean))
-                raw[T] = max(raw[T], deviation / (T * L * nx))
-    except Exception:
-        # the same calls horizon by horizon, so the first failing one raises
+    for (_, x, nx), sums in zip(live, table):
         for T in T_list:
-            for k, x, _ in live:
-                for kp in range(k, k + T + 1):
-                    sample_rows(phi, kp, x)
-                avg.phibar(x)
-        raise
+            deviation = float(np.linalg.norm(sums[T + 1] - T * means[x.tobytes()]))
+            raw[T] = max(raw[T], deviation / (T * L * nx))
     entries: dict = {}
     running = math.inf
     for T in T_list:
@@ -275,11 +277,7 @@ def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     L = table.L
-    T_delta = None
-    for T in table.T_list:
-        if table.entries[T] <= delta / 4.0:
-            T_delta = T
-            break
+    T_delta = next((T for T in table.T_list if table.entries[T] <= delta / 4.0), None)
     if T_delta is None:
         best = min(table.entries.values())
         raise BudgetInfeasibleError(
@@ -333,21 +331,25 @@ def check_drift_remainder(
     """Check |x(k+T+1) - x - eps*T*phibar(x)| <= eps*T*nu*|x| on samples.
 
     Each sample is a (start time, state, window length, amplitude) tuple;
-    window lengths must be tabulated in the sigma table.  Zero states are
-    skipped; the slack is the allowance minus the drift, plus TOL_ABS.
+    every window length must be tabulated in the sigma table, and is
+    looked up before the field is called.  Zero states are skipped; the
+    others' window means are read in one ``avg.phibar`` call.  The slack
+    is the allowance minus the drift, plus TOL_ABS.
     """
-    points, params, slack = [], [], []
+    kept = []
     for k, x, T, eps in samples:
         x = np.asarray(x, dtype=float)
-        T, eps = int(T), float(eps)
         nx = float(np.linalg.norm(x))
-        if nx < 1e-14:
-            continue
-        sigma_T = table.sigma(T)
-        end = _window_states(phi, int(k), x, eps, T + 1)[-1]
-        drift = float(np.linalg.norm(end - x - eps * T * avg.phibar(x)))
+        if nx >= 1e-14:
+            kept.append((int(k), x, int(T), float(eps), nx, table.sigma(int(T))))
+    xs = [x for _, x, *_ in kept]
+    means = sample_rows(avg.phibar, np.array(xs).reshape(len(xs), -1)) if xs else []
+    points, params, slack = [], [], []
+    for (k, x, T, eps, nx, sigma_T), mean in zip(kept, means):
+        end = _window_states(phi, k, x, eps, T + 1)[-1]
+        drift = float(np.linalg.norm(end - x - eps * T * mean))
         allowance = eps * T * nu(T, eps, table.L, sigma_T) * nx
-        points.append((int(k), x.copy()))
+        points.append((k, x.copy()))
         params.append({"T": T, "eps": eps})
         slack.append(allowance - drift + TOL_ABS)
     i = worst_index(slack)
@@ -373,31 +375,28 @@ def fit_slow_constants(
 
     c1, c2 sandwich V between quadratics, c3 is the directional decrement
     of V along phibar, and c4 bounds the gradient norm relative to |x|.
-    Quadratic candidates get exact c1, c2, c4 from the eigenvalues.
+    Quadratic candidates get exact c1, c2, c4 from the eigenvalues.  The
+    nonzero probes' means are one ``avg.phibar`` call; non-finite ones raise.
     """
+    states = [np.asarray(p, dtype=float) for p in probes]
+    live = [(x, nx) for x, nx in zip(states, _probe_norms(states)) if nx >= 1e-14]
+    if not live:
+        raise ValueError("no probe with nonzero norm")
+    means = sample_rows(avg.phibar, np.array([x for x, _ in live]).reshape(len(live), -1))
     c3 = math.inf
-    used = 0
     if V.quadratic_P is not None:
         eigs = np.linalg.eigvalsh(V.quadratic_P)
-        c1, c2 = float(eigs[0]), float(eigs[-1])
-        c4 = 2.0 * float(eigs[-1])
+        c1, c2, c4 = float(eigs[0]), float(eigs[-1]), 2.0 * float(eigs[-1])
     else:
         c1, c2, c4 = math.inf, 0.0, 0.0
-    for p in probes:
-        x = np.asarray(p, dtype=float)
-        nx = float(np.linalg.norm(x))
-        if nx < 1e-14:
-            continue
-        used += 1
+    for (x, nx), mean in zip(live, means):
         grad = _gradient(V, x)
-        c3 = min(c3, -float(grad @ avg.phibar(x)) / nx ** 2)
+        c3 = min(c3, -float(grad @ mean) / nx ** 2)
         if V.quadratic_P is None:
             value = float(V.eval_fn(0, x))
             c1 = min(c1, value / nx ** 2)
             c2 = max(c2, value / nx ** 2)
             c4 = max(c4, float(np.linalg.norm(grad)) / nx)
-    if used == 0:
-        raise ValueError("no probe with nonzero norm")
     if c1 <= 0.0 or not math.isfinite(c2):
         raise HypothesisViolationError(
             f"candidate is not sandwiched by positive quadratics (c1={c1:.3e})"

@@ -1,5 +1,6 @@
 """Window averaging, deviation tables, drift budgets, lifted certificates."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -195,7 +196,7 @@ class TestBatchedWindows:
         with pytest.raises(TypeError, match="complex"):
             estimate_sigma(fn, avg, [(k, p) for k in range(2) for p in PROBES], [2, 4], 1.0)
 
-    def test_sigma_raises_the_error_of_the_first_horizon(self):
+    def test_sigma_raises_the_first_error_of_the_batched_windows(self):
         def field(k, x):
             if (k, float(x[0])) in ((10, 1.0), (2, 0.5)):
                 raise ValueError(f"bad point k={k} x={float(x[0])}")
@@ -203,9 +204,48 @@ class TestBatchedWindows:
 
         avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
         probes = [(0, np.array([1.0])), (0, np.array([0.5]))]
-        # horizon 2 reaches (2, 0.5) before horizon 16 reaches (10, 1.0)
-        with pytest.raises(ValueError, match=r"k=2 x=0\.5"):
+        # the windows are read probe after probe, each over its 17 times, so
+        # the window of 1.0 reaches (10, 1.0) before that of 0.5 reaches (2, 0.5)
+        with pytest.raises(ValueError, match=r"k=10 x=1\.0"):
             estimate_sigma(field, avg, probes, [2, 16], 1.0)
+
+
+class TestNonFiniteProbes:
+    """A probe with a NaN or infinite entry, or a norm that overflows, is
+    refused by name: it used to drop out of the convergence gap, of sigma
+    and of c3 unseen."""
+
+    BAD = [np.array([np.nan, 0.5]), np.array([np.inf, 0.0]), np.array([1e200, 1e200])]
+    GOOD = [np.array([1.0, 0.0]), np.array([0.0, -0.5])]
+
+    @staticmethod
+    def named(x):
+        return re.escape(f"non-finite probe state 1: x={x.tolist()}")
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "overflow"])
+    def test_estimate_average(self, bad):
+        with pytest.raises(ValueError, match=self.named(bad)):
+            estimate_average(linear_field, [self.GOOD[0], bad, self.GOOD[1]], T_max=8)
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "overflow"])
+    def test_estimate_sigma(self, bad):
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        probes = [(0, self.GOOD[0]), (1, bad), (2, np.array([np.nan, np.nan]))]
+        with pytest.raises(ValueError, match=self.named(bad)):
+            estimate_sigma(linear_field, avg, probes, [2], 1.0)
+        # only non-finite probes: named, not "all probes have zero state norm"
+        with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
+            estimate_sigma(linear_field, avg, [(0, bad)], [2], 1.0)
+
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "overflow"])
+    def test_fit_slow_constants(self, bad):
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        V = CandidateFunction.quadratic(np.eye(2))
+        with pytest.raises(ValueError, match=self.named(bad)):
+            fit_slow_constants(V, avg, [self.GOOD[0], bad])
+        # only non-finite probes: refused, not c3 = inf from no data
+        with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
+            fit_slow_constants(V, avg, [bad])
 
 
 class TestNuMu:
@@ -286,6 +326,24 @@ class TestDriftRemainder:
         report = check_drift_remainder(linear_field, wrong, table, samples)
         assert not report.passed
         assert report.worst_margin < 0
+
+    def test_untabulated_horizon_raises_before_any_field_call(self):
+        calls = []
+
+        def counted(k, x):
+            calls.append(k)
+            return linear_field(k, x)
+
+        avg = estimate_average(counted, PROBES, T_max=8)
+        table = SigmaTable(L=1.1, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})
+        samples = [(0, np.array([1.0]), 2, 0.01), (1, np.zeros(1), 4, 0.01), (1, np.array([0.5]), 4, 0.01)]
+        calls.clear()
+        with pytest.raises(KeyError, match="horizon 4 is not tabulated"):
+            check_drift_remainder(counted, avg, table, samples)
+        assert calls == []  # neither the first sample's window nor its mean was read
+        # a zero state is skipped before its horizon is looked up
+        report = check_drift_remainder(counted, avg, table, samples[:2])
+        assert report.samples_checked == 1
 
     def test_worst_sample_is_reported(self):
         avg = estimate_average(linear_field, PROBES)

@@ -1,5 +1,6 @@
 """Property-based invariants over randomized systems and expressions."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,10 +9,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lyapcert.averaging import (
+    DRIFT_REMAINDER,
+    SigmaTable,
+    _gradient,
     _prefix_sums,
     check_drift_remainder,
     estimate_average,
     estimate_sigma,
+    fit_slow_constants,
     mu,
     nu,
 )
@@ -774,9 +779,208 @@ class TestBatchedWindows:
         fn = state_batched(field) if marked else field
         want = exact(lambda: reference_window_sums(field, starts, xs, length, marked))
         assert exact(lambda: _prefix_sums(fn, starts, xs, length)) == want
-        avg = estimate_average(fn, [], T_max=8)  # phibar reads one window, from 0
+        avg = estimate_average(fn, [], T_max=8)  # phibar reads its windows from 0
         ref = exact(lambda: reference_window_sums(field, [0], xs[:1], 9, marked)[0, -1] / 8)
         assert exact(lambda: avg.phibar(xs[0])) == ref
+        batch = exact(lambda: reference_window_sums(field, [0] * len(xs), xs, 9, marked)[:, -1] / 8)
+        assert exact(lambda: avg.phibar(xs)) == batch
+
+
+def reference_mean(field, phibar, marked):
+    """The window mean one state at a time: a fake ``phibar`` called on
+    the state, the real one (T_max = 8) as its window read from 0."""
+    if phibar is not None:
+        return lambda x: real_array(phibar(x))
+    return lambda x: reference_window_sums(field, [0], [x], 9, marked)[0, -1] / 8
+
+
+def reference_sigma(field, mean, probes, T_list, L, marked):
+    """The per-state loop ``estimate_sigma`` ran: each live probe's window
+    read on its own, and one window mean per distinct state; the raw
+    entries, then their running minimum."""
+    raw, means = dict.fromkeys(T_list, 0.0), {}
+    for k, x in probes:
+        nx = float(np.linalg.norm(x))
+        if nx < 1e-14:
+            continue
+        sums = reference_window_sums(field, [k], [x], T_list[-1] + 1, marked)[0]
+        if x.tobytes() not in means:
+            means[x.tobytes()] = mean(x)
+        for T in T_list:
+            deviation = float(np.linalg.norm(sums[T + 1] - T * means[x.tobytes()]))
+            raw[T] = max(raw[T], deviation / (T * L * nx))
+    if not means:
+        raise ValueError("all probes have zero state norm")
+    return [*raw.values(), *itertools.accumulate(raw.values(), min)]
+
+
+def reference_drift(field, mean, table, samples):
+    """The per-sample loop ``check_drift_remainder`` ran: each sample's
+    horizon looked up, its window stepped, then its window mean read."""
+    points, params, slack = [], [], []
+    for k, x, T, eps in samples:
+        nx = float(np.linalg.norm(x))
+        if nx < 1e-14:
+            continue
+        sigma_T = table.sigma(T)
+        end = x
+        for j in range(T + 1):
+            end = end + eps * real_array(field(k + j, end))
+        drift = float(np.linalg.norm(end - x - eps * T * mean(x)))
+        points.append((k, x.copy()))
+        params.append({"T": T, "eps": eps})
+        slack.append(eps * T * nu(T, eps, table.L, sigma_T) * nx - drift + TOL_ABS)
+    i = certcheck.worst_index(slack)
+    details = {"L": table.L, "worst_sample": None if i is None else params[i]}
+    return ConditionReport.from_slack(DRIFT_REMAINDER, slack, points, details)
+
+
+def reference_slow_constants(V, mean, probes):
+    """The per-probe loop ``fit_slow_constants`` ran: gradient, then mean."""
+    c3, used = math.inf, 0
+    if V.quadratic_P is not None:
+        eigs = np.linalg.eigvalsh(V.quadratic_P)
+        c1, c2, c4 = float(eigs[0]), float(eigs[-1]), 2.0 * float(eigs[-1])
+    else:
+        c1, c2, c4 = math.inf, 0.0, 0.0
+    for x in probes:
+        nx = float(np.linalg.norm(x))
+        if nx < 1e-14:
+            continue
+        used += 1
+        grad = _gradient(V, x)
+        c3 = min(c3, -float(grad @ mean(x)) / nx ** 2)
+        if V.quadratic_P is None:
+            value = float(V.eval_fn(0, x))
+            c1, c2 = min(c1, value / nx ** 2), max(c2, value / nx ** 2)
+            c4 = max(c4, float(np.linalg.norm(grad)) / nx)
+    if used == 0:
+        raise ValueError("no probe with nonzero norm")
+    if c1 <= 0.0 or not math.isfinite(c2):
+        raise HypothesisViolationError(
+            f"candidate is not sandwiched by positive quadratics (c1={c1:.3e})"
+        )
+    if c3 <= 0.0:
+        raise HypothesisViolationError(
+            f"averaged field does not descend along the candidate (c3={c3:.3e})"
+        )
+    return c1, c2, c3, c4
+
+
+def sigma_values(table):
+    return [*table.raw_entries.values(), *table.entries.values()]
+
+
+def report_values(rep):
+    """A drift report as floats: verdict, margin, count, L, worst point and sample."""
+    k, x = rep.worst_point or (math.nan, ())
+    worst = rep.details["worst_sample"] or {"T": math.nan, "eps": math.nan}
+    return [rep.passed, rep.worst_margin, rep.samples_checked, rep.details["L"], k, *x,
+            worst["T"], worst["eps"]]
+
+
+def assert_same_outcome(got, want):
+    """Equal bit for bit, or raising the same error.  Where the reference
+    loop meets a failing field call, the batched call must raise too, but
+    it reads its windows in another order, so a field that fails at
+    several points may raise another of them first."""
+    assert got == want or (isinstance(got, tuple) and isinstance(want, tuple)
+                           and isinstance(got[0], type) and isinstance(want[0], type))
+
+
+# unmarked fakes (``lambda x: -x`` as in the unit tests) and a marked one
+FAKE_PHIBARS = {
+    "negative": lambda x: -x,
+    "sine": lambda x: np.sin(3.0 * np.asarray(x)) - np.asarray(x),
+    "marked-tanh": state_batched(lambda x: np.tanh(np.asarray(x)) - 2.0 * np.asarray(x)),
+}
+
+
+@st.composite
+def averaging_cases(draw):
+    """A compiled two-component field, marked or not; its real window mean
+    (T_max = 8) or a fake one; probe states drawn with repeats and zeros."""
+    first, second = draw(ast_trees()), draw(ast_trees())
+    f = compile_map([first, second], PARAMS)
+
+    def field(t, x):
+        return f(t, x, [0.5])
+
+    marked = draw(st.booleans())
+    fn = state_batched(field) if marked else field
+    fake = draw(st.sampled_from([None, *FAKE_PHIBARS]))
+    phibar = None if fake is None else FAKE_PHIBARS[fake]
+    avg = estimate_average(fn, [], T_max=8)
+    if phibar is not None:
+        avg = replace(avg, phibar=phibar)
+    nonzero = states.filter(lambda v: math.hypot(*v) >= 1e-14)
+    pool = [np.array(v, dtype=float) for v in [draw(nonzero), *draw(st.lists(states, max_size=2))]]
+    pool.append(np.zeros(2))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    xs = [pool[i].copy() for i in picks]  # equal states in distinct arrays
+    return fn, avg, reference_mean(field, phibar, marked), marked, xs
+
+
+class TestBatchedWindowMeans:
+    """``phibar`` reads every state's window in one call, and its three
+    consumers each read their means in one call: equal bit for bit to the
+    per-state loops they replace, kept here as the reference."""
+
+    @given(case=averaging_cases(), ks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
+           T_list=st.sets(st.integers(1, 8), min_size=1, max_size=3), L=st.floats(0.1, 3.0))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_sigma_matches_the_per_state_loop(self, case, ks, T_list, L):
+        fn, avg, mean, marked, xs = case
+        T_list, probes = sorted(T_list), list(zip(ks, xs))
+        want = exact(lambda: reference_sigma(fn, mean, probes, T_list, L, marked))
+        assert_same_outcome(exact(lambda: sigma_values(estimate_sigma(fn, avg, probes, T_list, L))), want)
+
+    @given(case=averaging_cases(), data=st.data())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drift_remainder_matches_the_per_sample_loop(self, case, data):
+        fn, avg, mean, marked, xs = case
+        T_list = (1, 2, 4)
+        entries = {T: data.draw(st.floats(0.0, 1.0)) for T in T_list}
+        table = SigmaTable(L=data.draw(st.floats(0.1, 3.0)), T_list=T_list, entries=entries)
+        samples = [(data.draw(st.integers(0, 6)), x, data.draw(st.sampled_from([1, 2, 4, 4, 5])),
+                    data.draw(st.floats(0.0, 0.3))) for x in xs]
+        want = exact(lambda: report_values(reference_drift(fn, mean, table, samples)))
+        assert_same_outcome(exact(lambda: report_values(check_drift_remainder(fn, avg, table, samples))),
+                            want)
+
+    @given(case=averaging_cases(), seed=seeds, quadratic=st.booleans())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_slow_constants_match_the_per_probe_loop(self, case, seed, quadratic):
+        _, avg, mean, _, xs = case
+        B = np.random.default_rng(seed).standard_normal((2, 2))
+        P = B @ B.T + 0.1 * np.eye(2)
+        V = CandidateFunction.quadratic(P)
+        if not quadratic:  # a quartic term: sampled c1, c2, c4
+            V = CandidateFunction(lambda t, x: V.eval_fn(t, x) + float(x @ x) ** 2, dim=2)
+        want = exact(lambda: reference_slow_constants(V, mean, xs))
+        assert_same_outcome(exact(lambda: fit_slow_constants(V, avg, xs)), want)
+
+    def test_a_marked_phibar_is_called_once_per_function_call(self):
+        field = state_batched(lambda t, x: -np.asarray(x, dtype=float))
+        real = estimate_average(field, [], T_max=8)
+        shapes = []
+
+        @state_batched
+        def counted(x):
+            shapes.append(np.shape(x))
+            return real.phibar(x)
+
+        avg = replace(real, phibar=counted)
+        xs = [np.array([0.3, -0.2]), np.zeros(2), np.array([1.0, 0.5]), np.array([0.3, -0.2])]
+        estimate_sigma(field, avg, [(k, x) for k in range(3) for x in xs], [1, 4], 1.0)
+        assert shapes == [(2, 2)]  # the two distinct nonzero states
+        shapes.clear()
+        table = SigmaTable(L=1.0, T_list=(1, 4), entries={1: 0.5, 4: 0.5})
+        check_drift_remainder(field, avg, table, [(k, x, 4, 0.01) for k, x in enumerate(xs)])
+        assert shapes == [(3, 2)]  # every nonzero sample, repeats included
+        shapes.clear()
+        fit_slow_constants(CandidateFunction.quadratic(np.eye(2)), avg, xs)
+        assert shapes == [(3, 2)]
 
 
 def reference_difference_max(points, values):
