@@ -10,7 +10,9 @@ which calls a map marked by :func:`state_batched` once and loops any other
 callable; a window of times is a batch whose rows share one state.  Every
 trajectory comes from :func:`trajectories`, one :func:`sample_rows` call
 per step over a batch of starts, with one divergence rule;
-:func:`simulate` adds the raise.
+:func:`simulate` adds the raise.  Every transition product of a
+:class:`LinearTV` comes from :func:`transitions`, one batched ``@`` per
+step over a batch of start times.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
     "SlowFastSample",
     "simulate",
     "trajectories",
-    "transition_matrix",
+    "transitions",
     "linear_part",
     "state_batched",
     "sample_rows",
@@ -196,23 +198,42 @@ class DynSystem:
 class LinearTV:
     """Time-varying linear system ``x(t+1) = A(t) x(t)``.
 
-    ``matrix_fn`` is called at most once per t on each instance; ``matrix``
-    hands out that first read, as a read-only array, on every later use.
+    Every A(t) is read through :meth:`matrices`, once per t on each
+    instance: the missing times in one call with their array when
+    ``matrix_fn`` is marked by :func:`state_batched` (it returns their
+    stack), else one t at a time, in first-read order.  Each read is checked
+    once: a complex A(t) raises TypeError (see :func:`real_array`), a wrong
+    shape or a NaN or infinite entry ValueError naming t.
     """
 
     dim: int
     matrix_fn: Callable[[int], np.ndarray]
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def matrix(self, t: int) -> np.ndarray:
-        A = self._matrices.get(t)
-        if A is None:
-            A = np.array(self.matrix_fn(t), dtype=float)
-            if A.shape != (self.dim, self.dim):
-                raise ValueError(f"A({t}) has shape {A.shape}, expected {(self.dim, self.dim)}")
-            A.setflags(write=False)
+    def matrices(self, times) -> np.ndarray:
+        """A(t) at each t of ``times``, as a read-only (len(times), n, n) stack."""
+        times = np.asarray(times, dtype=int).reshape(-1).tolist()
+        missing = [t for t in dict.fromkeys(times) if t not in self._matrices]
+        if missing and getattr(self.matrix_fn, "state_batched", False):
+            read = real_array(self.matrix_fn(np.array(missing)))
+            if read.shape[:1] != (len(missing),):
+                raise ValueError(f"A at {len(missing)} times has shape {read.shape}")
+        else:
+            read = map(self.matrix_fn, missing)
+        shape = (self.dim, self.dim)
+        for t, A in zip(missing, read):
+            A = np.array(real_array(A))
+            if A.shape != shape:
+                raise ValueError(f"A({t}) has shape {A.shape}, expected {shape}")
+            if not np.isfinite(A).all():
+                raise ValueError(f"A({t}) has a NaN or infinite entry")
             self._matrices[t] = A
-        return A
+        stack = np.array([self._matrices[t] for t in times]).reshape((-1,) + shape)
+        stack.setflags(write=False)
+        return stack
+
+    def matrix(self, t: int) -> np.ndarray:
+        return self.matrices([t])[0]
 
     def system(self) -> DynSystem:
         return DynSystem(
@@ -437,13 +458,28 @@ def simulate(sys: DynSystem, t0, x0, horizon: int):
     return [Trajectory(t0=start, states=row) for start, row in zip(starts, states)]
 
 
-def transition_matrix(ltv: LinearTV, t: int, t0: int) -> np.ndarray:
-    """State-transition matrix Phi(t, t0) = A(t-1) ... A(t0), Phi(t0, t0) = I."""
-    if t < t0:
-        raise ValueError(f"need t >= t0, got t={t} < t0={t0}")
-    phi = np.eye(ltv.dim)
-    for tau in range(t0, t):
-        phi = ltv.matrix(tau) @ phi
+def transitions(ltv: LinearTV, t0, horizon: int) -> np.ndarray:
+    """Phi(t0[i] + k, t0[i]) = A(t0[i] + k - 1) ... A(t0[i]) for each start
+    time t0[i] and k = 0..horizon, as an (S, horizon + 1, n, n) array.
+
+    One :meth:`LinearTV.matrices` read, then one batched ``@`` per step, each
+    product bit for bit its own 2-D ``@``.  ValueError names the first start,
+    and its step, whose product overflows.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    starts = np.asarray(t0, dtype=int).reshape(-1)
+    n = ltv.dim
+    A = ltv.matrices(starts[:, None] + np.arange(horizon)).reshape(len(starts), horizon, n, n)
+    phi = np.empty((len(starts), horizon + 1, n, n))
+    phi[:, 0] = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for k in range(horizon):
+            phi[:, k + 1] = A[:, k] @ phi[:, k]
+    finite = np.isfinite(phi).all(axis=(2, 3))
+    if not finite.all():
+        i, k = np.argwhere(~finite)[0]
+        raise ValueError(f"transition product from t0={starts[i]} overflows at step {k}")
     return phi
 
 

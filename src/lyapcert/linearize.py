@@ -10,9 +10,11 @@ reported as inconclusive rather than guessed.
 :func:`numerical_jacobian` is the package's only finite-difference
 Jacobian; a map that is exactly linear is read by ``dynsys.linear_part``
 instead, which refuses nonlinear maps.  It takes one state or an (S, n)
-batch of states and reads every perturbed point of the batch in one
-:func:`~lyapcert.dynsys.sample_rows` call, each sample's Jacobian equal
-bit for bit to its one-state call.  The autonomous and nonautonomous
+batch of states, at one time or an (S,) array of times, and reads every
+perturbed point of the batch in one :func:`~lyapcert.dynsys.sample_rows`
+call, each sample's Jacobian equal bit for bit to its one-state call; the
+nonautonomous certifier reads its Jacobian family A(t) through it, all
+missing times in one call.  The autonomous and nonautonomous
 certifiers share one radius computation (``_remainder_radius``), whose
 sampled Lipschitz constant of the Jacobian reads a whole sample set's
 Jacobians with one map call per time.  :func:`validate_basin` steps every
@@ -127,23 +129,28 @@ def numerical_jacobian(
     step supplies both the returned matrix and the error estimate.  ``x``
     is one state, or an (S, n) batch of states, whose estimate carries a
     leading sample axis in every field (``A`` is (S, m, n)), each sample
-    equal bit for bit to its one-state estimate.  Every perturbed point of
-    every sample is read in one :func:`~lyapcert.dynsys.sample_rows` call,
-    sample by sample, the coarse pass before the fine, column by column,
-    x + h e_i before x - h e_i, so an unmarked map is called in that order
-    and a raising map raises for the first failing point in it.  A state
-    with a NaN or infinite entry, or a norm that overflows, raises
-    ValueError naming it.
+    equal bit for bit to its one-state estimate.  ``t`` is one time, or
+    for a batch an (S,) array of sample times (another length raises
+    ValueError); for a system ``x`` defaults to its equilibrium, at each
+    time.  Every perturbed point of every sample is read in one
+    :func:`~lyapcert.dynsys.sample_rows` call, sample by sample, the coarse
+    pass before the fine, column by column, x + h e_i before x - h e_i, so
+    an unmarked map is called in that order and a raising map raises for
+    the first failing point in it.  A state with a NaN or infinite entry,
+    or a norm that overflows, raises ValueError naming it.
     """
     if isinstance(sys_or_fn, DynSystem):
         fn: MapFn = sys_or_fn.map_fn
-        x = sys_or_fn.equilibrium if x is None else x
+        if x is None:
+            x = np.broadcast_to(sys_or_fn.equilibrium, np.shape(t) + (sys_or_fn.dim,))
     else:
         fn = sys_or_fn
         if x is None:
             raise ValueError("x is required when passing a bare map")
     x = np.asarray(x, dtype=float)
     states = x if x.ndim == 2 else x.reshape(1, -1)
+    if np.ndim(t) and (x.ndim != 2 or np.shape(t) != (len(x),)):
+        raise ValueError(f"times of shape {np.shape(t)} for states of shape {x.shape}")
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         norms = _row_norms(states)
     finite = np.isfinite(norms)
@@ -156,7 +163,8 @@ def numerical_jacobian(
     shift = steps[:, :, None, None] * np.eye(n)  # shift[s, pass, i] = steps[s, pass] * e_i
     base = states[:, None, None, :]
     points = np.stack([base + shift, base - shift], axis=3)  # (S, pass, i, hi/lo, n)
-    values = sample_rows(fn, t, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)
+    times = np.repeat(t, 4 * n) if np.ndim(t) else t
+    values = sample_rows(fn, times, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)
     columns = (values[:, :, :, 0] - values[:, :, :, 1]) / (2.0 * steps[:, :, None, None])
     coarse = columns[:, 0].swapaxes(1, 2)
     fine = np.ascontiguousarray(columns[:, 1].swapaxes(1, 2))
@@ -291,24 +299,16 @@ def certify_local_nonautonomous(
     if domain_radius <= 0.0:
         raise ValueError("domain_radius must be positive")
     shifted = sys.shifted()
-    jacobians: dict = {}
-
-    def matrix_fn(t: int) -> np.ndarray:
-        if t not in jacobians:
-            jacobians[t] = numerical_jacobian(shifted, t)
-        return jacobians[t].A
-
-    ltv = LinearTV(sys.dim, matrix_fn)
+    ltv = LinearTV(sys.dim, state_batched(lambda times: numerical_jacobian(shifted, times).A))
     envelope = verify_transition_decay(ltv, t0_samples=T_SAMPLES)
     Q_fn = lambda t: np.eye(sys.dim)
     tvP = solve_tv_lyapunov(ltv, Q_fn, envelope)
 
     q1 = float(np.linalg.eigvalsh(np.eye(sys.dim))[0])
     p2 = 0.0
-    B_A = 0.0
     for t in T_SAMPLES:
         p2 = max(p2, float(np.linalg.eigvalsh(tvP(t))[-1]))
-        B_A = max(B_A, float(np.linalg.norm(matrix_fn(t), 2)))
+    B_A = float(np.linalg.norm(ltv.matrices(T_SAMPLES), 2, axis=(1, 2)).max())
     gamma_star = -B_A + math.sqrt(B_A * B_A + q1 / p2)
 
     L1, remainder_gain, delta_bar, notes = _remainder_radius(
@@ -317,7 +317,7 @@ def certify_local_nonautonomous(
     return LocalCertificate(
         verdict=STABLE,
         equilibrium=sys.equilibrium,
-        jacobian=jacobians[T_SAMPLES[0]],
+        jacobian=numerical_jacobian(shifted, T_SAMPLES[0]),
         spectrum=None,
         Q=Q_fn,
         P=tvP,

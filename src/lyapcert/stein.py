@@ -10,7 +10,7 @@ series by Smith's doubling (k doublings add up the first 2^k series terms,
 the count a series solution reports as ``terms``).  Also
 spectrum classification with the exact solvability dichotomy, instability
 certificates built by rescaling, and the time-varying extension driven by
-transition-matrix decay envelopes.
+transition-matrix decay envelopes, read from ``dynsys.transitions``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynsys import ExponentialEnvelope, LinearTV
+from .dynsys import ExponentialEnvelope, LinearTV, transitions
 from .errors import (
     CertificateNotFoundError,
     DecayNotDetectedError,
@@ -415,13 +415,9 @@ class TvLyapunov:
         hit = self._cache.get(t)
         if hit is not None:
             return hit
-        n = self.ltv.dim
-        phi = np.eye(n)
-        acc = np.zeros((n, n))
-        for tau in range(t, t + self.horizon + 1):
-            Qt = np.asarray(self.q_fn(tau), dtype=float)
-            acc += phi.T @ Qt @ phi
-            phi = self.ltv.matrix(tau) @ phi
+        acc = np.zeros((self.ltv.dim, self.ltv.dim))
+        for tau, phi in enumerate(transitions(self.ltv, [t], self.horizon)[0], start=t):
+            acc += phi.T @ np.asarray(self.q_fn(tau), dtype=float) @ phi
         acc = 0.5 * (acc + acc.T)
         self._cache[t] = acc
         return acc
@@ -449,27 +445,22 @@ def verify_transition_decay(
     """Fit a uniform decay envelope over sampled transition matrices.
 
     For each starting time the spectral norms of Phi(t0+dt, t0) are
-    measured over the horizon; the envelope rate is the slowest fitted
-    decay and the gain is inflated to dominate every sampled norm.  The
-    largest sampled norm is reported as ``uniform_bound``.
+    measured over the horizon, all in one table; the envelope rate is the
+    slowest fitted decay and the gain is inflated to dominate every sampled
+    norm.  The largest sampled norm is reported as ``uniform_bound``.
+    DecayNotDetectedError names the first start time, in order, whose norms
+    do not decay; no start times raise ValueError.
     """
     if horizon < 2:
         raise ValueError("horizon too short to detect decay")
-    per_t0 = []
-    uniform_bound = 0.0
-    for t0 in t0_samples:
-        phi = np.eye(ltv.dim)
-        norms = [1.0]
-        for dt in range(1, horizon + 1):
-            phi = ltv.matrix(t0 + dt - 1) @ phi
-            norms.append(float(np.linalg.norm(phi, 2)))
-        norms = np.array(norms)
-        uniform_bound = max(uniform_bound, float(norms.max()))
-        if norms[-1] >= norms[0]:
-            raise DecayNotDetectedError(
-                f"transition norms from t0={t0} do not decay over the horizon"
-            )
-        per_t0.append(norms)
+    if not len(t0_samples):
+        raise ValueError("need at least one start time to fit a decay envelope")
+    per_t0 = np.linalg.norm(transitions(ltv, t0_samples, horizon), 2, axis=(2, 3))
+    decays = per_t0[:, -1] < per_t0[:, 0]
+    if not decays.all():
+        t0 = t0_samples[int(np.argmin(decays))]
+        raise DecayNotDetectedError(f"transition norms from t0={t0} do not decay over the horizon")
+    uniform_bound = float(per_t0.max())
     rates = []
     for norms in per_t0:
         mask = norms > 0.0

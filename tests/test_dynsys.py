@@ -14,7 +14,7 @@ from lyapcert.dynsys import (
     simulate,
     state_batched,
     trajectory_to_csv,
-    transition_matrix,
+    transitions,
 )
 from lyapcert.errors import (
     DivergenceError,
@@ -105,31 +105,76 @@ class TestLinearPart:
             linear_part(fn, 0, 1)
 
 
-class TestTransitionMatrix:
+def phi(ltv, t, t0):
+    """Phi(t, t0) from the transition kernel."""
+    return transitions(ltv, [t0], t - t0)[0, -1]
+
+
+class TestTransitions:
     def test_products_accumulate_left(self):
         mats = {0: np.array([[2.0]]), 1: np.array([[3.0]]), 2: np.array([[5.0]])}
         ltv = LinearTV(dim=1, matrix_fn=lambda t: mats[t % 3])
-        assert transition_matrix(ltv, 0, 0)[0, 0] == 1.0
-        assert transition_matrix(ltv, 2, 0)[0, 0] == 6.0  # A(1) A(0)
-        assert transition_matrix(ltv, 3, 1)[0, 0] == 15.0  # A(2) A(1)
+        assert phi(ltv, 0, 0)[0, 0] == 1.0
+        assert phi(ltv, 2, 0)[0, 0] == 6.0  # A(1) A(0)
+        assert phi(ltv, 3, 1)[0, 0] == 15.0  # A(2) A(1)
+        # every start time in one call: row i holds Phi(t0[i] + k, t0[i])
+        table = transitions(ltv, [0, 1], 2)
+        assert table.shape == (2, 3, 1, 1)
+        assert table[:, :, 0, 0].tolist() == [[1.0, 2.0, 6.0], [1.0, 3.0, 15.0]]
 
     def test_cocycle_identity(self):
         rngmats = [np.array([[0.3 * (-1) ** t, 0.1], [0.0, 0.2]]) for t in range(8)]
         ltv = LinearTV(dim=2, matrix_fn=lambda t: rngmats[t % 8])
-        full = transition_matrix(ltv, 7, 0)
-        split = transition_matrix(ltv, 7, 4) @ transition_matrix(ltv, 4, 0)
+        full = phi(ltv, 7, 0)
+        split = phi(ltv, 7, 4) @ phi(ltv, 4, 0)
         assert np.allclose(full, split, rtol=1e-12, atol=0)
-
 
     def test_each_matrix_is_read_once(self):
         reads = []
         ltv = LinearTV(dim=1, matrix_fn=lambda t: reads.append(t) or np.array([[0.5 + 0.1 * t]]))
-        first = transition_matrix(ltv, 5, 0)
-        assert np.array_equal(transition_matrix(ltv, 5, 0), first)
+        first = transitions(ltv, [0], 5)
+        assert np.array_equal(transitions(ltv, [0], 5), first)
         assert ltv.matrix(2)[0, 0] == 0.7
         assert reads == [0, 1, 2, 3, 4]
         with pytest.raises(ValueError):
             ltv.matrix(2)[0, 0] = 1.0  # the stored read is not writable
+
+    def test_negative_horizon_is_refused(self):
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: np.array([[0.5]]))
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            transitions(ltv, [3], -1)
+        assert transitions(ltv, [3], 0).tolist() == [[[[1.0]]]]
+
+    def test_overflowing_product_is_refused(self):
+        # from t0=1 the product overflows at step 2, from t0=0 at step 3;
+        # the first start in order is named
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: np.array([[1e200 if t >= 1 else 1.0]]))
+        with pytest.raises(ValueError, match=r"from t0=0 overflows at step 3"):
+            transitions(ltv, [0, 1], 4)
+        with pytest.raises(ValueError, match=r"from t0=1 overflows at step 2"):
+            transitions(ltv, [1, 0], 4)
+
+
+class TestLinearTVReads:
+    def test_complex_matrix_is_refused(self):
+        # was cast to its real part with a ComplexWarning
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: np.array([[0.5 + 0.1j]]))
+        with pytest.raises(TypeError, match="complex"):
+            ltv.matrix(0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused_naming_t(self, bad):
+        ltv = LinearTV(dim=2, matrix_fn=lambda t: np.array([[0.5, bad if t == 4 else 0.0], [0.0, 0.5]]))
+        assert ltv.matrices([0, 1, 2, 3]).shape == (4, 2, 2)
+        with pytest.raises(ValueError, match=r"A\(4\) has a NaN or infinite entry"):
+            ltv.matrices([3, 4, 5])
+
+    def test_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"A\(0\) has shape \(1, 2\)"):
+            LinearTV(dim=2, matrix_fn=lambda t: np.zeros((1, 2))).matrix(0)
+        marked = state_batched(lambda ts: np.zeros((len(ts) + 1, 2, 2)))
+        with pytest.raises(ValueError, match="has shape"):
+            LinearTV(dim=2, matrix_fn=marked).matrices([0, 1])
 
 
 class TestEnvelopeFitting:

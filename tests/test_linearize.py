@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lyapcert.dynsys import DynSystem
+from lyapcert.dynsys import DynSystem, state_batched
 from lyapcert.errors import InapplicableError
+from lyapcert.frontend.report import jsonable
 from lyapcert.linearize import (
     STABLE,
     UNSTABLE,
@@ -63,6 +64,18 @@ class TestJacobian:
         batch = np.array([[0.5, 0.5], [1e200, -1e200]])
         with pytest.raises(ValueError, match=r"x=\[1e\+200, -1e\+200\]"):
             numerical_jacobian(lambda t, x: 0.5 * x, x=batch)
+
+
+    def test_batch_over_times_reads_each_sample_at_its_time(self):
+        f = lambda t, x: (0.5 + 0.1 * t) * x
+        est = numerical_jacobian(f, np.array([0, 3]), np.zeros((2, 1)))
+        assert est.A[:, 0, 0] == pytest.approx([0.5, 0.8], abs=1e-9)
+        sys = DynSystem(dim=1, map_fn=f, autonomous=False)
+        assert numerical_jacobian(sys, np.array([0, 3])).A.tobytes() == est.A.tobytes()
+        with pytest.raises(ValueError, match=r"times of shape \(2,\) for states of shape \(3, 1\)"):
+            numerical_jacobian(f, np.array([0, 3]), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="times of shape"):
+            numerical_jacobian(f, np.array([0, 3]), np.zeros(1))
 
 
 class TestAutonomousCertificate:
@@ -155,3 +168,29 @@ class TestNonautonomousCertificate:
         sys = self.make_system()
         cert = certify_local_nonautonomous(sys)
         assert validate_basin(sys, cert, trials=40).passed
+
+    def test_marked_map_reads_the_family_in_one_call(self):
+        calls = []
+
+        def step(t, x):
+            calls.append(np.shape(t))
+            a = np.where(np.asarray(t) % 2 == 0, 0.5, 0.3)[..., None]
+            return a * x + 0.5 * x * x
+
+        plain = certify_local_nonautonomous(DynSystem(dim=1, map_fn=step, autonomous=False))
+        sys = DynSystem(dim=1, map_fn=state_batched(step), autonomous=False)
+        calls.clear()
+        marked = certify_local_nonautonomous(sys)
+        # the decay window's 32 Jacobians, at 4 points each, come from the first call
+        assert calls[0] == (32 * 4,)
+        assert jsonable(marked) == jsonable(plain)  # as the report writes it
+        assert marked.P(5).tobytes() == plain.P(5).tobytes()
+
+    # the step-halving error estimate of an infinite entry is inf - inf
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_non_finite_jacobian_is_refused(self):
+        # the decay fit read A(30) = [[inf]] as a NaN norm and dropped it:
+        # exponentially_stable with delta_bar 1.0
+        sys = DynSystem(dim=1, map_fn=lambda t, x: x * (np.inf if t == 30 else 0.5), autonomous=False)
+        with pytest.raises(ValueError, match=r"A\(30\) has a NaN or infinite entry"):
+            certify_local_nonautonomous(sys)

@@ -54,7 +54,7 @@ from lyapcert.dynsys import (
     simulate,
     state_batched,
     trajectories,
-    transition_matrix,
+    transitions,
 )
 from lyapcert.errors import DivergenceError, HypothesisViolationError, SteinSolvabilityError
 from lyapcert.frontend.expressions import (
@@ -79,7 +79,7 @@ from lyapcert.linearize import (
     validate_basin,
 )
 from lyapcert.rng import Rng
-from lyapcert.stein import classify_linear, solve_stein_kron
+from lyapcert.stein import TvLyapunov, classify_linear, solve_stein_kron
 from lyapcert.timescales import certify_semiglobal, validate_rate, verify_composite
 
 
@@ -100,6 +100,11 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 rhos = st.floats(min_value=0.05, max_value=0.9)
 
 
+def phi(ltv, t, t0):
+    """Phi(t, t0) from the transition kernel."""
+    return transitions(ltv, [t0], t - t0)[0, -1]
+
+
 class TestCocycle:
     @given(seed=seeds, n=dims, t0=st.integers(0, 6), d1=st.integers(0, 5), d2=st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -108,8 +113,8 @@ class TestCocycle:
         mats = [rng.matrix(n, n) for _ in range(t0 + d1 + d2 + 1)]
         ltv = LinearTV(n, lambda t: mats[t])
         t1, t2 = t0 + d1, t0 + d1 + d2
-        full = transition_matrix(ltv, t2, t0)
-        split = transition_matrix(ltv, t2, t1) @ transition_matrix(ltv, t1, t0)
+        full = phi(ltv, t2, t0)
+        split = phi(ltv, t2, t1) @ phi(ltv, t1, t0)
         assert np.linalg.norm(full - split) <= 1e-12 * max(1.0, np.linalg.norm(full))
 
     @given(seed=seeds, n=dims, t0=st.integers(0, 8))
@@ -117,7 +122,58 @@ class TestCocycle:
     def test_empty_interval_is_identity(self, seed, n, t0):
         rng = Rng(seed)
         ltv = LinearTV(n, lambda t: rng.at(t) % 2 * np.eye(n) + np.eye(n))
-        assert np.array_equal(transition_matrix(ltv, t0, t0), np.eye(n))
+        assert np.array_equal(phi(ltv, t0, t0), np.eye(n))
+
+
+def family(seed, n):
+    """A(t) = a fresh Gaussian draw per t, scaled by 1/sqrt(n) so that short
+    products stay near unit size."""
+    return lambda t: Rng(seed + 7919 * int(t)).matrix(n, n) / math.sqrt(n)
+
+
+class TestTransitionKernel:
+    """``transitions`` and the consumers that read it against the
+    per-matrix loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 49))
+    def test_kernel_norms_and_tail_sum_match_the_per_matrix_loop(self, n):
+        ltv = LinearTV(n, family(n, n))
+        starts, horizon = [0, 3, 1], 6
+        table = transitions(ltv, starts, horizon)
+        norms = np.linalg.norm(table, 2, axis=(2, 3))
+        for i, t0 in enumerate(starts):
+            phi_k = np.eye(n)
+            for k in range(horizon + 1):
+                assert table[i, k].tobytes() == phi_k.tobytes()
+                assert norms[i, k] == float(np.linalg.norm(phi_k, 2))
+                phi_k = ltv.matrix(t0 + k) @ phi_k
+        # the tail sum of TvLyapunov: acc += Phi' Q Phi, term by term
+        tv = TvLyapunov(ltv, lambda t: np.eye(n) * (1.0 + 0.25 * (t % 3)), ExponentialEnvelope(1.0, 2.0))
+        for t in (0, 2):
+            phi_k, acc = np.eye(n), np.zeros((n, n))
+            for tau in range(t, t + tv.horizon + 1):
+                acc += phi_k.T @ (np.eye(n) * (1.0 + 0.25 * (tau % 3))) @ phi_k
+                phi_k = ltv.matrix(tau) @ phi_k
+            assert tv(t).tobytes() == (0.5 * (acc + acc.T)).tobytes()
+
+    @given(reads=st.lists(st.lists(st.integers(0, 12), max_size=8), min_size=1, max_size=5),
+           n=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_marked_family_reads_missing_times_in_one_call(self, reads, n):
+        A = family(n, n)
+        calls, plain_calls = [], []
+        marked = LinearTV(n, state_batched(lambda ts: calls.append(ts.tolist()) or np.array([A(t) for t in ts])))
+        plain = LinearTV(n, lambda t: plain_calls.append(t) or A(t))
+        seen = {}
+        for times in reads:
+            missing = [t for t in dict.fromkeys(times) if t not in seen]
+            seen.update(dict.fromkeys(missing))
+            before = len(calls)
+            got = marked.matrices(times)
+            assert got.tobytes() == plain.matrices(times).tobytes()
+            assert got.shape == (len(times), n, n)
+            assert calls[before:] == ([missing] if missing else [])
+        assert plain_calls == list(seen)
 
 
 class TestSteinInvariants:
@@ -550,6 +606,23 @@ class TestBatchedJacobian:
                 assert (one.A.tobytes(), np.float64(one.fd_step).tobytes(),
                         np.float64(one.error_estimate).tobytes()) == row
                 assert batched_estimates(fn, t, x[None]) == [row]
+
+    @given(xs=jacobian_batches(), data=st.data(), raising=st.booleans(), marked=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_over_times_matches_the_per_time_calls(self, xs, data, raising, marked):
+        ts = data.draw(st.lists(st.integers(0, 40), min_size=len(xs), max_size=len(xs)))
+        f = jacobian_map(xs.shape[1], raising)
+        fn = state_batched(f) if marked else (lambda t, x: f(t, x))
+        want = []
+        for t, x in zip(ts, xs):  # the first raising sample, in row order, is the outcome
+            try:
+                one = numerical_jacobian(fn, t, x)
+            except ValueError as exc:
+                want = (type(exc), str(exc))
+                break
+            want.append((one.A.tobytes(), np.float64(one.fd_step).tobytes(),
+                         np.float64(one.error_estimate).tobytes()))
+        assert batched_estimates(fn, np.array(ts), xs) == want
 
     def test_signed_zeros_and_scaled_steps(self):
         xs = np.array([[-0.0, 0.0, -0.0], [2.5, -0.0, 1.5], [-40.0, 0.1, -0.0]])

@@ -158,6 +158,25 @@ class TestTimeVarying:
         with pytest.raises(DecayNotDetectedError):
             verify_transition_decay(ltv)
 
+    def test_first_start_that_does_not_decay_is_named(self):
+        # the norms from t0 = 0 and 1 decay over 24 steps, those from 2, 3, 5
+        # and 8 do not; the whole window is read, and t0 = 2 is named
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: np.array([[0.1 if t < 3 else 1.2]]))
+        with pytest.raises(DecayNotDetectedError, match="from t0=2 "):
+            verify_transition_decay(ltv)
+
+    def test_non_finite_matrix_is_refused(self):
+        # NaN norms dropped out of the max and the fit: gain 1, uniform_bound 1
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: np.array([[np.inf if t == 3 else 0.5]]))
+        with pytest.raises(ValueError, match=r"A\(3\) has a NaN or infinite entry"):
+            verify_transition_decay(ltv)
+
+    def test_no_start_times_is_refused(self):
+        # an envelope (gain 1, rate ln 2, uniform_bound 0) was fitted from no samples
+        ltv = LinearTV(dim=1, matrix_fn=lambda t: np.array([[0.5]]))
+        with pytest.raises(ValueError, match="at least one start time"):
+            verify_transition_decay(ltv, t0_samples=())
+
     def test_tv_solution_satisfies_stepwise_identity(self):
         mats = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[0.2, 0.0], [0.1, 0.6]]))
         ltv = LinearTV(dim=2, matrix_fn=lambda t: mats[t % 2])
