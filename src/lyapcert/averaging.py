@@ -152,6 +152,21 @@ def _probe_norms(states: Sequence[np.ndarray]) -> list:
     return norms
 
 
+def _window_mean(phi: PhiFn, T_max: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The window mean ``(1/T_max) * sum_{k=0..T_max} phi(k, x)`` at one
+    state, or at each row of an (S, n) batch read in one
+    :func:`_prefix_sums` call."""
+
+    @state_batched
+    def phibar(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        rows = x if x.ndim == 2 else x.reshape(1, -1)
+        means = _prefix_sums(phi, np.zeros(len(rows)), rows, T_max + 1)[:, -1] / T_max
+        return means if x.ndim == 2 else means[0]
+
+    return phibar
+
+
 def estimate_average(
     phi: PhiFn,
     probes: Sequence[np.ndarray],
@@ -164,35 +179,31 @@ def estimate_average(
     full window, so ``phi`` is evaluated T_max + 1 times per probe, the
     windows of every probe read together (see :func:`_prefix_sums`).  A
     gap between the two means over 1e-2 * (1 + |full mean|) sets the
-    warning; a non-finite probe raises ValueError.
+    warning; an empty probe list, which would claim convergence from no
+    data, or a non-finite probe raises ValueError.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
     if T_max % 2:
         T_max += 1
+    if not len(probes):
+        raise ValueError("no probe states to estimate the average on")
     _probe_norms(probes)
-
-    @state_batched
-    def phibar(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rows = x if x.ndim == 2 else x.reshape(1, -1)
-        means = _prefix_sums(phi, np.zeros(len(rows)), rows, T_max + 1)[:, -1] / T_max
-        return means if x.ndim == 2 else means[0]
-
     gap = 0.0
     scale = 0.0
-    if len(probes):
-        sums = _prefix_sums(phi, np.zeros(len(probes)), probes, T_max + 1)
-        for full, half in zip(sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2)):
-            gap = max(gap, float(np.linalg.norm(full - half)))
-            scale = max(scale, float(np.linalg.norm(full)))
+    sums = _prefix_sums(phi, np.zeros(len(probes)), probes, T_max + 1)
+    for full, half in zip(sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2)):
+        gap = max(gap, float(np.linalg.norm(full - half)))
+        scale = max(scale, float(np.linalg.norm(full)))
     warning = None
     if gap > 1e-2 * (1.0 + scale):
         warning = (
             f"window means at T={T_max} and T={T_max // 2} differ by {gap:.3e}; "
             "the field may not be averageable"
         )
-    return AveragedField(phibar=phibar, T_used=T_max, convergence_gap=gap, warning=warning)
+    return AveragedField(
+        phibar=_window_mean(phi, T_max), T_used=T_max, convergence_gap=gap, warning=warning
+    )
 
 
 def estimate_sigma(
@@ -347,7 +358,8 @@ def check_drift_remainder(
     points, params, slack = [], [], []
     for (k, x, T, eps, nx, sigma_T), mean in zip(kept, means):
         end = _window_states(phi, k, x, eps, T + 1)[-1]
-        drift = float(np.linalg.norm(end - x - eps * T * mean))
+        with np.errstate(over="ignore"):  # an overflowing drift is an infinite slack deficit
+            drift = float(np.linalg.norm(end - x - eps * T * mean))
         allowance = eps * T * nu(T, eps, table.L, sigma_T) * nx
         points.append((k, x.copy()))
         params.append({"T": T, "eps": eps})

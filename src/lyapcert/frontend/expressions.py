@@ -23,6 +23,13 @@ array of S times, an (S, n) array of states ``x``, an (S, m) array of fast
 states ``y``, or any mix of these with the other inputs shared.  Over a
 batch the result equals the scalar calls point by point, bit for bit, and
 raises what the first failing scalar call raises.
+
+Each maximal subtree that reads t but no state and holds a function call
+or ``^`` (a drive such as ``0.3*cos(1.5707963267948966*t)`` or ``(-1)^t``)
+is compiled to run, over an array of times, once per distinct time: the
+distinct times of a call are found once and shared by all its trees, the
+subtree runs on them, and its values are scattered back over the batch.
+These are the scalar calls on the same times, so no bit changes.
 """
 
 from __future__ import annotations
@@ -334,6 +341,8 @@ def _power(lhs, rhs):
 
 
 def _time(t, x, y):
+    if isinstance(t, _Times):
+        t = t.array
     return t.astype(float) if isinstance(t, np.ndarray) else float(t)
 
 
@@ -365,62 +374,139 @@ def _ref(node: Ref, params: dict):
     return unknown
 
 
+class _Times:
+    """The array of times of one batched call.  Its distinct times, with
+    the inverse that scatters values at them back over the batch, are found
+    when a time-only subtree first asks, once for every tree of the call.
+    Integer times compare as integers, any others by the bit pattern of
+    their float, so -0.0 stays apart from 0.0 and every NaN payload apart."""
+
+    __slots__ = ("array", "_distinct")
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+        self._distinct = None
+
+    def distinct(self):
+        if self._distinct is None:
+            keys = self.array
+            if keys.dtype.kind not in "biu":
+                keys = np.asarray(keys, dtype=float).view(np.uint64)
+            # the sorted distinct keys; each key's place among them is its inverse
+            ordered = np.sort(keys)
+            first = np.empty(len(keys), dtype=bool)
+            first[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+            distinct = ordered[first]
+            inverse = distinct.searchsorted(keys)
+            self._distinct = distinct if keys is self.array else distinct.view(float), inverse
+        return self._distinct
+
+
+# What a subtree reads or runs, as a bit mask.  A subtree that reads t and
+# runs a call or ``^`` but reads no state is _PER_TIME: it runs once per
+# distinct time of a batch.
+_STATE, _TIME, _SCALAR = 1, 2, 4
+_PER_TIME = _TIME | _SCALAR
+
+
 def _compile(node, params: dict):
     """Closure ``(t, x, y) -> value`` for one tree, over the inputs as
     :func:`_inputs` gives them.
 
     Only ``+ - * /``, unary minus and references act on whole arrays (numpy
     rounds these exactly as Python floats do); ``^`` and every function run
-    their scalar call element by element.
+    their scalar call element by element.  Each largest subtree that reads
+    t but no state and holds a call or ``^`` (such as ``a*cos(t)`` or
+    ``(-1)^t``) runs, over an array of times, on the distinct times only,
+    and its values are scattered back over the batch: the same scalar calls
+    on the same times, so the values are bit for bit those of the full
+    batch, and it raises exactly when the full batch would.
     """
+    return _hoist(*_build(node, params))
+
+
+def _hoist(run, reads: int):
+    """``run`` as it is, or if it is ``_PER_TIME``, run on the distinct
+    times of a call with an array of times and scattered back over the
+    batch (at a scalar time it runs as it is)."""
+    if reads != _PER_TIME:
+        return run
+
+    def hoisted(t, x, y):
+        if not isinstance(t, _Times):
+            return run(t, x, y)
+        times, inverse = t.distinct()
+        return run(times, x, y)[inverse]
+
+    return hoisted
+
+
+def _build(node, params: dict):
+    """The closure of ``node`` and what its subtree reads or runs.  A node
+    that reads a state hoists its ``_PER_TIME`` children."""
     if isinstance(node, Num):
         value = node.value
-        return lambda t, x, y: value
+        return (lambda t, x, y: value), 0
     if isinstance(node, Time):
-        return _time
+        return _time, _TIME
     if isinstance(node, Ref):
-        return _ref(node, params)
+        return _ref(node, params), 0 if node.index is None else _STATE
     if isinstance(node, Neg):
-        arg = _compile(node.arg, params)
-        return lambda t, x, y: -arg(t, x, y)
+        arg, reads = _build(node.arg, params)
+        return (lambda t, x, y: -arg(t, x, y)), reads
     if isinstance(node, Call):
         fn = FUNCTIONS[node.fn][1]
-        args = [_compile(a, params) for a in node.args]
+        built = [_build(a, params) for a in node.args]
+        reads = _SCALAR
+        for _, r in built:
+            reads |= r
+        args = [_hoist(run, r) if reads & _STATE else run for run, r in built]
 
         def call(t, x, y):
             values = [a(t, x, y) for a in args]
             return _each(fn, values) if _varies(values) else float(fn(*values))
 
-        return call
+        return call, reads
     if isinstance(node, Bin):
-        left, right = _compile(node.left, params), _compile(node.right, params)
-        if node.op == "+":
-            return lambda t, x, y: left(t, x, y) + right(t, x, y)
-        if node.op == "-":
-            return lambda t, x, y: left(t, x, y) - right(t, x, y)
-        if node.op == "*":
-            return lambda t, x, y: left(t, x, y) * right(t, x, y)
-        if node.op == "/":
-            def divide(t, x, y):
-                lhs, rhs = left(t, x, y), right(t, x, y)
-                if (rhs == 0.0).any() if isinstance(rhs, np.ndarray) else rhs == 0.0:
-                    raise ZeroDivisionError("division by zero in expression")
-                return lhs / rhs
+        (left, lr), (right, rr) = _build(node.left, params), _build(node.right, params)
+        reads = lr | rr | (_SCALAR if node.op == "^" else 0)
+        if reads & _STATE:
+            left, right = _hoist(left, lr), _hoist(right, rr)
+        return _binary(node.op, left, right), reads
+    raise TypeError(f"not an expression node: {node!r}")
 
-            return divide
 
-        def power(t, x, y):
+def _binary(op: str, left, right):
+    """The closure of a binary node over its operands' closures."""
+    if op == "+":
+        return lambda t, x, y: left(t, x, y) + right(t, x, y)
+    if op == "-":
+        return lambda t, x, y: left(t, x, y) - right(t, x, y)
+    if op == "*":
+        return lambda t, x, y: left(t, x, y) * right(t, x, y)
+    if op == "/":
+        def divide(t, x, y):
             lhs, rhs = left(t, x, y), right(t, x, y)
-            if not _varies((lhs, rhs)):
-                return _power(lhs, rhs)
+            if (rhs == 0.0).any() if isinstance(rhs, np.ndarray) else rhs == 0.0:
+                raise ZeroDivisionError("division by zero in expression")
+            return lhs / rhs
+
+        return divide
+
+    def power(t, x, y):
+        lhs, rhs = left(t, x, y), right(t, x, y)
+        if not _varies((lhs, rhs)):
+            return _power(lhs, rhs)
+        # an integer exponent never fails, so only another one needs the check
+        if isinstance(rhs, np.ndarray) or not float(rhs).is_integer():
             integral = np.isfinite(rhs) & (np.floor(rhs) == rhs)
             if np.any((np.asarray(lhs) < 0.0) & ~integral):
                 # _table reruns the scalar calls, whose message names the point
                 raise ValueError("fractional power of a negative base in expression")
-            return _each(operator.pow, [lhs, rhs])
+        return _each(operator.pow, [lhs, rhs])
 
-        return power
-    raise TypeError(f"not an expression node: {node!r}")
+    return power
 
 
 _FLOAT = np.dtype(float)
@@ -429,12 +515,16 @@ _FLOAT = np.dtype(float)
 def _inputs(t, x, y):
     """The batch size (None for one point) and the inputs as the closures read them.
 
-    Times pass through: a scalar, or an array of S times.  One state becomes
-    a list of Python floats; an (S, n) batch of states becomes its (n, S)
-    transpose, so that ``x[i]`` is component i over the batch.
+    A scalar time passes through; an array of S times becomes a
+    :class:`_Times`, whose distinct times the call's trees share.  One
+    state becomes a list of Python floats; an (S, n) batch of states
+    becomes its (n, S) transpose, so that ``x[i]`` is component i over the
+    batch.
     """
     # written out for x and y, without helper calls: this runs on every call
-    size = len(t) if isinstance(t, np.ndarray) else None
+    size = None
+    if isinstance(t, np.ndarray):
+        size, t = len(t), _Times(t)
     if x.__class__ is not np.ndarray or x.dtype is not _FLOAT:
         x = np.asarray(x, dtype=float)
     if x.ndim == 2:
@@ -461,7 +551,7 @@ def _same_size(size, other: int) -> int:
 
 def _points(size: int, t, x, y):
     """The points of a batch one at a time, as the scalar calls take them."""
-    times = t.tolist() if isinstance(t, np.ndarray) else itertools.repeat(t, size)
+    times = t.array.tolist() if isinstance(t, _Times) else itertools.repeat(t, size)
     xs, ys = (
         v.T.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v, size) for v in (x, y)
     )

@@ -137,7 +137,8 @@ def numerical_jacobian(
     pass before the fine, column by column, x + h e_i before x - h e_i, so
     an unmarked map is called in that order and a raising map raises for
     the first failing point in it.  A state with a NaN or infinite entry,
-    or a norm that overflows, raises ValueError naming it.
+    or a norm that overflows, raises ValueError naming it, and so does a
+    NaN or infinite map value, naming the first such sample's t and x.
     """
     if isinstance(sys_or_fn, DynSystem):
         fn: MapFn = sys_or_fn.map_fn
@@ -165,6 +166,13 @@ def numerical_jacobian(
     points = np.stack([base + shift, base - shift], axis=3)  # (S, pass, i, hi/lo, n)
     times = np.repeat(t, 4 * n) if np.ndim(t) else t
     values = sample_rows(fn, times, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)
+    finite = np.isfinite(values).reshape(size, -1).all(axis=1)
+    if not finite.all():
+        s = int(np.argmin(finite))
+        at = np.asarray(t)[s] if np.ndim(t) else t
+        raise ValueError(
+            f"non-finite map value in the numerical Jacobian at t={at}, x={states[s].tolist()}"
+        )
     columns = (values[:, :, :, 0] - values[:, :, :, 1]) / (2.0 * steps[:, :, None, None])
     coarse = columns[:, 0].swapaxes(1, 2)
     fine = np.ascontiguousarray(columns[:, 1].swapaxes(1, 2))

@@ -58,6 +58,11 @@ class TestEstimateAverage:
         avg = estimate_average(linear_field, PROBES, T_max=7)
         assert avg.T_used == 8
 
+    def test_empty_probe_list_is_refused(self):
+        # it reported convergence_gap 0.0, a convergence claim from no data
+        with pytest.raises(ValueError, match="no probe states"):
+            estimate_average(linear_field, [], T_max=8)
+
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
             estimate_average(linear_field, PROBES, T_max=3)

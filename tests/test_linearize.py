@@ -66,6 +66,15 @@ class TestJacobian:
             numerical_jacobian(lambda t, x: 0.5 * x, x=batch)
 
 
+    def test_non_finite_map_value_is_refused(self):
+        # x -> x*inf gave A = [[inf]] with a NaN error estimate and an inf - inf warning
+        with pytest.raises(ValueError, match=r"non-finite map value .* at t=0, x=\[1\.0\]"):
+            numerical_jacobian(lambda t, x: x * np.inf, x=np.array([1.0]))
+        # the first sample of a batch whose perturbed points meet one, at its own time
+        f = lambda t, x: np.where(x > 1.0, np.nan, 0.5 * x)
+        with pytest.raises(ValueError, match=r"at t=7, x=\[1\.0\]"):
+            numerical_jacobian(f, np.array([3, 7, 9]), np.array([[0.5], [1.0], [2.0]]))
+
     def test_batch_over_times_reads_each_sample_at_its_time(self):
         f = lambda t, x: (0.5 + 0.1 * t) * x
         est = numerical_jacobian(f, np.array([0, 3]), np.zeros((2, 1)))
@@ -117,6 +126,12 @@ class TestAutonomousCertificate:
         assert cert.instability_P is not None
         assert cert.instability_gamma >= 1.0
         assert cert.delta_bar is None
+
+    def test_infinite_map_value_is_refused_by_name(self):
+        # the linear part read A = [[inf]], and classify_linear raised numpy's LinAlgError
+        sys = DynSystem(dim=1, map_fn=lambda t, x: 0.5 * x + np.where(x > 1e-7, np.inf, 0.0), autonomous=True)
+        with pytest.raises(ValueError, match=r"non-finite map value .* at t=0, x=\[0\.0\]"):
+            certify_local_autonomous(sys)
 
     def test_unit_spectral_radius_inconclusive(self):
         sys = DynSystem(dim=1, map_fn=lambda t, x: x - x**3, autonomous=True)
@@ -186,11 +201,9 @@ class TestNonautonomousCertificate:
         assert jsonable(marked) == jsonable(plain)  # as the report writes it
         assert marked.P(5).tobytes() == plain.P(5).tobytes()
 
-    # the step-halving error estimate of an infinite entry is inf - inf
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_non_finite_jacobian_is_refused(self):
         # the decay fit read A(30) = [[inf]] as a NaN norm and dropped it:
         # exponentially_stable with delta_bar 1.0
         sys = DynSystem(dim=1, map_fn=lambda t, x: x * (np.inf if t == 30 else 0.5), autonomous=False)
-        with pytest.raises(ValueError, match=r"A\(30\) has a NaN or infinite entry"):
+        with pytest.raises(ValueError, match=r"non-finite map value .* at t=30, x=\[0\.0\]"):
             certify_local_nonautonomous(sys)

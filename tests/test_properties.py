@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from lyapcert.averaging import (
     DRIFT_REMAINDER,
+    AveragedField,
     SigmaTable,
     _gradient,
     _prefix_sums,
+    _window_mean,
     check_drift_remainder,
     estimate_average,
     estimate_sigma,
@@ -334,6 +336,8 @@ def reference_table(nodes, times, x, y):
 
 states = st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=2, max_size=2)
 time_arrays = st.lists(st.integers(min_value=-5, max_value=60), min_size=1, max_size=40).map(np.array)
+# time arrays in which times repeat, around 0
+repeating_times = st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60).map(np.array)
 
 
 class TestCompiledEvaluation:
@@ -402,6 +406,75 @@ class TestCompiledEvaluation:
             f(np.arange(0, 8), [0.0])
         with pytest.raises(ZeroDivisionError):  # the first component alone, over the same times
             compile_map([parse_expression("1/(t-5)")])(np.arange(0, 8), [0.0])
+
+    @given(tree=ast_trees(), x=states, times=repeating_times)
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_repeating_times_match_scalar_walk(self, tree, x, times):
+        want = outcome(lambda: reference_table([tree], times, x, [0.5])[:, 0])
+        assert outcome(lambda: compile_expression(tree, PARAMS)(times, x, [0.5])) == want
+
+    @pytest.mark.parametrize("src", ["tanh(-t)", "(-1)^t", "p^2*cos(t)", "x[0] + tanh(-t)*x[1] - (-1)^t"])
+    def test_time_only_subtrees_keep_every_bit(self, src):
+        tree, params = parse_expression(src), {"p": 1.7}
+        times = np.array([0, -2, 3, 0, 1, -2, 0, 3, 3, -1, 0])
+        f = compile_expression(tree, params)
+        want = np.array([reference_evaluate(tree, s, [0.3, -1.1], None, params) for s in times.tolist()])
+        assert f(times, [0.3, -1.1]).tobytes() == want.tobytes()
+        xs = np.array([[0.3, -1.1]] * len(times))
+        assert f(times, xs).tobytes() == want.tobytes()
+        if src == "tanh(-t)":
+            assert np.signbit(want[times == 0]).all()  # tanh(-0.0) is -0.0
+
+    def test_float_times_are_told_apart_by_bit_pattern(self):
+        # np.unique would fold -0.0 into 0.0 and one NaN payload into another
+        payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+        times = np.array([0.0, -0.0, math.nan, payload, -0.0, 0.0, payload, math.nan])
+        for src in ("tanh(t)", "min(t, 1)"):
+            tree = parse_expression(src)
+            want = np.array([reference_evaluate(tree, s, [0.0, 0.0]) for s in times.tolist()])
+            assert compile_expression(tree)(times, [0.0, 0.0]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "srcs,times,exc,message",
+        [
+            # at t = 5 the second component fails first; sorted, t = 3 would fail the first
+            (["1/(t-3)", "sqrt(2-t)"], [5, 3, 5], ValueError, "math domain error"),
+            (["sqrt(t-4)", "1/(t-9)"], [9, 2, 9], ZeroDivisionError, "division by zero in expression"),
+            (["(1-t)^0.5"], [0, 4, 2, 9, 2], ValueError,
+             "fractional power of a negative base in expression: -3.0^0.5"),
+        ],
+    )
+    def test_hoisted_subtree_names_the_first_failing_point_in_batch_order(self, srcs, times, exc, message):
+        f = compile_map([parse_expression(src) for src in srcs])
+        with pytest.raises(exc) as batched:
+            f(np.array(times), [0.0])
+        assert str(batched.value) == message
+
+    def test_unbound_parameter_in_a_time_only_subtree(self):
+        f = compile_expression(parse_expression("x[0] + q*cos(t)"))
+        for t in (2, np.array([2, 2, 5])):
+            with pytest.raises(ValueError, match="unbound parameter 'q'"):
+                f(t, [1.0])
+
+    def test_one_scalar_call_per_distinct_time(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return math.cos(v)
+
+        monkeypatch.setitem(FUNCTIONS, "cos", (1, counted))
+        f = compile_map([parse_expression("x[0]*cos(t)"), parse_expression("0.5*cos(2*t) - x[0]")])
+        times = np.array([4, 1, 4, 4, 0, 1, 4])
+        table = f(times, np.ones((7, 1)))
+        assert sorted(calls) == sorted([0.0, 1.0, 4.0, 0.0, 2.0, 8.0])  # per subtree, each distinct t once
+        assert table[:, 0].tolist() == [math.cos(t) for t in times.tolist()]
+        calls.clear()
+        f(3, np.ones((7, 1)))  # one time for the whole batch
+        assert sorted(calls) == [3.0, 6.0]
+        calls.clear()
+        f(times, [1.0])
+        assert len(calls) == 6
 
 
 def exact(compute):
@@ -852,11 +925,11 @@ class TestBatchedWindows:
         fn = state_batched(field) if marked else field
         want = exact(lambda: reference_window_sums(field, starts, xs, length, marked))
         assert exact(lambda: _prefix_sums(fn, starts, xs, length)) == want
-        avg = estimate_average(fn, [], T_max=8)  # phibar reads its windows from 0
+        phibar = _window_mean(fn, 8)  # reads its windows from 0
         ref = exact(lambda: reference_window_sums(field, [0], xs[:1], 9, marked)[0, -1] / 8)
-        assert exact(lambda: avg.phibar(xs[0])) == ref
+        assert exact(lambda: phibar(xs[0])) == ref
         batch = exact(lambda: reference_window_sums(field, [0] * len(xs), xs, 9, marked)[:, -1] / 8)
-        assert exact(lambda: avg.phibar(xs)) == batch
+        assert exact(lambda: phibar(xs)) == batch
 
 
 def reference_mean(field, phibar, marked):
@@ -899,7 +972,8 @@ def reference_drift(field, mean, table, samples):
         end = x
         for j in range(T + 1):
             end = end + eps * real_array(field(k + j, end))
-        drift = float(np.linalg.norm(end - x - eps * T * mean(x)))
+        with np.errstate(over="ignore"):
+            drift = float(np.linalg.norm(end - x - eps * T * mean(x)))
         points.append((k, x.copy()))
         params.append({"T": T, "eps": eps})
         slack.append(eps * T * nu(T, eps, table.L, sigma_T) * nx - drift + TOL_ABS)
@@ -961,6 +1035,11 @@ def assert_same_outcome(got, want):
                            and isinstance(got[0], type) and isinstance(want[0], type))
 
 
+def bare_average(phibar):
+    """An AveragedField around ``phibar``, without a convergence probe."""
+    return AveragedField(phibar=phibar, T_used=8, convergence_gap=math.nan)
+
+
 # unmarked fakes (``lambda x: -x`` as in the unit tests) and a marked one
 FAKE_PHIBARS = {
     "negative": lambda x: -x,
@@ -983,9 +1062,7 @@ def averaging_cases(draw):
     fn = state_batched(field) if marked else field
     fake = draw(st.sampled_from([None, *FAKE_PHIBARS]))
     phibar = None if fake is None else FAKE_PHIBARS[fake]
-    avg = estimate_average(fn, [], T_max=8)
-    if phibar is not None:
-        avg = replace(avg, phibar=phibar)
+    avg = bare_average(_window_mean(fn, 8) if phibar is None else phibar)
     nonzero = states.filter(lambda v: math.hypot(*v) >= 1e-14)
     pool = [np.array(v, dtype=float) for v in [draw(nonzero), *draw(st.lists(states, max_size=2))]]
     pool.append(np.zeros(2))
@@ -1033,17 +1110,29 @@ class TestBatchedWindowMeans:
         want = exact(lambda: reference_slow_constants(V, mean, xs))
         assert_same_outcome(exact(lambda: fit_slow_constants(V, avg, xs)), want)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_drift_fails_with_an_infinite_deficit(self):
+        # five steps of x + 0.5 * 2e40 x reach 1e200, finite, but its norm overflows
+        field = state_batched(lambda t, x: 2e40 * np.asarray(x, dtype=float))
+        table = SigmaTable(L=1.0, T_list=(1, 4), entries={1: 0.5, 4: 0.5})
+        x = np.array([1.0, 1.0])
+        samples = [(0, np.array([0.1, 0.0]), 1, 0.0), (3, x, 4, 0.5)]
+        rep = check_drift_remainder(field, bare_average(_window_mean(field, 8)), table, samples)
+        assert not rep.passed and rep.worst_margin == -math.inf
+        assert rep.worst_point[0] == 3 and rep.worst_point[1].tolist() == x.tolist()
+        assert rep.details["worst_sample"] == {"T": 4, "eps": 0.5}
+
     def test_a_marked_phibar_is_called_once_per_function_call(self):
         field = state_batched(lambda t, x: -np.asarray(x, dtype=float))
-        real = estimate_average(field, [], T_max=8)
+        real = _window_mean(field, 8)
         shapes = []
 
         @state_batched
         def counted(x):
             shapes.append(np.shape(x))
-            return real.phibar(x)
+            return real(x)
 
-        avg = replace(real, phibar=counted)
+        avg = bare_average(counted)
         xs = [np.array([0.3, -0.2]), np.zeros(2), np.array([1.0, 0.5]), np.array([0.3, -0.2])]
         estimate_sigma(field, avg, [(k, x) for k in range(3) for x in xs], [1, 4], 1.0)
         assert shapes == [(2, 2)]  # the two distinct nonzero states
