@@ -79,7 +79,6 @@ from .stein import (
     instability_certificate,
     solve_stein_kron,
     solve_stein_series,
-    solve_tv_lyapunov,
     verify_transition_decay,
 )
 from .timescales import (
@@ -151,7 +150,6 @@ __all__ = [
     "simulate",
     "solve_stein_kron",
     "solve_stein_series",
-    "solve_tv_lyapunov",
     "trajectory_to_csv",
     "validate_basin",
     "validate_rate",

@@ -180,7 +180,8 @@ def estimate_average(
     windows of every probe read together (see :func:`_prefix_sums`).  A
     gap between the two means over 1e-2 * (1 + |full mean|) sets the
     warning; an empty probe list, which would claim convergence from no
-    data, or a non-finite probe raises ValueError.
+    data, a non-finite probe, or a probe whose full window mean is NaN or
+    infinite, raises ValueError.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
@@ -192,7 +193,9 @@ def estimate_average(
     gap = 0.0
     scale = 0.0
     sums = _prefix_sums(phi, np.zeros(len(probes)), probes, T_max + 1)
-    for full, half in zip(sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2)):
+    for i, (full, half) in enumerate(zip(sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2))):
+        if not np.isfinite(full).all():  # the half window is its prefix
+            raise ValueError(f"window mean of probe {i} is not finite at T={T_max}: {full.tolist()}")
         gap = max(gap, float(np.linalg.norm(full - half)))
         scale = max(scale, float(np.linalg.norm(full)))
     warning = None
@@ -220,26 +223,29 @@ def estimate_sigma(
     a nonincreasing coefficient.  Each probe's window sums for every
     horizon are read from its longest window, the windows of every probe
     read together (see :func:`_prefix_sums`), ``avg.phibar`` once per
-    distinct state, in one call.  A non-finite probe raises ValueError.
+    distinct state, in one call.  A non-finite probe, L or deviation
+    raises ValueError.
     """
-    if L <= 0.0:
-        raise ValueError("growth bound L must be positive")
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"growth bound L must be positive and finite, got {L}")
     T_list = tuple(sorted(set(int(T) for T in T_list)))
     if not T_list or T_list[0] < 1:
         raise ValueError("horizons must be >= 1")
     states = [np.asarray(x, dtype=float) for _, x in probes]
     norms = _probe_norms(states)
-    live = [(k, x, nx) for (k, _), x, nx in zip(probes, states, norms) if nx >= 1e-14]
+    live = [(i, k, x, nx) for i, ((k, _), x, nx) in enumerate(zip(probes, states, norms)) if nx >= 1e-14]
     if not live:
         raise ValueError("all probes have zero state norm")
-    table = _prefix_sums(phi, [k for k, _, _ in live], [x for _, x, _ in live], T_list[-1] + 1)
-    distinct = {x.tobytes(): x for _, x, _ in live}
+    table = _prefix_sums(phi, [k for _, k, _, _ in live], [x for _, _, x, _ in live], T_list[-1] + 1)
+    distinct = {x.tobytes(): x for _, _, x, _ in live}
     rows = np.array(list(distinct.values())).reshape(len(distinct), -1)
     means = dict(zip(distinct, sample_rows(avg.phibar, rows)))
     raw = dict.fromkeys(T_list, 0.0)
-    for (_, x, nx), sums in zip(live, table):
+    for (i, k, x, nx), sums in zip(live, table):
         for T in T_list:
             deviation = float(np.linalg.norm(sums[T + 1] - T * means[x.tobytes()]))
+            if not math.isfinite(deviation):
+                raise ValueError(f"non-finite window deviation at probe {i} (k={k}, T={T})")
             raw[T] = max(raw[T], deviation / (T * L * nx))
     entries: dict = {}
     running = math.inf
@@ -388,27 +394,30 @@ def fit_slow_constants(
     c1, c2 sandwich V between quadratics, c3 is the directional decrement
     of V along phibar, and c4 bounds the gradient norm relative to |x|.
     Quadratic candidates get exact c1, c2, c4 from the eigenvalues.  The
-    nonzero probes' means are one ``avg.phibar`` call; non-finite ones raise.
+    nonzero probes' means are one ``avg.phibar`` call; a non-finite probe,
+    or a NaN or infinite sampled term, raises ValueError.
     """
     states = [np.asarray(p, dtype=float) for p in probes]
-    live = [(x, nx) for x, nx in zip(states, _probe_norms(states)) if nx >= 1e-14]
+    live = [(i, x, nx) for i, (x, nx) in enumerate(zip(states, _probe_norms(states))) if nx >= 1e-14]
     if not live:
         raise ValueError("no probe with nonzero norm")
-    means = sample_rows(avg.phibar, np.array([x for x, _ in live]).reshape(len(live), -1))
+    means = sample_rows(avg.phibar, np.array([x for _, x, _ in live]).reshape(len(live), -1))
     c3 = math.inf
     if V.quadratic_P is not None:
         eigs = np.linalg.eigvalsh(V.quadratic_P)
         c1, c2, c4 = float(eigs[0]), float(eigs[-1]), 2.0 * float(eigs[-1])
     else:
         c1, c2, c4 = math.inf, 0.0, 0.0
-    for (x, nx), mean in zip(live, means):
+    for (i, x, nx), mean in zip(live, means):
         grad = _gradient(V, x)
-        c3 = min(c3, -float(grad @ mean) / nx ** 2)
+        terms = [-float(grad @ mean) / nx ** 2]
         if V.quadratic_P is None:
-            value = float(V.eval_fn(0, x))
-            c1 = min(c1, value / nx ** 2)
-            c2 = max(c2, value / nx ** 2)
-            c4 = max(c4, float(np.linalg.norm(grad)) / nx)
+            terms += [float(V.eval_fn(0, x)) / nx ** 2, float(np.linalg.norm(grad)) / nx]
+        if not all(map(math.isfinite, terms)):
+            raise ValueError(f"non-finite decrement, value or gradient at probe {i}: {terms}")
+        c3 = min(c3, terms[0])
+        if V.quadratic_P is None:
+            c1, c2, c4 = min(c1, terms[1]), max(c2, terms[1]), max(c4, terms[2])
     if c1 <= 0.0 or not math.isfinite(c2):
         raise HypothesisViolationError(
             f"candidate is not sandwiched by positive quadratics (c1={c1:.3e})"

@@ -40,7 +40,6 @@ __all__ = [
     "ConditionReport",
     "worst_index",
     "shell_grid",
-    "inject_eigendirections",
     "check_positive_definite",
     "check_decrease",
     "POS_DEF",
@@ -170,11 +169,6 @@ def shell_grid(
     radii = np.geomspace(radius * 1e-3, radius, n_shells)
     dirs = low_discrepancy_directions(dim, n_directions)
     return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-
-
-def inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Append +-eigenvector rays of a quadratic form at several grid radii."""
-    return _with_rays(grid, np.linalg.eigh(np.asarray(P, dtype=float))[1])
 
 
 def _with_rays(grid: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -57,10 +57,10 @@ from ..linearize import (
 )
 from ..rng import Rng
 from ..stein import (
+    TvLyapunov,
     classify_linear,
     instability_certificate,
     solve_stein_kron,
-    solve_tv_lyapunov,
     verify_transition_decay,
 )
 from ..timescales import (
@@ -113,12 +113,12 @@ def _cmd_simulate(system, opts: dict, seed: int):
 def _cmd_linear(system, opts: dict, seed: int):
     if isinstance(system, LinearTV):
         envelope = verify_transition_decay(system)
-        tvp = solve_tv_lyapunov(system, lambda t: np.eye(system.dim), envelope)
+        P = TvLyapunov(system, envelope)(range(4))
         results = [
             {"type": "transition_decay", "envelope": jsonable(envelope)},
             {
                 "type": "time_varying_certificate",
-                "P_samples": {str(t): jsonable(tvp(t)) for t in range(4)},
+                "P_samples": {str(t): jsonable(P[t]) for t in range(4)},
             },
         ]
         return results, []
@@ -158,7 +158,7 @@ def _cmd_converse(system, opts: dict, seed: int):
     if isinstance(system, LinearTV):
         system = system.system()
     if isinstance(system, SlowFastSystem):
-        trajs = _fast_trajectories(system, radius, Rng(_subseed(seed, 1)), 4, 4, horizon)
+        trajs = _fast_trajectories(system, radius, Rng(_subseed(seed, 1)), horizon)
         env = fit_exponential_envelope(trajs)
         cert = build_exponential_converse(system, env, radius=radius, seed=_subseed(seed, 2))
         drawn = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))

@@ -42,7 +42,6 @@ from .stein import (
     classify_linear,
     instability_certificate,
     solve_stein_kron,
-    solve_tv_lyapunov,
     verify_transition_decay,
 )
 
@@ -309,13 +308,12 @@ def certify_local_nonautonomous(
     shifted = sys.shifted()
     ltv = LinearTV(sys.dim, state_batched(lambda times: numerical_jacobian(shifted, times).A))
     envelope = verify_transition_decay(ltv, t0_samples=T_SAMPLES)
-    Q_fn = lambda t: np.eye(sys.dim)
-    tvP = solve_tv_lyapunov(ltv, Q_fn, envelope)
+    tvP = TvLyapunov(ltv, envelope)
 
     q1 = float(np.linalg.eigvalsh(np.eye(sys.dim))[0])
     p2 = 0.0
-    for t in T_SAMPLES:
-        p2 = max(p2, float(np.linalg.eigvalsh(tvP(t))[-1]))
+    for P in tvP(T_SAMPLES):
+        p2 = max(p2, float(np.linalg.eigvalsh(P)[-1]))
     B_A = float(np.linalg.norm(ltv.matrices(T_SAMPLES), 2, axis=(1, 2)).max())
     gamma_star = -B_A + math.sqrt(B_A * B_A + q1 / p2)
 
@@ -327,7 +325,7 @@ def certify_local_nonautonomous(
         equilibrium=sys.equilibrium,
         jacobian=numerical_jacobian(shifted, T_SAMPLES[0]),
         spectrum=None,
-        Q=Q_fn,
+        Q=lambda t: np.eye(sys.dim),
         P=tvP,
         q1=q1,
         p2=p2,

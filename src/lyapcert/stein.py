@@ -37,7 +37,6 @@ __all__ = [
     "solve_stein_series",
     "instability_certificate",
     "TvLyapunov",
-    "solve_tv_lyapunov",
     "verify_transition_decay",
 ]
 
@@ -383,58 +382,33 @@ def instability_certificate(
 
 
 class TvLyapunov:
-    """Lazily evaluated time-varying quadratic certificate P(t).
+    """Tail-sum solution P(t) of  A(t)' P(t+1) A(t) - P(t) = -I.
 
-    Each P(t) is the transition-weighted tail sum truncated where the decay
-    envelope drives the remaining mass below ``TV_TAIL_TOL``, with Q(t)
-    bounded by its largest eigenvalue over t = 0..63.  Values are cached
-    per t; recomputation is idempotent, so concurrent readers are
-    safe.
+    P(t) = sum_k Phi(t+k, t)' Phi(t+k, t), truncated at the horizon where
+    the decay envelope, which must dominate the transition matrices (see
+    :func:`verify_transition_decay`), drives the remaining mass below
+    ``TV_TAIL_TOL``.  A call takes one t, giving P(t), or an array of
+    times, giving one P per time; every time is read from one
+    :func:`~lyapcert.dynsys.transitions` table.
     """
 
-    def __init__(
-        self,
-        ltv: LinearTV,
-        q_fn: Callable[[int], np.ndarray],
-        envelope: ExponentialEnvelope,
-    ):
+    def __init__(self, ltv: LinearTV, envelope: ExponentialEnvelope):
         self.ltv = ltv
-        self.q_fn = q_fn
         self.envelope = envelope
-        q2 = 0.0
-        for tau in range(64):
-            q2 = max(q2, float(np.linalg.eigvalsh(np.asarray(q_fn(tau), dtype=float))[-1]))
-        self.q2 = max(q2, 1e-300)
         lam = envelope.rate
         denom = -math.expm1(-2.0 * lam)  # 1 - exp(-2 lam)
-        mass = self.q2 * envelope.gain**2 / (denom * TV_TAIL_TOL)
+        mass = envelope.gain**2 / (denom * TV_TAIL_TOL)
         self.horizon = max(0, math.ceil(math.log(max(mass, 1.0)) / (2.0 * lam)))
-        self._cache: dict[int, np.ndarray] = {}
 
-    def __call__(self, t: int) -> np.ndarray:
-        hit = self._cache.get(t)
-        if hit is not None:
-            return hit
-        acc = np.zeros((self.ltv.dim, self.ltv.dim))
-        for tau, phi in enumerate(transitions(self.ltv, [t], self.horizon)[0], start=t):
-            acc += phi.T @ np.asarray(self.q_fn(tau), dtype=float) @ phi
-        acc = 0.5 * (acc + acc.T)
-        self._cache[t] = acc
-        return acc
-
-
-def solve_tv_lyapunov(
-    ltv: LinearTV,
-    q_fn: Callable[[int], np.ndarray],
-    envelope: ExponentialEnvelope,
-) -> TvLyapunov:
-    """Tail-sum solution of  A(t)' P(t+1) A(t) - P(t) = -Q(t).
-
-    ``envelope`` must dominate the transition matrices (see
-    :func:`verify_transition_decay`); its constants set the truncation
-    horizon from the tail estimate.
-    """
-    return TvLyapunov(ltv, q_fn, envelope)
+    def __call__(self, t) -> np.ndarray:
+        table = transitions(self.ltv, t, self.horizon)
+        eye = np.eye(self.ltv.dim)
+        out = np.zeros((len(table), self.ltv.dim, self.ltv.dim))
+        for acc, phis in zip(out, table):
+            for phi in phis:
+                acc += phi.T @ eye @ phi  # not phi.T @ phi: numpy's syrk rounds differently
+            acc[:] = 0.5 * (acc + acc.T)
+        return out if np.ndim(t) else out[0]
 
 
 def verify_transition_decay(

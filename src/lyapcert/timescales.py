@@ -370,22 +370,18 @@ def find_eps_r(coeffs: CoefficientRecord) -> Tuple[float, float]:
     return eps_r, _ell_u(coeffs, eps_r)
 
 
-def _fast_trajectories(
-    sysf: SlowFastSystem, radius: float, rng: Rng, n_x: int, n_y: int, horizon: int
-) -> list:
-    """Frozen fast trajectories: n_x slow states (the origin, then ball
-    draws), each with n_y fast errors from the ball started at
+def _fast_trajectories(sysf: SlowFastSystem, radius: float, rng: Rng, horizon: int) -> list:
+    """Frozen fast trajectories: 4 slow states (the origin, then 3 ball
+    draws), each with 4 fast errors from the ball started at
     k0 = (i + j) mod 3, from one ``fast_trajectories`` call; a diverged
     trajectory carries NaN, which the envelope fit refuses."""
     xs, starts, k0 = [], [], []
-    for i in range(n_x):
+    for i in range(4):
         x = rng.ball(sysf.dim_x, radius) if i else np.zeros(sysf.dim_x)
-        for j in range(n_y):
+        for j in range(4):
             xs.append(x)
             k0.append((i + j) % 3)
             starts.append(rng.ball(sysf.dim_y, radius))
-    if not starts:
-        return []
     k0 = np.array(k0, dtype=int)
     states, _ = sysf.fast_trajectories(k0, np.array(starts), np.array(xs), horizon)
     return [Trajectory(int(k), traj) for k, traj in zip(k0, states)]
@@ -426,7 +422,7 @@ def certify_semiglobal(
             raise StageError(name, exc) from exc
 
     def fit_fast_envelope():
-        trajs = _fast_trajectories(sysf, r, rng.spawn(1), 4, 4, 24)
+        trajs = _fast_trajectories(sysf, r, rng.spawn(1), 24)
         env = fit_exponential_envelope(trajs)
         hyp = _stacked_samples(sysf, r, 16, rng.spawn(2))
         check_envelope_hypothesis(sysf, env, hyp)

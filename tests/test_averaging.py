@@ -1,5 +1,6 @@
 """Window averaging, deviation tables, drift budgets, lifted certificates."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from lyapcert.averaging import (
     mu,
     nu,
     _prefix_sums,
+    _window_mean,
 )
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import estimate_lipschitz
@@ -251,6 +253,57 @@ class TestNonFiniteProbes:
         # only non-finite probes: refused, not c3 = inf from no data
         with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
             fit_slow_constants(V, avg, [bad])
+
+
+def field_with(value, at):
+    """-x, with every entry replaced by ``value`` at the one time ``at``."""
+    def field(k, x):
+        out = -np.asarray(x, dtype=float)
+        return np.full_like(out, value) if k == at else out
+
+    return field
+
+
+class TestNonFiniteFields:
+    """A field that is NaN or infinite at one time of a window, or a
+    non-finite growth bound, is refused by name: Python's ``max`` and
+    ``min`` skip NaN, so it used to leave a zero gap, a zero sigma or an
+    infinite c3 that passed."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_estimate_average(self, value):
+        # t = 300 lies in the full window of 512 steps, not in its half
+        with pytest.raises(ValueError, match="window mean of probe 0 is not finite at T=512"):
+            estimate_average(field_with(value, 300), PROBES[:2])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_estimate_sigma(self, value):
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        probes = [(0, PROBES[0]), (3, PROBES[1])]
+        # the window of probe 0 from k = 0 reaches t = 5 first at T = 8
+        with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=8\)"):
+            estimate_sigma(field_with(value, 5), avg, probes, [1, 2, 4, 8], 1.0)
+        # a window mean read over t = 5 spoils every horizon
+        avg = AveragedField(phibar=_window_mean(field_with(value, 5), 8), T_used=8, convergence_gap=0.0)
+        with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=1\)"):
+            estimate_sigma(linear_field, avg, probes, [1, 2, 4, 8], 1.0)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_estimate_sigma_refuses_a_non_finite_growth_bound(self, L):
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        with pytest.raises(ValueError, match="growth bound L must be positive and finite"):
+            estimate_sigma(linear_field, avg, [(0, PROBES[0])], [1, 2], L)
+
+    def test_fit_slow_constants(self):
+        avg = AveragedField(phibar=_window_mean(field_with(math.nan, 300), 512), T_used=512,
+                            convergence_gap=0.0)
+        with pytest.raises(ValueError, match="at probe 0"):
+            fit_slow_constants(CandidateFunction.quadratic(np.eye(1)), avg, PROBES)
+        # a sampled candidate that is NaN at one probe
+        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        V = CandidateFunction(lambda t, x: math.nan if float(x[0]) == -0.5 else float(x @ x), dim=1)
+        with pytest.raises(ValueError, match="at probe 1"):
+            fit_slow_constants(V, avg, PROBES)
 
 
 class TestNuMu:

@@ -8,7 +8,6 @@ from lyapcert.certcheck import (
     CandidateFunction,
     check_decrease,
     check_positive_definite,
-    inject_eigendirections,
     shell_grid,
 )
 from lyapcert.dynsys import DynSystem, state_batched
@@ -76,8 +75,8 @@ class TestShellGrid:
 
 
 def old_inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The list comprehension inject_eigendirections was built with, kept as
-    the reference for its rows and their order."""
+    """The list comprehension the eigendirection rays were built with, kept
+    as the reference for their rows and their order."""
     norms = np.linalg.norm(grid, axis=1)
     norms = norms[norms > 0.0]
     radii = np.geomspace(norms.min(), norms.max(), 5)
@@ -86,13 +85,13 @@ def old_inject_eigendirections(grid: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.vstack([grid, np.array(extra)])
 
 
-class TestInjectEigendirections:
+class TestEigendirectionRays:
     @pytest.mark.parametrize("dim", [1, 2, 5, 13, 48])
     def test_matches_the_list_comprehension_byte_for_byte(self, dim):
         B = Rng(700 + dim).matrix(dim, dim)
         P = B @ B.T + np.eye(dim)
         grid = shell_grid(dim, 0.7)
-        got = inject_eigendirections(grid, P)
+        got = certcheck._with_rays(grid, np.linalg.eigh(P)[1])
         assert got.shape == (grid.shape[0] + 10 * dim, dim)
         assert got.tobytes() == old_inject_eigendirections(grid, P).tobytes()
 
@@ -109,7 +108,7 @@ class TestOneEigendecompositionPerCandidate:
         check_decrease(V, contraction(3), grid, strict=True)
         assert len(calls) == 1
         monkeypatch.undo()
-        assert certcheck._candidate_grid(V, grid).tobytes() == inject_eigendirections(grid, V.quadratic_P).tobytes()
+        assert certcheck._candidate_grid(V, grid).tobytes() == old_inject_eigendirections(grid, V.quadratic_P).tobytes()
 
 
 class TestPositiveDefinite:

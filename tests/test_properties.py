@@ -149,14 +149,14 @@ class TestTransitionKernel:
                 assert table[i, k].tobytes() == phi_k.tobytes()
                 assert norms[i, k] == float(np.linalg.norm(phi_k, 2))
                 phi_k = ltv.matrix(t0 + k) @ phi_k
-        # the tail sum of TvLyapunov: acc += Phi' Q Phi, term by term
-        tv = TvLyapunov(ltv, lambda t: np.eye(n) * (1.0 + 0.25 * (t % 3)), ExponentialEnvelope(1.0, 2.0))
-        for t in (0, 2):
+        # the tail sum of TvLyapunov: acc += Phi' Q Phi with Q = I, term by term
+        tv = TvLyapunov(ltv, ExponentialEnvelope(1.0, 2.0))
+        for t, P in zip((0, 2), tv([0, 2])):
             phi_k, acc = np.eye(n), np.zeros((n, n))
             for tau in range(t, t + tv.horizon + 1):
-                acc += phi_k.T @ (np.eye(n) * (1.0 + 0.25 * (tau % 3))) @ phi_k
+                acc += phi_k.T @ np.eye(n) @ phi_k
                 phi_k = ltv.matrix(tau) @ phi_k
-            assert tv(t).tobytes() == (0.5 * (acc + acc.T)).tobytes()
+            assert P.tobytes() == tv(t).tobytes() == (0.5 * (acc + acc.T)).tobytes()
 
     @given(reads=st.lists(st.lists(st.integers(0, 12), max_size=8), min_size=1, max_size=5),
            n=st.integers(1, 3))
@@ -943,7 +943,8 @@ def reference_mean(field, phibar, marked):
 def reference_sigma(field, mean, probes, T_list, L, marked):
     """The per-state loop ``estimate_sigma`` ran: each live probe's window
     read on its own, and one window mean per distinct state; the raw
-    entries, then their running minimum."""
+    entries, then their running minimum.  A NaN or infinite deviation is
+    refused, not skipped by ``max``."""
     raw, means = dict.fromkeys(T_list, 0.0), {}
     for k, x in probes:
         nx = float(np.linalg.norm(x))
@@ -954,6 +955,8 @@ def reference_sigma(field, mean, probes, T_list, L, marked):
             means[x.tobytes()] = mean(x)
         for T in T_list:
             deviation = float(np.linalg.norm(sums[T + 1] - T * means[x.tobytes()]))
+            if not math.isfinite(deviation):
+                raise ValueError(f"non-finite deviation at k={k}, T={T}")
             raw[T] = max(raw[T], deviation / (T * L * nx))
     if not means:
         raise ValueError("all probes have zero state norm")
@@ -983,7 +986,8 @@ def reference_drift(field, mean, table, samples):
 
 
 def reference_slow_constants(V, mean, probes):
-    """The per-probe loop ``fit_slow_constants`` ran: gradient, then mean."""
+    """The per-probe loop ``fit_slow_constants`` ran: gradient, then mean.
+    A NaN or infinite term is refused, not skipped by ``min`` and ``max``."""
     c3, used = math.inf, 0
     if V.quadratic_P is not None:
         eigs = np.linalg.eigvalsh(V.quadratic_P)
@@ -996,11 +1000,17 @@ def reference_slow_constants(V, mean, probes):
             continue
         used += 1
         grad = _gradient(V, x)
-        c3 = min(c3, -float(grad @ mean(x)) / nx ** 2)
+        decrement = -float(grad @ mean(x)) / nx ** 2
+        if not math.isfinite(decrement):
+            raise ValueError(f"non-finite decrement at x={x.tolist()}")
+        c3 = min(c3, decrement)
         if V.quadratic_P is None:
             value = float(V.eval_fn(0, x))
+            slope = float(np.linalg.norm(grad)) / nx
+            if not (math.isfinite(value / nx ** 2) and math.isfinite(slope)):
+                raise ValueError(f"non-finite value or gradient at x={x.tolist()}")
             c1, c2 = min(c1, value / nx ** 2), max(c2, value / nx ** 2)
-            c4 = max(c4, float(np.linalg.norm(grad)) / nx)
+            c4 = max(c4, slope)
     if used == 0:
         raise ValueError("no probe with nonzero norm")
     if c1 <= 0.0 or not math.isfinite(c2):

@@ -1,26 +1,32 @@
 """Quadratic certificates for linear maps: direct, series, time-varying."""
 
+import json
+import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lyapcert import stein
-from lyapcert.dynsys import LinearTV
+from lyapcert.dynsys import ExponentialEnvelope, LinearTV, transitions
 from lyapcert.errors import (
     CertificateNotFoundError,
     DecayNotDetectedError,
     SeriesDivergenceError,
     SteinSolvabilityError,
 )
+from lyapcert.frontend.cli import run_command
+from lyapcert.frontend.config import build_system, load_config
+from lyapcert.frontend.report import jsonable
 from lyapcert.rng import Rng
 from lyapcert.stein import (
+    TvLyapunov,
     classify_linear,
     instability_certificate,
     solve_stein_kron,
     solve_stein_series,
-    solve_tv_lyapunov,
     verify_transition_decay,
 )
 
@@ -181,7 +187,7 @@ class TestTimeVarying:
         mats = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[0.2, 0.0], [0.1, 0.6]]))
         ltv = LinearTV(dim=2, matrix_fn=lambda t: mats[t % 2])
         env = verify_transition_decay(ltv)
-        P = solve_tv_lyapunov(ltv, lambda t: np.eye(2), env)
+        P = TvLyapunov(ltv, env)
         for t in range(6):
             A = ltv.matrix_fn(t)
             res = A.T @ P(t + 1) @ A - P(t) + np.eye(2)
@@ -193,9 +199,67 @@ class TestTimeVarying:
         mats = (np.array([[0.4]]), np.array([[0.7]]))
         ltv = LinearTV(dim=1, matrix_fn=lambda t: mats[t % 2])
         env = verify_transition_decay(ltv)
-        P = solve_tv_lyapunov(ltv, lambda t: np.eye(1), env)
+        P = TvLyapunov(ltv, env)
         assert P(0)[0, 0] == pytest.approx(P(2)[0, 0], rel=1e-8)
         assert P(1)[0, 0] == pytest.approx(P(3)[0, 0], rel=1e-8)
+
+
+def old_tail_sum(ltv: LinearTV, envelope: ExponentialEnvelope, t: int) -> np.ndarray:
+    """The per-t read TvLyapunov was built with, kept as the reference: Q = I
+    bounded by its largest eigenvalue over t = 0..63, one transitions read
+    for t, then Phi' Q Phi added term by term."""
+    n = ltv.dim
+    q2 = max(max(float(np.linalg.eigvalsh(np.eye(n))[-1]) for _ in range(64)), 1e-300)
+    mass = q2 * envelope.gain**2 / (-math.expm1(-2.0 * envelope.rate) * stein.TV_TAIL_TOL)
+    horizon = max(0, math.ceil(math.log(max(mass, 1.0)) / (2.0 * envelope.rate)))
+    acc = np.zeros((n, n))
+    for phi in transitions(ltv, [t], horizon)[0]:
+        acc += phi.T @ np.asarray(np.eye(n), dtype=float) @ phi
+    return 0.5 * (acc + acc.T)
+
+
+class TestBatchedTailSum:
+    """One call of a TvLyapunov reads every asked time from one transitions
+    table, equal bit for bit to the per-t reads it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 3, 48])
+    def test_batched_read_equals_the_per_t_reads(self, n):
+        ltv = LinearTV(n, lambda t: Rng(n + 7919 * int(t)).matrix(n, n) / (2.0 * math.sqrt(n)))
+        env = ExponentialEnvelope(1.5, 0.4)
+        tv = TvLyapunov(ltv, env)
+        times = [0, 3, 1, 3, 8]
+        batch = tv(times)
+        assert batch.shape == (len(times), n, n)
+        for P, t in zip(batch, times):
+            assert P.tobytes() == tv(t).tobytes() == old_tail_sum(ltv, env, t).tobytes()
+
+    def test_one_transitions_read_per_call(self, monkeypatch):
+        mats = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[0.2, 0.0], [0.1, 0.6]]))
+        ltv = LinearTV(dim=2, matrix_fn=lambda t: mats[t % 2])
+        tv = TvLyapunov(ltv, verify_transition_decay(ltv))
+        starts = []
+        monkeypatch.setattr(stein, "transitions", lambda ltv, t0, horizon: starts.append(np.ravel(t0).tolist())
+                            or transitions(ltv, t0, horizon))
+        tv(range(6))
+        tv(np.array([2, 2]))
+        tv(4)
+        tv(4)  # no cache: a second read of a time reads it again
+        assert starts == [[0, 1, 2, 3, 4, 5], [2, 2], [4], [4]]
+
+    @pytest.mark.parametrize("doc", [
+        json.loads((Path(__file__).parent.parent / "configs" / "alternating_gain.json").read_text()),
+        {"kind": "linear_tv", "dims": {"x": 3}, "analyses": [{"command": "linear"}], "seed": 5,
+         "map": {"x": ["(0.5-0.3*(-1)^t)*x[0]+0.2*x[1]", "0.1*cos(1.5707963267948966*t)*x[0]+0.4*x[1]",
+                       "0.3*x[1]-0.25*x[2]"]}},
+    ])
+    def test_linear_reports_the_per_t_tail_sums(self, doc):
+        report, code = run_command(doc, "linear", timestamp=False)
+        assert code == 0
+        samples = report["results"][1]["P_samples"]
+        system = build_system(load_config(doc))
+        env = verify_transition_decay(system)
+        want = {str(t): jsonable(old_tail_sum(system, env, t)) for t in range(4)}
+        assert json.dumps(samples) == json.dumps(want)
 
 
 def schur_draw(seed: int, n: int, rho: float):
