@@ -240,9 +240,8 @@ def build_trajectory_converse(
     # smallest N with gain^2 * exp(-2*rate*N) <= 1/2
     N = max(1, math.ceil(math.log(2.0 * env.gain**2) / (2.0 * env.rate)))
     decay = math.exp(-2.0 * env.rate)
-    rng = Rng(0x5EED)
     radius = env.validity_radius if env.validity_radius else 1.0
-    samples = [rng.ball(sys.dim, radius) for _ in range(48)]
+    (samples,) = Rng(0x5EED).draw(48, ("ball", sys.dim, radius))
     times = (0,) if sys.autonomous else (0, 1, 2, 3)
     L1 = estimate_lipschitz(sys.step, samples, times=times)
     a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
@@ -271,13 +270,11 @@ def _fast_sample_set(
     sysf: SlowFastSystem, radius: float, count: int, seed: int
 ) -> list:
     """``count`` samples with k in 0..3 and x, y' each drawn from the radius ball."""
-    rng = Rng(seed)
-    out = []
-    for _ in range(count):
-        k = rng.integer(0, 3)
-        yerr = rng.ball(sysf.dim_y, radius)  # drawn before x: the order fixes report bytes
-        out.append(SlowFastSample(k=k, x=rng.ball(sysf.dim_x, radius), yerr=yerr))
-    return out
+    # y' is drawn before x: the order fixes report bytes
+    ks, yerrs, xs = Rng(seed).draw(
+        count, ("integer", 0, 3), ("ball", sysf.dim_y, radius), ("ball", sysf.dim_x, radius)
+    )
+    return [SlowFastSample(k=k, x=x, yerr=yerr) for k, yerr, x in zip(ks, yerrs, xs)]
 
 
 def _fast_lipschitz(

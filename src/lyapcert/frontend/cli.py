@@ -164,15 +164,14 @@ def _cmd_converse(system, opts: dict, seed: int):
         drawn = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
         samples = [(s.k, s.yerr, s.x) for s in drawn]  # verify_converse takes (k, state, frozen_x)
     else:
-        rng = Rng(_subseed(seed, 1))
-        starts = np.array([rng.ball(system.dim, radius) for _ in range(8)])
+        (starts,) = Rng(_subseed(seed, 1)).draw(8, ("ball", system.dim, radius))
         t0 = 0 if system.autonomous else np.arange(len(starts)) % 3
         env = fit_exponential_envelope(simulate(system.shifted(), t0, starts, horizon))
         cert = build_trajectory_converse(system, env)
-        rng = Rng(_subseed(seed, 3))
-        samples = [
-            (rng.integer(0, 3), rng.ball(system.dim, radius), None) for _ in range(n_check)
-        ]
+        ks, xs = Rng(_subseed(seed, 3)).draw(
+            n_check, ("integer", 0, 3), ("ball", system.dim, radius)
+        )
+        samples = [(k, x, None) for k, x in zip(ks, xs)]
     reports = verify_converse(cert, samples)
     results = [
         {"type": "envelope", "envelope": jsonable(env)},
@@ -186,8 +185,8 @@ def _cmd_averaging(system, opts: dict, seed: int):
         raise ValueError("averaging applies to autonomous or nonautonomous field definitions")
     phi = system.map_fn  # the map expressions define the increment field
     radius = opts["radius"]
-    rng = Rng(_subseed(seed, 1))
-    probes = [rng.ball(system.dim, radius) for _ in range(opts["n_probes"])]
+    (balls,) = Rng(_subseed(seed, 1)).draw(opts["n_probes"], ("ball", system.dim, radius))
+    probes = list(balls)
     probes += [radius * e for e in np.eye(system.dim)]
     avg = estimate_average(phi, probes)  # window sums up to T_max = 512
     L = estimate_lipschitz(phi, probes, times=(0, 1, 2, 3), mode="growth")
@@ -196,18 +195,14 @@ def _cmd_averaging(system, opts: dict, seed: int):
         phi, avg, [(k, p) for k in range(4) for p in probes], T_list, L
     )
     budget = budget_for_delta(opts["delta"], table)
-    drift_rng = Rng(_subseed(seed, 2))
-    samples = []
-    for _ in range(opts["drift_samples"]):
-        T = T_list[drift_rng.integer(0, len(T_list) - 1)]
-        samples.append(
-            (
-                drift_rng.integer(0, 3),
-                drift_rng.ball(system.dim, radius),
-                T,
-                drift_rng.uniform(0.0, budget.eps_delta),
-            )
-        )
+    drawn = Rng(_subseed(seed, 2)).draw(
+        opts["drift_samples"],
+        ("integer", 0, len(T_list) - 1),
+        ("integer", 0, 3),
+        ("ball", system.dim, radius),
+        ("uniform", 0.0, budget.eps_delta),
+    )
+    samples = [(k, x, T_list[i], e) for i, k, x, e in zip(*drawn)]
     drift = check_drift_remainder(phi, avg, table, samples)
     results = [
         {
@@ -321,6 +316,3 @@ def main(argv: Optional[list] = None) -> int:
             fh.write(report["results"][0]["csv"])
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -204,8 +204,7 @@ def _remainder_radius(
         return numerical_jacobian(fn, t, x).A.reshape(np.shape(x)[:-1] + (-1,))
 
     def lipschitz(radius: float, tag: int) -> float:
-        sub = rng.spawn(tag)
-        points = [np.zeros(dim)] + [sub.ball(dim, radius) for _ in range(count)]
+        points = [np.zeros(dim)] + list(rng.spawn(tag).draw(count, ("ball", dim, radius))[0])
         return estimate_lipschitz(vec_jac, points, times=times)
 
     L1 = lipschitz(domain_radius, 1)
@@ -361,9 +360,8 @@ def validate_basin(
     delta = cert.delta_bar
     eq = np.asarray(cert.equilibrium, dtype=float)
     threshold = BASIN_TOL * delta
-    rng = Rng(seed)
-    starts = np.array([eq + rng.ball(sys.dim, delta) for _ in range(max(0, trials))])
-    starts = starts.reshape(-1, sys.dim)
+    (balls,) = Rng(seed).draw(max(0, trials), ("ball", sys.dim, delta))
+    starts = eq + balls
     converged_at = np.zeros(len(starts), dtype=int)  # 0: never converged
     diverged_at = np.zeros(len(starts), dtype=int)  # 0: never diverged
     err = np.empty(len(starts))  # distance at the step the trial stopped

@@ -163,12 +163,8 @@ def _error_step(
 
 def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) -> list:
     """``count`` samples with k in 0..3 and (x, y') drawn from one joint radius ball."""
-    out = []
-    for _ in range(count):
-        k = rng.integer(0, 3)
-        z = rng.ball(sysf.dim_x + sysf.dim_y, radius)
-        out.append(SlowFastSample(k=k, x=z[: sysf.dim_x], yerr=z[sysf.dim_x:]))
-    return out
+    ks, zs = rng.draw(count, ("integer", 0, 3), ("ball", sysf.dim_x + sysf.dim_y, radius))
+    return [SlowFastSample(k=k, x=z[: sysf.dim_x], yerr=z[sysf.dim_x:]) for k, z in zip(ks, zs)]
 
 
 def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[SlowFastSample]) -> dict:
@@ -375,15 +371,13 @@ def _fast_trajectories(sysf: SlowFastSystem, radius: float, rng: Rng, horizon: i
     draws), each with 4 fast errors from the ball started at
     k0 = (i + j) mod 3, from one ``fast_trajectories`` call; a diverged
     trajectory carries NaN, which the envelope fit refuses."""
-    xs, starts, k0 = [], [], []
-    for i in range(4):
-        x = rng.ball(sysf.dim_x, radius) if i else np.zeros(sysf.dim_x)
-        for j in range(4):
-            xs.append(x)
-            k0.append((i + j) % 3)
-            starts.append(rng.ball(sysf.dim_y, radius))
-    k0 = np.array(k0, dtype=int)
-    states, _ = sysf.fast_trajectories(k0, np.array(starts), np.array(xs), horizon)
+    y = ("ball", sysf.dim_y, radius)
+    (origin_ys,) = rng.draw(4, y)
+    x, *ys = rng.draw(3, ("ball", sysf.dim_x, radius), y, y, y, y)  # row i: x, then its 4 y
+    xs = np.repeat(np.vstack([np.zeros(sysf.dim_x), x]), 4, axis=0)
+    starts = np.vstack([origin_ys, np.stack(ys, axis=1).reshape(-1, sysf.dim_y)])
+    k0 = np.array([(i + j) % 3 for i in range(4) for j in range(4)])
+    states, _ = sysf.fast_trajectories(k0, starts, xs, horizon)
     return [Trajectory(int(k), traj) for k, traj in zip(k0, states)]
 
 
@@ -443,8 +437,7 @@ def certify_semiglobal(
         x = np.asarray(x, dtype=float)
         return sample_rows(sysf.phi, k, x, sample_rows(sysf.ystar, x))
 
-    probe_rng = rng.spawn(4)
-    probes = [probe_rng.ball(sysf.dim_x, r) for _ in range(8)]
+    probes = list(rng.spawn(4).draw(8, ("ball", sysf.dim_x, r))[0])
     probes += [r * np.eye(sysf.dim_x)[i] for i in range(sysf.dim_x)]
 
     avg = stage("slow-average", estimate_average, phi1, probes, 512)
@@ -589,7 +582,7 @@ def validate_rate(
     for eps in used:
         if trials < 1:
             break
-        z = np.array([rng.ball(sysf.dim_x + sysf.dim_y, cert.r) for _ in range(trials)])
+        (z,) = rng.draw(trials, ("ball", sysf.dim_x + sysf.dim_y, cert.r))
         x = z[:, : sysf.dim_x].copy()
         y = z[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
         decay = 1.0

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -666,6 +669,29 @@ class TestCliMain:
         path = tmp_path / name
         path.write_text(json.dumps(doc))
         return str(path)
+
+    def test_module_entry_point_runs_under_warnings_as_errors(self, tmp_path):
+        # `python -m lyapcert` is the CLI; a RuntimeWarning raised while the
+        # package imports (a module run as __main__ twice) would exit 1 here
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        out = tmp_path / "module.json"
+        config = str(CONFIGS / "contraction_quadratic.json")
+        args = ["simulate", "--config", config, "--no-timestamp"]
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lyapcert", *args,
+             "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        direct = tmp_path / "direct.json"
+        assert main([*args, "--out", str(direct)]) == 0
+        assert out.read_bytes() == direct.read_bytes()
 
     def test_end_to_end_simulate(self, tmp_path, capsys):
         cfg = self.write(tmp_path, minimal_doc())
