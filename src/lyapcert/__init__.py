@@ -45,7 +45,7 @@ from .dynsys import (
     ExponentialEnvelope,
     DynSystem,
     LinearTV,
-    SlowFastSample,
+    SlowFastSamples,
     SlowFastSystem,
     Trajectory,
     fit_exponential_envelope,
@@ -117,7 +117,7 @@ __all__ = [
     "LyapcertError",
     "Rng",
     "SigmaTable",
-    "SlowFastSample",
+    "SlowFastSamples",
     "SlowFastSystem",
     "SpectrumReport",
     "StageError",

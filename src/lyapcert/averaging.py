@@ -361,18 +361,18 @@ def check_drift_remainder(
             kept.append((int(k), x, int(T), float(eps), nx, table.sigma(int(T))))
     xs = [x for _, x, *_ in kept]
     means = sample_rows(avg.phibar, np.array(xs).reshape(len(xs), -1)) if xs else []
-    points, params, slack = [], [], []
+    params, slack = [], []
     for (k, x, T, eps, nx, sigma_T), mean in zip(kept, means):
         end = _window_states(phi, k, x, eps, T + 1)[-1]
         with np.errstate(over="ignore"):  # an overflowing drift is an infinite slack deficit
             drift = float(np.linalg.norm(end - x - eps * T * mean))
         allowance = eps * T * nu(T, eps, table.L, sigma_T) * nx
-        points.append((k, x.copy()))
         params.append({"T": T, "eps": eps})
         slack.append(allowance - drift + TOL_ABS)
     i = worst_index(slack)
     details = {"L": table.L, "worst_sample": None if i is None else params[i]}
-    return ConditionReport.from_slack(DRIFT_REMAINDER, slack, points, details)
+    times = [k for k, *_ in kept]
+    return ConditionReport.from_slack(DRIFT_REMAINDER, slack, times, xs, details)
 
 
 def _gradient(V: CandidateFunction, x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,12 @@ batched value equals the one-sample call bit for bit, and the slacks are
 formed with the same floating-point operations as one sample at a time.
 
 Every per-sample check in the package reduces through
-:meth:`ConditionReport.from_slack`.  A check computes one slack per
-sample with its tolerance already folded in, so the slack is >= 0 exactly
-where the inequality held (> 0 for the strict ``pos_def`` and
-``strict_decrease`` conditions).  The reduction fails closed: an empty
+:meth:`ConditionReport.from_slack`, which takes the (S,) times and the
+(S, n) states of the batch beside the slacks and copies out the one
+sample it names.  A check computes one slack per sample with its
+tolerance already folded in, so the slack is >= 0 exactly where the
+inequality held (> 0 for the strict ``pos_def`` and ``strict_decrease``
+conditions).  The reduction fails closed: an empty
 sample set, or any NaN or infinite slack, fails the report.  A report's
 ``worst_margin`` is therefore >= 0 exactly when it passed.  A complex
 value from a candidate or a map raises TypeError.
@@ -126,21 +128,24 @@ class ConditionReport:
         cls,
         condition: str,
         slack: Sequence[float],
-        points: Sequence[Tuple[int, np.ndarray]],
+        times: Sequence[int],
+        states: Sequence[np.ndarray],
         details: Optional[dict] = None,
     ) -> "ConditionReport":
         """Reduce per-sample slacks (tolerance folded in) to one report.
 
-        ``points[i]`` is the ``(t, x)`` sample behind ``slack[i]``.  The
-        report passes when every slack is finite and >= 0 (> 0 for
-        ``pos_def`` and ``strict_decrease``) on a nonempty sample set.  It
-        names the first non-finite sample if there is one, with margin
-        -inf for a -inf slack and NaN otherwise, else the first minimum.
-        An empty sample set fails with a NaN margin.
+        ``slack[i]`` belongs to the sample at time ``times[i]`` and state
+        ``states[i]`` (an (S, n) array, or S rows); ValueError refuses
+        times or states of another length.  The report passes when every slack is finite and >= 0
+        (> 0 for ``pos_def`` and ``strict_decrease``) on a nonempty sample
+        set.  It names the first non-finite sample if there is one, with
+        margin -inf for a -inf slack and NaN otherwise, else the first
+        minimum, as the point ``(times[i], copy of states[i])``.  An empty
+        sample set fails with a NaN margin.
         """
         slack = np.asarray(slack, dtype=float).reshape(-1)
-        if slack.size != len(points):
-            raise ValueError(f"{slack.size} slacks for {len(points)} sample points")
+        if not slack.size == len(times) == len(states):
+            raise ValueError(f"{slack.size} slacks for {len(times)} times and {len(states)} states")
         details = {} if details is None else details
         i = worst_index(slack)
         if i is None:
@@ -153,7 +158,8 @@ class ConditionReport:
             passed = margin > 0.0
         else:
             passed = margin >= 0.0
-        return cls(condition, passed, margin, points[i], int(slack.size), details)
+        point = (int(times[i]), states[i].copy())
+        return cls(condition, passed, margin, point, int(slack.size), details)
 
 
 def shell_grid(
@@ -206,10 +212,6 @@ def _nonzero_samples(grid: np.ndarray, times: Sequence[int]) -> Tuple[np.ndarray
     return np.repeat(np.asarray(times, dtype=int), len(rows)), np.tile(rows, (len(times), 1))
 
 
-def _report(condition: str, slack, T: np.ndarray, X: np.ndarray, details=None) -> ConditionReport:
-    return ConditionReport.from_slack(condition, slack, list(zip(T.tolist(), X)), details)
-
-
 def check_positive_definite(V: CandidateFunction, grid: np.ndarray) -> ConditionReport:
     """Sampled positivity of V away from the origin; the slack is V itself."""
     grid = _candidate_grid(V, grid)
@@ -218,7 +220,7 @@ def check_positive_definite(V: CandidateFunction, grid: np.ndarray) -> Condition
     if V.quadratic_P is not None:
         details["min_eig_P"] = float(np.linalg.eigvalsh(V.quadratic_P)[0])
     slack = sample_rows(V.eval_fn, T, X) if len(T) else []
-    return _report(POS_DEF, slack, T, X, details)
+    return ConditionReport.from_slack(POS_DEF, slack, T, X, details)
 
 
 def check_decrease(
@@ -238,9 +240,9 @@ def check_decrease(
     T, X = _nonzero_samples(grid, _times(V, sys))
     condition = STRICT_DECREASE if strict else DECREASE
     if not len(T):
-        return _report(condition, [], T, X)
+        return ConditionReport.from_slack(condition, [], T, X)
     sign = -1.0 if strict else 1.0
     value = sample_rows(V.eval_fn, T, X)
     after = sample_rows(V.eval_fn, T + 1, sample_rows(sys.step, T, X))
     slack = sign * (TOL_ABS + TOL_REL * np.abs(value)) - (after - value)
-    return _report(condition, slack, T, X)
+    return ConditionReport.from_slack(condition, slack, T, X)

@@ -7,9 +7,11 @@ inequalities on fresh samples.  ``build_trajectory_converse`` serves both
 autonomous and nonautonomous maps (it reads ``sys.autonomous``).
 ``build_exponential_converse`` serves the fast subsystem of a slow/fast
 pair: it keeps the slow state frozen and works in shifted coordinates
-y' = y - ystar(x), and its samples and those of
-``check_envelope_hypothesis`` are :class:`~lyapcert.dynsys.SlowFastSample`
-tuples read by field name.  Every sampled Lipschitz modulus, in
+y' = y - ystar(x), and its sample set and that of
+``check_envelope_hypothesis`` is one :class:`~lyapcert.dynsys.SlowFastSamples`
+batch, read by field name.  :func:`verify_converse` takes the (S,) times,
+the (S, n) states and, for the fast kind, the (S, dim_x) frozen slow
+states as arrays.  Every sampled Lipschitz modulus, in
 :func:`estimate_lipschitz` and in the fast map's state and parameter
 moduli, is the maximum of one vectorized pairwise-quotient kernel, which
 raises on a NaN or infinite map value or quotient rather than skip it.
@@ -27,7 +29,7 @@ from .certcheck import ConditionReport, TOL_ABS, TOL_REL
 from .dynsys import (
     DynSystem,
     ExponentialEnvelope,
-    SlowFastSample,
+    SlowFastSamples,
     SlowFastSystem,
     _row_norms,
     _row_squares,
@@ -268,65 +270,63 @@ def build_trajectory_converse(
 
 def _fast_sample_set(
     sysf: SlowFastSystem, radius: float, count: int, seed: int
-) -> list:
+) -> SlowFastSamples:
     """``count`` samples with k in 0..3 and x, y' each drawn from the radius ball."""
     # y' is drawn before x: the order fixes report bytes
     ks, yerrs, xs = Rng(seed).draw(
         count, ("integer", 0, 3), ("ball", sysf.dim_y, radius), ("ball", sysf.dim_x, radius)
     )
-    return [SlowFastSample(k=k, x=x, yerr=yerr) for k, yerr, x in zip(ks, yerrs, xs)]
+    return SlowFastSamples(ks, xs, yerrs)
 
 
-def _fast_lipschitz(
-    sysf: SlowFastSystem, samples: Sequence[SlowFastSample]
-) -> Tuple[float, float]:
+def _fast_lipschitz(sysf: SlowFastSystem, samples: SlowFastSamples) -> Tuple[float, float]:
     """State modulus L1 and parameter modulus L2 of the shifted fast map.
 
     L1 is the largest :func:`estimate_lipschitz` difference quotient over
     the fast states with each sample's slow state frozen at its own k; L2
     bounds |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample
     pairs.  Both read one table holding each frozen-x fast map once per
-    distinct k and fast state.  Each sample's own row is one batched call
-    over the fast states, made in sample order and reduced to its L1
-    quotient before the next; the rows at the other k follow in one
+    distinct k and fast state, stepped by
+    :meth:`~lyapcert.dynsys.SlowFastSystem._fast_error_step` with ystar
+    of every frozen state read in one call.  Each sample's own row is one
+    batched call over the fast states, made in sample order and reduced to
+    its L1 quotient before the next; the rows at the other k follow in one
     batched call, in (k, sample) order.  A non-finite value or quotient
     raises ValueError.
     """
-    xs = _stack([s.x for s in samples])
-    ys = _stack([s.yerr for s in samples])
-    size = len(samples)
-    fasts = [sysf.shifted_fast(x) for x in xs]
-    ks = sorted({int(s.k) for s in samples})
+    xs, ys = samples.x, samples.yerr
+    size = len(xs)
+    if not size:
+        raise ValueError(_NO_PAIR)
+    ystars = sysf._frozen(xs)[1]
+    ks = np.unique(samples.k)
+    table_of_row = np.searchsorted(ks, samples.k)
     values = np.empty((len(ks), size, size, sysf.dim_y))
-    l1_by_sample = []
-    for i, (s, fast) in enumerate(zip(samples, fasts)):
-        row = values[ks.index(s.k), i] = fast(s.k, ys)
-        ratio = _difference_max(s.k, ys, row)
+    l1 = 0.0
+    for i, k in enumerate(samples.k.tolist()):
+        frozen = np.broadcast_to(xs[i], xs.shape)
+        row = values[table_of_row[i], i] = sysf._fast_error_step(k, ys, frozen, ystars[i])
+        ratio = _difference_max(k, ys, row)
         if ratio is None:
             raise ValueError(_NO_PAIR)
-        l1_by_sample.append(ratio)
-    l1 = max(l1_by_sample)
-    rest = [(c, i) for c, k in enumerate(ks) for i, s in enumerate(samples) if s.k != k]
-    if rest:
-        tables, rows = np.array(rest).T
-        frozen = np.repeat(xs[rows], size, axis=0)
-        times = np.repeat(np.array(ks)[tables], size)
-        rest_values = sysf.shifted_fast(frozen)(times, np.tile(ys, (len(rest), 1)))
-        values[tables, rows] = rest_values.reshape(len(rest), size, sysf.dim_y)
+        l1 = max(l1, ratio)
+    tables, rows = np.nonzero(ks[:, None] != samples.k)
+    if len(rows):
+        rest = sysf._fast_error_step(
+            np.repeat(ks[tables], size),
+            np.tile(ys, (len(rows), 1)),
+            np.repeat(xs[rows], size, axis=0),
+            np.repeat(ystars[rows], size, axis=0),
+        )
+        values[tables, rows] = rest.reshape(len(rows), size, sysf.dim_y)
 
     def describe(i: int, j: int, c: int) -> str:
         return (
-            f"non-finite fast-map parameter quotient at k={samples[i].k}, y={ys[c].tolist()}, "
+            f"non-finite fast-map parameter quotient at k={samples.k[i]}, y={ys[c].tolist()}, "
             f"x1={xs[i].tolist()}, x2={xs[j].tolist()}"
         )
 
-    l2 = _max_quotient(
-        xs,
-        values,
-        _row_norms(ys),
-        np.array([ks.index(s.k) for s in samples], dtype=int),
-        describe,
-    )
+    l2 = _max_quotient(xs, values, _row_norms(ys), table_of_row, describe)
     # stays 0 for a single frozen slow state: parameter modulus unobservable
     return l1 * LIPSCHITZ_SAFETY, (l2 or 0.0) * LIPSCHITZ_SAFETY
 
@@ -390,7 +390,7 @@ def exponential_horizon(gain: float, ratio: float) -> int:
 def build_exponential_converse(
     sysf: SlowFastSystem,
     env: ExponentialEnvelope,
-    samples: Optional[Sequence[SlowFastSample]] = None,
+    samples: Optional[SlowFastSamples] = None,
     radius: float = 1.0,
     seed: int = 0xFA57,
 ) -> ConverseCertificate:
@@ -407,36 +407,29 @@ def build_exponential_converse(
 
 def verify_converse(
     cert: ConverseCertificate,
-    samples: Sequence[tuple],
+    k: np.ndarray,
+    states: np.ndarray,
+    frozen_x: Optional[np.ndarray],
 ) -> list:
     """Re-check the certificate inequalities on fresh samples.
 
-    ``samples`` holds ``(k, state, frozen_x)`` triples (``frozen_x`` None
-    for the slow-system kinds; ``(s.k, s.yerr, s.x)`` of a SlowFastSample
-    for the fast kind; every sample has one, or none has).  Produces bounds, decrement and
-    state-Lipschitz reports, plus the frozen-parameter report when a5 is
-    available; consecutive samples are paired for the Lipschitz checks.
-    Each slack is the room left under the claimed bound plus its tolerance.
-    The evaluator and the step map take every sample in one
-    :func:`~lyapcert.dynsys.sample_rows` call per quantity.
+    Sample i is the time ``k[i]`` and the state ``states[i]`` (an (S,) and
+    an (S, n) array); ``frozen_x`` is None for the slow-system kinds and
+    the (S, dim_x) frozen slow states for the fast kind (the ``x`` of a
+    :class:`~lyapcert.dynsys.SlowFastSamples` whose ``yerr`` are the
+    states).  Produces bounds, decrement and state-Lipschitz reports, plus
+    the frozen-parameter report when a5 is available; consecutive samples
+    are paired for the Lipschitz checks.  Each slack is the room left under
+    the claimed bound plus its tolerance.  The evaluator and the step map
+    take every sample in one :func:`~lyapcert.dynsys.sample_rows` call per
+    quantity.
     """
-    samples = [
-        (int(k), np.asarray(s, dtype=float), None if fx is None else np.asarray(fx, dtype=float))
-        for k, s, fx in samples
-    ]
-    points = [(k, s) for k, s, _ in samples]
-    if not samples:
+    ks = np.asarray(k, dtype=int)
+    states = np.asarray(states, dtype=float)
+    frozen = None if frozen_x is None else np.asarray(frozen_x, dtype=float)
+    if not len(ks):
         names = (BOUNDS, DECREMENT) + ((STATE_LIPSCHITZ,) if cert.a4 is not None else ())
-        return [ConditionReport.from_slack(name, [], []) for name in names]
-    ks = np.array([k for k, _, _ in samples], dtype=int)
-    states = _stack([s for _, s, _ in samples])
-    frozen = [fx for _, _, fx in samples]
-    if any(fx is None for fx in frozen):
-        if any(fx is not None for fx in frozen):
-            raise ValueError("either every sample or none carries a frozen slow state")
-        frozen = None
-    else:
-        frozen = _stack(frozen)
+        return [ConditionReport.from_slack(name, [], ks, states) for name in names]
     values = sample_rows(cert.evaluator, ks, states, frozen)
     n2 = _row_squares(states)
     tol = TOL_ABS + TOL_REL * np.abs(values)
@@ -445,8 +438,8 @@ def verify_converse(
     delta = sample_rows(cert.evaluator, ks + 1, stepped, frozen) - values
     decrement = tol - (delta + cert.a3 * n2)
     reports = [
-        ConditionReport.from_slack(BOUNDS, bounds, points),
-        ConditionReport.from_slack(DECREMENT, decrement, points),
+        ConditionReport.from_slack(BOUNDS, bounds, ks, states),
+        ConditionReport.from_slack(DECREMENT, decrement, ks, states),
     ]
 
     def lipschitz_slack(gap: np.ndarray, bound: np.ndarray) -> np.ndarray:
@@ -460,13 +453,13 @@ def verify_converse(
         norms = _row_norms(states)
         bound = cert.a4 * _row_norms(states[lead] - states[after]) * (norms[lead] + norms[after])
         slack = lipschitz_slack(gap, bound)
-        reports.append(ConditionReport.from_slack(STATE_LIPSCHITZ, slack, points[:-1]))
+        reports.append(ConditionReport.from_slack(STATE_LIPSCHITZ, slack, ks[lead], states[lead]))
 
     if cert.a5 is not None and frozen is not None:
         moved = sample_rows(cert.evaluator, ks[lead], states[lead], frozen[after])
         bound = cert.a5 * n2[lead] * _row_norms(frozen[lead] - frozen[after])
         slack = lipschitz_slack(np.abs(values[lead] - moved), bound)
-        reports.append(ConditionReport.from_slack(PARAMETER_LIPSCHITZ, slack, points[:-1]))
+        reports.append(ConditionReport.from_slack(PARAMETER_LIPSCHITZ, slack, ks[lead], states[lead]))
 
     return reports
 
@@ -484,7 +477,7 @@ def _first_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def check_envelope_hypothesis(
     sysf: SlowFastSystem,
     env: ExponentialEnvelope,
-    samples: Sequence[SlowFastSample],
+    samples: SlowFastSamples,
     horizon: int = 12,
 ) -> None:
     """Raise unless the envelope dominates sampled shifted-fast trajectories.
@@ -497,17 +490,14 @@ def check_envelope_hypothesis(
     at its first offset.  Every sample is stepped over the whole horizon
     in one :meth:`~lyapcert.dynsys.SlowFastSystem.fast_trajectories` call.
     """
-    if not samples or horizon < 1:
+    if not len(samples.k) or horizon < 1:
         return
-    xs = _stack([s.x for s in samples])
-    y = _stack([s.yerr for s in samples])
-    ks = np.array([int(s.k) for s in samples], dtype=int)
-    states, _ = sysf.fast_trajectories(ks, y, xs, horizon - 1)
+    states, _ = sysf.fast_trajectories(samples.k, samples.yerr, samples.x, horizon - 1)
     decay = np.array([math.exp(-env.rate * t) for t in range(horizon)])
-    bound = env.gain * _row_norms(y)[:, None] * decay + TOL_ABS
+    bound = env.gain * _row_norms(samples.yerr)[:, None] * decay + TOL_ABS
     outside = ~(_row_norms(states) <= bound)
     if outside.any():
         failed, offset = divmod(int(np.argmax(outside)), horizon)  # row-major: sample, then offset
         raise HypothesisViolationError(
-            f"envelope violated at offset {offset} from k={samples[failed].k}"
+            f"envelope violated at offset {offset} from k={samples.k[failed]}"
         )

@@ -12,7 +12,8 @@ trajectory comes from :func:`trajectories`, one :func:`sample_rows` call
 per step over a batch of starts, with one divergence rule;
 :func:`simulate` adds the raise.  Every transition product of a
 :class:`LinearTV` comes from :func:`transitions`, one batched ``@`` per
-step over a batch of start times.
+step over a batch of start times.  A slow/fast sample set is one
+:class:`SlowFastSamples` batch of arrays, from the draw to the report.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "Trajectory",
     "ExponentialEnvelope",
     "SlowFastSystem",
-    "SlowFastSample",
+    "SlowFastSamples",
     "simulate",
     "trajectories",
     "transitions",
@@ -380,16 +381,33 @@ class SlowFastSystem:
         return _as_states(sample_rows(self.varphi, k, yerr + ys, x), self.dim_y, yerr) - ys
 
 
-class SlowFastSample(NamedTuple):
-    """One slow/fast sample: time k, slow state x, fast error y' = y - ystar(x).
-
-    Every slow/fast sampler returns these and every consumer reads the
-    fields by name, so the two states cannot be taken in the wrong order.
-    """
-
-    k: int
+class _SlowFastFields(NamedTuple):
+    k: np.ndarray
     x: np.ndarray
     yerr: np.ndarray
+
+
+class SlowFastSamples(_SlowFastFields):
+    """A slow/fast sample set as one batch: times k (S,), slow states x
+    (S, dim_x) and fast errors y' = y - ystar(x) (S, dim_y), row i one
+    sample.
+
+    Every slow/fast sampler returns one and every consumer reads the
+    fields by name, so the two states cannot be taken in the wrong order.
+    The fields are held as C-contiguous arrays; ValueError refuses a state
+    array that is not 2-D and fields of different lengths.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k, x, yerr):
+        k = np.array(k, dtype=int).reshape(-1)
+        x, yerr = (np.ascontiguousarray(real_array(a)) for a in (x, yerr))
+        if x.ndim != 2 or yerr.ndim != 2:
+            raise ValueError(f"x and yerr must be 2-D, got shapes {x.shape} and {yerr.shape}")
+        if not len(k) == len(x) == len(yerr):
+            raise ValueError(f"{len(k)} times, {len(x)} slow states and {len(yerr)} fast errors")
+        return super().__new__(cls, k, x, yerr)
 
 
 def trajectories(

@@ -161,8 +161,8 @@ def _cmd_converse(system, opts: dict, seed: int):
         trajs = _fast_trajectories(system, radius, Rng(_subseed(seed, 1)), horizon)
         env = fit_exponential_envelope(trajs)
         cert = build_exponential_converse(system, env, radius=radius, seed=_subseed(seed, 2))
-        drawn = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
-        samples = [(s.k, s.yerr, s.x) for s in drawn]  # verify_converse takes (k, state, frozen_x)
+        ks, xs, yerrs = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
+        reports = verify_converse(cert, ks, yerrs, xs)
     else:
         (starts,) = Rng(_subseed(seed, 1)).draw(8, ("ball", system.dim, radius))
         t0 = 0 if system.autonomous else np.arange(len(starts)) % 3
@@ -171,8 +171,7 @@ def _cmd_converse(system, opts: dict, seed: int):
         ks, xs = Rng(_subseed(seed, 3)).draw(
             n_check, ("integer", 0, 3), ("ball", system.dim, radius)
         )
-        samples = [(k, x, None) for k, x in zip(ks, xs)]
-    reports = verify_converse(cert, samples)
+        reports = verify_converse(cert, ks, xs, None)
     results = [
         {"type": "envelope", "envelope": jsonable(env)},
         {"type": "converse_certificate", "certificate": jsonable(cert)},
@@ -316,3 +315,8 @@ def main(argv: Optional[list] = None) -> int:
             fh.write(report["results"][0]["csv"])
     return code
 
+
+if __name__ == "__main__":
+    # ``python -m lyapcert.frontend.cli`` re-runs this module after the
+    # package has imported it, so it is not an entry point
+    sys.exit("lyapcert.frontend.cli is not an entry point: run `lyapcert` or `python -m lyapcert`")

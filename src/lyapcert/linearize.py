@@ -31,8 +31,9 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .certcheck import ConditionReport
-from .converse import _row_norms, estimate_lipschitz
+from .converse import estimate_lipschitz
 from .dynsys import DynSystem, ExponentialEnvelope, LinearTV, sample_rows, state_batched, trajectories
+from .dynsys import _row_norms
 from .errors import InapplicableError
 from .rng import Rng
 from .stein import (
@@ -260,7 +261,7 @@ def certify_local_autonomous(
 
     Q = np.eye(sys.dim)
     sol = solve_stein_kron(est.A, Q)
-    q1 = float(np.linalg.eigvalsh(Q)[0])
+    q1 = 1.0  # the least eigenvalue of Q = I
     p2 = float(np.linalg.eigvalsh(sol.P)[-1])
     # the gain clamp covers maps with |A| > 1; for |A| <= 1 this is the
     # unit-gain root  -1 + sqrt(1 + q1/p2)
@@ -309,7 +310,7 @@ def certify_local_nonautonomous(
     envelope = verify_transition_decay(ltv, t0_samples=T_SAMPLES)
     tvP = TvLyapunov(ltv, envelope)
 
-    q1 = float(np.linalg.eigvalsh(np.eye(sys.dim))[0])
+    q1 = 1.0  # the least eigenvalue of Q(t) = I
     p2 = 0.0
     for P in tvP(T_SAMPLES):
         p2 = max(p2, float(np.linalg.eigvalsh(P)[-1]))
@@ -386,5 +387,5 @@ def validate_basin(
         details["divergence_step"] = int(diverged_at[np.flatnonzero(diverged_at)[-1]])
     details["failures"] = int(np.count_nonzero(converged_at == 0))
     details["longest_run"] = int(converged_at.max(initial=0))
-    points = [(0, x0) for x0 in starts]
-    return ConditionReport.from_slack(BASIN_CONVERGENCE, (threshold - err) / delta, points, details)
+    slack = (threshold - err) / delta
+    return ConditionReport.from_slack(BASIN_CONVERGENCE, slack, np.zeros(len(starts)), starts, details)

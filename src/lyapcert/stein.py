@@ -80,14 +80,20 @@ class SteinSolution:
     notes: Tuple[str, ...] = ()
 
 
+def _schur_solvable(w: np.ndarray) -> Tuple[bool, bool]:
+    """The ``schur`` and ``solvable`` flags of :class:`SpectrumReport` for
+    the eigenvalues ``w``."""
+    schur = float(np.abs(w).max()) < 1.0 - TOL_MARGIN
+    solvable = float(np.abs(np.multiply.outer(w, w) - 1.0).min()) > TOL_MARGIN
+    return schur, solvable
+
+
 def classify_linear(A: np.ndarray) -> SpectrumReport:
     A = np.asarray(A, dtype=float)
     w = np.linalg.eigvals(A)
     moduli = np.abs(w)
     rho = float(moduli.max())
-    schur = rho < 1.0 - TOL_MARGIN
-    pair_gap = np.abs(np.multiply.outer(w, w) - 1.0)
-    solvable = float(pair_gap.min()) > TOL_MARGIN
+    schur, solvable = _schur_solvable(w)
 
     marginal_ok: Optional[bool] = None
     on_circle = np.abs(moduli - 1.0) <= MARGINAL_TOL
@@ -184,8 +190,8 @@ def _solve_kronecker(A: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     return P
 
 
-def _complex_schur(A: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """A complex Schur form A = U T U^H from the eigenvectors, or None.
+def _complex_schur(A: np.ndarray, V: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A complex Schur form A = U T U^H from the eigenvectors V of A, or None.
 
     U is the unitary QR factor of the eigenvector matrix V = U R, so that
     U^H A U = R diag(w) R^-1 is upper triangular in exact arithmetic.  The
@@ -195,7 +201,6 @@ def _complex_schur(A: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     or nearly defective A, whose eigenvectors are nearly parallel) the form
     is refused.
     """
-    _, V = np.linalg.eig(A)
     U, _ = np.linalg.qr(V.astype(complex))
     H = U.conj().T @ A @ U
     if np.linalg.norm(np.tril(H, -1)) > SCHUR_GATE * max(1.0, float(np.linalg.norm(A))):
@@ -233,7 +238,10 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
     """Direct solve of A' P A - P = -Q for the symmetric solution.
 
     Q enters through its symmetric part (the symmetric part of the full
-    solution solves the equation with it).
+    solution solves the equation with it).  One ``np.linalg.eig`` of A
+    serves the whole solve: its eigenvalues give the pairwise condition
+    and the note on positive definiteness, as in :func:`classify_linear`,
+    and its eigenvectors the Schur form.
 
     *Schur route* (Bartels & Stewart, CACM 15, 1972, in the discrete-time
     form of Kitagawa, Int. J. Control 25, 1977).  A complex Schur form
@@ -264,13 +272,14 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    report = classify_linear(A)
-    if not report.solvable:
+    w, V = np.linalg.eig(A)
+    stable, solvable = _schur_solvable(w)
+    if not solvable:
         raise SteinSolvabilityError(
             "eigenvalue product hits 1; the equation has no unique solution"
         )
     Qs = 0.5 * (Q + Q.T)
-    schur = _complex_schur(A)
+    schur = _complex_schur(A, V)
     if schur is None:
         P, method = _solve_kronecker(A, Qs), "kronecker"
     else:
@@ -279,7 +288,7 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
         P += solve(A.T @ P @ A - P + Qs)
         method = "schur"
     notes: Tuple[str, ...] = ()
-    if not report.schur:
+    if not stable:
         notes = (
             "solution is unique under the pairwise eigenvalue condition, but "
             "positive definiteness additionally requires all moduli < 1",

@@ -8,11 +8,11 @@ one-step decrement is dominated by a 2x2 quadratic form Q_U(eps) in
 yields a semiglobal exponential rate; sampled checks re-verify every
 inequality the construction claims.
 
-Every slow/fast sample is a :class:`~lyapcert.dynsys.SlowFastSample`
-(k, x, yerr), read by field name.  ``_stacked_samples`` draws (x, y') from
-one joint ball; the fast-subsystem sampler in ``converse`` draws x and y'
-from separate balls.  ``_error_step`` is the one step of the pair in
-(x, y') coordinates.
+Every slow/fast sample set is one :class:`~lyapcert.dynsys.SlowFastSamples`
+batch (k, x, yerr), read by field name from the draw to the report.
+``_stacked_samples`` draws (x, y') from one joint ball; the fast-subsystem
+sampler in ``converse`` draws x and y' from separate balls.
+``_error_step`` is the one step of the pair in (x, y') coordinates.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .converse import (
     ConverseCertificate,
     _first_min,
-    _row_norms,
-    _row_squares,
-    _stack,
     build_exponential_converse,
     check_envelope_hypothesis,
     estimate_lipschitz,
 )
 from .dynsys import (
-    SlowFastSample,
+    SlowFastSamples,
     SlowFastSystem,
     Trajectory,
+    _row_norms,
+    _row_squares,
     fit_exponential_envelope,
     sample_rows,
     state_batched,
@@ -161,13 +160,13 @@ def _error_step(
     return x_next, y_next - sample_rows(sysf.ystar, x_next)
 
 
-def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) -> list:
+def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) -> SlowFastSamples:
     """``count`` samples with k in 0..3 and (x, y') drawn from one joint radius ball."""
     ks, zs = rng.draw(count, ("integer", 0, 3), ("ball", sysf.dim_x + sysf.dim_y, radius))
-    return [SlowFastSample(k=k, x=z[: sysf.dim_x], yerr=z[sysf.dim_x:]) for k, z in zip(ks, zs)]
+    return SlowFastSamples(ks, zs[:, : sysf.dim_x], zs[:, sysf.dim_x:])
 
 
-def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[SlowFastSample]) -> dict:
+def _ell_ratios(sysf: SlowFastSystem, samples: SlowFastSamples) -> dict:
     """Defining ratios of the four moduli on slow/fast samples.
 
     Samples whose denominator vanishes are skipped; the caller decides
@@ -177,44 +176,40 @@ def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[SlowFastSample]) -> dict
     """
     names = ("ystar_norm", "phi_norm", "l1", "l2", "l3", "l4")
     ratios: dict = {"l1": [], "l2": [], "l3": [], "l4": [], "ystar_norm": []}
-    if not samples:
+    ks, x, yerr = samples
+    if not len(ks):
         return ratios
-    ks = np.array([int(s.k) for s in samples], dtype=int)
-    x = _stack([s.x for s in samples])
-    yerr = _stack([s.yerr for s in samples])
     ys = sample_rows(sysf.ystar, x)
     nx, ny = _row_norms(x), _row_norms(yerr)
     phi_frozen = sample_rows(sysf.phi, ks, x, ys)
     phi_full = sample_rows(sysf.phi, ks, x, yerr + ys)
     nphi = _row_norms(phi_full)
-    every = np.ones(len(samples), dtype=bool)
+    every = np.ones(len(ks), dtype=bool)
     found = {"ystar_norm": (every, _row_norms(ys)), "phi_norm": (every, nphi)}
     with np.errstate(all="ignore"):
         found["l1"] = (nx > DENOM_TOL, _row_norms(phi_frozen) / nx)
         live = ny > DENOM_TOL
         found["l2"] = (live, _row_norms(phi_full - phi_frozen) / ny)
-        l3 = np.zeros(len(samples))
+        l3 = np.zeros(len(ks))
         if live.any():
             fast_next = sample_rows(sysf.varphi, ks[live], (yerr + ys)[live], x[live])
             l3[live] = _row_norms(fast_next - ys[live]) / ny[live]
         found["l3"] = (live, l3)
         moving = nphi > DENOM_TOL
-        l4 = np.zeros(len(samples))
+        l4 = np.zeros(len(ks))
         if moving.any():
             shifted = sample_rows(sysf.ystar, x[moving] + ELL_EPS_PROBE * phi_full[moving])
             l4[moving] = _row_norms(shifted - ys[moving]) / (ELL_EPS_PROBE * nphi[moving])
         found["l4"] = (moving, l4)
-    bad = np.zeros(len(samples), dtype=bool)
+    bad = np.zeros(len(ks), dtype=bool)
     for name in names:
         mask, value = found[name]
         bad |= mask & ~np.isfinite(value)
     if bad.any():
         i = int(np.argmax(bad))
         name = next(n for n in names if found[n][0][i] and not math.isfinite(found[n][1][i]))
-        s = samples[i]
         raise ValueError(
-            f"non-finite {name} at k={s.k}, x={np.asarray(s.x, dtype=float).tolist()}, "
-            f"yerr={np.asarray(s.yerr, dtype=float).tolist()}"
+            f"non-finite {name} at k={ks[i]}, x={x[i].tolist()}, yerr={yerr[i].tolist()}"
         )
     for name in ratios:
         mask, value = found[name]
@@ -225,7 +220,7 @@ def _ell_ratios(sysf: SlowFastSystem, samples: Sequence[SlowFastSample]) -> dict
 def estimate_ell_constants(
     sysf: SlowFastSystem,
     r0: float,
-    samples: Optional[Sequence[SlowFastSample]] = None,
+    samples: Optional[SlowFastSamples] = None,
     n_samples: int = 96,
     seed: int = 0x711,
 ) -> EllConstants:
@@ -529,30 +524,27 @@ def verify_composite(
     """
     if eps_values is None:
         eps_values = np.geomspace(cert.eps_r / 8.0, cert.eps_r * (1.0 - 1e-9), 4)
-    samples = _stacked_samples(sysf, cert.r, n_samples, Rng(seed))
-    points, slack = [], {SANDWICH: [], DECREMENT_DOMINATION: [], RATE_REALIZATION: []}
-    if samples:
-        ks = np.array([s.k for s in samples], dtype=int)
-        x = _stack([s.x for s in samples])
-        yerr = _stack([s.yerr for s in samples])
-        z2 = _row_squares(x) + _row_squares(yerr)
-        zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
-        for eps in eps_values:
-            eps = float(eps)
-            q = q_matrix(cert.coeffs, eps)
-            u0 = sample_rows(cert.evaluator, ks, x, yerr, eps)
-            slack[SANDWICH].append(_first_min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
-            x1, yerr1 = _error_step(sysf, ks, x, yerr, eps)
-            du = sample_rows(cert.evaluator, ks + 1, x1, yerr1, eps) - u0
-            # zvec @ q @ zvec row by row: a stacked product makes the one-vector BLAS calls
-            form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
-            slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
-            slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
-            points += [(s.k, np.concatenate([s.x, s.yerr])) for s in samples]
+    ks, x, yerr = _stacked_samples(sysf, cert.r, n_samples, Rng(seed))
+    slack = {SANDWICH: [], DECREMENT_DOMINATION: [], RATE_REALIZATION: []}
+    z2 = _row_squares(x) + _row_squares(yerr)
+    zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
+    rounds = [float(e) for e in eps_values] if len(ks) else []
+    for eps in rounds:
+        q = q_matrix(cert.coeffs, eps)
+        u0 = sample_rows(cert.evaluator, ks, x, yerr, eps)
+        slack[SANDWICH].append(_first_min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
+        x1, yerr1 = _error_step(sysf, ks, x, yerr, eps)
+        du = sample_rows(cert.evaluator, ks + 1, x1, yerr1, eps) - u0
+        # zvec @ q @ zvec row by row: a stacked product makes the one-vector BLAS calls
+        form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
+        slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
+        slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
+    # one (k, (x, y')) point per sample and amplitude, amplitude-major
+    times, states = np.tile(ks, len(rounds)), np.tile(np.hstack([x, yerr]), (len(rounds), 1))
 
     details = {"eps_values": [float(e) for e in eps_values]}
     return [
-        ConditionReport.from_slack(name, values, points, dict(details))
+        ConditionReport.from_slack(name, values, times, states, dict(details))
         for name, values in slack.items()
     ]
 
@@ -578,7 +570,7 @@ def validate_rate(
     rng = Rng(seed)
     skipped = [float(e) for e in eps_grid if not (0.0 < e < cert.eps_r)]
     used = [float(e) for e in eps_grid if 0.0 < e < cert.eps_r]
-    points, slack = [], []
+    times, starts, slack = [], [], []
     for eps in used:
         if trials < 1:
             break
@@ -592,9 +584,10 @@ def validate_rate(
             x, y = sysf.step(k, x, y, eps)
             decay *= 1.0 - eps * cert.gamma_r
             margins[:, k + 1] = cert.C_r * decay + TOL_ABS - _row_squares(x)
-        for start, row in zip(z, margins):
+        for row in margins:
             k = worst_index(row)
-            points.append((k, start))
+            times.append(k)
             slack.append(float(row[k]))
+        starts.extend(z)
     details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
-    return ConditionReport.from_slack(CERTIFIED_RATE, slack, points, details)
+    return ConditionReport.from_slack(CERTIFIED_RATE, slack, times, starts, details)

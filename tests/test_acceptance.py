@@ -184,10 +184,8 @@ def test_criterion_04_converse_constructions():
         trajectories = [simulate(linear, 0, y0, 24) for y0 in starts]
         env = fit_exponential_envelope(trajectories)
         fast_cert = build_exponential_converse(sysf, env, radius=1.0, seed=1000 + trial)
-        samples = [
-            (rng.integer(0, 3), rng.ball(n, 1.0), rng.ball(1, 1.0)) for _ in range(1000)
-        ]
-        reports = verify_converse(fast_cert, samples)
+        ks, yerrs, xs = rng.draw(1000, ("integer", 0, 3), ("ball", n, 1.0), ("ball", 1, 1.0))
+        reports = verify_converse(fast_cert, ks, yerrs, xs)
         names = [r.condition for r in reports]
         assert names == ["uniform_bounds", "decrement", "state_lipschitz", "parameter_lipschitz"]
         for r in reports:

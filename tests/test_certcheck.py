@@ -6,6 +6,7 @@ import pytest
 from lyapcert import certcheck
 from lyapcert.certcheck import (
     CandidateFunction,
+    ConditionReport,
     check_decrease,
     check_positive_definite,
     shell_grid,
@@ -37,6 +38,31 @@ class TestCandidateFunction:
     def test_call_coerces_input(self):
         V = CandidateFunction.quadratic(np.eye(2))
         assert V(0, [3.0, 4.0]) == pytest.approx(25.0)
+
+
+class TestFromSlack:
+    def test_names_its_worst_point_as_time_and_state_copy(self):
+        states = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        rep = ConditionReport.from_slack("demo", [0.5, -0.25, 0.1], np.array([4, 7, 9]), states)
+        assert not rep.passed and rep.worst_margin == -0.25 and rep.samples_checked == 3
+        t, x = rep.worst_point
+        assert type(t) is int and t == 7
+        assert x.tolist() == [0.0, 2.0]
+        states[1] = 5.0
+        assert x.tolist() == [0.0, 2.0]  # a copy, not a view of the caller's batch
+
+    def test_an_empty_sample_set_fails(self):
+        rep = ConditionReport.from_slack("demo", [], np.zeros(0, dtype=int), np.zeros((0, 2)))
+        assert not rep.passed and rep.worst_point is None and rep.samples_checked == 0
+
+    @pytest.mark.parametrize(
+        "times, states",
+        [([0, 1], np.zeros((3, 1))), ([0, 1, 2], np.zeros((2, 1))), ([0], np.zeros((1, 1)))],
+        ids=["states", "times", "both"],
+    )
+    def test_times_or_states_of_another_length_are_refused(self, times, states):
+        with pytest.raises(ValueError, match="slacks for"):
+            ConditionReport.from_slack("demo", [0.1, 0.2], times, states)
 
 
 class TestShellGrid:

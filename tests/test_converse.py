@@ -18,7 +18,7 @@ from lyapcert.converse import (
 from lyapcert.dynsys import (
     DynSystem,
     ExponentialEnvelope,
-    SlowFastSample,
+    SlowFastSamples,
     SlowFastSystem,
     fit_exponential_envelope,
     simulate,
@@ -109,10 +109,7 @@ class TestLipschitzFailClosed:
             varphi=lambda k, y, x: np.full(1, np.nan) if k == 0 and x[0] > 0.5 else 0.5 * y,
             ystar=lambda x: np.zeros(1),
         )
-        samples = [
-            SlowFastSample(k=0, x=np.array([0.0]), yerr=np.array([0.4])),
-            SlowFastSample(k=1, x=np.array([0.9]), yerr=np.array([-0.3])),
-        ]
+        samples = SlowFastSamples(k=[0, 1], x=[[0.0], [0.9]], yerr=[[0.4], [-0.3]])
         env = ExponentialEnvelope(gain=1.0, rate=float(np.log(2.0)))
         with pytest.raises(ValueError, match="k=0"):
             build_exponential_converse(sysf, env, samples=samples)
@@ -200,12 +197,9 @@ class TestLipschitzFailClosedParity:
         sysf = self.fast_pair(
             lambda k, y, x: np.full(1, np.nan) if k == 0 and x[0] > 0.5 else 0.5 * y
         )
-        samples = [
-            SlowFastSample(k=0, x=np.array([0.0]), yerr=np.array([0.0])),
-            SlowFastSample(k=0, x=np.array([0.0]), yerr=np.array([0.4])),
-            SlowFastSample(k=1, x=np.array([0.9]), yerr=np.array([-0.3])),
-            SlowFastSample(k=1, x=np.array([0.7]), yerr=np.array([0.2])),
-        ]
+        samples = SlowFastSamples(
+            k=[0, 0, 1, 1], x=[[0.0], [0.0], [0.9], [0.7]], yerr=[[0.0], [0.4], [-0.3], [0.2]]
+        )
         with pytest.raises(ValueError) as err:
             _fast_lipschitz(sysf, samples)
         assert str(err.value) == (
@@ -220,10 +214,7 @@ class TestLipschitzFailClosedParity:
                 raise RuntimeError("row 1 evaluated")
             return np.array([bad]) if y[0] == -0.3 else 0.5 * y
 
-        samples = [
-            SlowFastSample(k=2, x=np.array([0.0]), yerr=np.array([0.4])),
-            SlowFastSample(k=1, x=np.array([0.9]), yerr=np.array([-0.3])),
-        ]
+        samples = SlowFastSamples(k=[2, 1], x=[[0.0], [0.9]], yerr=[[0.4], [-0.3]])
         with pytest.raises(ValueError) as err:
             _fast_lipschitz(self.fast_pair(varphi), samples)
         assert str(err.value) == "non-finite map value at t=2, x=[-0.3]"
@@ -277,9 +268,8 @@ class TestAutonomous:
     def test_verification_reports_pass(self):
         sys = scalar_half()
         cert = build_trajectory_converse(sys, fitted_envelope(sys))
-        rng = Rng(123)
-        samples = [(0, rng.ball(1, 1.0), None) for _ in range(100)]
-        reports = verify_converse(cert, samples)
+        (xs,) = Rng(123).draw(100, ("ball", 1, 1.0))
+        reports = verify_converse(cert, np.zeros(100, dtype=int), xs, None)
         assert {r.condition for r in reports} >= {"uniform_bounds", "decrement"}
         assert all(r.passed for r in reports)
 
@@ -287,8 +277,8 @@ class TestAutonomous:
         sys = scalar_half()
         cert = build_trajectory_converse(sys, fitted_envelope(sys))
         tightened = replace(cert, a3=0.9)  # true decrement is 0.75
-        samples = [(0, np.array([v]), None) for v in (1.0, 0.5, -0.3)]
-        reports = verify_converse(tightened, samples)
+        xs = np.array([[1.0], [0.5], [-0.3]])
+        reports = verify_converse(tightened, np.zeros(3, dtype=int), xs, None)
         decrement = [r for r in reports if r.condition == "decrement"][0]
         assert not decrement.passed
 
@@ -307,9 +297,8 @@ class TestNonautonomous:
         if cert.horizon >= 2:
             # the sum starting at an even time sees the 0.5 factor first
             assert cert.evaluator(0, x, None) != pytest.approx(cert.evaluator(1, x, None))
-        rng = Rng(5)
-        samples = [(rng.integer(0, 3), rng.ball(1, 1.0), None) for _ in range(80)]
-        assert all(r.passed for r in verify_converse(cert, samples))
+        ks, xs = Rng(5).draw(80, ("integer", 0, 3), ("ball", 1, 1.0))
+        assert all(r.passed for r in verify_converse(cert, ks, xs, None))
 
 
 class TestExponentialFast:
@@ -334,9 +323,8 @@ class TestExponentialFast:
         cert = build_exponential_converse(sysf, env)
         assert cert.horizon == 1
         assert cert.a3 == 0.5
-        rng = Rng(17)
-        samples = [(rng.integer(0, 2), rng.ball(1, 1.0), rng.ball(1, 1.0)) for _ in range(60)]
-        assert all(r.passed for r in verify_converse(cert, samples))
+        ks, yerrs, xs = Rng(17).draw(60, ("integer", 0, 2), ("ball", 1, 1.0), ("ball", 1, 1.0))
+        assert all(r.passed for r in verify_converse(cert, ks, yerrs, xs))
 
     def test_parameter_modulus_detected(self):
         # fast contraction whose factor depends on the frozen slow state
@@ -354,7 +342,7 @@ class TestExponentialFast:
     def test_envelope_hypothesis_guard(self):
         sysf = self.make_pair()
         good = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
-        samples = [SlowFastSample(k=0, x=np.array([1.0]), yerr=np.array([0.5]))]
+        samples = SlowFastSamples(k=[0], x=[[1.0]], yerr=[[0.5]])
         check_envelope_hypothesis(sysf, good, samples)  # no exception
         optimistic = ExponentialEnvelope(gain=1.0, rate=np.log(10.0))
         with pytest.raises(HypothesisViolationError):
@@ -371,20 +359,12 @@ class TestExponentialFast:
             ystar=lambda x: np.zeros(1),
         )
         env = ExponentialEnvelope(gain=1.5, rate=np.log(2.0))
-        samples = [
-            SlowFastSample(k=2, x=np.array([1.0 / 9.0]), yerr=np.array([1.0])),
-            SlowFastSample(k=0, x=np.array([1.0]), yerr=np.array([1.0])),
-        ]
+        samples = SlowFastSamples(k=[2, 0], x=[[1.0 / 9.0], [1.0]], yerr=[[1.0], [1.0]])
         with pytest.raises(HypothesisViolationError, match="offset 5 from k=2"):
             check_envelope_hypothesis(sysf, env, samples, horizon=8)
+        later = SlowFastSamples(*(field[1:] for field in samples))
         with pytest.raises(HypothesisViolationError, match="offset 1 from k=0"):
-            check_envelope_hypothesis(sysf, env, samples[1:], horizon=8)
-
-    def test_verify_refuses_a_partly_frozen_sample_set(self):
-        cert = build_exponential_converse(self.make_pair(), ExponentialEnvelope(gain=1.0, rate=np.log(2.0)))
-        samples = [(0, np.array([0.5]), np.array([0.1])), (1, np.array([0.2]), None)]
-        with pytest.raises(ValueError, match="every sample or none"):
-            verify_converse(cert, samples)
+            check_envelope_hypothesis(sysf, env, later, horizon=8)
 
     def test_envelope_hypothesis_reads_samples_by_name(self):
         # the fast contraction weakens as x grows, so swapping x and y' flips the verdict
@@ -397,11 +377,11 @@ class TestExponentialFast:
         )
         env = ExponentialEnvelope(gain=1.0, rate=np.log(1.0 / 0.6))
         check_envelope_hypothesis(
-            sysf, env, [SlowFastSample(k=0, x=np.array([0.2]), yerr=np.array([0.9]))]
+            sysf, env, SlowFastSamples(k=[0], x=[[0.2]], yerr=[[0.9]])
         )  # contracts by 0.58 <= 0.6
         with pytest.raises(HypothesisViolationError, match="offset 1 from k=0"):
             check_envelope_hypothesis(
-                sysf, env, [SlowFastSample(k=0, x=np.array([0.9]), yerr=np.array([0.2]))]
+                sysf, env, SlowFastSamples(k=[0], x=[[0.9]], yerr=[[0.2]])
             )  # contracts by only 0.86
 
     def test_envelope_hypothesis_fails_closed_on_nan(self):
@@ -413,7 +393,7 @@ class TestExponentialFast:
             ystar=lambda x: np.zeros(1),
         )
         env = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
-        samples = [SlowFastSample(k=0, x=np.array([0.2]), yerr=np.array([0.5]))]
+        samples = SlowFastSamples(k=[0], x=[[0.2]], yerr=[[0.5]])
         with pytest.raises(HypothesisViolationError, match="offset 1 from k=0"):
             check_envelope_hypothesis(sysf, env, samples)
 
@@ -428,10 +408,10 @@ class TestExponentialFast:
         )
         calls.clear()  # drop the construction-time equilibrium probes
         env = ExponentialEnvelope(gain=1.0, rate=np.log(2.0))
-        samples = [SlowFastSample(k=2, x=np.array([0.1]), yerr=np.array([0.4]))] * 3
+        samples = SlowFastSamples(k=[2] * 3, x=[[0.1]] * 3, yerr=[[0.4]] * 3)
         check_envelope_hypothesis(sysf, env, samples, horizon=5)
         # the trajectories step together: every sample at offset 1, then at offset 2, ...
-        assert calls == [k for k in (2, 3, 4, 5) for _ in samples]
+        assert calls == [k for k in (2, 3, 4, 5) for _ in range(3)]
 
 
 class TestFastLipschitz:
@@ -453,11 +433,12 @@ class TestFastLipschitz:
         L1, L2 = _fast_lipschitz(sysf, samples)
         # one row per sample per distinct k: each sample's own row first, in
         # sample order (L1 reads it), then the rows at the other k
-        expected = [(s.k, s.x.tobytes(), y.yerr.tobytes()) for s in samples for y in samples]
-        for k in {s.k for s in samples}:
+        rows = list(zip(samples.k.tolist(), samples.x, samples.yerr))
+        expected = [(k, x.tobytes(), y.tobytes()) for k, x, _ in rows for _, _, y in rows]
+        for k in sorted(set(samples.k.tolist())):
             expected += [
-                (k, s.x.tobytes(), y.yerr.tobytes())
-                for s in samples if s.k != k for y in samples
+                (k, x.tobytes(), y.tobytes())
+                for k_x, x, _ in rows if k_x != k for _, _, y in rows
             ]
         assert calls == expected
         assert len(calls) == 4096
@@ -469,12 +450,13 @@ class TestFastLipschitz:
         sysf, _ = self.counting_pair(varphi)
         samples = _fast_sample_set(sysf, 1.0, 12, 5)
         _, L2 = _fast_lipschitz(sysf, samples)
+        ks, xs, ys = samples
         expected = max(
-            abs(float((varphi(a.k, y, a.x) - varphi(a.k, y, b.x))[0]))
-            / (abs(float(y[0])) * abs(float((a.x - b.x)[0])))
-            for i, a in enumerate(samples)
-            for b in samples[i + 1:]
-            for y in (s.yerr for s in samples)
+            abs(float((varphi(ks[i], y, xs[i]) - varphi(ks[i], y, xs[j]))[0]))
+            / (abs(float(y[0])) * abs(float((xs[i] - xs[j])[0])))
+            for i in range(len(ks))
+            for j in range(i + 1, len(ks))
+            for y in ys
         )
         assert L2 == pytest.approx(1.1 * expected, rel=1e-12)
 
@@ -485,7 +467,9 @@ class TestFastLipschitz:
         )
         rng = Rng(41)
         expected = [(rng.integer(0, 3), rng.ball(1, 0.7), rng.ball(2, 0.7)) for _ in range(5)]
-        for s, (k, yerr, x) in zip(_fast_sample_set(sysf, 0.7, 5, 41), expected):
-            assert s.k == k
-            assert np.array_equal(s.yerr, yerr) and s.yerr.shape == (1,)
-            assert np.array_equal(s.x, x) and s.x.shape == (2,)
+        samples = _fast_sample_set(sysf, 0.7, 5, 41)
+        assert samples.x.shape == (5, 2) and samples.yerr.shape == (5, 1)
+        for i, (k, yerr, x) in enumerate(expected):
+            assert samples.k[i] == k
+            assert np.array_equal(samples.yerr[i], yerr)
+            assert np.array_equal(samples.x[i], x)

@@ -6,6 +6,7 @@ import pytest
 from lyapcert.dynsys import (
     DynSystem,
     LinearTV,
+    SlowFastSamples,
     SlowFastSystem,
     Trajectory,
     fit_exponential_envelope,
@@ -269,6 +270,36 @@ class TestSlowFast:
                     ystar=lambda x: np.zeros(1),
                     epsilon=bad,
                 )
+
+
+class TestSlowFastSamples:
+    def test_fields_are_contiguous_arrays(self):
+        z = np.arange(12.0).reshape(4, 3)
+        samples = SlowFastSamples([0, 3, 1, 2], z[:, :1], z[:, 1:])
+        assert samples.k.tolist() == [0, 3, 1, 2] and samples.k.dtype.kind == "i"
+        for field, want in ((samples.x, z[:, :1]), (samples.yerr, z[:, 1:])):
+            assert field.flags.c_contiguous and field.dtype == float
+            assert np.array_equal(field, want)
+        ks, x, yerr = samples  # a NamedTuple unpacks in field order
+        assert x is samples.x and yerr is samples.yerr
+
+    def test_an_empty_sample_set_is_allowed(self):
+        samples = SlowFastSamples([], np.zeros((0, 2)), np.zeros((0, 1)))
+        assert len(samples.k) == 0 and samples.x.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "k, x, yerr",
+        [
+            ([0, 1], np.zeros((2, 1)), np.zeros((3, 1))),
+            ([0, 1, 2], np.zeros((2, 1)), np.zeros((2, 1))),
+            ([0], np.zeros(1), np.zeros((1, 1))),
+            ([0], np.zeros((1, 1)), np.zeros((1, 1, 1))),
+        ],
+        ids=["yerr-length", "k-length", "x-1d", "yerr-3d"],
+    )
+    def test_mismatched_or_misshapen_fields_are_refused(self, k, x, yerr):
+        with pytest.raises(ValueError):
+            SlowFastSamples(k, x, yerr)
 
 
 class TestCsv:

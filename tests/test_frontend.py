@@ -693,6 +693,24 @@ class TestCliMain:
         assert main([*args, "--out", str(direct)]) == 0
         assert out.read_bytes() == direct.read_bytes()
 
+    def test_cli_module_run_as_a_script_fails_and_names_the_entry_points(self):
+        # `python -m lyapcert.frontend.cli` runs the module a second time
+        # after the package imported it; it must not exit 0 having run nothing
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        config = str(CONFIGS / "contraction_quadratic.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "lyapcert.frontend.cli", "simulate", "--config", config],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode != 0
+        assert done.stdout == ""
+        assert "`lyapcert`" in done.stderr and "`python -m lyapcert`" in done.stderr
+
     def test_end_to_end_simulate(self, tmp_path, capsys):
         cfg = self.write(tmp_path, minimal_doc())
         out = tmp_path / "report.json"

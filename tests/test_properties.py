@@ -40,7 +40,6 @@ from lyapcert.converse import (
     _difference_max,
     _max_quotient,
     _pair_blocks,
-    _row_norms,
     build_trajectory_converse,
     check_envelope_hypothesis,
     verify_converse,
@@ -49,8 +48,9 @@ from lyapcert.dynsys import (
     DynSystem,
     ExponentialEnvelope,
     LinearTV,
-    SlowFastSample,
+    SlowFastSamples,
     SlowFastSystem,
+    _row_norms,
     real_array,
     sample_rows,
     simulate,
@@ -725,13 +725,19 @@ class TestBatchedJacobian:
         assert batched_estimates(f, 0, xs) == want
 
 
+def report_at(condition, slack, points, details=None):
+    """``ConditionReport.from_slack`` over a list of (t, x) sample points."""
+    times, states = [t for t, _ in points], [x for _, x in points]
+    return ConditionReport.from_slack(condition, slack, times, states, details)
+
+
 def reference_positive_definite(V, grid, times=None):
     """The one-sample-at-a-time loop the batched check_positive_definite replaced."""
     grid = certcheck._candidate_grid(V, grid)
     times = certcheck._times(V, None) if times is None else tuple(times)
     points = [(t, x.copy()) for t in times for x in grid if np.any(x)]
     slack = [V(t, x) for t, x in points]
-    return ConditionReport.from_slack(POS_DEF, slack, points)
+    return report_at(POS_DEF, slack, points)
 
 
 def reference_decrease(V, sys, grid, strict=False, times=None):
@@ -745,7 +751,7 @@ def reference_decrease(V, sys, grid, strict=False, times=None):
         value = V(t, x)
         delta = V(t + 1, sys.step(t, x)) - value
         slack.append(sign * (TOL_ABS + TOL_REL * abs(value)) - delta)
-    return ConditionReport.from_slack(STRICT_DECREASE if strict else DECREASE, slack, points)
+    return report_at(STRICT_DECREASE if strict else DECREASE, slack, points)
 
 
 def report_bytes(rep):
@@ -982,7 +988,7 @@ def reference_drift(field, mean, table, samples):
         slack.append(eps * T * nu(T, eps, table.L, sigma_T) * nx - drift + TOL_ABS)
     i = certcheck.worst_index(slack)
     details = {"L": table.L, "worst_sample": None if i is None else params[i]}
-    return ConditionReport.from_slack(DRIFT_REMAINDER, slack, points, details)
+    return report_at(DRIFT_REMAINDER, slack, points, details)
 
 
 def reference_slow_constants(V, mean, probes):
@@ -1358,11 +1364,12 @@ def poisoned_evaluator(bad, after, composite):
     cert = build_trajectory_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
     cert = replace(cert, evaluator=Poisoned(cert.evaluator, bad, after))
     rng = Rng(7)
-    reports = verify_converse(cert, [(0, rng.ball(1, 1.0), None) for _ in range(8)])
+    (xs,) = rng.draw(8, ("ball", 1, 1.0))
+    reports = verify_converse(cert, np.zeros(8, dtype=int), xs, None)
     fast = composite.fast_cert
     fast = replace(fast, evaluator=Poisoned(fast.evaluator, bad, after))
-    samples = [(rng.integer(0, 3), rng.ball(1, 1.0), rng.ball(1, 1.0)) for _ in range(8)]
-    reports += verify_converse(fast, samples)
+    ks, yerrs, xs = rng.draw(8, ("integer", 0, 3), ("ball", 1, 1.0), ("ball", 1, 1.0))
+    reports += verify_converse(fast, ks, yerrs, xs)
     joint = replace(composite, evaluator=Poisoned(composite.evaluator, bad, after))
     return reports + verify_composite(slow_fast_pair(), joint, n_samples=4)
 
@@ -1404,7 +1411,7 @@ class TestFailClosed:
     def test_converse_without_samples(self):
         sys = DynSystem(1, half_map)
         cert = build_trajectory_converse(sys, ExponentialEnvelope(gain=2.0, rate=math.log(2.0)))
-        reports = verify_converse(cert, [])
+        reports = verify_converse(cert, np.zeros(0, dtype=int), np.zeros((0, 1)), None)
         assert len(reports) == 3
         assert not any(rep.passed for rep in reports)
 
@@ -1479,11 +1486,9 @@ def reference_basin(sys, cert, trials, seed, limit=1e12):
 
 def reference_envelope_hypothesis(sysf, env, samples, horizon=12):
     """The prefix-shrinking loop of ``check_envelope_hypothesis``."""
-    xs = np.array([s.x for s in samples], dtype=float)
-    y = np.array([s.yerr for s in samples], dtype=float)
-    ks = np.array([int(s.k) for s in samples], dtype=int)
+    ks, xs, y = samples
     base = _row_norms(y)
-    failed, failed_at = len(samples), None
+    failed, failed_at = len(ks), None
     fast = sysf.shifted_fast(xs)
     for t in range(horizon):
         if t:
@@ -1497,7 +1502,7 @@ def reference_envelope_hypothesis(sysf, env, samples, horizon=12):
             y = y[:failed]
             fast = sysf.shifted_fast(xs[:failed])
     if failed_at is not None:
-        raise HypothesisViolationError(f"envelope violated at offset {failed_at} from k={samples[failed].k}")
+        raise HypothesisViolationError(f"envelope violated at offset {failed_at} from k={ks[failed]}")
 
 
 def reference_fast_value(sysf, T, k, yerr, frozen_x):
@@ -1589,7 +1594,7 @@ class TestTrajectoryKernel:
         slack, details = reference_basin(sys, cert, trials, seed)
         rng = Rng(seed)
         points = [(0, rng.ball(1, 1.0)) for _ in range(trials)]
-        assert report_bytes(rep) == report_bytes(ConditionReport.from_slack(BASIN_CONVERGENCE, slack, points))
+        assert report_bytes(rep) == report_bytes(report_at(BASIN_CONVERGENCE, slack, points))
         assert list(rep.details.items()) == list(details.items())
 
     def test_divergence_step_is_the_last_diverging_trial(self):
@@ -1635,7 +1640,7 @@ class TestTrajectoryKernel:
             ystar=lambda x: np.zeros(2),
         )
         rng = Rng(seed)
-        samples = [SlowFastSample(rng.integer(0, 3), rng.ball(1, 1.0), rng.ball(2, 1.0)) for _ in range(size)]
+        samples = SlowFastSamples(*rng.draw(size, ("integer", 0, 3), ("ball", 1, 1.0), ("ball", 2, 1.0)))
         env = ExponentialEnvelope(gain=gain, rate=-math.log(ratio))
 
         def outcome_of(check):
@@ -1680,3 +1685,81 @@ class TestTrajectoryKernel:
         got = sample_rows(cert.evaluator, ks, Y, Xs if frozen else None)
         assert got.tobytes() == np.array(want).tobytes()
         assert cert.evaluator(int(ks[0]), Y[0], Xs[0] if frozen else None) == want[0]
+
+
+def reference_fast_lipschitz(sysf, samples):
+    """The per-sample-closure loop ``_fast_lipschitz`` ran: one
+    ``shifted_fast`` closure per sample, each reading ystar of its own
+    frozen state, then a closure over the repeated frozen states for the
+    rows at the other k."""
+    ks, xs, ys = samples
+    size = len(ks)
+    fasts = [sysf.shifted_fast(x) for x in xs]
+    distinct = sorted(set(ks.tolist()))
+    values = np.empty((len(distinct), size, size, sysf.dim_y))
+    l1_by_sample = []
+    for i, (k, fast) in enumerate(zip(ks.tolist(), fasts)):
+        row = values[distinct.index(k), i] = fast(k, ys)
+        ratio = _difference_max(k, ys, row)
+        if ratio is None:
+            raise ValueError(converse_module._NO_PAIR)
+        l1_by_sample.append(ratio)
+    rest = [(c, i) for c, k in enumerate(distinct) for i in range(size) if ks[i] != k]
+    if rest:
+        tables, rows = np.array(rest).T
+        frozen = np.repeat(xs[rows], size, axis=0)
+        times = np.repeat(np.array(distinct)[tables], size)
+        rest_values = sysf.shifted_fast(frozen)(times, np.tile(ys, (len(rest), 1)))
+        values[tables, rows] = rest_values.reshape(len(rest), size, sysf.dim_y)
+
+    def describe(i, j, c):
+        return (
+            f"non-finite fast-map parameter quotient at k={ks[i]}, y={ys[c].tolist()}, "
+            f"x1={xs[i].tolist()}, x2={xs[j].tolist()}"
+        )
+
+    table_of_row = np.array([distinct.index(k) for k in ks.tolist()], dtype=int)
+    l2 = _max_quotient(xs, values, _row_norms(ys), table_of_row, describe)
+    safety = converse_module.LIPSCHITZ_SAFETY
+    return max(l1_by_sample) * safety, (l2 or 0.0) * safety
+
+
+def logged_fast_pair(marked, poison):
+    """A slow/fast pair whose fast map logs every call's (k, y, x) bytes; a
+    poisoned map returns NaN at k = 0 for x[0] > 0.5.  ystar is one product,
+    so a batch and its one-state calls agree bit for bit."""
+    log = []
+
+    def varphi(k, y, x):
+        k, y, x = np.asarray(k), np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+        log.append((k.tobytes(), y.tobytes(), x.tobytes()))
+        gain = 0.5 + 0.3 * np.tanh(x[..., 0] - x[..., 1]) * np.sin(k)
+        value = gain[..., None] * (y - x[..., :1] * x) + x[..., :1] * x
+        if poison:
+            value = np.where(((k == 0) & (x[..., 0] > 0.5))[..., None], np.nan, value)
+        return value
+
+    def ystar(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., :1] * x
+
+    if marked:
+        varphi, ystar = state_batched(varphi), state_batched(ystar)
+    sysf = SlowFastSystem(dim_x=2, dim_y=2, phi=lambda k, x, y: -x, varphi=varphi, ystar=ystar)
+    log.clear()  # drop the construction-time equilibrium probes
+    return sysf, log
+
+
+class TestFastLipschitzTable:
+    @given(seed=seeds, size=st.integers(1, 7), marked=st.booleans(), poison=st.booleans(),
+           one_x=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_sample_closures(self, seed, size, marked, poison, one_x):
+        samples = converse_module._fast_sample_set(logged_fast_pair(False, False)[0], 1.0, size, seed)
+        if one_x:  # every slow state equal: no pair separates, L2 stays 0
+            samples = SlowFastSamples(samples.k, np.repeat(samples.x[:1], size, axis=0), samples.yerr)
+        outcomes = []
+        for fast_lipschitz in (converse_module._fast_lipschitz, reference_fast_lipschitz):
+            sysf, log = logged_fast_pair(marked, poison)
+            outcomes.append((exact(lambda: fast_lipschitz(sysf, samples)), log))
+        assert outcomes[0] == outcomes[1]

@@ -481,6 +481,21 @@ class TestSchurRoute:
         assert ungated.residual > 1e3 * gated.residual
 
 
+@pytest.mark.parametrize("route", ["schur", "kronecker"])
+def test_one_eigendecomposition_per_solve(route, monkeypatch):
+    # the eigenvalues that decide solvability and the eigenvectors of the
+    # Schur form come from one eig; no eigvals runs beside it
+    A = stein_case("schur", 6)[0] if route == "schur" else rotated_jordan(6, 0.5)
+    calls = []
+    for name in ("eig", "eigvals"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, _name=name, _fn=original: calls.append(_name) or _fn(a)
+        )
+    assert solve_stein_kron(A, np.eye(6)).method == route
+    assert calls == ["eig"]
+
+
 def full_array_operator(A: np.ndarray):
     """The m x m operator of the Stein fallback built as whole arrays, with
     three m x m arrays alive at once, as it was before the row blocks."""

@@ -8,7 +8,7 @@ import pytest
 from lyapcert.averaging import AveragedCertificate, AveragingBudget
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import ConverseCertificate
-from lyapcert.dynsys import SlowFastSample, SlowFastSystem
+from lyapcert.dynsys import SlowFastSamples, SlowFastSystem
 from lyapcert.errors import CertificateNotFoundError, StageError
 from lyapcert.timescales import (
     CoefficientRecord,
@@ -88,7 +88,7 @@ class TestEllConstants:
         assert ell.r_bar == ell.r0 == 2.0
 
     def test_degenerate_samples_rejected(self):
-        samples = [SlowFastSample(k=0, x=np.zeros(1), yerr=np.array([1.0]))]
+        samples = SlowFastSamples(k=[0], x=np.zeros((1, 1)), yerr=[[1.0]])
         with pytest.raises(ValueError, match="l1"):
             estimate_ell_constants(golden_pair(), r0=1.0, samples=samples)
 
@@ -100,9 +100,7 @@ class TestEllConstants:
             varphi=lambda k, y, x: 0.5 * y,
             ystar=lambda x: np.zeros(1),
         )
-        samples = [
-            SlowFastSample(k=0, x=np.array([v]), yerr=np.array([0.2])) for v in (0.5, -0.3, 1.0, 0.1)
-        ]
+        samples = SlowFastSamples(k=[0] * 4, x=[[0.5], [-0.3], [1.0], [0.1]], yerr=[[0.2]] * 4)
         with pytest.raises(ValueError, match=r"k=0, x=\[1\.0\]"):
             estimate_ell_constants(sysf, r0=1.0, samples=samples)
 
