@@ -14,7 +14,6 @@ import argparse
 import numpy as np
 
 from lyapcert.averaging import budget_for_delta, estimate_average, estimate_sigma, mu, nu
-from lyapcert.converse import estimate_lipschitz
 from lyapcert.errors import BudgetInfeasibleError
 
 
@@ -29,13 +28,10 @@ def main():
     ap.add_argument("--windows", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32, 64])
     args = ap.parse_args()
 
-    probes = [np.array([1.0]), np.array([-0.5]), np.array([0.25]), np.array([0.8])]
+    probes = np.array([[1.0], [-0.5], [0.25], [0.8]])
     avg = estimate_average(oscillating, probes)
-    L = estimate_lipschitz(oscillating, probes, times=(0, 1, 2, 3), mode="growth")
-    table = estimate_sigma(
-        oscillating, avg, [(k, p) for k in range(4) for p in probes], args.windows, L
-    )
-    print(f"phibar(1) = {avg.phibar(np.array([1.0]))[0]:+.6f}   L = {L:.3f}   "
+    table = estimate_sigma(oscillating, avg, args.windows)
+    print(f"phibar(1) = {avg.phibar(np.array([1.0]))[0]:+.6f}   L = {table.L:.3f}   "
           f"window mean over T = {avg.T_used}")
     print(f"\n{'T':>4} {'sigma(T)':>10}")
     for T in args.windows:

@@ -7,6 +7,12 @@ search the tabulated horizons for a budget (T_delta, eps_delta) meeting a
 requested deviation delta.  A Lyapunov function for the averaged field is
 then lifted to a window-summed certificate for the true dynamics.
 
+Every averaging constant is sampled on one (P, n) array of probe states,
+held with its window means in :class:`AveragedField`: sigma(T) and the
+growth bound L are read from one table of windows at the start times
+``SIGMA_STARTS`` of each nonzero probe, and the slow constants from the
+stored means, so no probe's window is read twice.
+
 Window sums run over T+1 integers (k through k+T inclusive) and are
 compared against T times the averaged field; the one-term mismatch this
 convention creates is deliberately absorbed into sigma(T).
@@ -21,7 +27,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
-from .dynsys import sample_rows, state_batched
+from .converse import LIPSCHITZ_SAFETY
+from .dynsys import _row_norms, _row_squares, sample_rows, state_batched
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -46,21 +53,27 @@ HYPOTHESIS_RTOL = 1e-4
 EPS1_FLOOR = 1e-300
 MU_PROBES = 20
 WINDOW_ROWS = 8192  # most window rows one sample_rows call reads, unless one window is longer
+SIGMA_STARTS = (0, 1, 2, 3)  # start times of the sigma windows, whose first values give L
 
 PhiFn = Callable[[int, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class AveragedField:
-    """Time-average of a driving field.
+    """Time-average of a driving field, estimated on a set of probe states.
 
-    ``phibar(x)`` is the window mean ``(1/T_max) * sum_{k=0..T_max}
-    phi(k, x)`` at one state, or at each row of a ``state_batched`` (S, n)
-    batch, computed afresh on each call; the reported convergence gap
-    compares it against the half-window mean on the probe set.
+    ``probes`` is the read-only (P, n) array of probe states and ``means``
+    the read-only (P, n) array of their window means ``(1/T_used) *
+    sum_{k=0..T_used} phi(k, x)``; every averaging constant is sampled on
+    these rows.  ``phibar(x)`` is the same window mean at one state, or at
+    each row of a ``state_batched`` (S, n) batch, computed afresh on each
+    call.  The reported convergence gap compares the means against the
+    half-window means of the probes.
     """
 
     phibar: Callable[[np.ndarray], np.ndarray]
+    probes: np.ndarray
+    means: np.ndarray
     T_used: int
     convergence_gap: float
     warning: Optional[str] = None
@@ -142,14 +155,10 @@ def _prefix_sums(phi: PhiFn, starts, xs, length: int) -> np.ndarray:
     return np.cumsum(table, axis=1, out=table)
 
 
-def _probe_norms(states: Sequence[np.ndarray]) -> list:
-    """Norms of the probe states; the first non-finite one raises ValueError."""
-    with np.errstate(over="ignore"):  # an overflowing norm is refused too
-        norms = [float(np.linalg.norm(x)) for x in states]
-    for i, (x, nx) in enumerate(zip(states, norms)):
-        if not math.isfinite(nx):
-            raise ValueError(f"non-finite probe state {i}: x={np.asarray(x).tolist()}")
-    return norms
+def _first_non_finite(values: np.ndarray) -> Optional[tuple]:
+    """Index of the first NaN or infinite entry of ``values`` in C order, or None."""
+    found = np.argwhere(~np.isfinite(values))
+    return tuple(found[0].tolist()) if len(found) else None
 
 
 def _window_mean(phi: PhiFn, T_max: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -169,19 +178,21 @@ def _window_mean(phi: PhiFn, T_max: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def estimate_average(
     phi: PhiFn,
-    probes: Sequence[np.ndarray],
+    probes: np.ndarray,
     T_max: int = 512,
 ) -> AveragedField:
-    """Window-mean estimate of the averaged field with a convergence probe.
+    """Window-mean estimate of the averaged field on the (P, n) array of
+    probe states, with a convergence probe.
 
     ``T_max`` is rounded up to an even horizon so that period-2 drives
     cancel exactly.  The half-window mean of each probe is a prefix of its
     full window, so ``phi`` is evaluated T_max + 1 times per probe, the
-    windows of every probe read together (see :func:`_prefix_sums`).  A
-    gap between the two means over 1e-2 * (1 + |full mean|) sets the
-    warning; an empty probe list, which would claim convergence from no
-    data, a non-finite probe, or a probe whose full window mean is NaN or
-    infinite, raises ValueError.
+    windows of every probe read together (see :func:`_prefix_sums`).  The
+    returned field keeps a copy of the probes and their full window means.
+    A gap between the two means over 1e-2 * (1 + |full mean|) sets the
+    warning; an empty probe set, which would claim convergence from no
+    data, probes that are not a 2-D array, a non-finite probe, or a probe
+    whose full window mean is NaN or infinite, raises ValueError.
     """
     if T_max < 4:
         raise ValueError("T_max too short to average")
@@ -189,64 +200,76 @@ def estimate_average(
         T_max += 1
     if not len(probes):
         raise ValueError("no probe states to estimate the average on")
-    _probe_norms(probes)
-    gap = 0.0
-    scale = 0.0
+    probes = np.array(probes, dtype=float)
+    if probes.ndim != 2:
+        raise ValueError(f"probe states must be a (P, n) array, got shape {probes.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused too
+        bad = _first_non_finite(_row_norms(probes))
+    if bad is not None:
+        raise ValueError(f"non-finite probe state {bad[0]}: x={probes[bad[0]].tolist()}")
     sums = _prefix_sums(phi, np.zeros(len(probes)), probes, T_max + 1)
-    for i, (full, half) in enumerate(zip(sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2))):
-        if not np.isfinite(full).all():  # the half window is its prefix
-            raise ValueError(f"window mean of probe {i} is not finite at T={T_max}: {full.tolist()}")
-        gap = max(gap, float(np.linalg.norm(full - half)))
-        scale = max(scale, float(np.linalg.norm(full)))
+    means, halves = sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2)
+    bad = _first_non_finite(means)  # the half window is a prefix of the full one
+    if bad is not None:
+        raise ValueError(f"window mean of probe {bad[0]} is not finite at T={T_max}: {means[bad[0]].tolist()}")
+    gap = float(_row_norms(means - halves).max())
+    scale = float(_row_norms(means).max())
     warning = None
     if gap > 1e-2 * (1.0 + scale):
         warning = (
             f"window means at T={T_max} and T={T_max // 2} differ by {gap:.3e}; "
             "the field may not be averageable"
         )
-    return AveragedField(
-        phibar=_window_mean(phi, T_max), T_used=T_max, convergence_gap=gap, warning=warning
-    )
+    probes.flags.writeable = means.flags.writeable = False
+    return AveragedField(phibar=_window_mean(phi, T_max), probes=probes, means=means,
+                         T_used=T_max, convergence_gap=gap, warning=warning)
 
 
-def estimate_sigma(
-    phi: PhiFn,
-    avg: AveragedField,
-    probes: Sequence[Tuple[int, np.ndarray]],
-    T_list: Sequence[int],
-    L: float,
-) -> SigmaTable:
-    """Tabulate the worst normalized deviation between window sums and T*phibar.
+def estimate_sigma(phi: PhiFn, avg: AveragedField, T_list: Sequence[int]) -> SigmaTable:
+    """Tabulate the worst normalized deviation between window sums and
+    T times the window mean, over the nonzero probes of ``avg``.
 
-    Raw entries are per-horizon maxima over the probes; the stored table
+    Each nonzero probe x is read in one window of max(T) + 1 values from
+    every start time k of ``SIGMA_STARTS`` (k-major), all in one
+    :func:`_prefix_sums` table, and compared against the stored mean of x.
+    The growth bound is L = ``LIPSCHITZ_SAFETY`` times the largest
+    |phi(k, x)| / |x| over the first values of those windows.  Raw entries
+    are per-horizon maxima of |sum - T*mean| / (T*L*|x|); the stored table
     applies a running minimum over increasing T so downstream formulas see
-    a nonincreasing coefficient.  Each probe's window sums for every
-    horizon are read from its longest window, the windows of every probe
-    read together (see :func:`_prefix_sums`), ``avg.phibar`` once per
-    distinct state, in one call.  A non-finite probe, L or deviation
-    raises ValueError.
+    a nonincreasing coefficient.  A non-finite growth quotient or
+    deviation, an L that is not positive and finite, or probes that are
+    all zero raise ValueError.
     """
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"growth bound L must be positive and finite, got {L}")
     T_list = tuple(sorted(set(int(T) for T in T_list)))
     if not T_list or T_list[0] < 1:
         raise ValueError("horizons must be >= 1")
-    states = [np.asarray(x, dtype=float) for _, x in probes]
-    norms = _probe_norms(states)
-    live = [(i, k, x, nx) for i, ((k, _), x, nx) in enumerate(zip(probes, states, norms)) if nx >= 1e-14]
-    if not live:
+    norms = _row_norms(avg.probes)
+    live = np.flatnonzero(norms >= 1e-14)
+    if not len(live):
         raise ValueError("all probes have zero state norm")
-    table = _prefix_sums(phi, [k for _, k, _, _ in live], [x for _, _, x, _ in live], T_list[-1] + 1)
-    distinct = {x.tobytes(): x for _, _, x, _ in live}
-    rows = np.array(list(distinct.values())).reshape(len(distinct), -1)
-    means = dict(zip(distinct, sample_rows(avg.phibar, rows)))
-    raw = dict.fromkeys(T_list, 0.0)
-    for (i, k, x, nx), sums in zip(live, table):
-        for T in T_list:
-            deviation = float(np.linalg.norm(sums[T + 1] - T * means[x.tobytes()]))
-            if not math.isfinite(deviation):
-                raise ValueError(f"non-finite window deviation at probe {i} (k={k}, T={T})")
-            raw[T] = max(raw[T], deviation / (T * L * nx))
+    starts = np.repeat(SIGMA_STARTS, len(live))
+    xs = np.tile(avg.probes[live], (len(SIGMA_STARTS), 1))
+    nx = np.tile(norms[live], len(SIGMA_STARTS))
+    table = _prefix_sums(phi, starts, xs, T_list[-1] + 1)
+    with np.errstate(all="ignore"):  # the first non-finite quotient raises
+        growth = _row_norms(table[:, 1]) / nx
+    bad = _first_non_finite(growth)
+    if bad is not None:
+        raise ValueError(f"non-finite growth quotient at t={starts[bad[0]]}, x={xs[bad[0]].tolist()}")
+    L = float(growth.max()) * LIPSCHITZ_SAFETY
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"growth bound L must be positive and finite, got {L}")
+    Ts = np.array(T_list)
+    means = np.tile(avg.means[live], (len(SIGMA_STARTS), 1))
+    with np.errstate(all="ignore"):  # an overflowing or NaN deviation is refused below
+        deviations = _row_norms(table[:, Ts + 1] - Ts[:, None] * means[:, None, :])
+        quotients = deviations / (Ts * L * nx[:, None])
+    bad = _first_non_finite(deviations)
+    if bad is not None:
+        j, c = bad  # window j numbered k-major over every probe, zero ones included
+        i = starts[j] * len(avg.probes) + live[j % len(live)]
+        raise ValueError(f"non-finite window deviation at probe {i} (k={starts[j]}, T={T_list[c]})")
+    raw = dict(zip(T_list, quotients.max(axis=0).tolist()))
     entries: dict = {}
     running = math.inf
     for T in T_list:
@@ -276,11 +299,15 @@ def nu(T: int, eps: float, L: float, sigma_T: float) -> float:
 
 
 def mu(T: int, eps: float, L: float, sigma_T: float) -> float:
-    """Second-order window deviation nu + eps*T*(L+nu)^2."""
+    """Second-order window deviation nu + eps*T*(L+nu)^2; like :func:`nu`,
+    it saturates to inf rather than raise when a term overflows."""
     base = nu(T, eps, L, sigma_T)
     if not math.isfinite(base):
         return math.inf
-    return base + eps * T * (L + base) ** 2
+    try:
+        return base + eps * T * (L + base) ** 2
+    except OverflowError:  # (L + nu)^2 is out of range, the term may not be
+        return base + eps * T * (L + base) * (L + base)
 
 
 def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
@@ -343,80 +370,81 @@ def check_drift_remainder(
     phi: PhiFn,
     avg: AveragedField,
     table: SigmaTable,
-    samples: Sequence[Tuple[int, np.ndarray, int, float]],
+    k: Sequence[int],
+    x: np.ndarray,
+    T: Sequence[int],
+    eps: Sequence[float],
 ) -> ConditionReport:
     """Check |x(k+T+1) - x - eps*T*phibar(x)| <= eps*T*nu*|x| on samples.
 
-    Each sample is a (start time, state, window length, amplitude) tuple;
-    every window length must be tabulated in the sigma table, and is
-    looked up before the field is called.  Zero states are skipped; the
-    others' window means are read in one ``avg.phibar`` call.  The slack
-    is the allowance minus the drift, plus TOL_ABS.
+    Sample i starts at time ``k[i]`` from row i of the (S, n) array ``x``
+    with window length ``T[i]`` and amplitude ``eps[i]``; arguments of
+    different lengths raise ValueError.  Zero states are skipped; every
+    other sample's window length must be tabulated in the sigma table, and
+    is looked up before the field is called.  The kept samples' window
+    means are read in one ``avg.phibar`` call, then each window is stepped
+    on its own.  The slack is the allowance minus the drift, plus TOL_ABS.
     """
-    kept = []
-    for k, x, T, eps in samples:
-        x = np.asarray(x, dtype=float)
-        nx = float(np.linalg.norm(x))
-        if nx >= 1e-14:
-            kept.append((int(k), x, int(T), float(eps), nx, table.sigma(int(T))))
-    xs = [x for _, x, *_ in kept]
-    means = sample_rows(avg.phibar, np.array(xs).reshape(len(xs), -1)) if xs else []
+    k, T, eps = np.asarray(k, dtype=int), np.asarray(T, dtype=int), np.asarray(eps, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if not len(k) == len(x) == len(T) == len(eps):
+        raise ValueError(f"drift samples of different lengths: k {len(k)}, x {len(x)}, T {len(T)}, eps {len(eps)}")
+    norms = _row_norms(x)
+    kept = np.flatnonzero(norms >= 1e-14)
+    xs, times = x[kept], k[kept]
+    sigmas = [table.sigma(T_i) for T_i in T[kept].tolist()]
+    means = sample_rows(avg.phibar, xs) if len(kept) else []
     params, slack = [], []
-    for (k, x, T, eps, nx, sigma_T), mean in zip(kept, means):
-        end = _window_states(phi, k, x, eps, T + 1)[-1]
+    for k_i, x_i, T_i, eps_i, nx, sigma_T, mean in zip(
+        times.tolist(), xs, T[kept].tolist(), eps[kept].tolist(), norms[kept].tolist(), sigmas, means
+    ):
+        end = _window_states(phi, k_i, x_i, eps_i, T_i + 1)[-1]
         with np.errstate(over="ignore"):  # an overflowing drift is an infinite slack deficit
-            drift = float(np.linalg.norm(end - x - eps * T * mean))
-        allowance = eps * T * nu(T, eps, table.L, sigma_T) * nx
-        params.append({"T": T, "eps": eps})
+            drift = float(np.linalg.norm(end - x_i - eps_i * T_i * mean))
+        allowance = eps_i * T_i * nu(T_i, eps_i, table.L, sigma_T) * nx
+        params.append({"T": T_i, "eps": eps_i})
         slack.append(allowance - drift + TOL_ABS)
     i = worst_index(slack)
     details = {"L": table.L, "worst_sample": None if i is None else params[i]}
-    times = [k for k, *_ in kept]
     return ConditionReport.from_slack(DRIFT_REMAINDER, slack, times, xs, details)
 
 
-def _gradient(V: CandidateFunction, x: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = GRAD_STEP
-        g[i] = (V.eval_fn(0, x + e) - V.eval_fn(0, x - e)) / (2.0 * GRAD_STEP)
-    return g
-
-
-def fit_slow_constants(
-    V: CandidateFunction,
-    avg: AveragedField,
-    probes: Sequence[np.ndarray],
-) -> Tuple[float, float, float, float]:
-    """Sample (c1, c2, c3, c4) for V against the averaged field.
+def fit_slow_constants(V: CandidateFunction, avg: AveragedField) -> Tuple[float, float, float, float]:
+    """Sample (c1, c2, c3, c4) for V against the averaged field, at the
+    nonzero probes of ``avg`` and their stored means.
 
     c1, c2 sandwich V between quadratics, c3 is the directional decrement
-    of V along phibar, and c4 bounds the gradient norm relative to |x|.
+    of V along the mean, and c4 bounds the gradient norm relative to |x|.
     Quadratic candidates get exact c1, c2, c4 from the eigenvalues.  The
-    nonzero probes' means are one ``avg.phibar`` call; a non-finite probe,
-    or a NaN or infinite sampled term, raises ValueError.
+    central differences of the gradients are read in one V call per sign
+    (and a sampled candidate's values in one more); a NaN or infinite
+    sampled term raises ValueError naming its probe.
     """
-    states = [np.asarray(p, dtype=float) for p in probes]
-    live = [(i, x, nx) for i, (x, nx) in enumerate(zip(states, _probe_norms(states))) if nx >= 1e-14]
-    if not live:
+    norms = _row_norms(avg.probes)
+    live = np.flatnonzero(norms >= 1e-14)
+    if not len(live):
         raise ValueError("no probe with nonzero norm")
-    means = sample_rows(avg.phibar, np.array([x for _, x, _ in live]).reshape(len(live), -1))
+    xs = avg.probes[live]
+    step = GRAD_STEP * np.eye(xs.shape[1])  # row i of each probe's block moves coordinate i
+    plus = sample_rows(V.eval_fn, 0, (xs[:, None, :] + step).reshape(-1, xs.shape[1]))
+    minus = sample_rows(V.eval_fn, 0, (xs[:, None, :] - step).reshape(-1, xs.shape[1]))
+    grads = (plus - minus).reshape(xs.shape) / (2.0 * GRAD_STEP)
     c3 = math.inf
     if V.quadratic_P is not None:
         eigs = np.linalg.eigvalsh(V.quadratic_P)
         c1, c2, c4 = float(eigs[0]), float(eigs[-1]), 2.0 * float(eigs[-1])
+        values = [None] * len(xs)
     else:
         c1, c2, c4 = math.inf, 0.0, 0.0
-    for (i, x, nx), mean in zip(live, means):
-        grad = _gradient(V, x)
+        values = sample_rows(V.eval_fn, 0, xs).reshape(-1).tolist()
+    for i, nx, grad, mean, value in zip(live.tolist(), norms[live].tolist(), grads, avg.means[live], values):
         terms = [-float(grad @ mean) / nx ** 2]
-        if V.quadratic_P is None:
-            terms += [float(V.eval_fn(0, x)) / nx ** 2, float(np.linalg.norm(grad)) / nx]
+        if value is not None:
+            terms += [value / nx ** 2, float(np.linalg.norm(grad)) / nx]
         if not all(map(math.isfinite, terms)):
             raise ValueError(f"non-finite decrement, value or gradient at probe {i}: {terms}")
         c3 = min(c3, terms[0])
-        if V.quadratic_P is None:
+        if value is not None:
             c1, c2, c4 = min(c1, terms[1]), max(c2, terms[1]), max(c4, terms[2])
     if c1 <= 0.0 or not math.isfinite(c2):
         raise HypothesisViolationError(
@@ -448,16 +476,15 @@ def build_averaged_lyapunov(
     c1, c2, c3, c4 = constants
     if min(c1, c2, c3, c4) <= 0.0:
         raise ValueError("slow constants must be positive")
-    for p in probes:
-        x = np.asarray(p, dtype=float)
-        nx2 = float(x @ x)
-        if nx2 < 1e-28:
-            continue
-        value = float(V.eval_fn(0, x))
-        if not (c1 * nx2 * (1.0 - HYPOTHESIS_RTOL) <= value <= c2 * nx2 * (1.0 + HYPOTHESIS_RTOL)):
+    rows = np.asarray(probes, dtype=float).reshape(len(probes), -1)
+    nx2 = _row_squares(rows)
+    kept = ~(nx2 < 1e-28)
+    values = sample_rows(V.eval_fn, 0, rows[kept]).reshape(-1).tolist() if kept.any() else []
+    for n2, value in zip(nx2[kept].tolist(), values):
+        if not (c1 * n2 * (1.0 - HYPOTHESIS_RTOL) <= value <= c2 * n2 * (1.0 + HYPOTHESIS_RTOL)):
             raise HypothesisViolationError(
-                f"candidate leaves the declared sandwich at |x|={math.sqrt(nx2):.3e}: "
-                f"V={value:.6e} vs [{c1 * nx2:.6e}, {c2 * nx2:.6e}]"
+                f"candidate leaves the declared sandwich at |x|={math.sqrt(n2):.3e}: "
+                f"V={value:.6e} vs [{c1 * n2:.6e}, {c2 * n2:.6e}]"
             )
     L = table.L
     delta = c3 / (2.0 * c4)

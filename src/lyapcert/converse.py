@@ -94,51 +94,28 @@ def estimate_lipschitz(
     fn: Callable[[int, np.ndarray], np.ndarray],
     points: Sequence[np.ndarray],
     times: Sequence[int] = (0,),
-    mode: str = "difference",
 ) -> float:
-    """Sampled Lipschitz (or growth) constant with a safety factor.
+    """Sampled Lipschitz constant with a safety factor.
 
-    ``difference`` mode maximizes |f(t,x)-f(t,y)| / |x-y| over all point
-    pairs; ``growth`` mode maximizes |f(t,x)| / |x|.  The result is
-    inflated by ``LIPSCHITZ_SAFETY`` because sampling can only
+    Maximizes |f(t,x)-f(t,y)| / |x-y| over all point pairs and the given
+    times, inflated by ``LIPSCHITZ_SAFETY`` because sampling can only
     underestimate.  A NaN or infinite map value or quotient raises
     ValueError naming t and the point, since a maximum would silently skip
     it.  Each time's values come from one
-    :func:`~lyapcert.dynsys.sample_rows` call over the points (in
-    ``growth`` mode, over those at least 1e-14 from the origin).
+    :func:`~lyapcert.dynsys.sample_rows` call over the points.
     """
     points = [np.asarray(p, dtype=float) for p in points]
     if not points:
         raise ValueError(_NO_PAIR)
     best = 0.0
     found = False
-    if mode == "growth":
-        stacked = _stack(points)
-        norms = _row_norms(stacked)
-        kept = ~(norms < 1e-14)  # a NaN norm is kept, and its quotient raises
-        stacked, norms = stacked[kept], norms[kept]
-        for t in times:
-            if not len(stacked):
-                break
+    stacked = _stack(points)
+    for t in times:
+        values = sample_rows(fn, t, stacked)
+        ratio = _difference_max(t, points, values)
+        if ratio is not None:
             found = True
-            values = sample_rows(fn, t, stacked).reshape(len(stacked), -1)
-            with np.errstate(all="ignore"):
-                ratios = _row_norms(values) / norms
-            finite = np.isfinite(ratios)
-            if not finite.all():
-                bad = stacked[int(np.argmin(finite))]
-                raise ValueError(f"non-finite growth quotient at t={t}, x={bad.tolist()}")
-            best = max(best, float(ratios.max()))
-    elif mode == "difference":
-        stacked = _stack(points)
-        for t in times:
-            values = sample_rows(fn, t, stacked)
-            ratio = _difference_max(t, points, values)
-            if ratio is not None:
-                found = True
-                best = max(best, ratio)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+            best = max(best, ratio)
     if not found:
         raise ValueError(_NO_PAIR)
     return best * LIPSCHITZ_SAFETY

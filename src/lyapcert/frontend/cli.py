@@ -36,7 +36,6 @@ from ..converse import (
     _fast_sample_set,
     build_exponential_converse,
     build_trajectory_converse,
-    estimate_lipschitz,
     verify_converse,
 )
 from ..dynsys import (
@@ -185,24 +184,19 @@ def _cmd_averaging(system, opts: dict, seed: int):
     phi = system.map_fn  # the map expressions define the increment field
     radius = opts["radius"]
     (balls,) = Rng(_subseed(seed, 1)).draw(opts["n_probes"], ("ball", system.dim, radius))
-    probes = list(balls)
-    probes += [radius * e for e in np.eye(system.dim)]
+    probes = np.vstack([balls, radius * np.eye(system.dim)])
     avg = estimate_average(phi, probes)  # window sums up to T_max = 512
-    L = estimate_lipschitz(phi, probes, times=(0, 1, 2, 3), mode="growth")
     T_list = opts["T_list"]
-    table = estimate_sigma(
-        phi, avg, [(k, p) for k in range(4) for p in probes], T_list, L
-    )
+    table = estimate_sigma(phi, avg, T_list)
     budget = budget_for_delta(opts["delta"], table)
-    drawn = Rng(_subseed(seed, 2)).draw(
+    i, k, x, eps = Rng(_subseed(seed, 2)).draw(
         opts["drift_samples"],
         ("integer", 0, len(T_list) - 1),
         ("integer", 0, 3),
         ("ball", system.dim, radius),
         ("uniform", 0.0, budget.eps_delta),
     )
-    samples = [(k, x, T_list[i], e) for i, k, x, e in zip(*drawn)]
-    drift = check_drift_remainder(phi, avg, table, samples)
+    drift = check_drift_remainder(phi, avg, table, k, x, np.array(T_list)[i], eps)
     results = [
         {
             "type": "averaged_field",

@@ -60,11 +60,29 @@ __all__ = [
     "FUNCTIONS",
 ]
 
+
+def _exp(v: float) -> float:
+    """``math.exp``, with an overflowing value the IEEE inf that * gives."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _pow(lhs: float, rhs: float) -> float:
+    """``lhs ** rhs``, with a power past the float range the IEEE inf of
+    its sign, as * gives (negative for an odd power of a negative base)."""
+    try:
+        return lhs ** rhs
+    except OverflowError:
+        return -math.inf if lhs < 0.0 and rhs % 2.0 == 1.0 else math.inf
+
+
 FUNCTIONS = {
     "abs": (1, abs),
     "sin": (1, math.sin),
     "cos": (1, math.cos),
-    "exp": (1, math.exp),
+    "exp": (1, _exp),
     "tanh": (1, math.tanh),
     "sqrt": (1, math.sqrt),
     "min": (2, min),
@@ -72,6 +90,9 @@ FUNCTIONS = {
 }
 
 _SYMBOLS = "+-*/^()[],"
+
+# the builtin each overflow-safe helper wraps, which a batch runs until one raises
+_UNSAFE = {_exp: math.exp, _pow: operator.pow}
 
 
 @dataclass(frozen=True)
@@ -324,10 +345,15 @@ def pretty(node) -> str:
 def _each(fn, values: list) -> np.ndarray:
     """``fn`` element by element over the values that are arrays over a
     batch (the others repeat), called on Python floats so every result is
-    rounded exactly as the scalar call rounds it."""
+    rounded exactly as the scalar call rounds it.  An overflow-safe helper
+    runs as its builtin, and only a batch where that overflows runs again
+    through the helper."""
     n = next(len(v) for v in values if isinstance(v, np.ndarray))
-    columns = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v, n) for v in values]
-    return np.fromiter(map(fn, *columns), dtype=float, count=n)
+    columns = [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
+    try:
+        return np.fromiter(map(_UNSAFE.get(fn, fn), *columns), dtype=float, count=n)
+    except OverflowError:
+        return np.fromiter(map(fn, *columns), dtype=float, count=n)
 
 
 def _varies(values) -> bool:
@@ -337,7 +363,7 @@ def _varies(values) -> bool:
 def _power(lhs, rhs):
     if lhs < 0.0 and not float(rhs).is_integer():
         raise ValueError(f"fractional power of a negative base in expression: {lhs!r}^{rhs!r}")
-    return lhs ** rhs
+    return _pow(lhs, rhs)
 
 
 def _time(t, x, y):
@@ -504,7 +530,7 @@ def _binary(op: str, left, right):
             if np.any((np.asarray(lhs) < 0.0) & ~integral):
                 # _table reruns the scalar calls, whose message names the point
                 raise ValueError("fractional power of a negative base in expression")
-        return _each(operator.pow, [lhs, rhs])
+        return _each(_pow, [lhs, rhs])
 
     return power
 
@@ -586,7 +612,8 @@ def compile_map(nodes, params=None):
     mix of these, the other inputs shared by every point.  The table equals
     the scalar calls row by row, bit for bit, and raises what the first
     failing scalar call raises.  Division by zero, sqrt of negatives and a
-    fractional power of a negative base raise.
+    fractional power of a negative base raise; a power or exp past the
+    float range is the IEEE inf of its sign, as a product is.
     """
     runs = [_compile(node, params or {}) for node in nodes]
 

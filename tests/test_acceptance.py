@@ -27,7 +27,6 @@ from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import (
     build_exponential_converse,
     build_trajectory_converse,
-    estimate_lipschitz,
     verify_converse,
 )
 from lyapcert.dynsys import (
@@ -234,11 +233,8 @@ def alternating_field(k, x):
 def test_criterion_06_averaging_budget():
     probes = [np.array([1.0]), np.array([-0.5]), np.array([0.25]), np.array([0.8])]
     avg = estimate_average(alternating_field, probes)
-    L = estimate_lipschitz(alternating_field, probes, times=(0, 1, 2, 3), mode="growth")
     T_list = [2, 4, 8, 16]
-    table = estimate_sigma(
-        alternating_field, avg, [(k, p) for k in range(4) for p in probes], T_list, L
-    )
+    table = estimate_sigma(alternating_field, avg, T_list)
     for T in T_list:
         assert table.sigma(T) <= 3.0 / T
 
@@ -258,7 +254,8 @@ def test_criterion_06_averaging_budget():
         )
         for _ in range(200)
     ]
-    drift = check_drift_remainder(alternating_field, avg, table, samples)
+    k, x, T, eps = (np.array(v) for v in zip(*samples))
+    drift = check_drift_remainder(alternating_field, avg, table, k, x, T, eps)
     assert drift.passed
     assert drift.samples_checked == 200
     print(
@@ -272,12 +269,9 @@ def test_criterion_07_averaged_candidate_lift():
     field = lambda k, x: -np.asarray(x, dtype=float)
     probes = [np.array([1.0]), np.array([-0.5]), np.array([0.25])]
     avg = estimate_average(field, probes)
-    L = estimate_lipschitz(field, probes, times=(0, 1), mode="growth")
-    table = estimate_sigma(
-        field, avg, [(k, p) for k in range(3) for p in probes], [1, 2, 4, 8, 16, 32, 64], L
-    )
+    table = estimate_sigma(field, avg, [1, 2, 4, 8, 16, 32, 64])
     V = CandidateFunction.quadratic(np.eye(1))
-    constants = fit_slow_constants(V, avg, probes)
+    constants = fit_slow_constants(V, avg)
     cert = build_averaged_lyapunov(V, constants, field, table, probes)
 
     rng = Rng(0xACC_07)

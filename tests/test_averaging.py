@@ -23,7 +23,6 @@ from lyapcert.averaging import (
     _window_mean,
 )
 from lyapcert.certcheck import CandidateFunction
-from lyapcert.converse import estimate_lipschitz
 from lyapcert.dynsys import state_batched
 from lyapcert.errors import BudgetInfeasibleError, HypothesisViolationError
 from lyapcert.frontend.expressions import compile_map, parse_expression
@@ -42,6 +41,20 @@ def alternating_field(k, x):
 PROBES = [np.array([1.0]), np.array([-0.5]), np.array([0.25])]
 
 
+def fixed_average(phibar, probes):
+    """An AveragedField on ``probes`` whose means are ``phibar`` at each
+    probe, without a convergence probe."""
+    probes = np.array(probes, dtype=float)
+    means = np.array([phibar(p) for p in probes]).reshape(probes.shape)
+    return AveragedField(phibar=phibar, probes=probes, means=means, T_used=8, convergence_gap=0.0)
+
+
+def drift_samples(samples):
+    """(k, x, T, eps) arrays from a list of (k, x, T, eps) samples."""
+    k, x, T, eps = zip(*samples)
+    return np.array(k), np.array(x), np.array(T), np.array(eps)
+
+
 class TestEstimateAverage:
     def test_time_invariant_window_mean(self):
         avg = estimate_average(linear_field, PROBES)
@@ -55,6 +68,18 @@ class TestEstimateAverage:
         avg = estimate_average(alternating_field, PROBES)
         assert avg.phibar(np.array([2.0]))[0] == pytest.approx(-2.0, rel=1e-12)
         assert avg.convergence_gap < 1e-12
+
+    def test_keeps_the_probes_and_their_window_means(self):
+        probes = np.array([[1.0], [-0.5], [0.25]])
+        avg = estimate_average(alternating_field, probes, T_max=16)
+        assert avg.probes.tobytes() == probes.tobytes() and avg.probes is not probes
+        assert avg.means.tobytes() == avg.phibar(probes).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            avg.means[0] = 0.0
+
+    def test_probes_must_be_one_row_per_state(self):
+        with pytest.raises(ValueError, match=r"\(P, n\) array, got shape \(3,\)"):
+            estimate_average(linear_field, np.array([1.0, -0.5, 0.25]), T_max=8)
 
     def test_odd_horizon_rounds_up(self):
         avg = estimate_average(linear_field, PROBES, T_max=7)
@@ -94,54 +119,92 @@ class TestEstimateAverage:
 class TestSigmaTable:
     def test_linear_field_deviation_closed_form(self):
         avg = estimate_average(linear_field, PROBES)
-        L = estimate_lipschitz(linear_field, PROBES, times=(0, 1), mode="growth")
-        assert L == pytest.approx(1.1, rel=1e-12)
-        table = estimate_sigma(
-            linear_field, avg, [(k, p) for k in range(3) for p in PROBES], [2, 8, 64], L
-        )
+        table = estimate_sigma(linear_field, avg, [2, 8, 64])
+        assert table.L == pytest.approx(1.1, rel=1e-12)
         # |sum - T*phibar| = |T - 512|/512 * |x| for the time-invariant field
         for T in (2, 8, 64):
             expected = (512.0 - T) / (512.0 * 1.1 * T)
             assert table.sigma(T) == pytest.approx(expected, rel=1e-12)
 
     def test_running_minimum_enforced(self):
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
+        avg = fixed_average(lambda x: -x, [np.array([1.0])])
 
         def bumpy(k, x):
-            # large kick at k=3 makes the raw deviation grow from T=2 to T=4
-            return -np.asarray(x, dtype=float) * (1.0 + (10.0 if k == 3 else 0.0))
+            # a large kick at k=6 lies in the T=4 windows from k=2, 3, not in any T=2 window
+            return -np.asarray(x, dtype=float) * (1.0 + (10.0 if k == 6 else 0.0))
 
-        table = estimate_sigma(bumpy, avg, [(0, np.array([1.0]))], [2, 4], 1.0)
-        assert table.raw_entries[2] == pytest.approx(0.5, rel=1e-12)
-        assert table.raw_entries[4] == pytest.approx(11.0 / 4.0, rel=1e-12)
-        assert table.entries[4] == table.entries[2] == pytest.approx(0.5, rel=1e-12)
+        table = estimate_sigma(bumpy, avg, [2, 4])
+        assert table.L == pytest.approx(1.1, rel=1e-12)  # |phi(k, 1)| = 1 at k = 0..3
+        assert table.raw_entries[2] == pytest.approx(0.5 / 1.1, rel=1e-12)
+        assert table.raw_entries[4] == pytest.approx(11.0 / (4.0 * 1.1), rel=1e-12)
+        assert table.entries[4] == table.entries[2] == pytest.approx(0.5 / 1.1, rel=1e-12)
 
     def test_zero_probes_skipped_and_all_zero_rejected(self):
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
-        mixed = [(0, np.zeros(1)), (0, np.array([1.0]))]
-        table = estimate_sigma(linear_field, avg, mixed, [2], 1.0)
+        avg = fixed_average(lambda x: -x, [np.zeros(1), np.array([1.0])])
+        table = estimate_sigma(linear_field, avg, [2])
         assert 2 in table.entries
-        with pytest.raises(ValueError):
-            estimate_sigma(linear_field, avg, [(0, np.zeros(1))], [2], 1.0)
+        with pytest.raises(ValueError, match="all probes have zero state norm"):
+            estimate_sigma(linear_field, fixed_average(lambda x: -x, [np.zeros(1)]), [2])
 
-    def test_one_phibar_window_per_distinct_state(self):
-        avg = estimate_average(linear_field, PROBES, T_max=16)
-        seen = []
+    def test_growth_bound_is_read_from_the_first_window_values(self):
+        # |phi(k, x)| / |x| is 0.5 at k = 0, 2 and 3 at k = 1, 3; later times do not count
+        def field(k, x):
+            return np.asarray(x, dtype=float) * (-3.0 if k in (1, 3) else -0.5 if k < 4 else -40.0)
 
-        def counted(x):
-            seen.append(np.asarray(x, dtype=float).tobytes())
-            return avg.phibar(x)
-
-        probes = [(k, p) for k in range(4) for p in PROBES + [PROBES[0].copy()]]
-        table = estimate_sigma(linear_field, replace(avg, phibar=counted), probes, [2, 8], 1.0)
-        # 20 probes at 4 start times over 3 distinct states: one window mean each
-        assert sorted(seen) == sorted(p.tobytes() for p in PROBES)
-        assert table.raw_entries == estimate_sigma(linear_field, avg, probes, [2, 8], 1.0).raw_entries
+        table = estimate_sigma(field, fixed_average(lambda x: -x, [np.zeros(1)] + PROBES), [1, 2])
+        assert table.L == pytest.approx(3.3, rel=1e-12)
 
     def test_untabulated_horizon_raises(self):
         table = SigmaTable(L=1.0, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})
         with pytest.raises(KeyError):
             table.sigma(4)
+
+
+def nan_at_one(t, x):
+    """0.5 x everywhere except x = 1, where the field is NaN."""
+    x = np.asarray(x, dtype=float)
+    return np.full_like(x, np.nan) if np.any(x == 1.0) else 0.5 * x
+
+
+class TestGrowthBound:
+    """The sigma table's L: 1.1 times the largest |phi(k, x)| / |x| over
+    the first values of its windows, at k = 0..3 and every nonzero probe.
+    A NaN or infinite quotient is refused by name, not skipped by ``max``."""
+
+    POINTS = [np.array([v]) for v in (-1.0, -0.2, 0.4, 1.0)]
+
+    def test_linear_field(self):
+        avg = fixed_average(lambda x: -x, [np.array([v]) for v in (-1.0, 0.5, 2.0)])
+        table = estimate_sigma(lambda t, x: -3.0 * np.asarray(x, dtype=float), avg, [1])
+        assert table.L == pytest.approx(3.3, rel=1e-12)
+
+    def test_nan_field_value_raises(self):
+        with pytest.raises(ValueError, match=r"t=0, x=\[1\.0\]"):
+            estimate_sigma(nan_at_one, fixed_average(lambda x: -x, self.POINTS), [1])
+
+    def test_infinite_field_value_raises(self):
+        fn = lambda t, x: np.asarray(x, dtype=float) * (np.inf if t == 2 else 0.5)
+        with pytest.raises(ValueError, match="t=2"):
+            estimate_sigma(fn, fixed_average(lambda x: -x, self.POINTS), [1])
+
+    def test_complex_field_raises(self):
+        with pytest.raises(TypeError, match="complex128"):
+            estimate_sigma(lambda t, x: (1 + 1j) * np.asarray(x), fixed_average(lambda x: -x, self.POINTS), [1])
+
+    def test_reads_the_windows_in_one_call_and_skips_the_origin(self):
+        seen = []
+
+        @state_batched
+        def fn(t, x):
+            seen.append((t.copy(), x.copy()))
+            return -3.0 * x
+
+        avg = fixed_average(lambda x: -x, [np.zeros(1)] + self.POINTS)
+        assert estimate_sigma(fn, avg, [2]).L == pytest.approx(3.3)
+        # the 3-value windows from k = 0..3 (k-major) of each nonzero point, in one call
+        ((times, xs),) = seen
+        assert times.tolist() == [k + j for k in range(4) for _ in self.POINTS for j in range(3)]
+        assert xs.tolist() == [p.tolist() for _ in range(4) for p in self.POINTS for _ in range(3)]
 
 
 class TestBatchedWindows:
@@ -162,9 +225,10 @@ class TestBatchedWindows:
                 total = total + f(k, p)
             assert a_b.phibar(p).tobytes() == a_s.phibar(p).tobytes() == (total / 64).tobytes()
         assert a_b.convergence_gap == a_s.convergence_gap
-        probes = [(k, p) for k in range(4) for p in self.PROBES]
-        t_b = estimate_sigma(batched, a_b, probes, [2, 8, 32], 1.5)
-        t_s = estimate_sigma(scalar, a_s, probes, [2, 8, 32], 1.5)
+        assert a_b.means.tobytes() == a_s.means.tobytes() == a_b.phibar(np.array(self.PROBES)).tobytes()
+        t_b = estimate_sigma(batched, a_b, [2, 8, 32])
+        t_s = estimate_sigma(scalar, a_s, [2, 8, 32])
+        assert t_b.L == t_s.L
         assert t_b.raw_entries == t_s.raw_entries and t_b.entries == t_s.entries
 
     def test_calls_hold_whole_windows_within_the_row_bound(self):
@@ -199,9 +263,8 @@ class TestBatchedWindows:
         fn = mark(lambda t, x: (0.5 + 0.5j) * np.asarray(x))
         with pytest.raises(TypeError, match="complex"):
             estimate_average(fn, PROBES, T_max=8)
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
         with pytest.raises(TypeError, match="complex"):
-            estimate_sigma(fn, avg, [(k, p) for k in range(2) for p in PROBES], [2, 4], 1.0)
+            estimate_sigma(fn, fixed_average(lambda x: -x, PROBES), [2, 4])
 
     def test_sigma_raises_the_first_error_of_the_batched_windows(self):
         def field(k, x):
@@ -209,12 +272,12 @@ class TestBatchedWindows:
                 raise ValueError(f"bad point k={k} x={float(x[0])}")
             return -np.asarray(x, dtype=float)
 
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
-        probes = [(0, np.array([1.0])), (0, np.array([0.5]))]
-        # the windows are read probe after probe, each over its 17 times, so
-        # the window of 1.0 reaches (10, 1.0) before that of 0.5 reaches (2, 0.5)
+        avg = fixed_average(lambda x: -x, [np.array([1.0]), np.array([0.5])])
+        # the windows from k = 0 are read first, probe after probe, each over
+        # its 17 times, so the window of 1.0 reaches (10, 1.0) before that of
+        # 0.5 reaches (2, 0.5)
         with pytest.raises(ValueError, match=r"k=10 x=1\.0"):
-            estimate_sigma(field, avg, probes, [2, 16], 1.0)
+            estimate_sigma(field, avg, [2, 16])
 
 
 class TestNonFiniteProbes:
@@ -235,24 +298,22 @@ class TestNonFiniteProbes:
             estimate_average(linear_field, [self.GOOD[0], bad, self.GOOD[1]], T_max=8)
 
     @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "overflow"])
-    def test_estimate_sigma(self, bad):
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
-        probes = [(0, self.GOOD[0]), (1, bad), (2, np.array([np.nan, np.nan]))]
-        with pytest.raises(ValueError, match=self.named(bad)):
-            estimate_sigma(linear_field, avg, probes, [2], 1.0)
-        # only non-finite probes: named, not "all probes have zero state norm"
-        with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
-            estimate_sigma(linear_field, avg, [(0, bad)], [2], 1.0)
+    def test_before_any_field_call_and_alone(self, bad):
+        # estimate_sigma and fit_slow_constants read the probes estimate_average kept
+        calls = []
 
-    @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "overflow"])
-    def test_fit_slow_constants(self, bad):
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
-        V = CandidateFunction.quadratic(np.eye(2))
+        def counted(k, x):
+            calls.append(k)
+            return linear_field(k, x)
+
+        probes = [self.GOOD[0], bad, np.array([np.nan, np.nan])]
         with pytest.raises(ValueError, match=self.named(bad)):
-            fit_slow_constants(V, avg, [self.GOOD[0], bad])
-        # only non-finite probes: refused, not c3 = inf from no data
+            estimate_average(counted, probes, T_max=8)
+        assert calls == []
+        # only non-finite probes: named, not "all probes have zero state norm"
+        # in sigma or c3 = inf from no data
         with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
-            fit_slow_constants(V, avg, [bad])
+            estimate_average(counted, [bad], T_max=8)
 
 
 def field_with(value, at):
@@ -278,32 +339,40 @@ class TestNonFiniteFields:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_estimate_sigma(self, value):
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
-        probes = [(0, PROBES[0]), (3, PROBES[1])]
+        avg = fixed_average(lambda x: -x, PROBES[:2])
         # the window of probe 0 from k = 0 reaches t = 5 first at T = 8
         with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=8\)"):
-            estimate_sigma(field_with(value, 5), avg, probes, [1, 2, 4, 8], 1.0)
+            estimate_sigma(field_with(value, 5), avg, [1, 2, 4, 8])
         # a window mean read over t = 5 spoils every horizon
-        avg = AveragedField(phibar=_window_mean(field_with(value, 5), 8), T_used=8, convergence_gap=0.0)
+        avg = fixed_average(_window_mean(field_with(value, 5), 8), PROBES[:2])
         with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=1\)"):
-            estimate_sigma(linear_field, avg, probes, [1, 2, 4, 8], 1.0)
+            estimate_sigma(linear_field, avg, [1, 2, 4, 8])
 
-    @pytest.mark.parametrize("L", [math.nan, math.inf])
-    def test_estimate_sigma_refuses_a_non_finite_growth_bound(self, L):
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
-        with pytest.raises(ValueError, match="growth bound L must be positive and finite"):
-            estimate_sigma(linear_field, avg, [(0, PROBES[0])], [1, 2], L)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_estimate_sigma_refuses_a_non_finite_growth_quotient(self, value):
+        avg = fixed_average(lambda x: -x, PROBES[:1])
+        with pytest.raises(ValueError, match=re.escape("non-finite growth quotient at t=2, x=[1.0]")):
+            estimate_sigma(field_with(value, 2), avg, [1, 2])
+
+    def test_estimate_sigma_refuses_a_zero_growth_bound(self):
+        # phi vanishes at k = 0..3, so no window's first value bounds the growth
+        avg = fixed_average(lambda x: -x, PROBES[:1])
+        field = lambda k, x: (0.0 if k < 4 else -1.0) * np.asarray(x, dtype=float)
+        with pytest.raises(ValueError, match="growth bound L must be positive and finite, got 0.0"):
+            estimate_sigma(field, avg, [1, 2])
+        # a norm of phi(k, x) past the float range is a non-finite quotient
+        field = lambda k, x: (1e300 if k == 3 else -1.0) * np.asarray(x, dtype=float)
+        with pytest.raises(ValueError, match=re.escape("non-finite growth quotient at t=3, x=[1.0]")):
+            estimate_sigma(field, avg, [1, 2])
 
     def test_fit_slow_constants(self):
-        avg = AveragedField(phibar=_window_mean(field_with(math.nan, 300), 512), T_used=512,
-                            convergence_gap=0.0)
+        avg = fixed_average(_window_mean(field_with(math.nan, 300), 512), PROBES)
         with pytest.raises(ValueError, match="at probe 0"):
-            fit_slow_constants(CandidateFunction.quadratic(np.eye(1)), avg, PROBES)
+            fit_slow_constants(CandidateFunction.quadratic(np.eye(1)), avg)
         # a sampled candidate that is NaN at one probe
-        avg = AveragedField(phibar=lambda x: -x, T_used=8, convergence_gap=0.0)
         V = CandidateFunction(lambda t, x: math.nan if float(x[0]) == -0.5 else float(x @ x), dim=1)
         with pytest.raises(ValueError, match="at probe 1"):
-            fit_slow_constants(V, avg, PROBES)
+            fit_slow_constants(V, fixed_average(lambda x: -x, PROBES))
 
 
 class TestNuMu:
@@ -320,6 +389,15 @@ class TestNuMu:
     def test_huge_horizon_saturates_to_inf(self):
         assert nu(5000, 1.0, 2.0, 0.5) == np.inf
         assert mu(5000, 1.0, 2.0, 0.5) == np.inf
+
+    def test_overflowing_second_order_term_saturates_to_inf(self):
+        # nu is finite here, but (L + nu)^2 is past the float range; it raised OverflowError
+        assert nu(200, 1.0, 10.0, 0.1) == pytest.approx(3.798e212, rel=1e-3)
+        assert mu(200, 1.0, 10.0, 0.1) == math.inf
+        assert mu(400, 1.0, 10.0, 0.1) == math.inf
+        # a small enough amplitude keeps the term finite
+        base = nu(200, 1e-300, 10.0, 0.1)
+        assert mu(200, 1e-300, 10.0, 0.1) == base + 1e-300 * 200 * (10.0 + base) * (10.0 + base)
 
     def test_sigma_term_dominates_at_zero_amplitude(self):
         assert nu(8, 0.0, 2.0, 0.3) == pytest.approx(0.6, rel=1e-12)
@@ -357,16 +435,13 @@ class TestBudget:
 class TestDriftRemainder:
     def test_linear_field_within_bound(self):
         avg = estimate_average(linear_field, PROBES)
-        L = estimate_lipschitz(linear_field, PROBES, times=(0, 1), mode="growth")
-        table = estimate_sigma(
-            linear_field, avg, [(k, p) for k in range(3) for p in PROBES], [2, 4, 8], L
-        )
+        table = estimate_sigma(linear_field, avg, [2, 4, 8])
         rng = Rng(31)
         samples = [
             (rng.integer(0, 3), rng.ball(1, 1.0), (2, 4, 8)[rng.integer(0, 2)], rng.uniform(0.001, 0.02))
             for _ in range(50)
         ]
-        report = check_drift_remainder(linear_field, avg, table, samples)
+        report = check_drift_remainder(linear_field, avg, table, *drift_samples(samples))
         assert report.passed
         assert report.condition == "drift_remainder"
         assert report.samples_checked == 50
@@ -375,13 +450,10 @@ class TestDriftRemainder:
         # short window + tiny amplitude keep the allowance ~eps while a
         # sign-flipped average produces an O(eps) drift mismatch
         avg = estimate_average(linear_field, PROBES)
-        wrong = AveragedField(phibar=lambda x: +np.asarray(x, dtype=float), T_used=512, convergence_gap=0.0)
-        L = 1.1
-        table = estimate_sigma(
-            linear_field, avg, [(k, p) for k in range(3) for p in PROBES], [2], L
-        )
+        wrong = replace(avg, phibar=lambda x: +np.asarray(x, dtype=float))
+        table = estimate_sigma(linear_field, avg, [2])
         samples = [(0, np.array([1.0]), 2, 1e-4)]
-        report = check_drift_remainder(linear_field, wrong, table, samples)
+        report = check_drift_remainder(linear_field, wrong, table, *drift_samples(samples))
         assert not report.passed
         assert report.worst_margin < 0
 
@@ -397,19 +469,24 @@ class TestDriftRemainder:
         samples = [(0, np.array([1.0]), 2, 0.01), (1, np.zeros(1), 4, 0.01), (1, np.array([0.5]), 4, 0.01)]
         calls.clear()
         with pytest.raises(KeyError, match="horizon 4 is not tabulated"):
-            check_drift_remainder(counted, avg, table, samples)
+            check_drift_remainder(counted, avg, table, *drift_samples(samples))
         assert calls == []  # neither the first sample's window nor its mean was read
         # a zero state is skipped before its horizon is looked up
-        report = check_drift_remainder(counted, avg, table, samples[:2])
+        report = check_drift_remainder(counted, avg, table, *drift_samples(samples[:2]))
         assert report.samples_checked == 1
+
+    def test_arguments_of_different_lengths_are_refused(self):
+        avg = estimate_average(linear_field, PROBES, T_max=8)
+        table = SigmaTable(L=1.1, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})
+        k, x, T, eps = drift_samples([(0, np.array([1.0]), 2, 0.01), (1, np.array([0.5]), 2, 0.01)])
+        with pytest.raises(ValueError, match="k 2, x 2, T 1, eps 2"):
+            check_drift_remainder(linear_field, avg, table, k, x, T[:1], eps)
 
     def test_worst_sample_is_reported(self):
         avg = estimate_average(linear_field, PROBES)
-        table = estimate_sigma(
-            linear_field, avg, [(0, p) for p in PROBES], [4], 1.1
-        )
+        table = estimate_sigma(linear_field, avg, [4])
         samples = [(1, np.array([0.5]), 4, 0.01), (0, np.array([-1.0]), 4, 0.015)]
-        report = check_drift_remainder(linear_field, avg, table, samples)
+        report = check_drift_remainder(linear_field, avg, table, *drift_samples(samples))
         assert report.worst_point is not None
         assert set(report.details["worst_sample"]) == {"T", "eps"}
 
@@ -418,31 +495,25 @@ class TestSlowConstants:
     def test_quadratic_constants_exact(self):
         avg = estimate_average(linear_field, PROBES)
         V = CandidateFunction.quadratic(np.eye(1))
-        c1, c2, c3, c4 = fit_slow_constants(V, avg, PROBES)
+        c1, c2, c3, c4 = fit_slow_constants(V, avg)
         assert c1 == 1.0 and c2 == 1.0
         # -grad V . phibar = 2 * (513/512) |x|^2
         assert c3 == pytest.approx(2.0 * 513.0 / 512.0, rel=1e-8)
         assert c4 == 2.0
 
     def test_expanding_average_rejected(self):
-        expanding = AveragedField(
-            phibar=lambda x: +np.asarray(x, dtype=float), T_used=8, convergence_gap=0.0
-        )
+        expanding = fixed_average(lambda x: +np.asarray(x, dtype=float), PROBES)
         V = CandidateFunction.quadratic(np.eye(1))
         with pytest.raises(HypothesisViolationError):
-            fit_slow_constants(V, expanding, PROBES)
+            fit_slow_constants(V, expanding)
 
 
 class TestLiftedCertificate:
     def build(self):
         avg = estimate_average(linear_field, PROBES)
-        L = estimate_lipschitz(linear_field, PROBES, times=(0, 1), mode="growth")
-        table = estimate_sigma(
-            linear_field, avg, [(k, p) for k in range(3) for p in PROBES],
-            [1, 2, 4, 8, 16, 32, 64], L,
-        )
+        table = estimate_sigma(linear_field, avg, [1, 2, 4, 8, 16, 32, 64])
         V = CandidateFunction.quadratic(np.eye(1))
-        constants = fit_slow_constants(V, avg, PROBES)
+        constants = fit_slow_constants(V, avg)
         return V, constants, table, build_averaged_lyapunov(
             V, constants, linear_field, table, PROBES
         )

@@ -43,11 +43,6 @@ class TestLipschitzEstimate:
         L = estimate_lipschitz(lambda t, x: 0.5 * x, pts)
         assert L == pytest.approx(0.55, rel=1e-12)  # 0.5 with the 1.1 safety factor
 
-    def test_growth_mode(self):
-        pts = [np.array([v]) for v in (-1.0, 0.5, 2.0)]
-        L = estimate_lipschitz(lambda t, x: -3.0 * x, pts, mode="growth")
-        assert L == pytest.approx(3.3, rel=1e-12)
-
     def test_times_are_swept(self):
         pts = [np.array([v]) for v in (0.5, 1.0)]
         fn = lambda t, x: (0.1 if t == 0 else 0.8) * x
@@ -64,34 +59,18 @@ def nan_at_one(t, x):
 class TestLipschitzFailClosed:
     POINTS = [np.array([v]) for v in (-1.0, -0.2, 0.4, 1.0)]
 
-    @pytest.mark.parametrize("mode", ["difference", "growth"])
-    def test_nan_map_value_raises(self, mode):
+    def test_nan_map_value_raises(self):
         with pytest.raises(ValueError, match=r"t=0, x=\[1\.0\]"):
-            estimate_lipschitz(nan_at_one, self.POINTS, mode=mode)
+            estimate_lipschitz(nan_at_one, self.POINTS)
 
-    @pytest.mark.parametrize("mode", ["difference", "growth"])
-    def test_infinite_map_value_raises(self, mode):
+    def test_infinite_map_value_raises(self):
         fn = lambda t, x: np.asarray(x, dtype=float) * (np.inf if t == 2 else 0.5)
         with pytest.raises(ValueError, match="t=2"):
-            estimate_lipschitz(fn, self.POINTS, times=(0, 1, 2), mode=mode)
+            estimate_lipschitz(fn, self.POINTS, times=(0, 1, 2))
 
-    @pytest.mark.parametrize("mode", ["difference", "growth"])
-    def test_complex_map_raises(self, mode):
+    def test_complex_map_raises(self):
         with pytest.raises(TypeError, match="complex128"):
-            estimate_lipschitz(lambda t, x: (1 + 1j) * np.asarray(x), self.POINTS, mode=mode)
-
-    def test_growth_reads_each_time_in_one_call_and_skips_the_origin(self):
-        seen = []
-
-        @state_batched
-        def fn(t, x):
-            seen.append((t, x.copy()))
-            return -3.0 * x
-
-        points = [np.zeros(1)] + self.POINTS
-        assert estimate_lipschitz(fn, points, times=(0, 2), mode="growth") == pytest.approx(3.3)
-        assert [t for t, _ in seen] == [0, 2]
-        assert all(np.array_equal(x, np.stack(self.POINTS)) for _, x in seen)
+            estimate_lipschitz(lambda t, x: (1 + 1j) * np.asarray(x), self.POINTS)
 
     def test_overflowing_quotient_raises(self):
         pts = [np.array([0.0]), np.array([1e-10])]

@@ -745,6 +745,24 @@ class TestCliMain:
         assert code == 1
         assert report["status"] == "error"
 
+    @pytest.mark.parametrize("command", ["simulate", "converse"])
+    def test_an_overflowing_power_diverges_as_a_product_does(self, tmp_path, command):
+        # x[0]^2 at 1e200 raised OverflowError, naming no stage or point;
+        # x[0]*x[0] overflows to inf and meets the divergence rule
+        analyses = [
+            {"command": "converse", "radius": 1e300, "horizon": 24, "n_check": 100},
+            {"command": "simulate", "x0": [1e200], "horizon": 20},
+        ]
+        reports = []
+        for name, src in (("power.json", "0.5*x[0]+x[0]^2"), ("product.json", "0.5*x[0]+x[0]*x[0]")):
+            cfg = self.write(tmp_path, minimal_doc(map={"x": [src]}, analyses=analyses), name)
+            out = tmp_path / f"{name}.out"
+            assert main([command, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 1
+            reports.append(json.loads(out.read_text()))
+        power, product = reports
+        assert power["error"] == product["error"]
+        assert power["error"]["type"] == "DivergenceError"
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])
         assert code == 1

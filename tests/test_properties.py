@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from lyapcert.averaging import (
     DRIFT_REMAINDER,
     AveragedField,
+    GRAD_STEP,
     SigmaTable,
-    _gradient,
     _prefix_sums,
     _window_mean,
     check_drift_remainder,
@@ -295,7 +295,10 @@ def reference_evaluate(node, t, x, y=None, params=None):
         return lhs / rhs
     if lhs < 0.0 and not float(rhs).is_integer():
         raise ValueError(f"fractional power of a negative base in expression: {lhs!r}^{rhs!r}")
-    return lhs ** rhs
+    try:
+        return lhs ** rhs
+    except OverflowError:  # past the float range: the IEEE inf of its sign, as * gives
+        return -math.inf if lhs < 0.0 and rhs % 2.0 == 1.0 else math.inf
 
 
 def ast_trees(negation=True):
@@ -382,8 +385,7 @@ class TestCompiledEvaluation:
             ("1/(t-3)", ZeroDivisionError, "division by zero in expression"),
             ("sqrt(2-t)", ValueError, "math domain error"),
             ("(x[0]-t)^0.5", ValueError, "fractional power of a negative base in expression: -0.5^0.5"),
-            ("exp(100*t)", OverflowError, "math range error"),
-            ("10^(100*t)", OverflowError, "(34, 'Numerical result out of range')"),
+            ("(x[0]-1.5)^(t-1)", ZeroDivisionError, "0.0 cannot be raised to a negative power"),
         ],
     )
     def test_errors_match_the_first_failing_scalar_call(self, src, exc, message):
@@ -398,6 +400,37 @@ class TestCompiledEvaluation:
         with pytest.raises(exc) as mapped:
             compile_map([parse_expression("t"), tree])(times, [1.5, 0.0])
         assert str(mapped.value) == message
+
+    @pytest.mark.parametrize(
+        "src,first,sign",
+        [
+            ("exp(100*t)", 8, 1.0),  # exp(800)
+            ("10^(100*t)", 4, 1.0),  # 10^400
+            ("(-10)^(100*t+1)", 4, -1.0),  # an odd power of a negative base
+            ("(-10)^(100*t)", 4, 1.0),
+            ("(0.1*x[0])^(-100*t)", 4, 1.0),  # 10^400 again, from a negative exponent
+        ],
+    )
+    def test_overflow_is_inf_at_every_point_as_for_a_product(self, src, first, sign):
+        # exp and ^ raised OverflowError where * gives inf; now each value past the
+        # float range is the IEEE inf of its sign, scalar and batched alike
+        tree = parse_expression(src)
+        times = np.arange(0, 12)
+        want = np.array([reference_evaluate(tree, s, [1.0, 0.0]) for s in times.tolist()])
+        assert want[first:].tolist() == [sign * math.inf] * (12 - first)
+        assert np.isfinite(want[:first]).all()
+        f = compile_expression(tree)
+        assert np.array([f(s, [1.0, 0.0]) for s in times.tolist()]).tobytes() == want.tobytes()
+        assert f(times, [1.0, 0.0]).tobytes() == want.tobytes()
+        assert f(times, np.array([[1.0, 0.0]] * 12)).tobytes() == want.tobytes()
+        mapped = compile_map([parse_expression("t"), tree])(times, [1.0, 0.0])
+        assert mapped[:, 1].tobytes() == want.tobytes()
+
+    def test_an_overflowing_state_power_is_inf(self):
+        f = compile_expression(parse_expression("0.5*x[0]+x[0]^3"))
+        xs = np.array([[1e200], [0.5], [-1e200]])
+        assert f(0, xs).tolist() == [math.inf, 0.375, -math.inf]
+        assert [f(0, x) for x in xs] == [math.inf, 0.375, -math.inf]
 
     def test_second_component_failing_first_raises_its_error(self):
         # component 0 fails at t = 5, component 1 at t = 3: scalar order meets t = 3 first
@@ -946,13 +979,30 @@ def reference_mean(field, phibar, marked):
     return lambda x: reference_window_sums(field, [0], [x], 9, marked)[0, -1] / 8
 
 
-def reference_sigma(field, mean, probes, T_list, L, marked):
-    """The per-state loop ``estimate_sigma`` ran: each live probe's window
-    read on its own, and one window mean per distinct state; the raw
-    entries, then their running minimum.  A NaN or infinite deviation is
-    refused, not skipped by ``max``."""
+def reference_sigma(field, mean, xs, T_list, marked):
+    """The per-tuple ``estimate_sigma`` of the (k, x) tuples at k = 0..3
+    over the probe states, with L from the growth loop read on its own:
+    1.1 times the largest |f(k, x)| / |x| over k = 0..3 and the nonzero
+    states.  Then each live tuple's window is read on its own, with one
+    window mean per distinct state; the raw entries, then their running
+    minimum.  A NaN or infinite quotient or deviation is refused, not
+    skipped by ``max``."""
+    live = [x for x in xs if not float(np.linalg.norm(x)) < 1e-14]
+    if not live:
+        raise ValueError("no sample pair with nonzero separation")
+    best = 0.0
+    for k in range(4):
+        for x in live:
+            with np.errstate(all="ignore"):
+                ratio = float(np.linalg.norm(real_array(field(k, x)))) / float(np.linalg.norm(x))
+            if not math.isfinite(ratio):
+                raise ValueError(f"non-finite growth quotient at t={k}, x={x.tolist()}")
+            best = max(best, ratio)
+    L = best * 1.1
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"growth bound L must be positive and finite, got {L}")
     raw, means = dict.fromkeys(T_list, 0.0), {}
-    for k, x in probes:
+    for k, x in [(k, x) for k in range(4) for x in xs]:
         nx = float(np.linalg.norm(x))
         if nx < 1e-14:
             continue
@@ -964,14 +1014,13 @@ def reference_sigma(field, mean, probes, T_list, L, marked):
             if not math.isfinite(deviation):
                 raise ValueError(f"non-finite deviation at k={k}, T={T}")
             raw[T] = max(raw[T], deviation / (T * L * nx))
-    if not means:
-        raise ValueError("all probes have zero state norm")
-    return [*raw.values(), *itertools.accumulate(raw.values(), min)]
+    return [L, *raw.values(), *itertools.accumulate(raw.values(), min)]
 
 
 def reference_drift(field, mean, table, samples):
-    """The per-sample loop ``check_drift_remainder`` ran: each sample's
-    horizon looked up, its window stepped, then its window mean read."""
+    """The per-sample loop ``check_drift_remainder`` ran over (k, x, T,
+    eps) tuples: each sample's horizon looked up, its window stepped, then
+    its window mean read."""
     points, params, slack = [], [], []
     for k, x, T, eps in samples:
         nx = float(np.linalg.norm(x))
@@ -991,6 +1040,16 @@ def reference_drift(field, mean, table, samples):
     return report_at(DRIFT_REMAINDER, slack, points, details)
 
 
+def reference_gradient(V, x):
+    """Central differences of V at x, one coordinate and one sign per call."""
+    g = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = GRAD_STEP
+        g[i] = (V.eval_fn(0, x + e) - V.eval_fn(0, x - e)) / (2.0 * GRAD_STEP)
+    return g
+
+
 def reference_slow_constants(V, mean, probes):
     """The per-probe loop ``fit_slow_constants`` ran: gradient, then mean.
     A NaN or infinite term is refused, not skipped by ``min`` and ``max``."""
@@ -1005,7 +1064,7 @@ def reference_slow_constants(V, mean, probes):
         if nx < 1e-14:
             continue
         used += 1
-        grad = _gradient(V, x)
+        grad = reference_gradient(V, x)
         decrement = -float(grad @ mean(x)) / nx ** 2
         if not math.isfinite(decrement):
             raise ValueError(f"non-finite decrement at x={x.tolist()}")
@@ -1031,7 +1090,7 @@ def reference_slow_constants(V, mean, probes):
 
 
 def sigma_values(table):
-    return [*table.raw_entries.values(), *table.entries.values()]
+    return [table.L, *table.raw_entries.values(), *table.entries.values()]
 
 
 def report_values(rep):
@@ -1051,9 +1110,20 @@ def assert_same_outcome(got, want):
                            and isinstance(got[0], type) and isinstance(want[0], type))
 
 
-def bare_average(phibar):
-    """An AveragedField around ``phibar``, without a convergence probe."""
-    return AveragedField(phibar=phibar, T_used=8, convergence_gap=math.nan)
+def bare_average(phibar, mean, xs):
+    """An AveragedField around ``phibar`` on the probe states ``xs``, without
+    a convergence probe.  Its means are ``mean`` at each state; a state
+    whose mean raises, which ``estimate_average`` would refuse, gets a NaN
+    row, so that every read of it fails as the reference's does."""
+    def row(x):
+        try:
+            return np.asarray(mean(x), dtype=float).reshape(x.shape)
+        except Exception:  # noqa: BLE001 - the failure is read as a NaN mean
+            return np.full(x.shape, math.nan)
+
+    probes = np.array(xs, dtype=float).reshape(len(xs), -1)
+    means = np.array([row(x) for x in probes]).reshape(probes.shape)
+    return AveragedField(phibar=phibar, probes=probes, means=means, T_used=8, convergence_gap=math.nan)
 
 
 # unmarked fakes (``lambda x: -x`` as in the unit tests) and a marked one
@@ -1066,65 +1136,76 @@ FAKE_PHIBARS = {
 
 @st.composite
 def averaging_cases(draw):
-    """A compiled two-component field, marked or not; its real window mean
-    (T_max = 8) or a fake one; probe states drawn with repeats and zeros."""
+    """A compiled two-component field, its real window mean (T_max = 8) or
+    a fake one, and probe states with a zero row, a repeated row (an equal
+    state in a distinct array) and a row with a -0.0 component, in drawn
+    order.  The field comes unmarked and ``state_batched``, each with the
+    window mean and reference of its own flavor."""
     first, second = draw(ast_trees()), draw(ast_trees())
     f = compile_map([first, second], PARAMS)
 
     def field(t, x):
         return f(t, x, [0.5])
 
-    marked = draw(st.booleans())
-    fn = state_batched(field) if marked else field
     fake = draw(st.sampled_from([None, *FAKE_PHIBARS]))
     phibar = None if fake is None else FAKE_PHIBARS[fake]
-    avg = bare_average(_window_mean(fn, 8) if phibar is None else phibar)
     nonzero = states.filter(lambda v: math.hypot(*v) >= 1e-14)
-    pool = [np.array(v, dtype=float) for v in [draw(nonzero), *draw(st.lists(states, max_size=2))]]
-    pool.append(np.zeros(2))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
-    xs = [pool[i].copy() for i in picks]  # equal states in distinct arrays
-    return fn, avg, reference_mean(field, phibar, marked), marked, xs
+    xs = [np.array(v, dtype=float) for v in [draw(nonzero), *draw(st.lists(states, max_size=2))]]
+    signed = draw(st.floats(-2.0, 2.0, allow_nan=False))
+    xs += [np.zeros(2), xs[0].copy(), np.array([-0.0, signed])[:: draw(st.sampled_from([1, -1]))]]
+    xs = draw(st.permutations(xs))
+    flavors = []
+    for marked in (True, False):
+        fn = state_batched(field) if marked else field
+        own = _window_mean(fn, 8) if phibar is None else phibar
+        mean = reference_mean(field, phibar, marked)
+        flavors.append((fn, bare_average(own, mean, xs), mean, marked))
+    return flavors, xs
 
 
 class TestBatchedWindowMeans:
-    """``phibar`` reads every state's window in one call, and its three
-    consumers each read their means in one call: equal bit for bit to the
-    per-state loops they replace, kept here as the reference."""
+    """``estimate_sigma`` reads one window table over the nonzero probes at
+    k = 0..3, and L from its first values; the means of sigma and of the
+    slow constants are the stored ones; ``check_drift_remainder`` reads its
+    means in one ``phibar`` call.  Each is equal bit for bit to the
+    per-tuple loop it replaced, kept here as the reference, for a marked
+    and an unmarked field."""
 
-    @given(case=averaging_cases(), ks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
-           T_list=st.sets(st.integers(1, 8), min_size=1, max_size=3), L=st.floats(0.1, 3.0))
+    @given(case=averaging_cases(), T_list=st.sets(st.integers(1, 8), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_sigma_matches_the_per_state_loop(self, case, ks, T_list, L):
-        fn, avg, mean, marked, xs = case
-        T_list, probes = sorted(T_list), list(zip(ks, xs))
-        want = exact(lambda: reference_sigma(fn, mean, probes, T_list, L, marked))
-        assert_same_outcome(exact(lambda: sigma_values(estimate_sigma(fn, avg, probes, T_list, L))), want)
+    def test_sigma_matches_the_per_tuple_loop(self, case, T_list):
+        flavors, xs = case
+        for fn, avg, mean, marked in flavors:
+            want = exact(lambda: reference_sigma(fn, mean, xs, sorted(T_list), marked))
+            assert_same_outcome(exact(lambda: sigma_values(estimate_sigma(fn, avg, T_list))), want)
 
     @given(case=averaging_cases(), data=st.data())
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_drift_remainder_matches_the_per_sample_loop(self, case, data):
-        fn, avg, mean, marked, xs = case
+        flavors, xs = case
         T_list = (1, 2, 4)
         entries = {T: data.draw(st.floats(0.0, 1.0)) for T in T_list}
         table = SigmaTable(L=data.draw(st.floats(0.1, 3.0)), T_list=T_list, entries=entries)
         samples = [(data.draw(st.integers(0, 6)), x, data.draw(st.sampled_from([1, 2, 4, 4, 5])),
                     data.draw(st.floats(0.0, 0.3))) for x in xs]
-        want = exact(lambda: report_values(reference_drift(fn, mean, table, samples)))
-        assert_same_outcome(exact(lambda: report_values(check_drift_remainder(fn, avg, table, samples))),
-                            want)
+        k, x, T, eps = (np.array(v) for v in zip(*samples))
+        for fn, avg, mean, _ in flavors:
+            want = exact(lambda: report_values(reference_drift(fn, mean, table, samples)))
+            got = exact(lambda: report_values(check_drift_remainder(fn, avg, table, k, x, T, eps)))
+            assert_same_outcome(got, want)
 
     @given(case=averaging_cases(), seed=seeds, quadratic=st.booleans())
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_slow_constants_match_the_per_probe_loop(self, case, seed, quadratic):
-        _, avg, mean, _, xs = case
+        flavors, xs = case
         B = np.random.default_rng(seed).standard_normal((2, 2))
         P = B @ B.T + 0.1 * np.eye(2)
         V = CandidateFunction.quadratic(P)
         if not quadratic:  # a quartic term: sampled c1, c2, c4
             V = CandidateFunction(lambda t, x: V.eval_fn(t, x) + float(x @ x) ** 2, dim=2)
-        want = exact(lambda: reference_slow_constants(V, mean, xs))
-        assert_same_outcome(exact(lambda: fit_slow_constants(V, avg, xs)), want)
+        for _, avg, mean, _ in flavors:
+            want = exact(lambda: reference_slow_constants(V, mean, xs))
+            assert_same_outcome(exact(lambda: fit_slow_constants(V, avg)), want)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_drift_fails_with_an_infinite_deficit(self):
@@ -1132,33 +1213,43 @@ class TestBatchedWindowMeans:
         field = state_batched(lambda t, x: 2e40 * np.asarray(x, dtype=float))
         table = SigmaTable(L=1.0, T_list=(1, 4), entries={1: 0.5, 4: 0.5})
         x = np.array([1.0, 1.0])
-        samples = [(0, np.array([0.1, 0.0]), 1, 0.0), (3, x, 4, 0.5)]
-        rep = check_drift_remainder(field, bare_average(_window_mean(field, 8)), table, samples)
+        k, xs, T, eps = np.array([0, 3]), np.array([[0.1, 0.0], x]), np.array([1, 4]), np.array([0.0, 0.5])
+        avg = bare_average(_window_mean(field, 8), _window_mean(field, 8), xs)
+        rep = check_drift_remainder(field, avg, table, k, xs, T, eps)
         assert not rep.passed and rep.worst_margin == -math.inf
         assert rep.worst_point[0] == 3 and rep.worst_point[1].tolist() == x.tolist()
         assert rep.details["worst_sample"] == {"T": 4, "eps": 0.5}
 
-    def test_a_marked_phibar_is_called_once_per_function_call(self):
-        field = state_batched(lambda t, x: -np.asarray(x, dtype=float))
-        real = _window_mean(field, 8)
-        shapes = []
+    def test_sigma_reads_one_window_per_start_and_live_probe_and_the_constants_none(self):
+        rows = []
+
+        @state_batched
+        def field(t, x):
+            rows.extend(zip(np.broadcast_to(t, len(x)).tolist(), x.tolist()))
+            return -np.asarray(x, dtype=float)
+
+        xs = [np.array([0.3, -0.2]), np.zeros(2), np.array([1.0, 0.5]), np.array([0.3, -0.2])]
+        avg = estimate_average(field, xs, T_max=8)
+        real, shapes = avg.phibar, []
 
         @state_batched
         def counted(x):
             shapes.append(np.shape(x))
             return real(x)
 
-        avg = bare_average(counted)
-        xs = [np.array([0.3, -0.2]), np.zeros(2), np.array([1.0, 0.5]), np.array([0.3, -0.2])]
-        estimate_sigma(field, avg, [(k, x) for k in range(3) for x in xs], [1, 4], 1.0)
-        assert shapes == [(2, 2)]  # the two distinct nonzero states
-        shapes.clear()
+        avg = replace(avg, phibar=counted)
+        rows.clear()
+        estimate_sigma(field, avg, [1, 4])
+        # 4 windows of max(T) + 1 = 5 rows per nonzero probe, repeats included
+        live = [xs[0], xs[2], xs[3]]
+        assert rows == [(k + j, x.tolist()) for k in range(4) for x in live for j in range(5)]
+        rows.clear()
+        fit_slow_constants(CandidateFunction.quadratic(np.eye(2)), avg)
+        assert rows == [] and shapes == []  # the stored means, no window read again
         table = SigmaTable(L=1.0, T_list=(1, 4), entries={1: 0.5, 4: 0.5})
-        check_drift_remainder(field, avg, table, [(k, x, 4, 0.01) for k, x in enumerate(xs)])
-        assert shapes == [(3, 2)]  # every nonzero sample, repeats included
-        shapes.clear()
-        fit_slow_constants(CandidateFunction.quadratic(np.eye(2)), avg, xs)
-        assert shapes == [(3, 2)]
+        k, T, eps = np.arange(4), np.full(4, 4), np.full(4, 0.01)
+        check_drift_remainder(field, avg, table, k, np.array(xs), T, eps)
+        assert shapes == [(3, 2)]  # every nonzero sample's mean in one call, repeats included
 
 
 def reference_difference_max(points, values):
@@ -1377,9 +1468,10 @@ def poisoned_evaluator(bad, after, composite):
 def poisoned_field(bad, after, composite):
     probes = [np.array([1.0]), np.array([-0.5])]
     avg = estimate_average(decaying_field, probes, T_max=16)
-    table = estimate_sigma(decaying_field, avg, [(0, p) for p in probes], [2, 4], 1.1)
-    samples = [(0, np.array([v]), 2, 1e-3) for v in (1.0, -0.5, 0.25, 0.75)]
-    return [check_drift_remainder(Poisoned(decaying_field, bad, after), avg, table, samples)]
+    table = estimate_sigma(decaying_field, avg, [2, 4])
+    xs = np.array([[1.0], [-0.5], [0.25], [0.75]])
+    field = Poisoned(decaying_field, bad, after)
+    return [check_drift_remainder(field, avg, table, np.zeros(4, dtype=int), xs, np.full(4, 2), np.full(4, 1e-3))]
 
 
 class TestFailClosed:
@@ -1431,8 +1523,8 @@ class TestFailClosed:
     def test_drift_remainder_on_zero_states_only(self):
         probes = [np.array([1.0]), np.array([-0.5])]
         avg = estimate_average(decaying_field, probes, T_max=16)
-        table = estimate_sigma(decaying_field, avg, [(0, p) for p in probes], [2], 1.1)
-        rep = check_drift_remainder(decaying_field, avg, table, [(0, np.zeros(1), 2, 1e-3)] * 3)
+        table = estimate_sigma(decaying_field, avg, [2])
+        rep = check_drift_remainder(decaying_field, avg, table, [0] * 3, np.zeros((3, 1)), [2] * 3, [1e-3] * 3)
         assert rep.samples_checked == 0
         assert not rep.passed
 

@@ -268,6 +268,21 @@ class TestSemiglobalPipeline:
             certify_semiglobal(drifting, r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)))
         assert exc.value.stage == "fast-envelope"
 
+    def test_a_non_finite_growth_quotient_blames_the_sigma_stage(self):
+        # |phi(2, x)| overflows in its norm while every window mean stays finite;
+        # L is read from the sigma windows, so the sigma stage names it
+        kicked = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: (1e156 if k == 2 else -1.0) * np.asarray(x, dtype=float) + y,
+            varphi=lambda k, y, x: 0.5 * y,
+            ystar=lambda x: np.zeros(1),
+            epsilon=0.01,
+        )
+        with pytest.raises(StageError, match="non-finite growth quotient at t=2") as exc:
+            certify_semiglobal(kicked, r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)))
+        assert exc.value.stage == "slow-sigma"
+
 
 class TestFastEnvelopeSamples:
     """The fast-envelope hypothesis is checked at (x, y') as drawn, not swapped."""
