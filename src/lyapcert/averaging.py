@@ -58,17 +58,34 @@ SIGMA_STARTS = (0, 1, 2, 3)  # start times of the sigma windows, whose first val
 PhiFn = Callable[[int, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+def _probe_array(probes) -> np.ndarray:
+    """A read-only float copy of the (P, n) array of probe states; probes
+    that are not a 2-D array, or the first whose norm is not finite, raise
+    ValueError."""
+    probes = np.array(probes, dtype=float)
+    if probes.ndim != 2:
+        raise ValueError(f"probe states must be a (P, n) array, got shape {probes.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused too
+        bad = _first_non_finite(_row_norms(probes))
+    if bad is not None:
+        raise ValueError(f"non-finite probe state {bad[0]}: x={probes[bad[0]].tolist()}")
+    probes.flags.writeable = False
+    return probes
+
+
+@dataclass(frozen=True, eq=False)
 class AveragedField:
     """Time-average of a driving field, estimated on a set of probe states.
 
     ``probes`` is the read-only (P, n) array of probe states and ``means``
     the read-only (P, n) array of their window means ``(1/T_used) *
     sum_{k=0..T_used} phi(k, x)``; every averaging constant is sampled on
-    these rows.  ``phibar(x)`` is the same window mean at one state, or at
-    each row of a ``state_batched`` (S, n) batch, computed afresh on each
-    call.  The reported convergence gap compares the means against the
-    half-window means of the probes.
+    these rows.  Both are copied on construction, and probes that are not
+    a finite (P, n) array, or means of another shape, raise ValueError.
+    ``phibar(x)`` is the same window mean at one state, or at each row of
+    a ``state_batched`` (S, n) batch, computed afresh on each call.  The
+    reported convergence gap compares the means against the half-window
+    means of the probes.
     """
 
     phibar: Callable[[np.ndarray], np.ndarray]
@@ -77,6 +94,14 @@ class AveragedField:
     T_used: int
     convergence_gap: float
     warning: Optional[str] = None
+
+    def __post_init__(self):
+        probes, means = _probe_array(self.probes), np.array(self.means, dtype=float)
+        if means.shape != probes.shape:
+            raise ValueError(f"probe means of shape {means.shape} for probes of shape {probes.shape}")
+        means.flags.writeable = False
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "means", means)
 
 
 @dataclass(frozen=True)
@@ -200,13 +225,7 @@ def estimate_average(
         T_max += 1
     if not len(probes):
         raise ValueError("no probe states to estimate the average on")
-    probes = np.array(probes, dtype=float)
-    if probes.ndim != 2:
-        raise ValueError(f"probe states must be a (P, n) array, got shape {probes.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm is refused too
-        bad = _first_non_finite(_row_norms(probes))
-    if bad is not None:
-        raise ValueError(f"non-finite probe state {bad[0]}: x={probes[bad[0]].tolist()}")
+    probes = _probe_array(probes)  # refused before any field call
     sums = _prefix_sums(phi, np.zeros(len(probes)), probes, T_max + 1)
     means, halves = sums[:, -1] / T_max, sums[:, T_max // 2 + 1] / (T_max // 2)
     bad = _first_non_finite(means)  # the half window is a prefix of the full one
@@ -220,7 +239,6 @@ def estimate_average(
             f"window means at T={T_max} and T={T_max // 2} differ by {gap:.3e}; "
             "the field may not be averageable"
         )
-    probes.flags.writeable = means.flags.writeable = False
     return AveragedField(phibar=_window_mean(phi, T_max), probes=probes, means=means,
                          T_used=T_max, convergence_gap=gap, warning=warning)
 
@@ -267,7 +285,7 @@ def estimate_sigma(phi: PhiFn, avg: AveragedField, T_list: Sequence[int]) -> Sig
     bad = _first_non_finite(deviations)
     if bad is not None:
         j, c = bad  # window j numbered k-major over every probe, zero ones included
-        i = starts[j] * len(avg.probes) + live[j % len(live)]
+        i = (j // len(live)) * len(avg.probes) + live[j % len(live)]
         raise ValueError(f"non-finite window deviation at probe {i} (k={starts[j]}, T={T_list[c]})")
     raw = dict(zip(T_list, quotients.max(axis=0).tolist()))
     entries: dict = {}
@@ -306,8 +324,8 @@ def mu(T: int, eps: float, L: float, sigma_T: float) -> float:
         return math.inf
     try:
         return base + eps * T * (L + base) ** 2
-    except OverflowError:  # (L + nu)^2 is out of range, the term may not be
-        return base + eps * T * (L + base) * (L + base)
+    except OverflowError:
+        return math.inf
 
 
 def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
@@ -378,15 +396,17 @@ def check_drift_remainder(
     """Check |x(k+T+1) - x - eps*T*phibar(x)| <= eps*T*nu*|x| on samples.
 
     Sample i starts at time ``k[i]`` from row i of the (S, n) array ``x``
-    with window length ``T[i]`` and amplitude ``eps[i]``; arguments of
-    different lengths raise ValueError.  Zero states are skipped; every
-    other sample's window length must be tabulated in the sigma table, and
-    is looked up before the field is called.  The kept samples' window
-    means are read in one ``avg.phibar`` call, then each window is stepped
-    on its own.  The slack is the allowance minus the drift, plus TOL_ABS.
+    with window length ``T[i]`` and amplitude ``eps[i]``; states that are
+    not a 2-D array, or arguments of different lengths, raise ValueError.
+    Zero states are skipped; every other sample's window length must be
+    tabulated in the sigma table, and is looked up before the field is
+    called.  The kept samples' window means are read in one ``avg.phibar``
+    call, then each window is stepped on its own.  The slack is the allowance minus the drift, plus TOL_ABS.
     """
     k, T, eps = np.asarray(k, dtype=int), np.asarray(T, dtype=int), np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"drift sample states must be an (S, n) array, got shape {x.shape}")
     if not len(k) == len(x) == len(T) == len(eps):
         raise ValueError(f"drift samples of different lengths: k {len(k)}, x {len(x)}, T {len(T)}, eps {len(eps)}")
     norms = _row_norms(x)

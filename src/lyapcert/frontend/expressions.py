@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -90,9 +89,6 @@ FUNCTIONS = {
 }
 
 _SYMBOLS = "+-*/^()[],"
-
-# the builtin each overflow-safe helper wraps, which a batch runs until one raises
-_UNSAFE = {_exp: math.exp, _pow: operator.pow}
 
 
 @dataclass(frozen=True)
@@ -345,15 +341,10 @@ def pretty(node) -> str:
 def _each(fn, values: list) -> np.ndarray:
     """``fn`` element by element over the values that are arrays over a
     batch (the others repeat), called on Python floats so every result is
-    rounded exactly as the scalar call rounds it.  An overflow-safe helper
-    runs as its builtin, and only a batch where that overflows runs again
-    through the helper."""
+    rounded exactly as the scalar call rounds it."""
     n = next(len(v) for v in values if isinstance(v, np.ndarray))
-    columns = [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
-    try:
-        return np.fromiter(map(_UNSAFE.get(fn, fn), *columns), dtype=float, count=n)
-    except OverflowError:
-        return np.fromiter(map(fn, *columns), dtype=float, count=n)
+    columns = [v.tolist() if isinstance(v, np.ndarray) else itertools.repeat(v, n) for v in values]
+    return np.fromiter(map(fn, *columns), dtype=float, count=n)
 
 
 def _varies(values) -> bool:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lyapcert import averaging
 from lyapcert.averaging import (
     WINDOW_ROWS,
     AveragedField,
@@ -315,6 +316,29 @@ class TestNonFiniteProbes:
         with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
             estimate_average(counted, [bad], T_max=8)
 
+    @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "overflow"])
+    def test_no_field_holds_one(self, bad):
+        # estimate_sigma and fit_slow_constants read avg.probes: a field built
+        # directly, or replaced, on a non-finite probe is refused on construction
+        probes = np.array([self.GOOD[0], bad, self.GOOD[1]])
+        with pytest.raises(ValueError, match=self.named(bad)):
+            fixed_average(lambda x: -x, probes)
+        avg = estimate_average(linear_field, self.GOOD, T_max=8)
+        with pytest.raises(ValueError, match=re.escape(f"state 0: x={bad.tolist()}")):
+            replace(avg, probes=bad[None, :], means=bad[None, :])
+
+    def test_the_field_keeps_its_own_finite_copies(self):
+        probes = np.array(self.GOOD)
+        avg = fixed_average(lambda x: -x, probes)
+        probes[0] = np.nan  # the caller's array, not the field's
+        assert np.isfinite(avg.probes).all() and avg.probes.tobytes() == np.array(self.GOOD).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            avg.probes[0] = np.nan
+        with pytest.raises(ValueError, match=re.escape("probe means of shape (1, 2) for probes of shape (2, 2)")):
+            replace(avg, means=avg.means[:1])
+        with pytest.raises(ValueError, match=re.escape("must be a (P, n) array, got shape (2,)")):
+            replace(avg, probes=self.GOOD[0], means=self.GOOD[0])
+
 
 def field_with(value, at):
     """-x, with every entry replaced by ``value`` at the one time ``at``."""
@@ -347,6 +371,15 @@ class TestNonFiniteFields:
         avg = fixed_average(_window_mean(field_with(value, 5), 8), PROBES[:2])
         with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=1\)"):
             estimate_sigma(linear_field, avg, [1, 2, 4, 8])
+
+    def test_a_deviation_names_its_probe_by_the_position_of_its_start(self, monkeypatch):
+        # probes number k-major over every probe, the zero one included, by the
+        # start's position in SIGMA_STARTS: start 4 at position 2, probe 2 of 3
+        monkeypatch.setattr(averaging, "SIGMA_STARTS", (0, 2, 4, 6))
+        avg = fixed_average(lambda x: -x, [np.zeros(1), np.array([1.0]), np.array([-0.5])])
+        field = lambda k, x: np.asarray(x, dtype=float) * (math.nan if k == 5 and x[0] < 0 else -1.0)
+        with pytest.raises(ValueError, match=r"deviation at probe 8 \(k=4, T=1\)"):
+            estimate_sigma(field, avg, [1, 2])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_estimate_sigma_refuses_a_non_finite_growth_quotient(self, value):
@@ -397,7 +430,7 @@ class TestNuMu:
         assert mu(400, 1.0, 10.0, 0.1) == math.inf
         # a small enough amplitude keeps the term finite
         base = nu(200, 1e-300, 10.0, 0.1)
-        assert mu(200, 1e-300, 10.0, 0.1) == base + 1e-300 * 200 * (10.0 + base) * (10.0 + base)
+        assert mu(200, 1e-300, 10.0, 0.1) == base + 1e-300 * 200 * (10.0 + base) ** 2
 
     def test_sigma_term_dominates_at_zero_amplitude(self):
         assert nu(8, 0.0, 2.0, 0.3) == pytest.approx(0.6, rel=1e-12)
@@ -481,6 +514,16 @@ class TestDriftRemainder:
         k, x, T, eps = drift_samples([(0, np.array([1.0]), 2, 0.01), (1, np.array([0.5]), 2, 0.01)])
         with pytest.raises(ValueError, match="k 2, x 2, T 1, eps 2"):
             check_drift_remainder(linear_field, avg, table, k, x, T[:1], eps)
+        # two one-dimensional states as a 1-D array: refused before any lookup or call
+        calls = []
+
+        def counted(t, x):
+            calls.append(t)
+            return linear_field(t, x)
+
+        with pytest.raises(ValueError, match=re.escape("must be an (S, n) array, got shape (2,)")):
+            check_drift_remainder(counted, replace(avg, phibar=calls.append), table, k, x[:, 0], T, eps)
+        assert calls == []
 
     def test_worst_sample_is_reported(self):
         avg = estimate_average(linear_field, PROBES)
