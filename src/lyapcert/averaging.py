@@ -28,7 +28,7 @@ import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .converse import LIPSCHITZ_SAFETY
-from .dynsys import _row_norms, _row_squares, sample_rows, state_batched
+from .dynsys import _amplitudes, _row_norms, _row_squares, sample_rows, state_batched
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -140,7 +140,8 @@ class AveragedCertificate:
     """Window-summed Lyapunov data for the slowly driven system.
 
     The evaluator signature is ``(k, x, eps)``: the candidate depends on
-    the drive amplitude through the simulated window.  Constants satisfy
+    the drive amplitude through the simulated window, and for a batch eps
+    may be an (S,) array of per-row amplitudes.  Constants satisfy
     a1|x|^2 <= V'(k,x) <= a2|x|^2 and a decrement of -eps*a3*|x|^2 per
     step for eps in (0, eps_c).
     """
@@ -374,11 +375,14 @@ def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     )
 
 
-def _window_states(phi: PhiFn, k, x: np.ndarray, eps: float, steps: int) -> list:
+def _window_states(phi: PhiFn, k, x: np.ndarray, eps, steps: int) -> list:
     """States x(k..k+steps) of x+ = x + eps*phi along one window, or along a
     batch of windows: x an (S, n) array with k an int or an (S,) array of
-    start times, one ``sample_rows`` call per step."""
+    start times and eps a scalar or an (S,) array of per-row amplitudes
+    (see :func:`~lyapcert.dynsys._amplitudes`, which refuses a malformed
+    one before any field call), one ``sample_rows`` call per step."""
     states = [np.asarray(x, dtype=float)]
+    eps = _amplitudes(eps, states[0])
     for j in range(steps):
         states.append(states[-1] + eps * sample_rows(phi, k + j, states[-1]))
     return states
@@ -397,7 +401,9 @@ def check_drift_remainder(
 
     Sample i starts at time ``k[i]`` from row i of the (S, n) array ``x``
     with window length ``T[i]`` and amplitude ``eps[i]``; states that are
-    not a 2-D array, or arguments of different lengths, raise ValueError.
+    not a 2-D array, arguments of different lengths, or a state with a NaN
+    or infinite entry raise ValueError before any field call, since a
+    non-finite state would be skipped like a zero one.
     Zero states are skipped; every other sample's window length must be
     tabulated in the sigma table, and is looked up before the field is
     called.  The kept samples' window means are read in one ``avg.phibar``
@@ -409,6 +415,9 @@ def check_drift_remainder(
         raise ValueError(f"drift sample states must be an (S, n) array, got shape {x.shape}")
     if not len(k) == len(x) == len(T) == len(eps):
         raise ValueError(f"drift samples of different lengths: k {len(k)}, x {len(x)}, T {len(T)}, eps {len(eps)}")
+    bad = _first_non_finite(x)
+    if bad is not None:
+        raise ValueError(f"non-finite drift sample state {bad[0]}: x={x[bad[0]].tolist()}")
     norms = _row_norms(x)
     kept = np.flatnonzero(norms >= 1e-14)
     xs, times = x[kept], k[kept]
@@ -482,7 +491,7 @@ def build_averaged_lyapunov(
     constants: Tuple[float, float, float, float],
     phi: PhiFn,
     table: SigmaTable,
-    probes: Sequence[np.ndarray],
+    avg: AveragedField,
 ) -> AveragedCertificate:
     """Lift a Lyapunov function for the averaged field to the true dynamics.
 
@@ -490,16 +499,18 @@ def build_averaged_lyapunov(
     sum_{k'=k..k+T*} V(x(k')) along the exact trajectory.  The deviation
     target is delta = c3/(2*c4) and T*, eps_c come from the sigma-table
     budget; the (a1..a4) constants bound and decrement the window sum for
-    every eps in (0, eps_c).  The evaluator also takes a batch of samples
-    (see :func:`~lyapcert.dynsys.sample_rows`).
+    every eps in (0, eps_c); the declared sandwich is checked on the
+    probes of ``avg``, the set the constants were fitted on.  The evaluator
+    also takes a batch of samples (see
+    :func:`~lyapcert.dynsys.sample_rows`), at one amplitude or at an (S,)
+    array of per-row amplitudes.
     """
     c1, c2, c3, c4 = constants
     if min(c1, c2, c3, c4) <= 0.0:
         raise ValueError("slow constants must be positive")
-    rows = np.asarray(probes, dtype=float).reshape(len(probes), -1)
-    nx2 = _row_squares(rows)
+    nx2 = _row_squares(avg.probes)
     kept = ~(nx2 < 1e-28)
-    values = sample_rows(V.eval_fn, 0, rows[kept]).reshape(-1).tolist() if kept.any() else []
+    values = sample_rows(V.eval_fn, 0, avg.probes[kept]).reshape(-1).tolist() if kept.any() else []
     for n2, value in zip(nx2[kept].tolist(), values):
         if not (c1 * n2 * (1.0 - HYPOTHESIS_RTOL) <= value <= c2 * n2 * (1.0 + HYPOTHESIS_RTOL)):
             raise HypothesisViolationError(
@@ -518,10 +529,10 @@ def build_averaged_lyapunov(
     a4 = (T_star + 1) * c4 * factor ** (2 * T_star)
 
     @state_batched
-    def evaluator(k: int, x: np.ndarray, eps: float) -> float:
+    def evaluator(k: int, x: np.ndarray, eps) -> float:
         x = np.asarray(x, dtype=float)
         k = k if isinstance(k, np.ndarray) else int(k)
-        states = _window_states(phi, k, x, float(eps), T_star)
+        states = _window_states(phi, k, x, eps, T_star)
         total = sum(sample_rows(V.eval_fn, k + i, s) for i, s in enumerate(states))
         return total if x.ndim == 2 else float(total)
 

@@ -103,6 +103,23 @@ def _as_states(x, dim: int, like: np.ndarray) -> np.ndarray:
     return v
 
 
+def _amplitudes(eps, x):
+    """``eps`` ready to scale the rows of ``x``: a scalar as it is, or an
+    (S,) array of per-row amplitudes for an (S, n) batch as an (S, 1)
+    column, so row i is scaled by ``eps[i]`` exactly as a scalar would
+    scale it.  An array of another shape (a length-1 array against a
+    larger batch included, which numpy would broadcast), or an array given
+    with one state, raises ValueError."""
+    if np.ndim(eps) == 0:
+        return eps
+    eps = real_array(eps)
+    if np.ndim(x) != 2:
+        raise ValueError(f"per-row amplitudes of shape {eps.shape} given with one state")
+    if eps.shape != (len(x),):
+        raise ValueError(f"per-row amplitudes of shape {eps.shape} for a batch of {len(x)} rows")
+    return eps[:, None]
+
+
 def state_batched(fn: Callable) -> Callable:
     """Mark ``fn`` as taking a batch of samples in one call (see
     :func:`sample_rows`), returning one row per sample equal bit for bit
@@ -336,11 +353,15 @@ class SlowFastSystem:
 
     @state_batched
     def step(
-        self, k: int, x: np.ndarray, y: np.ndarray, eps: float
+        self, k: int, x: np.ndarray, y: np.ndarray, eps: float | np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One coupled step (x + eps*phi(k, x, y), varphi(k, y, x)) at amplitude eps,
-        of one pair or of a batch (see :func:`sample_rows`)."""
+        """One coupled step (x + eps*phi(k, x, y), varphi(k, y, x)) of one pair
+        or of a batch (see :func:`sample_rows`), at the amplitude eps, or for
+        a batch at an (S,) array of per-row amplitudes (see
+        :func:`_amplitudes`, which refuses a malformed one before any map
+        call)."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        eps = _amplitudes(eps, x)
         x_next = x + eps * sample_rows(self.phi, k, x, y)
         return x_next, sample_rows(self.varphi, k, y, x)
 

@@ -41,6 +41,7 @@ from .dynsys import (
     SlowFastSamples,
     SlowFastSystem,
     Trajectory,
+    _amplitudes,
     _row_norms,
     _row_squares,
     fit_exponential_envelope,
@@ -128,7 +129,8 @@ class CompositeCertificate:
     For amplitudes eps in (0, eps_r), states started in the r-ball of
     (x, y') satisfy  alpha*|z|^2 <= U <= beta*|z|^2,  the decrement is
     dominated by Q_U(eps), and  |x(k)|^2 <= C_r*(1-eps*gamma_r)^k.
-    ``evaluator`` has signature (k, x, yerr, eps).
+    ``evaluator`` has signature (k, x, yerr, eps); for a batch, eps may be
+    an (S,) array of per-row amplitudes.
     """
 
     r: float
@@ -149,12 +151,15 @@ class CompositeCertificate:
 
 
 def _error_step(
-    sysf: SlowFastSystem, k, x: np.ndarray, yerr: np.ndarray, eps: float
+    sysf: SlowFastSystem, k, x: np.ndarray, yerr: np.ndarray, eps: float | np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One step of the coupled pair in (x, y') coordinates at amplitude eps,
-    of one sample or of a batch (see :func:`~lyapcert.dynsys.sample_rows`)."""
+    """One step of the coupled pair in (x, y') coordinates, of one sample or
+    of a batch (see :func:`~lyapcert.dynsys.sample_rows`), at the amplitude
+    eps or, for a batch, at an (S,) array of per-row amplitudes; a
+    malformed one is refused before any map call."""
     x = np.asarray(x, dtype=float)
     yerr = np.asarray(yerr, dtype=float)
+    _amplitudes(eps, x)
     x_next, y_next = sysf.step(k, x, yerr + sample_rows(sysf.ystar, x), eps)
     return x_next, y_next - sample_rows(sysf.ystar, x_next)
 
@@ -449,7 +454,7 @@ def certify_semiglobal(
         constants,
         phi1,
         table,
-        avg.probes,
+        avg,
     )
 
     b1, b2 = fast.a1, fast.a2
@@ -475,7 +480,7 @@ def certify_semiglobal(
     C_r = (beta / alpha) * r ** 2
 
     @state_batched
-    def evaluator(k: int, x: np.ndarray, yerr: np.ndarray, eps: float) -> float:
+    def evaluator(k: int, x: np.ndarray, yerr: np.ndarray, eps) -> float:
         total = sample_rows(slow.evaluator, k, x, eps) + sample_rows(fast.evaluator, k, yerr, x)
         return total if np.ndim(x) == 2 else float(total)
 
@@ -511,28 +516,34 @@ def verify_composite(
     the sandwich alpha*|z|^2 <= U <= beta*|z|^2, the domination
     dU <= (|x|,|y'|) Q_U(eps) (|x|,|y'|)' + tol, and the realized rate
     dU <= -eps*gamma_r*U + tol.  Each slack carries the tolerance TOL_ABS.
-    At each amplitude, U, the step and U after it are each one call over
-    every sample (see :func:`~lyapcert.dynsys.sample_rows`).
+    The samples are tiled over the amplitudes, amplitude-major, the order
+    the reports list them in, with the amplitude a per-row parameter: U,
+    the step and U after it are each one call over every sample and
+    amplitude (see :func:`~lyapcert.dynsys.sample_rows`).
     """
     if eps_values is None:
         eps_values = np.geomspace(cert.eps_r / 8.0, cert.eps_r * (1.0 - 1e-9), 4)
     ks, x, yerr = _stacked_samples(sysf, cert.r, n_samples, Rng(seed))
     slack = {SANDWICH: [], DECREMENT_DOMINATION: [], RATE_REALIZATION: []}
+    rounds = [float(e) for e in eps_values] if len(ks) else []
+    # one (k, (x, y')) point per sample and amplitude, amplitude-major
+    times, xs, yerrs = np.tile(ks, len(rounds)), np.tile(x, (len(rounds), 1)), np.tile(yerr, (len(rounds), 1))
+    if rounds:
+        eps_rows = np.repeat(rounds, len(ks))
+        u0 = sample_rows(cert.evaluator, times, xs, yerrs, eps_rows)
+        x1, yerr1 = _error_step(sysf, times, xs, yerrs, eps_rows)
+        du = sample_rows(cert.evaluator, times + 1, x1, yerr1, eps_rows) - u0
     z2 = _row_squares(x) + _row_squares(yerr)
     zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
-    rounds = [float(e) for e in eps_values] if len(ks) else []
-    for eps in rounds:
+    for i, eps in enumerate(rounds):
+        rows = slice(i * len(ks), (i + 1) * len(ks))
         q = q_matrix(cert.coeffs, eps)
-        u0 = sample_rows(cert.evaluator, ks, x, yerr, eps)
-        slack[SANDWICH].append(_first_min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
-        x1, yerr1 = _error_step(sysf, ks, x, yerr, eps)
-        du = sample_rows(cert.evaluator, ks + 1, x1, yerr1, eps) - u0
+        slack[SANDWICH].append(_first_min(u0[rows] - cert.alpha * z2, cert.beta * z2 - u0[rows]) + TOL_ABS)
         # zvec @ q @ zvec row by row: a stacked product makes the one-vector BLAS calls
         form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
-        slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
-        slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
-    # one (k, (x, y')) point per sample and amplitude, amplitude-major
-    times, states = np.tile(ks, len(rounds)), np.tile(np.hstack([x, yerr]), (len(rounds), 1))
+        slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du[rows])
+        slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0[rows] + TOL_ABS - du[rows])
+    states = np.hstack([xs, yerrs])
 
     details = {"eps_values": [float(e) for e in eps_values]}
     return [
@@ -554,32 +565,34 @@ def validate_rate(
     Trials start in the r-ball of (x, y'); amplitudes above eps_r are
     skipped and recorded as out-of-certificate rather than failures.  A
     trial's slack is its worst C_r*(1 - eps*gamma_r)^k + TOL_ABS - |x(k)|^2
-    over the horizon, reported at that step.  The trials of one amplitude
-    are stepped together, one batched step per k.
+    over the horizon, reported at that step.  Each amplitude's trials are
+    drawn in turn, then the trials of every amplitude are stepped together
+    with the amplitude a per-row parameter, one batched step per k.
     """
     if eps_grid is None:
         eps_grid = (cert.eps_r / 4.0, cert.eps_r / 2.0)
     rng = Rng(seed)
     skipped = [float(e) for e in eps_grid if not (0.0 < e < cert.eps_r)]
     used = [float(e) for e in eps_grid if 0.0 < e < cert.eps_r]
-    times, starts, slack = [], [], []
-    for eps in used:
-        if trials < 1:
-            break
-        (z,) = rng.draw(trials, ("ball", sysf.dim_x + sysf.dim_y, cert.r))
-        x = z[:, : sysf.dim_x].copy()
-        y = z[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
-        decay = 1.0
-        margins = np.empty((trials, horizon + 1))
+    dim = sysf.dim_x + sysf.dim_y
+    draws = [rng.draw(trials, ("ball", dim, cert.r))[0] for _ in used] if trials >= 1 else []
+    starts = np.vstack(draws) if draws else np.zeros((0, dim))
+    times, slack = [], []
+    if len(starts):
+        eps = np.repeat(used, trials)
+        x = starts[:, : sysf.dim_x].copy()
+        y = starts[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
+        shrink = 1.0 - eps * cert.gamma_r
+        decay = np.ones(len(starts))
+        margins = np.empty((len(starts), horizon + 1))
         margins[:, 0] = cert.C_r * decay + TOL_ABS - _row_squares(x)
         for k in range(horizon):
             x, y = sysf.step(k, x, y, eps)
-            decay *= 1.0 - eps * cert.gamma_r
+            decay *= shrink
             margins[:, k + 1] = cert.C_r * decay + TOL_ABS - _row_squares(x)
         for row in margins:
             k = worst_index(row)
             times.append(k)
             slack.append(float(row[k]))
-        starts.extend(z)
     details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
     return ConditionReport.from_slack(CERTIFIED_RATE, slack, times, starts, details)

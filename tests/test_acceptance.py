@@ -272,7 +272,7 @@ def test_criterion_07_averaged_candidate_lift():
     table = estimate_sigma(field, avg, [1, 2, 4, 8, 16, 32, 64])
     V = CandidateFunction.quadratic(np.eye(1))
     constants = fit_slow_constants(V, avg)
-    cert = build_averaged_lyapunov(V, constants, field, table, probes)
+    cert = build_averaged_lyapunov(V, constants, field, table, avg)
 
     rng = Rng(0xACC_07)
     eps_values = np.linspace(cert.eps_c / 5.0, cert.eps_c * (1.0 - 1e-9), 5)

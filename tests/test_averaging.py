@@ -508,6 +508,24 @@ class TestDriftRemainder:
         report = check_drift_remainder(counted, avg, table, *drift_samples(samples[:2]))
         assert report.samples_checked == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_state_is_refused_before_any_field_call(self, bad):
+        # a NaN state's norm fails ">= 1e-14" as a zero state's does, so it
+        # was skipped and [[nan], [0.5]] passed on one sample
+        calls = []
+
+        def counted(k, x):
+            calls.append(k)
+            return linear_field(k, x)
+
+        avg = estimate_average(counted, PROBES, T_max=8)
+        table = SigmaTable(L=1.1, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})
+        samples = [(0, np.array([0.5]), 2, 0.01), (0, np.array([bad]), 2, 0.01)]
+        calls.clear()
+        with pytest.raises(ValueError, match=re.escape(f"non-finite drift sample state 1: x=[{bad}]")):
+            check_drift_remainder(counted, replace(avg, phibar=calls.append), table, *drift_samples(samples))
+        assert calls == []
+
     def test_arguments_of_different_lengths_are_refused(self):
         avg = estimate_average(linear_field, PROBES, T_max=8)
         table = SigmaTable(L=1.1, T_list=(2,), entries={2: 0.1}, raw_entries={2: 0.1})
@@ -558,7 +576,7 @@ class TestLiftedCertificate:
         V = CandidateFunction.quadratic(np.eye(1))
         constants = fit_slow_constants(V, avg)
         return V, constants, table, build_averaged_lyapunov(
-            V, constants, linear_field, table, PROBES
+            V, constants, linear_field, table, avg
         )
 
     def test_window_and_constants(self):
@@ -585,7 +603,7 @@ class TestLiftedCertificate:
             calls.append(k)
             return linear_field(k, x)
 
-        counted_cert = build_averaged_lyapunov(V, constants, counted, table, PROBES)
+        counted_cert = build_averaged_lyapunov(V, constants, counted, table, estimate_average(linear_field, PROBES))
         x, eps = np.array([0.5]), cert.eps_c / 2.0
         assert counted_cert.evaluator(3, x, eps) == cert.evaluator(3, x, eps)
         # the window sum adds V at x(3), ..., x(3 + T*), reached in T* steps

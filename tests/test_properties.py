@@ -38,6 +38,7 @@ from lyapcert.certcheck import (
 from lyapcert import converse as converse_module
 from lyapcert.converse import (
     _difference_max,
+    _first_min,
     _max_quotient,
     _pair_blocks,
     build_trajectory_converse,
@@ -51,6 +52,7 @@ from lyapcert.dynsys import (
     SlowFastSamples,
     SlowFastSystem,
     _row_norms,
+    _row_squares,
     real_array,
     sample_rows,
     simulate,
@@ -82,7 +84,18 @@ from lyapcert.linearize import (
 )
 from lyapcert.rng import Rng
 from lyapcert.stein import TvLyapunov, classify_linear, solve_stein_kron
-from lyapcert.timescales import certify_semiglobal, validate_rate, verify_composite
+from lyapcert.timescales import (
+    CERTIFIED_RATE,
+    DECREMENT_DOMINATION,
+    RATE_REALIZATION,
+    SANDWICH,
+    _error_step,
+    _stacked_samples,
+    certify_semiglobal,
+    q_matrix,
+    validate_rate,
+    verify_composite,
+)
 
 
 def random_matrix(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
@@ -1020,9 +1033,12 @@ def reference_sigma(field, mean, xs, T_list, marked):
 def reference_drift(field, mean, table, samples):
     """The per-sample loop ``check_drift_remainder`` ran over (k, x, T,
     eps) tuples: each sample's horizon looked up, its window stepped, then
-    its window mean read."""
+    its window mean read.  A NaN or infinite state is refused, not skipped
+    as its NaN norm would be."""
     points, params, slack = [], [], []
     for k, x, T, eps in samples:
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite drift sample state at x={x.tolist()}")
         nx = float(np.linalg.norm(x))
         if nx < 1e-14:
             continue
@@ -1188,6 +1204,12 @@ class TestBatchedWindowMeans:
         table = SigmaTable(L=data.draw(st.floats(0.1, 3.0)), T_list=T_list, entries=entries)
         samples = [(data.draw(st.integers(0, 6)), x, data.draw(st.sampled_from([1, 2, 4, 4, 5])),
                     data.draw(st.floats(0.0, 0.3))) for x in xs]
+        poison = data.draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+        if poison is not None:  # a non-finite entry in one sample's state, which is never skipped
+            i, j = data.draw(st.integers(0, len(samples) - 1)), data.draw(st.integers(0, 1))
+            x = samples[i][1].copy()
+            x[j] = poison
+            samples[i] = (samples[i][0], x, *samples[i][2:])
         k, x, T, eps = (np.array(v) for v in zip(*samples))
         for fn, avg, mean, _ in flavors:
             want = exact(lambda: report_values(reference_drift(fn, mean, table, samples)))
@@ -1527,6 +1549,149 @@ class TestFailClosed:
         rep = check_drift_remainder(decaying_field, avg, table, [0] * 3, np.zeros((3, 1)), [2] * 3, [1e-3] * 3)
         assert rep.samples_checked == 0
         assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Composite checks: every amplitude in one batch against the per-amplitude loops
+
+
+def reference_verify_composite(sysf, cert, n_samples, eps_values, seed):
+    """The per-amplitude loop ``verify_composite`` ran: U, the step and U
+    after it, one call each over the samples at one amplitude at a time.
+    It returns the ``from_slack`` arguments of its three reports."""
+    if eps_values is None:
+        eps_values = np.geomspace(cert.eps_r / 8.0, cert.eps_r * (1.0 - 1e-9), 4)
+    ks, x, yerr = _stacked_samples(sysf, cert.r, n_samples, Rng(seed))
+    slack = {SANDWICH: [], DECREMENT_DOMINATION: [], RATE_REALIZATION: []}
+    z2 = _row_squares(x) + _row_squares(yerr)
+    zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
+    rounds = [float(e) for e in eps_values] if len(ks) else []
+    for eps in rounds:
+        q = q_matrix(cert.coeffs, eps)
+        u0 = sample_rows(cert.evaluator, ks, x, yerr, eps)
+        slack[SANDWICH].append(_first_min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
+        x1, yerr1 = _error_step(sysf, ks, x, yerr, eps)
+        du = sample_rows(cert.evaluator, ks + 1, x1, yerr1, eps) - u0
+        form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
+        slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
+        slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
+    times, states = np.tile(ks, len(rounds)), np.tile(np.hstack([x, yerr]), (len(rounds), 1))
+    details = {"eps_values": [float(e) for e in eps_values]}
+    return [(name, values, times, states, dict(details)) for name, values in slack.items()]
+
+
+def reference_validate_rate(sysf, cert, eps_grid, trials, horizon, seed):
+    """The per-amplitude loop ``validate_rate`` ran: each amplitude's trials
+    drawn, then stepped together, before the next amplitude's draw.  It
+    returns the ``from_slack`` arguments of its report."""
+    rng = Rng(seed)
+    skipped = [float(e) for e in eps_grid if not (0.0 < e < cert.eps_r)]
+    used = [float(e) for e in eps_grid if 0.0 < e < cert.eps_r]
+    times, starts, slack = [], [], []
+    for eps in used:
+        if trials < 1:
+            break
+        (z,) = rng.draw(trials, ("ball", sysf.dim_x + sysf.dim_y, cert.r))
+        x = z[:, : sysf.dim_x].copy()
+        y = z[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
+        decay = 1.0
+        margins = np.empty((trials, horizon + 1))
+        margins[:, 0] = cert.C_r * decay + TOL_ABS - _row_squares(x)
+        for k in range(horizon):
+            x, y = sysf.step(k, x, y, eps)
+            decay *= 1.0 - eps * cert.gamma_r
+            margins[:, k + 1] = cert.C_r * decay + TOL_ABS - _row_squares(x)
+        for row in margins:
+            k = certcheck.worst_index(row)
+            times.append(k)
+            slack.append(float(row[k]))
+        starts.extend(z)
+    details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
+    return [(CERTIFIED_RATE, slack, times, starts, details)]
+
+
+def slack_bytes(reports):
+    """``from_slack`` arguments as bytes: the name, then the bytes of the
+    slacks, times and states, then the details."""
+    return [(name, np.asarray(slack, dtype=float).tobytes(), np.asarray(times, dtype=int).tobytes(),
+             len(states), np.asarray(states, dtype=float).tobytes(), details)
+            for name, slack, times, states, details in reports]
+
+
+def reported(check):
+    """The ``from_slack`` arguments of every report ``check()`` makes."""
+    calls = []
+    real = ConditionReport.from_slack.__func__
+
+    def record(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConditionReport, "from_slack", classmethod(record))
+        check()
+    return calls
+
+
+@st.composite
+def rate_pairs(draw):
+    """A one-by-one slow/fast pair with a time-varying slow gain and a
+    manifold ystar(x) = g*x, marked ``state_batched`` or not; a large cubic
+    term makes some trials diverge to inf and NaN within a few steps."""
+    a, b = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+    d, g = draw(st.floats(0.0, 0.9)), draw(st.floats(-1.0, 1.0))
+    c = draw(st.sampled_from([0.0, 1e9]))
+
+    def column(k, x):  # exact integer arithmetic, so a batch rounds as its rows do
+        return np.reshape(k, (-1, 1)) if np.ndim(k) else k
+
+    def phi(k, x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return -(a + 0.5 * (column(k, x) % 2)) * x + c * x ** 3 + b * (y - g * x)
+
+    def varphi(k, y, x):
+        return d * np.asarray(y, dtype=float) + (1.0 - d) * g * np.asarray(x, dtype=float)
+
+    def ystar(x):
+        return g * np.asarray(x, dtype=float)
+
+    wrap = state_batched if draw(st.booleans()) else (lambda fn: fn)
+    return SlowFastSystem(dim_x=1, dim_y=1, phi=wrap(phi), varphi=wrap(varphi), ystar=wrap(ystar))
+
+
+amplitude_fractions = st.one_of(
+    st.lists(st.floats(0.01, 2.0), max_size=4),
+    st.lists(st.floats(1.0, 2.0), min_size=1, max_size=3),  # every amplitude at or above eps_r
+)
+
+
+class TestAmplitudeBatch:
+    """``verify_composite`` and ``validate_rate`` step every amplitude as
+    one batch with a per-row amplitude.  Each report's verdict, slacks,
+    times, states and details equal bit for bit those of the
+    per-amplitude loop it replaced, kept here as the reference, for a
+    marked and an unmarked pair and a marked and an unmarked evaluator."""
+
+    @given(pair=rate_pairs(), fractions=st.none() | amplitude_fractions, n_samples=st.integers(0, 5),
+           marked=st.booleans(), seed=seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_composite_matches_the_per_amplitude_loop(self, composite, pair, fractions, n_samples, marked, seed):
+        cert = composite if marked else replace(composite, evaluator=lambda *args: composite.evaluator(*args))
+        eps = None if fractions is None else [f * cert.eps_r for f in fractions]
+        with np.errstate(all="ignore"):
+            want = reference_verify_composite(pair, cert, n_samples, eps, seed)
+            got = reported(lambda: verify_composite(pair, cert, n_samples=n_samples, eps_values=eps, seed=seed))
+        assert slack_bytes(got) == slack_bytes(want)
+
+    @given(pair=rate_pairs(), fractions=amplitude_fractions, trials=st.integers(0, 4),
+           horizon=st.integers(0, 12), seed=seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_rate_matches_the_per_amplitude_loop(self, composite, pair, fractions, trials, horizon, seed):
+        eps = [f * composite.eps_r for f in fractions]
+        with np.errstate(all="ignore"):
+            want = reference_validate_rate(pair, composite, eps, trials, horizon, seed)
+            got = reported(lambda: validate_rate(pair, composite, eps, trials, horizon, seed))
+        assert slack_bytes(got) == slack_bytes(want)
 
 
 # ---------------------------------------------------------------------------

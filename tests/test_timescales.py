@@ -1,6 +1,7 @@
 """Composite slow/fast certificates: coefficients, amplitude search, rates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from lyapcert.averaging import AveragedCertificate, AveragingBudget
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import ConverseCertificate
-from lyapcert.dynsys import SlowFastSamples, SlowFastSystem
+from lyapcert.dynsys import SlowFastSamples, SlowFastSystem, state_batched
 from lyapcert.errors import CertificateNotFoundError, StageError
 from lyapcert.timescales import (
     CoefficientRecord,
@@ -32,6 +33,27 @@ def golden_pair(epsilon=0.01):
         varphi=lambda k, y, x: 0.5 * y,
         ystar=lambda x: np.zeros(1),
         epsilon=epsilon,
+    )
+
+
+def counting_pair(calls, marked):
+    """The golden pair with maps that append their name to ``calls``, marked
+    ``state_batched`` or not."""
+    wrap = state_batched if marked else (lambda fn: fn)
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrap(call)
+
+    return SlowFastSystem(
+        dim_x=1,
+        dim_y=1,
+        phi=counted("phi", lambda k, x, y: -x + y),
+        varphi=counted("varphi", lambda k, y, x: 0.5 * y),
+        ystar=counted("ystar", lambda x: np.zeros(np.shape(x))),
     )
 
 
@@ -243,6 +265,25 @@ class TestSemiglobalPipeline:
         rep = validate_rate(counting, cert, trials=3, horizon=7)
         assert len(calls) == len(rep.details["eps_used"]) * 3 * 7
 
+    def test_every_amplitude_is_stepped_in_one_call(self, cert):
+        calls = []
+        pair = counting_pair(calls, marked=True)
+        calls.clear()
+        rep = validate_rate(pair, cert, trials=3, horizon=7)
+        assert len(rep.details["eps_used"]) == 2
+        assert calls.count("phi") == 7  # one step per k for both amplitudes, not one per amplitude
+        rows = []
+
+        @state_batched
+        def counted(k, x, yerr, eps):
+            rows.append(len(x))
+            return cert.evaluator(k, x, yerr, eps)
+
+        calls.clear()
+        verify_composite(pair, replace(cert, evaluator=counted), n_samples=5)
+        # U, the step and U after it, each over 5 samples at 4 amplitudes
+        assert rows == [20, 20] and calls.count("phi") == 1
+
     def test_out_of_certificate_amplitudes_skipped(self, cert):
         rep = validate_rate(golden_pair(), cert, eps_grid=(cert.eps_r * 2.0,), trials=5)
         assert rep.samples_checked == 0
@@ -318,3 +359,55 @@ class TestFastEnvelopeSamples:
             pair, r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)), seed=0
         )
         assert cert.eps_r > 0.0 and cert.gamma_r > 0.0
+
+
+@pytest.fixture(scope="module")
+def counted_cert():
+    calls = []
+    pair = counting_pair(calls, marked=True)
+    return calls, pair, certify_semiglobal(pair, r=1.0, V_slow=CandidateFunction.quadratic(np.eye(1)))
+
+
+class TestPerRowAmplitude:
+    """An (S,) array of amplitudes scales row i by eps[i], bit for bit as the
+    scalar amplitude scales that row stepped alone; any other array is
+    refused before a map is called."""
+
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_each_row_steps_as_its_scalar_step(self, cert, marked):
+        pair = counting_pair([], marked)
+        k, eps = np.array([0, 1, 3]), np.array([1e-3, 2.5e-3, 7e-3])
+        x, yerr = np.array([[0.4], [-0.7], [0.9]]), np.array([[0.2], [0.5], [-0.3]])
+        rows = [(int(k[i]), x[i], yerr[i], float(eps[i])) for i in range(len(k))]
+        for step in (pair.step, lambda *a: _error_step(pair, *a)):
+            want = np.array([np.concatenate(step(*row)) for row in rows])
+            assert np.hstack(step(k, x, yerr, eps)).tobytes() == want.tobytes()
+        want = np.array([cert.evaluator(*row) for row in rows])
+        assert cert.evaluator(k, x, yerr, eps).tobytes() == want.tobytes()
+        slow = cert.slow_cert.evaluator
+        want = np.array([slow(t, state, e) for t, state, _, e in rows])
+        assert slow(k, x, eps).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "eps, x",
+        [
+            (np.full(4, 1e-3), np.full((3, 1), 0.5)),
+            (np.full(1, 1e-3), np.full((3, 1), 0.5)),
+            (np.full((3, 1), 1e-3), np.full((3, 1), 0.5)),
+            (np.full(1, 1e-3), np.full(1, 0.5)),
+        ],
+        ids=["too-long", "length-1", "column", "one-state"],
+    )
+    def test_a_malformed_amplitude_is_refused_before_any_map_call(self, counted_cert, eps, x):
+        calls, pair, cert = counted_cert
+        k = np.arange(len(x)) if x.ndim == 2 else 0
+        calls.clear()
+        for call in (
+            lambda: pair.step(k, x, x, eps),
+            lambda: _error_step(pair, k, x, x, eps),
+            lambda: cert.evaluator(k, x, x, eps),
+            lambda: cert.slow_cert.evaluator(k, x, eps),
+        ):
+            with pytest.raises(ValueError, match="per-row amplitudes of shape"):
+                call()
+        assert calls == []
