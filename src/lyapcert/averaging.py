@@ -375,16 +375,34 @@ def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     )
 
 
-def _window_states(phi: PhiFn, k, x: np.ndarray, eps, steps: int) -> list:
+def _window_states(phi: PhiFn, k, x: np.ndarray, eps, steps) -> list:
     """States x(k..k+steps) of x+ = x + eps*phi along one window, or along a
     batch of windows: x an (S, n) array with k an int or an (S,) array of
     start times and eps a scalar or an (S,) array of per-row amplitudes
     (see :func:`~lyapcert.dynsys._amplitudes`, which refuses a malformed
-    one before any field call), one ``sample_rows`` call per step."""
+    one before any field call), one ``sample_rows`` call per step.
+
+    ``steps`` is an int, or for a batch an (S,) array of per-row step
+    counts: row i then leaves the stepped rows after its own ``steps[i]``
+    steps, and entry j of the list holds each row's state after min(j,
+    steps[i]) steps, so the last entry holds every row's last state.  Each
+    row equals, bit for bit, that row stepped alone.
+    """
     states = [np.asarray(x, dtype=float)]
     eps = _amplitudes(eps, states[0])
-    for j in range(steps):
-        states.append(states[-1] + eps * sample_rows(phi, k + j, states[-1]))
+    if np.ndim(steps) == 0:
+        for j in range(steps):
+            states.append(states[-1] + eps * sample_rows(phi, k + j, states[-1]))
+        return states
+    steps = np.asarray(steps, dtype=int)
+    if states[0].ndim != 2 or steps.shape != (len(states[0]),):
+        raise ValueError(f"per-row step counts of shape {steps.shape} for states of shape {states[0].shape}")
+    k, eps = np.broadcast_to(k, steps.shape), np.broadcast_to(eps, (len(steps), 1))
+    for j in range(steps.max(initial=0)):
+        live = np.flatnonzero(steps > j)
+        state = states[-1].copy()
+        state[live] += eps[live] * sample_rows(phi, k[live] + j, state[live])
+        states.append(state)
     return states
 
 
@@ -407,7 +425,11 @@ def check_drift_remainder(
     Zero states are skipped; every other sample's window length must be
     tabulated in the sigma table, and is looked up before the field is
     called.  The kept samples' window means are read in one ``avg.phibar``
-    call, then each window is stepped on its own.  The slack is the allowance minus the drift, plus TOL_ABS.
+    call, and their windows are stepped together as one ragged batch (see
+    :func:`_window_states`), max(T) + 1 field calls in all, each sample
+    leaving the batch after its own T + 1 steps; the drifts are read with
+    one :func:`~lyapcert.dynsys._row_norms`.  The slack is the allowance
+    minus the drift, plus TOL_ABS.
     """
     k, T, eps = np.asarray(k, dtype=int), np.asarray(T, dtype=int), np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -420,16 +442,16 @@ def check_drift_remainder(
         raise ValueError(f"non-finite drift sample state {bad[0]}: x={x[bad[0]].tolist()}")
     norms = _row_norms(x)
     kept = np.flatnonzero(norms >= 1e-14)
-    xs, times = x[kept], k[kept]
-    sigmas = [table.sigma(T_i) for T_i in T[kept].tolist()]
-    means = sample_rows(avg.phibar, xs) if len(kept) else []
-    params, slack = [], []
-    for k_i, x_i, T_i, eps_i, nx, sigma_T, mean in zip(
-        times.tolist(), xs, T[kept].tolist(), eps[kept].tolist(), norms[kept].tolist(), sigmas, means
-    ):
-        end = _window_states(phi, k_i, x_i, eps_i, T_i + 1)[-1]
+    xs, times, Ts, amplitudes = x[kept], k[kept], T[kept], eps[kept]
+    sigmas = [table.sigma(T_i) for T_i in Ts.tolist()]
+    drifts = []
+    if len(kept):
+        means = sample_rows(avg.phibar, xs)
+        ends = _window_states(phi, times, xs, amplitudes, Ts + 1)[-1]
         with np.errstate(over="ignore"):  # an overflowing drift is an infinite slack deficit
-            drift = float(np.linalg.norm(end - x_i - eps_i * T_i * mean))
+            drifts = _row_norms(ends - xs - (amplitudes * Ts)[:, None] * means).tolist()
+    params, slack = [], []
+    for T_i, eps_i, nx, sigma_T, drift in zip(Ts.tolist(), amplitudes.tolist(), norms[kept].tolist(), sigmas, drifts):
         allowance = eps_i * T_i * nu(T_i, eps_i, table.L, sigma_T) * nx
         params.append({"T": T_i, "eps": eps_i})
         slack.append(allowance - drift + TOL_ABS)

@@ -26,16 +26,20 @@ raises what the first failing scalar call raises.
 
 Each maximal subtree that reads t but no state and holds a function call
 or ``^`` (a drive such as ``0.3*cos(1.5707963267948966*t)`` or ``(-1)^t``)
-is compiled to run, over an array of times, once per distinct time: the
-distinct times of a call are found once and shared by all its trees, the
-subtree runs on them, and its values are scattered back over the batch.
-These are the scalar calls on the same times, so no bit changes.
+runs once per integer time per compiled map: the map keeps one table of
+its values at the integer times 0 .. ``TABLE_TIMES`` - 1 it has run at,
+shared by the structurally equal subtrees of all its trees and kept
+across calls.  A call reads each table once, gathering over an array of
+times; only the times not yet in it run, through the same scalar calls,
+so no bit changes.  Other times (negative, at or above the bound, or
+floats) run the subtree once per distinct time of the call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -391,18 +395,25 @@ def _ref(node: Ref, params: dict):
     return unknown
 
 
+TABLE_TIMES = 4096  # a time-only subtree's table holds the integer times 0 .. TABLE_TIMES - 1
+
+
 class _Times:
     """The array of times of one batched call.  Its distinct times, with
     the inverse that scatters values at them back over the batch, are found
-    when a time-only subtree first asks, once for every tree of the call.
+    when a time-only subtree first needs them, once for every tree of the
+    call; so is the span of the times when they all fit the tables.
     Integer times compare as integers, any others by the bit pattern of
-    their float, so -0.0 stays apart from 0.0 and every NaN payload apart."""
+    their float, so -0.0 stays apart from 0.0 and every NaN payload apart.
+    ``reads`` keeps each table's values over the call once read."""
 
-    __slots__ = ("array", "_distinct")
+    __slots__ = ("array", "reads", "_distinct", "_span")
 
     def __init__(self, array: np.ndarray):
         self.array = array
+        self.reads = {}
         self._distinct = None
+        self._span = False
 
     def distinct(self):
         if self._distinct is None:
@@ -419,15 +430,79 @@ class _Times:
             self._distinct = distinct if keys is self.array else distinct.view(float), inverse
         return self._distinct
 
+    def span(self):
+        """``(lo, hi)`` with every time in ``lo .. hi - 1`` when the times
+        are integers in ``0 .. TABLE_TIMES - 1``, else None."""
+        if self._span is False:
+            times, self._span = self.array, None
+            if times.dtype.kind in "iu" and len(times):
+                lo, hi = int(times.min()), int(times.max()) + 1
+                if lo >= 0 and hi <= TABLE_TIMES:
+                    self._span = lo, hi
+        return self._span
+
+
+class _TimeTable:
+    """The values of one time-only subtree at the integer times it has run
+    at, kept by its compiled map across calls.  ``known[t]`` says whether
+    ``values[t]`` holds the value at t; both grow to cover the largest
+    time run, up to ``TABLE_TIMES``.  A time whose run raises is not
+    stored, so it raises again on every call."""
+
+    __slots__ = ("run", "values", "known")
+
+    def __init__(self, run):
+        self.run = run
+        self.values = np.empty(0)
+        self.known = np.zeros(0, dtype=bool)
+
+    def read(self, t, x, y):
+        """The subtree's value at a scalar time, or over a call's :class:`_Times`."""
+        if isinstance(t, _Times):
+            got = t.reads.get(self)
+            if got is None:
+                got = t.reads[self] = self._gather(t, x, y)
+            return got
+        if not (isinstance(t, (int, np.integer)) and 0 <= t < TABLE_TIMES):
+            return self.run(t, x, y)
+        if t < len(self.known) and self.known[t]:
+            return self.values.item(t)
+        value = self.run(t, x, y)
+        self._reserve(t + 1)
+        self.values[t], self.known[t] = value, True
+        return value
+
+    def _gather(self, times: _Times, x, y) -> np.ndarray:
+        span = times.span()
+        if span is None:  # run on the distinct times, stored nowhere
+            distinct, inverse = times.distinct()
+            return self.run(distinct, x, y)[inverse]
+        lo, hi = span
+        known = self.known
+        if not (hi <= len(known) and (known[lo:hi].all() or known[times.array].all())):
+            self._reserve(hi)
+            distinct = times.distinct()[0]
+            missing = distinct[~self.known[distinct]]
+            self.values[missing] = self.run(missing, x, y)
+            self.known[missing] = True
+        return self.values[times.array]
+
+    def _reserve(self, size: int) -> None:
+        """Grow the table to hold the times below ``size``, doubling, up to ``TABLE_TIMES``."""
+        old = len(self.known)
+        if size > old:
+            size = min(TABLE_TIMES, max(size, 2 * old))
+            self.values = np.concatenate((self.values, np.empty(size - old)))
+            self.known = np.concatenate((self.known, np.zeros(size - old, dtype=bool)))
+
 
 # What a subtree reads or runs, as a bit mask.  A subtree that reads t and
-# runs a call or ``^`` but reads no state is _PER_TIME: it runs once per
-# distinct time of a batch.
+# runs a call or ``^`` but reads no state is _PER_TIME: it reads its table.
 _STATE, _TIME, _SCALAR = 1, 2, 4
 _PER_TIME = _TIME | _SCALAR
 
 
-def _compile(node, params: dict):
+def _compile(node, params: dict, tables: dict):
     """Closure ``(t, x, y) -> value`` for one tree, over the inputs as
     :func:`_inputs` gives them.
 
@@ -435,33 +510,45 @@ def _compile(node, params: dict):
     rounds these exactly as Python floats do); ``^`` and every function run
     their scalar call element by element.  Each largest subtree that reads
     t but no state and holds a call or ``^`` (such as ``a*cos(t)`` or
-    ``(-1)^t``) runs, over an array of times, on the distinct times only,
-    and its values are scattered back over the batch: the same scalar calls
-    on the same times, so the values are bit for bit those of the full
-    batch, and it raises exactly when the full batch would.
+    ``(-1)^t``) reads its :class:`_TimeTable` in ``tables``, the map's
+    tables by subtree: the same scalar calls on the same times, so the
+    values are bit for bit those of the full batch, and it raises exactly
+    when the full batch would.
     """
-    return _hoist(*_build(node, params))
+    return _hoist(*_build(node, params, tables), node, tables)
 
 
-def _hoist(run, reads: int):
-    """``run`` as it is, or if it is ``_PER_TIME``, run on the distinct
-    times of a call with an array of times and scattered back over the
-    batch (at a scalar time it runs as it is)."""
+def _hoist(run, reads: int, node, tables: dict):
+    """``run`` as it is, or if it is ``_PER_TIME``, the read of the map's
+    table for ``node``, made on first use and shared by every subtree
+    equal to it."""
     if reads != _PER_TIME:
         return run
-
-    def hoisted(t, x, y):
-        if not isinstance(t, _Times):
-            return run(t, x, y)
-        times, inverse = t.distinct()
-        return run(times, x, y)[inverse]
-
-    return hoisted
+    key = _key(node)
+    if key not in tables:
+        tables[key] = _TimeTable(run)
+    return tables[key].read
 
 
-def _build(node, params: dict):
+def _key(node):
+    """Equal for two trees exactly when they run the same operations on the
+    same numbers: a number is keyed by its type and bits, so 0.0 and -0.0,
+    which compare equal, get two keys."""
+    if isinstance(node, Num):
+        value = node.value
+        return Num, type(value), struct.pack("<d", value) if isinstance(value, float) else value
+    if isinstance(node, Neg):
+        return Neg, _key(node.arg)
+    if isinstance(node, Call):
+        return (Call, node.fn) + tuple(_key(a) for a in node.args)
+    if isinstance(node, Bin):
+        return Bin, node.op, _key(node.left), _key(node.right)
+    return node
+
+
+def _build(node, params: dict, tables: dict):
     """The closure of ``node`` and what its subtree reads or runs.  A node
-    that reads a state hoists its ``_PER_TIME`` children."""
+    that reads a state hoists its ``_PER_TIME`` children into ``tables``."""
     if isinstance(node, Num):
         value = node.value
         return (lambda t, x, y: value), 0
@@ -470,15 +557,15 @@ def _build(node, params: dict):
     if isinstance(node, Ref):
         return _ref(node, params), 0 if node.index is None else _STATE
     if isinstance(node, Neg):
-        arg, reads = _build(node.arg, params)
+        arg, reads = _build(node.arg, params, tables)
         return (lambda t, x, y: -arg(t, x, y)), reads
     if isinstance(node, Call):
         fn = FUNCTIONS[node.fn][1]
-        built = [_build(a, params) for a in node.args]
+        built = [(_build(a, params, tables), a) for a in node.args]
         reads = _SCALAR
-        for _, r in built:
+        for (_, r), _ in built:
             reads |= r
-        args = [_hoist(run, r) if reads & _STATE else run for run, r in built]
+        args = [_hoist(run, r, a, tables) if reads & _STATE else run for (run, r), a in built]
 
         def call(t, x, y):
             values = [a(t, x, y) for a in args]
@@ -486,10 +573,10 @@ def _build(node, params: dict):
 
         return call, reads
     if isinstance(node, Bin):
-        (left, lr), (right, rr) = _build(node.left, params), _build(node.right, params)
+        (left, lr), (right, rr) = _build(node.left, params, tables), _build(node.right, params, tables)
         reads = lr | rr | (_SCALAR if node.op == "^" else 0)
         if reads & _STATE:
-            left, right = _hoist(left, lr), _hoist(right, rr)
+            left, right = _hoist(left, lr, node.left, tables), _hoist(right, rr, node.right, tables)
         return _binary(node.op, left, right), reads
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -604,9 +691,12 @@ def compile_map(nodes, params=None):
     the scalar calls row by row, bit for bit, and raises what the first
     failing scalar call raises.  Division by zero, sqrt of negatives and a
     fractional power of a negative base raise; a power or exp past the
-    float range is the IEEE inf of its sign, as a product is.
+    float range is the IEEE inf of its sign, as a product is.  The map
+    keeps the values of its time-only subtrees at the integer times it has
+    run at, across calls (see :class:`_TimeTable`).
     """
-    runs = [_compile(node, params or {}) for node in nodes]
+    tables: dict = {}
+    runs = [_compile(node, params or {}, tables) for node in nodes]
 
     def f(t, x, y=None):
         size, t, x, y = _inputs(t, x, y)
@@ -620,7 +710,7 @@ def compile_map(nodes, params=None):
 def compile_expression(node, params=None):
     """Compile one tree into ``f(t, x, y=None)``: a float at one point, one
     value per point for a batch (see compile_map)."""
-    run = _compile(node, params or {})
+    run = _compile(node, params or {}, {})
 
     def f(t, x, y=None):
         size, t, x, y = _inputs(t, x, y)

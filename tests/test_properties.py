@@ -1,8 +1,10 @@
 """Property-based invariants over randomized systems and expressions."""
 
+import contextlib
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from lyapcert.averaging import (
     SigmaTable,
     _prefix_sums,
     _window_mean,
+    _window_states,
     check_drift_remainder,
     estimate_average,
     estimate_sigma,
@@ -61,8 +64,10 @@ from lyapcert.dynsys import (
     transitions,
 )
 from lyapcert.errors import DivergenceError, HypothesisViolationError, SteinSolvabilityError
+from lyapcert.frontend import expressions
 from lyapcert.frontend.expressions import (
     FUNCTIONS,
+    TABLE_TIMES,
     Bin,
     Call,
     Neg,
@@ -350,6 +355,62 @@ def reference_table(nodes, times, x, y):
     )
 
 
+# maps whose time-only subtrees repeat across trees; their values include
+# -0.0 (tanh(-0.0)) and NaN (inf - inf), a stored value squared past the
+# float range must saturate as a Python float does, not warn as a numpy
+# scalar would, and the last tree raises past t = 6
+TABLE_TREES = [
+    parse_expression(src)
+    for src in (
+        "tanh(-t)*x[0]",
+        "(exp(1000*t)-exp(1000*t))*x[0]",
+        "x[1] + 0.3*cos(1.5707963267948966*t)*x[0] - (-1)^t*x[1]",
+        "(-1)^t*x[0] + tanh(-t)*x[1]",
+        "(x[0]*(1e200*tanh(t)))^2",
+        "a*(-1)^t + x[0]*sqrt(6-t)",
+    )
+]
+
+
+@st.composite
+def table_calls(draw):
+    """(t, xs, batch): a scalar or array time, integer (in the tables, negative,
+    or at and above ``TABLE_TIMES``) or float, with one state or a batch."""
+    ints = st.one_of(st.integers(-3, 9), st.integers(TABLE_TIMES - 2, TABLE_TIMES + 1))
+    floats = st.sampled_from([0.0, -0.0, 0.5, 2.0, -1.5, 7.0, math.nan])
+    scalar = draw(st.booleans())
+    values = st.one_of(ints, floats) if scalar else st.one_of(
+        st.lists(ints, min_size=1, max_size=6).map(np.array),
+        st.lists(floats, min_size=1, max_size=4).map(lambda v: np.array(v, dtype=float)),
+    )
+    t = draw(values)
+    size = 3 if scalar else len(t)
+    xs = np.array(draw(st.lists(st.sampled_from([[0.5, -1.0], [-0.0, 2.0], [-1.5, 0.0]]), min_size=size, max_size=size)))
+    return t, xs, not scalar or draw(st.booleans())
+
+
+def scalar_walk(nodes, t, xs):
+    """The table of :func:`reference_evaluate` over the rows of a call, row by row, tree by tree."""
+    times = t.tolist() if isinstance(t, np.ndarray) else [t] * len(xs)
+    return np.array([[reference_evaluate(n, s, x, None, PARAMS) for n in nodes] for s, x in zip(times, xs)])
+
+
+@contextlib.contextmanager
+def recorded_tables():
+    """The time tables of the maps compiled inside the block, as they are made."""
+    tables = []
+
+    class Recorded(expressions._TimeTable):
+        __slots__ = ()
+
+        def __init__(self, run):
+            super().__init__(run)
+            tables.append(self)
+
+    with mock.patch.object(expressions, "_TimeTable", Recorded):
+        yield tables
+
+
 states = st.lists(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False), min_size=2, max_size=2)
 time_arrays = st.lists(st.integers(min_value=-5, max_value=60), min_size=1, max_size=40).map(np.array)
 # time arrays in which times repeat, around 0
@@ -519,8 +580,76 @@ class TestCompiledEvaluation:
         f(3, np.ones((7, 1)))  # one time for the whole batch
         assert sorted(calls) == [3.0, 6.0]
         calls.clear()
-        f(times, [1.0])
-        assert len(calls) == 6
+        f(times, [1.0])  # every time is in the map's tables
+        f(3, [1.0])
+        assert calls == []
+        f(np.array([3, 5, 5, 1]), np.ones((4, 1)))  # only t = 5 is new
+        f(5, [1.0])
+        assert sorted(calls) == [5.0, 10.0]
+        calls.clear()
+        for _ in range(2):  # a negative, a float and a time at the bound are stored nowhere
+            f(np.array([-1, -1, TABLE_TIMES, 2]), np.ones((4, 1)))
+            f(2.0, [1.0])
+        bound = float(TABLE_TIMES)
+        assert sorted(calls) == sorted([-1.0, -2.0, bound, 2 * bound, 2.0, 4.0] * 2 + [2.0, 4.0] * 2)
+
+    @given(nodes=st.lists(st.sampled_from(TABLE_TREES), min_size=1, max_size=3), calls=st.lists(table_calls(), max_size=8))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_sequence_of_calls_matches_the_scalar_walk(self, nodes, calls):
+        # one map keeps its tables across the calls: each call, whichever times
+        # the tables hold by then, equals the scalar walk bit for bit (NaN signs
+        # and payloads and signed zeros included) or raises its first error
+        with recorded_tables() as tables:
+            f = compile_map(nodes, PARAMS)
+        for t, xs, batch in calls:
+            if batch:
+                want = exact(lambda: scalar_walk(nodes, t, xs))
+                assert exact(lambda: f(t, xs)) == want
+            else:
+                want = exact(lambda: scalar_walk(nodes, np.array([t]), xs[:1])[0])
+                assert exact(lambda: f(t, xs[0])) == want
+        assert all(len(table.values) == len(table.known) <= TABLE_TIMES for table in tables)
+
+    def test_a_time_only_subtree_is_shared_by_the_trees_of_a_map(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return math.cos(v)
+
+        monkeypatch.setitem(FUNCTIONS, "cos", (1, counted))
+        srcs = ["x[0]*cos(t)", "x[1] - cos(t)", "cos(t)"]
+        with recorded_tables() as tables:
+            f = compile_map([parse_expression(src) for src in srcs])
+        assert len(tables) == 1
+        times, xs = np.array([2, 0, 2, 1]), np.array([[0.5, -1.0]] * 4)
+        want = scalar_walk([parse_expression(src) for src in srcs], times, xs)
+        calls.clear()
+        assert f(times, xs).tobytes() == want.tobytes()
+        assert sorted(calls) == [0.0, 1.0, 2.0]  # once per time for the three trees
+        calls.clear()
+        assert f(1, xs[0]).tobytes() == want[3].tobytes()
+        assert calls == []
+        # 0.0 and -0.0 compare equal but are two numbers: their subtrees keep two tables
+        zero, negative_zero = (Call("tanh", (Bin("*", Num(v), Time()),)) for v in (0.0, -0.0))
+        with recorded_tables() as tables:
+            g = compile_map([Bin("+", Ref("x", 0), zero), Bin("+", Ref("x", 0), negative_zero)])
+        assert len(tables) == 2
+        values = g(np.array([1, 1]), np.array([[-0.0], [-0.0]]))
+        assert np.signbit(values).tolist() == [[False, True], [False, True]]
+
+    @pytest.mark.parametrize("src", ["x[0]*(1/(t-3))", "x[0]*(1/(t-3))^3", "x[0]*sqrt(2-t)"])
+    def test_a_raising_shared_subtree_raises_on_every_call(self, src):
+        nodes = [parse_expression(src), parse_expression(src.replace("x[0]", "x[1]"))]
+        f = compile_map(nodes)
+        x = np.array([0.5, -2.0])
+        want = exact(lambda: scalar_walk(nodes, np.array([3]), [x])[0])
+        assert isinstance(want, tuple)  # the first failing scalar call's error
+        for t in ([3], [0, 1, 3, 2], [3, 4], [1, 2], [4, 3, 0]):
+            times = np.array(t)
+            assert exact(lambda: f(times, np.tile(x, (len(t), 1)))) == exact(lambda: scalar_walk(nodes, times, [x] * len(t)))
+            assert exact(lambda: f(3, x)) == want
+            assert exact(lambda: f(0, x)) == exact(lambda: scalar_walk(nodes, np.array([0]), [x])[0])
 
 
 def exact(compute):
@@ -1272,6 +1401,119 @@ class TestBatchedWindowMeans:
         k, T, eps = np.arange(4), np.full(4, 4), np.full(4, 0.01)
         check_drift_remainder(field, avg, table, k, np.array(xs), T, eps)
         assert shapes == [(3, 2)]  # every nonzero sample's mean in one call, repeats included
+
+
+DRIVE_FIELDS = [
+    ["-x[0] + a*(-1)^t*x[1]", "-x[1] + b*cos(1.5707963267948966*t)*x[0]"],
+    ["-x[0] + a*sin(1.5707963267948966*t)*x[0] + b*(-1)^t*x[1]", "-x[1] + a*(-1)^t*x[0] + tanh(-t)*x[1]"],
+]
+
+
+def reference_drift_windows(phi, avg, table, k, x, T, eps):
+    """``check_drift_remainder`` as it stepped each kept sample's window on
+    its own: every sigma(T) looked up first, the means read in one
+    ``avg.phibar`` call, then one ``_window_states`` and one
+    ``np.linalg.norm`` per sample."""
+    norms = _row_norms(x)
+    kept = np.flatnonzero(norms >= 1e-14)
+    xs, times = x[kept], k[kept]
+    sigmas = [table.sigma(T_i) for T_i in T[kept].tolist()]
+    means = sample_rows(avg.phibar, xs) if len(kept) else []
+    params, slack = [], []
+    for k_i, x_i, T_i, eps_i, nx, sigma_T, mean in zip(
+        times.tolist(), xs, T[kept].tolist(), eps[kept].tolist(), norms[kept].tolist(), sigmas, means
+    ):
+        end = _window_states(phi, k_i, x_i, eps_i, T_i + 1)[-1]
+        with np.errstate(over="ignore"):
+            drift = float(np.linalg.norm(end - x_i - eps_i * T_i * mean))
+        params.append({"T": T_i, "eps": eps_i})
+        slack.append(eps_i * T_i * nu(T_i, eps_i, table.L, sigma_T) * nx - drift + TOL_ABS)
+    i = certcheck.worst_index(slack)
+    details = {"L": table.L, "worst_sample": None if i is None else params[i]}
+    return ConditionReport.from_slack(DRIFT_REMAINDER, slack, times, xs, details)
+
+
+def drift_outcome(check):
+    """The slack of every sample as bytes, the report's values and its
+    details, or the exception type and message."""
+    seen = []
+    real = ConditionReport.from_slack.__func__
+
+    def spy(cls, condition, slack, times, states, details=None):
+        seen.append(np.asarray(slack, dtype=float).tobytes())
+        return real(cls, condition, slack, times, states, details)
+
+    with mock.patch.object(ConditionReport, "from_slack", classmethod(spy)):
+        try:
+            rep = check()
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return type(exc), str(exc)
+    return seen, exact(lambda: report_values(rep)), repr(rep.details)
+
+
+class TestRaggedDriftWindows:
+    """``check_drift_remainder`` steps every kept sample's window in one
+    ragged batch, each row leaving after its own T + 1 steps, and reads the
+    drifts with one ``_row_norms``: bit for bit the per-sample loop it
+    replaced, kept here as the reference, on compiled drive maps whose time
+    tables fill in either order, up to and past ``TABLE_TIMES``."""
+
+    @given(
+        data=st.data(),
+        srcs=st.sampled_from(DRIVE_FIELDS),
+        gains=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        size=st.integers(1, 6),
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_drift_remainder_matches_the_per_sample_windows(self, data, srcs, gains, size):
+        params = dict(zip("ab", gains))
+        nodes = [parse_expression(src) for src in srcs]
+        starts = st.one_of(st.integers(0, 6), st.integers(TABLE_TIMES - 5, TABLE_TIMES + 1))
+        rows = st.one_of(st.just([0.0, 0.0]), st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+        k = np.array(data.draw(st.lists(starts, min_size=size, max_size=size)))
+        x = np.array(data.draw(st.lists(rows, min_size=size, max_size=size)))
+        T = np.array(data.draw(st.lists(st.sampled_from([1, 2, 4]), min_size=size, max_size=size)))
+        eps = np.array(data.draw(st.lists(st.floats(0.0, 0.3), min_size=size, max_size=size)))
+        entries = {T_i: data.draw(st.floats(0.0, 1.0)) for T_i in (1, 2, 4)}
+        table = SigmaTable(L=data.draw(st.floats(0.1, 3.0)), T_list=(1, 2, 4), entries=entries)
+        with recorded_tables() as tables:
+            f = compile_map(nodes, params)
+            avg = estimate_average(state_batched(lambda t, x: f(t, x)), np.eye(2), T_max=8)
+            fresh, shared = state_batched(compile_map(nodes, params)), state_batched(compile_map(nodes, params))
+        field = state_batched(compile_map(nodes, params))
+        want = drift_outcome(lambda: reference_drift_windows(field, avg, table, k, x, T, eps))
+        unmarked = compile_map(nodes, params)  # one row per call, as an unmarked field is read
+        for phi in (fresh, field, lambda t, x: unmarked(t, x)):
+            assert drift_outcome(lambda: check_drift_remainder(phi, avg, table, k, x, T, eps)) == want
+        assert drift_outcome(lambda: check_drift_remainder(shared, avg, table, k, x, T, eps)) == want
+        assert drift_outcome(lambda: reference_drift_windows(shared, avg, table, k, x, T, eps)) == want
+        assert all(len(t.values) == len(t.known) <= TABLE_TIMES for t in tables)
+
+    def test_ragged_rows_leave_after_their_own_steps(self):
+        calls = []
+
+        @state_batched
+        def field(t, x):
+            calls.append(np.shape(x))
+            return (0.5 - 0.1 * np.asarray(t, dtype=float))[..., None] * x - 0.25 * x
+
+        k, x = np.array([3, 0, 5]), np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
+        steps, eps = np.array([2, 4, 1]), np.array([0.1, 0.3, 0.2])
+        states = _window_states(field, k, x, eps, steps)
+        assert len(states) == 5 and calls == [(3, 2), (2, 2), (1, 2), (1, 2)]
+        for i in range(3):
+            alone = _window_states(field, int(k[i]), x[i], float(eps[i]), int(steps[i]))
+            for j, state in enumerate(states):
+                assert state[i].tobytes() == alone[min(j, steps[i])].tobytes()
+
+    @pytest.mark.parametrize("steps", [np.array([1, 2]), np.array([[1], [2], [3]]), np.array([1, 2, 3, 4])])
+    def test_malformed_step_counts_are_refused_before_any_field_call(self, steps):
+        calls = []
+        with pytest.raises(ValueError, match="per-row step counts"):
+            _window_states(lambda t, x: calls.append(t), 0, np.ones((3, 2)), 0.1, steps)
+        with pytest.raises(ValueError, match="per-row step counts"):
+            _window_states(lambda t, x: calls.append(t), 0, np.ones(2), 0.1, steps[:1])
+        assert calls == []
 
 
 def reference_difference_max(points, values):
