@@ -11,7 +11,8 @@ Every averaging constant is sampled on one (P, n) array of probe states,
 held with its window means in :class:`AveragedField`: sigma(T) and the
 growth bound L are read from one table of windows at the start times
 ``SIGMA_STARTS`` of each nonzero probe, and the slow constants from the
-stored means, so no probe's window is read twice.
+stored means, so no probe's window is read twice.  The drift and
+certificate windows step through :func:`~lyapcert.dynsys.trajectories`.
 
 Window sums run over T+1 integers (k through k+T inclusive) and are
 compared against T times the averaged field; the one-term mismatch this
@@ -28,7 +29,7 @@ import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .converse import LIPSCHITZ_SAFETY
-from .dynsys import _amplitudes, _row_norms, _row_squares, sample_rows, state_batched
+from .dynsys import _amplitudes, _row_norms, _row_squares, sample_rows, state_batched, trajectories
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -375,35 +376,15 @@ def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     )
 
 
-def _window_states(phi: PhiFn, k, x: np.ndarray, eps, steps) -> list:
-    """States x(k..k+steps) of x+ = x + eps*phi along one window, or along a
-    batch of windows: x an (S, n) array with k an int or an (S,) array of
-    start times and eps a scalar or an (S,) array of per-row amplitudes
-    (see :func:`~lyapcert.dynsys._amplitudes`, which refuses a malformed
-    one before any field call), one ``sample_rows`` call per step.
+def _slow_step(phi: PhiFn) -> Callable:
+    """The step x + eps*phi(t, x) of one state or a batch, eps a scalar or
+    per row (see :func:`~lyapcert.dynsys._amplitudes`)."""
 
-    ``steps`` is an int, or for a batch an (S,) array of per-row step
-    counts: row i then leaves the stepped rows after its own ``steps[i]``
-    steps, and entry j of the list holds each row's state after min(j,
-    steps[i]) steps, so the last entry holds every row's last state.  Each
-    row equals, bit for bit, that row stepped alone.
-    """
-    states = [np.asarray(x, dtype=float)]
-    eps = _amplitudes(eps, states[0])
-    if np.ndim(steps) == 0:
-        for j in range(steps):
-            states.append(states[-1] + eps * sample_rows(phi, k + j, states[-1]))
-        return states
-    steps = np.asarray(steps, dtype=int)
-    if states[0].ndim != 2 or steps.shape != (len(states[0]),):
-        raise ValueError(f"per-row step counts of shape {steps.shape} for states of shape {states[0].shape}")
-    k, eps = np.broadcast_to(k, steps.shape), np.broadcast_to(eps, (len(steps), 1))
-    for j in range(steps.max(initial=0)):
-        live = np.flatnonzero(steps > j)
-        state = states[-1].copy()
-        state[live] += eps[live] * sample_rows(phi, k[live] + j, state[live])
-        states.append(state)
-    return states
+    @state_batched
+    def step(t, x: np.ndarray, eps) -> np.ndarray:
+        return x + _amplitudes(eps, x) * sample_rows(phi, t, x)
+
+    return step
 
 
 def check_drift_remainder(
@@ -425,11 +406,11 @@ def check_drift_remainder(
     Zero states are skipped; every other sample's window length must be
     tabulated in the sigma table, and is looked up before the field is
     called.  The kept samples' window means are read in one ``avg.phibar``
-    call, and their windows are stepped together as one ragged batch (see
-    :func:`_window_states`), max(T) + 1 field calls in all, each sample
-    leaving the batch after its own T + 1 steps; the drifts are read with
-    one :func:`~lyapcert.dynsys._row_norms`.  The slack is the allowance
-    minus the drift, plus TOL_ABS.
+    call, and their windows step in one :func:`~lyapcert.dynsys.trajectories`
+    call with per-row horizons T + 1, max(T) + 1 field calls; the drifts
+    are read with one :func:`~lyapcert.dynsys._row_norms`, and a diverged
+    window's is inf.  The slack is the allowance minus the drift, plus
+    TOL_ABS.
     """
     k, T, eps = np.asarray(k, dtype=int), np.asarray(T, dtype=int), np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -447,9 +428,10 @@ def check_drift_remainder(
     drifts = []
     if len(kept):
         means = sample_rows(avg.phibar, xs)
-        ends = _window_states(phi, times, xs, amplitudes, Ts + 1)[-1]
+        states, diverged = trajectories(_slow_step(phi), times, xs, Ts + 1, amplitudes)
         with np.errstate(over="ignore"):  # an overflowing drift is an infinite slack deficit
-            drifts = _row_norms(ends - xs - (amplitudes * Ts)[:, None] * means).tolist()
+            drifts = _row_norms(states[np.arange(len(kept)), Ts + 1] - xs - (amplitudes * Ts)[:, None] * means)
+        drifts = np.where(diverged > 0, math.inf, drifts).tolist()
     params, slack = [], []
     for T_i, eps_i, nx, sigma_T, drift in zip(Ts.tolist(), amplitudes.tolist(), norms[kept].tolist(), sigmas, drifts):
         allowance = eps_i * T_i * nu(T_i, eps_i, table.L, sigma_T) * nx
@@ -554,8 +536,11 @@ def build_averaged_lyapunov(
     def evaluator(k: int, x: np.ndarray, eps) -> float:
         x = np.asarray(x, dtype=float)
         k = k if isinstance(k, np.ndarray) else int(k)
-        states = _window_states(phi, k, x, eps, T_star)
-        total = sum(sample_rows(V.eval_fn, k + i, s) for i, s in enumerate(states))
+        rows = x.reshape(-1, x.shape[-1])
+        _amplitudes(eps, x)  # a malformed amplitude is refused before any field call
+        states, _ = trajectories(_slow_step(phi), k, rows, T_star, np.broadcast_to(eps, len(rows)))
+        table = states.reshape(x.shape[:-1] + states.shape[1:])  # a diverged window's states are NaN
+        total = sum(sample_rows(V.eval_fn, k + i, table[..., i, :]) for i in range(T_star + 1))
         return total if x.ndim == 2 else float(total)
 
     return AveragedCertificate(

@@ -9,8 +9,8 @@ Consumers read a map over a batch of samples with :func:`sample_rows`,
 which calls a map marked by :func:`state_batched` once and loops any other
 callable; a window of times is a batch whose rows share one state.  Every
 trajectory comes from :func:`trajectories`, one :func:`sample_rows` call
-per step over a batch of starts, with one divergence rule;
-:func:`simulate` adds the raise.  Every transition product of a
+per step over a batch of starts with per-row horizons, with one divergence
+rule; :func:`simulate` adds the raise.  Every transition product of a
 :class:`LinearTV` comes from :func:`transitions`, one batched ``@`` per
 step over a batch of start times.  A slow/fast sample set is one
 :class:`SlowFastSamples` batch of arrays, from the draw to the report.
@@ -365,6 +365,18 @@ class SlowFastSystem:
         x_next = x + eps * sample_rows(self.phi, k, x, y)
         return x_next, sample_rows(self.varphi, k, y, x)
 
+    @state_batched
+    def stacked_step(self, k, z: np.ndarray, eps: float | np.ndarray) -> np.ndarray:
+        """:meth:`step` of the stacked state z = (x, y), one state or a batch."""
+        z = np.asarray(z, dtype=float)
+        return np.concatenate(self.step(k, z[..., : self.dim_x], z[..., self.dim_x:], eps), axis=-1)
+
+    def system(self) -> DynSystem:
+        """:meth:`stacked_step` at ``epsilon``, with equilibrium (0, ystar(0))."""
+        eq = np.concatenate(self._frozen(np.zeros(self.dim_x)))
+        map_fn = state_batched(lambda k, z: self.stacked_step(k, z, self.epsilon))
+        return DynSystem(self.dim_x + self.dim_y, map_fn, autonomous=False, equilibrium=eq)
+
     def shifted_fast(self, x: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
         """Fast map in error coordinates y' = y - ystar(x), slow state frozen.
 
@@ -431,45 +443,61 @@ class SlowFastSamples(_SlowFastFields):
         return super().__new__(cls, k, x, yerr)
 
 
-def trajectories(
-    step: Callable, t0, x0: np.ndarray, horizon: int, *rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """States (S, horizon + 1, n) of ``step`` from the rows of ``x0``, and
-    the step each row diverged at (0 if none).
+def _step_counts(horizon, size: Optional[int] = None) -> np.ndarray:
+    """``horizon`` as an int array: one step count, or (size,) ones if ``size`` is given."""
+    counts = np.asarray(horizon)
+    if counts.dtype.kind not in "iu" or not (counts >= 0).all() or counts.shape not in ((), (size,)):
+        per_row = "" if size is None else f" or {size} of them"
+        raise ValueError(f"horizon must be a nonnegative int{per_row}, got {horizon!r}")
+    return counts
 
-    Row i starts at ``t0`` (a scalar) or ``t0[i]``; row i of each of
-    ``rows`` goes with it.  Each step is one ``sample_rows(step, t, x,
-    *rows)`` call over the live rows, so a marked map is called once and
-    any other callable once per live row.  A row diverges at its first state
-    that is non-finite or has norm above ``DIVERGENCE_LIMIT``; it leaves the
-    live rows there, and its states from that step on are NaN.
+
+def trajectories(
+    step: Callable, t0, x0: np.ndarray, horizon, *rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """States (S, H + 1, n) of ``step`` from the rows of ``x0``, and the step
+    each row diverged at (0 if none).
+
+    ``horizon`` is H steps, or (S,) per-row counts with largest H, a
+    malformed one refused (ValueError) before any map call.  Row i starts
+    at ``t0`` or ``t0[i]``; row i of each of ``rows`` (such as an
+    amplitude) goes with it.  Each step is one ``sample_rows(step, t, x,
+    *rows)`` call over the live rows.  A row leaves them after its own
+    count, or where it diverges: at its first state that is non-finite or
+    has norm above ``DIVERGENCE_LIMIT``.  Its later states are NaN.
     """
     x = real_array(x0)
+    counts = _step_counts(horizon, len(x))
+    length = int(counts.max(initial=0))
+    ends = np.array(np.broadcast_to(counts, len(x)))  # each live row's count, cut short where it diverges
     times = np.asarray(t0, dtype=int) if np.ndim(t0) else t0
-    states = np.full((len(x), horizon + 1) + x.shape[1:], np.nan)
+    states = np.full((len(x), length + 1) + x.shape[1:], np.nan)
     states[:, 0] = x
     diverged = np.zeros(len(x), dtype=int)
-    live = slice(None)  # every row, until one diverges
-    for j in range(horizon):
+    live = slice(None)  # every row, until one leaves
+    exit_at = int(ends.min(initial=length))  # the next step a row leaves at
+    for j in range(length):
+        if j == exit_at:
+            kept = ends > j
+            live, x, ends = np.arange(len(states))[live][kept], x[kept], ends[kept]
+            rows, times = tuple(a[kept] for a in rows), times[kept] if np.ndim(times) else times
+            exit_at = int(ends.min(initial=length))
         if not len(x):
             break
         x = sample_rows(step, times + j, x, *rows)
-        kept = _row_norms(x) <= DIVERGENCE_LIMIT  # False on a NaN or infinite entry
-        if not kept.all():
-            live = np.arange(len(states))[live]
-            diverged[live[~kept]] = j + 1
-            live, x, rows = live[kept], x[kept], tuple(a[kept] for a in rows)
-            if np.ndim(times):
-                times = times[kept]
         states[live, j + 1] = x
+        norms = _row_norms(x)
+        if not norms.max() <= DIVERGENCE_LIMIT:  # one NaN-safe test; the mask only on a failure
+            gone = ~(norms <= DIVERGENCE_LIMIT)  # True on a NaN or infinite entry
+            first = np.arange(len(states))[live][gone]
+            states[first, j + 1], diverged[first] = np.nan, j + 1
+            ends[gone] = exit_at = j + 1  # so it leaves before the next step
     return states, diverged
 
 
 def _simulated_states(sys: DynSystem, t0, x0, horizon: int) -> np.ndarray:
     """:func:`trajectories` of ``sys`` from one state or the rows of a batch,
     raising :class:`DivergenceError` for the first row that diverged."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
     x = real_array(x0)
     starts = _as_states(x, sys.dim, x) if x.ndim == 2 else _as_vector(x, sys.dim)[None]
     states, diverged = trajectories(sys.step, t0, starts, horizon)

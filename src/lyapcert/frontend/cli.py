@@ -78,23 +78,10 @@ def _subseed(seed: int, tag: int) -> int:
     return Rng(seed).at(tag)
 
 
-def _stacked_system(sysf: SlowFastSystem) -> DynSystem:
-    """Original-coordinate pair as one map over (x, y)."""
-    nx = sysf.dim_x
-
-    def map_fn(k: int, z: np.ndarray) -> np.ndarray:
-        return np.concatenate(sysf.step(k, z[:nx], z[nx:], sysf.epsilon))
-
-    eq = np.concatenate([np.zeros(nx), np.asarray(sysf.ystar(np.zeros(nx)), dtype=float)])
-    return DynSystem(dim=nx + sysf.dim_y, map_fn=map_fn, autonomous=False, equilibrium=eq)
-
-
 def _cmd_simulate(system, opts: dict, seed: int):
     horizon = opts["horizon"]
-    if isinstance(system, LinearTV):
-        system = system.system()
-    elif isinstance(system, SlowFastSystem):
-        system = _stacked_system(system)
+    if isinstance(system, (LinearTV, SlowFastSystem)):
+        system = system.system()  # a slow/fast pair as one map over (x, y) at its epsilon
     traj = simulate(system, 0, np.asarray(opts["x0"]), horizon)
     csv = trajectory_to_csv(traj)
     results = [

@@ -12,7 +12,8 @@ Every slow/fast sample set is one :class:`~lyapcert.dynsys.SlowFastSamples`
 batch (k, x, yerr), read by field name from the draw to the report.
 ``_stacked_samples`` draws (x, y') from one joint ball; the fast-subsystem
 sampler in ``converse`` draws x and y' from separate balls.
-``_error_step`` is the one step of the pair in (x, y') coordinates.
+``_error_step`` is the one step of the pair in (x, y') coordinates;
+``validate_rate`` steps (x, y) through the trajectory kernel.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ from .dynsys import (
     _amplitudes,
     _row_norms,
     _row_squares,
+    _step_counts,
     fit_exponential_envelope,
     sample_rows,
     state_batched,
+    trajectories,
 )
 from .errors import CertificateNotFoundError, StageError
 from .rng import Rng
@@ -565,9 +568,10 @@ def validate_rate(
     Trials start in the r-ball of (x, y'); amplitudes above eps_r are
     skipped and recorded as out-of-certificate rather than failures.  A
     trial's slack is its worst C_r*(1 - eps*gamma_r)^k + TOL_ABS - |x(k)|^2
-    over the horizon, reported at that step.  Each amplitude's trials are
-    drawn in turn, then the trials of every amplitude are stepped together
-    with the amplitude a per-row parameter, one batched step per k.
+    over the horizon, reported at that step, and -inf at the step it
+    diverges.  Each amplitude's trials are drawn in turn, then all step in
+    one :func:`~lyapcert.dynsys.trajectories` call, eps per row, and the
+    margins are read from its state table.
     """
     if eps_grid is None:
         eps_grid = (cert.eps_r / 4.0, cert.eps_r / 2.0)
@@ -577,22 +581,18 @@ def validate_rate(
     dim = sysf.dim_x + sysf.dim_y
     draws = [rng.draw(trials, ("ball", dim, cert.r))[0] for _ in used] if trials >= 1 else []
     starts = np.vstack(draws) if draws else np.zeros((0, dim))
-    times, slack = [], []
-    if len(starts):
-        eps = np.repeat(used, trials)
-        x = starts[:, : sysf.dim_x].copy()
-        y = starts[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
-        shrink = 1.0 - eps * cert.gamma_r
-        decay = np.ones(len(starts))
-        margins = np.empty((len(starts), horizon + 1))
-        margins[:, 0] = cert.C_r * decay + TOL_ABS - _row_squares(x)
-        for k in range(horizon):
-            x, y = sysf.step(k, x, y, eps)
-            decay *= shrink
-            margins[:, k + 1] = cert.C_r * decay + TOL_ABS - _row_squares(x)
-        for row in margins:
-            k = worst_index(row)
-            times.append(k)
-            slack.append(float(row[k]))
+    eps = np.repeat(used, trials) if draws else np.zeros(0)
+    _step_counts(horizon)  # a malformed horizon is refused before the ystar read
+    z = starts.copy()
+    if len(z):
+        z[:, sysf.dim_x:] += sample_rows(sysf.ystar, z[:, : sysf.dim_x])
+    states, diverged = trajectories(sysf.stacked_step, 0, z, horizon, eps)
+    # the running product decay *= 1 - eps*gamma_r from 1, step by step
+    factors = np.ones((len(z), horizon + 1))
+    factors[:, 1:] = (1.0 - eps * cert.gamma_r)[:, None]
+    margins = cert.C_r * np.cumprod(factors, axis=1) + TOL_ABS - _row_squares(states[:, :, : sysf.dim_x])
+    margins[diverged > 0, diverged[diverged > 0]] = -math.inf
+    times = [worst_index(row) for row in margins]
+    slack = margins[np.arange(len(z)), times].tolist()
     details = {"eps_used": used, "eps_out_of_certificate": skipped, "horizon": horizon}
     return ConditionReport.from_slack(CERTIFIED_RATE, slack, times, starts, details)

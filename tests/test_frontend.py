@@ -639,6 +639,15 @@ class TestOptionTable:
         doc["analyses"][0]["x0"] = [1.0, 0.5]
         assert run_command(doc, "simulate", timestamp=False)[1] == 0
 
+    def test_slow_fast_simulate_report_bytes_are_golden(self, tmp_path):
+        # the report the one-state stacked map wrote, before the pair was
+        # stepped as a batched SlowFastSystem.system()
+        out = tmp_path / "simulate.json"
+        args = ["simulate", "--config", str(CONFIGS / "slow_fast_golden.json"), "--no-timestamp"]
+        assert main([*args, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "56b3ffe14c557160e00832700832ab58fa0d7fd89026944489d47d81aaf308eb"
+
     def test_defaults_fill_every_command_without_a_block(self):
         cfg = load_config(minimal_doc(analyses=[{"command": "linear"}]))
         assert cfg.options_of("converse") == {"radius": 1.0, "horizon": 24, "n_check": 200}

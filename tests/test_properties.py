@@ -16,8 +16,9 @@ from lyapcert.averaging import (
     GRAD_STEP,
     SigmaTable,
     _prefix_sums,
+    _slow_step,
     _window_mean,
-    _window_states,
+    build_averaged_lyapunov,
     check_drift_remainder,
     estimate_average,
     estimate_sigma,
@@ -1409,11 +1410,23 @@ DRIVE_FIELDS = [
 ]
 
 
+def reference_window(phi, k, x, eps, steps):
+    """The states x(k), ..., x(k + steps) of x+ = x + eps*phi(t, x) from one
+    state, one field call per step: the per-sample loop the averaging
+    windows were stepped with before the trajectory kernel took them."""
+    states = [np.asarray(x, dtype=float)]
+    for j in range(steps):
+        states.append(states[-1] + eps * real_array(phi(k + j, states[-1])))
+    return states
+
+
 def reference_drift_windows(phi, avg, table, k, x, T, eps):
     """``check_drift_remainder`` as it stepped each kept sample's window on
     its own: every sigma(T) looked up first, the means read in one
-    ``avg.phibar`` call, then one ``_window_states`` and one
-    ``np.linalg.norm`` per sample."""
+    ``avg.phibar`` call, then one ``reference_window`` and one
+    ``np.linalg.norm`` per sample.  A window with a state that is NaN or
+    infinite or has a norm above 1e12 (the kernel's divergence rule) reads
+    drift inf."""
     norms = _row_norms(x)
     kept = np.flatnonzero(norms >= 1e-14)
     xs, times = x[kept], k[kept]
@@ -1423,9 +1436,11 @@ def reference_drift_windows(phi, avg, table, k, x, T, eps):
     for k_i, x_i, T_i, eps_i, nx, sigma_T, mean in zip(
         times.tolist(), xs, T[kept].tolist(), eps[kept].tolist(), norms[kept].tolist(), sigmas, means
     ):
-        end = _window_states(phi, k_i, x_i, eps_i, T_i + 1)[-1]
+        window = reference_window(phi, k_i, x_i, eps_i, T_i + 1)
         with np.errstate(over="ignore"):
-            drift = float(np.linalg.norm(end - x_i - eps_i * T_i * mean))
+            drift = float(np.linalg.norm(window[-1] - x_i - eps_i * T_i * mean))
+        if not all(np.linalg.norm(state) <= 1e12 for state in window):
+            drift = math.inf
         params.append({"T": T_i, "eps": eps_i})
         slack.append(eps_i * T_i * nu(T_i, eps_i, table.L, sigma_T) * nx - drift + TOL_ABS)
     i = certcheck.worst_index(slack)
@@ -1499,21 +1514,74 @@ class TestRaggedDriftWindows:
 
         k, x = np.array([3, 0, 5]), np.array([[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]])
         steps, eps = np.array([2, 4, 1]), np.array([0.1, 0.3, 0.2])
-        states = _window_states(field, k, x, eps, steps)
-        assert len(states) == 5 and calls == [(3, 2), (2, 2), (1, 2), (1, 2)]
+        states, diverged = trajectories(_slow_step(field), k, x, steps, eps)
+        assert states.shape == (3, 5, 2) and calls == [(3, 2), (2, 2), (1, 2), (1, 2)]
+        assert diverged.tolist() == [0, 0, 0]  # a row that leaves at its own count has not diverged
         for i in range(3):
-            alone = _window_states(field, int(k[i]), x[i], float(eps[i]), int(steps[i]))
-            for j, state in enumerate(states):
-                assert state[i].tobytes() == alone[min(j, steps[i])].tobytes()
+            alone = reference_window(field, int(k[i]), x[i], float(eps[i]), int(steps[i]))
+            assert states[i, : steps[i] + 1].tobytes() == np.array(alone).tobytes()
+            assert np.isnan(states[i, steps[i] + 1 :]).all()
 
-    @pytest.mark.parametrize("steps", [np.array([1, 2]), np.array([[1], [2], [3]]), np.array([1, 2, 3, 4])])
+    @pytest.mark.parametrize(
+        "steps",
+        [np.array([1, 2]), np.array([[1], [2], [3]]), np.array([1, 2, 3, 4]), np.array([1, -1, 2]),
+         np.array([1.0, 2.0, 3.0]), -1, -2, 2.5],
+    )
     def test_malformed_step_counts_are_refused_before_any_field_call(self, steps):
         calls = []
-        with pytest.raises(ValueError, match="per-row step counts"):
-            _window_states(lambda t, x: calls.append(t), 0, np.ones((3, 2)), 0.1, steps)
-        with pytest.raises(ValueError, match="per-row step counts"):
-            _window_states(lambda t, x: calls.append(t), 0, np.ones(2), 0.1, steps[:1])
+        with pytest.raises(ValueError, match="horizon must be a nonnegative int"):
+            trajectories(lambda t, x: calls.append(t), 0, np.ones((3, 2)), steps)
         assert calls == []
+
+    def test_a_diverged_window_reads_minus_inf_and_is_named(self):
+        # from |x| = 1 the cubic term leaves 1e12 at the second step; from 1e-3 it stays put
+        avg = estimate_average(decaying_field, [np.array([1.0]), np.array([-0.5])], T_max=16)
+        table = SigmaTable(L=1.0, T_list=(2,), entries={2: 0.5})
+        x = np.array([[1e-3], [1.0], [-2e-3]])
+        rep = check_drift_remainder(lambda t, x: 1e6 * x**3 - x, avg, table, [0, 1, 2], x, [2] * 3, [0.1, 0.2, 0.1])
+        # its end state, near 1e69, is finite, and so was its drift before the divergence rule
+        assert not rep.passed and rep.worst_margin == -math.inf
+        assert rep.worst_point[0] == 1 and rep.worst_point[1].tolist() == [1.0]
+        assert rep.details["worst_sample"] == {"T": 2, "eps": 0.2}
+
+
+class TestAveragedEvaluator:
+    """The averaged certificate's evaluator steps its windows through the
+    trajectory kernel with a per-row amplitude and sums V over the table's
+    columns in step order: bit for bit the hand-stepped window of each
+    row, kept here as the reference."""
+
+    @given(
+        data=st.data(),
+        srcs=st.sampled_from(DRIVE_FIELDS),
+        gains=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        size=st.integers(1, 5),
+        marked=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_evaluator_matches_the_hand_stepped_windows(self, data, srcs, gains, size, marked):
+        f = compile_map([parse_expression(src) for src in srcs], dict(zip("ab", gains)))
+        field = state_batched(f) if marked else (lambda t, x: f(t, x))
+        V = CandidateFunction.quadratic(np.eye(2))
+        avg = estimate_average(field, np.eye(2), T_max=8)
+        table = SigmaTable(L=0.5, T_list=(1, 2, 4), entries={1: 0.5, 2: 0.2, 4: 0.1})
+        cert = build_averaged_lyapunov(V, (1.0, 1.0, 1.0, 1.0), field, table, avg)
+        starts = st.one_of(st.integers(0, 6), st.integers(TABLE_TIMES - 5, TABLE_TIMES + 1))
+        k = np.array(data.draw(st.lists(starts, min_size=size, max_size=size)))
+        x = np.array(data.draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+                                        min_size=size, max_size=size)))
+        eps = np.array(data.draw(st.lists(st.floats(0.0, 0.3), min_size=size, max_size=size)))
+
+        def value(k_i, x_i, eps_i):
+            window = reference_window(field, k_i, x_i, eps_i, cert.T_star)
+            return sum(V.eval_fn(k_i + j, state) for j, state in enumerate(window))
+
+        rows = list(zip(k.tolist(), x, eps.tolist()))
+        want = np.array([value(*row) for row in rows])
+        assert cert.evaluator(k, x, eps).tobytes() == want.tobytes()
+        shared = np.array([value(k_i, x_i, float(eps[0])) for k_i, x_i, _ in rows])
+        assert cert.evaluator(k, x, float(eps[0])).tobytes() == shared.tobytes()
+        assert [cert.evaluator(*row) for row in rows] == want.tolist()
 
 
 def reference_difference_max(points, values):
@@ -1824,8 +1892,10 @@ def reference_verify_composite(sysf, cert, n_samples, eps_values, seed):
 
 def reference_validate_rate(sysf, cert, eps_grid, trials, horizon, seed):
     """The per-amplitude loop ``validate_rate`` ran: each amplitude's trials
-    drawn, then stepped together, before the next amplitude's draw.  It
-    returns the ``from_slack`` arguments of its report."""
+    drawn, then stepped together, before the next amplitude's draw, with
+    the divergence rule of the trajectory kernel: a trial reads -inf at the
+    first step its state diverges, the first non-finite margin of its row.
+    It returns the ``from_slack`` arguments of its report."""
     rng = Rng(seed)
     skipped = [float(e) for e in eps_grid if not (0.0 < e < cert.eps_r)]
     used = [float(e) for e in eps_grid if 0.0 < e < cert.eps_r]
@@ -1843,6 +1913,8 @@ def reference_validate_rate(sysf, cert, eps_grid, trials, horizon, seed):
             x, y = sysf.step(k, x, y, eps)
             decay *= 1.0 - eps * cert.gamma_r
             margins[:, k + 1] = cert.C_r * decay + TOL_ABS - _row_squares(x)
+            # a trial whose (x, y) is NaN or infinite or has norm above 1e12 has diverged: -inf
+            margins[~(_row_norms(np.hstack([x, y])) <= 1e12), k + 1] = -math.inf
         for row in margins:
             k = certcheck.worst_index(row)
             times.append(k)
@@ -1875,14 +1947,10 @@ def reported(check):
     return calls
 
 
-@st.composite
-def rate_pairs(draw):
+def rate_pair(a, b, d, g, c, marked):
     """A one-by-one slow/fast pair with a time-varying slow gain and a
     manifold ystar(x) = g*x, marked ``state_batched`` or not; a large cubic
-    term makes some trials diverge to inf and NaN within a few steps."""
-    a, b = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
-    d, g = draw(st.floats(0.0, 0.9)), draw(st.floats(-1.0, 1.0))
-    c = draw(st.sampled_from([0.0, 1e9]))
+    term c makes some trials diverge within a few steps."""
 
     def column(k, x):  # exact integer arithmetic, so a batch rounds as its rows do
         return np.reshape(k, (-1, 1)) if np.ndim(k) else k
@@ -1897,8 +1965,16 @@ def rate_pairs(draw):
     def ystar(x):
         return g * np.asarray(x, dtype=float)
 
-    wrap = state_batched if draw(st.booleans()) else (lambda fn: fn)
+    wrap = state_batched if marked else (lambda fn: fn)
     return SlowFastSystem(dim_x=1, dim_y=1, phi=wrap(phi), varphi=wrap(varphi), ystar=wrap(ystar))
+
+
+@st.composite
+def rate_pairs(draw):
+    """:func:`rate_pair` with drawn gains, cubic term 0 or 1e9 and mark."""
+    a, b = draw(st.floats(0.1, 2.0)), draw(st.floats(-1.0, 1.0))
+    d, g = draw(st.floats(0.0, 0.9)), draw(st.floats(-1.0, 1.0))
+    return rate_pair(a, b, d, g, draw(st.sampled_from([0.0, 1e9])), draw(st.booleans()))
 
 
 amplitude_fractions = st.one_of(
@@ -1934,6 +2010,22 @@ class TestAmplitudeBatch:
             want = reference_validate_rate(pair, composite, eps, trials, horizon, seed)
             got = reported(lambda: validate_rate(pair, composite, eps, trials, horizon, seed))
         assert slack_bytes(got) == slack_bytes(want)
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_a_diverged_trial_reads_minus_inf_at_its_divergence_step(self, composite, marked):
+        pair = rate_pair(1.0, 0.5, 0.5, 0.5, 1e9, marked)
+        eps = [composite.eps_r / 4.0]
+        rep = validate_rate(pair, composite, eps, trials=4, horizon=12, seed=5)
+        with np.errstate(all="ignore"):  # the reference steps on past the divergence
+            ((_, slack, times, starts, _),) = reference_validate_rate(pair, composite, eps, 4, 12, 5)
+        i = certcheck.worst_index(slack)
+        assert not rep.passed and rep.worst_margin == slack[i] == -math.inf
+        assert rep.worst_point[0] == times[i] and rep.worst_point[1].tobytes() == starts[i].tobytes()
+        # the state at that step is finite: only the 1e12 limit calls it diverged
+        z = np.concatenate([starts[i][:1], starts[i][1:] + 0.5 * starts[i][:1]])
+        states, diverged = trajectories(pair.stacked_step, 0, z[None], times[i] - 1, np.array(eps))
+        last = pair.stacked_step(times[i] - 1, states[0, -1], eps[0])
+        assert diverged[0] == 0 and np.isfinite(last).all() and np.linalg.norm(last) > 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -2027,6 +2119,19 @@ def kernel_system(marked, autonomous):
     return DynSystem(2, fn, autonomous=autonomous)
 
 
+def reference_stacked_system(sysf):
+    """The one-state stacked map ``simulate`` stepped a slow/fast pair with
+    before ``SlowFastSystem.system``: (x, y) as one unmarked map, one
+    ``SlowFastSystem.step`` per state."""
+    nx = sysf.dim_x
+
+    def map_fn(k, z):
+        return np.concatenate(sysf.step(k, z[:nx], z[nx:], sysf.epsilon))
+
+    eq = np.concatenate([np.zeros(nx), np.asarray(sysf.ystar(np.zeros(nx)), dtype=float)])
+    return DynSystem(dim=nx + sysf.dim_y, map_fn=map_fn, autonomous=False, equilibrium=eq)
+
+
 def exact_rows(compute):
     """Bytes of every row, or the exception type, message and step."""
     try:
@@ -2082,6 +2187,50 @@ class TestTrajectoryKernel:
         assert np.isnan(states[2, 1:]).all() and states[1, :, 0].tolist() == [0.0] * 5
         # a row is stepped until it diverges, then never again
         assert [c[0] for c in calls] == [1.0, 0.0, 3.0, 2.0, 0.0, 4.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("horizon", [-1, -2, 2.5, np.array([1, 2, 3, 4])])
+    def test_a_malformed_horizon_is_refused_before_any_map_call(self, composite, horizon):
+        calls = []
+
+        def counted(fn):
+            return lambda *args: calls.append(args) or fn(*args)
+
+        sys = DynSystem(1, counted(half_map))
+        pair = replace(slow_fast_pair(), phi=counted(lambda k, x, y: -x + y),
+                       varphi=counted(lambda k, y, x: 0.5 * y), ystar=counted(lambda x: np.zeros(1)))
+        stacked = pair.system()
+        calls.clear()  # drop the construction-time equilibrium probes
+        for call in (
+            lambda: trajectories(sys.step, 0, np.ones((2, 1)), horizon),
+            lambda: simulate(sys, 0, np.ones(1), horizon),
+            lambda: simulate(stacked, 0, np.ones(2), horizon),
+            lambda: validate_rate(pair, composite, trials=2, horizon=horizon),
+        ):
+            with pytest.raises(ValueError, match="horizon must be a nonnegative int"):
+                call()
+        assert calls == []
+
+    @given(pair=rate_pairs(), starts=starts_2d, horizon=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_slow_fast_simulate_matches_the_one_state_stacked_loop(self, pair, starts, horizon):
+        Z = np.array(starts)
+        ref, sys = reference_stacked_system(pair), pair.system()
+        assert sys.equilibrium.tobytes() == ref.equilibrium.tobytes()
+        want = exact_rows(lambda: [reference_simulate(ref, 0, z, horizon) for z in Z])
+        assert exact_rows(lambda: [tr.states for tr in simulate(sys, 0, Z, horizon)]) == want
+        one = exact_rows(lambda: [simulate(sys, 0, Z[0], horizon).states])
+        assert one == exact_rows(lambda: [reference_simulate(ref, 0, Z[0], horizon)])
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_slow_fast_simulate_raises_as_the_one_state_stacked_loop(self, marked):
+        # row 1 leaves 1e12 at step 2; row 0 sits at the equilibrium
+        pair = rate_pair(1.0, 0.5, 0.5, 0.5, 1e9, marked)
+        Z = np.array([[0.0, 0.0], [1.0, 0.5]])
+        with pytest.raises(DivergenceError) as err:
+            simulate(pair.system(), 0, Z, 10)
+        with pytest.raises(DivergenceError) as ref:
+            reference_simulate(reference_stacked_system(pair), 0, Z[1], 10)
+        assert str(err.value) == str(ref.value) == "trajectory diverged at step 2 (t=2)"
 
     @given(seed=st.integers(0, 2**16), c=st.floats(0.3, 0.9), trials=st.integers(0, 8))
     @settings(max_examples=40, deadline=None)
