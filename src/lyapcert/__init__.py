@@ -47,7 +47,6 @@ from .dynsys import (
     LinearTV,
     SlowFastSamples,
     SlowFastSystem,
-    Trajectory,
     fit_exponential_envelope,
     linear_part,
     simulate,
@@ -122,7 +121,6 @@ __all__ = [
     "SpectrumReport",
     "StageError",
     "SteinSolution",
-    "Trajectory",
     "assemble_coefficients",
     "budget_for_delta",
     "build_averaged_lyapunov",

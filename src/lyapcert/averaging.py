@@ -507,7 +507,8 @@ def build_averaged_lyapunov(
     probes of ``avg``, the set the constants were fitted on.  The evaluator
     also takes a batch of samples (see
     :func:`~lyapcert.dynsys.sample_rows`), at one amplitude or at an (S,)
-    array of per-row amplitudes.
+    array of per-row amplitudes; a window that diverges (see
+    :func:`~lyapcert.dynsys.trajectories`) sums to inf.
     """
     c1, c2, c3, c4 = constants
     if min(c1, c2, c3, c4) <= 0.0:
@@ -538,9 +539,11 @@ def build_averaged_lyapunov(
         k = k if isinstance(k, np.ndarray) else int(k)
         rows = x.reshape(-1, x.shape[-1])
         _amplitudes(eps, x)  # a malformed amplitude is refused before any field call
-        states, _ = trajectories(_slow_step(phi), k, rows, T_star, np.broadcast_to(eps, len(rows)))
-        table = states.reshape(x.shape[:-1] + states.shape[1:])  # a diverged window's states are NaN
+        states, diverged = trajectories(_slow_step(phi), k, rows, T_star, np.broadcast_to(eps, len(rows)))
+        table = states.reshape(x.shape[:-1] + states.shape[1:])
         total = sum(sample_rows(V.eval_fn, k + i, table[..., i, :]) for i in range(T_star + 1))
+        # a diverged window's states are NaN from its divergence step on; its sum is inf
+        total = np.where(diverged.reshape(x.shape[:-1]) > 0, math.inf, total)
         return total if x.ndim == 2 else float(total)
 
     return AveragedCertificate(

@@ -33,8 +33,9 @@ from .dynsys import (
     SlowFastSystem,
     _row_norms,
     _row_squares,
-    _simulated_states,
+    real_array,
     sample_rows,
+    simulate,
     state_batched,
 )
 from .errors import HypothesisViolationError
@@ -92,26 +93,27 @@ class ConverseCertificate:
 
 def estimate_lipschitz(
     fn: Callable[[int, np.ndarray], np.ndarray],
-    points: Sequence[np.ndarray],
+    points: np.ndarray,
     times: Sequence[int] = (0,),
 ) -> float:
     """Sampled Lipschitz constant with a safety factor.
 
-    Maximizes |f(t,x)-f(t,y)| / |x-y| over all point pairs and the given
-    times, inflated by ``LIPSCHITZ_SAFETY`` because sampling can only
-    underestimate.  A NaN or infinite map value or quotient raises
-    ValueError naming t and the point, since a maximum would silently skip
-    it.  Each time's values come from one
+    Maximizes |f(t,x)-f(t,y)| / |x-y| over all pairs of rows of the (S, d)
+    array ``points`` and the given times, inflated by ``LIPSCHITZ_SAFETY``
+    because sampling can only underestimate.  A NaN or infinite map value
+    or quotient raises ValueError naming t and the point, since a maximum
+    would silently skip it.  Each time's values come from one
     :func:`~lyapcert.dynsys.sample_rows` call over the points.
     """
-    points = [np.asarray(p, dtype=float) for p in points]
-    if not points:
+    points = real_array(points)
+    if not points.size:
         raise ValueError(_NO_PAIR)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (S, d) array, got shape {points.shape}")
     best = 0.0
     found = False
-    stacked = _stack(points)
     for t in times:
-        values = sample_rows(fn, t, stacked)
+        values = sample_rows(fn, t, points)
         ratio = _difference_max(t, points, values)
         if ratio is not None:
             found = True
@@ -172,33 +174,27 @@ def _max_quotient(
     return best
 
 
-def _difference_max(t: int, points, values) -> Optional[float]:
-    """Largest |f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j at
-    least 1e-14 apart (None if there is none), given ``values[i] = f(t, p_i)``
-    (sequences of vectors, or arrays with one row each); a non-finite value
+def _difference_max(t: int, points: np.ndarray, values: np.ndarray) -> Optional[float]:
+    """Largest |f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j of
+    rows of the (S, d) ``points`` at least 1e-14 apart (None if there is
+    none), given the (S, m) ``values[i] = f(t, p_i)``; a non-finite value
     (checked before any quotient) or quotient raises ValueError."""
-    values = _stack(values)
+    values = values.reshape(len(values), -1)
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        bad = np.asarray(points[int(np.argmin(finite))])
-        raise ValueError(f"non-finite map value at t={t}, x={bad.tolist()}")
+        raise ValueError(f"non-finite map value at t={t}, x={points[int(np.argmin(finite))].tolist()}")
     if len(points) < 2:
         return None
     return _max_quotient(
-        _stack(points),
+        points,
         values[None, :, None, :],
         np.ones(1),
         np.zeros(len(points), dtype=int),
         lambda i, j, _: (
             f"non-finite difference quotient at t={t} between "
-            f"x={np.asarray(points[i]).tolist()} and x={np.asarray(points[j]).tolist()}"
+            f"x={points[i].tolist()} and x={points[j].tolist()}"
         ),
     )
-
-
-def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """(S, n) float array whose row i is ``vectors[i]`` flattened."""
-    return np.array(vectors, dtype=float).reshape(len(vectors), -1)
 
 
 def build_trajectory_converse(
@@ -227,10 +223,10 @@ def build_trajectory_converse(
 
     @state_batched
     def evaluator(k: int, x: np.ndarray, frozen_x=None) -> float:
-        states = _simulated_states(sys, 0 if sys.autonomous else k, x, N - 1)
+        states = simulate(sys, 0 if sys.autonomous else k, x, N - 1)
         # each row's sum as np.sum over its contiguous (N, n) states
-        sums = np.sum((states * states).reshape(len(states), -1), axis=1)
-        return sums if np.ndim(x) == 2 else float(sums[0])
+        sums = np.sum((states * states).reshape(states.shape[:-2] + (-1,)), axis=-1)
+        return sums if np.ndim(x) == 2 else float(sums)
 
     return ConverseCertificate(
         kind="autonomous" if sys.autonomous else "nonautonomous",

@@ -10,10 +10,13 @@ which calls a map marked by :func:`state_batched` once and loops any other
 callable; a window of times is a batch whose rows share one state.  Every
 trajectory comes from :func:`trajectories`, one :func:`sample_rows` call
 per step over a batch of starts with per-row horizons, with one divergence
-rule; :func:`simulate` adds the raise.  Every transition product of a
-:class:`LinearTV` comes from :func:`transitions`, one batched ``@`` per
-step over a batch of start times.  A slow/fast sample set is one
-:class:`SlowFastSamples` batch of arrays, from the draw to the report.
+rule; :func:`simulate` adds the raise.  Its (S, H + 1, n) state table
+is the one trajectory type: :func:`fit_exponential_envelope` fits from
+it and :func:`trajectory_to_csv` writes one row of it.  Every transition
+product of a :class:`LinearTV` comes from :func:`transitions`, one
+batched ``@`` per step over a batch of start times.  A slow/fast sample
+set is one :class:`SlowFastSamples` batch of arrays, from the draw to the
+report.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import io
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +33,6 @@ from .errors import DivergenceError, InapplicableError, NotExponentiallyStableEr
 __all__ = [
     "DynSystem",
     "LinearTV",
-    "Trajectory",
     "ExponentialEnvelope",
     "SlowFastSystem",
     "SlowFastSamples",
@@ -263,30 +265,6 @@ class LinearTV:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """States ``x(t0), x(t0+1), ..., x(t0+horizon)`` as rows."""
-
-    t0: int
-    states: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.atleast_2d(np.asarray(self.states, dtype=float)))
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-    def state(self, t: int) -> np.ndarray:
-        return self.states[t - self.t0]
-
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.states, axis=1)
-
-
-@dataclass(frozen=True)
 class ExponentialEnvelope:
     """Decay bound ``|x(t)| <= gain * |x(t0)| * exp(-rate * (t - t0))``.
 
@@ -495,9 +473,15 @@ def trajectories(
     return states, diverged
 
 
-def _simulated_states(sys: DynSystem, t0, x0, horizon: int) -> np.ndarray:
-    """:func:`trajectories` of ``sys`` from one state or the rows of a batch,
-    raising :class:`DivergenceError` for the first row that diverged."""
+def simulate(sys: DynSystem, t0, x0, horizon) -> np.ndarray:
+    """Iterate the map for ``horizon`` steps from one state, or from the
+    rows of an (S, n) batch started at ``t0`` or at an (S,) array of times.
+
+    Returns the :func:`trajectories` states: (H + 1, n) for one state,
+    (S, H + 1, n) for a batch.  :class:`DivergenceError` names the first
+    row, in row order, whose state went non-finite or exceeded
+    ``DIVERGENCE_LIMIT`` in norm, with that step's index and time.
+    """
     x = real_array(x0)
     starts = _as_states(x, sys.dim, x) if x.ndim == 2 else _as_vector(x, sys.dim)[None]
     states, diverged = trajectories(sys.step, t0, starts, horizon)
@@ -506,23 +490,7 @@ def _simulated_states(sys: DynSystem, t0, x0, horizon: int) -> np.ndarray:
         i = int(bad[0])
         step, start = int(diverged[i]), int(np.broadcast_to(t0, diverged.shape)[i])
         raise DivergenceError(f"trajectory diverged at step {step} (t={start + step})", step=step)
-    return states
-
-
-def simulate(sys: DynSystem, t0, x0, horizon: int):
-    """Iterate the map for ``horizon`` steps from one state, or from the
-    rows of an (S, n) batch started at ``t0`` or at an (S,) array of times.
-
-    Returns a :class:`Trajectory`, or for a batch a list of one per row.
-    :class:`DivergenceError` names the first row, in row order, whose state
-    went non-finite or exceeded ``DIVERGENCE_LIMIT`` in norm (see
-    :func:`trajectories`), with that step's index and time.
-    """
-    states = _simulated_states(sys, t0, x0, horizon)
-    if np.ndim(x0) < 2:
-        return Trajectory(t0=t0, states=states[0])
-    starts = np.broadcast_to(t0, len(states)).tolist()
-    return [Trajectory(t0=start, states=row) for start, row in zip(starts, states)]
+    return states if x.ndim == 2 else states[0]
 
 
 def transitions(ltv: LinearTV, t0, horizon: int) -> np.ndarray:
@@ -572,40 +540,44 @@ def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:
     return A
 
 
-def fit_exponential_envelope(
-    trajectories: Sequence[Trajectory],
-) -> ExponentialEnvelope:
-    """Fit a single dominating envelope over a family of decaying trajectories.
+def fit_exponential_envelope(states: np.ndarray, t0=0) -> ExponentialEnvelope:
+    """Fit a single dominating envelope over the (S, H + 1, n) states of S
+    decaying trajectories, row i started at ``t0`` or ``t0[i]`` (read only
+    to name a refused row).
 
     Per-trajectory decay rates come from least squares on log-norms; the
     envelope rate is the slowest of these and the gain is then inflated by
     the worst pointwise ratio, so the returned bound is a true majorant of
     every sample.  Identically-zero trajectories are admissible and fall
-    back to ``LAMBDA_MAX``.  A NaN or infinite state raises
-    :class:`NotExponentiallyStableError`: no envelope is fitted around it.
+    back to ``LAMBDA_MAX``.  The first refused row, in row order, raises
+    :class:`NotExponentiallyStableError`: a NaN or infinite state (no
+    envelope is fitted around it), a row leaving the origin, or a row that
+    does not decay.
     """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
+    states = real_array(states)
+    if states.ndim != 3 or not states.shape[0] or not states.shape[1]:
+        raise ValueError(f"need an (S, H+1, n) table of at least one trajectory, got {states.shape}")
+    norms = np.linalg.norm(states, axis=-1)
     rates = []
-    for traj in trajectories:
-        norms = traj.norms()
-        if not np.all(np.isfinite(norms)):
-            step = int(np.argmax(~np.isfinite(norms)))
+    for i, row in enumerate(norms):
+        if not np.all(np.isfinite(row)):
+            step = int(np.argmax(~np.isfinite(row)))
+            start = int(np.broadcast_to(t0, len(norms))[i])
             raise NotExponentiallyStableError(
-                f"trajectory from t0={traj.t0} has a non-finite state at step {step}"
+                f"trajectory from t0={start} has a non-finite state at step {step}"
             )
-        if norms[0] == 0.0:
-            if np.any(norms > 0.0):
+        if row[0] == 0.0:
+            if np.any(row > 0.0):
                 raise NotExponentiallyStableError("trajectory leaves the origin")
             continue
-        if norms[-1] >= norms[0]:
+        if row[-1] >= row[0]:
             raise NotExponentiallyStableError(
-                f"trajectory does not decay (|x({traj.horizon})| >= |x(0)|)"
+                f"trajectory does not decay (|x({len(row) - 1})| >= |x(0)|)"
             )
-        mask = norms > 0.0
+        mask = row > 0.0
         mask[0] = False  # the anchor's log-ratio is 0 by construction; it only biases the fit
         ts = np.flatnonzero(mask).astype(float)
-        logs = np.log(norms[mask] / norms[0])
+        logs = np.log(row[mask] / row[0])
         if ts.size >= 2:
             slope = np.polyfit(ts, logs, 1)[0]
             if slope < 0.0:
@@ -617,30 +589,25 @@ def fit_exponential_envelope(
         elif ts.size == 1 and logs[0] < 0.0:
             rates.append(-float(logs[0]) / float(ts[0]))
     rate = min(min(rates) if rates else LAMBDA_MAX, LAMBDA_MAX)
-    # inflate the gain in log space so the bound dominates every sample
-    log_k = 0.0
-    radius = 0.0
-    for traj in trajectories:
-        norms = traj.norms()
-        if norms[0] == 0.0:
-            continue
-        radius = max(radius, norms[0])
-        dts = np.arange(norms.size, dtype=float)
-        positive = norms > 0.0
-        ratios = np.log(norms[positive] / norms[0]) + rate * dts[positive]
-        if ratios.size:
-            log_k = max(log_k, float(ratios.max()))
-    gain = float(np.exp(log_k))
+    # inflate the gain in log space so the bound dominates every sample; an
+    # identically-zero row has no positive norm and adds nothing
+    first = np.broadcast_to(norms[:, :1], norms.shape)
+    positive = norms > 0.0
+    dts = np.broadcast_to(np.arange(norms.shape[1], dtype=float), norms.shape)
+    ratios = np.log(norms[positive] / first[positive]) + rate * dts[positive]
+    gain = float(np.exp(ratios.max(initial=0.0)))
+    radius = float(first[:, 0].max())
     return ExponentialEnvelope(
         gain=max(gain, 1.0), rate=rate, validity_radius=radius if radius > 0 else None
     )
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    """CSV with header ``t,x0,...,x{n-1}``, one row per step, full precision."""
-    n = traj.states.shape[1]
+def trajectory_to_csv(t0: int, states: np.ndarray) -> str:
+    """CSV with header ``t,x0,...,x{n-1}`` and row j the time t0 + j and the
+    (H + 1, n) ``states[j]``, full precision."""
+    states = real_array(states)
     buf = io.StringIO()
-    buf.write("t," + ",".join(f"x{i}" for i in range(n)) + "\n")
-    for j, row in enumerate(traj.states):
-        buf.write(str(traj.t0 + j) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    buf.write("t," + ",".join(f"x{i}" for i in range(states.shape[1])) + "\n")
+    for j, row in enumerate(states.tolist()):
+        buf.write(str(t0 + j) + "," + ",".join(map(repr, row)) + "\n")
     return buf.getvalue()

@@ -63,7 +63,7 @@ from ..stein import (
     verify_transition_decay,
 )
 from ..timescales import (
-    _fast_trajectories,
+    _fast_envelope,
     certify_semiglobal,
     validate_rate,
     verify_composite,
@@ -82,15 +82,14 @@ def _cmd_simulate(system, opts: dict, seed: int):
     horizon = opts["horizon"]
     if isinstance(system, (LinearTV, SlowFastSystem)):
         system = system.system()  # a slow/fast pair as one map over (x, y) at its epsilon
-    traj = simulate(system, 0, np.asarray(opts["x0"]), horizon)
-    csv = trajectory_to_csv(traj)
+    states = simulate(system, 0, np.asarray(opts["x0"]), horizon)
     results = [
         {
             "type": "trajectory",
             "t0": 0,
             "horizon": horizon,
-            "states": jsonable(traj.states),
-            "csv": csv,
+            "states": jsonable(states),
+            "csv": trajectory_to_csv(0, states),
         }
     ]
     return results, []
@@ -144,15 +143,14 @@ def _cmd_converse(system, opts: dict, seed: int):
     if isinstance(system, LinearTV):
         system = system.system()
     if isinstance(system, SlowFastSystem):
-        trajs = _fast_trajectories(system, radius, Rng(_subseed(seed, 1)), horizon)
-        env = fit_exponential_envelope(trajs)
+        env = _fast_envelope(system, radius, Rng(_subseed(seed, 1)), horizon)
         cert = build_exponential_converse(system, env, radius=radius, seed=_subseed(seed, 2))
         ks, xs, yerrs = _fast_sample_set(system, radius, n_check, _subseed(seed, 3))
         reports = verify_converse(cert, ks, yerrs, xs)
     else:
         (starts,) = Rng(_subseed(seed, 1)).draw(8, ("ball", system.dim, radius))
         t0 = 0 if system.autonomous else np.arange(len(starts)) % 3
-        env = fit_exponential_envelope(simulate(system.shifted(), t0, starts, horizon))
+        env = fit_exponential_envelope(simulate(system.shifted(), t0, starts, horizon), t0)
         cert = build_trajectory_converse(system, env)
         ks, xs = Rng(_subseed(seed, 3)).draw(
             n_check, ("integer", 0, 3), ("ball", system.dim, radius)

@@ -205,7 +205,7 @@ def _remainder_radius(
         return numerical_jacobian(fn, t, x).A.reshape(np.shape(x)[:-1] + (-1,))
 
     def lipschitz(radius: float, tag: int) -> float:
-        points = [np.zeros(dim)] + list(rng.spawn(tag).draw(count, ("ball", dim, radius))[0])
+        points = np.vstack([np.zeros(dim), rng.spawn(tag).draw(count, ("ball", dim, radius))[0]])
         return estimate_lipschitz(vec_jac, points, times=times)
 
     L1 = lipschitz(domain_radius, 1)

@@ -39,9 +39,9 @@ from .converse import (
     check_envelope_hypothesis,
 )
 from .dynsys import (
+    ExponentialEnvelope,
     SlowFastSamples,
     SlowFastSystem,
-    Trajectory,
     _amplitudes,
     _row_norms,
     _row_squares,
@@ -368,11 +368,11 @@ def find_eps_r(coeffs: CoefficientRecord) -> Tuple[float, float]:
     return eps_r, _ell_u(coeffs, eps_r)
 
 
-def _fast_trajectories(sysf: SlowFastSystem, radius: float, rng: Rng, horizon: int) -> list:
-    """Frozen fast trajectories: 4 slow states (the origin, then 3 ball
-    draws), each with 4 fast errors from the ball started at
-    k0 = (i + j) mod 3, from one ``fast_trajectories`` call; a diverged
-    trajectory carries NaN, which the envelope fit refuses."""
+def _fast_envelope(sysf: SlowFastSystem, radius: float, rng: Rng, horizon: int) -> ExponentialEnvelope:
+    """The envelope fitted on frozen fast trajectories: 4 slow states (the
+    origin, then 3 ball draws), each with 4 fast errors from the ball
+    started at k0 = (i + j) mod 3, from one ``fast_trajectories`` call; a
+    diverged trajectory carries NaN, which the fit refuses."""
     y = ("ball", sysf.dim_y, radius)
     (origin_ys,) = rng.draw(4, y)
     x, *ys = rng.draw(3, ("ball", sysf.dim_x, radius), y, y, y, y)  # row i: x, then its 4 y
@@ -380,7 +380,7 @@ def _fast_trajectories(sysf: SlowFastSystem, radius: float, rng: Rng, horizon: i
     starts = np.vstack([origin_ys, np.stack(ys, axis=1).reshape(-1, sysf.dim_y)])
     k0 = np.array([(i + j) % 3 for i in range(4) for j in range(4)])
     states, _ = sysf.fast_trajectories(k0, starts, xs, horizon)
-    return [Trajectory(int(k), traj) for k, traj in zip(k0, states)]
+    return fit_exponential_envelope(states, k0)
 
 
 def certify_semiglobal(
@@ -420,8 +420,7 @@ def certify_semiglobal(
             raise StageError(name, exc) from exc
 
     def fit_fast_envelope():
-        trajs = _fast_trajectories(sysf, r, rng.spawn(1), 24)
-        env = fit_exponential_envelope(trajs)
+        env = _fast_envelope(sysf, r, rng.spawn(1), 24)
         hyp = _stacked_samples(sysf, r, 16, rng.spawn(2))
         check_envelope_hypothesis(sysf, env, hyp)
         return env
@@ -535,7 +534,7 @@ def verify_composite(
         eps_rows = np.repeat(rounds, len(ks))
         u0 = sample_rows(cert.evaluator, times, xs, yerrs, eps_rows)
         x1, yerr1 = _error_step(sysf, times, xs, yerrs, eps_rows)
-        du = sample_rows(cert.evaluator, times + 1, x1, yerr1, eps_rows) - u0
+        u1 = sample_rows(cert.evaluator, times + 1, x1, yerr1, eps_rows)
     z2 = _row_squares(x) + _row_squares(yerr)
     zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
     for i, eps in enumerate(rounds):
@@ -544,8 +543,10 @@ def verify_composite(
         slack[SANDWICH].append(_first_min(u0[rows] - cert.alpha * z2, cert.beta * z2 - u0[rows]) + TOL_ABS)
         # zvec @ q @ zvec row by row: a stacked product makes the one-vector BLAS calls
         form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
-        slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du[rows])
-        slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0[rows] + TOL_ABS - du[rows])
+        with np.errstate(invalid="ignore"):  # inf - inf (a diverged window is inf) is a NaN slack, which fails
+            du = u1[rows] - u0[rows]
+            slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
+            slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0[rows] + TOL_ABS - du)
     states = np.hstack([xs, yerrs])
 
     details = {"eps_values": [float(e) for e in eps_values]}

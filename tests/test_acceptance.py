@@ -180,8 +180,7 @@ def test_criterion_04_converse_constructions():
         linear = DynSystem(n, lambda t, y, F=F: F @ y, autonomous=True)
         starts = [rng.ball(n, 1.0) for _ in range(4)]
         starts.extend(np.eye(n))
-        trajectories = [simulate(linear, 0, y0, 24) for y0 in starts]
-        env = fit_exponential_envelope(trajectories)
+        env = fit_exponential_envelope(simulate(linear, 0, np.array(starts), 24))
         fast_cert = build_exponential_converse(sysf, env, radius=1.0, seed=1000 + trial)
         ks, yerrs, xs = rng.draw(1000, ("integer", 0, 3), ("ball", n, 1.0), ("ball", 1, 1.0))
         reports = verify_converse(fast_cert, ks, yerrs, xs)

@@ -609,6 +609,23 @@ class TestLiftedCertificate:
         # the window sum adds V at x(3), ..., x(3 + T*), reached in T* steps
         assert calls == list(range(3, 3 + cert.T_star))
 
+    def test_a_diverged_window_sums_to_inf(self):
+        # x = 1e-3 is a fixed point of x + 0.2*(-x + 1e6*x^3), so its window
+        # sums 5 * 1e-6; x = 1 leaves the divergence limit at step 2, where
+        # its states turn NaN.  No numeric warning may escape on the way.
+        def cubic(k, x):
+            x = np.asarray(x, dtype=float)
+            return -x + 1e6 * x**3
+
+        V = CandidateFunction.quadratic(np.eye(1))
+        table = SigmaTable(L=0.5, T_list=(1, 2, 4), entries={1: 0.5, 2: 0.2, 4: 0.1})
+        avg = estimate_average(cubic, np.array([[1e-3]]), T_max=8)
+        cert = build_averaged_lyapunov(V, (1.0, 1.0, 1.0, 1.0), cubic, table, avg)
+        assert cert.T_star == 4
+        values = cert.evaluator(np.array([0, 0]), np.array([[1e-3], [1.0]]), np.array([0.2, 0.2]))
+        assert values[0] == pytest.approx(5e-06, rel=1e-12) and values[1] == math.inf
+        assert cert.evaluator(0, np.array([1.0]), 0.2) == math.inf
+
     def test_evaluator_respects_sandwich(self):
         _, _, _, cert = self.build()
         rng = Rng(44)

@@ -33,21 +33,24 @@ def scalar_half():
 
 
 def fitted_envelope(sys, points=(1.0, -0.7, 0.3), horizon=12):
-    trajs = [simulate(sys, 0, np.array([v]), horizon) for v in points]
-    return fit_exponential_envelope(trajs)
+    return fit_exponential_envelope(simulate(sys, 0, np.array(points)[:, None], horizon))
 
 
 class TestLipschitzEstimate:
     def test_linear_difference_mode(self):
-        pts = [np.array([v]) for v in (-1.0, -0.2, 0.4, 1.0)]
+        pts = np.array([[-1.0], [-0.2], [0.4], [1.0]])
         L = estimate_lipschitz(lambda t, x: 0.5 * x, pts)
         assert L == pytest.approx(0.55, rel=1e-12)  # 0.5 with the 1.1 safety factor
 
     def test_times_are_swept(self):
-        pts = [np.array([v]) for v in (0.5, 1.0)]
+        pts = np.array([[0.5], [1.0]])
         fn = lambda t, x: (0.1 if t == 0 else 0.8) * x
         assert estimate_lipschitz(fn, pts, times=(0,)) == pytest.approx(0.11, rel=1e-12)
         assert estimate_lipschitz(fn, pts, times=(0, 1)) == pytest.approx(0.88, rel=1e-12)
+
+    def test_points_are_one_row_each(self):
+        with pytest.raises(ValueError, match=r"\(S, d\) array, got shape \(4,\)"):
+            estimate_lipschitz(lambda t, x: 0.5 * x, np.array([-1.0, -0.2, 0.4, 1.0]))
 
 
 def nan_at_one(t, x):
@@ -57,7 +60,7 @@ def nan_at_one(t, x):
 
 
 class TestLipschitzFailClosed:
-    POINTS = [np.array([v]) for v in (-1.0, -0.2, 0.4, 1.0)]
+    POINTS = np.array([[-1.0], [-0.2], [0.4], [1.0]])
 
     def test_nan_map_value_raises(self):
         with pytest.raises(ValueError, match=r"t=0, x=\[1\.0\]"):
@@ -73,7 +76,7 @@ class TestLipschitzFailClosed:
             estimate_lipschitz(lambda t, x: (1 + 1j) * np.asarray(x), self.POINTS)
 
     def test_overflowing_quotient_raises(self):
-        pts = [np.array([0.0]), np.array([1e-10])]
+        pts = np.array([[0.0], [1e-10]])
         fn = lambda t, x: np.array([1e300]) if x[0] else np.array([-1e300])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="difference quotient"):
             estimate_lipschitz(fn, pts)
@@ -120,7 +123,7 @@ class TestLipschitzFailClosedParity:
         assert str(err.value) == "non-finite map value at t=0, x=[-0.2]"
 
     def test_nan_separation_names_its_first_pair(self):
-        points = [np.array([-1.0]), np.array([0.4]), np.array([np.nan])]
+        points = np.array([[-1.0], [0.4], [np.nan]])
         with pytest.raises(ValueError) as err:
             estimate_lipschitz(lambda t, x: np.zeros(1), points)
         assert str(err.value) == (
@@ -130,7 +133,7 @@ class TestLipschitzFailClosedParity:
     def test_first_overflowing_pair_in_row_order(self):
         # |f_i - f_j|^2 overflows for the pairs (0, 3), (1, 2) and (1, 3);
         # row order meets (0, 3) first, column order would meet (1, 2)
-        points = [np.array([v]) for v in (0.0, 1.0, 2.0, 3.0)]
+        points = np.array([[0.0], [1.0], [2.0], [3.0]])
         heights = {0.0: 0.0, 1.0: -1e154, 2.0: 0.5e154, 3.0: 1.5e154}
         fn = lambda t, x: np.array([heights[float(x[0])]])
         with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
@@ -269,8 +272,8 @@ class TestNonautonomous:
             map_fn=lambda t, x: (0.5 if t % 2 == 0 else 0.25) * x,
             autonomous=False,
         )
-        trajs = [simulate(sys, t0, np.array([v]), 10) for t0 in (0, 1) for v in (1.0, -0.6)]
-        env = fit_exponential_envelope(trajs)
+        t0 = np.array([0, 0, 1, 1])
+        env = fit_exponential_envelope(simulate(sys, t0, np.array([[1.0], [-0.6], [1.0], [-0.6]]), 10), t0)
         cert = build_trajectory_converse(sys, env)
         x = np.array([1.0])
         if cert.horizon >= 2:

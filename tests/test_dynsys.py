@@ -8,7 +8,6 @@ from lyapcert.dynsys import (
     LinearTV,
     SlowFastSamples,
     SlowFastSystem,
-    Trajectory,
     fit_exponential_envelope,
     linear_part,
     sample_rows,
@@ -31,11 +30,11 @@ def halving(t, x):
 class TestDynSystem:
     def test_autonomous_roundtrip(self):
         sys = DynSystem(dim=2, map_fn=lambda t, x: 0.5 * x, autonomous=True)
-        traj = simulate(sys, 0, np.array([1.0, -2.0]), 4)
-        assert traj.states.shape == (5, 2)
+        states = simulate(sys, 0, np.array([1.0, -2.0]), 4)
+        assert states.shape == (5, 2)
         # re-applying the map reproduces the stored states bit-identically
         for i in range(4):
-            assert np.array_equal(sys.map_fn(i, traj.states[i]), traj.states[i + 1])
+            assert np.array_equal(sys.map_fn(i, states[i]), states[i + 1])
 
     def test_declared_equilibrium_is_checked(self):
         with pytest.raises(ValueError):
@@ -70,10 +69,16 @@ class TestDynSystem:
             map_fn=lambda t, x: x * (0.5 if t % 2 == 0 else 0.25),
             autonomous=False,
         )
-        traj = simulate(sys, 3, np.array([8.0]), 2)
+        states = simulate(sys, 3, np.array([8.0]), 2)
         # x(4) = map(3, 8) = 2 (odd step), x(5) = map(4, 2) = 1 (even step)
-        assert np.allclose(traj.states[:, 0], [8.0, 2.0, 1.0])
-        assert traj.state(5)[0] == 1.0
+        assert np.allclose(states[:, 0], [8.0, 2.0, 1.0])
+        assert states[5 - 3][0] == 1.0
+
+    def test_batch_gives_one_row_per_start(self):
+        sys = DynSystem(dim=1, map_fn=lambda t, x: x * (0.5 if t % 2 == 0 else 0.25), autonomous=False)
+        states = simulate(sys, np.array([3, 4]), np.array([[8.0], [8.0]]), 2)
+        assert states.shape == (2, 3, 1)
+        assert states[:, :, 0].tolist() == [[8.0, 2.0, 1.0], [8.0, 4.0, 1.0]]
 
 
 class TestLinearPart:
@@ -178,50 +183,59 @@ class TestLinearTVReads:
             LinearTV(dim=2, matrix_fn=marked).matrices([0, 1])
 
 
+def table(*rows):
+    """An (S, H+1, 1) state table from S lists of scalar states."""
+    return np.array(rows, dtype=float)[:, :, None]
+
+
 class TestEnvelopeFitting:
     def test_pure_geometric_is_exact(self):
-        traj = Trajectory(0, np.array([[3.0 * 0.5**t] for t in range(10)]))
-        env = fit_exponential_envelope([traj])
+        env = fit_exponential_envelope(table([3.0 * 0.5**t for t in range(10)]))
         assert env.gain == pytest.approx(1.0, abs=1e-12)
         assert env.rate == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_two_curve_domination(self):
         # slow curve with a transient bump sets both the rate and the gain
-        fast = Trajectory(0, np.array([[0.5**t] for t in range(10)]))
-        bumped = Trajectory(0, np.array([[1.0]] + [[2.0 * 0.6**t] for t in range(1, 10)]))
-        env = fit_exponential_envelope([fast, bumped])
+        fast = [0.5**t for t in range(10)]
+        bumped = [1.0] + [2.0 * 0.6**t for t in range(1, 10)]
+        env = fit_exponential_envelope(table(fast, bumped))
         assert env.gain == pytest.approx(2.0, abs=1e-12)
         assert env.rate == pytest.approx(np.log(1.0 / 0.6), abs=1e-12)
 
     def test_zero_trajectory_falls_back_to_rate_cap(self):
-        traj = Trajectory(0, np.zeros((6, 1)))
-        env = fit_exponential_envelope([traj])
+        env = fit_exponential_envelope(np.zeros((1, 6, 1)))
         assert env.gain == 1.0
         assert env.rate == 50.0
 
     def test_bound_dominates_every_input_sample(self):
-        rows = [[1.0], [0.9], [0.95], [0.5], [0.3], [0.31], [0.1], [0.05]]
-        traj = Trajectory(0, np.array(rows))
-        env = fit_exponential_envelope([traj])
+        rows = [1.0, 0.9, 0.95, 0.5, 0.3, 0.31, 0.1, 0.05]
+        env = fit_exponential_envelope(table(rows))
         bound = env.bound(np.arange(len(rows)), 1.0)
-        assert np.all(traj.norms() <= bound * (1 + 1e-12))
+        assert np.all(np.array(rows) <= bound * (1 + 1e-12))
 
     def test_nondecaying_trajectory_rejected(self):
-        traj = Trajectory(0, np.array([[1.0], [2.0], [3.0]]))
         with pytest.raises(NotExponentiallyStableError):
-            fit_exponential_envelope([traj])
+            fit_exponential_envelope(table([1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_is_refused(self, bad):
         # a NaN norm fails "norms > 0", so it once dropped out of the fit unseen
-        traj = Trajectory(0, np.array([[1.0], [0.5], [bad], [0.125]]))
         with pytest.raises(NotExponentiallyStableError, match="non-finite state at step 2"):
-            fit_exponential_envelope([traj])
+            fit_exponential_envelope(table([1.0, 0.5, bad, 0.125]))
+
+    def test_refusal_names_its_rows_start_time(self):
+        states = table([1.0, 0.5, 0.25], [1.0, 0.5, np.nan])
+        with pytest.raises(NotExponentiallyStableError, match=r"^trajectory from t0=7 has"):
+            fit_exponential_envelope(states, np.array([3, 7]))
 
     def test_gain_below_one_is_clamped(self):
-        traj = Trajectory(0, np.array([[1.0], [0.1], [0.05]]))
-        env = fit_exponential_envelope([traj])
+        env = fit_exponential_envelope(table([1.0, 0.1, 0.05]))
         assert env.gain >= 1.0
+
+    @pytest.mark.parametrize("shape", [(0, 3, 1), (2, 0, 1), (3, 1)])
+    def test_a_table_without_states_is_refused(self, shape):
+        with pytest.raises(ValueError, match=r"need an \(S, H\+1, n\) table of at least one trajectory"):
+            fit_exponential_envelope(np.ones(shape))
 
 
 class TestSlowFast:
@@ -305,8 +319,7 @@ class TestSlowFastSamples:
 class TestCsv:
     def test_header_and_rows(self):
         sys = DynSystem(dim=2, map_fn=halving, autonomous=True)
-        traj = simulate(sys, 0, np.array([8.0, 4.0]), 2)
-        text = trajectory_to_csv(traj)
+        text = trajectory_to_csv(0, simulate(sys, 0, np.array([8.0, 4.0]), 2))
         lines = text.strip().split("\n")
         assert lines[0] == "t,x0,x1"
         assert lines[1] == "0,8.0,4.0"
@@ -315,10 +328,14 @@ class TestCsv:
 
     def test_roundtrip_full_precision(self):
         sys = DynSystem(dim=1, map_fn=lambda t, x: x / 3.0, autonomous=True)
-        traj = simulate(sys, 0, np.array([1.0]), 3)
-        text = trajectory_to_csv(traj)
+        states = simulate(sys, 0, np.array([1.0]), 3)
+        text = trajectory_to_csv(0, states)
         values = [float(line.split(",")[1]) for line in text.strip().split("\n")[1:]]
-        assert values == [v[0] for v in traj.states.tolist()]
+        assert values == [v[0] for v in states.tolist()]
+
+    def test_rows_count_from_t0(self):
+        text = trajectory_to_csv(5, np.array([[1.0], [0.5]]))
+        assert text == "t,x0\n5,1.0\n6,0.5\n"
 
 
 class TestComplexValues:

@@ -50,6 +50,7 @@ from lyapcert.converse import (
     verify_converse,
 )
 from lyapcert.dynsys import (
+    LAMBDA_MAX,
     DynSystem,
     ExponentialEnvelope,
     LinearTV,
@@ -57,6 +58,7 @@ from lyapcert.dynsys import (
     SlowFastSystem,
     _row_norms,
     _row_squares,
+    fit_exponential_envelope,
     real_array,
     sample_rows,
     simulate,
@@ -64,7 +66,12 @@ from lyapcert.dynsys import (
     trajectories,
     transitions,
 )
-from lyapcert.errors import DivergenceError, HypothesisViolationError, SteinSolvabilityError
+from lyapcert.errors import (
+    DivergenceError,
+    HypothesisViolationError,
+    NotExponentiallyStableError,
+    SteinSolvabilityError,
+)
 from lyapcert.frontend import expressions
 from lyapcert.frontend.expressions import (
     FUNCTIONS,
@@ -1648,7 +1655,7 @@ class TestPairwiseQuotientKernel:
     def test_difference_max_matches_the_pair_loop(self, sets):
         points, values = sets
         expected = hex_or_none(reference_difference_max(points, values))
-        assert hex_or_none(_difference_max(0, points, values)) == expected
+        assert hex_or_none(_difference_max(0, np.array(points), np.array(values))) == expected
 
     @given(
         sets=pair_sets(max_size=40),
@@ -1684,7 +1691,7 @@ class TestPairwiseQuotientKernel:
         # and np.linalg.norm(v[None], axis=1) differ in the last bit for this v;
         # the kernel must keep the former.
         v = np.array([0.3, 1.2])
-        got = _difference_max(0, [np.zeros(2), v], [np.zeros(1), np.ones(1)])
+        got = _difference_max(0, np.array([np.zeros(2), v]), np.array([np.zeros(1), np.ones(1)]))
         assert got.hex() == (1.0 / float(np.linalg.norm(v))).hex()
 
 
@@ -1825,6 +1832,23 @@ class TestFailClosed:
         for rep in reports:
             assert not rep.passed, f"{rep.condition} passed with {bad} injected"
             assert not rep.worst_margin >= 0.0
+
+    @pytest.mark.parametrize("before, after", [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.inf)])
+    def test_diverged_windows_fail_the_composite_checks_quietly(self, composite, before, after):
+        # U reads inf where a window diverges.  inf before and after the step
+        # makes du = inf - inf, and inf before alone makes the rate slack
+        # -inf + inf: each is a NaN slack, with no numeric warning
+        values = iter([before, after])  # U at the samples, then after the step
+
+        @state_batched
+        def evaluator(k, x, yerr, eps):
+            return np.full(len(x), next(values))
+
+        reports = verify_composite(slow_fast_pair(), replace(composite, evaluator=evaluator), n_samples=4)
+        sandwich, decrement, rate = reports
+        assert not decrement.passed and not decrement.worst_margin >= 0.0
+        assert not rate.passed and not rate.worst_margin >= 0.0
+        assert sandwich.passed is (before == 1.0 and sandwich.worst_margin >= 0.0)
 
     def test_positive_definite_on_all_zero_grid(self):
         V = CandidateFunction(square_norm, dim=2)
@@ -2157,10 +2181,9 @@ class TestTrajectoryKernel:
             t0s = np.broadcast_to(t0, len(X)).tolist()
             want = exact_rows(lambda: [reference_simulate(sys, t, x, horizon) for t, x in zip(t0s, X)])
             got = simulate(sys, t0, X, horizon)
-            assert exact_rows(lambda: [tr.states for tr in got]) == want
-            assert [tr.t0 for tr in got] == t0s
+            assert got.shape == (len(X), horizon + 1, 2) and exact_rows(lambda: got) == want
             one = simulate(sys, t0s[0], X[0], horizon)
-            assert one.t0 == t0s[0] and one.states.tobytes() == want[0]
+            assert one.shape == (horizon + 1, 2) and one.tobytes() == want[0]
 
     def test_divergence_names_the_first_diverging_row(self):
         # row 1 leaves 1e12 at step 13 and row 2 already at step 7; row order decides
@@ -2217,8 +2240,8 @@ class TestTrajectoryKernel:
         ref, sys = reference_stacked_system(pair), pair.system()
         assert sys.equilibrium.tobytes() == ref.equilibrium.tobytes()
         want = exact_rows(lambda: [reference_simulate(ref, 0, z, horizon) for z in Z])
-        assert exact_rows(lambda: [tr.states for tr in simulate(sys, 0, Z, horizon)]) == want
-        one = exact_rows(lambda: [simulate(sys, 0, Z[0], horizon).states])
+        assert exact_rows(lambda: simulate(sys, 0, Z, horizon)) == want
+        one = exact_rows(lambda: [simulate(sys, 0, Z[0], horizon)])
         assert one == exact_rows(lambda: [reference_simulate(ref, 0, Z[0], horizon)])
 
     @pytest.mark.parametrize("marked", [False, True])
@@ -2411,3 +2434,119 @@ class TestFastLipschitzTable:
             sysf, log = logged_fast_pair(marked, poison)
             outcomes.append((exact(lambda: fast_lipschitz(sysf, samples)), log))
         assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# Envelope fit from the kernel's (S, H+1, n) state table
+
+
+def reference_fit(t0s, table):
+    """The per-trajectory loop the envelope was fitted with when each row
+    was a separate trajectory object: row i is ``table[i]``, started at
+    ``t0s[i]``, its norms one ``np.linalg.norm(axis=1)`` of that row.
+    Returns the envelope, and the row that raised a refusal (or None)."""
+    rows = [(t0, np.linalg.norm(states, axis=1)) for t0, states in zip(t0s, table)]
+    rates = []
+    for i, (t0, norms) in enumerate(rows):
+        try:
+            if not np.all(np.isfinite(norms)):
+                step = int(np.argmax(~np.isfinite(norms)))
+                raise NotExponentiallyStableError(f"trajectory from t0={t0} has a non-finite state at step {step}")
+            if norms[0] == 0.0:
+                if np.any(norms > 0.0):
+                    raise NotExponentiallyStableError("trajectory leaves the origin")
+                continue
+            if norms[-1] >= norms[0]:
+                raise NotExponentiallyStableError(f"trajectory does not decay (|x({norms.size - 1})| >= |x(0)|)")
+        except NotExponentiallyStableError as exc:
+            exc.row = i
+            raise
+        mask = norms > 0.0
+        mask[0] = False
+        ts = np.flatnonzero(mask).astype(float)
+        logs = np.log(norms[mask] / norms[0])
+        if ts.size >= 2:
+            slope = np.polyfit(ts, logs, 1)[0]
+            if slope < 0.0:
+                rates.append(-slope)
+            else:
+                last = int(ts[-1])
+                rates.append(-logs[-1] / last / 2.0)
+        elif ts.size == 1 and logs[0] < 0.0:
+            rates.append(-float(logs[0]) / float(ts[0]))
+    rate = min(min(rates) if rates else LAMBDA_MAX, LAMBDA_MAX)
+    log_k = 0.0
+    radius = 0.0
+    for _, norms in rows:
+        if norms[0] == 0.0:
+            continue
+        radius = max(radius, norms[0])
+        dts = np.arange(norms.size, dtype=float)
+        positive = norms > 0.0
+        ratios = np.log(norms[positive] / norms[0]) + rate * dts[positive]
+        if ratios.size:
+            log_k = max(log_k, float(ratios.max()))
+    gain = float(np.exp(log_k))
+    return ExponentialEnvelope(gain=max(gain, 1.0), rate=rate, validity_radius=radius if radius > 0 else None)
+
+
+ROW_KINDS = ("decaying", "non-monotone", "zero", "tiny", "zero-tail", "growing", "leaving", "non-finite")
+
+
+@st.composite
+def envelope_tables(draw):
+    """A state table of mixed rows, and its start times (one or per row)."""
+    size, steps, n = draw(st.integers(1, 6)), draw(st.integers(0, 9)), draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=size, max_size=size))
+    rng = np.random.default_rng(draw(seeds))
+    t = np.arange(steps + 1)
+    table = np.empty((size, steps + 1, n))
+    for i, kind in enumerate(kinds):
+        directions = rng.standard_normal((steps + 1, n))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        scale = {"tiny": 10.0 ** rng.uniform(-320, -300)}.get(kind, rng.uniform(0.01, 10.0))
+        ratio = rng.uniform(1.01, 2.0) if kind == "growing" else rng.uniform(0.05, 0.99)
+        norms = scale * ratio**t
+        if kind == "non-monotone":
+            norms = norms * rng.uniform(0.3, 3.0, steps + 1)
+        elif kind == "zero":
+            norms[:] = 0.0
+        elif kind == "zero-tail":
+            norms[rng.integers(1, steps + 1) if steps else 1:] = 0.0
+        elif kind == "leaving":
+            norms[0] = 0.0
+        table[i] = norms[:, None] * directions
+        if kind == "non-finite":
+            table[i, rng.integers(steps + 1), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    per_row = draw(st.booleans())
+    t0 = np.array(draw(st.lists(st.integers(0, 9), min_size=size, max_size=size))) if per_row else draw(st.integers(0, 9))
+    return table, t0
+
+
+def fit_outcome(fit):
+    try:
+        env = fit()
+    except (NotExponentiallyStableError, ValueError) as exc:
+        return type(exc), str(exc)
+    return env.gain.hex(), env.rate.hex(), None if env.validity_radius is None else env.validity_radius.hex()
+
+
+class TestEnvelopeFitTable:
+    @given(data=envelope_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_fit_matches_the_per_trajectory_loop(self, data):
+        table, t0 = data
+        t0s = np.broadcast_to(t0, len(table)).tolist()
+        want = fit_outcome(lambda: reference_fit(t0s, table))
+        assert fit_outcome(lambda: fit_exponential_envelope(table, t0)) == want
+        try:
+            reference_fit(t0s, table)
+        except NotExponentiallyStableError as exc:
+            # the same row raises: the rows before it fit, or fail only on the rate
+            starts, row = np.broadcast_to(t0, len(table)), exc.row
+            assert fit_outcome(lambda: fit_exponential_envelope(table[: row + 1], starts[: row + 1])) == want
+            if row:
+                before = fit_outcome(lambda: fit_exponential_envelope(table[:row], starts[:row]))
+                assert before[0] is not NotExponentiallyStableError
+        except ValueError:
+            pass
