@@ -29,7 +29,7 @@ import numpy as np
 
 from .certcheck import CandidateFunction, ConditionReport, TOL_ABS, worst_index
 from .converse import LIPSCHITZ_SAFETY
-from .dynsys import _amplitudes, _row_norms, _row_squares, sample_rows, state_batched, trajectories
+from .dynsys import BatchMap, _amplitudes, _batch_fields, _row_norms, _row_squares, batch_map, trajectories
 from .errors import BudgetInfeasibleError, HypothesisViolationError
 
 __all__ = [
@@ -53,7 +53,7 @@ GRAD_STEP = 1e-6
 HYPOTHESIS_RTOL = 1e-4
 EPS1_FLOOR = 1e-300
 MU_PROBES = 20
-WINDOW_ROWS = 8192  # most window rows one sample_rows call reads, unless one window is longer
+WINDOW_ROWS = 8192  # most window rows one field call reads, unless one window is longer
 SIGMA_STARTS = (0, 1, 2, 3)  # start times of the sigma windows, whose first values give L
 
 PhiFn = Callable[[int, np.ndarray], np.ndarray]
@@ -84,9 +84,9 @@ class AveragedField:
     these rows.  Both are copied on construction, and probes that are not
     a finite (P, n) array, or means of another shape, raise ValueError.
     ``phibar(x)`` is the same window mean at one state, or at each row of
-    a ``state_batched`` (S, n) batch, computed afresh on each call.  The
-    reported convergence gap compares the means against the half-window
-    means of the probes.
+    an (S, n) batch, computed afresh on each call.  The reported
+    convergence gap compares the means against the half-window means of
+    the probes.
     """
 
     phibar: Callable[[np.ndarray], np.ndarray]
@@ -97,6 +97,7 @@ class AveragedField:
     warning: Optional[str] = None
 
     def __post_init__(self):
+        _batch_fields(self, "phibar")
         probes, means = _probe_array(self.probes), np.array(self.means, dtype=float)
         if means.shape != probes.shape:
             raise ValueError(f"probe means of shape {means.shape} for probes of shape {probes.shape}")
@@ -159,15 +160,17 @@ class AveragedCertificate:
     budget: AveragingBudget
     evaluator: Callable[[int, np.ndarray, float], float] = None  # type: ignore
 
+    def __post_init__(self):
+        _batch_fields(self, "evaluator")
+
 
 def _prefix_sums(phi: PhiFn, starts, xs, length: int) -> np.ndarray:
     """Running sums (S, length + 1, n) of phi(t, x) over the windows t = k ..
     k + length - 1 of the S starts k and states x of ``starts`` and
     ``xs``: entry [i, j] adds the first j values of window i.
 
-    The windows are read in :func:`~lyapcert.dynsys.sample_rows` calls
-    over whole windows, at most ``WINDOW_ROWS`` rows each.  ``np.cumsum``
-    over a zero-prepended table adds in order from zero, as a loop would
+    The windows are read in ``phi`` calls over whole windows, at most
+    ``WINDOW_ROWS`` rows each.  ``np.cumsum`` over a zero-prepended table adds in order from zero, as a loop would
     (``np.sum`` pairs terms and rounds differently).
     """
     starts = np.asarray(starts, dtype=int)
@@ -177,7 +180,7 @@ def _prefix_sums(phi: PhiFn, starts, xs, length: int) -> np.ndarray:
     for lo in range(0, len(xs), per_call):
         hi = min(lo + per_call, len(xs))
         times = (starts[lo:hi, None] + np.arange(length)).reshape(-1)
-        rows = sample_rows(phi, times, np.repeat(xs[lo:hi], length, axis=0))
+        rows = phi(times, np.repeat(xs[lo:hi], length, axis=0))
         table[lo:hi, 1:] = rows.reshape(hi - lo, length, -1)
     return np.cumsum(table, axis=1, out=table)
 
@@ -193,12 +196,10 @@ def _window_mean(phi: PhiFn, T_max: int) -> Callable[[np.ndarray], np.ndarray]:
     state, or at each row of an (S, n) batch read in one
     :func:`_prefix_sums` call."""
 
-    @state_batched
+    @BatchMap
     def phibar(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rows = x if x.ndim == 2 else x.reshape(1, -1)
-        means = _prefix_sums(phi, np.zeros(len(rows)), rows, T_max + 1)[:, -1] / T_max
-        return means if x.ndim == 2 else means[0]
+        rows = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
+        return (_prefix_sums(phi, np.zeros(len(rows)), rows, T_max + 1)[:, -1] / T_max).reshape(np.shape(x))
 
     return phibar
 
@@ -221,6 +222,7 @@ def estimate_average(
     data, probes that are not a 2-D array, a non-finite probe, or a probe
     whose full window mean is NaN or infinite, raises ValueError.
     """
+    phi = batch_map(phi)
     if T_max < 4:
         raise ValueError("T_max too short to average")
     if T_max % 2:
@@ -260,6 +262,7 @@ def estimate_sigma(phi: PhiFn, avg: AveragedField, T_list: Sequence[int]) -> Sig
     deviation, an L that is not positive and finite, or probes that are
     all zero raise ValueError.
     """
+    phi = batch_map(phi)
     T_list = tuple(sorted(set(int(T) for T in T_list)))
     if not T_list or T_list[0] < 1:
         raise ValueError("horizons must be >= 1")
@@ -376,15 +379,10 @@ def budget_for_delta(delta: float, table: SigmaTable) -> AveragingBudget:
     )
 
 
-def _slow_step(phi: PhiFn) -> Callable:
+def _slow_step(phi: PhiFn) -> BatchMap:
     """The step x + eps*phi(t, x) of one state or a batch, eps a scalar or
     per row (see :func:`~lyapcert.dynsys._amplitudes`)."""
-
-    @state_batched
-    def step(t, x: np.ndarray, eps) -> np.ndarray:
-        return x + _amplitudes(eps, x) * sample_rows(phi, t, x)
-
-    return step
+    return BatchMap(lambda t, x, eps: x + _amplitudes(eps, x) * phi(t, x))
 
 
 def check_drift_remainder(
@@ -412,6 +410,7 @@ def check_drift_remainder(
     window's is inf.  The slack is the allowance minus the drift, plus
     TOL_ABS.
     """
+    phi = batch_map(phi)
     k, T, eps = np.asarray(k, dtype=int), np.asarray(T, dtype=int), np.asarray(eps, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -427,7 +426,7 @@ def check_drift_remainder(
     sigmas = [table.sigma(T_i) for T_i in Ts.tolist()]
     drifts = []
     if len(kept):
-        means = sample_rows(avg.phibar, xs)
+        means = avg.phibar(xs)
         states, diverged = trajectories(_slow_step(phi), times, xs, Ts + 1, amplitudes)
         with np.errstate(over="ignore"):  # an overflowing drift is an infinite slack deficit
             drifts = _row_norms(states[np.arange(len(kept)), Ts + 1] - xs - (amplitudes * Ts)[:, None] * means)
@@ -459,8 +458,8 @@ def fit_slow_constants(V: CandidateFunction, avg: AveragedField) -> Tuple[float,
         raise ValueError("no probe with nonzero norm")
     xs = avg.probes[live]
     step = GRAD_STEP * np.eye(xs.shape[1])  # row i of each probe's block moves coordinate i
-    plus = sample_rows(V.eval_fn, 0, (xs[:, None, :] + step).reshape(-1, xs.shape[1]))
-    minus = sample_rows(V.eval_fn, 0, (xs[:, None, :] - step).reshape(-1, xs.shape[1]))
+    plus = V.eval_fn(0, (xs[:, None, :] + step).reshape(-1, xs.shape[1]))
+    minus = V.eval_fn(0, (xs[:, None, :] - step).reshape(-1, xs.shape[1]))
     grads = (plus - minus).reshape(xs.shape) / (2.0 * GRAD_STEP)
     c3 = math.inf
     if V.quadratic_P is not None:
@@ -469,7 +468,7 @@ def fit_slow_constants(V: CandidateFunction, avg: AveragedField) -> Tuple[float,
         values = [None] * len(xs)
     else:
         c1, c2, c4 = math.inf, 0.0, 0.0
-        values = sample_rows(V.eval_fn, 0, xs).reshape(-1).tolist()
+        values = V.eval_fn(0, xs).reshape(-1).tolist()
     for i, nx, grad, mean, value in zip(live.tolist(), norms[live].tolist(), grads, avg.means[live], values):
         terms = [-float(grad @ mean) / nx ** 2]
         if value is not None:
@@ -505,17 +504,17 @@ def build_averaged_lyapunov(
     budget; the (a1..a4) constants bound and decrement the window sum for
     every eps in (0, eps_c); the declared sandwich is checked on the
     probes of ``avg``, the set the constants were fitted on.  The evaluator
-    also takes a batch of samples (see
-    :func:`~lyapcert.dynsys.sample_rows`), at one amplitude or at an (S,)
-    array of per-row amplitudes; a window that diverges (see
-    :func:`~lyapcert.dynsys.trajectories`) sums to inf.
+    also takes a batch of samples (see :class:`~lyapcert.dynsys.BatchMap`),
+    at one amplitude or at an (S,) array of per-row amplitudes; a window
+    that diverges (see :func:`~lyapcert.dynsys.trajectories`) sums to inf.
     """
+    phi = batch_map(phi)
     c1, c2, c3, c4 = constants
     if min(c1, c2, c3, c4) <= 0.0:
         raise ValueError("slow constants must be positive")
     nx2 = _row_squares(avg.probes)
     kept = ~(nx2 < 1e-28)
-    values = sample_rows(V.eval_fn, 0, avg.probes[kept]).reshape(-1).tolist() if kept.any() else []
+    values = V.eval_fn(0, avg.probes[kept]).reshape(-1).tolist() if kept.any() else []
     for n2, value in zip(nx2[kept].tolist(), values):
         if not (c1 * n2 * (1.0 - HYPOTHESIS_RTOL) <= value <= c2 * n2 * (1.0 + HYPOTHESIS_RTOL)):
             raise HypothesisViolationError(
@@ -533,18 +532,17 @@ def build_averaged_lyapunov(
     a3 = T_star * c3 / 2.0
     a4 = (T_star + 1) * c4 * factor ** (2 * T_star)
 
-    @state_batched
-    def evaluator(k: int, x: np.ndarray, eps) -> float:
+    @BatchMap
+    def evaluator(k: int, x: np.ndarray, eps) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         k = k if isinstance(k, np.ndarray) else int(k)
         rows = x.reshape(-1, x.shape[-1])
         _amplitudes(eps, x)  # a malformed amplitude is refused before any field call
         states, diverged = trajectories(_slow_step(phi), k, rows, T_star, np.broadcast_to(eps, len(rows)))
         table = states.reshape(x.shape[:-1] + states.shape[1:])
-        total = sum(sample_rows(V.eval_fn, k + i, table[..., i, :]) for i in range(T_star + 1))
+        total = sum(V.eval_fn(k + i, table[..., i, :]) for i in range(T_star + 1))
         # a diverged window's states are NaN from its divergence step on; its sum is inf
-        total = np.where(diverged.reshape(x.shape[:-1]) > 0, math.inf, total)
-        return total if x.ndim == 2 else float(total)
+        return np.where(diverged.reshape(x.shape[:-1]) > 0, math.inf, total)
 
     return AveragedCertificate(
         base_constants=(c1, c2, c3, c4),

@@ -6,12 +6,10 @@ low-discrepancy directions, and quadratic candidates additionally get their
 eigendirections injected so sign defects cannot hide between samples.
 
 ``check_positive_definite`` and ``check_decrease`` read every sample in
-one batch: an (S,) array of times and an (S, n) array of states, taken
-through :func:`~lyapcert.dynsys.sample_rows`.  A candidate or map marked
-``state_batched`` (``CandidateFunction.quadratic`` is) is called once per
-quantity; any other callable once per sample, in sample order.  Each
-batched value equals the one-sample call bit for bit, and the slacks are
-formed with the same floating-point operations as one sample at a time.
+one batch: an (S,) array of times and an (S, n) array of states, one
+candidate or map call per quantity.  Each batched value equals the
+one-sample call bit for bit, and the slacks are formed with the same
+floating-point operations as one sample at a time.
 
 Every per-sample check in the package reduces through
 :meth:`ConditionReport.from_slack`, which takes the (S,) times and the
@@ -34,7 +32,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynsys import DynSystem, real_array, sample_rows, state_batched
+from .dynsys import BatchMap, DynSystem, _batch_fields
 from .rng import low_discrepancy_directions
 
 __all__ = [
@@ -72,6 +70,7 @@ class CandidateFunction:
     time_dependent: bool = False
 
     def __post_init__(self):
+        _batch_fields(self, "eval_fn")
         times = (0, 1, 3) if self.time_dependent else (0,)
         origin = np.zeros(self.dim)
         for t in times:
@@ -80,7 +79,7 @@ class CandidateFunction:
                 raise ValueError(f"candidate does not vanish at the origin: V({t},0)={v0!r}")
 
     def __call__(self, t: int, x: np.ndarray) -> float:
-        return float(real_array(self.eval_fn(t, np.asarray(x, dtype=float))))
+        return float(self.eval_fn(t, np.asarray(x, dtype=float)))
 
     @classmethod
     def quadratic(cls, P: np.ndarray) -> "CandidateFunction":
@@ -89,7 +88,7 @@ class CandidateFunction:
         one-state call (a stacked product makes the same BLAS calls)."""
         P = 0.5 * (np.asarray(P, dtype=float) + np.asarray(P, dtype=float).T)
 
-        @state_batched
+        @BatchMap
         def form(t, x) -> float:
             if isinstance(x, np.ndarray) and x.ndim == 2:
                 x = np.ascontiguousarray(x, dtype=float)
@@ -219,7 +218,7 @@ def check_positive_definite(V: CandidateFunction, grid: np.ndarray) -> Condition
     details = {}
     if V.quadratic_P is not None:
         details["min_eig_P"] = float(np.linalg.eigvalsh(V.quadratic_P)[0])
-    slack = sample_rows(V.eval_fn, T, X) if len(T) else []
+    slack = V.eval_fn(T, X) if len(T) else []
     return ConditionReport.from_slack(POS_DEF, slack, T, X, details)
 
 
@@ -242,7 +241,7 @@ def check_decrease(
     if not len(T):
         return ConditionReport.from_slack(condition, [], T, X)
     sign = -1.0 if strict else 1.0
-    value = sample_rows(V.eval_fn, T, X)
-    after = sample_rows(V.eval_fn, T + 1, sample_rows(sys.step, T, X))
+    value = V.eval_fn(T, X)
+    after = V.eval_fn(T + 1, sys.step(T, X))
     slack = sign * (TOL_ABS + TOL_REL * np.abs(value)) - (after - value)
     return ConditionReport.from_slack(condition, slack, T, X)

@@ -27,16 +27,17 @@ import numpy as np
 
 from .certcheck import ConditionReport, TOL_ABS, TOL_REL
 from .dynsys import (
+    BatchMap,
     DynSystem,
     ExponentialEnvelope,
     SlowFastSamples,
     SlowFastSystem,
+    _batch_fields,
     _row_norms,
     _row_squares,
+    batch_map,
     real_array,
-    sample_rows,
     simulate,
-    state_batched,
 )
 from .errors import HypothesisViolationError
 from .rng import Rng
@@ -90,6 +91,9 @@ class ConverseCertificate:
     lipschitz_L1: Optional[float] = None
     lipschitz_L2: Optional[float] = None
 
+    def __post_init__(self):
+        _batch_fields(self, "evaluator", "step_fn")
+
 
 def estimate_lipschitz(
     fn: Callable[[int, np.ndarray], np.ndarray],
@@ -102,10 +106,10 @@ def estimate_lipschitz(
     array ``points`` and the given times, inflated by ``LIPSCHITZ_SAFETY``
     because sampling can only underestimate.  A NaN or infinite map value
     or quotient raises ValueError naming t and the point, since a maximum
-    would silently skip it.  Each time's values come from one
-    :func:`~lyapcert.dynsys.sample_rows` call over the points.
+    would silently skip it.  Each time's values come from one ``fn`` call
+    over the points.
     """
-    points = real_array(points)
+    fn, points = batch_map(fn), real_array(points)
     if not points.size:
         raise ValueError(_NO_PAIR)
     if points.ndim != 2:
@@ -113,7 +117,7 @@ def estimate_lipschitz(
     best = 0.0
     found = False
     for t in times:
-        values = sample_rows(fn, t, points)
+        values = fn(t, points)
         ratio = _difference_max(t, points, values)
         if ratio is not None:
             found = True
@@ -221,12 +225,11 @@ def build_trajectory_converse(
     L1 = estimate_lipschitz(sys.step, samples, times=times)
     a4 = sum(env.gain * math.exp(-env.rate * t) * L1**t for t in range(N))
 
-    @state_batched
-    def evaluator(k: int, x: np.ndarray, frozen_x=None) -> float:
+    @BatchMap
+    def evaluator(k: int, x: np.ndarray, frozen_x=None) -> np.ndarray:
         states = simulate(sys, 0 if sys.autonomous else k, x, N - 1)
         # each row's sum as np.sum over its contiguous (N, n) states
-        sums = np.sum((states * states).reshape(states.shape[:-2] + (-1,)), axis=-1)
-        return sums if np.ndim(x) == 2 else float(sums)
+        return np.sum((states * states).reshape(states.shape[:-2] + (-1,)), axis=-1)
 
     return ConverseCertificate(
         kind="autonomous" if sys.autonomous else "nonautonomous",
@@ -236,7 +239,7 @@ def build_trajectory_converse(
         a3=1.0 - env.gain**2 * decay**N,
         a4=a4,
         evaluator=evaluator,
-        step_fn=state_batched(lambda k, x, fx=None: sys.step(k, x)),
+        step_fn=BatchMap(lambda k, x, fx=None: sys.step(k, x)),
         lipschitz_L1=L1,
     )
 
@@ -316,20 +319,18 @@ def _fast_certificate(
     )
 
     def frozen(yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> np.ndarray:
-        x = np.zeros(yerr.shape[:-1] + (sysf.dim_x,)) if frozen_x is None else frozen_x
-        return np.asarray(x, dtype=float)
+        return np.zeros(yerr.shape[:-1] + (sysf.dim_x,)) if frozen_x is None else np.asarray(frozen_x, dtype=float)
 
-    @state_batched
-    def evaluator(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> float:
+    @BatchMap
+    def evaluator(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> np.ndarray:
         y = np.asarray(yerr, dtype=float)
         rows = y.reshape(-1, sysf.dim_y)
         x = frozen(y, frozen_x).reshape(len(rows), sysf.dim_x)
         states, _ = sysf.fast_trajectories(k, rows, x, T - 1)
         # the running total |y(0)|^2 + |y(1)|^2 + ... of each row, in step order
-        total = np.cumsum(_row_squares(states), axis=1)[:, -1]
-        return total if y.ndim == 2 else float(total[0])
+        return np.cumsum(_row_squares(states), axis=1)[:, -1].reshape(y.shape[:-1])
 
-    @state_batched
+    @BatchMap
     def step_fn(k: int, yerr: np.ndarray, frozen_x: Optional[np.ndarray]) -> np.ndarray:
         yerr = np.asarray(yerr, dtype=float)
         return sysf.shifted_fast(frozen(yerr, frozen_x))(k, yerr)
@@ -394,8 +395,7 @@ def verify_converse(
     the frozen-parameter report when a5 is available; consecutive samples
     are paired for the Lipschitz checks.  Each slack is the room left under
     the claimed bound plus its tolerance.  The evaluator and the step map
-    take every sample in one :func:`~lyapcert.dynsys.sample_rows` call per
-    quantity.
+    take every sample in one call per quantity.
     """
     ks = np.asarray(k, dtype=int)
     states = np.asarray(states, dtype=float)
@@ -403,12 +403,12 @@ def verify_converse(
     if not len(ks):
         names = (BOUNDS, DECREMENT) + ((STATE_LIPSCHITZ,) if cert.a4 is not None else ())
         return [ConditionReport.from_slack(name, [], ks, states) for name in names]
-    values = sample_rows(cert.evaluator, ks, states, frozen)
+    values = cert.evaluator(ks, states, frozen)
     n2 = _row_squares(states)
     tol = TOL_ABS + TOL_REL * np.abs(values)
     bounds = _first_min(values - cert.a1 * n2, cert.a2 * n2 - values) + tol
-    stepped = sample_rows(cert.step_fn, ks, states, frozen)
-    delta = sample_rows(cert.evaluator, ks + 1, stepped, frozen) - values
+    stepped = cert.step_fn(ks, states, frozen)
+    delta = cert.evaluator(ks + 1, stepped, frozen) - values
     decrement = tol - (delta + cert.a3 * n2)
     reports = [
         ConditionReport.from_slack(BOUNDS, bounds, ks, states),
@@ -422,14 +422,14 @@ def verify_converse(
     lead, after = slice(None, -1), slice(1, None)
     if cert.a4 is not None:
         held = None if frozen is None else frozen[lead]
-        gap = np.abs(values[lead] - sample_rows(cert.evaluator, ks[lead], states[after], held))
+        gap = np.abs(values[lead] - cert.evaluator(ks[lead], states[after], held))
         norms = _row_norms(states)
         bound = cert.a4 * _row_norms(states[lead] - states[after]) * (norms[lead] + norms[after])
         slack = lipschitz_slack(gap, bound)
         reports.append(ConditionReport.from_slack(STATE_LIPSCHITZ, slack, ks[lead], states[lead]))
 
     if cert.a5 is not None and frozen is not None:
-        moved = sample_rows(cert.evaluator, ks[lead], states[lead], frozen[after])
+        moved = cert.evaluator(ks[lead], states[lead], frozen[after])
         bound = cert.a5 * n2[lead] * _row_norms(frozen[lead] - frozen[after])
         slack = lipschitz_slack(np.abs(values[lead] - moved), bound)
         reports.append(ConditionReport.from_slack(PARAMETER_LIPSCHITZ, slack, ks[lead], states[lead]))

@@ -5,12 +5,13 @@ Systems are maps ``x(t+1) = f(t, x(t))``; autonomous systems simply ignore
 equilibrium of interest sits at the origin, so the containers validate the
 declared equilibrium at construction and expose a shifted view.
 
-Consumers read a map over a batch of samples with :func:`sample_rows`,
-which calls a map marked by :func:`state_batched` once and loops any other
-callable; a window of times is a batch whose rows share one state.  Every
-trajectory comes from :func:`trajectories`, one :func:`sample_rows` call
-per step over a batch of starts with per-row horizons, with one divergence
-rule; :func:`simulate` adds the raise.  Its (S, H + 1, n) state table
+Every map inside the library takes a batch of samples in one call (see
+:class:`BatchMap`).  A plain callable is adapted once, by
+:func:`batch_map`, where it enters: in the constructors of the classes
+that hold a map and in the public functions that take one.  Every
+trajectory comes from :func:`trajectories`, one map call per step over a
+batch of starts with per-row horizons, with one divergence rule;
+:func:`simulate` adds the raise.  Its (S, H + 1, n) state table
 is the one trajectory type: :func:`fit_exponential_envelope` fits from
 it and :func:`trajectory_to_csv` writes one row of it.  Every transition
 product of a :class:`LinearTV` comes from :func:`transitions`, one
@@ -40,8 +41,8 @@ __all__ = [
     "trajectories",
     "transitions",
     "linear_part",
-    "state_batched",
-    "sample_rows",
+    "BatchMap",
+    "batch_map",
     "real_array",
     "fit_exponential_envelope",
     "trajectory_to_csv",
@@ -122,46 +123,59 @@ def _amplitudes(eps, x):
     return eps[:, None]
 
 
-def state_batched(fn: Callable) -> Callable:
-    """Mark ``fn`` as taking a batch of samples in one call (see
-    :func:`sample_rows`), returning one row per sample equal bit for bit
-    to the per-sample calls (the maps ``build_system`` compiles from
-    expressions, and the slow/fast steps built on them)."""
-    fn.state_batched = True
-    return fn
+class BatchMap:
+    """A map over a batch of samples in one call, the library's one map protocol.
 
-
-def sample_rows(fn: Callable, *args) -> np.ndarray:
-    """``fn(*args)`` as a float array, with one row per sample for a batch.
-
-    A call is a batch of S samples when an argument is a 2-D array (S
-    states as rows).  Every array argument then runs over the samples
-    along its first axis: an (S,) array of times, an (S, n) array of
-    states.  The other arguments (a scalar time, an amplitude, None) are
-    shared, so a state shared by every sample is passed broadcast to
-    (S, n).  A map marked by :func:`state_batched` is called once with the
-    batch; any other callable once per sample, in sample order, with
-    Python scalars for the entries of 1-D arrays.  A call without a 2-D
-    argument is the one call ``fn(*args)``.  A complex value raises
-    TypeError (see :func:`real_array`).
+    A call with a 2-D argument is S samples: array arguments run along
+    their first axis ((S,) times, (S, n) states), the others are shared,
+    and row i of the float result (see :func:`real_array`) is bit for bit
+    the one-sample call; a :class:`LinearTV` matrix map takes (S,) times.
+    On a method it binds as a function does.
     """
-    for a in args:
-        if isinstance(a, np.ndarray) and a.ndim == 2:
-            size = len(a)
-            break
-    else:
-        return real_array(fn(*args))
-    if getattr(fn, "state_batched", False):
-        return real_array(fn(*args))
-    columns = []
-    for a in args:
-        if not isinstance(a, np.ndarray) or a.ndim == 0:
-            columns.append(itertools.repeat(a, size))
-            continue
-        if len(a) != size:
-            raise ValueError(f"batch arguments of different lengths {len(a)} and {size}")
-        columns.append(a.tolist() if a.ndim == 1 else a)
-    return np.array([real_array(fn(*sample)) for sample in zip(*columns)])
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __call__(self, *args) -> np.ndarray:
+        return real_array(self.fn(*args))
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else BatchMap(self.fn.__get__(obj, owner))
+
+
+def batch_map(fn: Callable, batch_ndim: int = 2) -> BatchMap:
+    """``fn`` as a :class:`BatchMap`: a BatchMap as it is, any other
+    callable called once per sample, in sample order.  A call is a batch
+    when an argument has ``batch_ndim`` dimensions (1 for a map of time
+    alone); array arguments then give Python scalars for 1-D entries and
+    must share one length (else ValueError), the others are shared."""
+    if isinstance(fn, BatchMap):
+        return fn
+
+    def each_sample(*args):
+        size = next((len(a) for a in args if isinstance(a, np.ndarray) and a.ndim == batch_ndim), None)
+        if size is None:
+            return fn(*args)
+        columns = []
+        for a in args:
+            if not isinstance(a, np.ndarray) or a.ndim == 0:
+                columns.append(itertools.repeat(a, size))
+                continue
+            if len(a) != size:
+                raise ValueError(f"batch arguments of different lengths {len(a)} and {size}")
+            columns.append(a.tolist() if a.ndim == 1 else a)
+        return np.array([real_array(fn(*sample)) for sample in zip(*columns)])
+
+    return BatchMap(each_sample)
+
+
+def _batch_fields(obj, *names: str) -> None:
+    """Each named map field of the frozen dataclass ``obj`` as its :func:`batch_map` (None stays)."""
+    for name in names:
+        if getattr(obj, name) is not None:
+            object.__setattr__(obj, name, batch_map(getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -178,6 +192,7 @@ class DynSystem:
     equilibrium: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        _batch_fields(self, "map_fn")
         eq = self.equilibrium
         eq = np.zeros(self.dim) if eq is None else _as_vector(eq, self.dim)
         object.__setattr__(self, "equilibrium", eq)
@@ -190,27 +205,19 @@ class DynSystem:
                     f"(moved by {np.linalg.norm(image - eq):.3e})"
                 )
 
-    @state_batched
+    @BatchMap
     def step(self, t: int, x: np.ndarray) -> np.ndarray:
         """The next state of one state, or of each row of an (S, n) batch at
-        a scalar t or an (S,) array of times (see :func:`sample_rows`)."""
+        a scalar t or an (S,) array of times (see :class:`BatchMap`)."""
         x = np.asarray(x, dtype=float)
-        return _as_states(sample_rows(self.map_fn, t, x), self.dim, x)
+        return _as_states(self.map_fn(t, x), self.dim, x)
 
     def shifted(self) -> "DynSystem":
-        """Same dynamics in coordinates where the equilibrium is the origin.
-
-        The shifted map keeps the :func:`state_batched` mark of ``map_fn``.
-        """
+        """Same dynamics in coordinates where the equilibrium is the origin."""
         if not np.any(self.equilibrium):
             return self
         eq = self.equilibrium
-
-        def shifted_map(t: int, u: np.ndarray) -> np.ndarray:
-            return real_array(self.map_fn(t, u + eq)) - eq
-
-        if getattr(self.map_fn, "state_batched", False):
-            state_batched(shifted_map)
+        shifted_map = BatchMap(lambda t, u: self.map_fn(t, u + eq) - eq)
         return DynSystem(self.dim, shifted_map, self.autonomous, np.zeros(self.dim))
 
 
@@ -219,30 +226,30 @@ class LinearTV:
     """Time-varying linear system ``x(t+1) = A(t) x(t)``.
 
     Every A(t) is read through :meth:`matrices`, once per t on each
-    instance: the missing times in one call with their array when
-    ``matrix_fn`` is marked by :func:`state_batched` (it returns their
-    stack), else one t at a time, in first-read order.  Each read is checked
-    once: a complex A(t) raises TypeError (see :func:`real_array`), a wrong
-    shape or a NaN or infinite entry ValueError naming t.
+    instance: the missing times in one ``matrix_fn`` call with their array
+    (a plain ``matrix_fn(t)`` one t at a time, in first-read order).  Each
+    read is checked once: a complex A(t) raises TypeError (see
+    :func:`real_array`), a wrong shape or a NaN or infinite entry
+    ValueError naming t.
     """
 
     dim: int
     matrix_fn: Callable[[int], np.ndarray]
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix_fn", batch_map(self.matrix_fn, 1))
+
     def matrices(self, times) -> np.ndarray:
         """A(t) at each t of ``times``, as a read-only (len(times), n, n) stack."""
         times = np.asarray(times, dtype=int).reshape(-1).tolist()
         missing = [t for t in dict.fromkeys(times) if t not in self._matrices]
-        if missing and getattr(self.matrix_fn, "state_batched", False):
-            read = real_array(self.matrix_fn(np.array(missing)))
-            if read.shape[:1] != (len(missing),):
-                raise ValueError(f"A at {len(missing)} times has shape {read.shape}")
-        else:
-            read = map(self.matrix_fn, missing)
+        read = self.matrix_fn(np.array(missing)) if missing else ()
+        if np.shape(read)[:1] != (len(missing),):
+            raise ValueError(f"A at {len(missing)} times has shape {np.shape(read)}")
         shape = (self.dim, self.dim)
         for t, A in zip(missing, read):
-            A = np.array(real_array(A))
+            A = np.array(A)
             if A.shape != shape:
                 raise ValueError(f"A({t}) has shape {A.shape}, expected {shape}")
             if not np.isfinite(A).all():
@@ -256,6 +263,8 @@ class LinearTV:
         return self.matrices([t])[0]
 
     def system(self) -> DynSystem:
+        # a map of one state: A(t) @ X of a batch would be wrong, so the
+        # constructor calls it once per row
         return DynSystem(
             self.dim,
             lambda t, x: self.matrix(t) @ x,
@@ -312,6 +321,7 @@ class SlowFastSystem:
     epsilon: float = 1e-2
 
     def __post_init__(self):
+        _batch_fields(self, "phi", "varphi", "ystar")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         probes = [np.zeros(self.dim_x)]
@@ -329,21 +339,18 @@ class SlowFastSystem:
                         f"k={k} (residual {residual:.3e})"
                     )
 
-    @state_batched
     def step(
         self, k: int, x: np.ndarray, y: np.ndarray, eps: float | np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One coupled step (x + eps*phi(k, x, y), varphi(k, y, x)) of one pair
-        or of a batch (see :func:`sample_rows`), at the amplitude eps, or for
+        or of a batch (see :class:`BatchMap`), at the amplitude eps, or for
         a batch at an (S,) array of per-row amplitudes (see
         :func:`_amplitudes`, which refuses a malformed one before any map
         call)."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        eps = _amplitudes(eps, x)
-        x_next = x + eps * sample_rows(self.phi, k, x, y)
-        return x_next, sample_rows(self.varphi, k, y, x)
+        return x + _amplitudes(eps, x) * self.phi(k, x, y), self.varphi(k, y, x)
 
-    @state_batched
+    @BatchMap
     def stacked_step(self, k, z: np.ndarray, eps: float | np.ndarray) -> np.ndarray:
         """:meth:`step` of the stacked state z = (x, y), one state or a batch."""
         z = np.asarray(z, dtype=float)
@@ -352,7 +359,7 @@ class SlowFastSystem:
     def system(self) -> DynSystem:
         """:meth:`stacked_step` at ``epsilon``, with equilibrium (0, ystar(0))."""
         eq = np.concatenate(self._frozen(np.zeros(self.dim_x)))
-        map_fn = state_batched(lambda k, z: self.stacked_step(k, z, self.epsilon))
+        map_fn = BatchMap(lambda k, z: self.stacked_step(k, z, self.epsilon))
         return DynSystem(self.dim_x + self.dim_y, map_fn, autonomous=False, equilibrium=eq)
 
     def shifted_fast(self, x: np.ndarray) -> Callable[[int, np.ndarray], np.ndarray]:
@@ -360,11 +367,11 @@ class SlowFastSystem:
 
         ``x`` is one slow state, or an (S, dim_x) batch frozen row by row.
         The map takes one fast error, or an (S, dim_y) batch of them, at a
-        scalar k or an (S,) array of k (see :func:`sample_rows`).
+        scalar k or an (S,) array of k (see :class:`BatchMap`).
         """
         x, ys = self._frozen(x)
 
-        @state_batched
+        @BatchMap
         def fast(k: int, yerr: np.ndarray) -> np.ndarray:
             yerr = np.asarray(yerr, dtype=float)
             frozen = np.broadcast_to(x, yerr.shape[:-1] + x.shape[-1:]) if x.ndim < yerr.ndim else x
@@ -381,15 +388,14 @@ class SlowFastSystem:
 
     def _frozen(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """One slow state or an (S, dim_x) batch, and ystar of it."""
-        x = np.asarray(x, dtype=float)
-        x = _as_states(x, self.dim_x, x)
-        return x, _as_states(sample_rows(self.ystar, x), self.dim_y, x)
+        x = _as_states(x, self.dim_x, np.asarray(x))
+        return x, _as_states(self.ystar(x), self.dim_y, x)
 
-    @state_batched
+    @BatchMap
     def _fast_error_step(self, k, yerr: np.ndarray, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """varphi(k, y' + ys, x) - ys: the next fast error at the frozen slow
         state x, given ys = ystar(x), for one sample or a batch."""
-        return _as_states(sample_rows(self.varphi, k, yerr + ys, x), self.dim_y, yerr) - ys
+        return _as_states(self.varphi(k, yerr + ys, x), self.dim_y, yerr) - ys
 
 
 class _SlowFastFields(NamedTuple):
@@ -439,12 +445,12 @@ def trajectories(
     ``horizon`` is H steps, or (S,) per-row counts with largest H, a
     malformed one refused (ValueError) before any map call.  Row i starts
     at ``t0`` or ``t0[i]``; row i of each of ``rows`` (such as an
-    amplitude) goes with it.  Each step is one ``sample_rows(step, t, x,
-    *rows)`` call over the live rows.  A row leaves them after its own
-    count, or where it diverges: at its first state that is non-finite or
-    has norm above ``DIVERGENCE_LIMIT``.  Its later states are NaN.
+    amplitude) goes with it.  Each step is one ``step(t, x, *rows)`` call
+    over the live rows.  A row leaves them after its own count, or where
+    it diverges: at its first state that is non-finite or has norm above
+    ``DIVERGENCE_LIMIT``.  Its later states are NaN.
     """
-    x = real_array(x0)
+    step, x = batch_map(step), real_array(x0)
     counts = _step_counts(horizon, len(x))
     length = int(counts.max(initial=0))
     ends = np.array(np.broadcast_to(counts, len(x)))  # each live row's count, cut short where it diverges
@@ -462,7 +468,7 @@ def trajectories(
             exit_at = int(ends.min(initial=length))
         if not len(x):
             break
-        x = sample_rows(step, times + j, x, *rows)
+        x = step(times + j, x, *rows)
         states[live, j + 1] = x
         norms = _row_norms(x)
         if not norms.max() <= DIVERGENCE_LIMIT:  # one NaN-safe test; the mask only on a failure
@@ -526,11 +532,12 @@ def linear_part(map_fn: MapFn, t: int, dim: int) -> np.ndarray:
     and w: a nonlinear or affine map is refused rather than read as its
     secant through the unit vectors.
     """
-    base = real_array(map_fn(t, np.zeros(dim)))
-    A = np.column_stack([real_array(map_fn(t, e)) - base for e in np.eye(dim)])
+    map_fn = batch_map(map_fn)
+    base = map_fn(t, np.zeros(dim))
+    A = np.column_stack([map_fn(t, e) - base for e in np.eye(dim)])
     w = (-1.0) ** np.arange(1, dim + 1) * (0.5 + np.arange(dim) / (2.0 * dim))
     tol = LINEAR_TOL * (1.0 + float(np.linalg.norm(A)) * float(np.linalg.norm(w)))
-    residual = real_array(map_fn(t, w)) - A @ w
+    residual = map_fn(t, w) - A @ w
     off = float(np.maximum(np.linalg.norm(base), np.linalg.norm(residual)))  # keeps NaN
     if not off <= tol:
         raise InapplicableError(
@@ -552,7 +559,8 @@ def fit_exponential_envelope(states: np.ndarray, t0=0) -> ExponentialEnvelope:
     back to ``LAMBDA_MAX``.  The first refused row, in row order, raises
     :class:`NotExponentiallyStableError`: a NaN or infinite state (no
     envelope is fitted around it), a row leaving the origin, or a row that
-    does not decay.
+    does not decay: whose last positive norm after the start is not below
+    its first.
     """
     states = real_array(states)
     if states.ndim != 3 or not states.shape[0] or not states.shape[1]:
@@ -570,13 +578,14 @@ def fit_exponential_envelope(states: np.ndarray, t0=0) -> ExponentialEnvelope:
             if np.any(row > 0.0):
                 raise NotExponentiallyStableError("trajectory leaves the origin")
             continue
-        if row[-1] >= row[0]:
-            raise NotExponentiallyStableError(
-                f"trajectory does not decay (|x({len(row) - 1})| >= |x(0)|)"
-            )
         mask = row > 0.0
         mask[0] = False  # the anchor's log-ratio is 0 by construction; it only biases the fit
-        ts = np.flatnonzero(mask).astype(float)
+        ts = np.flatnonzero(mask)
+        if ts.size and row[ts[-1]] >= row[0]:  # the last positive norm: a zero one says nothing
+            raise NotExponentiallyStableError(
+                f"trajectory does not decay (|x({ts[-1]})| >= |x(0)|)"
+            )
+        ts = ts.astype(float)
         logs = np.log(row[mask] / row[0])
         if ts.size >= 2:
             slope = np.polyfit(ts, logs, 1)[0]
@@ -586,7 +595,7 @@ def fit_exponential_envelope(states: np.ndarray, t0=0) -> ExponentialEnvelope:
                 # non-monotone fit; endpoint rate is still strictly positive here
                 last = int(ts[-1])
                 rates.append(-logs[-1] / last / 2.0)
-        elif ts.size == 1 and logs[0] < 0.0:
+        elif ts.size == 1:
             rates.append(-float(logs[0]) / float(ts[0]))
     rate = min(min(rates) if rates else LAMBDA_MAX, LAMBDA_MAX)
     # inflate the gain in log space so the bound dominates every sample; an

@@ -166,7 +166,9 @@ def _cmd_converse(system, opts: dict, seed: int):
 def _cmd_averaging(system, opts: dict, seed: int):
     if not isinstance(system, DynSystem):
         raise ValueError("averaging applies to autonomous or nonautonomous field definitions")
-    phi = system.map_fn  # the map expressions define the increment field
+    # the map expressions define the increment field; the bound step is a
+    # batch map, so a wrapper installed on map_fn still receives batches
+    phi = system.step
     radius = opts["radius"]
     (balls,) = Rng(_subseed(seed, 1)).draw(opts["n_probes"], ("ball", system.dim, radius))
     probes = np.vstack([balls, radius * np.eye(system.dim)])

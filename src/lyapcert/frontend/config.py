@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..dynsys import DynSystem, LinearTV, SlowFastSystem, linear_part, state_batched
+from ..dynsys import BatchMap, DynSystem, LinearTV, SlowFastSystem, linear_part
 from ..errors import ConfigError, ParseError
 from .expressions import compile_map, free_refs, parse_expression
 
@@ -331,10 +331,10 @@ def build_system(cfg: SystemConfig):
     autonomous / nonautonomous -> DynSystem; linear_tv -> LinearTV (each
     A(t) comes from ``dynsys.linear_part``, which refuses expressions that
     are not homogeneous linear in x); slow_fast -> SlowFastSystem.  The
-    compiled maps are marked as taking batches of samples (see
-    ``dynsys.sample_rows``).
+    compiled maps take batches of samples, so they enter the systems as
+    ``dynsys.BatchMap``s, which the constructors keep as they are.
     """
-    fx = state_batched(compile_map(cfg.map_x, cfg.params))
+    fx = BatchMap(compile_map(cfg.map_x, cfg.params))
     if cfg.kind in ("autonomous", "nonautonomous"):
         eq = None if cfg.equilibrium is None else np.array(cfg.equilibrium)
         return DynSystem(
@@ -361,7 +361,7 @@ def build_system(cfg: SystemConfig):
         dim_x=cfg.dim_x,
         dim_y=cfg.dim_y,
         phi=fx,
-        varphi=state_batched(lambda k, y, x: fvarphi(k, x, y)),
-        ystar=state_batched(ystar),
+        varphi=BatchMap(lambda k, y, x: fvarphi(k, x, y)),
+        ystar=BatchMap(ystar),
         epsilon=cfg.epsilon if cfg.epsilon is not None else 1e-2,
     )

@@ -11,10 +11,9 @@ reported as inconclusive rather than guessed.
 Jacobian; a map that is exactly linear is read by ``dynsys.linear_part``
 instead, which refuses nonlinear maps.  It takes one state or an (S, n)
 batch of states, at one time or an (S,) array of times, and reads every
-perturbed point of the batch in one :func:`~lyapcert.dynsys.sample_rows`
-call, each sample's Jacobian equal bit for bit to its one-state call; the
-nonautonomous certifier reads its Jacobian family A(t) through it, all
-missing times in one call.  The autonomous and nonautonomous
+perturbed point of the batch in one map call, each sample's Jacobian
+equal bit for bit to its one-state call; the nonautonomous certifier
+reads its Jacobian family A(t) through it, all missing times in one call.  The autonomous and nonautonomous
 certifiers share one radius computation (``_remainder_radius``), whose
 sampled Lipschitz constant of the Jacobian reads a whole sample set's
 Jacobians with one map call per time.  :func:`validate_basin` steps every
@@ -32,7 +31,7 @@ import numpy as np
 
 from .certcheck import ConditionReport
 from .converse import estimate_lipschitz
-from .dynsys import DynSystem, ExponentialEnvelope, LinearTV, sample_rows, state_batched, trajectories
+from .dynsys import BatchMap, DynSystem, ExponentialEnvelope, LinearTV, batch_map, trajectories
 from .dynsys import _row_norms
 from .errors import InapplicableError
 from .rng import Rng
@@ -132,20 +131,21 @@ def numerical_jacobian(
     equal bit for bit to its one-state estimate.  ``t`` is one time, or
     for a batch an (S,) array of sample times (another length raises
     ValueError); for a system ``x`` defaults to its equilibrium, at each
-    time.  Every perturbed point of every sample is read in one
-    :func:`~lyapcert.dynsys.sample_rows` call, sample by sample, the coarse
-    pass before the fine, column by column, x + h e_i before x - h e_i, so
-    an unmarked map is called in that order and a raising map raises for
-    the first failing point in it.  A state with a NaN or infinite entry,
-    or a norm that overflows, raises ValueError naming it, and so does a
-    NaN or infinite map value, naming the first such sample's t and x.
+    time.  Every perturbed point of every sample is read in one map call,
+    sample by sample, the coarse pass before the fine, column by column,
+    x + h e_i before x - h e_i, so a plain map (adapted by
+    :func:`~lyapcert.dynsys.batch_map`) is called in that order and a
+    raising map raises for the first failing point in it.  A state with a
+    NaN or infinite entry, or a norm that overflows, raises ValueError
+    naming it, and so does a NaN or infinite map value, naming the first
+    such sample's t and x.
     """
     if isinstance(sys_or_fn, DynSystem):
         fn: MapFn = sys_or_fn.map_fn
         if x is None:
             x = np.broadcast_to(sys_or_fn.equilibrium, np.shape(t) + (sys_or_fn.dim,))
     else:
-        fn = sys_or_fn
+        fn = batch_map(sys_or_fn)
         if x is None:
             raise ValueError("x is required when passing a bare map")
     x = np.asarray(x, dtype=float)
@@ -165,7 +165,7 @@ def numerical_jacobian(
     base = states[:, None, None, :]
     points = np.stack([base + shift, base - shift], axis=3)  # (S, pass, i, hi/lo, n)
     times = np.repeat(t, 4 * n) if np.ndim(t) else t
-    values = sample_rows(fn, times, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)
+    values = fn(times, points.reshape(-1, n)).reshape(size, 2, n, 2, -1)
     finite = np.isfinite(values).reshape(size, -1).all(axis=1)
     if not finite.all():
         s = int(np.argmin(finite))
@@ -183,7 +183,7 @@ def numerical_jacobian(
 
 
 def _remainder_radius(
-    fn: MapFn,
+    shifted: DynSystem,
     dim: int,
     gamma_star: float,
     domain_radius: float,
@@ -193,16 +193,16 @@ def _remainder_radius(
 ) -> Tuple[float, float, float, Tuple[str, ...]]:
     """Jacobian Lipschitz constant L1, remainder gain and ball radius delta_bar.
 
-    L1 is the sampled Lipschitz constant of x -> J(t, x) (Frobenius) over
-    the domain, then over the first candidate ball gamma_star/(sqrt(n)*L1),
-    the larger value kept; delta_bar is that ratio with the final L1,
-    clipped to the domain.  A Jacobian constant within sampling tolerance
-    gives the domain radius.
+    L1 is the sampled Lipschitz constant of x -> J(t, x) (Frobenius) of
+    the ``shifted`` system's map over the domain, then over the first
+    candidate ball gamma_star/(sqrt(n)*L1), the larger value kept;
+    delta_bar is that ratio with the final L1, clipped to the domain.  A
+    Jacobian constant within sampling tolerance gives the domain radius.
     """
 
-    @state_batched
+    @BatchMap
     def vec_jac(t: int, x: np.ndarray) -> np.ndarray:
-        return numerical_jacobian(fn, t, x).A.reshape(np.shape(x)[:-1] + (-1,))
+        return numerical_jacobian(shifted, t, x).A.reshape(np.shape(x)[:-1] + (-1,))
 
     def lipschitz(radius: float, tag: int) -> float:
         points = np.vstack([np.zeros(dim), rng.spawn(tag).draw(count, ("ball", dim, radius))[0]])
@@ -269,7 +269,7 @@ def certify_local_autonomous(
     gamma_star = -B + math.sqrt(B * B + q1 / p2)
 
     L1, remainder_gain, delta_bar, notes = _remainder_radius(
-        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), 64, (0,)
+        shifted, sys.dim, gamma_star, domain_radius, Rng(seed), 64, (0,)
     )
     return LocalCertificate(
         verdict=STABLE,
@@ -306,7 +306,7 @@ def certify_local_nonautonomous(
     if domain_radius <= 0.0:
         raise ValueError("domain_radius must be positive")
     shifted = sys.shifted()
-    ltv = LinearTV(sys.dim, state_batched(lambda times: numerical_jacobian(shifted, times).A))
+    ltv = LinearTV(sys.dim, BatchMap(lambda times: numerical_jacobian(shifted, times).A))
     envelope = verify_transition_decay(ltv, t0_samples=T_SAMPLES)
     tvP = TvLyapunov(ltv, envelope)
 
@@ -318,7 +318,7 @@ def certify_local_nonautonomous(
     gamma_star = -B_A + math.sqrt(B_A * B_A + q1 / p2)
 
     L1, remainder_gain, delta_bar, notes = _remainder_radius(
-        shifted.map_fn, sys.dim, gamma_star, domain_radius, Rng(seed), 48, T_SAMPLES
+        shifted, sys.dim, gamma_star, domain_radius, Rng(seed), 48, T_SAMPLES
     )
     return LocalCertificate(
         verdict=STABLE,

@@ -39,16 +39,16 @@ from .converse import (
     check_envelope_hypothesis,
 )
 from .dynsys import (
+    BatchMap,
     ExponentialEnvelope,
     SlowFastSamples,
     SlowFastSystem,
     _amplitudes,
+    _batch_fields,
     _row_norms,
     _row_squares,
     _step_counts,
     fit_exponential_envelope,
-    sample_rows,
-    state_batched,
     trajectories,
 )
 from .errors import CertificateNotFoundError, StageError
@@ -152,19 +152,21 @@ class CompositeCertificate:
     notes: Tuple[str, ...] = ()
     evaluator: Callable[[int, np.ndarray, np.ndarray, float], float] = None  # type: ignore
 
+    def __post_init__(self):
+        _batch_fields(self, "evaluator")
+
 
 def _error_step(
     sysf: SlowFastSystem, k, x: np.ndarray, yerr: np.ndarray, eps: float | np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One step of the coupled pair in (x, y') coordinates, of one sample or
-    of a batch (see :func:`~lyapcert.dynsys.sample_rows`), at the amplitude
+    of a batch (see :class:`~lyapcert.dynsys.BatchMap`), at the amplitude
     eps or, for a batch, at an (S,) array of per-row amplitudes; a
     malformed one is refused before any map call."""
-    x = np.asarray(x, dtype=float)
-    yerr = np.asarray(yerr, dtype=float)
+    x, yerr = np.asarray(x, dtype=float), np.asarray(yerr, dtype=float)
     _amplitudes(eps, x)
-    x_next, y_next = sysf.step(k, x, yerr + sample_rows(sysf.ystar, x), eps)
-    return x_next, y_next - sample_rows(sysf.ystar, x_next)
+    x_next, y_next = sysf.step(k, x, yerr + sysf.ystar(x), eps)
+    return x_next, y_next - sysf.ystar(x_next)
 
 
 def _stacked_samples(sysf: SlowFastSystem, radius: float, count: int, rng: Rng) -> SlowFastSamples:
@@ -186,10 +188,10 @@ def _ell_ratios(sysf: SlowFastSystem, samples: SlowFastSamples) -> dict:
     ks, x, yerr = samples
     if not len(ks):
         return ratios
-    ys = sample_rows(sysf.ystar, x)
+    ys = sysf.ystar(x)
     nx, ny = _row_norms(x), _row_norms(yerr)
-    phi_frozen = sample_rows(sysf.phi, ks, x, ys)
-    phi_full = sample_rows(sysf.phi, ks, x, yerr + ys)
+    phi_frozen = sysf.phi(ks, x, ys)
+    phi_full = sysf.phi(ks, x, yerr + ys)
     nphi = _row_norms(phi_full)
     every = np.ones(len(ks), dtype=bool)
     found = {"ystar_norm": (every, _row_norms(ys)), "phi_norm": (every, nphi)}
@@ -199,13 +201,13 @@ def _ell_ratios(sysf: SlowFastSystem, samples: SlowFastSamples) -> dict:
         found["l2"] = (live, _row_norms(phi_full - phi_frozen) / ny)
         l3 = np.zeros(len(ks))
         if live.any():
-            fast_next = sample_rows(sysf.varphi, ks[live], (yerr + ys)[live], x[live])
+            fast_next = sysf.varphi(ks[live], (yerr + ys)[live], x[live])
             l3[live] = _row_norms(fast_next - ys[live]) / ny[live]
         found["l3"] = (live, l3)
         moving = nphi > DENOM_TOL
         l4 = np.zeros(len(ks))
         if moving.any():
-            shifted = sample_rows(sysf.ystar, x[moving] + ELL_EPS_PROBE * phi_full[moving])
+            shifted = sysf.ystar(x[moving] + ELL_EPS_PROBE * phi_full[moving])
             l4[moving] = _row_norms(shifted - ys[moving]) / (ELL_EPS_PROBE * nphi[moving])
         found["l4"] = (moving, l4)
     bad = np.zeros(len(ks), dtype=bool)
@@ -435,10 +437,10 @@ def certify_semiglobal(
         seed=rng.spawn(3).u64(),
     )
 
-    @state_batched
+    @BatchMap
     def phi1(k: int, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return sample_rows(sysf.phi, k, x, sample_rows(sysf.ystar, x))
+        return sysf.phi(k, x, sysf.ystar(x))
 
     (balls,) = rng.spawn(4).draw(8, ("ball", sysf.dim_x, r))
     probes = np.vstack([balls, r * np.eye(sysf.dim_x)])
@@ -481,10 +483,9 @@ def certify_semiglobal(
     gamma_r = ell_U / beta
     C_r = (beta / alpha) * r ** 2
 
-    @state_batched
-    def evaluator(k: int, x: np.ndarray, yerr: np.ndarray, eps) -> float:
-        total = sample_rows(slow.evaluator, k, x, eps) + sample_rows(fast.evaluator, k, yerr, x)
-        return total if np.ndim(x) == 2 else float(total)
+    @BatchMap
+    def evaluator(k: int, x: np.ndarray, yerr: np.ndarray, eps) -> np.ndarray:
+        return slow.evaluator(k, x, eps) + fast.evaluator(k, yerr, x)
 
     return CompositeCertificate(
         r=r,
@@ -521,7 +522,7 @@ def verify_composite(
     The samples are tiled over the amplitudes, amplitude-major, the order
     the reports list them in, with the amplitude a per-row parameter: U,
     the step and U after it are each one call over every sample and
-    amplitude (see :func:`~lyapcert.dynsys.sample_rows`).
+    amplitude (see :class:`~lyapcert.dynsys.BatchMap`).
     """
     if eps_values is None:
         eps_values = np.geomspace(cert.eps_r / 8.0, cert.eps_r * (1.0 - 1e-9), 4)
@@ -532,9 +533,9 @@ def verify_composite(
     times, xs, yerrs = np.tile(ks, len(rounds)), np.tile(x, (len(rounds), 1)), np.tile(yerr, (len(rounds), 1))
     if rounds:
         eps_rows = np.repeat(rounds, len(ks))
-        u0 = sample_rows(cert.evaluator, times, xs, yerrs, eps_rows)
+        u0 = cert.evaluator(times, xs, yerrs, eps_rows)
         x1, yerr1 = _error_step(sysf, times, xs, yerrs, eps_rows)
-        u1 = sample_rows(cert.evaluator, times + 1, x1, yerr1, eps_rows)
+        u1 = cert.evaluator(times + 1, x1, yerr1, eps_rows)
     z2 = _row_squares(x) + _row_squares(yerr)
     zvec = np.column_stack([_row_norms(x), _row_norms(yerr)])
     for i, eps in enumerate(rounds):
@@ -586,7 +587,7 @@ def validate_rate(
     _step_counts(horizon)  # a malformed horizon is refused before the ystar read
     z = starts.copy()
     if len(z):
-        z[:, sysf.dim_x:] += sample_rows(sysf.ystar, z[:, : sysf.dim_x])
+        z[:, sysf.dim_x:] += sysf.ystar(z[:, : sysf.dim_x])
     states, diverged = trajectories(sysf.stacked_step, 0, z, horizon, eps)
     # the running product decay *= 1 - eps*gamma_r from 1, step by step
     factors = np.ones((len(z), horizon + 1))

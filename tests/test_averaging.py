@@ -24,7 +24,7 @@ from lyapcert.averaging import (
     _window_mean,
 )
 from lyapcert.certcheck import CandidateFunction
-from lyapcert.dynsys import state_batched
+from lyapcert.dynsys import BatchMap, batch_map
 from lyapcert.errors import BudgetInfeasibleError, HypothesisViolationError
 from lyapcert.frontend.expressions import compile_map, parse_expression
 from lyapcert.rng import Rng
@@ -195,7 +195,7 @@ class TestGrowthBound:
     def test_reads_the_windows_in_one_call_and_skips_the_origin(self):
         seen = []
 
-        @state_batched
+        @BatchMap
         def fn(t, x):
             seen.append((t.copy(), x.copy()))
             return -3.0 * x
@@ -217,7 +217,7 @@ class TestBatchedWindows:
 
     def test_batched_field_matches_the_sequential_loop_bit_for_bit(self):
         f = compile_map([parse_expression(src) for src in self.FIELD])
-        batched, scalar = state_batched(f), (lambda k, x: f(k, x))
+        batched, scalar = BatchMap(f), (lambda k, x: f(k, x))
         a_b = estimate_average(batched, self.PROBES, T_max=64)
         a_s = estimate_average(scalar, self.PROBES, T_max=64)
         for p in self.PROBES:
@@ -236,7 +236,7 @@ class TestBatchedWindows:
         f = compile_map([parse_expression(src) for src in self.FIELD])
         sizes = []
 
-        @state_batched
+        @BatchMap
         def counted(k, x):
             sizes.append(len(x))
             return f(k, x)
@@ -259,7 +259,7 @@ class TestBatchedWindows:
         _prefix_sums(counted, [0, 1], np.array(probes[:2]), WINDOW_ROWS + 1)
         assert sizes == [WINDOW_ROWS + 1, WINDOW_ROWS + 1]
 
-    @pytest.mark.parametrize("mark", [lambda f: f, state_batched], ids=["unmarked", "marked"])
+    @pytest.mark.parametrize("mark", [lambda f: f, BatchMap], ids=["unmarked", "marked"])
     def test_complex_window_values_are_refused(self, mark):
         fn = mark(lambda t, x: (0.5 + 0.5j) * np.asarray(x))
         with pytest.raises(TypeError, match="complex"):
@@ -368,7 +368,7 @@ class TestNonFiniteFields:
         with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=8\)"):
             estimate_sigma(field_with(value, 5), avg, [1, 2, 4, 8])
         # a window mean read over t = 5 spoils every horizon
-        avg = fixed_average(_window_mean(field_with(value, 5), 8), PROBES[:2])
+        avg = fixed_average(_window_mean(batch_map(field_with(value, 5)), 8), PROBES[:2])
         with pytest.raises(ValueError, match=r"deviation at probe 0 \(k=0, T=1\)"):
             estimate_sigma(linear_field, avg, [1, 2, 4, 8])
 
@@ -399,7 +399,7 @@ class TestNonFiniteFields:
             estimate_sigma(field, avg, [1, 2])
 
     def test_fit_slow_constants(self):
-        avg = fixed_average(_window_mean(field_with(math.nan, 300), 512), PROBES)
+        avg = fixed_average(_window_mean(batch_map(field_with(math.nan, 300)), 512), PROBES)
         with pytest.raises(ValueError, match="at probe 0"):
             fit_slow_constants(CandidateFunction.quadratic(np.eye(1)), avg)
         # a sampled candidate that is NaN at one probe

@@ -11,7 +11,7 @@ from lyapcert.certcheck import (
     check_positive_definite,
     shell_grid,
 )
-from lyapcert.dynsys import DynSystem, state_batched
+from lyapcert.dynsys import BatchMap, DynSystem
 from lyapcert.rng import Rng, low_discrepancy_directions
 
 
@@ -180,7 +180,7 @@ def complex_off_origin(t, x):
     return np.complex128(x @ x, 1.0) if np.any(x) else 0.0
 
 
-@state_batched
+@BatchMap
 def complex_batch(t, x):
     x = np.asarray(x, dtype=float)
     return np.sum(x * x, axis=-1) * (1.0 + 1.0j) if np.any(x) else 0.0

@@ -22,7 +22,6 @@ from lyapcert.dynsys import (
     SlowFastSystem,
     fit_exponential_envelope,
     simulate,
-    state_batched,
 )
 from lyapcert.errors import HypothesisViolationError
 from lyapcert.rng import Rng

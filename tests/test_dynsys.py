@@ -1,18 +1,21 @@
 """System containers, simulation, envelope fitting, CSV export."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from lyapcert.dynsys import (
+    BatchMap,
     DynSystem,
     LinearTV,
     SlowFastSamples,
     SlowFastSystem,
+    batch_map,
     fit_exponential_envelope,
     linear_part,
-    sample_rows,
     simulate,
-    state_batched,
     trajectory_to_csv,
     transitions,
 )
@@ -178,7 +181,7 @@ class TestLinearTVReads:
     def test_wrong_shape_is_refused(self):
         with pytest.raises(ValueError, match=r"A\(0\) has shape \(1, 2\)"):
             LinearTV(dim=2, matrix_fn=lambda t: np.zeros((1, 2))).matrix(0)
-        marked = state_batched(lambda ts: np.zeros((len(ts) + 1, 2, 2)))
+        marked = BatchMap(lambda ts: np.zeros((len(ts) + 1, 2, 2)))
         with pytest.raises(ValueError, match="has shape"):
             LinearTV(dim=2, matrix_fn=marked).matrices([0, 1])
 
@@ -216,6 +219,18 @@ class TestEnvelopeFitting:
     def test_nondecaying_trajectory_rejected(self):
         with pytest.raises(NotExponentiallyStableError):
             fit_exponential_envelope(table([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("row, step", [([1.0, 2.0, 0.0], 1), ([1.0, 0.5, 2.0, 0.0], 2)])
+    def test_a_row_that_rises_and_then_reaches_zero_is_refused(self, row, step):
+        # only the last norm was read: [1, 2, 0] fitted gain 1.04e22 at rate
+        # 50, and [1, 0.5, 2, 0] raised a bare ValueError on a negative rate
+        with pytest.raises(NotExponentiallyStableError, match=re.escape(f"(|x({step})| >= |x(0)|)")):
+            fit_exponential_envelope(table(row))
+
+    def test_a_row_that_decays_and_then_reaches_zero_is_fitted(self):
+        env = fit_exponential_envelope(table([1.0, 0.5, 0.0], [1.0, 0.0, 0.0]))
+        assert env.rate == pytest.approx(math.log(2.0))
+        assert env.gain == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_is_refused(self, bad):
@@ -346,13 +361,13 @@ class TestComplexValues:
     def spiral(t, x):
         return (0.5 + 0.5j) * np.asarray(x)
 
-    @pytest.mark.parametrize("mark", [lambda f: f, state_batched], ids=["unmarked", "marked"])
-    def test_sample_rows(self, mark):
-        fn = mark(lambda t, x: self.spiral(t, x))
+    @pytest.mark.parametrize("mark", [lambda f: f, BatchMap], ids=["unmarked", "marked"])
+    def test_batch_map(self, mark):
+        fn = batch_map(mark(lambda t, x: self.spiral(t, x)))
         with pytest.raises(TypeError, match="complex"):
-            sample_rows(fn, 0, np.ones((3, 2)))
+            fn(0, np.ones((3, 2)))
         with pytest.raises(TypeError, match="complex"):
-            sample_rows(fn, 0, np.ones(2))
+            fn(0, np.ones(2))
 
     def test_shifted_map_and_linear_part(self):
         def spiral_about_one(t, x):

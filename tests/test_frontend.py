@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import lyapcert
-from lyapcert.dynsys import DynSystem, LinearTV, SlowFastSystem
+from lyapcert.dynsys import BatchMap, DynSystem, LinearTV, SlowFastSystem, simulate
 from lyapcert.errors import ConfigError, ParseError
 from lyapcert.frontend.cli import main, run_command
 from lyapcert.frontend.config import COMMANDS, build_system, load_config
@@ -877,12 +877,13 @@ def local_map_doc(kind, term, shifted):
 
 class TestBatchedReports:
     """Reports give the same bytes whether the compiled maps take whole
-    batches or, with the batch mark stripped, one sample per call."""
+    batches or, rebuilt as plain callables, one sample per call."""
 
     @staticmethod
     def recording_build(ndims, keep_marks):
         """build_system with every map wrapped to record the ndim of its
-        array arguments; the wrappers carry the maps' marks only if asked."""
+        array arguments; the wrappers are batch maps only if asked, else
+        the constructors loop them over the samples."""
 
         def build(cfg):
             system = build_system(cfg)
@@ -895,9 +896,7 @@ class TestBatchedReports:
                     ndims.extend(np.ndim(a) for a in args if isinstance(a, np.ndarray))
                     return fn(*args)
 
-                if keep_marks:
-                    wrapper.__dict__.update(fn.__dict__)
-                fields[name] = wrapper
+                fields[name] = BatchMap(wrapper) if keep_marks else wrapper
             return dataclasses.replace(system, **fields)
 
         return build
@@ -912,7 +911,7 @@ class TestBatchedReports:
             ndims = []
             monkeypatch.setattr(cli, "build_system", self.recording_build(ndims, keep_marks))
             report, _ = run_command(doc, command, timestamp=False)
-            assert max(ndims) == (2 if keep_marks else 1)  # batches reach the maps only when marked
+            assert max(ndims) == (2 if keep_marks else 1)  # batches reach only the batch-map wrappers
             texts[keep_marks] = render_report(report)
         assert texts[True] == texts[False] == render_report(as_built)
 
@@ -935,3 +934,33 @@ class TestBatchedReports:
         # the converse decrement check may fail on these maps; only errors are refused
         doc = local_map_doc(kind, term, shifted)
         self.assert_bytes_do_not_depend_on_batching(monkeypatch, doc, command, (0, 2))
+
+
+class TestWrappedMaps:
+    """A plain wrapper installed on a built system's maps after construction,
+    as a tracing or counting wrapper is, forwards the library's batches: it
+    cannot switch the program to one call per sample."""
+
+    @staticmethod
+    def install_counters(system, names, calls):
+        for name in names:
+            inner = getattr(system, name)
+
+            def counted(*args, inner=inner, name=name):
+                calls.append((name, max(np.ndim(a) for a in args if isinstance(a, np.ndarray))))
+                return inner(*args)
+
+            object.__setattr__(system, name, counted)
+
+    @pytest.mark.parametrize("source", ["contraction_quadratic.json", "slow_fast_golden.json"])
+    def test_simulate_makes_one_map_call_per_step(self, source):
+        doc = json.loads((Path(__file__).parent.parent / "configs" / source).read_text())
+        built = build_system(load_config(doc))
+        names = ("map_fn",) if isinstance(built, DynSystem) else ("phi", "varphi")
+        system = built if isinstance(built, DynSystem) else built.system()
+        starts = np.linspace(-0.3, 0.4, 4 * system.dim).reshape(4, system.dim)
+        want = simulate(system, 0, starts, 7)
+        calls = []
+        self.install_counters(built, names, calls)
+        assert simulate(system, 0, starts, 7).tobytes() == want.tobytes()
+        assert calls == [(name, 2) for _ in range(7) for name in names]

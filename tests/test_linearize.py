@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lyapcert.dynsys import DynSystem, state_batched
+from lyapcert.dynsys import BatchMap, DynSystem
 from lyapcert.errors import InapplicableError
 from lyapcert.frontend.report import jsonable
 from lyapcert.linearize import (
@@ -193,7 +193,7 @@ class TestNonautonomousCertificate:
             return a * x + 0.5 * x * x
 
         plain = certify_local_nonautonomous(DynSystem(dim=1, map_fn=step, autonomous=False))
-        sys = DynSystem(dim=1, map_fn=state_batched(step), autonomous=False)
+        sys = DynSystem(dim=1, map_fn=BatchMap(step), autonomous=False)
         calls.clear()
         marked = certify_local_nonautonomous(sys)
         # the decay window's 32 Jacobians, at 4 points each, come from the first call

@@ -51,6 +51,7 @@ from lyapcert.converse import (
 )
 from lyapcert.dynsys import (
     LAMBDA_MAX,
+    BatchMap,
     DynSystem,
     ExponentialEnvelope,
     LinearTV,
@@ -58,11 +59,10 @@ from lyapcert.dynsys import (
     SlowFastSystem,
     _row_norms,
     _row_squares,
+    batch_map,
     fit_exponential_envelope,
     real_array,
-    sample_rows,
     simulate,
-    state_batched,
     trajectories,
     transitions,
 )
@@ -190,7 +190,7 @@ class TestTransitionKernel:
     def test_marked_family_reads_missing_times_in_one_call(self, reads, n):
         A = family(n, n)
         calls, plain_calls = [], []
-        marked = LinearTV(n, state_batched(lambda ts: calls.append(ts.tolist()) or np.array([A(t) for t in ts])))
+        marked = LinearTV(n, BatchMap(lambda ts: calls.append(ts.tolist()) or np.array([A(t) for t in ts])))
         plain = LinearTV(n, lambda t: plain_calls.append(t) or A(t))
         seen = {}
         for times in reads:
@@ -746,28 +746,49 @@ class TestStateBatches:
 
     @given(first=ast_trees(negation=False), second=ast_trees(negation=False),
            batch=state_batches(one_sign_nans))
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_adapter_loops_a_plain_callable(self, first, second, batch):
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_adapter_loop_matches_the_batched_compiled_map(self, first, second, batch):
+        """The row-at-a-time reference: ``batch_map``'s loop over a plain
+        callable that hands one point to a compiled map equals the
+        compiled map's own batch, at a scalar time and at an integer array
+        of times, by bytes or by the first error."""
         xs, ys, ts = batch
-        f = state_batched(compile_map([first, second], PARAMS))
+        f = BatchMap(compile_map([first, second], PARAMS))
         seen = []
 
         def plain(t, x, y):
             seen.append((type(t), np.ndim(x), np.ndim(y)))
             return f(t, x, y)
 
+        loop = batch_map(plain)
+        assert batch_map(f) is f  # a batch map is not looped
         for t in (3, ts):
-            want = exact(lambda: scalar_rows(f, t, xs, ys))
-            assert exact(lambda: sample_rows(f, t, xs, ys)) == want
-            assert exact(lambda: sample_rows(plain, t, xs, ys)) == want
+            want = exact(lambda: f(t, xs, ys))
+            assert exact(lambda: loop(t, xs, ys)) == want
+            assert exact(lambda: scalar_rows(f, t, xs, ys)) == want
         assert set(seen) <= {(int, 1, 1)}
+
+    def test_adapter_raises_the_first_failure_in_row_order(self):
+        calls = []
+
+        def plain(t, x):
+            calls.append(t)
+            if x[0] < 0.0:
+                raise ValueError(f"negative state at t={t}")
+            return 2.0 * x
+
+        xs = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+        with pytest.raises(ValueError, match=r"^negative state at t=11$"):
+            batch_map(plain)(np.arange(10, 14), xs)
+        assert calls == [10, 11]
+        assert batch_map(plain)(5, xs[::2]).tolist() == [[2.0], [4.0]]
 
     def test_batches_of_different_lengths_are_refused(self):
         f = compile_map([parse_expression("x[0] + y[0]")])
         with pytest.raises(ValueError, match="different lengths"):
             f(0, np.zeros((3, 1)), np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="different lengths"):
-            sample_rows(lambda t, x: x, np.arange(2), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"^batch arguments of different lengths 2 and 3$"):
+            batch_map(lambda t, x: x)(np.arange(2), np.zeros((3, 1)))
 
 
 def reference_jacobian(fn, t, x, base_step=1e-6):
@@ -853,7 +874,7 @@ class TestBatchedJacobian:
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_the_one_state_loop(self, xs, t, raising, marked):
         f = jacobian_map(xs.shape[1], raising)
-        fn = state_batched(f) if marked else (lambda t, x: f(t, x))
+        fn = BatchMap(f) if marked else (lambda t, x: f(t, x))
         want = reference_estimates(f, t, xs)
         assert batched_estimates(fn, t, xs) == want
         if isinstance(want, list):  # the one-state call is the S = 1 batch
@@ -868,7 +889,7 @@ class TestBatchedJacobian:
     def test_batch_over_times_matches_the_per_time_calls(self, xs, data, raising, marked):
         ts = data.draw(st.lists(st.integers(0, 40), min_size=len(xs), max_size=len(xs)))
         f = jacobian_map(xs.shape[1], raising)
-        fn = state_batched(f) if marked else (lambda t, x: f(t, x))
+        fn = BatchMap(f) if marked else (lambda t, x: f(t, x))
         want = []
         for t, x in zip(ts, xs):  # the first raising sample, in row order, is the outcome
             try:
@@ -882,13 +903,13 @@ class TestBatchedJacobian:
 
     def test_signed_zeros_and_scaled_steps(self):
         xs = np.array([[-0.0, 0.0, -0.0], [2.5, -0.0, 1.5], [-40.0, 0.1, -0.0]])
-        f = state_batched(jacobian_map(3, False))
+        f = BatchMap(jacobian_map(3, False))
         assert batched_estimates(f, 1, xs) == reference_estimates(f, 1, xs)
         assert numerical_jacobian(f, 1, xs).fd_step[2] > numerical_jacobian(f, 1, xs).fd_step[0]
         # |(0.3, 1.2)| > 1 sets the step, and np.linalg.norm(..., axis=1)
         # rounds it one bit off np.linalg.norm of the row (FMA BLAS dot)
         xs = np.array([[0.3, 1.2], [-0.0, 0.6]])
-        f = state_batched(jacobian_map(2, False))
+        f = BatchMap(jacobian_map(2, False))
         assert batched_estimates(f, 1, xs) == reference_estimates(f, 1, xs)
 
     def test_points_reach_an_unmarked_map_in_the_one_state_order(self):
@@ -902,7 +923,7 @@ class TestBatchedJacobian:
         # x[0]^0.5 raises at the first negative x[0] a perturbation reaches:
         # sample 1's coarse x - h e_0, although sample 2 is negative throughout
         xs = np.array([[0.5, 0.5], [0.0, 1.0], [-1.0, 0.0]])
-        f = state_batched(jacobian_map(2, True))
+        f = BatchMap(jacobian_map(2, True))
         want = reference_estimates(f, 0, xs)
         assert want == (ValueError, "fractional power of a negative base in expression: -1e-06^0.5")
         assert batched_estimates(f, 0, xs) == want
@@ -953,7 +974,7 @@ def check_candidate(P, marked, time_dependent):
         value = form(t, x)
         return (1.0 + 0.25 * np.asarray(t, dtype=float)) * value if time_dependent else value
 
-    fn = state_batched(V) if marked else V
+    fn = BatchMap(V) if marked else V
     return CandidateFunction(fn, dim=P.shape[0], quadratic_P=P, time_dependent=time_dependent)
 
 
@@ -965,7 +986,7 @@ def polynomial_map(gain, time_dependent, marked):
         g = gain + 0.05 * np.asarray(t, dtype=float)[..., None] if time_dependent else gain
         return g * x - 0.3 * x[..., ::-1] * x
 
-    return state_batched(f) if marked else f
+    return BatchMap(f) if marked else f
 
 
 @st.composite
@@ -1111,10 +1132,10 @@ class TestBatchedWindows:
         def field(t, x):
             return f(t, x, [0.5])
 
-        fn = state_batched(field) if marked else field
+        fn = BatchMap(field) if marked else field
         want = exact(lambda: reference_window_sums(field, starts, xs, length, marked))
-        assert exact(lambda: _prefix_sums(fn, starts, xs, length)) == want
-        phibar = _window_mean(fn, 8)  # reads its windows from 0
+        assert exact(lambda: _prefix_sums(batch_map(fn), starts, xs, length)) == want
+        phibar = _window_mean(batch_map(fn), 8)  # reads its windows from 0
         ref = exact(lambda: reference_window_sums(field, [0], xs[:1], 9, marked)[0, -1] / 8)
         assert exact(lambda: phibar(xs[0])) == ref
         batch = exact(lambda: reference_window_sums(field, [0] * len(xs), xs, 9, marked)[:, -1] / 8)
@@ -1283,7 +1304,7 @@ def bare_average(phibar, mean, xs):
 FAKE_PHIBARS = {
     "negative": lambda x: -x,
     "sine": lambda x: np.sin(3.0 * np.asarray(x)) - np.asarray(x),
-    "marked-tanh": state_batched(lambda x: np.tanh(np.asarray(x)) - 2.0 * np.asarray(x)),
+    "marked-tanh": BatchMap(lambda x: np.tanh(np.asarray(x)) - 2.0 * np.asarray(x)),
 }
 
 
@@ -1292,8 +1313,8 @@ def averaging_cases(draw):
     """A compiled two-component field, its real window mean (T_max = 8) or
     a fake one, and probe states with a zero row, a repeated row (an equal
     state in a distinct array) and a row with a -0.0 component, in drawn
-    order.  The field comes unmarked and ``state_batched``, each with the
-    window mean and reference of its own flavor."""
+    order.  The field comes as a plain callable and as a ``BatchMap``,
+    each with the window mean and reference of its own flavor."""
     first, second = draw(ast_trees()), draw(ast_trees())
     f = compile_map([first, second], PARAMS)
 
@@ -1309,8 +1330,8 @@ def averaging_cases(draw):
     xs = draw(st.permutations(xs))
     flavors = []
     for marked in (True, False):
-        fn = state_batched(field) if marked else field
-        own = _window_mean(fn, 8) if phibar is None else phibar
+        fn = BatchMap(field) if marked else field
+        own = _window_mean(batch_map(fn), 8) if phibar is None else phibar
         mean = reference_mean(field, phibar, marked)
         flavors.append((fn, bare_average(own, mean, xs), mean, marked))
     return flavors, xs
@@ -1369,7 +1390,7 @@ class TestBatchedWindowMeans:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_drift_fails_with_an_infinite_deficit(self):
         # five steps of x + 0.5 * 2e40 x reach 1e200, finite, but its norm overflows
-        field = state_batched(lambda t, x: 2e40 * np.asarray(x, dtype=float))
+        field = BatchMap(lambda t, x: 2e40 * np.asarray(x, dtype=float))
         table = SigmaTable(L=1.0, T_list=(1, 4), entries={1: 0.5, 4: 0.5})
         x = np.array([1.0, 1.0])
         k, xs, T, eps = np.array([0, 3]), np.array([[0.1, 0.0], x]), np.array([1, 4]), np.array([0.0, 0.5])
@@ -1382,7 +1403,7 @@ class TestBatchedWindowMeans:
     def test_sigma_reads_one_window_per_start_and_live_probe_and_the_constants_none(self):
         rows = []
 
-        @state_batched
+        @BatchMap
         def field(t, x):
             rows.extend(zip(np.broadcast_to(t, len(x)).tolist(), x.tolist()))
             return -np.asarray(x, dtype=float)
@@ -1391,7 +1412,7 @@ class TestBatchedWindowMeans:
         avg = estimate_average(field, xs, T_max=8)
         real, shapes = avg.phibar, []
 
-        @state_batched
+        @BatchMap
         def counted(x):
             shapes.append(np.shape(x))
             return real(x)
@@ -1438,7 +1459,7 @@ def reference_drift_windows(phi, avg, table, k, x, T, eps):
     kept = np.flatnonzero(norms >= 1e-14)
     xs, times = x[kept], k[kept]
     sigmas = [table.sigma(T_i) for T_i in T[kept].tolist()]
-    means = sample_rows(avg.phibar, xs) if len(kept) else []
+    means = avg.phibar(xs) if len(kept) else []
     params, slack = [], []
     for k_i, x_i, T_i, eps_i, nx, sigma_T, mean in zip(
         times.tolist(), xs, T[kept].tolist(), eps[kept].tolist(), norms[kept].tolist(), sigmas, means
@@ -1500,9 +1521,9 @@ class TestRaggedDriftWindows:
         table = SigmaTable(L=data.draw(st.floats(0.1, 3.0)), T_list=(1, 2, 4), entries=entries)
         with recorded_tables() as tables:
             f = compile_map(nodes, params)
-            avg = estimate_average(state_batched(lambda t, x: f(t, x)), np.eye(2), T_max=8)
-            fresh, shared = state_batched(compile_map(nodes, params)), state_batched(compile_map(nodes, params))
-        field = state_batched(compile_map(nodes, params))
+            avg = estimate_average(BatchMap(lambda t, x: f(t, x)), np.eye(2), T_max=8)
+            fresh, shared = BatchMap(compile_map(nodes, params)), BatchMap(compile_map(nodes, params))
+        field = BatchMap(compile_map(nodes, params))
         want = drift_outcome(lambda: reference_drift_windows(field, avg, table, k, x, T, eps))
         unmarked = compile_map(nodes, params)  # one row per call, as an unmarked field is read
         for phi in (fresh, field, lambda t, x: unmarked(t, x)):
@@ -1514,7 +1535,7 @@ class TestRaggedDriftWindows:
     def test_ragged_rows_leave_after_their_own_steps(self):
         calls = []
 
-        @state_batched
+        @BatchMap
         def field(t, x):
             calls.append(np.shape(x))
             return (0.5 - 0.1 * np.asarray(t, dtype=float))[..., None] * x - 0.25 * x
@@ -1568,7 +1589,7 @@ class TestAveragedEvaluator:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_evaluator_matches_the_hand_stepped_windows(self, data, srcs, gains, size, marked):
         f = compile_map([parse_expression(src) for src in srcs], dict(zip("ab", gains)))
-        field = state_batched(f) if marked else (lambda t, x: f(t, x))
+        field = BatchMap(f) if marked else (lambda t, x: f(t, x))
         V = CandidateFunction.quadratic(np.eye(2))
         avg = estimate_average(field, np.eye(2), T_max=8)
         table = SigmaTable(L=0.5, T_list=(1, 2, 4), entries={1: 0.5, 2: 0.2, 4: 0.1})
@@ -1840,7 +1861,7 @@ class TestFailClosed:
         # -inf + inf: each is a NaN slack, with no numeric warning
         values = iter([before, after])  # U at the samples, then after the step
 
-        @state_batched
+        @BatchMap
         def evaluator(k, x, yerr, eps):
             return np.full(len(x), next(values))
 
@@ -1902,10 +1923,10 @@ def reference_verify_composite(sysf, cert, n_samples, eps_values, seed):
     rounds = [float(e) for e in eps_values] if len(ks) else []
     for eps in rounds:
         q = q_matrix(cert.coeffs, eps)
-        u0 = sample_rows(cert.evaluator, ks, x, yerr, eps)
+        u0 = cert.evaluator(ks, x, yerr, eps)
         slack[SANDWICH].append(_first_min(u0 - cert.alpha * z2, cert.beta * z2 - u0) + TOL_ABS)
         x1, yerr1 = _error_step(sysf, ks, x, yerr, eps)
-        du = sample_rows(cert.evaluator, ks + 1, x1, yerr1, eps) - u0
+        du = cert.evaluator(ks + 1, x1, yerr1, eps) - u0
         form = np.vecdot(np.matmul(zvec[:, None, :], q)[:, 0, :], zvec)
         slack[DECREMENT_DOMINATION].append(form + TOL_ABS - du)
         slack[RATE_REALIZATION].append(-eps * cert.gamma_r * u0 + TOL_ABS - du)
@@ -1929,7 +1950,7 @@ def reference_validate_rate(sysf, cert, eps_grid, trials, horizon, seed):
             break
         (z,) = rng.draw(trials, ("ball", sysf.dim_x + sysf.dim_y, cert.r))
         x = z[:, : sysf.dim_x].copy()
-        y = z[:, sysf.dim_x:] + sample_rows(sysf.ystar, x)
+        y = z[:, sysf.dim_x:] + sysf.ystar(x)
         decay = 1.0
         margins = np.empty((trials, horizon + 1))
         margins[:, 0] = cert.C_r * decay + TOL_ABS - _row_squares(x)
@@ -1973,7 +1994,7 @@ def reported(check):
 
 def rate_pair(a, b, d, g, c, marked):
     """A one-by-one slow/fast pair with a time-varying slow gain and a
-    manifold ystar(x) = g*x, marked ``state_batched`` or not; a large cubic
+    manifold ystar(x) = g*x, wrapped as ``BatchMap``s or not; a large cubic
     term c makes some trials diverge within a few steps."""
 
     def column(k, x):  # exact integer arithmetic, so a batch rounds as its rows do
@@ -1989,7 +2010,7 @@ def rate_pair(a, b, d, g, c, marked):
     def ystar(x):
         return g * np.asarray(x, dtype=float)
 
-    wrap = state_batched if marked else (lambda fn: fn)
+    wrap = BatchMap if marked else (lambda fn: fn)
     return SlowFastSystem(dim_x=1, dim_y=1, phi=wrap(phi), varphi=wrap(varphi), ystar=wrap(ystar))
 
 
@@ -2139,7 +2160,7 @@ KERNEL_MAP = compile_map(
 
 
 def kernel_system(marked, autonomous):
-    fn = state_batched(KERNEL_MAP) if marked else (lambda t, x: KERNEL_MAP(t, x))
+    fn = BatchMap(KERNEL_MAP) if marked else (lambda t, x: KERNEL_MAP(t, x))
     return DynSystem(2, fn, autonomous=autonomous)
 
 
@@ -2334,7 +2355,7 @@ class TestTrajectoryKernel:
             float(np.sum(s * s))
             for s in (reference_simulate(sys, 0 if autonomous else k, x, cert.horizon - 1) for k, x in zip(ks, X))
         ]
-        assert sample_rows(cert.evaluator, ks, X, None).tobytes() == np.array(want).tobytes()
+        assert cert.evaluator(ks, X, None).tobytes() == np.array(want).tobytes()
         assert cert.evaluator(int(ks[0]), X[0]) == want[0]
 
     @given(seed=st.integers(0, 2**16), size=st.integers(1, 6), T=st.integers(1, 30), frozen=st.booleans())
@@ -2353,7 +2374,7 @@ class TestTrajectoryKernel:
         Y = np.array([rng.ball(2, 1.0) for _ in range(size)])
         Xs = np.array([rng.ball(2, 0.8) for _ in range(size)]) if frozen else np.zeros((size, 2))
         want = [reference_fast_value(sysf, T, k, y, x) for k, y, x in zip(ks, Y, Xs)]
-        got = sample_rows(cert.evaluator, ks, Y, Xs if frozen else None)
+        got = cert.evaluator(ks, Y, Xs if frozen else None)
         assert got.tobytes() == np.array(want).tobytes()
         assert cert.evaluator(int(ks[0]), Y[0], Xs[0] if frozen else None) == want[0]
 
@@ -2415,7 +2436,7 @@ def logged_fast_pair(marked, poison):
         return x[..., :1] * x
 
     if marked:
-        varphi, ystar = state_batched(varphi), state_batched(ystar)
+        varphi, ystar = BatchMap(varphi), BatchMap(ystar)
     sysf = SlowFastSystem(dim_x=2, dim_y=2, phi=lambda k, x, y: -x, varphi=varphi, ystar=ystar)
     log.clear()  # drop the construction-time equilibrium probes
     return sysf, log
@@ -2456,8 +2477,9 @@ def reference_fit(t0s, table):
                 if np.any(norms > 0.0):
                     raise NotExponentiallyStableError("trajectory leaves the origin")
                 continue
-            if norms[-1] >= norms[0]:
-                raise NotExponentiallyStableError(f"trajectory does not decay (|x({norms.size - 1})| >= |x(0)|)")
+            last = np.flatnonzero(norms[1:] > 0.0)[-1:] + 1  # the last positive norm after the start, if any
+            if last.size and norms[last[0]] >= norms[0]:
+                raise NotExponentiallyStableError(f"trajectory does not decay (|x({last[0]})| >= |x(0)|)")
         except NotExponentiallyStableError as exc:
             exc.row = i
             raise
@@ -2490,7 +2512,7 @@ def reference_fit(t0s, table):
     return ExponentialEnvelope(gain=max(gain, 1.0), rate=rate, validity_radius=radius if radius > 0 else None)
 
 
-ROW_KINDS = ("decaying", "non-monotone", "zero", "tiny", "zero-tail", "growing", "leaving", "non-finite")
+ROW_KINDS = ("decaying", "non-monotone", "zero", "tiny", "zero-tail", "growing", "rising-tail", "leaving", "non-finite")
 
 
 @st.composite
@@ -2505,7 +2527,7 @@ def envelope_tables(draw):
         directions = rng.standard_normal((steps + 1, n))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         scale = {"tiny": 10.0 ** rng.uniform(-320, -300)}.get(kind, rng.uniform(0.01, 10.0))
-        ratio = rng.uniform(1.01, 2.0) if kind == "growing" else rng.uniform(0.05, 0.99)
+        ratio = rng.uniform(1.01, 2.0) if kind in ("growing", "rising-tail") else rng.uniform(0.05, 0.99)
         norms = scale * ratio**t
         if kind == "non-monotone":
             norms = norms * rng.uniform(0.3, 3.0, steps + 1)
@@ -2513,6 +2535,8 @@ def envelope_tables(draw):
             norms[:] = 0.0
         elif kind == "zero-tail":
             norms[rng.integers(1, steps + 1) if steps else 1:] = 0.0
+        elif kind == "rising-tail":  # rises, then reaches norm 0
+            norms[rng.integers(2, steps + 1) if steps >= 2 else 1:] = 0.0
         elif kind == "leaving":
             norms[0] = 0.0
         table[i] = norms[:, None] * directions

@@ -9,7 +9,7 @@ import pytest
 from lyapcert.averaging import AveragedCertificate, AveragingBudget
 from lyapcert.certcheck import CandidateFunction
 from lyapcert.converse import ConverseCertificate
-from lyapcert.dynsys import SlowFastSamples, SlowFastSystem, state_batched
+from lyapcert.dynsys import BatchMap, SlowFastSamples, SlowFastSystem
 from lyapcert.errors import CertificateNotFoundError, StageError
 from lyapcert.timescales import (
     CoefficientRecord,
@@ -37,9 +37,9 @@ def golden_pair(epsilon=0.01):
 
 
 def counting_pair(calls, marked):
-    """The golden pair with maps that append their name to ``calls``, marked
-    ``state_batched`` or not."""
-    wrap = state_batched if marked else (lambda fn: fn)
+    """The golden pair with maps that append their name to ``calls``,
+    wrapped as ``BatchMap``s or plain."""
+    wrap = BatchMap if marked else (lambda fn: fn)
 
     def counted(name, fn):
         def call(*args):
@@ -274,7 +274,7 @@ class TestSemiglobalPipeline:
         assert calls.count("phi") == 7  # one step per k for both amplitudes, not one per amplitude
         rows = []
 
-        @state_batched
+        @BatchMap
         def counted(k, x, yerr, eps):
             rows.append(len(x))
             return cert.evaluator(k, x, yerr, eps)
