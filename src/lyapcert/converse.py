@@ -13,8 +13,11 @@ batch, read by field name.  :func:`verify_converse` takes the (S,) times,
 the (S, n) states and, for the fast kind, the (S, dim_x) frozen slow
 states as arrays.  Every sampled Lipschitz modulus, in
 :func:`estimate_lipschitz` and in the fast map's state and parameter
-moduli, is the maximum of one vectorized pairwise-quotient kernel, which
-raises on a NaN or infinite map value or quotient rather than skip it.
+moduli, is read from one map call into one table and is the maximum of
+one call of a vectorized pairwise-quotient kernel.  It raises on a NaN
+or infinite map value or quotient rather than skip it: a raising map
+first, then the first non-finite value, then the first non-finite
+quotient.
 """
 
 from __future__ import annotations
@@ -104,25 +107,50 @@ def estimate_lipschitz(
 
     Maximizes |f(t,x)-f(t,y)| / |x-y| over all pairs of rows of the (S, d)
     array ``points`` and the given times, inflated by ``LIPSCHITZ_SAFETY``
-    because sampling can only underestimate.  A NaN or infinite map value
-    or quotient raises ValueError naming t and the point, since a maximum
-    would silently skip it.  Each time's values come from one ``fn`` call
-    over the points.
+    because sampling can only underestimate.  Every value comes from one
+    ``fn`` call over the times (as given; a single one as it is) repeated
+    by the points, in (time, point) order, reduced by :func:`_modulus`: a
+    NaN or infinite value or quotient raises ValueError naming t and the
+    point, since a maximum would silently skip it.
     """
     fn, points = batch_map(fn), real_array(points)
     if not points.size:
         raise ValueError(_NO_PAIR)
     if points.ndim != 2:
         raise ValueError(f"points must be an (S, d) array, got shape {points.shape}")
-    best = 0.0
-    found = False
-    for t in times:
-        values = fn(t, points)
-        ratio = _difference_max(t, points, values)
-        if ratio is not None:
-            found = True
-            best = max(best, ratio)
-    if not found:
+    times = tuple(times)
+    if not times:
+        raise ValueError("times must hold at least one time")
+    size = len(points)
+    if len(times) == 1:
+        values = fn(times[0], points)
+    else:
+        values = fn(np.repeat(np.array(times), size), np.tile(points, (len(times), 1)))
+    return _modulus(points, values.reshape(len(times), size, -1), times)
+
+
+def _modulus(points: np.ndarray, values: np.ndarray, times: Sequence) -> float:
+    """Largest |v[c, i] - v[c, j]| / |points[i] - points[j]| times
+    ``LIPSCHITZ_SAFETY``, given the (C, S, m) values ``v[c]`` of a map at
+    time ``times[c]`` at the (S, d) ``points``, from one
+    :func:`_max_quotient` call with the C maps as its columns.  ValueError
+    names the first non-finite value, in (c, point) order, before any
+    quotient, then the first non-finite quotient, or finds no pair."""
+    finite = np.isfinite(values).all(axis=2).reshape(-1)
+    if not finite.all():
+        c, i = divmod(int(np.argmin(finite)), len(points))
+        raise ValueError(f"non-finite map value at t={times[c]}, x={points[i].tolist()}")
+    best = _max_quotient(
+        points,
+        values.transpose(1, 0, 2)[None],
+        np.ones(len(values)),
+        np.zeros(len(points), dtype=int),
+        lambda i, j, c: (
+            f"non-finite difference quotient at t={times[c]} between "
+            f"x={points[i].tolist()} and x={points[j].tolist()}"
+        ),
+    )
+    if best is None:
         raise ValueError(_NO_PAIR)
     return best * LIPSCHITZ_SAFETY
 
@@ -176,29 +204,6 @@ def _max_quotient(
             top = float(ratio[keep].max())
             best = top if best is None else max(best, top)
     return best
-
-
-def _difference_max(t: int, points: np.ndarray, values: np.ndarray) -> Optional[float]:
-    """Largest |f(t,p_i) - f(t,p_j)| / |p_i - p_j| over the pairs i < j of
-    rows of the (S, d) ``points`` at least 1e-14 apart (None if there is
-    none), given the (S, m) ``values[i] = f(t, p_i)``; a non-finite value
-    (checked before any quotient) or quotient raises ValueError."""
-    values = values.reshape(len(values), -1)
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite map value at t={t}, x={points[int(np.argmin(finite))].tolist()}")
-    if len(points) < 2:
-        return None
-    return _max_quotient(
-        points,
-        values[None, :, None, :],
-        np.ones(1),
-        np.zeros(len(points), dtype=int),
-        lambda i, j, _: (
-            f"non-finite difference quotient at t={t} between "
-            f"x={points[i].tolist()} and x={points[j].tolist()}"
-        ),
-    )
 
 
 def build_trajectory_converse(
@@ -261,14 +266,13 @@ def _fast_lipschitz(sysf: SlowFastSystem, samples: SlowFastSamples) -> Tuple[flo
     L1 is the largest :func:`estimate_lipschitz` difference quotient over
     the fast states with each sample's slow state frozen at its own k; L2
     bounds |fast_x1(k, y) - fast_x2(k, y)| / (|y| |x1 - x2|) over sample
-    pairs.  Both read one table holding each frozen-x fast map once per
-    distinct k and fast state, stepped by
-    :meth:`~lyapcert.dynsys.SlowFastSystem._fast_error_step` with ystar
-    of every frozen state read in one call.  Each sample's own row is one
-    batched call over the fast states, made in sample order and reduced to
-    its L1 quotient before the next; the rows at the other k follow in one
-    batched call, in (k, sample) order.  A non-finite value or quotient
-    raises ValueError.
+    pairs.  Both read one (K, S, S, dim_y) table, each frozen-x fast map
+    once per distinct k and fast state, from one
+    :meth:`~lyapcert.dynsys.SlowFastSystem._fast_error_step` call (ystar
+    of every frozen state read in one call): each sample's own row in
+    sample order, then the rows at the other k in (k, sample) order.  L1 is
+    :func:`_modulus` of the own rows, with the samples as columns, L2 one
+    :func:`_max_quotient` call; L1's errors are raised first.
     """
     xs, ys = samples.x, samples.yerr
     size = len(xs)
@@ -277,34 +281,23 @@ def _fast_lipschitz(sysf: SlowFastSystem, samples: SlowFastSamples) -> Tuple[flo
     ystars = sysf._frozen(xs)[1]
     ks = np.unique(samples.k)
     table_of_row = np.searchsorted(ks, samples.k)
+    others, rest = np.nonzero(ks[:, None] != samples.k)
+    tables = np.concatenate([table_of_row, others])
+    rows = np.concatenate([np.arange(size), rest])
     values = np.empty((len(ks), size, size, sysf.dim_y))
-    l1 = 0.0
-    for i, k in enumerate(samples.k.tolist()):
-        frozen = np.broadcast_to(xs[i], xs.shape)
-        row = values[table_of_row[i], i] = sysf._fast_error_step(k, ys, frozen, ystars[i])
-        ratio = _difference_max(k, ys, row)
-        if ratio is None:
-            raise ValueError(_NO_PAIR)
-        l1 = max(l1, ratio)
-    tables, rows = np.nonzero(ks[:, None] != samples.k)
-    if len(rows):
-        rest = sysf._fast_error_step(
-            np.repeat(ks[tables], size),
-            np.tile(ys, (len(rows), 1)),
-            np.repeat(xs[rows], size, axis=0),
-            np.repeat(ystars[rows], size, axis=0),
-        )
-        values[tables, rows] = rest.reshape(len(rows), size, sysf.dim_y)
-
-    def describe(i: int, j: int, c: int) -> str:
-        return (
-            f"non-finite fast-map parameter quotient at k={samples.k[i]}, y={ys[c].tolist()}, "
-            f"x1={xs[i].tolist()}, x2={xs[j].tolist()}"
-        )
-
-    l2 = _max_quotient(xs, values, _row_norms(ys), table_of_row, describe)
+    values[tables, rows] = sysf._fast_error_step(
+        np.repeat(ks[tables], size),
+        np.tile(ys, (len(rows), 1)),
+        np.repeat(xs[rows], size, axis=0),
+        np.repeat(ystars[rows], size, axis=0),
+    ).reshape(len(rows), size, sysf.dim_y)
+    l1 = _modulus(ys, values[table_of_row, np.arange(size)], samples.k)
+    l2 = _max_quotient(xs, values, _row_norms(ys), table_of_row, lambda i, j, c: (
+        f"non-finite fast-map parameter quotient at k={samples.k[i]}, y={ys[c].tolist()}, "
+        f"x1={xs[i].tolist()}, x2={xs[j].tolist()}"
+    ))
     # stays 0 for a single frozen slow state: parameter modulus unobservable
-    return l1 * LIPSCHITZ_SAFETY, (l2 or 0.0) * LIPSCHITZ_SAFETY
+    return l1, (l2 or 0.0) * LIPSCHITZ_SAFETY
 
 
 def _fast_certificate(

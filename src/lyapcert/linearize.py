@@ -16,7 +16,7 @@ equal bit for bit to its one-state call; the nonautonomous certifier
 reads its Jacobian family A(t) through it, all missing times in one call.  The autonomous and nonautonomous
 certifiers share one radius computation (``_remainder_radius``), whose
 sampled Lipschitz constant of the Jacobian reads a whole sample set's
-Jacobians with one map call per time.  :func:`validate_basin` steps every
+Jacobians, at every time, with one map call.  :func:`validate_basin` steps every
 trial together through ``dynsys.trajectories``, a window of steps at a
 time.
 """

@@ -16,6 +16,7 @@ from lyapcert.converse import (
     verify_converse,
 )
 from lyapcert.dynsys import (
+    BatchMap,
     DynSystem,
     ExponentialEnvelope,
     SlowFastSamples,
@@ -50,6 +51,28 @@ class TestLipschitzEstimate:
     def test_points_are_one_row_each(self):
         with pytest.raises(ValueError, match=r"\(S, d\) array, got shape \(4,\)"):
             estimate_lipschitz(lambda t, x: 0.5 * x, np.array([-1.0, -0.2, 0.4, 1.0]))
+
+    def test_empty_times_are_refused_before_any_map_call(self):
+        # points with a separated pair: the refusal must name the times
+        calls = []
+        fn = lambda t, x: calls.append(t) or 0.5 * x
+        with pytest.raises(ValueError, match="^times must hold at least one time$"):
+            estimate_lipschitz(fn, np.array([[0.0], [1.0]]), times=())
+        assert calls == []
+
+    @pytest.mark.parametrize("times", [(0,), (0, 1), (3, 0, 2, 2), (0.5, 1.5, 0.25), tuple(range(9))])
+    def test_one_map_call_for_any_number_of_times(self, times):
+        calls = []
+
+        @BatchMap
+        def fn(t, x):
+            calls.append(np.shape(t))
+            return (1.0 + 0.25 * np.asarray(t, dtype=float)[..., None]) * x
+
+        pts = np.array([[-1.0], [0.5], [2.0]])
+        L = estimate_lipschitz(fn, pts, times=times)
+        assert calls == [() if len(times) == 1 else (3 * len(times),)]
+        assert L == pytest.approx(1.1 * (1.0 + 0.25 * max(times)), rel=1e-12)
 
 
 def nan_at_one(t, x):
@@ -109,8 +132,11 @@ def raising_at(bad_x, exc_x):
 
 
 class TestLipschitzFailClosedParity:
-    """Which error is raised, and where, is fixed by the per-pair loop order:
-    values of one time in point order, then pairs (i, j), i < j, row by row."""
+    """Which error is raised, and where, is fixed by one order: a raising
+    map raises first, since every value is read in one call; then the first
+    non-finite value, in (time or sample, point) order; then the first
+    non-finite quotient, pairs (i, j), i < j, row by row, the times or
+    samples in order within a pair."""
 
     POINTS = TestLipschitzFailClosed.POINTS
 
@@ -141,7 +167,7 @@ class TestLipschitzFailClosedParity:
             "non-finite difference quotient at t=0 between x=[0.0] and x=[3.0]"
         )
 
-    def test_later_time_is_not_evaluated_after_a_non_finite_value(self):
+    def test_a_raising_time_raises_before_any_value_is_checked(self):
         calls = []
 
         def fn(t, x):
@@ -150,9 +176,36 @@ class TestLipschitzFailClosedParity:
                 raise RuntimeError("time 1 evaluated")
             return raising_at(0.4, None)(t, x)
 
-        with pytest.raises(ValueError, match=r"^non-finite map value at t=0, x=\[0\.4\]$"):
+        with pytest.raises(RuntimeError, match="^time 1 evaluated$"):
             estimate_lipschitz(fn, self.POINTS, times=(0, 1))
-        assert calls == [0] * len(self.POINTS)
+        assert calls == [0] * len(self.POINTS) + [1]
+
+    def test_first_non_finite_value_in_time_then_point_order(self):
+        # time 0 has an overflowing quotient and a NaN at x = 0.4, time 1 a NaN
+        # at x = -1.0: every value is checked before any quotient, time by time
+        heights = {-1.0: 0.0, -0.2: 1e300, 0.4: np.nan, 1.0: -1e300}
+        fn = lambda t, x: np.array([np.nan if t == 1 and x[0] == -1.0 else heights[float(x[0])]])
+        with pytest.raises(ValueError) as err:
+            estimate_lipschitz(fn, self.POINTS, times=(0, 1))
+        assert str(err.value) == "non-finite map value at t=0, x=[0.4]"
+        with pytest.raises(ValueError) as err:
+            estimate_lipschitz(fn, self.POINTS[[0, 1, 3]], times=(0, 1))
+        assert str(err.value) == "non-finite map value at t=1, x=[-1.0]"
+
+    def test_first_non_finite_quotient_in_pair_then_time_order(self):
+        # time 0 overflows only on the pair (0, 3), time 1 only on the pair
+        # (0, 1): the pair (0, 1) comes first, so time 1 is named
+        heights = {
+            0: {0.0: 0.0, 1.0: 0.0, 2.0: 0.0, 3.0: 1e300},
+            1: {0.0: 0.0, 1.0: 1e300, 2.0: 0.0, 3.0: 0.0},
+        }
+        points = np.array([[0.0], [1.0], [2.0], [3.0]])
+        fn = lambda t, x: np.array([heights[t][float(x[0])]])
+        with pytest.raises(ValueError) as err:
+            estimate_lipschitz(fn, points, times=(0, 1))
+        assert str(err.value) == (
+            "non-finite difference quotient at t=1 between x=[0.0] and x=[1.0]"
+        )
 
     def test_map_call_sequence(self):
         calls = []
@@ -188,7 +241,7 @@ class TestLipschitzFailClosedParity:
         )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_row_is_reduced_before_the_next_row_is_evaluated(self, bad):
+    def test_a_raising_row_raises_before_any_value_is_checked(self, bad):
         # row 0 (x = 0.0) holds a non-finite value; evaluating row 1 (x = 0.9) raises
         def varphi(k, y, x):
             if x[0] == 0.9:
@@ -196,9 +249,34 @@ class TestLipschitzFailClosedParity:
             return np.array([bad]) if y[0] == -0.3 else 0.5 * y
 
         samples = SlowFastSamples(k=[2, 1], x=[[0.0], [0.9]], yerr=[[0.4], [-0.3]])
+        with pytest.raises(RuntimeError, match="^row 1 evaluated$"):
+            _fast_lipschitz(self.fast_pair(varphi), samples)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_own_value_in_sample_then_state_order(self, bad):
+        # both own rows hold a non-finite value: row 0 (k = 2) at y = -0.3 and
+        # row 1 (k = 1) at y = 0.4
+        def varphi(k, y, x):
+            hit = y[0] == (-0.3 if x[0] == 0.0 else 0.4)
+            return np.array([bad]) if hit else 0.5 * y
+
+        samples = SlowFastSamples(k=[2, 1], x=[[0.0], [0.9]], yerr=[[0.4], [-0.3]])
         with pytest.raises(ValueError) as err:
             _fast_lipschitz(self.fast_pair(varphi), samples)
         assert str(err.value) == "non-finite map value at t=2, x=[-0.3]"
+
+    def test_non_finite_value_is_named_before_an_earlier_row_quotient(self):
+        # row 0's values are finite but its quotient overflows; row 1 holds a
+        # NaN: every own value is checked before any quotient
+        def varphi(k, y, x):
+            if x[0] == 0.0:
+                return 1e300 * np.sign(y)
+            return np.array([np.nan]) if y[0] == 0.4 else 0.5 * y
+
+        samples = SlowFastSamples(k=[2, 1], x=[[0.0], [0.9]], yerr=[[0.4], [-0.3]])
+        with pytest.raises(ValueError) as err:
+            _fast_lipschitz(self.fast_pair(varphi), samples)
+        assert str(err.value) == "non-finite map value at t=1, x=[0.4]"
 
 
 class TestTrajectoryConverseKind:
@@ -425,6 +503,25 @@ class TestFastLipschitz:
         assert len(calls) == 4096
         assert L1.hex() == "0x1.199999999999ap-1"  # 0.5 with the 1.1 safety factor
         assert L2 == 0.0
+
+    @pytest.mark.parametrize("ks", [[1] * 6, [0, 1, 2, 3, 2, 0], None])
+    def test_one_fast_map_call_per_build(self, ks):
+        calls = []
+        sysf = SlowFastSystem(
+            dim_x=1,
+            dim_y=1,
+            phi=lambda k, x, y: -x + y,
+            varphi=BatchMap(lambda k, y, x: calls.append(np.shape(k)) or 0.5 * y),
+            ystar=lambda x: np.zeros(1),
+        )
+        calls.clear()
+        samples = None
+        if ks is not None:  # None: the build's own 32 samples
+            drawn = _fast_sample_set(sysf, 1.0, len(ks), 3)
+            samples = SlowFastSamples(ks, drawn.x, drawn.yerr)
+        env = ExponentialEnvelope(gain=1.0, rate=float(np.log(2.0)))
+        build_exponential_converse(sysf, env, samples=samples)
+        assert len(calls) == 1
 
     def test_parameter_modulus_matches_pairwise_definition(self):
         varphi = lambda k, y, x: (0.5 + 0.1 * (k + 1) * x) * y

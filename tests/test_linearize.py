@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lyapcert import linearize
 from lyapcert.dynsys import BatchMap, DynSystem
 from lyapcert.errors import InapplicableError
 from lyapcert.frontend.report import jsonable
@@ -200,6 +201,30 @@ class TestNonautonomousCertificate:
         assert calls[0] == (32 * 4,)
         assert jsonable(marked) == jsonable(plain)  # as the report writes it
         assert marked.P(5).tobytes() == plain.P(5).tobytes()
+
+    def test_remainder_radius_reads_its_jacobians_in_two_map_calls(self, monkeypatch):
+        calls = []
+
+        @BatchMap
+        def step(t, x):
+            calls.append(np.shape(t))
+            return (0.4 + 0.1 * np.cos(np.pi * np.asarray(t)))[..., None] * x + 0.5 * x * x
+
+        real = linearize.estimate_lipschitz
+        radius_calls = []
+
+        def counted(fn, points, times):
+            before = len(calls)
+            L = real(fn, points, times)
+            radius_calls.append(calls[before:])
+            return L
+
+        monkeypatch.setattr(linearize, "estimate_lipschitz", counted)
+        certify_local_nonautonomous(DynSystem(dim=1, map_fn=step, autonomous=False))
+        # over the domain, then over the candidate ball: one Jacobian call
+        # each, at every time and all 48 draws and the origin, with 4
+        # perturbed points per state (two step sizes, x + h and x - h)
+        assert radius_calls == [[(49 * 4 * len(linearize.T_SAMPLES),)]] * 2
 
     def test_non_finite_jacobian_is_refused(self):
         # the decay fit read A(30) = [[inf]] as a NaN norm and dropped it:

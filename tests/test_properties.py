@@ -41,12 +41,12 @@ from lyapcert.certcheck import (
 )
 from lyapcert import converse as converse_module
 from lyapcert.converse import (
-    _difference_max,
     _first_min,
     _max_quotient,
     _pair_blocks,
     build_trajectory_converse,
     check_envelope_hypothesis,
+    estimate_lipschitz,
     verify_converse,
 )
 from lyapcert.dynsys import (
@@ -1647,6 +1647,24 @@ def hex_or_none(value):
     return None if value is None else float(value).hex()
 
 
+def estimated_hex(fn, points, times=(0,)):
+    """``estimate_lipschitz`` by ``.hex()``, or the ValueError's message."""
+    try:
+        return estimate_lipschitz(fn, np.array(points), times=times).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_estimate_hex(points, values_by_time):
+    """The per-time loop: ``reference_difference_max`` of each time's
+    values, then the maximum, times 1.1."""
+    ratios = [reference_difference_max(points, values) for values in values_by_time]
+    ratios = [r for r in ratios if r is not None]
+    if not ratios:
+        return converse_module._NO_PAIR
+    return (max(ratios) * converse_module.LIPSCHITZ_SAFETY).hex()
+
+
 @st.composite
 def pair_sets(draw, max_size=65):
     """Points and values as lists of strided row views, with duplicated and
@@ -1673,10 +1691,37 @@ class TestPairwiseQuotientKernel:
 
     @given(sets=pair_sets())
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_difference_max_matches_the_pair_loop(self, sets):
+    def test_one_time_matches_the_pair_loop(self, sets):
         points, values = sets
-        expected = hex_or_none(reference_difference_max(points, values))
-        assert hex_or_none(_difference_max(0, np.array(points), np.array(values))) == expected
+        expected = reference_estimate_hex(points, [values])
+        assert estimated_hex(BatchMap(lambda t, x: np.array(values)), points) == expected
+
+    @given(
+        sets=pair_sets(max_size=40),
+        times=st.one_of(
+            st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
+            st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=4),
+        ),
+        marked=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_times_match_the_per_time_loop(self, sets, times, marked):
+        # repeated, unsorted and float times; one call over (time, point) rows
+        points, _ = sets
+        calls = []
+
+        def fn(t, x):
+            calls.append((t, np.asarray(x).tobytes()))
+            t = np.asarray(t, dtype=float)[..., None]
+            return (0.5 + 0.25 * t) * x + 0.125 * t * x * x
+
+        expected = reference_estimate_hex(points, [[fn(t, p) for p in points] for t in times])
+        calls.clear()
+        assert estimated_hex(BatchMap(fn) if marked else fn, points, tuple(times)) == expected
+        if not marked:
+            assert calls == [(t, p.tobytes()) for t in times for p in points]
+        else:
+            assert len(calls) == 1
 
     @given(
         sets=pair_sets(max_size=40),
@@ -1712,8 +1757,10 @@ class TestPairwiseQuotientKernel:
         # and np.linalg.norm(v[None], axis=1) differ in the last bit for this v;
         # the kernel must keep the former.
         v = np.array([0.3, 1.2])
-        got = _difference_max(0, np.array([np.zeros(2), v]), np.array([np.zeros(1), np.ones(1)]))
-        assert got.hex() == (1.0 / float(np.linalg.norm(v))).hex()
+        fn = BatchMap(lambda t, x: np.array([np.zeros(1), np.ones(1)]))
+        got = estimate_lipschitz(fn, np.array([np.zeros(2), v]))
+        want = 1.0 / float(np.linalg.norm(v)) * converse_module.LIPSCHITZ_SAFETY
+        assert got.hex() == want.hex()
 
 
 class TestRngDeterminism:
@@ -2382,8 +2429,8 @@ class TestTrajectoryKernel:
 def reference_fast_lipschitz(sysf, samples):
     """The per-sample-closure loop ``_fast_lipschitz`` ran: one
     ``shifted_fast`` closure per sample, each reading ystar of its own
-    frozen state, then a closure over the repeated frozen states for the
-    rows at the other k."""
+    frozen state and reduced to its L1 quotient before the next, then a
+    closure over the repeated frozen states for the rows at the other k."""
     ks, xs, ys = samples
     size = len(ks)
     fasts = [sysf.shifted_fast(x) for x in xs]
@@ -2392,7 +2439,10 @@ def reference_fast_lipschitz(sysf, samples):
     l1_by_sample = []
     for i, (k, fast) in enumerate(zip(ks.tolist(), fasts)):
         row = values[distinct.index(k), i] = fast(k, ys)
-        ratio = _difference_max(k, ys, row)
+        finite = np.isfinite(row).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite map value at t={k}, x={ys[int(np.argmin(finite))].tolist()}")
+        ratio = reference_difference_max(ys, row)
         if ratio is None:
             raise ValueError(converse_module._NO_PAIR)
         l1_by_sample.append(ratio)
@@ -2417,14 +2467,20 @@ def reference_fast_lipschitz(sysf, samples):
 
 
 def logged_fast_pair(marked, poison):
-    """A slow/fast pair whose fast map logs every call's (k, y, x) bytes; a
-    poisoned map returns NaN at k = 0 for x[0] > 0.5.  ystar is one product,
-    so a batch and its one-state calls agree bit for bit."""
+    """A slow/fast pair whose fast map logs the (k, y, x) bytes of every row
+    it is called with, in call order, and the number of calls; a poisoned
+    map returns NaN at k = 0 for x[0] > 0.5.  ystar is one product, so a
+    batch and its one-state calls agree bit for bit."""
     log = []
 
     def varphi(k, y, x):
         k, y, x = np.asarray(k), np.asarray(y, dtype=float), np.asarray(x, dtype=float)
-        log.append((k.tobytes(), y.tobytes(), x.tobytes()))
+        shape = np.broadcast_shapes(k.shape, y.shape[:-1], x.shape[:-1])
+
+        def rows(a, width):
+            return np.broadcast_to(a, shape + width).reshape((-1,) + width)
+
+        log.append([tuple(r.tobytes() for r in row) for row in zip(rows(k, ()), rows(y, (2,)), rows(x, (2,)))])
         gain = 0.5 + 0.3 * np.tanh(x[..., 0] - x[..., 1]) * np.sin(k)
         value = gain[..., None] * (y - x[..., :1] * x) + x[..., :1] * x
         if poison:
@@ -2450,11 +2506,17 @@ class TestFastLipschitzTable:
         samples = converse_module._fast_sample_set(logged_fast_pair(False, False)[0], 1.0, size, seed)
         if one_x:  # every slow state equal: no pair separates, L2 stays 0
             samples = SlowFastSamples(samples.k, np.repeat(samples.x[:1], size, axis=0), samples.yerr)
-        outcomes = []
+        outcomes, logs = [], []
         for fast_lipschitz in (converse_module._fast_lipschitz, reference_fast_lipschitz):
             sysf, log = logged_fast_pair(marked, poison)
-            outcomes.append((exact(lambda: fast_lipschitz(sysf, samples)), log))
+            outcomes.append(exact(lambda: fast_lipschitz(sysf, samples)))
+            logs.append(log)
         assert outcomes[0] == outcomes[1]
+        # the table is one call; the reference stops at its first failure
+        if marked:
+            assert len(logs[0]) == 1
+        if not isinstance(outcomes[0], tuple):
+            assert sum(logs[0], []) == sum(logs[1], [])
 
 
 # ---------------------------------------------------------------------------
