@@ -437,7 +437,7 @@ def _step_counts(horizon, size: Optional[int] = None) -> np.ndarray:
 
 
 def trajectories(
-    step: Callable, t0, x0: np.ndarray, horizon, *rows: np.ndarray
+    step: Callable, t0, x0: np.ndarray, horizon, *rows: np.ndarray, stop: Optional[Callable] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """States (S, H + 1, n) of ``step`` from the rows of ``x0``, and the step
     each row diverged at (0 if none).
@@ -448,7 +448,9 @@ def trajectories(
     amplitude) goes with it.  Each step is one ``step(t, x, *rows)`` call
     over the live rows.  A row leaves them after its own count, or where
     it diverges: at its first state that is non-finite or has norm above
-    ``DIVERGENCE_LIMIT``.  Its later states are NaN.
+    ``DIVERGENCE_LIMIT``.  Its later states are NaN.  ``stop``, if given,
+    maps the live rows' new (L, n) states to an (L,) bool mask, and a row
+    also leaves after the first state it marks, which is kept.
     """
     step, x = batch_map(step), real_array(x0)
     counts = _step_counts(horizon, len(x))
@@ -476,6 +478,10 @@ def trajectories(
             first = np.arange(len(states))[live][gone]
             states[first, j + 1], diverged[first] = np.nan, j + 1
             ends[gone] = exit_at = j + 1  # so it leaves before the next step
+        if stop is not None:
+            met = stop(x)
+            if met.any():
+                ends[met] = exit_at = j + 1
     return states, diverged
 
 

@@ -66,7 +66,7 @@ LINEAR_TOL = 1e-12
 T_SAMPLES = (0, 1, 2, 3, 5, 8)  # times a nonautonomous certificate samples
 BASIN_MAX_STEPS = 10_000
 BASIN_TOL = 1e-10
-BASIN_WINDOW = 64  # steps per trajectories call; trials that stop leave between windows
+BASIN_WINDOW = 64  # steps per trajectories call, which bounds its state table
 
 MapFn = Callable[[int, np.ndarray], np.ndarray]
 
@@ -354,7 +354,7 @@ def validate_basin(
     budget fails the report with the offending start recorded, and
     ``divergence_step`` is the step of the last diverging trial.  The
     trials step together, ``BASIN_WINDOW`` steps per call; a trial leaves
-    once it has converged or diverged.
+    at the step it converges or diverges.
     """
     if cert.delta_bar is None:
         raise ValueError("certificate carries no ball radius (unstable verdict?)")
@@ -363,14 +363,18 @@ def validate_basin(
     threshold = BASIN_TOL * delta
     (balls,) = Rng(seed).draw(max(0, trials), ("ball", sys.dim, delta))
     starts = eq + balls
+
+    def settled(states: np.ndarray) -> np.ndarray:
+        return _row_norms(states - eq) <= threshold
+
     converged_at = np.zeros(len(starts), dtype=int)  # 0: never converged
     diverged_at = np.zeros(len(starts), dtype=int)  # 0: never diverged
     err = np.empty(len(starts))  # distance at the step the trial stopped
     live, x, done = np.arange(len(starts)), starts, 0
     while live.size and done < BASIN_MAX_STEPS:
         length = min(BASIN_WINDOW, BASIN_MAX_STEPS - done)
-        states, diverged = trajectories(sys.step, done, x, length)
-        dist = _row_norms(states[:, 1:] - eq)  # NaN from a row's divergence step on
+        states, diverged = trajectories(sys.step, done, x, length, stop=settled)
+        dist = _row_norms(states[:, 1:] - eq)  # NaN after the step a row leaves at
         hit = dist <= threshold
         first = hit.argmax(axis=1)
         converged = hit[np.arange(len(live)), first]

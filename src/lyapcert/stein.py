@@ -44,6 +44,10 @@ TOL_MARGIN = 1e-9
 MARGINAL_TOL = 1e-7
 TV_TAIL_TOL = 1e-10
 KRON_BLOCK_ROWS = 64  # operator rows the fallback of solve_stein_kron builds per block
+# block size at or below which _shifted_inverses inverts with one batched LU
+# call; measured with one BLAS thread over n = 2..48, cut-offs 8 and 10 tie and
+# 6, 12 and 16 are slower, and at 8 every solve with n <= 8 is unchanged
+SHIFTED_INV_BLOCK = 8
 SCHUR_GATE = 1e-13  # largest |tril(U^H A U, -1)|_F / max(1, |A|_F) the Schur route accepts
 
 
@@ -208,20 +212,45 @@ def _complex_schur(A: np.ndarray, V: np.ndarray) -> Optional[Tuple[np.ndarray, n
     return U, np.triu(H)
 
 
+def _shifted_inverses(c: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(c[j] M - I)^-1 for every j, as a (len(c), N, N) array, for a lower
+    triangular N x N matrix M shared by all j.
+
+    Recursive halving (blocked triangular inversion; Du Croz & Higham, IMA
+    J. Numer. Anal. 12, 1992): with M split into M11, M21 and M22, the
+    shifted blocks are A_j = c[j] M11 - I, c[j] M21 and C_j = c[j] M22 - I,
+    and the inverse is lower triangular with diagonal blocks A_j^-1 and
+    C_j^-1, each found by the same recursion for all j at once, and the
+    off-diagonal block -c[j] C_j^-1 (M21 A_j^-1).  Blocks of at most
+    ``SHIFTED_INV_BLOCK`` rows are inverted by one batched ``np.linalg.inv``.
+    """
+    N = M.shape[0]
+    if N <= SHIFTED_INV_BLOCK:
+        shifted = c[:, None, None] * M
+        shifted -= np.eye(N)
+        return np.linalg.inv(shifted)
+    h = N // 2
+    inverses = np.zeros((len(c), N, N), dtype=complex)
+    inverses[:, :h, :h] = top = _shifted_inverses(c, M[:h, :h])
+    inverses[:, h:, h:] = bottom = _shifted_inverses(c, M[h:, h:])
+    lower = np.matmul(bottom, M[h:, :h] @ top, out=inverses[:, h:, :h])
+    lower *= -c[:, None, None]
+    return inverses
+
+
 def _triangular_stein(U: np.ndarray, T: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Solver of A' D A - D = -R for real R, on A = U T U^H.
 
     With X = U^H D U the equation reads T^H X T - X = -U^H R U.  Column j of
     it is  (T[j, j] T^H - I) X[:, j] = -(U^H R U)[:, j] - T^H X[:, :j] T[:j, j],
     so the columns follow one another, each a lower-triangular solve.  The n
-    inverses of T[j, j] T^H - I are formed once, in one batched call, and
-    serve every right side the returned solver is given.
+    inverses of T[j, j] T^H - I are formed once, by recursive halving in
+    batched products (:func:`_shifted_inverses`), and serve every right side
+    the returned solver is given.
     """
     n = T.shape[0]
     TH = T.conj().T
-    shifted = T.diagonal()[:, None, None] * TH
-    shifted -= np.eye(n)
-    inverses = np.linalg.inv(shifted)
+    inverses = _shifted_inverses(T.diagonal(), TH)
     UH = U.conj().T
 
     def solve(R: np.ndarray) -> np.ndarray:
@@ -252,8 +281,9 @@ def solve_stein_kron(A: np.ndarray, Q: np.ndarray) -> SteinSolution:
     A' P A - P + Q  is solved with the same U, T and triangular inverses,
     the correction added, and the sum symmetrized.  Cost: O(n^3) for
     the eigendecomposition, the QR factor and the column recursion, plus
-    the n triangular inverses, O(n^4) flops formed once in one batched call;
-    two n x n x n complex arrays alive at once (1.8 MB each at n = 48).
+    the n triangular inverses, O(n^4) flops in batched matrix products
+    (:func:`_shifted_inverses`); one n x n x n complex array and its
+    quarter-size blocks alive at once (1.8 MB and 0.4 MB each at n = 48).
 
     *Gate.*  The Schur form is accepted only when the part of U^H A U below
     the diagonal has Frobenius norm at most ``SCHUR_GATE * max(1, |A|_F)``,

@@ -9,8 +9,10 @@ from lyapcert import linearize
 from lyapcert.dynsys import BatchMap, DynSystem
 from lyapcert.errors import InapplicableError
 from lyapcert.frontend.report import jsonable
+from lyapcert.rng import Rng
 from lyapcert.linearize import (
     STABLE,
+    LocalCertificate,
     UNSTABLE,
     certify_local_autonomous,
     certify_local_nonautonomous,
@@ -155,6 +157,31 @@ class TestBasinValidation:
             report = validate_basin(sys, cert, trials=60)
         assert not report.passed
         assert report.details["failures"] > 0
+
+    def test_trials_leave_the_kernel_at_the_step_they_settle(self):
+        # x -> 0.8 x: every trial comes within 1e-10 of 0 after 94-104 steps,
+        # in the second 64-step window, and is stepped up to that step only
+        rows = []
+
+        def contract(t, x):
+            rows.append(len(x))
+            return 0.8 * x
+
+        sys = DynSystem(dim=2, map_fn=BatchMap(contract), autonomous=True)
+        cert = LocalCertificate(STABLE, np.zeros(2), None, None, delta_bar=1.0)
+        rows.clear()  # drop the construction-time equilibrium probe
+        report = validate_basin(sys, cert, trials=20, seed=7)
+        (starts,) = Rng(7).draw(20, ("ball", 2, 1.0))
+        settle = []
+        for x in starts:
+            steps = 0
+            while np.linalg.norm(x) > 1e-10:
+                x, steps = 0.8 * x, steps + 1
+            settle.append(steps)
+        assert report.passed and report.details["longest_run"] == max(settle) > 64
+        # one map call per step up to the last trial's settling step, one row
+        # per trial and step; whole windows took 128 calls and 20 x 128 rows
+        assert len(rows) == max(settle) and sum(rows) == sum(settle)
 
     def test_unstable_certificate_rejected(self):
         sys = DynSystem(dim=1, map_fn=lambda t, x: 2.0 * x + x**2, autonomous=True)

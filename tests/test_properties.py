@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from lyapcert.averaging import (
     DRIFT_REMAINDER,
@@ -1192,7 +1192,9 @@ def reference_drift(field, mean, table, samples):
     """The per-sample loop ``check_drift_remainder`` ran over (k, x, T,
     eps) tuples: each sample's horizon looked up, its window stepped, then
     its window mean read.  A NaN or infinite state is refused, not skipped
-    as its NaN norm would be."""
+    as its NaN norm would be.  A window stops at a state that is NaN or
+    infinite or has a norm above 1e12 (the kernel's divergence rule), and
+    its drift reads inf."""
     points, params, slack = [], [], []
     for k, x, T, eps in samples:
         if not np.isfinite(x).all():
@@ -1201,11 +1203,15 @@ def reference_drift(field, mean, table, samples):
         if nx < 1e-14:
             continue
         sigma_T = table.sigma(T)
-        end = x
+        end, diverged = x, False
         for j in range(T + 1):
             end = end + eps * real_array(field(k + j, end))
+            if not np.linalg.norm(end) <= 1e12:
+                diverged = True
+                break
+        m = mean(x)
         with np.errstate(over="ignore"):
-            drift = float(np.linalg.norm(end - x - eps * T * mean(x)))
+            drift = math.inf if diverged else float(np.linalg.norm(end - x - eps * T * m))
         points.append((k, x.copy()))
         params.append({"T": T, "eps": eps})
         slack.append(eps * T * nu(T, eps, table.L, sigma_T) * nx - drift + TOL_ABS)
@@ -1308,26 +1314,17 @@ FAKE_PHIBARS = {
 }
 
 
-@st.composite
-def averaging_cases(draw):
-    """A compiled two-component field, its real window mean (T_max = 8) or
-    a fake one, and probe states with a zero row, a repeated row (an equal
-    state in a distinct array) and a row with a -0.0 component, in drawn
-    order.  The field comes as a plain callable and as a ``BatchMap``,
-    each with the window mean and reference of its own flavor."""
-    first, second = draw(ast_trees()), draw(ast_trees())
+def averaging_case(first, second, fake, xs):
+    """The field of the two trees, the window mean (T_max = 8) or the fake
+    one named ``fake``, and the probe states ``xs``: the field as a plain
+    callable and as a ``BatchMap``, each with the window mean and reference
+    of its own flavor."""
     f = compile_map([first, second], PARAMS)
 
     def field(t, x):
         return f(t, x, [0.5])
 
-    fake = draw(st.sampled_from([None, *FAKE_PHIBARS]))
     phibar = None if fake is None else FAKE_PHIBARS[fake]
-    nonzero = states.filter(lambda v: math.hypot(*v) >= 1e-14)
-    xs = [np.array(v, dtype=float) for v in [draw(nonzero), *draw(st.lists(states, max_size=2))]]
-    signed = draw(st.floats(-2.0, 2.0, allow_nan=False))
-    xs += [np.zeros(2), xs[0].copy(), np.array([-0.0, signed])[:: draw(st.sampled_from([1, -1]))]]
-    xs = draw(st.permutations(xs))
     flavors = []
     for marked in (True, False):
         fn = BatchMap(field) if marked else field
@@ -1335,6 +1332,21 @@ def averaging_cases(draw):
         mean = reference_mean(field, phibar, marked)
         flavors.append((fn, bare_average(own, mean, xs), mean, marked))
     return flavors, xs
+
+
+@st.composite
+def averaging_cases(draw):
+    """An :func:`averaging_case` of a compiled two-component field, its real
+    window mean or a fake one, and probe states with a zero row, a repeated
+    row (an equal state in a distinct array) and a row with a -0.0
+    component, in drawn order."""
+    first, second = draw(ast_trees()), draw(ast_trees())
+    fake = draw(st.sampled_from([None, *FAKE_PHIBARS]))
+    nonzero = states.filter(lambda v: math.hypot(*v) >= 1e-14)
+    xs = [np.array(v, dtype=float) for v in [draw(nonzero), *draw(st.lists(states, max_size=2))]]
+    signed = draw(st.floats(-2.0, 2.0, allow_nan=False))
+    xs += [np.zeros(2), xs[0].copy(), np.array([-0.0, signed])[:: draw(st.sampled_from([1, -1]))]]
+    return averaging_case(first, second, fake, draw(st.permutations(xs)))
 
 
 class TestBatchedWindowMeans:
@@ -1353,20 +1365,31 @@ class TestBatchedWindowMeans:
             want = exact(lambda: reference_sigma(fn, mean, xs, sorted(T_list), marked))
             assert_same_outcome(exact(lambda: sigma_values(estimate_sigma(fn, avg, T_list))), want)
 
-    @given(case=averaging_cases(), data=st.data())
+    @given(
+        case=averaging_cases(),
+        sigmas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        L=st.floats(0.1, 3.0),
+        draws=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([1, 2, 4, 4, 5]), st.floats(0.0, 0.3)),
+                       min_size=6, max_size=6),
+        poison=st.tuples(st.sampled_from([None, math.nan, math.inf, -math.inf]), st.integers(0, 5), st.integers(0, 1)),
+    )
+    # a window that leaves 1e12 without overflowing: at x = [0, 1] the second
+    # step adds 0.25 * -1 / 1.98e-115, and the kernel reads drift inf
+    @example(
+        case=averaging_case(Num(0.0), Bin("/", Neg(Time()), Num(1.98e-115)), None, [np.array([0.0, 1.0])]),
+        sigmas=(0.5, 0.5, 0.5), L=1.0, draws=[(0, 1, 0.25)] * 6, poison=(None, 0, 0),
+    )
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_drift_remainder_matches_the_per_sample_loop(self, case, data):
+    def test_drift_remainder_matches_the_per_sample_loop(self, case, sigmas, L, draws, poison):
         flavors, xs = case
         T_list = (1, 2, 4)
-        entries = {T: data.draw(st.floats(0.0, 1.0)) for T in T_list}
-        table = SigmaTable(L=data.draw(st.floats(0.1, 3.0)), T_list=T_list, entries=entries)
-        samples = [(data.draw(st.integers(0, 6)), x, data.draw(st.sampled_from([1, 2, 4, 4, 5])),
-                    data.draw(st.floats(0.0, 0.3))) for x in xs]
-        poison = data.draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
-        if poison is not None:  # a non-finite entry in one sample's state, which is never skipped
-            i, j = data.draw(st.integers(0, len(samples) - 1)), data.draw(st.integers(0, 1))
+        table = SigmaTable(L=L, T_list=T_list, entries=dict(zip(T_list, sigmas)))
+        samples = [(k, x, T, eps) for x, (k, T, eps) in zip(xs, draws)]
+        value, i, j = poison
+        if value is not None:  # a non-finite entry in one sample's state, which is never skipped
+            i %= len(samples)
             x = samples[i][1].copy()
-            x[j] = poison
+            x[j] = value
             samples[i] = (samples[i][0], x, *samples[i][2:])
         k, x, T, eps = (np.array(v) for v in zip(*samples))
         for fn, avg, mean, _ in flavors:
@@ -2278,6 +2301,38 @@ class TestTrajectoryKernel:
         assert np.isnan(states[2, 1:]).all() and states[1, :, 0].tolist() == [0.0] * 5
         # a row is stepped until it diverges, then never again
         assert [c[0] for c in calls] == [1.0, 0.0, 3.0, 2.0, 0.0, 4.0, 0.0, 0.0]
+
+    def test_stopped_rows_leave_after_the_state_that_meets_the_test(self):
+        calls = []
+
+        def halve(t, x):
+            calls.append(x[:, 0].tolist())
+            return 0.5 * x
+
+        X = np.array([[1.0], [4.0], [0.0], [-64.0]])
+        states, diverged = trajectories(BatchMap(halve), 0, X, 5, stop=lambda x: np.abs(x[:, 0]) <= 1.0)
+        assert diverged.tolist() == [0, 0, 0, 0]
+        # the first state at or below 1 in modulus is kept, the later ones are NaN
+        assert states[0, :2, 0].tolist() == [1.0, 0.5] and np.isnan(states[0, 2:]).all()
+        assert states[1, :3, 0].tolist() == [4.0, 2.0, 1.0] and np.isnan(states[1, 3:]).all()
+        assert states[2, :2, 0].tolist() == [0.0, 0.0] and np.isnan(states[2, 2:]).all()
+        assert states[3, :, 0].tolist() == [-64.0, -32.0, -16.0, -8.0, -4.0, -2.0]
+        # the start is not tested; each row is stepped until it meets the test
+        assert calls == [[1.0, 4.0, 0.0, -64.0], [2.0, -32.0], [-16.0], [-8.0], [-4.0]]
+
+    @given(starts=starts_2d, horizon=st.integers(0, 12), marked=st.booleans(), radius=st.floats(0.05, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_stopped_rows_are_the_rows_of_the_full_table(self, starts, horizon, marked, radius):
+        # a row leaves at its first state within radius, and up to that state
+        # its bytes are those it has when every row runs the whole horizon
+        sys = kernel_system(marked, False)
+        X = np.array(starts)
+        full, _ = trajectories(sys.step, 2, X, horizon)
+        stopped, _ = trajectories(sys.step, 2, X, horizon, stop=lambda x: _row_norms(x) <= radius)
+        for row, got in zip(full, stopped):
+            inside = np.flatnonzero(_row_norms(row[1:]) <= radius)
+            end = inside[0] + 2 if inside.size else len(row)
+            assert got[:end].tobytes() == row[:end].tobytes() and np.isnan(got[end:]).all()
 
     @pytest.mark.parametrize("horizon", [-1, -2, 2.5, np.array([1, 2, 3, 4])])
     def test_a_malformed_horizon_is_refused_before_any_map_call(self, composite, horizon):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lyapcert import stein
 from lyapcert.dynsys import ExponentialEnvelope, LinearTV, transitions
@@ -481,6 +482,108 @@ class TestSchurRoute:
         assert ungated.residual > 1e3 * gated.residual
 
 
+def real_spectrum(rng: np.random.Generator, n: int, kind: str, gap: float) -> list:
+    """n eigenvalues closed under conjugation, about 60% of them in complex
+    pairs.  Moduli lie in (0.05, 1 - gap) for "contracting" and in
+    (1 + gap, 2) for "expanding".  "mixed" draws moduli r in (0.5, 1.5) and
+    pairs r e^(i th) with (1 +- gap) / r e^(i th), so some products
+    c_j conj(t_ii) of the Schur diagonal lie gap away from 1."""
+    lams: list = []
+    while len(lams) < n:
+        th = rng.uniform(0.1, 3.0) if len(lams) + 2 <= n and rng.uniform() < 0.6 else 0.0
+        width = 2 if th else 1
+        if kind == "contracting":
+            r = rng.uniform(0.05, 1.0 - gap)
+        elif kind == "expanding":
+            r = rng.uniform(1.0 + gap, 2.0)
+        else:
+            r = rng.uniform(0.5, 1.5)
+        zs = [r * np.exp(1j * th)]
+        if kind == "mixed" and len(lams) + 2 * width <= n:
+            zs.append((1.0 + rng.choice([-1.0, 1.0]) * gap) / r * np.exp(1j * th))
+        for z in zs:
+            lams += [z, z.conjugate()] if th else [z.real]
+    return lams
+
+
+def shifted_case(seed: int, n: int, kind: str, gap: float):
+    """(c, M) as the Schur route forms them for a real A = Q (D + N) Q' with
+    the spectrum of :func:`real_spectrum` (D real block diagonal, N strictly
+    upper triangular above its first superdiagonal): c the diagonal of
+    T = triu(U^H A U) and M = T^H; None where the Schur gate refuses A."""
+    rng = np.random.default_rng(seed)
+    lams = real_spectrum(rng, n, kind, gap)
+    D, i = np.zeros((n, n)), 0
+    while i < n:
+        z = complex(lams[i])
+        if z.imag:
+            D[i:i + 2, i:i + 2] = [[z.real, z.imag], [-z.imag, z.real]]
+            i += 2
+        else:
+            D[i, i] = z.real
+            i += 1
+    N = np.triu(rng.standard_normal((n, n)), 2) * (0.5 / np.sqrt(n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = Q @ (D + N) @ Q.T
+    form = stein._complex_schur(A, np.linalg.eig(A)[1])
+    if form is None:
+        return None
+    T = form[1]
+    return T.diagonal(), T.conj().T
+
+
+def stack_norms(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of an (S, n, n) stack."""
+    return np.linalg.norm(x, axis=(1, 2))
+
+
+class TestShiftedInverses:
+    """The n inverses (c_j M - I)^-1 of the Schur route against one batched
+    ``np.linalg.inv`` of the same stack, as the route formed them before
+    the recursive halving."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 64),
+        kind=st.sampled_from(["contracting", "expanding", "mixed"]),
+        gap=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_batched_lu_inverse(self, seed, n, kind, gap):
+        case = shifted_case(seed, n, kind, gap)
+        assume(case is not None)
+        c, M = case
+        shifted = c[:, None, None] * M - np.eye(n)
+        lu = np.linalg.inv(shifted)
+        halved = stein._shifted_inverses(c, M)
+        if n <= stein.SHIFTED_INV_BLOCK:
+            assert halved.tobytes() == lu.tobytes()
+            return
+        # relative gap within 1e-13, plus the forward-error scale n u kappa_F
+        # of a backward-stable inverse, which grows where c_j conj(t_ii)
+        # nears 1: at most 0.017 n u kappa_F over 3,277 such draws, n from 9 to 64
+        kappa = stack_norms(shifted) * stack_norms(lu)
+        bound = 1e-13 + n * np.finfo(float).eps * kappa
+        assert (stack_norms(halved - lu) <= bound * stack_norms(lu)).all()
+        # and each is an inverse to a normwise residual below n u (0.03 n u
+        # at most over those draws)
+        residual = stack_norms(shifted @ halved - np.eye(n))
+        assert (residual <= n * np.finfo(float).eps * stack_norms(shifted) * stack_norms(halved)).all()
+
+    @pytest.mark.parametrize("n", [40, 48])
+    @pytest.mark.parametrize("rho", [0.3, 0.99])
+    def test_criterion_one_at_large_n(self, n, rho):
+        # the benchmark's criterion 1: residual at most 1e-9 |Q|_F on both
+        # routes, and the sup-norm route gap at most 1e-8
+        A, Q = schur_draw(6000 + n, n, rho)
+        kron, series = solve_stein_kron(A, Q), solve_stein_series(A, Q)
+        assert kron.method == "schur"
+        for sol in (kron, series):
+            residual = float(np.linalg.norm(A.T @ sol.P @ A - sol.P + Q, "fro"))
+            assert residual <= 1e-9 * float(np.linalg.norm(Q, "fro"))
+        assert float(np.linalg.norm(kron.P - series.P, ord=np.inf)) <= 1e-8
+
+
 @pytest.mark.parametrize("route", ["schur", "kronecker"])
 def test_one_eigendecomposition_per_solve(route, monkeypatch):
     # the eigenvalues that decide solvability and the eigenvectors of the
@@ -548,9 +651,9 @@ class TestRowBlockedOperator:
         assert peak <= 2.5 * m * m * 8
 
     def test_peak_traced_memory_of_the_schur_route_at_n48(self):
-        # the n shifted triangles T[j, j] T^H - I and their inverses, 16 n^3
-        # bytes each (1.8 MB), and n x n arrays; the fallback holds 2.5 m^2 8
-        # bytes (28 MB)
+        # the n inverses of T[j, j] T^H - I, 16 n^3 bytes (1.8 MB), the
+        # quarter-size blocks of the recursive halving, and n x n arrays;
+        # the fallback holds 2.5 m^2 8 bytes (28 MB)
         A, Q = stein_case("schur", 48)
         tracemalloc.start()
         try:
